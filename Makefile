@@ -4,7 +4,7 @@ GO ?= go
 FUZZTIME ?= 10s
 COVER_FLOOR ?= 75.0
 
-.PHONY: build test race lint lint-selftest lint-guard verify validate matrix chaos cluster fuzz cover golden bench bench-guard profile clean
+.PHONY: build test race lint lint-selftest lint-guard loadgen-check verify validate matrix chaos cluster fuzz cover golden bench bench-guard profile clean
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,13 @@ lint-guard:
 	@start=$$(date +%s%N); $(GO) run ./cmd/lint ./... >/dev/null; end=$$(date +%s%N); \
 	echo "BenchmarkLintRepoWide 1 $$((end - start)) ns/op" | \
 		$(GO) run ./cmd/benchjson -guard BENCH_9.json -guard-name BenchmarkLintRepoWide -guard-factor 2
+
+# The end-to-end benchmark (cmd/loadgen) is a module of its own, so the root
+# build and test never enter it; this vets it and runs its short tests
+# against the repository's current packages, so a rename that breaks only
+# the benchmark fails here.
+loadgen-check:
+	$(GO) -C cmd/loadgen vet ./... && $(GO) -C cmd/loadgen test -short ./...
 
 # Differential + metamorphic verification against the independent oracles in
 # internal/oracle, plus the golden-snapshot existence check, preceded by the

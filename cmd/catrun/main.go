@@ -35,7 +35,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	threads := fs.Int("threads", 0, "measuring threads (default: benchmark-specific)")
 	list := fs.Bool("list", false, "list available benchmarks and exit")
 	csvOut := fs.String("csv", "", "also export measurements as CSV to this path")
-	workers := fs.Int("workers", 0, "collection workers (0 means GOMAXPROCS, 1 is the serial reference path)")
+	workers := fs.Int("workers", 0, "collection workers (0 means GOMAXPROCS, 1 runs serially on one goroutine)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the collection to this path")
 	memProfile := fs.String("memprofile", "", "write a heap profile taken after collection to this path")
 	if err := cli.ParseFlags(fs, args); err != nil {

@@ -71,8 +71,8 @@ type chasePlan struct {
 var planShardMin = 1 << 12
 
 // maxPlanElements bounds chases the plan path accepts: keys are stored as
-// uint32, and absurd element counts should use the reference simulator
-// (Workers=1) instead.
+// uint32. The plan path is the only production engine, so a chase past
+// this limit fails with the plan-limit error at every worker count.
 const maxPlanElements = 1 << 31
 
 // buildPerm returns the successor array of the Sattolo single-cycle
@@ -231,8 +231,8 @@ func buildPlan(cfgs []LevelConfig, tlbCfgs []TLBConfig, cfg ChaseConfig, lineShi
 
 	stride := uint64(cfg.StrideBytes)
 	// Pre-shifted keys must fit the uint32 stream slots; the smallest shift
-	// produces the largest key. Chases addressed past that live on the
-	// reference simulator.
+	// produces the largest key. Chases addressed past that fail with the
+	// plan-limit error.
 	minShift := uint(64)
 	if cacheGroups > 0 {
 		minShift = lineShift

@@ -60,53 +60,6 @@ func (b *DCache) PointNames() []string {
 	return names
 }
 
-// GroundTruth runs the sweep for one thread (each thread owns a private
-// hierarchy and a disjoint buffer, so ideal rates are thread-independent)
-// and returns per-access statistics for every point. It runs sequentially
-// on the calling goroutine through the reference simulator — this is the
-// Workers=1 collection path and the differential baseline the determinism
-// suite compares the optimized engine against; it spawns nothing, so
-// `-workers 1` really is serial.
-func (b *DCache) GroundTruth(threadSeed int64) ([]machine.Stats, error) {
-	pts := b.Points()
-	stats := make([]machine.Stats, len(pts))
-	for i, p := range pts {
-		res, err := cachesim.RunSweepPointTLB(b.Levels, b.TLBs, p, b.Seed+threadSeed*7919+int64(i), b.Passes)
-		if err != nil {
-			return nil, err
-		}
-		stats[i] = cacheStats(res)
-	}
-	return stats, nil
-}
-
-// groundTruthFast computes every thread's ground truth through the planned
-// cachesim engine: the whole (thread × sweep-point) space — further split
-// into residue-class chunks for large chases — fans out through par.ForErr
-// under the workers budget, with each coordinate's chain seed preserved, so
-// results are byte-identical to GroundTruth for any worker count.
-func (b *DCache) groundTruthFast(threads, workers int) ([][]machine.Stats, error) {
-	pts := b.Points()
-	tasks := make([]cachesim.SweepTask, 0, threads*len(pts))
-	for t := 0; t < threads; t++ {
-		for i, p := range pts {
-			tasks = append(tasks, cachesim.SweepTask{Point: p, Seed: b.Seed + int64(t)*7919 + int64(i)})
-		}
-	}
-	results, err := cachesim.RunSweepTasks(b.Levels, b.TLBs, tasks, b.Passes, workers)
-	if err != nil {
-		return nil, err
-	}
-	perThread := make([][]machine.Stats, threads)
-	for t := range perThread {
-		perThread[t] = make([]machine.Stats, len(pts))
-		for i := range pts {
-			perThread[t][i] = cacheStats(results[t*len(pts)+i])
-		}
-	}
-	return perThread, nil
-}
-
 // cacheStats flattens chase rates into ground-truth stat keys (per access).
 func cacheStats(r *cachesim.ChaseResult) machine.Stats {
 	l1h, l1m := r.HitRate[0], r.MissRate[0]
@@ -160,26 +113,33 @@ func (b *DCache) Basis() (*core.Basis, error) {
 }
 
 // GroundTruthAll returns every measuring thread's ground truth for the full
-// sweep under cfg: the sequential reference simulator for Workers==1, the
-// planned cachesim engine otherwise — the same selection Run makes, so both
-// paths stay byte-identical for any worker count. cfg.MinimalKernels is
-// ignored here: ground truth always covers the full sweep (spanning
-// selection happens in Run, and the event-trust validator needs every point).
+// sweep under cfg (each thread owns a private hierarchy and a disjoint
+// buffer). The whole (thread × sweep-point) space — further split into
+// residue-class chunks for large chases — runs through the planned cachesim
+// engine, fanned out by par.ForErr under cfg.Workers with each coordinate's
+// chain seed preserved, so results are bit-identical to the per-access
+// reference simulator (cachesim.RunSweepPointTLB) for any worker count, and
+// Workers=1 spawns nothing. cfg.MinimalKernels is ignored here: ground truth
+// always covers the full sweep (spanning selection happens in Run, and the
+// event-trust validator needs every point).
 func (b *DCache) GroundTruthAll(cfg RunConfig) ([][]machine.Stats, error) {
-	if cfg.Workers != 1 {
-		perThread, err := b.groundTruthFast(cfg.Threads, cfg.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("cat: dcache: %w", err)
+	pts := b.Points()
+	tasks := make([]cachesim.SweepTask, 0, cfg.Threads*len(pts))
+	for t := 0; t < cfg.Threads; t++ {
+		for i, p := range pts {
+			tasks = append(tasks, cachesim.SweepTask{Point: p, Seed: b.Seed + int64(t)*7919 + int64(i)})
 		}
-		return perThread, nil
+	}
+	results, err := cachesim.RunSweepTasks(b.Levels, b.TLBs, tasks, b.Passes, cfg.Workers)
+	if err != nil {
+		return nil, fmt.Errorf("cat: dcache: %w", err)
 	}
 	perThread := make([][]machine.Stats, cfg.Threads)
-	for t := 0; t < cfg.Threads; t++ {
-		stats, err := b.GroundTruth(int64(t))
-		if err != nil {
-			return nil, fmt.Errorf("cat: dcache thread %d: %w", t, err)
+	for t := range perThread {
+		perThread[t] = make([]machine.Stats, len(pts))
+		for i := range pts {
+			perThread[t][i] = cacheStats(results[t*len(pts)+i])
 		}
-		perThread[t] = stats
 	}
 	return perThread, nil
 }
@@ -187,11 +147,10 @@ func (b *DCache) GroundTruthAll(cfg RunConfig) ([][]machine.Stats, error) {
 // Run executes the sweep on cfg.Threads concurrent threads and measures
 // every event per repetition and thread. Ground truth and measurement both
 // fan out across cfg.Workers; the measurement set is assembled in the
-// serial (rep, thread, catalog) order. Workers=1 takes the sequential
-// reference simulator; any other worker count takes the planned cachesim
-// engine — both produce byte-identical sets, which the determinism suite's
-// Workers=1-vs-N report comparison proves end to end. Under
-// cfg.MinimalKernels only the spanning subset of sweep points is measured.
+// serial (rep, thread, catalog) order, so every worker count produces the
+// same set, which the determinism suite's Workers=1-vs-N report comparison
+// proves end to end. Under cfg.MinimalKernels only the spanning subset of
+// sweep points is measured.
 func (b *DCache) Run(p *machine.Platform, cfg RunConfig) (*core.MeasurementSet, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

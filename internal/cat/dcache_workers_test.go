@@ -6,8 +6,26 @@ import (
 	"testing"
 
 	"github.com/perfmetrics/eventlens/internal/cachesim"
+	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/machine"
 )
+
+// GroundTruth is the reference ground truth for one thread: every sweep
+// point through the per-access reference simulator, sequentially, with the
+// chain seeds GroundTruthAll uses. It is the oracle the planned engine must
+// match bit for bit.
+func (b *DCache) GroundTruth(threadSeed int64) ([]machine.Stats, error) {
+	pts := b.Points()
+	stats := make([]machine.Stats, len(pts))
+	for i, p := range pts {
+		res, err := cachesim.RunSweepPointTLB(b.Levels, b.TLBs, p, b.Seed+threadSeed*7919+int64(i), b.Passes)
+		if err != nil {
+			return nil, err
+		}
+		stats[i] = cacheStats(res)
+	}
+	return stats, nil
+}
 
 // statsBits renders ground-truth stats as float bit patterns so equality
 // checks are exact, not tolerance-based.
@@ -23,12 +41,13 @@ func statsBits(stats []machine.Stats) []map[string]uint64 {
 	return out
 }
 
-// TestDCacheWorkersBitIdentical proves the Workers=1 reference path (the
-// sequential pre-optimization simulator) and the planned fast path produce
-// bit-identical measurement sets for every worker count — with and without
-// TLB modelling, and with sharding forced onto the tiny footprints.
+// TestDCacheWorkersBitIdentical proves Run's measurement set equals the one
+// built from the reference ground truth for every worker count, Workers=1
+// included — with and without TLB modelling, and with sharding forced onto
+// the tiny footprints.
 func TestDCacheWorkersBitIdentical(t *testing.T) {
 	p := sprPlatform(t)
+	const threads = 4
 	for _, withTLB := range []bool{false, true} {
 		b := testDCache()
 		if withTLB {
@@ -37,26 +56,36 @@ func TestDCacheWorkersBitIdentical(t *testing.T) {
 				{Name: "STLB", Entries: 32, Ways: 4, PageBits: 8},
 			}
 		}
-		ref, err := b.Run(p, RunConfig{Reps: 3, Threads: 4, Workers: 1})
-		if err != nil {
+		refStats := make([][]machine.Stats, threads)
+		for thread := range refStats {
+			stats, err := b.GroundTruth(int64(thread))
+			if err != nil {
+				t.Fatal(err)
+			}
+			refStats[thread] = stats
+		}
+		ref := core.NewMeasurementSet("dcache", p.Name, b.PointNames())
+		refCfg := RunConfig{Reps: 3, Threads: threads, Workers: 1}
+		if err := measureIntoPoints(ref, p, func(t int) []machine.Stats { return refStats[t] }, refCfg); err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{0, 2, 8} {
+		for _, workers := range []int{1, 0, 2, 8} {
 			b2 := testDCache()
 			b2.TLBs = b.TLBs
-			got, err := b2.Run(p, RunConfig{Reps: 3, Threads: 4, Workers: workers})
+			got, err := b2.Run(p, RunConfig{Reps: 3, Threads: threads, Workers: workers})
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
 			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("tlb=%v workers=%d: measurement set differs from the Workers=1 reference", withTLB, workers)
+				t.Fatalf("tlb=%v workers=%d: measurement set differs from the reference ground truth's", withTLB, workers)
 			}
 		}
 	}
 }
 
-// TestDCacheGroundTruthMatchesFast compares the two ground-truth engines
-// directly, bit for bit, per thread and point.
+// TestDCacheGroundTruthMatchesFast compares the reference ground truth with
+// GroundTruthAll directly, bit for bit, per thread and point, at every
+// worker count.
 func TestDCacheGroundTruthMatchesFast(t *testing.T) {
 	b := testDCache()
 	b.TLBs = []cachesim.TLBConfig{
@@ -64,17 +93,23 @@ func TestDCacheGroundTruthMatchesFast(t *testing.T) {
 		{Name: "STLB", Entries: 32, Ways: 4, PageBits: 8},
 	}
 	const threads = 3
-	fast, err := b.groundTruthFast(threads, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for thread := 0; thread < threads; thread++ {
-		ref, err := b.GroundTruth(int64(thread))
+	ref := make([][]machine.Stats, threads)
+	for thread := range ref {
+		stats, err := b.GroundTruth(int64(thread))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(statsBits(ref), statsBits(fast[thread])) {
-			t.Fatalf("thread %d: fast ground truth differs from reference", thread)
+		ref[thread] = stats
+	}
+	for _, workers := range []int{1, 2, 8, 0} {
+		fast, err := b.GroundTruthAll(RunConfig{Reps: 1, Threads: threads, Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for thread := range ref {
+			if !reflect.DeepEqual(statsBits(ref[thread]), statsBits(fast[thread])) {
+				t.Fatalf("workers=%d thread %d: fast ground truth differs from reference", workers, thread)
+			}
 		}
 	}
 }

@@ -3,47 +3,48 @@ package server
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 
 	"github.com/perfmetrics/eventlens/internal/obs"
 )
 
-// resultCache is an LRU cache with singleflight semantics over computed
-// results (analyses, event-trust validations). Every producer is
-// deterministic — the same canonical key always produces the same result —
+// flightCache is an LRU cache with singleflight semantics. It backs both the
+// result cache (canonical responses of analyses, validations and matrices)
+// and the measurement-set cache that batches collection. Every producer is
+// deterministic — the same canonical key always produces the same value —
 // so cache hits are exact and concurrent identical requests can safely share
-// one execution. Entries are untyped; each endpoint family owns its key
-// prefix and the type behind it.
-type resultCache struct {
+// one execution.
+type flightCache[V any] struct {
 	mu      sync.Mutex
 	max     int
 	ll      *list.List // front = most recently used
 	items   map[string]*list.Element
-	flights map[string]*flightCall
+	flights map[string]*flight[V]
 
-	hits   *obs.Counter
-	misses *obs.Counter
+	hits   *obs.Counter // served from the cache or from another caller's flight
+	misses *obs.Counter // flights led: each runs fn once
 }
 
-type cacheEntry struct {
+type cacheEntry[V any] struct {
 	key string
-	val any
+	val V
 }
 
-// flightCall is one in-progress pipeline execution that concurrent
-// identical requests wait on.
-type flightCall struct {
+// flight is one in-progress execution that concurrent identical requests
+// wait on.
+type flight[V any] struct {
 	done chan struct{}
-	val  any
+	val  V
 	err  error
 }
 
-func newResultCache(max int, hits, misses *obs.Counter) *resultCache {
-	return &resultCache{
+func newFlightCache[V any](max int, hits, misses *obs.Counter) *flightCache[V] {
+	return &flightCache[V]{
 		max:     max,
 		ll:      list.New(),
 		items:   map[string]*list.Element{},
-		flights: map[string]*flightCall{},
+		flights: map[string]*flight[V]{},
 		hits:    hits,
 		misses:  misses,
 	}
@@ -51,35 +52,48 @@ func newResultCache(max int, hits, misses *obs.Counter) *resultCache {
 
 // do returns the cached value for key, or runs fn once to produce it.
 // Concurrent calls with the same key wait for the first caller's fn (their
-// own context still applies while waiting). Joining an in-flight execution
-// counts as a hit — the pipeline ran once for many requests. Errors are not
-// cached; the next request retries.
-func (c *resultCache) do(ctx context.Context, key string, fn func() (any, error)) (any, bool, error) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		val := el.Value.(*cacheEntry).val
-		c.mu.Unlock()
-		c.hits.Inc()
-		return val, true, nil
-	}
-	if call, ok := c.flights[key]; ok {
+// own context still applies while waiting). Joining a flight that succeeds
+// counts as a hit — the work ran once for many requests. Errors are not
+// cached; the next request retries. A leader that failed only because its
+// own context ended says nothing about the key, so a joiner whose context is
+// still live leads a fresh flight instead of inheriting that cancellation.
+func (c *flightCache[V]) do(ctx context.Context, key string, fn func() (V, error)) (V, error) {
+	var zero V
+	for {
+		c.mu.Lock()
+		if el, ok := c.items[key]; ok {
+			c.ll.MoveToFront(el)
+			val := el.Value.(*cacheEntry[V]).val
+			c.mu.Unlock()
+			c.hits.Inc()
+			return val, nil
+		}
+		call, ok := c.flights[key]
+		if !ok {
+			call = &flight[V]{done: make(chan struct{})}
+			c.flights[key] = call
+			c.mu.Unlock()
+			return c.lead(key, call, fn)
+		}
 		c.mu.Unlock()
 		select {
 		case <-call.done:
-			if call.err != nil {
-				return nil, false, call.err
+			if call.err == nil {
+				c.hits.Inc()
+				return call.val, nil
 			}
-			c.hits.Inc()
-			return call.val, true, nil
+			if !canceled(call.err) || ctx.Err() != nil {
+				return zero, call.err
+			}
 		case <-ctx.Done():
-			return nil, false, ctx.Err()
+			return zero, ctx.Err()
 		}
 	}
-	call := &flightCall{done: make(chan struct{})}
-	c.flights[key] = call
-	c.mu.Unlock()
+}
 
+// lead runs fn for a flight this caller registered, publishes a successful
+// value, and releases the flight's joiners.
+func (c *flightCache[V]) lead(key string, call *flight[V], fn func() (V, error)) (V, error) {
 	c.misses.Inc()
 	call.val, call.err = fn()
 
@@ -90,30 +104,35 @@ func (c *resultCache) do(ctx context.Context, key string, fn func() (any, error)
 	}
 	c.mu.Unlock()
 	close(call.done)
-	return call.val, false, call.err
+	return call.val, call.err
+}
+
+// canceled reports whether err is a context ending rather than a result.
+func canceled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // insert adds a value and evicts from the LRU tail past capacity. Caller
 // holds c.mu.
-func (c *resultCache) insert(key string, val any) {
+func (c *flightCache[V]) insert(key string, val V) {
 	if c.max <= 0 {
 		return
 	}
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).val = val
+		el.Value.(*cacheEntry[V]).val = val
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
+	c.items[key] = c.ll.PushFront(&cacheEntry[V]{key: key, val: val})
 	for c.ll.Len() > c.max {
 		tail := c.ll.Back()
 		c.ll.Remove(tail)
-		delete(c.items, tail.Value.(*cacheEntry).key)
+		delete(c.items, tail.Value.(*cacheEntry[V]).key)
 	}
 }
 
 // len reports the number of cached entries.
-func (c *resultCache) len() int {
+func (c *flightCache[V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()

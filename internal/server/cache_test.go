@@ -1,0 +1,84 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"github.com/perfmetrics/eventlens/internal/cat"
+	"github.com/perfmetrics/eventlens/internal/core"
+	"github.com/perfmetrics/eventlens/internal/machine"
+	"github.com/perfmetrics/eventlens/internal/suite"
+)
+
+// parkCtx is a live context that signals the first time a caller waits on
+// it: for a flight joiner, the moment it has joined.
+type parkCtx struct {
+	context.Context
+	once   sync.Once
+	parked chan struct{}
+}
+
+func (c *parkCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.parked) })
+	return c.Context.Done()
+}
+
+// TestFlightJoinerOutlivesLeaderCancel: a request that joined a flight
+// whose leader's client went away must not inherit that cancellation. Its
+// own context is live, so it leads a fresh flight and gets its result
+// instead of failing (which the daemon would serve as a 503). Exercised on
+// the measurement-set cache; the result cache is the same type.
+func TestFlightJoinerOutlivesLeaderCancel(t *testing.T) {
+	s := newTestServer(t, Config{})
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leading := make(chan struct{})
+	want := &core.MeasurementSet{}
+	var calls atomic.Int32
+	bench := suite.Benchmark{
+		Name:        "stub",
+		NewPlatform: func() (*machine.Platform, error) { return nil, nil },
+		Run: func(*machine.Platform, cat.RunConfig) (*core.MeasurementSet, error) {
+			if calls.Add(1) == 1 {
+				close(leading)
+				<-leaderCtx.Done()
+				return nil, leaderCtx.Err()
+			}
+			return want, nil
+		},
+	}
+	run := cat.RunConfig{Reps: 1, Threads: 1}
+
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := s.measurementSet(leaderCtx, bench, run)
+		leaderErr <- err
+	}()
+	<-leading
+	joiner := &parkCtx{Context: context.Background(), parked: make(chan struct{})}
+	type outcome struct {
+		set *core.MeasurementSet
+		err error
+	}
+	joined := make(chan outcome, 1)
+	go func() {
+		set, err := s.measurementSet(joiner, bench, run)
+		joined <- outcome{set, err}
+	}()
+	<-joiner.parked
+	cancel()
+
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader: err = %v, want context.Canceled", err)
+	}
+	got := <-joined
+	if got.err != nil || got.set != want {
+		t.Fatalf("joiner: set %p, err %v; want its own flight's set", got.set, got.err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("collections = %d, want 2 (the cancelled leader's and the joiner's own)", n)
+	}
+}

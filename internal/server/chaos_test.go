@@ -85,8 +85,9 @@ func TestJobRetryThenSucceed(t *testing.T) {
 	if view.Status != jobDone {
 		t.Fatalf("status = %q (error %q), want done after retry", view.Status, view.Error)
 	}
-	if view.Result == nil || view.Result.Report == "" {
-		t.Fatal("done job carries no result")
+	var res analyzeResponse
+	if err := json.Unmarshal(view.Result, &res); err != nil || res.Report == "" {
+		t.Fatalf("done job carries no result: %v", err)
 	}
 	text := metricsText(t, h)
 	if !strings.Contains(text, `eventlensd_faults_injected_total{site="job",kind="transient"} 1`) {

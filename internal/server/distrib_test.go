@@ -482,48 +482,57 @@ func TestClusterPeerChaosFailsOver(t *testing.T) {
 	}
 }
 
-// TestSyncAdmissionControl fills the synchronous compute bound with stalled
-// requests and expects the next one to be rejected with 429 + Retry-After
-// while cache hits keep flowing.
+// TestSyncAdmissionControl fills the synchronous compute bound on every
+// cached POST endpoint and expects the next computing request to be
+// rejected with 429 + Retry-After and counted, while cache hits keep
+// flowing.
 func TestSyncAdmissionControl(t *testing.T) {
-	s := newTestServer(t, Config{MaxSyncCompute: 1})
-	h := s.Handler()
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/analyze", marshalReq(t, taurq(1))},
+		{"/v1/events/validate", validateBody("spr", []string{"branch"}, "")},
+		{"/v1/matrix", `{"platforms":["zen4"],"benchmarks":["branch"]}`},
+	} {
+		t.Run(tc.path, func(t *testing.T) {
+			s := newTestServer(t, Config{MaxSyncCompute: 1})
+			h := s.Handler()
 
-	// Occupy the single compute slot directly; HTTP requests computing a
-	// distinct key must now be rejected at admission.
-	release, err := s.admitSync()
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := postJSON(t, h, "/v1/analyze", marshalReq(t, taurq(1)))
-	msg := decodeEnvelope(t, w, http.StatusTooManyRequests)
-	if !strings.Contains(msg, "overloaded") {
-		t.Fatalf("message = %q", msg)
-	}
-	if w.Header().Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After hint")
-	}
-	release()
+			// Occupy the single compute slot directly; a request computing a
+			// new key must now be rejected at admission.
+			release, err := s.admitSync()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := postJSON(t, h, tc.path, tc.body)
+			msg := decodeEnvelope(t, w, http.StatusTooManyRequests)
+			if !strings.Contains(msg, "overloaded") {
+				t.Fatalf("message = %q", msg)
+			}
+			if w.Header().Get("Retry-After") == "" {
+				t.Fatal("429 without Retry-After hint")
+			}
+			release()
 
-	// With the slot free the same request computes...
-	if w := postJSON(t, h, "/v1/analyze", marshalReq(t, taurq(1))); w.Code != http.StatusOK {
-		t.Fatalf("after release: %d %s", w.Code, w.Body)
-	}
-	// ...and cache hits bypass admission even at the bound.
-	release, err = s.admitSync()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	w = postJSON(t, h, "/v1/analyze", marshalReq(t, taurq(1)))
-	if w.Code != http.StatusOK {
-		t.Fatalf("cache hit rejected at admission: %d %s", w.Code, w.Body)
-	}
-	if got := w.Header().Get("X-Eventlens-Cache"); got != "hit" {
-		t.Fatalf("cache header = %q", got)
-	}
-	text := metricsText(t, h)
-	if !strings.Contains(text, `eventlensd_admission_rejected_total{site="sync"} 1`) {
-		t.Fatalf("sync rejection not counted:\n%s", grepLines(text, "admission"))
+			// With the slot free the same request computes...
+			if w := postJSON(t, h, tc.path, tc.body); w.Code != http.StatusOK {
+				t.Fatalf("after release: %d %s", w.Code, w.Body)
+			}
+			// ...and cache hits bypass admission even at the bound.
+			release, err = s.admitSync()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer release()
+			w = postJSON(t, h, tc.path, tc.body)
+			if w.Code != http.StatusOK {
+				t.Fatalf("cache hit rejected at admission: %d %s", w.Code, w.Body)
+			}
+			if got := w.Header().Get("X-Eventlens-Cache"); got != "hit" {
+				t.Fatalf("cache header = %q", got)
+			}
+			text := metricsText(t, h)
+			if !strings.Contains(text, `eventlensd_admission_rejected_total{site="sync"} 1`) {
+				t.Fatalf("sync rejection not counted:\n%s", grepLines(text, "admission"))
+			}
+		})
 	}
 }

@@ -53,7 +53,7 @@ func errStatus(err error) int {
 	if errors.As(err, &oe) {
 		return http.StatusTooManyRequests
 	}
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+	if canceled(err) {
 		return http.StatusServiceUnavailable
 	}
 	// Injected-fault failures (including a validation losing every benchmark)
@@ -309,63 +309,121 @@ const (
 	srcMiss = "miss" // computed now
 )
 
-// doAnalyze runs (or fetches) the analysis for a request; used by the async
-// job path, which is already admitted by the bounded worker pool.
-func (s *Server) doAnalyze(ctx context.Context, req analyzeRequest) (*analyzeResponse, bool, error) {
-	a, src, err := s.analysisFor(ctx, req, false)
-	if err != nil {
-		return nil, false, err
-	}
-	resp, err := a.toResponse()
-	if err != nil {
-		return nil, false, err
-	}
-	return resp, src != srcMiss, nil
+// cached is a result the serving ladder holds in memory: some value together
+// with the canonical response bytes every surface serves verbatim.
+type cached interface {
+	body() []byte
 }
 
-// analysisFor returns the cached analysis for a request. On a memory miss
-// it consults the persistent store (a verified entry becomes a stub — no
-// recomputation), and only then computes, publishing the result back to the
-// store. gated requests pass admission control before computing; job
-// workers are bounded already and pass gated=false.
-func (s *Server) analysisFor(ctx context.Context, req analyzeRequest, gated bool) (*analysis, string, error) {
-	bench, run, cfg, err := s.resolve(req)
-	if err != nil {
-		return nil, "", err
-	}
-	key := analysisKey(bench, run, cfg)
+func (a *analysis) body() []byte { return a.respJSON }
+
+// rawBody is a result that is nothing but its canonical bytes: what the
+// validate and matrix endpoints compute, cache and revive from the store.
+type rawBody []byte
+
+func (b rawBody) body() []byte { return b }
+
+func reviveRaw(body []byte) cached { return rawBody(body) }
+
+// endpoint is what the serving ladder needs to know about one request: its
+// canonical cache/store/shard key, how to compute its result (counting the
+// endpoint's own runs), and how to revive a verified store entry.
+type endpoint struct {
+	key     string
+	compute func(ctx context.Context) (cached, error)
+	revive  func(body []byte) cached
+}
+
+// serve is the serving ladder behind every cached endpoint and the async
+// job path: the in-memory cache (with singleflight), then the persistent
+// store, then admission control, then computation — publishing fresh
+// results back to the store. gated requests pass admission control before
+// computing; job workers are bounded already and pass gated=false. Every
+// producer is deterministic, so equal keys mean equal bytes everywhere: in
+// memory, on disk, and on whichever replica the key hashes to. The returned
+// source names the rung that served the result.
+func (s *Server) serve(ctx context.Context, ep endpoint, gated bool) (cached, string, error) {
 	src := srcHit // stays "hit" when the cache or a joined flight serves it
-	v, _, err := s.cache.do(ctx, key, func() (any, error) {
-		if payload, ok := s.storeGet(key); ok {
+	v, err := s.cache.do(ctx, ep.key, func() (cached, error) {
+		if body, ok := s.storeGet(ep.key); ok {
 			src = srcDisk
-			return &analysis{bench: bench, run: run, cfg: cfg, respJSON: payload}, nil
+			return ep.revive(body), nil
 		}
 		src = srcMiss
-		a, err := s.compute(ctx, bench, run, cfg, gated)
+		if gated {
+			release, err := s.admitSync()
+			if err != nil {
+				return nil, err
+			}
+			defer release()
+		}
+		start := time.Now()
+		v, err := ep.compute(ctx)
 		if err != nil {
 			return nil, err
 		}
-		s.storePut(key, a.respJSON)
-		return a, nil
+		s.pipelineSeconds.Observe(time.Since(start).Seconds())
+		s.storePut(ep.key, v.body())
+		return v, nil
 	})
-	if err != nil {
-		return nil, src, err
+	return v, src, err
+}
+
+// handleLadder serves one cached POST endpoint: decode the request, route it
+// to the key's owner in a sharded tier, or else run the serving ladder and
+// report the rung that served it. Requests already forwarded by a peer
+// (marker header) are always served locally, so forwarding cannot loop.
+func handleLadder[R any](s *Server, describe func(R) (endpoint, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req R
+		if err := decodeJSON(r, &req); err != nil {
+			writeErr(w, err)
+			return
+		}
+		ep, err := describe(req)
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		if s.ring != nil && r.Header.Get(peerHeader) == "" && s.forwardToOwner(w, r, ep.key, req) {
+			return
+		}
+		v, src, err := s.serve(r.Context(), ep, true)
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		w.Header().Set("X-Eventlens-Cache", src)
+		writeBody(w, http.StatusOK, v.body())
 	}
-	return v.(*analysis), src, nil
+}
+
+// analyzeEndpoint describes /v1/analyze, which async jobs share. A store
+// hit revives as a stub analysis that knows only its canonical bytes.
+func (s *Server) analyzeEndpoint(req analyzeRequest) (endpoint, error) {
+	bench, run, cfg, err := s.resolve(req)
+	if err != nil {
+		return endpoint{}, err
+	}
+	return endpoint{
+		key: analysisKey(bench, run, cfg),
+		compute: func(ctx context.Context) (cached, error) {
+			a, err := s.compute(ctx, bench, run, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return a, nil
+		},
+		revive: func(body []byte) cached {
+			return &analysis{bench: bench, run: run, cfg: cfg, respJSON: body}
+		},
+	}, nil
 }
 
 // compute runs the pipeline for one analysis key: collection via the
 // batching measurement-set cache, then the analysis stages over the shared
-// (immutable) set. gated computations are subject to admission control.
-func (s *Server) compute(ctx context.Context, bench suite.Benchmark, run cat.RunConfig, cfg core.Config, gated bool) (*analysis, error) {
-	if gated {
-		release, err := s.admitSync()
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-	}
-	start := time.Now()
+// (immutable) set.
+func (s *Server) compute(ctx context.Context, bench suite.Benchmark, run cat.RunConfig, cfg core.Config) (*analysis, error) {
 	set, err := s.measurementSet(ctx, bench, run)
 	if err != nil {
 		return nil, err
@@ -379,7 +437,6 @@ func (s *Server) compute(ctx context.Context, bench suite.Benchmark, run cat.Run
 		return nil, err
 	}
 	s.pipelineRuns.Inc()
-	s.pipelineSeconds.Observe(time.Since(start).Seconds())
 	a := &analysis{
 		bench:  bench,
 		run:    run,
@@ -394,19 +451,51 @@ func (s *Server) compute(ctx context.Context, bench suite.Benchmark, run cat.Run
 	return a, nil
 }
 
+// measurementSet resolves (benchmark, run) to its shared measurement set
+// through the batching set cache, keyed by cat.RunConfig.MeasurementKey.
+// Collection depends only on (benchmark, RunConfig) — analysis thresholds
+// never touch it — and every analysis stage treats the set as immutable, so
+// K analysis configurations sharing a measurement key trigger exactly one
+// collection pass whether they arrive concurrently (they join the flight)
+// or sequentially (they hit the cache). Collections running under minimal
+// spanning kernel selection count themselves and the points the selection
+// pruned (full basis rows minus collected points) — the cost it saved.
+func (s *Server) measurementSet(ctx context.Context, bench suite.Benchmark, run cat.RunConfig) (*core.MeasurementSet, error) {
+	return s.sets.do(ctx, run.MeasurementKey(bench.Name), func() (*core.MeasurementSet, error) {
+		set, err := bench.Collect(ctx, run)
+		if err != nil {
+			return nil, err
+		}
+		if run.MinimalKernels {
+			s.minimalRuns.Inc()
+			if basis, err := bench.Basis(); err == nil && basis.Points() > len(set.PointNames) {
+				s.minimalPruned.Add(uint64(basis.Points() - len(set.PointNames)))
+			}
+		}
+		return set, nil
+	})
+}
+
 // ensureFull upgrades a disk-warmed stub to a full analysis by recomputing
 // the pipeline internals (deterministic, so they match the stored response).
 // Concurrent upgraders of one entry serialize on the entry's mutex.
-func (s *Server) ensureFull(ctx context.Context, a *analysis, gated bool) error {
+func (s *Server) ensureFull(ctx context.Context, a *analysis) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.full {
 		return nil
 	}
-	full, err := s.compute(ctx, a.bench, a.run, a.cfg, gated)
+	release, err := s.admitSync()
 	if err != nil {
 		return err
 	}
+	defer release()
+	start := time.Now()
+	full, err := s.compute(ctx, a.bench, a.run, a.cfg)
+	if err != nil {
+		return err
+	}
+	s.pipelineSeconds.Observe(time.Since(start).Seconds())
 	if !bytes.Equal(full.respJSON, a.respJSON) {
 		// Determinism violation or a stale store from an incompatible
 		// release: keep serving the stored bytes for /v1/analyze (the
@@ -419,32 +508,23 @@ func (s *Server) ensureFull(ctx context.Context, a *analysis, gated bool) error 
 	return nil
 }
 
-// fullAnalysisFor is analysisFor plus the stub upgrade: endpoints that need
-// pipeline internals (define, explain, presets) go through here.
+// fullAnalysisFor serves an analyze request through the ladder and upgrades
+// a store-revived stub: endpoints that need pipeline internals (define,
+// explain, presets) go through here.
 func (s *Server) fullAnalysisFor(ctx context.Context, req analyzeRequest) (*analysis, error) {
-	a, _, err := s.analysisFor(ctx, req, true)
+	ep, err := s.analyzeEndpoint(req)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.ensureFull(ctx, a, true); err != nil {
+	v, _, err := s.serve(ctx, ep, true)
+	if err != nil {
+		return nil, err
+	}
+	a := v.(*analysis)
+	if err := s.ensureFull(ctx, a); err != nil {
 		return nil, err
 	}
 	return a, nil
-}
-
-// toResponse decodes the analysis into the response DTO: directly for full
-// entries, from the stored canonical bytes for stubs.
-func (a *analysis) toResponse() (*analyzeResponse, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.full {
-		return a.response(), nil
-	}
-	var resp analyzeResponse
-	if err := json.Unmarshal(a.respJSON, &resp); err != nil {
-		return nil, fmt.Errorf("server: stored analysis for %s undecodable: %w", a.bench.Name, err)
-	}
-	return &resp, nil
 }
 
 // admitSync is admission control for synchronous computations: a
@@ -473,29 +553,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.reg.WritePrometheus(w)
 }
 
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	var req analyzeRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	// In a sharded tier, requests arriving from clients are routed to the
-	// key's owner; requests already forwarded by a peer (marker header) are
-	// always served locally, so forwarding cannot loop.
-	if s.ring != nil && r.Header.Get(peerHeader) == "" {
-		if s.maybeForward(w, r, req) {
-			return
-		}
-	}
-	a, src, err := s.analysisFor(r.Context(), req, true)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	w.Header().Set("X-Eventlens-Cache", src)
-	writeBody(w, http.StatusOK, a.respJSON)
-}
-
 // ---- Event-trust validation -------------------------------------------
 
 // validateKey is the canonical cache/store/shard key of one event-trust
@@ -510,78 +567,36 @@ func validateKey(req validate.Request) (string, error) {
 	return "validate|" + k, nil
 }
 
-// validateFor returns the canonical validation envelope for a request through
-// the same ladder as analyses: in-memory cache (with singleflight), then the
-// persistent store, then computation — publishing fresh results back to the
-// store. The cached value is the canonical envelope bytes themselves; the
-// validator is deterministic, so equal keys mean equal bytes everywhere.
-func (s *Server) validateFor(ctx context.Context, req validate.Request, gated bool) ([]byte, string, error) {
-	key, err := validateKey(req)
-	if err != nil {
-		return nil, "", err
-	}
-	src := srcHit
-	v, _, err := s.cache.do(ctx, key, func() (any, error) {
-		if payload, ok := s.storeGet(key); ok {
-			src = srcDisk
-			return payload, nil
-		}
-		src = srcMiss
-		if gated {
-			release, err := s.admitSync()
-			if err != nil {
-				return nil, err
-			}
-			defer release()
-		}
-		if req.Workers == 0 {
-			req.Workers = s.cfg.PipelineWorkers
-		}
-		start := time.Now()
-		report, err := validate.Run(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		s.validateRuns.Inc()
-		s.pipelineSeconds.Observe(time.Since(start).Seconds())
-		for _, verdict := range validate.VerdictOrder() {
-			if n := report.Counts[verdict]; n > 0 {
-				s.validateVerdicts.With(verdict).Add(uint64(n))
-			}
-		}
-		payload := validate.NewEnvelope(report).CanonicalJSON()
-		s.storePut(key, payload)
-		return payload, nil
-	})
-	if err != nil {
-		return nil, src, err
-	}
-	return v.([]byte), src, nil
-}
-
-// handleValidate serves /v1/events/validate: the canonical event-trust
+// validateEndpoint describes /v1/events/validate: the canonical event-trust
 // envelope for a platform, byte-identical to `validate -platform <p> -json`.
 // Requests carrying a fault spec degrade exactly like the CLI — lost
 // benchmarks and dropped events are listed in the report, and only a
 // validation losing every benchmark fails (as 503, never 500).
-func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	var req validate.Request
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if s.ring != nil && r.Header.Get(peerHeader) == "" {
-		if s.maybeForwardValidate(w, r, req) {
-			return
-		}
-	}
-	payload, src, err := s.validateFor(r.Context(), req, true)
+func (s *Server) validateEndpoint(req validate.Request) (endpoint, error) {
+	key, err := validateKey(req)
 	if err != nil {
-		writeErr(w, err)
-		return
+		return endpoint{}, err
 	}
-	w.Header().Set("X-Eventlens-Cache", src)
-	writeBody(w, http.StatusOK, payload)
+	return endpoint{
+		key: key,
+		compute: func(ctx context.Context) (cached, error) {
+			if req.Workers == 0 {
+				req.Workers = s.cfg.PipelineWorkers
+			}
+			report, err := validate.Run(ctx, req)
+			if err != nil {
+				return nil, err
+			}
+			s.validateRuns.Inc()
+			for _, verdict := range validate.VerdictOrder() {
+				if n := report.Counts[verdict]; n > 0 {
+					s.validateVerdicts.With(verdict).Add(uint64(n))
+				}
+			}
+			return rawBody(validate.NewEnvelope(report).CanonicalJSON()), nil
+		},
+		revive: reviveRaw,
+	}, nil
 }
 
 // ---- Composability matrix ---------------------------------------------
@@ -597,75 +612,33 @@ func (s *Server) matrixKey(req matrix.Request) (string, error) {
 	return "matrix|" + k, nil
 }
 
-// matrixFor returns the canonical matrix envelope for a request through the
-// same ladder as analyses and validations: in-memory cache (with
-// singleflight), then the persistent store, then computation — publishing
-// fresh results back to the store. The matrix is deterministic (worker
-// counts never change its bytes), so equal keys mean equal bytes everywhere.
-func (s *Server) matrixFor(ctx context.Context, req matrix.Request, gated bool) ([]byte, string, error) {
-	key, err := s.matrixKey(req)
-	if err != nil {
-		return nil, "", err
-	}
-	src := srcHit
-	v, _, err := s.cache.do(ctx, key, func() (any, error) {
-		if payload, ok := s.storeGet(key); ok {
-			src = srcDisk
-			return payload, nil
-		}
-		src = srcMiss
-		if gated {
-			release, err := s.admitSync()
-			if err != nil {
-				return nil, err
-			}
-			defer release()
-		}
-		if req.Workers == 0 {
-			req.Workers = s.cfg.PipelineWorkers
-		}
-		start := time.Now()
-		report, err := matrix.Run(ctx, s.platforms, req)
-		if err != nil {
-			return nil, err
-		}
-		s.matrixRuns.Inc()
-		s.matrixCells.Add(uint64(report.Total))
-		s.pipelineSeconds.Observe(time.Since(start).Seconds())
-		payload := matrix.NewEnvelope(report).CanonicalJSON()
-		s.storePut(key, payload)
-		return payload, nil
-	})
-	if err != nil {
-		return nil, src, err
-	}
-	return v.([]byte), src, nil
-}
-
-// handleMatrix serves /v1/matrix: the cross-architecture composability
-// matrix over the registered platforms, byte-identical to
+// matrixEndpoint describes /v1/matrix: the cross-architecture
+// composability matrix over the registered platforms, byte-identical to
 // `figures -fig matrix -json` for the same request. Requests carrying a
 // fault spec degrade like the CLI — pairs losing their collection are
 // listed in the report — and only a matrix losing every pair fails (as 503,
 // never 500).
-func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	var req matrix.Request
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if s.ring != nil && r.Header.Get(peerHeader) == "" {
-		if s.maybeForwardMatrix(w, r, req) {
-			return
-		}
-	}
-	payload, src, err := s.matrixFor(r.Context(), req, true)
+func (s *Server) matrixEndpoint(req matrix.Request) (endpoint, error) {
+	key, err := s.matrixKey(req)
 	if err != nil {
-		writeErr(w, err)
-		return
+		return endpoint{}, err
 	}
-	w.Header().Set("X-Eventlens-Cache", src)
-	writeBody(w, http.StatusOK, payload)
+	return endpoint{
+		key: key,
+		compute: func(ctx context.Context) (cached, error) {
+			if req.Workers == 0 {
+				req.Workers = s.cfg.PipelineWorkers
+			}
+			report, err := matrix.Run(ctx, s.platforms, req)
+			if err != nil {
+				return nil, err
+			}
+			s.matrixRuns.Inc()
+			s.matrixCells.Add(uint64(report.Total))
+			return rawBody(matrix.NewEnvelope(report).CanonicalJSON()), nil
+		},
+		revive: reviveRaw,
+	}, nil
 }
 
 // defineRequest solves one signature — either a named one from the

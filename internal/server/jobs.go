@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -30,7 +31,7 @@ type job struct {
 
 	mu       sync.Mutex
 	status   string
-	result   *analyzeResponse
+	result   json.RawMessage // the canonical /v1/analyze body
 	errMsg   string
 	created  time.Time
 	started  time.Time
@@ -61,14 +62,14 @@ func (j *job) snapshot() jobView {
 
 // jobView is the API representation of a job.
 type jobView struct {
-	ID        string           `json:"id"`
-	Status    string           `json:"status"`
-	Benchmark string           `json:"benchmark"`
-	Created   string           `json:"created"`
-	Started   string           `json:"started,omitempty"`
-	Finished  string           `json:"finished,omitempty"`
-	Result    *analyzeResponse `json:"result,omitempty"`
-	Error     string           `json:"error,omitempty"`
+	ID        string          `json:"id"`
+	Status    string          `json:"status"`
+	Benchmark string          `json:"benchmark"`
+	Created   string          `json:"created"`
+	Started   string          `json:"started,omitempty"`
+	Finished  string          `json:"finished,omitempty"`
+	Result    json.RawMessage `json:"result,omitempty"`
+	Error     string          `json:"error,omitempty"`
 }
 
 // jobManager owns the bounded job queue and the worker pool draining it.
@@ -224,14 +225,14 @@ func (m *jobManager) cancelJob(id string) (jobView, bool, error) {
 }
 
 // finish records a job outcome.
-func (j *job) finish(resp *analyzeResponse, err error) {
+func (j *job) finish(result []byte, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.finished = time.Now()
 	switch {
 	case err == nil:
 		j.status = jobDone
-		j.result = resp
+		j.result = result
 	case j.canceled:
 		j.status = jobCanceled
 		j.errMsg = err.Error()

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/fault"
 	"github.com/perfmetrics/eventlens/internal/machine"
 	"github.com/perfmetrics/eventlens/internal/obs"
@@ -73,17 +74,18 @@ type Config struct {
 	// serves the built-in platforms only.
 	PlatformDir string
 	// StoreDir enables the persistent, content-addressed result store: every
-	// computed analysis response is published there (atomic write-rename,
-	// checksummed), and cache misses consult it before recomputing, so the
-	// cache warms from disk across restarts. A corrupt or truncated entry is
-	// a miss, never a failure. Empty disables persistence.
+	// computed analysis, validation and matrix response is published there
+	// (atomic write-rename, checksummed), and cache misses consult it before
+	// recomputing, so the cache warms from disk across restarts. A corrupt or
+	// truncated entry is a miss, never a failure. Empty disables persistence.
 	StoreDir string
 	// Peers lists the base URLs ("http://host:port") of every replica in the
 	// serving tier, including this one. With two or more distinct peers,
-	// analysis and validation keys are partitioned across replicas by
-	// consistent hashing and /v1/analyze and /v1/events/validate requests are
-	// forwarded to their owner, failing over in ring order when owners are
-	// unreachable. Empty (or just this replica) serves everything locally.
+	// analysis, validation and matrix keys are partitioned across replicas by
+	// consistent hashing and /v1/analyze, /v1/events/validate and /v1/matrix
+	// requests are forwarded to their owner, failing over in ring order when
+	// owners are unreachable. Empty (or just this replica) serves everything
+	// locally.
 	Peers []string
 	// SelfURL is this replica's own entry in Peers; required when Peers is
 	// set, so the replica can recognize keys it owns.
@@ -193,8 +195,8 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg   Config
 	log   *slog.Logger
-	cache *resultCache
-	sets  *setCache
+	cache *flightCache[cached]
+	sets  *flightCache[*core.MeasurementSet]
 	jobs  *jobManager
 
 	// platforms is the daemon's platform registry: the built-in platforms,
@@ -319,9 +321,9 @@ func New(cfg Config) (*Server, error) {
 	s.requestsTotal = reg.CounterVec("eventlensd_requests_total",
 		"HTTP requests served, by route pattern and status code.", "route", "code")
 	s.cacheHits = reg.Counter("eventlensd_cache_hits_total",
-		"Analysis cache hits (including requests that joined an in-flight identical run).")
+		"Result cache hits on analyze, validate and matrix requests (including requests that joined an in-flight identical run).")
 	s.cacheMisses = reg.Counter("eventlensd_cache_misses_total",
-		"Analysis cache misses (each miss runs the pipeline once).")
+		"Result cache misses on analyze, validate and matrix requests (each miss reads the store or computes once).")
 	s.pipelineRuns = reg.Counter("eventlensd_pipeline_runs_total",
 		"Full pipeline executions (collection + noise filter + projection + QRCP + metrics).")
 	s.pipelineSeconds = reg.Histogram("eventlensd_pipeline_seconds",
@@ -343,7 +345,7 @@ func New(cfg Config) (*Server, error) {
 	s.storeMisses = reg.Counter("eventlensd_store_misses_total",
 		"Persistent result-store reads that found no entry.")
 	s.storeWrites = reg.Counter("eventlensd_store_writes_total",
-		"Analysis responses published to the persistent result store.")
+		"Analyze, validate and matrix responses published to the persistent result store.")
 	s.storeCorrupt = reg.Counter("eventlensd_store_corrupt_total",
 		"Persistent result-store entries that failed verification (served as misses).")
 	s.batchCoalesced = reg.Counter("eventlensd_batch_coalesced_total",
@@ -351,7 +353,7 @@ func New(cfg Config) (*Server, error) {
 	s.collections = reg.Counter("eventlensd_collections_total",
 		"Benchmark collection passes executed; each serves every analysis sharing its measurement set.")
 	s.shardRequests = reg.CounterVec("eventlensd_shard_requests_total",
-		"Sharded analyze requests, by routing outcome (local, forwarded, failover).", "outcome")
+		"Sharded analyze, validate and matrix requests, by routing outcome (local, forwarded, failover).", "outcome")
 	s.admissionRejch = reg.CounterVec("eventlensd_admission_rejected_total",
 		"Requests rejected with 429 by admission control, by site (sync, jobs).", "site")
 	s.validateRuns = reg.Counter("eventlensd_validate_runs_total",
@@ -373,8 +375,8 @@ func New(cfg Config) (*Server, error) {
 			}
 			return int64(s.store.Len())
 		})
-	s.cache = newResultCache(cfg.CacheSize, s.cacheHits, s.cacheMisses)
-	s.sets = newSetCache(cfg.SetCacheSize, s.batchCoalesced, s.collections)
+	s.cache = newFlightCache[cached](cfg.CacheSize, s.cacheHits, s.cacheMisses)
+	s.sets = newFlightCache[*core.MeasurementSet](cfg.SetCacheSize, s.batchCoalesced, s.collections)
 	s.jobs = newJobManager(cfg.QueueDepth, cfg.JobTimeout, s.jobsInflight, s.queueDepth, s.jobsTotal)
 	return s, nil
 }
@@ -386,9 +388,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/platforms", s.handlePlatforms)
 	mux.HandleFunc("GET /v1/benchmarks", s.handleBenchmarks)
-	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
-	mux.HandleFunc("POST /v1/events/validate", s.handleValidate)
-	mux.HandleFunc("POST /v1/matrix", s.handleMatrix)
+	mux.HandleFunc("POST /v1/analyze", handleLadder(s, s.analyzeEndpoint))
+	mux.HandleFunc("POST /v1/events/validate", handleLadder(s, s.validateEndpoint))
+	mux.HandleFunc("POST /v1/matrix", handleLadder(s, s.matrixEndpoint))
 	mux.HandleFunc("POST /v1/metrics/define", s.handleDefine)
 	mux.HandleFunc("POST /v1/events/explain", s.handleExplain)
 	mux.HandleFunc("GET /v1/presets/{benchmark}", s.handlePresets)
@@ -504,8 +506,8 @@ func (s *Server) WaitAddr(ctx context.Context) (net.Addr, error) {
 // handler tests call it directly when exercising the mux without a listener.
 func (s *Server) startJobWorkers(ctx context.Context) {
 	s.jobs.start(ctx, s.cfg.Workers, func(ctx context.Context, j *job) {
-		resp, err := s.runJobResilient(ctx, j)
-		j.finish(resp, err)
+		result, err := s.runJobResilient(ctx, j)
+		j.finish(result, err)
 	})
 }
 
@@ -527,15 +529,13 @@ func (s *Server) jobRetryBudget() int {
 // retried with seeded exponential backoff up to the retry budget. The
 // backoff seed derives from the job ID, so a chaos run's retry schedule
 // replays exactly.
-func (s *Server) runJobResilient(ctx context.Context, j *job) (*analyzeResponse, error) {
+func (s *Server) runJobResilient(ctx context.Context, j *job) ([]byte, error) {
 	budget := s.jobRetryBudget()
 	seed := fault.SeedFor("job", j.id)
-	var resp *analyzeResponse
-	var err error
 	for attempt := 0; ; attempt++ {
-		resp, err = s.runJobOnce(ctx, j, attempt)
+		result, err := s.runJobOnce(ctx, j, attempt)
 		if err == nil || !fault.IsTransient(err) || attempt >= budget || ctx.Err() != nil {
-			return resp, err
+			return result, err
 		}
 		s.jobRetries.Inc()
 		s.log.Info("retrying faulted job", "job", j.id, "attempt", attempt, "err", err.Error())
@@ -544,9 +544,10 @@ func (s *Server) runJobResilient(ctx context.Context, j *job) (*analyzeResponse,
 }
 
 // runJobOnce is a single job attempt: chaos consultation at the job seam,
-// then the analysis, with panics contained into errors that preserve the
-// fault coordinate (errors.As sees through the containment).
-func (s *Server) runJobOnce(ctx context.Context, j *job, attempt int) (resp *analyzeResponse, err error) {
+// then the analysis through the serving ladder, with panics contained into
+// errors that preserve the fault coordinate (errors.As sees through the
+// containment). The result is the canonical /v1/analyze body.
+func (s *Server) runJobOnce(ctx context.Context, j *job, attempt int) (result []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if e, ok := r.(error); ok {
@@ -554,7 +555,7 @@ func (s *Server) runJobOnce(ctx context.Context, j *job, attempt int) (resp *ana
 			} else {
 				err = fmt.Errorf("server: job %s panicked: %v", j.id, r)
 			}
-			resp = nil
+			result = nil
 		}
 	}()
 	if s.chaos != nil {
@@ -571,8 +572,15 @@ func (s *Server) runJobOnce(ctx context.Context, j *job, attempt int) (resp *ana
 			fault.Sleep(s.chaos.Delay(coord))
 		}
 	}
-	resp, _, err = s.doAnalyze(ctx, j.req)
-	return resp, err
+	ep, err := s.analyzeEndpoint(j.req)
+	if err != nil {
+		return nil, err
+	}
+	v, _, err := s.serve(ctx, ep, false)
+	if err != nil {
+		return nil, err
+	}
+	return v.body(), nil
 }
 
 // Run listens on cfg.Addr and serves until ctx is cancelled, then shuts

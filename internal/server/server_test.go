@@ -338,7 +338,8 @@ func TestPlatformsAndBenchmarks(t *testing.T) {
 }
 
 func TestJobLifecycle(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 2})
+	dir := t.TempDir()
+	s := newTestServer(t, Config{Workers: 2, StoreDir: dir})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s.startJobWorkers(ctx)
@@ -379,23 +380,56 @@ func TestJobLifecycle(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if view.Result == nil || view.Result.Benchmark != "branch" {
-		t.Fatalf("done job missing result: %+v", view)
+	var res analyzeResponse
+	if err := json.Unmarshal(view.Result, &res); err != nil || res.Benchmark != "branch" {
+		t.Fatalf("done job missing result (%v): %s", err, w.Body)
 	}
 
-	// The async result matches the synchronous endpoint's.
+	// The async result is the synchronous endpoint's body, here served from
+	// the entry the job computed.
 	sync := postJSON(t, h, "/v1/analyze", `{"benchmark":"branch"}`)
-	var syncResp analyzeResponse
-	if err := json.Unmarshal(sync.Body.Bytes(), &syncResp); err != nil {
+	if got := sync.Header().Get("X-Eventlens-Cache"); got != "hit" {
+		t.Fatalf("sync after job: cache header = %q", got)
+	}
+	sameCompactJSON(t, view.Result, sync.Body.Bytes())
+
+	// After a restart on the same store the job is served from the entry the
+	// store revives, and its result is still the synchronous body.
+	s2 := newTestServer(t, Config{Workers: 1, StoreDir: dir})
+	s2.startJobWorkers(ctx)
+	h2 := s2.Handler()
+	w = postJSON(t, h2, "/v1/jobs", `{"benchmark":"branch"}`)
+	if err := json.Unmarshal(w.Body.Bytes(), &view); err != nil {
 		t.Fatal(err)
 	}
-	if syncResp.Report != view.Result.Report {
-		t.Fatal("async and sync reports differ")
+	view = pollJob(t, h2, view.ID, terminal)
+	if view.Status != jobDone {
+		t.Fatalf("warmed job ended %s: %s", view.Status, view.Error)
 	}
+	if got := s2.collections.Value(); got != 0 {
+		t.Fatalf("warmed job ran %d collection passes, want 0", got)
+	}
+	sameCompactJSON(t, view.Result, sync.Body.Bytes())
 
 	decodeEnvelope(t, get(t, h, "/v1/jobs/job-999"), http.StatusNotFound)
 	// Jobs referencing unknown benchmarks are rejected at enqueue time.
 	decodeEnvelope(t, postJSON(t, h, "/v1/jobs", `{"benchmark":"nope"}`), http.StatusNotFound)
+}
+
+// sameCompactJSON fails unless two JSON documents are equal byte for byte
+// once insignificant whitespace is removed.
+func sameCompactJSON(t *testing.T, got, want []byte) {
+	t.Helper()
+	var g, w bytes.Buffer
+	if err := json.Compact(&g, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&w, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g.Bytes(), w.Bytes()) {
+		t.Fatalf("JSON differs:\n got: %s\nwant: %s", g.Bytes(), w.Bytes())
+	}
 }
 
 func TestJobCancelQueuedAndQueueFull(t *testing.T) {

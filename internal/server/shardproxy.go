@@ -7,8 +7,6 @@ import (
 	"net/http"
 
 	"github.com/perfmetrics/eventlens/internal/fault"
-	"github.com/perfmetrics/eventlens/internal/matrix"
-	"github.com/perfmetrics/eventlens/internal/validate"
 )
 
 // peerHeader marks a request as forwarded by a peer replica. A marked
@@ -19,46 +17,16 @@ const peerHeader = "X-Eventlens-Peer"
 // servedByHeader names the replica that produced a forwarded response.
 const servedByHeader = "X-Eventlens-Served-By"
 
-// maybeForward routes an analyze request to the replica owning its key. It
-// returns false when the request should be served locally instead: this
-// replica owns the key, every better-ranked owner is unreachable, or the
-// request cannot even be resolved (the local path produces the proper error).
-func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, req analyzeRequest) bool {
-	bench, run, cfg, err := s.resolve(req)
-	if err != nil {
-		return false
-	}
-	return s.forwardToOwner(w, r, "/v1/analyze", analysisKey(bench, run, cfg), req)
-}
-
-// maybeForwardValidate is maybeForward for /v1/events/validate: validations
-// ride the same ring as analyses, hashed by their prefixed canonical key, so
-// a tier shards validation work exactly like analysis work.
-func (s *Server) maybeForwardValidate(w http.ResponseWriter, r *http.Request, req validate.Request) bool {
-	key, err := validateKey(req)
-	if err != nil {
-		return false
-	}
-	return s.forwardToOwner(w, r, r.URL.Path, key, req)
-}
-
-// maybeForwardMatrix is maybeForward for /v1/matrix: matrices ride the same
-// ring as analyses and validations, hashed by their prefixed canonical key.
-func (s *Server) maybeForwardMatrix(w http.ResponseWriter, r *http.Request, req matrix.Request) bool {
-	key, err := s.matrixKey(req)
-	if err != nil {
-		return false
-	}
-	return s.forwardToOwner(w, r, r.URL.Path, key, req)
-}
-
-// forwardToOwner relays req to the replica owning key at path and copies the
-// response back. Peers answering with 5xx or a transport error are treated as
-// down and the next owner in ring order is tried; anything else — including
-// 429, so admission control is not defeated by rerouting — relays to the
-// client byte-for-byte. It returns false when the request should be served
-// locally: this replica owns the key, or every better-ranked owner is down.
-func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, path, key string, req any) bool {
+// forwardToOwner relays req to the replica owning key, at the request's own
+// path, and copies the response back. Every cached endpoint rides the same
+// ring, hashed by its prefixed canonical key, so a tier shards analyses,
+// validations and matrices alike. Peers answering with 5xx or a transport
+// error are treated as down and the next owner in ring order is tried;
+// anything else — including 429, so admission control is not defeated by
+// rerouting — relays to the client byte-for-byte. It returns false when the
+// request should be served locally: this replica owns the key, or every
+// better-ranked owner is down.
+func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, key string, req any) bool {
 	owners := s.ring.Owners(key, 0)
 	if owners[0] == s.self {
 		s.shardRequests.With("local").Inc()
@@ -76,7 +44,7 @@ func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, path, ke
 		if s.peerFaulted(peer) {
 			continue
 		}
-		resp, err := s.peerDo(r, peer, path, body)
+		resp, err := s.peerDo(r, peer, body)
 		if err != nil {
 			s.log.Warn("peer unreachable; failing over", "peer", peer, "err", err.Error())
 			continue
@@ -96,9 +64,9 @@ func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, path, ke
 }
 
 // peerDo forwards the request body to one peer under the caller's context.
-func (s *Server) peerDo(r *http.Request, peer, path string, body []byte) (*http.Response, error) {
+func (s *Server) peerDo(r *http.Request, peer string, body []byte) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-		peer+path, bytes.NewReader(body))
+		peer+r.URL.Path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
