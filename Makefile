@@ -4,7 +4,7 @@ GO ?= go
 FUZZTIME ?= 10s
 COVER_FLOOR ?= 75.0
 
-.PHONY: build test race lint lint-selftest lint-guard loadgen-check verify validate matrix chaos cluster fuzz cover golden bench bench-guard profile clean
+.PHONY: build test race lint lint-selftest lint-guard loadgen-check loc verify validate matrix chaos cluster fuzz cover golden bench bench-guard profile clean
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,14 @@ lint-guard:
 # the benchmark fails here.
 loadgen-check:
 	$(GO) -C cmd/loadgen vet ./... && $(GO) -C cmd/loadgen test -short ./...
+
+# Go line counts as ROADMAP.md tracks them: every *.go file outside
+# cmd/loadgen/ (the benchmark module) and cmd/lint/testdata/ (lint fixtures),
+# with *_test.go files counted as test code. Informational; nothing gates on it.
+LOC_FILES = find . -path './.*' -prune -o -path ./cmd/loadgen -prune -o -path ./cmd/lint/testdata -prune -o -name '*.go' -print
+loc:
+	@echo "non-test Go LOC: $$($(LOC_FILES) | grep -v '_test\.go$$' | xargs cat | wc -l)"
+	@echo "test Go LOC:     $$($(LOC_FILES) | grep '_test\.go$$' | xargs cat | wc -l)"
 
 # Differential + metamorphic verification against the independent oracles in
 # internal/oracle, plus the golden-snapshot existence check, preceded by the

@@ -10,10 +10,10 @@
 package eventlens_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/perfmetrics/eventlens"
-	"github.com/perfmetrics/eventlens/internal/cat"
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/mat"
 	"github.com/perfmetrics/eventlens/internal/suite"
@@ -39,11 +39,7 @@ func collect(b *testing.B, name string) *collected {
 	if err != nil {
 		b.Fatal(err)
 	}
-	platform, err := bench.NewPlatform()
-	if err != nil {
-		b.Fatal(err)
-	}
-	set, err := bench.Run(platform, cat.RunConfig(bench.DefaultRun))
+	set, err := bench.Collect(context.Background(), bench.DefaultRun)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -178,7 +174,7 @@ func benchCollect(b *testing.B, name string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.Run(platform, cat.RunConfig(bench.DefaultRun)); err != nil {
+		if _, err := bench.CollectOn(context.Background(), platform, bench.DefaultRun); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,7 +203,7 @@ func benchCollectWorkers(b *testing.B, name string, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.Run(platform, run); err != nil {
+		if _, err := bench.CollectOn(context.Background(), platform, run); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -75,8 +75,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	var set *core.MeasurementSet
 	if *in != "" {
-		if *platformName != "" {
-			return cli.Usagef("-platform selects a collection target; it cannot be combined with -in")
+		if *platformName != "" || *platformDir != "" {
+			return cli.Usagef("-platform and -platform-dir select a collection target; they cannot be combined with -in")
 		}
 		set, err = catio.ReadFile(*in)
 		if err != nil {
@@ -89,6 +89,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		runCfg := cat.RunConfig(bench.DefaultRun)
 		runCfg.Workers = *workersFlag
 		runCfg.MinimalKernels = *minimal
+		platform, err := bench.NewPlatform()
+		if err != nil {
+			return err
+		}
 		if *platformName != "" || *platformDir != "" {
 			reg, err := machine.NewRegistry()
 			if err != nil {
@@ -99,33 +103,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 					return err
 				}
 			}
-			name := *platformName
-			if name == "" {
-				// A platform dir without -platform still collects on the
-				// benchmark's default platform (possibly overridden in dir).
-				p, err := bench.NewPlatform()
-				if err != nil {
-					return err
-				}
-				name = p.Name
+			// A platform dir without -platform still collects on the
+			// benchmark's default platform (possibly overridden in dir).
+			name := platform.Name
+			if *platformName != "" {
+				name = *platformName
 			}
-			platform, err := reg.New(name)
-			if err != nil {
+			if platform, err = reg.New(name); err != nil {
 				return err
 			}
-			set, err = bench.CollectOn(context.Background(), platform, runCfg)
-			if err != nil {
-				return err
-			}
-		} else {
-			platform, err := bench.NewPlatform()
-			if err != nil {
-				return err
-			}
-			set, err = bench.Run(platform, runCfg)
-			if err != nil {
-				return err
-			}
+		}
+		set, err = bench.CollectOn(context.Background(), platform, runCfg)
+		if err != nil {
+			return err
 		}
 	}
 

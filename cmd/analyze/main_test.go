@@ -2,13 +2,18 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/perfmetrics/eventlens/internal/cat"
+	"github.com/perfmetrics/eventlens/internal/catio"
 	"github.com/perfmetrics/eventlens/internal/cli"
 	"github.com/perfmetrics/eventlens/internal/goldie"
+	"github.com/perfmetrics/eventlens/internal/suite"
 )
 
 // runCmd invokes run in-process and fails the test on an unexpected error.
@@ -57,5 +62,37 @@ func TestNegativeWorkersRejected(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "workers must be >= 0") {
 		t.Errorf("unhelpful message: %v", err)
+	}
+}
+
+// TestCollectionFlagsRejectedWithIn: -platform and -platform-dir pick where
+// to collect, so with -in (nothing is collected) each is a usage error
+// rather than silently ignored — even when the file itself analyzes fine.
+func TestCollectionFlagsRejectedWithIn(t *testing.T) {
+	bench, err := suite.ByName("branch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := bench.Collect(context.Background(), cat.RunConfig{Reps: 2, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := filepath.Join(t.TempDir(), "branch.json.gz")
+	if err := catio.WriteFile(in, set); err != nil {
+		t.Fatal(err)
+	}
+	runCmd(t, "-in", in, "-bench", "branch")
+	for _, flagArgs := range [][]string{
+		{"-platform", "graviton"},
+		{"-platform-dir", filepath.Join(t.TempDir(), "does-not-exist")},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(append([]string{"-in", in, "-bench", "branch"}, flagArgs...), &stdout, &stderr)
+		var ue *cli.UsageError
+		if !errors.As(err, &ue) {
+			t.Errorf("-in with %s: got %v, want UsageError", flagArgs[0], err)
+		} else if !strings.Contains(err.Error(), "-in") {
+			t.Errorf("-in with %s: unhelpful message: %v", flagArgs[0], err)
+		}
 	}
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -86,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	set, err := bench.Run(platform, cat.RunConfig{Reps: cfg.Reps, Threads: cfg.Threads, Workers: *workers})
+	set, err := bench.CollectOn(context.Background(), platform, cat.RunConfig{Reps: cfg.Reps, Threads: cfg.Threads, Workers: *workers})
 	if err != nil {
 		return err
 	}

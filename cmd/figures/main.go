@@ -127,18 +127,14 @@ func figure1(w io.Writer) {
 
 // figure2 renders one panel of Figure 2: sorted event variabilities.
 func figure2(w io.Writer, bench suite.Benchmark, csv bool) error {
-	platform, err := bench.NewPlatform()
-	if err != nil {
-		return err
-	}
-	set, err := bench.Run(platform, cat.RunConfig(bench.DefaultRun))
+	set, err := bench.Collect(context.Background(), bench.DefaultRun)
 	if err != nil {
 		return err
 	}
 	report := core.FilterNoise(set, bench.Config.Tau)
 	sorted := report.SortedVariabilities()
 	title := fmt.Sprintf("Figure %s: sorted event variabilities (CAT %s benchmark, %s)",
-		bench.Figure, bench.Name, platform.Name)
+		bench.Figure, bench.Name, set.Platform)
 	if csv {
 		fmt.Fprintln(w, title)
 		fmt.Fprintln(w, "index,event,max_rnmse")

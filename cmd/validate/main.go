@@ -27,7 +27,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("validate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	platform := fs.String("platform", "", "platform catalog to validate: spr or mi250x")
+	platform := fs.String("platform", "", "platform catalog to validate: any registered platform (spr, mi250x, h100, ...)")
 	benches := fs.String("bench", "", "comma-separated benchmark subset (default: every benchmark of the platform)")
 	jsonOut := fs.Bool("json", false, "emit the canonical JSON envelope instead of text (byte-identical to /v1/events/validate)")
 	workersFlag := fs.Int("workers", 0, "collection worker pool size (0 = GOMAXPROCS, 1 = serial; output is byte-identical either way)")

@@ -7,6 +7,7 @@
 package eventlens_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/perfmetrics/eventlens/internal/cat"
@@ -19,24 +20,16 @@ import (
 // the collection and analysis configs, and renders the full report.
 func analysisReport(t *testing.T, bench suite.Benchmark, workers int) string {
 	t.Helper()
-	platform, err := bench.NewPlatform()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
 	run := bench.DefaultRun
 	run.Workers = workers
-	set, err := bench.Run(platform, run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	basis, err := bench.Basis()
+	set, err := bench.Collect(ctx, run)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := bench.Config
 	cfg.Workers = workers
-	pipe := &core.Pipeline{Basis: basis, Config: cfg}
-	res, err := pipe.Analyze(set)
+	res, err := bench.AnalyzeSet(ctx, set, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +74,13 @@ func TestStreamEventsWorkersDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := cat.NewBranch()
-	points, err := b.GroundTruth()
+	truth, err := bench.GroundTruth(bench.DefaultRun)
 	if err != nil {
 		t.Fatal(err)
 	}
 	collect := func(workers int) (names []string, vecs [][][]float64) {
 		cfg := cat.RunConfig{Reps: 3, Threads: 1, Workers: workers}
-		src := cat.StreamEvents(platform, points, cfg)
+		src := cat.StreamEvents(platform, truth, cfg)
 		err := src(func(name string, reps [][]float64) error {
 			names = append(names, name)
 			vecs = append(vecs, reps)

@@ -1,6 +1,7 @@
 package eventlens_test
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/perfmetrics/eventlens"
@@ -42,11 +43,7 @@ func ExampleExplainEvent() {
 	if err != nil {
 		panic(err)
 	}
-	platform, err := bench.NewPlatform()
-	if err != nil {
-		panic(err)
-	}
-	set, err := bench.Run(platform, eventlens.DefaultRunConfig())
+	set, err := bench.Collect(context.Background(), eventlens.DefaultRunConfig())
 	if err != nil {
 		panic(err)
 	}

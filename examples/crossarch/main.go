@@ -17,16 +17,23 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"github.com/perfmetrics/eventlens"
-	"github.com/perfmetrics/eventlens/internal/cat"
 	"github.com/perfmetrics/eventlens/internal/core"
 )
 
 func main() {
 	log.SetFlags(0)
+
+	// Same benchmark and basis on both machines.
+	ctx := context.Background()
+	bench, err := eventlens.BenchmarkByName("cpu-flops")
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	platforms := []func() (*eventlens.Platform, error){
 		eventlens.SapphireRapids,
@@ -39,18 +46,11 @@ func main() {
 		}
 		fmt.Printf("=== %s (%d raw events) ===\n", platform.Name, platform.Catalog.Len())
 
-		// Same benchmark and basis on both machines.
-		bench := cat.NewFlopsCPU()
-		set, err := bench.Run(platform, cat.DefaultRunConfig())
+		set, err := bench.CollectOn(ctx, platform, eventlens.DefaultRunConfig())
 		if err != nil {
 			log.Fatal(err)
 		}
-		basis, err := bench.Basis()
-		if err != nil {
-			log.Fatal(err)
-		}
-		pipe := &core.Pipeline{Basis: basis, Config: core.DefaultConfig()}
-		res, err := pipe.Analyze(set)
+		res, err := bench.AnalyzeSet(ctx, set, bench.Config)
 		if err != nil {
 			log.Fatal(err)
 		}

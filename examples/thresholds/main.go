@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,11 +22,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	platform, err := bench.NewPlatform()
-	if err != nil {
-		log.Fatal(err)
-	}
-	set, err := bench.Run(platform, eventlens.DefaultRunConfig())
+	set, err := bench.Collect(context.Background(), eventlens.DefaultRunConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

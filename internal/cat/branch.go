@@ -32,8 +32,8 @@ func (b *Branch) PointNames() []string {
 }
 
 // GroundTruth executes every kernel through a fresh branching unit and
-// returns per-iteration statistics.
-func (b *Branch) GroundTruth() ([]machine.Stats, error) {
+// returns per-iteration statistics, which every thread measures.
+func (b *Branch) GroundTruth(RunConfig) ([][]machine.Stats, error) {
 	var points []machine.Stats
 	for _, kernel := range branchsim.CATKernels() {
 		unit := branchsim.NewUnit()
@@ -58,7 +58,7 @@ func (b *Branch) GroundTruth() ([]machine.Stats, error) {
 			machine.KeyIntOps: 2*cr + 2,
 		})
 	}
-	return points, nil
+	return [][]machine.Stats{points}, nil
 }
 
 // Basis returns the 11x5 branching expectation basis — exactly the E_branch
@@ -72,32 +72,4 @@ func (b *Branch) Basis() (*core.Basis, error) {
 		}
 	}
 	return core.NewBasis(core.BranchBasisSymbols(), b.PointNames(), e)
-}
-
-// Run measures every event of the platform across the benchmark points.
-func (b *Branch) Run(p *machine.Platform, cfg RunConfig) (*core.MeasurementSet, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	points, err := b.GroundTruth()
-	if err != nil {
-		return nil, err
-	}
-	names := b.PointNames()
-	if cfg.MinimalKernels {
-		basis, err := b.Basis()
-		if err != nil {
-			return nil, err
-		}
-		reduced, perThread, err := minimalSubset(p, basis, names, [][]machine.Stats{points})
-		if err != nil {
-			return nil, err
-		}
-		names, points = reduced, perThread[0]
-	}
-	set := core.NewMeasurementSet("branch", p.Name, names)
-	if err := measureInto(set, p, points, cfg); err != nil {
-		return nil, err
-	}
-	return set, nil
 }

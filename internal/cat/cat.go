@@ -1,9 +1,13 @@
 // Package cat implements the Counter Analysis Toolkit benchmarks on top of
-// the workload simulators: drivers that execute each benchmark's microkernels,
-// gather ground-truth statistics, measure every raw event of a platform over
-// the benchmark's points, and build the matching expectation bases.
+// the workload simulators. Each benchmark is a Driver: it names its points,
+// builds its expectation basis, and executes its microkernels for their
+// known-exact ground-truth statistics. Collection is one path shared by all
+// of them: Collect computes a driver's ground truth and hands it to Measure,
+// which reads every raw event of a platform over it per point, repetition
+// and thread; StreamEvents makes the same reads one multiplexing group at a
+// time.
 //
-// Four benchmarks are provided, mirroring the paper:
+// Four drivers are provided, mirroring the paper:
 //
 //	FlopsCPU  — Section III, CPU floating-point units (16 kernels x 3 loops)
 //	FlopsGPU  — Section III-C, GPU VALU units (15 kernels x 3 loops)
@@ -129,69 +133,66 @@ func injected(p *machine.Platform, cfg RunConfig) *machine.Platform {
 	return p.WithInjector(plan)
 }
 
-// StreamEvents measures a platform's full catalog one multiplexing group at
-// a time and yields each event's per-repetition vectors (median-reduced over
-// threads). Peak memory is one group's worth of measurements rather than the
-// whole catalog — the collection mode that scales to the hundreds of
-// thousands of events the paper's introduction describes. Within each group
-// the reps x threads measurements fan out across cfg.Workers; events are
-// still yielded strictly in catalog order with values identical to the
-// serial path's.
-func StreamEvents(p *machine.Platform, points []machine.Stats, cfg RunConfig) core.EventSource {
-	return func(yield func(string, [][]float64) error) error {
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
-		p := injected(p, cfg)
-		for _, group := range p.Groups(p.Catalog.Names()) {
-			group := group
-			nRT := cfg.Reps * cfg.Threads
-			measured := make([]map[string][]float64, nRT)
-			err := par.ForErr(cfg.Workers, nRT, func(i int) error {
-				rep, thread := i/cfg.Threads, i%cfg.Threads
-				vectors, err := p.Measure(points, group, rep, thread)
-				measured[i] = vectors
-				return err
-			})
-			if err != nil {
-				return err
-			}
-			for _, name := range group {
-				reps := make([][]float64, 0, cfg.Reps)
-				for rep := 0; rep < cfg.Reps; rep++ {
-					threadVectors := make([][]float64, cfg.Threads)
-					for thread := 0; thread < cfg.Threads; thread++ {
-						threadVectors[thread] = measured[rep*cfg.Threads+thread][name]
-					}
-					reps = append(reps, core.MedianOverThreads(threadVectors))
-				}
-				if err := yield(name, reps); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+// Driver is what one CAT benchmark contributes to collection: the labels of
+// its points, its expectation basis, and the known-exact behaviour of its
+// kernels. Everything else — configuration checks, spanning selection,
+// measurement, fault degradation — is shared by Collect, Measure and
+// StreamEvents. Implementations must be safe for concurrent use: one driver
+// serves every collection of its benchmark.
+type Driver interface {
+	// PointNames labels the benchmark's full point set.
+	PointNames() []string
+	// Basis constructs the expectation basis over PointNames.
+	Basis() (*core.Basis, error)
+	// GroundTruth runs the kernels under cfg and returns per-point
+	// statistics for every point: one slice per measuring thread, or a
+	// single slice every thread measures when the points do not depend on
+	// the thread. cfg.MinimalKernels is ignored.
+	GroundTruth(cfg RunConfig) ([][]machine.Stats, error)
+}
+
+// Collect runs one benchmark on a platform: it checks cfg, computes the
+// driver's ground truth, narrows it to the spanning subset under
+// cfg.MinimalKernels, and measures every event over it (see Measure).
+func Collect(benchmark string, d Driver, p *machine.Platform, cfg RunConfig) (*core.MeasurementSet, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
+	truth, err := d.GroundTruth(cfg)
+	if err != nil {
+		return nil, err
+	}
+	names := d.PointNames()
+	if cfg.MinimalKernels {
+		basis, err := d.Basis()
+		if err != nil {
+			return nil, err
+		}
+		if names, truth, err = minimalSubset(p, basis, names, truth); err != nil {
+			return nil, err
+		}
+	}
+	return Measure(benchmark, p, names, truth, cfg)
 }
 
-// measureInto measures every platform event over the points for all
-// reps/threads and appends the measurements to the set.
-func measureInto(set *core.MeasurementSet, p *machine.Platform, points []machine.Stats, cfg RunConfig) error {
-	return measureIntoPoints(set, p, func(int) []machine.Stats { return points }, cfg)
-}
-
-// measureIntoPoints is measureInto for benchmarks whose ground-truth points
-// differ per measuring thread (the data-cache chases run on disjoint
-// buffers). The (rep, thread, group) measurement space fans out across
-// cfg.Workers; each task's noise is seeded purely by its coordinates — the
-// group index is the one the group holds in the platform's full schedule —
-// so concurrent collection reproduces the serial path's bytes exactly.
-// Measurements are appended to the set in the serial (rep, thread, catalog)
-// order afterwards.
-func measureIntoPoints(set *core.MeasurementSet, p *machine.Platform, pointsFor func(thread int) []machine.Stats, cfg RunConfig) error {
+// Measure reads every event of the platform over the named points' ground
+// truth (a driver's GroundTruth) for each repetition and thread of cfg,
+// which must already be valid. The (rep, thread, group) space fans out
+// across cfg.Workers; each task's noise is seeded purely by its coordinates
+// — the group index is the one the group holds in the platform's full
+// schedule — so every worker count reproduces the serial path's bytes.
+// Measurements are added in the serial (rep, thread, catalog) order.
+//
+// A transient fault that survives the whole retry budget drops its group's
+// events (listed in the set's Dropped) instead of failing the run; any other
+// fault, injected panics included, or losing every event is an error.
+func Measure(benchmark string, p *machine.Platform, names []string, truth [][]machine.Stats, cfg RunConfig) (*core.MeasurementSet, error) {
+	if err := checkTruth(truth, cfg); err != nil {
+		return nil, err
+	}
 	p = injected(p, cfg)
-	names := p.Catalog.Names()
-	groups := p.Groups(names)
+	events := p.Catalog.Names()
+	groups := p.Groups(events)
 	nG := len(groups)
 	tasks := cfg.Reps * cfg.Threads * nG
 	results := make([]map[string][]float64, tasks)
@@ -201,12 +202,8 @@ func measureIntoPoints(set *core.MeasurementSet, p *machine.Platform, pointsFor 
 		rt := i / nG
 		thread := rt % cfg.Threads
 		rep := rt / cfg.Threads
-		vectors, err := p.MeasureGroup(pointsFor(thread), groups[gi], gi, rep, thread)
+		vectors, err := p.MeasureGroup(threadTruth(truth, thread), groups[gi], gi, rep, thread)
 		if err != nil {
-			// A transient fault surviving the whole retry budget degrades to
-			// partial results: the group's events are dropped rather than the
-			// run failing. Anything else — injected panics included — is a
-			// hard error.
 			if f, ok := fault.As(err); ok && f.Transient() {
 				faults[i] = f
 				return nil
@@ -217,28 +214,23 @@ func measureIntoPoints(set *core.MeasurementSet, p *machine.Platform, pointsFor 
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// A group that faulted at any (rep, thread) is dropped wholesale: partial
 	// per-rep coverage would silently bias the noise statistics.
-	droppedGroup := make([]bool, nG)
+	dropped := make(map[string]bool)
 	for i, f := range faults {
 		if f != nil {
-			droppedGroup[i%nG] = true
-		}
-	}
-	dropped := make(map[string]bool)
-	for gi, group := range groups {
-		if droppedGroup[gi] {
-			for _, name := range group {
+			for _, name := range groups[i%nG] {
 				dropped[name] = true
 			}
 		}
 	}
+	set := core.NewMeasurementSet(benchmark, p.Name, names)
 	idx := 0
 	for rep := 0; rep < cfg.Reps; rep++ {
 		for thread := 0; thread < cfg.Threads; thread++ {
-			merged := make(map[string][]float64, len(names))
+			merged := make(map[string][]float64, len(events))
 			for gi := 0; gi < nG; gi++ {
 				for name, vec := range results[idx] {
 					merged[name] = vec
@@ -246,27 +238,86 @@ func measureIntoPoints(set *core.MeasurementSet, p *machine.Platform, pointsFor 
 				idx++
 			}
 			// Catalog order keeps downstream tie-breaking deterministic.
-			for _, name := range names {
+			for _, name := range events {
 				if dropped[name] {
 					continue
 				}
-				err := set.Add(name, core.Measurement{Rep: rep, Thread: thread, Vector: merged[name]})
-				if err != nil {
+				if err := set.Add(name, core.Measurement{Rep: rep, Thread: thread, Vector: merged[name]}); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	for _, name := range events {
+		if dropped[name] {
+			set.Dropped = append(set.Dropped, name)
+		}
+	}
+	if len(set.Dropped) > 0 && len(set.Dropped) == len(events) {
+		return nil, fmt.Errorf("cat: all %d events dropped by fault injection on %s", len(events), p.Name)
+	}
+	return set, nil
+}
+
+// StreamEvents is Measure one multiplexing group at a time: it yields each
+// event's per-repetition vectors (median-reduced over threads) as soon as
+// its group is read, so peak memory is one group's worth of measurements
+// rather than the whole catalog — the collection mode that scales to the
+// hundreds of thousands of events the paper's introduction describes.
+// truth is a driver's GroundTruth. Events are yielded in schedule order,
+// each with exactly the values Measure collects for it; unlike Measure, any
+// fault ends the stream with an error.
+func StreamEvents(p *machine.Platform, truth [][]machine.Stats, cfg RunConfig) core.EventSource {
+	return func(yield func(string, [][]float64) error) error {
+		if err := cfg.Validate(); err != nil {
+			return err
+		}
+		if err := checkTruth(truth, cfg); err != nil {
+			return err
+		}
+		p := injected(p, cfg)
+		nRT := cfg.Reps * cfg.Threads
+		for gi, group := range p.Groups(p.Catalog.Names()) {
+			measured := make([]map[string][]float64, nRT)
+			err := par.ForErr(cfg.Workers, nRT, func(i int) error {
+				rep, thread := i/cfg.Threads, i%cfg.Threads
+				vectors, err := p.MeasureGroup(threadTruth(truth, thread), group, gi, rep, thread)
+				measured[i] = vectors
+				return err
+			})
+			if err != nil {
+				return err
+			}
+			for _, name := range group {
+				reps := make([][]float64, cfg.Reps)
+				for rep := range reps {
+					threadVectors := make([][]float64, cfg.Threads)
+					for thread := range threadVectors {
+						threadVectors[thread] = measured[rep*cfg.Threads+thread][name]
+					}
+					reps[rep] = core.MedianOverThreads(threadVectors)
+				}
+				if err := yield(name, reps); err != nil {
 					return err
 				}
 			}
 		}
+		return nil
 	}
-	if len(dropped) > 0 {
-		// Catalog order, like everything downstream consumes.
-		for _, name := range names {
-			if dropped[name] {
-				set.Dropped = append(set.Dropped, name)
-			}
-		}
-		if len(set.Dropped) == len(names) {
-			return fmt.Errorf("cat: all %d events dropped by fault injection on %s", len(names), p.Name)
-		}
+}
+
+// checkTruth rejects ground truth that does not cover cfg's threads.
+func checkTruth(truth [][]machine.Stats, cfg RunConfig) error {
+	if len(truth) != 1 && len(truth) != cfg.Threads {
+		return fmt.Errorf("cat: ground truth covers %d threads, run measures %d", len(truth), cfg.Threads)
 	}
 	return nil
+}
+
+// threadTruth is the ground truth one thread measures.
+func threadTruth(truth [][]machine.Stats, thread int) []machine.Stats {
+	if len(truth) == 1 {
+		return truth[0]
+	}
+	return truth[thread]
 }

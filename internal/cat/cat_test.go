@@ -2,12 +2,14 @@ package cat
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/perfmetrics/eventlens/internal/cachesim"
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/machine"
+	"github.com/perfmetrics/eventlens/internal/par"
 )
 
 func sprPlatform(t *testing.T) *machine.Platform {
@@ -69,7 +71,14 @@ func TestFlopsCPUBasisMatchesGroundTruth(t *testing.T) {
 	}
 	// The ground-truth FP stats of each point must match the basis entries
 	// exactly: the simulator realizes the analytic expectations.
-	points := b.GroundTruth()
+	truth, err := b.GroundTruth(DefaultRunConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(truth) != 1 {
+		t.Fatalf("ground truth has %d per-thread slices, want 1 shared by every thread", len(truth))
+	}
+	points := truth[0]
 	symbols := core.CPUFlopsBasisSymbols()
 	keys := []string{
 		machine.FPKey("sp", "scalar", false), machine.FPKey("sp", "128", false),
@@ -93,7 +102,7 @@ func TestFlopsCPUBasisMatchesGroundTruth(t *testing.T) {
 func TestQRCPSelectsCPUFlopsEvents(t *testing.T) {
 	// Section V-A: with alpha = 5e-4 the specialized QRCP must select
 	// exactly the eight FP_ARITH_INST_RETIRED events.
-	set, err := NewFlopsCPU().Run(sprPlatform(t), DefaultRunConfig())
+	set, err := Collect("cpu-flops", NewFlopsCPU(), sprPlatform(t), DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +134,7 @@ func TestTableVCPUFlopsMetrics(t *testing.T) {
 	// Table V: instruction and operation metrics compose with tiny error;
 	// FMA instruction metrics come out with 0.8 coefficients and backward
 	// error ~2.36e-1 because no FMA-only event exists.
-	set, err := NewFlopsCPU().Run(sprPlatform(t), DefaultRunConfig())
+	set, err := Collect("cpu-flops", NewFlopsCPU(), sprPlatform(t), DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +186,7 @@ func TestTableVCPUFlopsMetrics(t *testing.T) {
 
 func TestQRCPSelectsBranchEvents(t *testing.T) {
 	// Section V-C: the four branch events of the paper.
-	set, err := NewBranch().Run(sprPlatform(t), DefaultRunConfig())
+	set, err := Collect("branch", NewBranch(), sprPlatform(t), DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +211,7 @@ func TestQRCPSelectsBranchEvents(t *testing.T) {
 }
 
 func TestTableVIIBranchMetrics(t *testing.T) {
-	set, err := NewBranch().Run(sprPlatform(t), DefaultRunConfig())
+	set, err := Collect("branch", NewBranch(), sprPlatform(t), DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +242,7 @@ func TestTableVIIBranchMetrics(t *testing.T) {
 func TestQRCPSelectsGPUFlopsEvents(t *testing.T) {
 	// Section V-B: the 12 SQ_INSTS_VALU_{ADD,MUL,TRANS,FMA}_F{16,32,64}
 	// events on device 0.
-	set, err := NewFlopsGPU().Run(mi250xPlatform(t), DefaultRunConfig())
+	set, err := Collect("gpu-flops", NewFlopsGPU(), mi250xPlatform(t), DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +266,7 @@ func TestQRCPSelectsGPUFlopsEvents(t *testing.T) {
 }
 
 func TestTableVIGPUFlopsMetrics(t *testing.T) {
-	set, err := NewFlopsGPU().Run(mi250xPlatform(t), DefaultRunConfig())
+	set, err := Collect("gpu-flops", NewFlopsGPU(), mi250xPlatform(t), DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +298,7 @@ func TestTableVIGPUFlopsMetrics(t *testing.T) {
 func TestQRCPSelectsCacheEvents(t *testing.T) {
 	// Section V-D: with alpha = 5e-2, the four cache events of the paper.
 	bench := testDCache()
-	set, err := bench.Run(sprPlatform(t), RunConfig{Reps: 5, Threads: 4})
+	set, err := Collect("dcache", bench, sprPlatform(t), RunConfig{Reps: 5, Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +324,7 @@ func TestQRCPSelectsCacheEvents(t *testing.T) {
 
 func TestTableVIIICacheMetrics(t *testing.T) {
 	bench := testDCache()
-	set, err := bench.Run(sprPlatform(t), RunConfig{Reps: 5, Threads: 4})
+	set, err := Collect("dcache", bench, sprPlatform(t), RunConfig{Reps: 5, Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +358,7 @@ func TestCacheCombinationTracksSignature(t *testing.T) {
 	// Figure 3: the rounded raw-event combination, evaluated in point space,
 	// matches the expanded signature across the sweep.
 	bench := testDCache()
-	set, err := bench.Run(sprPlatform(t), RunConfig{Reps: 5, Threads: 4})
+	set, err := Collect("dcache", bench, sprPlatform(t), RunConfig{Reps: 5, Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,13 +391,13 @@ func TestCacheCombinationTracksSignature(t *testing.T) {
 }
 
 func TestBranchGroundTruthMatchesEq3(t *testing.T) {
-	points, err := NewBranch().GroundTruth()
+	truth, err := NewBranch().GroundTruth(DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	basis, _ := NewBranch().Basis()
 	keys := []string{machine.KeyBrCE, machine.KeyBrCR, machine.KeyBrTaken, machine.KeyBrDirect, machine.KeyBrMisp}
-	for i, stats := range points {
+	for i, stats := range truth[0] {
 		for j, key := range keys {
 			if got, want := stats.Get(key), basis.E.At(i, j); got != want {
 				t.Fatalf("kernel %d %s: ground truth %v, Eq3 %v", i, key, got, want)
@@ -440,7 +449,7 @@ func TestRunConfigValidate(t *testing.T) {
 func TestNoiseSplitMatchesFigure2(t *testing.T) {
 	// Figure 2a/2b: a cluster of zero-variability events separated from a
 	// noisy tail by many decades; tau anywhere in 1e-4..1e-15 divides them.
-	set, err := NewBranch().Run(sprPlatform(t), DefaultRunConfig())
+	set, err := Collect("branch", NewBranch(), sprPlatform(t), DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,5 +468,44 @@ func TestNoiseSplitMatchesFigure2(t *testing.T) {
 	}
 	if zeroCount == len(sorted) {
 		t.Fatalf("no noisy tail present")
+	}
+}
+
+// TestDriversSafeForConcurrentUse: a benchmark's driver is shared by
+// concurrent collections (the composability matrix runs a benchmark's
+// platform pairs at once). Collections racing through one fresh driver must
+// each return the set a separate driver collects serially.
+func TestDriversSafeForConcurrentUse(t *testing.T) {
+	cfg := RunConfig{Reps: 2, Threads: 2, Workers: 1}
+	cases := []struct {
+		bench     string
+		newDriver func() Driver
+		platform  *machine.Platform
+	}{
+		{"cpu-flops", func() Driver { return NewFlopsCPU() }, sprPlatform(t)},
+		{"gpu-flops", func() Driver { return NewFlopsGPU() }, mi250xPlatform(t)},
+		{"branch", func() Driver { return NewBranch() }, sprPlatform(t)},
+		{"dcache", func() Driver { return testDCache() }, sprPlatform(t)},
+	}
+	for _, c := range cases {
+		want, err := Collect(c.bench, c.newDriver(), c.platform, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared := c.newDriver()
+		sets := make([]*core.MeasurementSet, 4)
+		err = par.ForErr(len(sets), len(sets), func(i int) error {
+			set, err := Collect(c.bench, shared, c.platform, cfg)
+			sets[i] = set
+			return err
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.bench, err)
+		}
+		for i, set := range sets {
+			if !reflect.DeepEqual(set, want) {
+				t.Fatalf("%s: concurrent collection %d differs from the serial one", c.bench, i)
+			}
+		}
 	}
 }

@@ -26,7 +26,7 @@ func zen4Platform(t *testing.T) *machine.Platform {
 
 func analyzeZen4Flops(t *testing.T) *core.Result {
 	t.Helper()
-	set, err := NewFlopsCPU().Run(zen4Platform(t), DefaultRunConfig())
+	set, err := Collect("cpu-flops", NewFlopsCPU(), zen4Platform(t), DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestZen4WidthMetricsComposable(t *testing.T) {
 func TestZen4BranchMetricsStillCompose(t *testing.T) {
 	// The branch subsystem is architecture-portable: the same signatures
 	// compose on Zen4's differently-named events.
-	set, err := NewBranch().Run(zen4Platform(t), DefaultRunConfig())
+	set, err := Collect("branch", NewBranch(), zen4Platform(t), DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestZen4CacheEventsDifferButCompose(t *testing.T) {
 	// instead. The analysis selects whatever four independent events exist
 	// and still composes the cache signatures.
 	bench := testDCache()
-	set, err := bench.Run(zen4Platform(t), RunConfig{Reps: 5, Threads: 4})
+	set, err := Collect("dcache", bench, zen4Platform(t), RunConfig{Reps: 5, Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,17 +112,15 @@ func (b *DCache) Basis() (*core.Basis, error) {
 	return core.NewBasis(core.CacheBasisSymbols(), b.PointNames(), e)
 }
 
-// GroundTruthAll returns every measuring thread's ground truth for the full
+// GroundTruth returns every measuring thread's ground truth for the full
 // sweep under cfg (each thread owns a private hierarchy and a disjoint
 // buffer). The whole (thread × sweep-point) space — further split into
 // residue-class chunks for large chases — runs through the planned cachesim
 // engine, fanned out by par.ForErr under cfg.Workers with each coordinate's
 // chain seed preserved, so results are bit-identical to the per-access
 // reference simulator (cachesim.RunSweepPointTLB) for any worker count, and
-// Workers=1 spawns nothing. cfg.MinimalKernels is ignored here: ground truth
-// always covers the full sweep (spanning selection happens in Run, and the
-// event-trust validator needs every point).
-func (b *DCache) GroundTruthAll(cfg RunConfig) ([][]machine.Stats, error) {
+// Workers=1 spawns nothing.
+func (b *DCache) GroundTruth(cfg RunConfig) ([][]machine.Stats, error) {
 	pts := b.Points()
 	tasks := make([]cachesim.SweepTask, 0, cfg.Threads*len(pts))
 	for t := 0; t < cfg.Threads; t++ {
@@ -142,37 +140,4 @@ func (b *DCache) GroundTruthAll(cfg RunConfig) ([][]machine.Stats, error) {
 		}
 	}
 	return perThread, nil
-}
-
-// Run executes the sweep on cfg.Threads concurrent threads and measures
-// every event per repetition and thread. Ground truth and measurement both
-// fan out across cfg.Workers; the measurement set is assembled in the
-// serial (rep, thread, catalog) order, so every worker count produces the
-// same set, which the determinism suite's Workers=1-vs-N report comparison
-// proves end to end. Under cfg.MinimalKernels only the spanning subset of
-// sweep points is measured.
-func (b *DCache) Run(p *machine.Platform, cfg RunConfig) (*core.MeasurementSet, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	perThread, err := b.GroundTruthAll(cfg)
-	if err != nil {
-		return nil, err
-	}
-	names := b.PointNames()
-	if cfg.MinimalKernels {
-		basis, err := b.Basis()
-		if err != nil {
-			return nil, err
-		}
-		names, perThread, err = minimalSubset(p, basis, names, perThread)
-		if err != nil {
-			return nil, err
-		}
-	}
-	set := core.NewMeasurementSet("dcache", p.Name, names)
-	if err := measureIntoPoints(set, p, func(t int) []machine.Stats { return perThread[t] }, cfg); err != nil {
-		return nil, err
-	}
-	return set, nil
 }

@@ -6,15 +6,14 @@ import (
 	"testing"
 
 	"github.com/perfmetrics/eventlens/internal/cachesim"
-	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/machine"
 )
 
-// GroundTruth is the reference ground truth for one thread: every sweep
-// point through the per-access reference simulator, sequentially, with the
-// chain seeds GroundTruthAll uses. It is the oracle the planned engine must
-// match bit for bit.
-func (b *DCache) GroundTruth(threadSeed int64) ([]machine.Stats, error) {
+// referenceGroundTruth is the reference ground truth for one thread: every
+// sweep point through the per-access reference simulator, sequentially, with
+// the chain seeds DCache.GroundTruth uses. It is the oracle the planned
+// engine must match bit for bit.
+func referenceGroundTruth(b *DCache, threadSeed int64) ([]machine.Stats, error) {
 	pts := b.Points()
 	stats := make([]machine.Stats, len(pts))
 	for i, p := range pts {
@@ -41,10 +40,10 @@ func statsBits(stats []machine.Stats) []map[string]uint64 {
 	return out
 }
 
-// TestDCacheWorkersBitIdentical proves Run's measurement set equals the one
-// built from the reference ground truth for every worker count, Workers=1
-// included — with and without TLB modelling, and with sharding forced onto
-// the tiny footprints.
+// TestDCacheWorkersBitIdentical proves Collect's measurement set equals the
+// one measured over the reference ground truth for every worker count,
+// Workers=1 included — with and without TLB modelling, and with sharding
+// forced onto the tiny footprints.
 func TestDCacheWorkersBitIdentical(t *testing.T) {
 	p := sprPlatform(t)
 	const threads = 4
@@ -58,21 +57,20 @@ func TestDCacheWorkersBitIdentical(t *testing.T) {
 		}
 		refStats := make([][]machine.Stats, threads)
 		for thread := range refStats {
-			stats, err := b.GroundTruth(int64(thread))
+			stats, err := referenceGroundTruth(b, int64(thread))
 			if err != nil {
 				t.Fatal(err)
 			}
 			refStats[thread] = stats
 		}
-		ref := core.NewMeasurementSet("dcache", p.Name, b.PointNames())
-		refCfg := RunConfig{Reps: 3, Threads: threads, Workers: 1}
-		if err := measureIntoPoints(ref, p, func(t int) []machine.Stats { return refStats[t] }, refCfg); err != nil {
+		ref, err := Measure("dcache", p, b.PointNames(), refStats, RunConfig{Reps: 3, Threads: threads, Workers: 1})
+		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 0, 2, 8} {
 			b2 := testDCache()
 			b2.TLBs = b.TLBs
-			got, err := b2.Run(p, RunConfig{Reps: 3, Threads: threads, Workers: workers})
+			got, err := Collect("dcache", b2, p, RunConfig{Reps: 3, Threads: threads, Workers: workers})
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -84,7 +82,7 @@ func TestDCacheWorkersBitIdentical(t *testing.T) {
 }
 
 // TestDCacheGroundTruthMatchesFast compares the reference ground truth with
-// GroundTruthAll directly, bit for bit, per thread and point, at every
+// DCache.GroundTruth directly, bit for bit, per thread and point, at every
 // worker count.
 func TestDCacheGroundTruthMatchesFast(t *testing.T) {
 	b := testDCache()
@@ -95,14 +93,14 @@ func TestDCacheGroundTruthMatchesFast(t *testing.T) {
 	const threads = 3
 	ref := make([][]machine.Stats, threads)
 	for thread := range ref {
-		stats, err := b.GroundTruth(int64(thread))
+		stats, err := referenceGroundTruth(b, int64(thread))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ref[thread] = stats
 	}
 	for _, workers := range []int{1, 2, 8, 0} {
-		fast, err := b.GroundTruthAll(RunConfig{Reps: 1, Threads: threads, Workers: workers})
+		fast, err := b.GroundTruth(RunConfig{Reps: 1, Threads: threads, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

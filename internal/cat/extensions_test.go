@@ -13,7 +13,7 @@ func TestAlphaSensitivityOnCPUFlops(t *testing.T) {
 	// Section V-E: the alpha threshold "does not have to be a perfect magic
 	// value" — the 8 FP_ARITH events must be selected across decades of
 	// alpha around the paper's 5e-4.
-	set, err := NewFlopsCPU().Run(sprPlatform(t), DefaultRunConfig())
+	set, err := Collect("cpu-flops", NewFlopsCPU(), sprPlatform(t), DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestAlphaSensitivityOnCPUFlops(t *testing.T) {
 func TestSuggestTauOnBranchBenchmark(t *testing.T) {
 	// Automatic threshold selection must land inside the Figure 2a gap —
 	// the same region the paper says any tau in 1e-4..1e-15 works in.
-	set, err := NewBranch().Run(sprPlatform(t), DefaultRunConfig())
+	set, err := Collect("branch", NewBranch(), sprPlatform(t), DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestSuggestTauOnBranchBenchmark(t *testing.T) {
 }
 
 func TestSuggestTauOnCPUFlops(t *testing.T) {
-	set, err := NewFlopsCPU().Run(sprPlatform(t), DefaultRunConfig())
+	set, err := Collect("cpu-flops", NewFlopsCPU(), sprPlatform(t), DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestSuggestTauOnCPUFlops(t *testing.T) {
 func TestAlternativeNoiseMeasuresAgreeOnCleanEvents(t *testing.T) {
 	// Every zero-RNMSE event must also read zero under MAD and CV; the
 	// measures may disagree on the noisy tail but never on the clean core.
-	set, err := NewBranch().Run(sprPlatform(t), DefaultRunConfig())
+	set, err := Collect("branch", NewBranch(), sprPlatform(t), DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,8 +34,8 @@ func (b *FlopsCPU) PointNames() []string {
 }
 
 // GroundTruth executes every kernel loop on the simulated core and returns
-// per-point ground-truth statistics.
-func (b *FlopsCPU) GroundTruth() []machine.Stats {
+// per-point ground-truth statistics, which every thread measures.
+func (b *FlopsCPU) GroundTruth(RunConfig) ([][]machine.Stats, error) {
 	var points []machine.Stats
 	for _, spec := range cpusim.FlopsKernelSpace() {
 		kernel := cpusim.BuildFlopsKernel(spec)
@@ -44,7 +44,7 @@ func (b *FlopsCPU) GroundTruth() []machine.Stats {
 			points = append(points, CPUStats(counts))
 		}
 	}
-	return points
+	return [][]machine.Stats{points}, nil
 }
 
 // CPUStats flattens simulator counters into ground-truth stat keys.
@@ -83,29 +83,4 @@ func (b *FlopsCPU) Basis() (*core.Basis, error) {
 		}
 	}
 	return core.NewBasis(core.CPUFlopsBasisSymbols(), b.PointNames(), e)
-}
-
-// Run measures every event of the platform across the benchmark points —
-// all 48, or only the spanning subset under cfg.MinimalKernels.
-func (b *FlopsCPU) Run(p *machine.Platform, cfg RunConfig) (*core.MeasurementSet, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	names, points := b.PointNames(), b.GroundTruth()
-	if cfg.MinimalKernels {
-		basis, err := b.Basis()
-		if err != nil {
-			return nil, err
-		}
-		reduced, perThread, err := minimalSubset(p, basis, names, [][]machine.Stats{points})
-		if err != nil {
-			return nil, err
-		}
-		names, points = reduced, perThread[0]
-	}
-	set := core.NewMeasurementSet("cpu-flops", p.Name, names)
-	if err := measureInto(set, p, points, cfg); err != nil {
-		return nil, err
-	}
-	return set, nil
 }

@@ -55,8 +55,8 @@ func gpuPrecStat(p gpusim.Prec) string {
 }
 
 // GroundTruth dispatches every kernel loop and returns per-point,
-// per-wavefront statistics.
-func (b *FlopsGPU) GroundTruth() ([]machine.Stats, error) {
+// per-wavefront statistics, which every thread measures.
+func (b *FlopsGPU) GroundTruth(RunConfig) ([][]machine.Stats, error) {
 	var points []machine.Stats
 	for _, spec := range gpusim.KernelSpace() {
 		kernel := gpusim.BuildKernel(spec)
@@ -82,7 +82,7 @@ func (b *FlopsGPU) GroundTruth() ([]machine.Stats, error) {
 			points = append(points, s)
 		}
 	}
-	return points, nil
+	return [][]machine.Stats{points}, nil
 }
 
 // Basis returns the 45-point x 15-dimension GPU FLOPs expectation basis.
@@ -96,32 +96,4 @@ func (b *FlopsGPU) Basis() (*core.Basis, error) {
 		}
 	}
 	return core.NewBasis(core.GPUFlopsBasisSymbols(), b.PointNames(), e)
-}
-
-// Run measures every event of the platform across the benchmark points.
-func (b *FlopsGPU) Run(p *machine.Platform, cfg RunConfig) (*core.MeasurementSet, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	points, err := b.GroundTruth()
-	if err != nil {
-		return nil, err
-	}
-	names := b.PointNames()
-	if cfg.MinimalKernels {
-		basis, err := b.Basis()
-		if err != nil {
-			return nil, err
-		}
-		reduced, perThread, err := minimalSubset(p, basis, names, [][]machine.Stats{points})
-		if err != nil {
-			return nil, err
-		}
-		names, points = reduced, perThread[0]
-	}
-	set := core.NewMeasurementSet("gpu-flops", p.Name, names)
-	if err := measureInto(set, p, points, cfg); err != nil {
-		return nil, err
-	}
-	return set, nil
 }

@@ -15,7 +15,7 @@ import (
 
 func TestDerivedGPUMetricMeasuresNewKernel(t *testing.T) {
 	// 1. Derive GPU metrics from CAT.
-	set, err := NewFlopsGPU().Run(mi250xPlatform(t), DefaultRunConfig())
+	set, err := Collect("gpu-flops", NewFlopsGPU(), mi250xPlatform(t), DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

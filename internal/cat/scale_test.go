@@ -17,7 +17,7 @@ func runScaledCPUFlops(tb testing.TB, nFiller, reps int) *core.Result {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	set, err := NewFlopsCPU().Run(platform, RunConfig{Reps: reps, Threads: 1})
+	set, err := Collect("cpu-flops", NewFlopsCPU(), platform, RunConfig{Reps: reps, Threads: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func BenchmarkScalePipeline10kEvents(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	set, err := NewFlopsCPU().Run(platform, RunConfig{Reps: 3, Threads: 1})
+	set, err := Collect("cpu-flops", NewFlopsCPU(), platform, RunConfig{Reps: 3, Threads: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func BenchmarkScaleCollect10kEvents(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewFlopsCPU().Run(platform, RunConfig{Reps: 3, Threads: 1}); err != nil {
+		if _, err := Collect("cpu-flops", NewFlopsCPU(), platform, RunConfig{Reps: 3, Threads: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,60 +8,88 @@ import (
 	"github.com/perfmetrics/eventlens/internal/machine"
 )
 
+// TestStreamMatchesBatchNoiseAnalysis: streaming collection reads every event
+// with the noise batch collection draws, so the streaming filter reaches the
+// batch filter's verdicts, variabilities and kept vectors event for event.
+// tau = 1e-1 keeps noisy events, so their noise is compared too — on a
+// single-thread benchmark and on a multi-thread one with per-thread truth.
 func TestStreamMatchesBatchNoiseAnalysis(t *testing.T) {
-	// The streaming path must reach exactly the same noise verdicts as the
-	// batch path on the same platform and benchmark.
+	const tau = 1e-1
 	platform := sprPlatform(t)
-	bench := NewBranch()
-	cfg := DefaultRunConfig()
-
-	set, err := bench.Run(platform, cfg)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		bench  string
+		driver Driver
+		cfg    RunConfig
+	}{
+		{"branch", NewBranch(), DefaultRunConfig()},
+		{"dcache", testDCache(), RunConfig{Reps: 5, Threads: 4}},
 	}
-	batch := core.FilterNoise(set, 1e-10)
-
-	points, err := bench.GroundTruth()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := core.FilterNoiseStream(StreamEvents(platform, points, cfg), 1e-10, core.MaxRNMSE)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(stream.KeptOrder) != len(batch.KeptOrder) {
-		t.Fatalf("kept: stream %d vs batch %d", len(stream.KeptOrder), len(batch.KeptOrder))
-	}
-	if len(stream.Discarded) != len(batch.Discarded) || len(stream.Filtered) != len(batch.Filtered) {
-		t.Fatalf("verdict counts differ: stream %d/%d, batch %d/%d",
-			len(stream.Discarded), len(stream.Filtered), len(batch.Discarded), len(batch.Filtered))
-	}
-	batchKept := map[string]bool{}
-	for _, name := range batch.KeptOrder {
-		batchKept[name] = true
-	}
-	for _, name := range stream.KeptOrder {
-		if !batchKept[name] {
-			t.Fatalf("stream kept %s, batch did not", name)
-		}
-		for i, v := range stream.Kept[name] {
-			if v != batch.Kept[name][i] {
-				t.Fatalf("%s: vector differs at %d: %v vs %v", name, i, v, batch.Kept[name][i])
+	for _, c := range cases {
+		t.Run(c.bench, func(t *testing.T) {
+			set, err := Collect(c.bench, c.driver, platform, c.cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			batch := core.FilterNoise(set, tau)
+			truth, err := c.driver.GroundTruth(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream, err := core.FilterNoiseStream(StreamEvents(platform, truth, c.cfg), tau, core.MaxRNMSE)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if len(stream.Variabilities) != len(batch.Variabilities) {
+				t.Fatalf("variabilities: stream %d vs batch %d", len(stream.Variabilities), len(batch.Variabilities))
+			}
+			batchNoise := make(map[string]float64, len(batch.Variabilities))
+			for _, v := range batch.Variabilities {
+				batchNoise[v.Event] = v.MaxRNMSE
+			}
+			differ, noisyKept := 0, 0
+			for _, v := range stream.Variabilities {
+				want, ok := batchNoise[v.Event]
+				if !ok || v.MaxRNMSE != want {
+					differ++
+				}
+				if _, kept := stream.Kept[v.Event]; kept && v.MaxRNMSE > 0 {
+					noisyKept++
+				}
+			}
+			if differ > 0 {
+				t.Fatalf("%d of %d variabilities differ between stream and batch", differ, len(stream.Variabilities))
+			}
+			if noisyKept == 0 {
+				t.Fatalf("no noisy event kept at tau %g: the comparison covers only noise-free vectors", tau)
+			}
+			if !sameSet(stream.Discarded, batch.Discarded) || !sameSet(stream.Filtered, batch.Filtered) {
+				t.Fatalf("verdicts differ: stream %d discarded/%d filtered, batch %d/%d",
+					len(stream.Discarded), len(stream.Filtered), len(batch.Discarded), len(batch.Filtered))
+			}
+			if !sameSet(stream.KeptOrder, batch.KeptOrder) {
+				t.Fatalf("kept: stream %d vs batch %d events", len(stream.KeptOrder), len(batch.KeptOrder))
+			}
+			for _, name := range stream.KeptOrder {
+				for i, v := range stream.Kept[name] {
+					if v != batch.Kept[name][i] {
+						t.Fatalf("%s: vector differs at %d: %v vs %v", name, i, v, batch.Kept[name][i])
+					}
+				}
+			}
+		})
 	}
 }
 
 func TestStreamEarlyStop(t *testing.T) {
 	platform := sprPlatform(t)
-	points, err := NewBranch().GroundTruth()
+	truth, err := NewBranch().GroundTruth(DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	stop := fmt.Errorf("stop")
 	count := 0
-	err = StreamEvents(platform, points, RunConfig{Reps: 1, Threads: 1})(func(string, [][]float64) error {
+	err = StreamEvents(platform, truth, RunConfig{Reps: 1, Threads: 1})(func(string, [][]float64) error {
 		count++
 		if count == 3 {
 			return stop
@@ -84,6 +112,16 @@ func TestStreamInvalidConfig(t *testing.T) {
 	if err == nil {
 		t.Fatalf("invalid config should fail")
 	}
+	// Ground truth for two threads cannot serve a three-thread run, streamed
+	// or batched.
+	truth := [][]machine.Stats{{}, {}}
+	cfg := RunConfig{Reps: 1, Threads: 3}
+	if err := StreamEvents(platform, truth, cfg)(func(string, [][]float64) error { return nil }); err == nil {
+		t.Fatalf("stream: ground truth for 2 threads accepted for 3")
+	}
+	if _, err := Measure("branch", platform, nil, truth, cfg); err == nil {
+		t.Fatalf("measure: ground truth for 2 threads accepted for 3")
+	}
 }
 
 func TestStreamingPipelineHundredThousandEvents(t *testing.T) {
@@ -97,9 +135,12 @@ func TestStreamingPipelineHundredThousandEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	bench := NewFlopsCPU()
-	points := bench.GroundTruth()
 	cfg := RunConfig{Reps: 2, Threads: 1}
-	noise, err := core.FilterNoiseStream(StreamEvents(platform, points, cfg), 1e-10, core.MaxRNMSE)
+	truth, err := bench.GroundTruth(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noise, err := core.FilterNoiseStream(StreamEvents(platform, truth, cfg), 1e-10, core.MaxRNMSE)
 	if err != nil {
 		t.Fatal(err)
 	}

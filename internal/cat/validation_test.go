@@ -75,7 +75,7 @@ func groundTruthOps(t *testing.T) (dpOps, spOps float64, stats machine.Stats) {
 
 func TestDerivedDPOpsMetricMeasuresNewWorkload(t *testing.T) {
 	// 1. Derive the DP Ops definition from the CAT benchmark.
-	set, err := NewFlopsCPU().Run(sprPlatform(t), DefaultRunConfig())
+	set, err := Collect("cpu-flops", NewFlopsCPU(), sprPlatform(t), DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestDerivedDPOpsMetricMeasuresNewWorkload(t *testing.T) {
 func TestDerivedMetricsAcrossWorkloadLibrary(t *testing.T) {
 	// Same validation across the whole workload library: triad, daxpy,
 	// stencil, scalar dot and a mixed-precision stress case.
-	set, err := NewFlopsCPU().Run(sprPlatform(t), DefaultRunConfig())
+	set, err := Collect("cpu-flops", NewFlopsCPU(), sprPlatform(t), DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestDerivedMetricsAcrossWorkloadLibrary(t *testing.T) {
 func TestDerivedBranchMetricMeasuresNewWorkload(t *testing.T) {
 	// Derive branch metrics from CAT, then verify "Unconditional Branches"
 	// (= ALL_BRANCHES - COND) on hand-written stats.
-	set, err := NewBranch().Run(sprPlatform(t), DefaultRunConfig())
+	set, err := Collect("branch", NewBranch(), sprPlatform(t), DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

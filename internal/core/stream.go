@@ -1,7 +1,5 @@
 package core
 
-import "math"
-
 // Streaming noise analysis: at the scale the paper motivates (hundreds of
 // thousands of raw events), holding every event's full repetition history in
 // one MeasurementSet is wasteful — the noise filter only needs each event's
@@ -15,37 +13,14 @@ import "math"
 // applicable).
 type EventSource func(yield func(event string, vectors [][]float64) error) error
 
-// FilterNoiseStream is FilterNoiseWith over a streaming source. The returned
-// report is identical to the batch version's for the same data, but only
-// kept events retain their (averaged) vectors.
+// FilterNoiseStream is FilterNoiseWith over a streaming source: the same
+// per-event rule, applied as each event arrives. The returned report is
+// identical to the batch version's for the same data in the same order, and
+// only kept events retain their (averaged) vectors.
 func FilterNoiseStream(source EventSource, tau float64, measure NoiseMeasure) (*NoiseReport, error) {
 	report := &NoiseReport{Kept: make(map[string][]float64), Tau: tau}
 	err := source(func(event string, vectors [][]float64) error {
-		allZero := true
-	scan:
-		for _, v := range vectors {
-			for _, x := range v {
-				if !IsZero(x) {
-					allZero = false
-					break scan
-				}
-			}
-		}
-		if allZero {
-			report.Discarded = append(report.Discarded, event)
-			return nil
-		}
-		v := measure(vectors)
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			v = math.Inf(1)
-		}
-		report.Variabilities = append(report.Variabilities, EventVariability{Event: event, MaxRNMSE: v})
-		if v > tau || !allFinite(vectors) {
-			report.Filtered = append(report.Filtered, event)
-			return nil
-		}
-		report.Kept[event] = MeanVector(vectors)
-		report.KeptOrder = append(report.KeptOrder, event)
+		report.record(event, judgeNoise(vectors, tau, measure))
 		return nil
 	})
 	if err != nil {

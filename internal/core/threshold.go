@@ -123,6 +123,47 @@ type noiseVerdict struct {
 	mean    []float64
 }
 
+// judgeNoise is the per-event noise rule every filter applies: an all-zero
+// event is discarded; otherwise its measure is reported (a non-finite
+// measure as +Inf), and the event is kept — reduced to its mean vector —
+// only if the measure is <= tau and every reading is finite.
+func judgeNoise(vectors [][]float64, tau float64, measure NoiseMeasure) noiseVerdict {
+	allZero := true
+	for _, v := range vectors {
+		if !mat.AllZero(v) {
+			allZero = false
+			break
+		}
+	}
+	if allZero {
+		return noiseVerdict{allZero: true}
+	}
+	d := noiseVerdict{noise: measure(vectors)}
+	if math.IsNaN(d.noise) || math.IsInf(d.noise, 0) {
+		d.noise = math.Inf(1)
+	}
+	if d.noise <= tau && allFinite(vectors) {
+		d.keep = true
+		d.mean = MeanVector(vectors)
+	}
+	return d
+}
+
+// record appends one event's verdict to the report.
+func (r *NoiseReport) record(event string, d noiseVerdict) {
+	if d.allZero {
+		r.Discarded = append(r.Discarded, event)
+		return
+	}
+	r.Variabilities = append(r.Variabilities, EventVariability{Event: event, MaxRNMSE: d.noise})
+	if !d.keep {
+		r.Filtered = append(r.Filtered, event)
+		return
+	}
+	r.Kept[event] = d.mean
+	r.KeptOrder = append(r.KeptOrder, event)
+}
+
 // FilterNoiseWithWorkers is FilterNoiseWith with an explicit worker count
 // (<= 0 means GOMAXPROCS, 1 is serial). Each event's repetition reduction,
 // noise measure and averaging are independent, so the per-event verdicts are
@@ -131,42 +172,11 @@ type noiseVerdict struct {
 func FilterNoiseWithWorkers(set *MeasurementSet, tau float64, measure NoiseMeasure, workers int) *NoiseReport {
 	verdicts := make([]noiseVerdict, len(set.Order))
 	par.For(workers, len(set.Order), func(i int) {
-		vectors := set.RepVectors(set.Order[i])
-		allZero := true
-		for _, v := range vectors {
-			if !mat.AllZero(v) {
-				allZero = false
-				break
-			}
-		}
-		if allZero {
-			verdicts[i].allZero = true
-			return
-		}
-		v := measure(vectors)
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			v = math.Inf(1)
-		}
-		verdicts[i].noise = v
-		if v <= tau && allFinite(vectors) {
-			verdicts[i].keep = true
-			verdicts[i].mean = MeanVector(vectors)
-		}
+		verdicts[i] = judgeNoise(set.RepVectors(set.Order[i]), tau, measure)
 	})
 	report := &NoiseReport{Kept: make(map[string][]float64), Tau: tau}
 	for i, event := range set.Order {
-		d := verdicts[i]
-		if d.allZero {
-			report.Discarded = append(report.Discarded, event)
-			continue
-		}
-		report.Variabilities = append(report.Variabilities, EventVariability{Event: event, MaxRNMSE: d.noise})
-		if !d.keep {
-			report.Filtered = append(report.Filtered, event)
-			continue
-		}
-		report.Kept[event] = d.mean
-		report.KeptOrder = append(report.KeptOrder, event)
+		report.record(event, verdicts[i])
 	}
 	return report
 }

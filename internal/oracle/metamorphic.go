@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -28,11 +29,7 @@ type Fixture struct {
 
 // NewFixture collects the benchmark's default run and analyzes it.
 func NewFixture(bench suite.Benchmark) (*Fixture, error) {
-	platform, err := bench.NewPlatform()
-	if err != nil {
-		return nil, err
-	}
-	set, err := bench.Run(platform, bench.DefaultRun)
+	set, err := bench.Collect(context.Background(), bench.DefaultRun)
 	if err != nil {
 		return nil, err
 	}
@@ -333,26 +330,18 @@ func CheckWorkersDeterminism(bench suite.Benchmark, seed int64, configs int) Che
 // definition — with the given worker count in both the collection and
 // analysis configs, rendering the canonical text report.
 func renderReport(bench suite.Benchmark, reps, threads, workers int) (string, error) {
-	platform, err := bench.NewPlatform()
-	if err != nil {
-		return "", err
-	}
+	ctx := context.Background()
 	run := bench.DefaultRun
 	run.Reps = reps
 	run.Threads = threads
 	run.Workers = workers
-	set, err := bench.Run(platform, run)
-	if err != nil {
-		return "", err
-	}
-	basis, err := bench.Basis()
+	set, err := bench.Collect(ctx, run)
 	if err != nil {
 		return "", err
 	}
 	cfg := bench.Config
 	cfg.Workers = workers
-	pipe := &core.Pipeline{Basis: basis, Config: cfg}
-	res, err := pipe.Analyze(set)
+	res, err := bench.AnalyzeSet(ctx, set, cfg)
 	if err != nil {
 		return "", err
 	}

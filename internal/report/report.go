@@ -189,7 +189,7 @@ func (r *Report) checkZen4CrossArch() {
 		return
 	}
 	bench := cat.NewFlopsCPU()
-	set, err := bench.Run(platform, cat.DefaultRunConfig())
+	set, err := cat.Collect("cpu-flops", bench, platform, cat.DefaultRunConfig())
 	if err != nil {
 		r.add("Extension/zen4", false, "%v", err)
 		return

@@ -26,6 +26,29 @@ func (c *parkCtx) Done() <-chan struct{} {
 	return c.Context.Done()
 }
 
+// stallDriver is a one-point benchmark driver whose first GroundTruth call
+// signals leading, then blocks until release is done and fails with its
+// error; every later call succeeds.
+type stallDriver struct {
+	calls   atomic.Int32
+	leading chan struct{}
+	release context.Context
+}
+
+func (d *stallDriver) PointNames() []string { return []string{"p0"} }
+func (d *stallDriver) Basis() (*core.Basis, error) {
+	return nil, errors.New("stall driver has no basis")
+}
+
+func (d *stallDriver) GroundTruth(cat.RunConfig) ([][]machine.Stats, error) {
+	if d.calls.Add(1) == 1 {
+		close(d.leading)
+		<-d.release.Done()
+		return nil, d.release.Err()
+	}
+	return [][]machine.Stats{{machine.Stats{}}}, nil
+}
+
 // TestFlightJoinerOutlivesLeaderCancel: a request that joined a flight
 // whose leader's client went away must not inherit that cancellation. Its
 // own context is live, so it leads a fresh flight and gets its result
@@ -35,20 +58,12 @@ func TestFlightJoinerOutlivesLeaderCancel(t *testing.T) {
 	s := newTestServer(t, Config{})
 	leaderCtx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	leading := make(chan struct{})
-	want := &core.MeasurementSet{}
-	var calls atomic.Int32
+	stall := &stallDriver{leading: make(chan struct{}), release: leaderCtx}
 	bench := suite.Benchmark{
 		Name:        "stub",
-		NewPlatform: func() (*machine.Platform, error) { return nil, nil },
-		Run: func(*machine.Platform, cat.RunConfig) (*core.MeasurementSet, error) {
-			if calls.Add(1) == 1 {
-				close(leading)
-				<-leaderCtx.Done()
-				return nil, leaderCtx.Err()
-			}
-			return want, nil
-		},
+		Class:       "cpu",
+		NewPlatform: machine.SapphireRapids,
+		Driver:      stall,
 	}
 	run := cat.RunConfig{Reps: 1, Threads: 1}
 
@@ -57,7 +72,7 @@ func TestFlightJoinerOutlivesLeaderCancel(t *testing.T) {
 		_, err := s.measurementSet(leaderCtx, bench, run)
 		leaderErr <- err
 	}()
-	<-leading
+	<-stall.leading
 	joiner := &parkCtx{Context: context.Background(), parked: make(chan struct{})}
 	type outcome struct {
 		set *core.MeasurementSet
@@ -75,10 +90,10 @@ func TestFlightJoinerOutlivesLeaderCancel(t *testing.T) {
 		t.Fatalf("leader: err = %v, want context.Canceled", err)
 	}
 	got := <-joined
-	if got.err != nil || got.set != want {
+	if got.err != nil || got.set == nil || got.set.Benchmark != "stub" || len(got.set.Order) == 0 {
 		t.Fatalf("joiner: set %p, err %v; want its own flight's set", got.set, got.err)
 	}
-	if n := calls.Load(); n != 2 {
+	if n := stall.calls.Load(); n != 2 {
 		t.Fatalf("collections = %d, want 2 (the cancelled leader's and the joiner's own)", n)
 	}
 }

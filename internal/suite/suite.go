@@ -1,6 +1,8 @@
-// Package suite wires the four CAT benchmarks to their platforms, bases,
-// thresholds and signature tables, giving the command-line tools, examples
-// and benchmark harness one registry to drive the complete reproduction.
+// Package suite wires the four CAT benchmark drivers to their platforms,
+// thresholds and signature tables, giving the command-line tools, examples,
+// daemon and benchmark harness one registry to drive the complete
+// reproduction. Collect and CollectOn are the only ways to collect a
+// benchmark's measurements; AnalyzeSet analyzes them.
 package suite
 
 import (
@@ -32,16 +34,11 @@ type Benchmark struct {
 	// NewPlatform constructs the default simulated machine (the platform
 	// the paper ran this benchmark on).
 	NewPlatform func() (*machine.Platform, error)
-	// Basis constructs the expectation basis.
-	Basis func() (*core.Basis, error)
-	// Run collects measurements.
-	Run func(p *machine.Platform, cfg cat.RunConfig) (*core.MeasurementSet, error)
-	// GroundTruth returns the per-thread ground-truth statistics behind the
-	// benchmark's full point set under cfg — the known-exact kernel behavior
-	// the event-trust validator scores documented event semantics against.
-	// Benchmarks whose points are thread-independent return a single slice;
-	// cfg.MinimalKernels is ignored (ground truth always covers every point).
-	GroundTruth func(cfg cat.RunConfig) ([][]machine.Stats, error)
+	// Driver runs the benchmark's kernels: b.PointNames(), b.Basis() and
+	// b.GroundTruth(cfg) — the known-exact kernel behaviour collection
+	// measures and the event-trust validator scores documented event
+	// semantics against. Every copy of the Benchmark shares it.
+	cat.Driver
 	// Config holds the analysis thresholds for this benchmark.
 	Config core.Config
 	// Signatures are the metric signatures to define.
@@ -63,17 +60,11 @@ func All() []Benchmark {
 			Figure:         "2b",
 			Class:          "cpu",
 			NewPlatform:    machine.SapphireRapids,
-			Basis:          func() (*core.Basis, error) { return cat.NewFlopsCPU().Basis() },
-			Run: func(p *machine.Platform, cfg cat.RunConfig) (*core.MeasurementSet, error) {
-				return cat.NewFlopsCPU().Run(p, cfg)
-			},
-			GroundTruth: func(cat.RunConfig) ([][]machine.Stats, error) {
-				return [][]machine.Stats{cat.NewFlopsCPU().GroundTruth()}, nil
-			},
-			Config:       core.DefaultConfig(),
-			Signatures:   core.CPUFlopsSignatures(),
-			BasisSymbols: core.CPUFlopsBasisSymbols(),
-			DefaultRun:   cat.DefaultRunConfig(),
+			Driver:         cat.NewFlopsCPU(),
+			Config:         core.DefaultConfig(),
+			Signatures:     core.CPUFlopsSignatures(),
+			BasisSymbols:   core.CPUFlopsBasisSymbols(),
+			DefaultRun:     cat.DefaultRunConfig(),
 		},
 		{
 			Name:           "gpu-flops",
@@ -83,21 +74,11 @@ func All() []Benchmark {
 			Figure:         "2c",
 			Class:          "gpu",
 			NewPlatform:    machine.MI250X,
-			Basis:          func() (*core.Basis, error) { return cat.NewFlopsGPU().Basis() },
-			Run: func(p *machine.Platform, cfg cat.RunConfig) (*core.MeasurementSet, error) {
-				return cat.NewFlopsGPU().Run(p, cfg)
-			},
-			GroundTruth: func(cat.RunConfig) ([][]machine.Stats, error) {
-				points, err := cat.NewFlopsGPU().GroundTruth()
-				if err != nil {
-					return nil, err
-				}
-				return [][]machine.Stats{points}, nil
-			},
-			Config:       core.DefaultConfig(),
-			Signatures:   core.GPUFlopsSignatures(),
-			BasisSymbols: core.GPUFlopsBasisSymbols(),
-			DefaultRun:   cat.DefaultRunConfig(),
+			Driver:         cat.NewFlopsGPU(),
+			Config:         core.DefaultConfig(),
+			Signatures:     core.GPUFlopsSignatures(),
+			BasisSymbols:   core.GPUFlopsBasisSymbols(),
+			DefaultRun:     cat.DefaultRunConfig(),
 		},
 		{
 			Name:           "branch",
@@ -107,21 +88,11 @@ func All() []Benchmark {
 			Figure:         "2a",
 			Class:          "cpu",
 			NewPlatform:    machine.SapphireRapids,
-			Basis:          func() (*core.Basis, error) { return cat.NewBranch().Basis() },
-			Run: func(p *machine.Platform, cfg cat.RunConfig) (*core.MeasurementSet, error) {
-				return cat.NewBranch().Run(p, cfg)
-			},
-			GroundTruth: func(cat.RunConfig) ([][]machine.Stats, error) {
-				points, err := cat.NewBranch().GroundTruth()
-				if err != nil {
-					return nil, err
-				}
-				return [][]machine.Stats{points}, nil
-			},
-			Config:       core.DefaultConfig(),
-			Signatures:   core.BranchSignatures(),
-			BasisSymbols: core.BranchBasisSymbols(),
-			DefaultRun:   cat.DefaultRunConfig(),
+			Driver:         cat.NewBranch(),
+			Config:         core.DefaultConfig(),
+			Signatures:     core.BranchSignatures(),
+			BasisSymbols:   core.BranchBasisSymbols(),
+			DefaultRun:     cat.DefaultRunConfig(),
 		},
 		{
 			Name:           "dcache",
@@ -131,17 +102,11 @@ func All() []Benchmark {
 			Figure:         "2d",
 			Class:          "cpu",
 			NewPlatform:    machine.SapphireRapids,
-			Basis:          func() (*core.Basis, error) { return cat.NewDCache().Basis() },
-			Run: func(p *machine.Platform, cfg cat.RunConfig) (*core.MeasurementSet, error) {
-				return cat.NewDCache().Run(p, cfg)
-			},
-			GroundTruth: func(cfg cat.RunConfig) ([][]machine.Stats, error) {
-				return cat.NewDCache().GroundTruthAll(cfg)
-			},
-			Config:       core.CacheConfig(),
-			Signatures:   core.CacheSignatures(),
-			BasisSymbols: core.CacheBasisSymbols(),
-			DefaultRun:   cat.RunConfig{Reps: 5, Threads: 4},
+			Driver:         cat.NewDCache(),
+			Config:         core.CacheConfig(),
+			Signatures:     core.CacheSignatures(),
+			BasisSymbols:   core.CacheBasisSymbols(),
+			DefaultRun:     cat.RunConfig{Reps: 5, Threads: 4},
 		},
 	}
 }
@@ -166,34 +131,28 @@ func Names() []string {
 	return names
 }
 
-// Analyze runs the full pipeline for one benchmark and returns the analysis
-// result together with the measurement set it consumed.
+// Analyze runs the full pipeline for one benchmark on its default platform
+// with its own thresholds, and returns the analysis result together with the
+// measurement set it consumed.
 func (b Benchmark) Analyze(cfg cat.RunConfig) (*core.Result, *core.MeasurementSet, error) {
-	return b.AnalyzeContext(context.Background(), cfg, b.Config)
-}
-
-// AnalyzeContext runs the full pipeline with explicit analysis thresholds
-// and cancellation: the context is consulted between collection and each
-// analysis stage, so servers and job workers can abandon work whose deadline
-// passed. Passing b.Config as analysis reproduces Analyze.
-func (b Benchmark) AnalyzeContext(ctx context.Context, cfg cat.RunConfig, analysis core.Config) (*core.Result, *core.MeasurementSet, error) {
+	ctx := context.Background()
 	set, err := b.Collect(ctx, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := b.AnalyzeSet(ctx, set, analysis)
+	res, err := b.AnalyzeSet(ctx, set, b.Config)
 	if err != nil {
 		return nil, nil, err
 	}
 	return res, set, nil
 }
 
-// Collect runs only the measurement phase — platform construction and the
-// CAT collection pass — and returns the measurement set. It is the expensive
-// half of AnalyzeContext, split out so a serving tier can run it once per
-// (benchmark, RunConfig) and feed the same set to many analysis
-// configurations via AnalyzeSet. The returned set is treated as immutable by
-// every analysis stage, which is what makes that sharing sound.
+// Collect runs only the measurement phase on the benchmark's default
+// platform and returns the measurement set. It is the expensive half of an
+// analysis, split out so a serving tier can run it once per (benchmark,
+// RunConfig) and feed the same set to many analysis configurations via
+// AnalyzeSet. The returned set is treated as immutable by every analysis
+// stage, which is what makes that sharing sound.
 func (b Benchmark) Collect(ctx context.Context, cfg cat.RunConfig) (*core.MeasurementSet, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -202,7 +161,7 @@ func (b Benchmark) Collect(ctx context.Context, cfg cat.RunConfig) (*core.Measur
 	if err != nil {
 		return nil, err
 	}
-	return b.Run(platform, cfg)
+	return b.CollectOn(ctx, platform, cfg)
 }
 
 // CollectOn is Collect against an explicit platform instead of the
@@ -215,13 +174,14 @@ func (b Benchmark) CollectOn(ctx context.Context, p *machine.Platform, cfg cat.R
 	if p.Class != b.Class {
 		return nil, fmt.Errorf("suite: benchmark %s drives %s platforms, %s is %s", b.Name, b.Class, p.Name, p.Class)
 	}
-	return b.Run(p, cfg)
+	return cat.Collect(b.Name, b.Driver, p, cfg)
 }
 
 // AnalyzeSet runs the analysis phase — noise filter, projection, QRCP — over
-// an already-collected measurement set. Collect + AnalyzeSet compose to
-// AnalyzeContext; calling AnalyzeSet repeatedly with different analysis
-// configurations over one set never re-collects and never mutates the set.
+// an already-collected measurement set, consulting ctx between stages so
+// servers and job workers can abandon work whose deadline passed. Calling it
+// repeatedly with different analysis configurations over one set never
+// re-collects and never mutates the set.
 func (b Benchmark) AnalyzeSet(ctx context.Context, set *core.MeasurementSet, analysis core.Config) (*core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -17,7 +17,7 @@ func TestAllBenchmarksWellFormed(t *testing.T) {
 			t.Fatalf("duplicate benchmark %q", b.Name)
 		}
 		seen[b.Name] = true
-		if b.NewPlatform == nil || b.Basis == nil || b.Run == nil {
+		if b.NewPlatform == nil || b.Driver == nil {
 			t.Fatalf("%s: missing wiring", b.Name)
 		}
 		if len(b.Signatures) == 0 || len(b.BasisSymbols) == 0 {
@@ -29,6 +29,9 @@ func TestAllBenchmarksWellFormed(t *testing.T) {
 		}
 		if err := basis.CheckFullRank(); err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
+		}
+		if len(b.PointNames()) != basis.Points() {
+			t.Fatalf("%s: %d point names for %d basis points", b.Name, len(b.PointNames()), basis.Points())
 		}
 		if len(b.BasisSymbols) != basis.Dim() {
 			t.Fatalf("%s: %d symbols for %d basis dims", b.Name, len(b.BasisSymbols), basis.Dim())

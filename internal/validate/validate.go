@@ -42,6 +42,7 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/perfmetrics/eventlens/internal/cat"
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/fault"
 	"github.com/perfmetrics/eventlens/internal/machine"
@@ -115,8 +116,8 @@ func (t Tolerances) String() string {
 //
 // lint:cachekey — every result-affecting field must reach Key().
 type Request struct {
-	// Platform is the catalog to validate: "spr" or "mi250x" (the -sim
-	// suffixed platform names are accepted too).
+	// Platform is the catalog to validate: any registered platform, by its
+	// short name ("spr", "h100") or its full "-sim" suffixed name.
 	Platform string `json:"platform"`
 	// Benchmarks optionally restricts the ground-truth benchmarks consulted;
 	// empty means every suite benchmark of the platform.
@@ -309,9 +310,10 @@ type Report struct {
 	Degraded []DegradedBenchmark `json:"degraded,omitempty"`
 }
 
-// Run executes the validation: collects each selected benchmark, reduces
-// measured and documented counts to per-event vectors over the benchmark
-// points, and classifies every catalog event. The report is a pure function
+// Run executes the validation: computes each selected benchmark's ground
+// truth once and measures every event over it, reduces measured and
+// documented counts to per-event vectors over the benchmark points, and
+// classifies every catalog event. The report is a pure function
 // of the request's Key — worker counts never change a byte.
 func Run(ctx context.Context, req Request) (*Report, error) {
 	res, err := req.resolve()
@@ -348,7 +350,13 @@ func Run(ctx context.Context, req Request) (*Report, error) {
 		cfg := b.DefaultRun
 		cfg.Workers = res.workers
 		cfg.Faults = res.faults
-		set, err := b.CollectOn(ctx, p, cfg)
+		// One ground-truth pass per benchmark: the events are measured over
+		// exactly the truth their documentation is scored against.
+		perThread, err := b.GroundTruth(cfg)
+		if err != nil {
+			return nil, err
+		}
+		set, err := cat.Measure(b.Name, p, b.PointNames(), perThread, cfg)
 		if err != nil {
 			// Under fault injection a benchmark whose collection cannot
 			// complete — a hard fault, or every event dropped — degrades
@@ -358,10 +366,6 @@ func Run(ctx context.Context, req Request) (*Report, error) {
 				report.Degraded = append(report.Degraded, DegradedBenchmark{Benchmark: b.Name, Error: err.Error()})
 				continue
 			}
-			return nil, err
-		}
-		perThread, err := b.GroundTruth(cfg)
-		if err != nil {
 			return nil, err
 		}
 		report.Benchmarks = append(report.Benchmarks, b.Name)
