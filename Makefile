@@ -4,7 +4,7 @@ GO ?= go
 FUZZTIME ?= 10s
 COVER_FLOOR ?= 75.0
 
-.PHONY: build test race lint lint-selftest lint-guard loadgen-check loc verify validate matrix chaos cluster fuzz cover golden bench bench-guard profile clean
+.PHONY: build test race fmt-check lint lint-selftest lint-guard loadgen-check loc verify validate matrix chaos cluster fuzz cover golden bench bench-guard profile clean
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Formatting gate: gofmt must have nothing to rewrite in any Go file of the
+# tree (lint fixtures and the benchmark module included; dot-directories
+# such as the benchmark's .bench_build/ are skipped).
+fmt-check:
+	@out=$$(find . -path './.*' -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "fmt-check: gofmt would rewrite:"; echo "$$out"; exit 1; fi
 
 # The static gate: the repository's own analyzers (internal/lint) over every
 # package. Zero findings required; vetted exceptions go in lint.allow.

@@ -54,6 +54,31 @@ func TestPublicPlatformConstructors(t *testing.T) {
 	}
 }
 
+func TestPublicCustomCatalog(t *testing.T) {
+	// A custom event is its response and documentation terms.
+	ev := eventlens.EventDef{
+		Name:       "VPU_ELEMS",
+		Respond:    []eventlens.EventTerm{{Key: "cpu.instr", Coeff: 8}},
+		Documented: true,
+		Doc:        []eventlens.EventTerm{{Key: "cpu.instr", Coeff: 1}},
+	}
+	cat, err := eventlens.NewCatalog([]eventlens.EventDef{ev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := cat.Lookup("VPU_ELEMS")
+	if !ok {
+		t.Fatal("VPU_ELEMS missing from its catalog")
+	}
+	stats := eventlens.Stats{"cpu.instr": 5}
+	if n := got.Count(stats); n != 40 {
+		t.Fatalf("Count = %v, want 40", n)
+	}
+	if doc, ok := got.DocExpectation(stats); !ok || doc != 5 {
+		t.Fatalf("DocExpectation = %v, %v; want 5, true", doc, ok)
+	}
+}
+
 func TestPublicCustomAnalysis(t *testing.T) {
 	// The customarch flow: user-defined basis, measurements, pipeline.
 	basis, err := eventlens.NewBasis(

@@ -183,7 +183,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *presets {
 		fmt.Fprintln(stdout)
 		fmt.Fprintf(stdout, "# auto-generated presets for %s (%s benchmark)\n", set.Platform, bench.Name)
-		fmt.Fprint(stdout, core.FormatPresets(defs, cfg.RoundTol, 1e-6))
+		fmt.Fprint(stdout, core.FormatPresets(defs, cfg.RoundTol, core.ComposableThreshold))
 	}
 	if *ratios {
 		fmt.Fprintln(stdout)

@@ -3,10 +3,10 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"flag"
 	"strings"
 	"testing"
 

@@ -137,5 +137,5 @@ func loadOrDerivePresets(path string) ([]*core.Preset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.ParsePresets(core.FormatPresets(defs, bench.Config.RoundTol, 1e-6))
+	return core.ParsePresets(core.FormatPresets(defs, bench.Config.RoundTol, core.ComposableThreshold))
 }

@@ -42,6 +42,7 @@ import (
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/machine"
 	"github.com/perfmetrics/eventlens/internal/mat"
+	"github.com/perfmetrics/eventlens/internal/platdef"
 	"github.com/perfmetrics/eventlens/internal/suite"
 )
 
@@ -86,6 +87,9 @@ type (
 	Platform = machine.Platform
 	// EventDef defines one raw hardware event.
 	EventDef = machine.EventDef
+	// EventTerm is one coefficient of a raw event's response or documented
+	// semantics over ground-truth stat keys.
+	EventTerm = platdef.Term
 	// Catalog is an ordered raw-event catalog.
 	Catalog = machine.Catalog
 	// Stats is ground-truth workload statistics per benchmark point.
@@ -95,6 +99,10 @@ type (
 	// Benchmark bundles a CAT benchmark with its platform and thresholds.
 	Benchmark = suite.Benchmark
 )
+
+// ComposableThreshold is the backward-error bound under which a metric
+// counts as composable on an architecture (Eq. 5).
+const ComposableThreshold = core.ComposableThreshold
 
 // Analysis constructors and functions.
 var (

@@ -63,7 +63,7 @@ func main() {
 		}
 		for _, def := range defs {
 			verdict := "composable"
-			if !def.Composable(1e-6) {
+			if !def.Composable(eventlens.ComposableThreshold) {
 				verdict = "NOT composable"
 			}
 			fmt.Printf("  %-16s error %9.3g  %s\n", def.Metric, def.BackwardError, verdict)
@@ -71,7 +71,7 @@ func main() {
 
 		// Emit the auto-generated presets this machine supports.
 		fmt.Println("auto-generated presets:")
-		fmt.Print(core.FormatPresets(defs, 0.05, 1e-6))
+		fmt.Print(core.FormatPresets(defs, 0.05, eventlens.ComposableThreshold))
 		fmt.Println()
 	}
 	fmt.Println("summary: DP Ops. composes on spr-sim but not on zen4-sim — the")

@@ -45,7 +45,7 @@ func main() {
 	fmt.Println("\ncomposability verdicts:")
 	for _, def := range defs {
 		verdict := "composable"
-		if !def.Composable(1e-6) {
+		if !def.Composable(eventlens.ComposableThreshold) {
 			verdict = "NOT composable on this architecture"
 		}
 		fmt.Printf("  %-24s error %.3g  %s\n", def.Metric, def.BackwardError, verdict)

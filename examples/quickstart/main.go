@@ -49,7 +49,7 @@ func main() {
 		}
 		fmt.Println("composed metric:")
 		fmt.Print(def)
-		if def.Composable(1e-6) {
+		if def.Composable(eventlens.ComposableThreshold) {
 			fmt.Println("\nDP FLOPs can be measured on this architecture with the combination above.")
 		}
 	}

@@ -179,7 +179,7 @@ func TestZen4CatalogBasics(t *testing.T) {
 		t.Fatalf("width event missing")
 	}
 	// Merged precision, FMA once.
-	got := def.Respond(machine.Stats{
+	got := def.Count(machine.Stats{
 		machine.FPKey("sp", "256", false): 3,
 		machine.FPKey("dp", "256", false): 4,
 		machine.FPKey("sp", "256", true):  5,

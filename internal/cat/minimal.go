@@ -36,20 +36,16 @@ func SpanningPoints(p *machine.Platform, points []machine.Stats, basis *core.Bas
 	if basis.Points() != len(points) {
 		return nil, fmt.Errorf("cat: spanning points: basis covers %d points, ground truth has %d", basis.Points(), len(points))
 	}
-	names := p.Catalog.Names()
+	events := p.Catalog.Events()
 	vectors := make([][]float64, len(points))
 	for i, stats := range points {
-		v := make([]float64, len(names))
-		for j, name := range names {
-			def, ok := p.Catalog.Lookup(name)
-			if !ok {
-				return nil, fmt.Errorf("cat: platform %s lost event %q", p.Name, name)
-			}
-			v[j] = def.Respond(stats)
+		v := make([]float64, len(events))
+		for j, e := range events {
+			v[j] = e.Count(stats)
 		}
 		vectors[i] = v
 	}
-	res, err := similarity.Cluster(vectors, similarity.Options{Threshold: MinimalKernelThreshold})
+	res, err := similarity.Cluster(vectors, MinimalKernelThreshold)
 	if err != nil {
 		return nil, fmt.Errorf("cat: spanning points: %w", err)
 	}

@@ -120,12 +120,11 @@ func (s *MeasurementSet) RepVectors(event string) [][]float64 {
 // vectors. For an even count it averages the two central values. The input
 // vectors are never modified.
 //
-// The reduction is selection-based rather than sort-based: it runs once per
-// (event, rep, point) coordinate on every CAT benchmark's hot path, and a
-// median needs order statistics, not a full ordering. Results are identical
-// to sorting with sort.Float64s and taking the middle: small thread counts
-// replicate the stdlib's stable insertion sort exactly, and above that a
-// quickselect returns the same order statistics — see medianInPlace.
+// It runs once per (event, rep, point) coordinate on every CAT benchmark's
+// hot path, so the shipped thread counts (at most medianSmall) sort a
+// reused scratch slice with an allocation-free insertion sort; larger
+// groups use sort.Float64s. Both orderings are bit-identical — see
+// medianSmall.
 func MedianOverThreads(vectors [][]float64) []float64 {
 	if len(vectors) == 1 {
 		out := make([]float64, len(vectors[0]))
@@ -144,52 +143,32 @@ func MedianOverThreads(vectors [][]float64) []float64 {
 	return out
 }
 
-// medianSmall is the length at or below which medianInPlace fully sorts with
-// the stable insertion sort — the same cutoff below which the stdlib's
+// medianSmall is the length at or below which medianInPlace sorts with its
+// own stable insertion sort — the same cutoff below which the stdlib's
 // pdqsort delegates to its insertion sort, so the small-slice arrangement
-// (ties included) is bit-for-bit the one sort.Float64s would produce.
+// (ties, signed zeros included) is bit-for-bit the one sort.Float64s would
+// produce.
 const medianSmall = 12
 
-// medianLess orders exactly like sort.Float64s: ascending, NaNs first.
-func medianLess(a, b float64) bool {
-	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
-}
-
-// medianInPlace returns the median of vals, permuting vals (callers own the
-// scratch). It allocates nothing. Equality with the sort-based median:
-// values that compare equal are bit-identical floats except for the signs
-// of ±0 and NaN payloads, so any selection returning the middle order
-// statistics reproduces the sorted median's bits on real measurement data;
-// the n <= medianSmall path additionally replicates the stdlib arrangement
-// exactly, covering signed-zero ties for every shipped thread count.
+// medianInPlace returns the median of vals, sorting vals in place (callers
+// own the scratch).
 func medianInPlace(vals []float64) float64 {
-	m := len(vals)
-	mid := m / 2
-	if m <= medianSmall {
+	if len(vals) <= medianSmall {
 		insertionSortFloats(vals)
-		if m%2 == 1 {
-			return vals[mid]
-		}
-		return (vals[mid-1] + vals[mid]) / 2
+	} else {
+		sort.Float64s(vals)
 	}
-	if m%2 == 1 {
-		return quickselectFloat(vals, mid)
+	mid := len(vals) / 2
+	if len(vals)%2 == 1 {
+		return vals[mid]
 	}
-	lo := quickselectFloat(vals, mid-1)
-	// quickselectFloat leaves vals partitioned around index mid-1, so the
-	// minimum of the right part is the mid-th order statistic.
-	hi := vals[mid]
-	for _, v := range vals[mid+1:] {
-		if medianLess(v, hi) {
-			hi = v
-		}
-	}
-	return (lo + hi) / 2
+	return (vals[mid-1] + vals[mid]) / 2
 }
 
-// insertionSortFloats is the stdlib's stable insertion sort under
-// medianLess: equal elements keep their input order, matching what
-// sort.Float64s does for slices up to medianSmall.
+// insertionSortFloats is the stdlib's stable insertion sort under the
+// sort.Float64s order (ascending, NaNs first): equal elements keep their
+// input order, matching what sort.Float64s does for slices up to
+// medianSmall.
 func insertionSortFloats(v []float64) {
 	for i := 1; i < len(v); i++ {
 		for j := i; j > 0 && medianLess(v[j], v[j-1]); j-- {
@@ -198,51 +177,9 @@ func insertionSortFloats(v []float64) {
 	}
 }
 
-// quickselectFloat returns the k-th order statistic of vals, leaving vals
-// partitioned: every element left of k compares <= vals[k], every element
-// right of k compares >= vals[k]. Median-of-three pivoting with Hoare
-// partitioning keeps the selection deterministic (no randomized pivots) and
-// linear on the reverse-sorted and organ-pipe adversaries.
-func quickselectFloat(vals []float64, k int) float64 {
-	lo, hi := 0, len(vals)-1
-	for hi-lo > medianSmall {
-		mid := lo + (hi-lo)/2
-		if medianLess(vals[mid], vals[lo]) {
-			vals[mid], vals[lo] = vals[lo], vals[mid]
-		}
-		if medianLess(vals[hi], vals[lo]) {
-			vals[hi], vals[lo] = vals[lo], vals[hi]
-		}
-		if medianLess(vals[hi], vals[mid]) {
-			vals[hi], vals[mid] = vals[mid], vals[hi]
-		}
-		pivot := vals[mid]
-		i, j := lo, hi
-		for i <= j {
-			for medianLess(vals[i], pivot) {
-				i++
-			}
-			for medianLess(pivot, vals[j]) {
-				j--
-			}
-			if i <= j {
-				vals[i], vals[j] = vals[j], vals[i]
-				i++
-				j--
-			}
-		}
-		// [lo,j] <= pivot <= [i,hi]; anything strictly between is pivot-equal.
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return vals[k]
-		}
-	}
-	insertionSortFloats(vals[lo : hi+1])
-	return vals[k]
+// medianLess orders exactly like sort.Float64s: ascending, NaNs first.
+func medianLess(a, b float64) bool {
+	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
 }
 
 // MeanVector returns the elementwise mean of equal-length vectors.

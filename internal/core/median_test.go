@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// sortMedianReference is the pre-selection implementation of
-// MedianOverThreads, kept verbatim as the differential oracle.
+// sortMedianReference is MedianOverThreads with sort.Float64s at every
+// thread count, kept verbatim as the differential oracle.
 func sortMedianReference(vectors [][]float64) []float64 {
 	if len(vectors) == 1 {
 		out := make([]float64, len(vectors[0]))
@@ -55,7 +55,7 @@ func vectorsOf(vals []float64) [][]float64 {
 	return out
 }
 
-// TestMedianMatchesSortRandom drives the selection median against the
+// TestMedianMatchesSortRandom drives the median against the
 // sort-based oracle over random NaN-free inputs: every length 1..40 (odd and
 // even, below and above the insertion cutoff), continuous values and heavily
 // tied values drawn from a tiny grid.
@@ -78,7 +78,7 @@ func TestMedianMatchesSortRandom(t *testing.T) {
 	}
 }
 
-// TestMedianMatchesSortAdversarial pins the classic quickselect adversaries:
+// TestMedianMatchesSortAdversarial pins the classic sorting adversaries:
 // sorted, reverse-sorted, organ-pipe, all-equal, alternating, and
 // near-duplicate inputs, across the cutoff boundary.
 func TestMedianMatchesSortAdversarial(t *testing.T) {

@@ -60,6 +60,11 @@ func DefineMetric(xhat *mat.Dense, eventNames []string, sig Signature) (*MetricD
 	return def, nil
 }
 
+// ComposableThreshold is the backward-error bound under which a metric
+// counts as composable (Eq. 5): the bound analyses, presets, the serving
+// tier and the cross-platform matrix apply unless a request overrides it.
+const ComposableThreshold = 1e-6
+
 // Composable reports whether the definition's fitness is below the given
 // backward-error threshold — the paper's criterion for "this metric can be
 // composed from raw events on this architecture".

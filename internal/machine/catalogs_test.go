@@ -27,18 +27,18 @@ func TestZen4Catalog(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing %s", name)
 		}
-		if got := def.Respond(stats); got != want {
+		if got := def.Count(stats); got != want {
 			t.Errorf("%s = %v want %v", name, got, want)
 		}
 	}
 	// Cache fills respond to the right levels.
 	def, _ := p.Catalog.Lookup("LS_REFILLS_FROM_SYS:LS_MABRESP_LCL_L2")
-	if got := def.Respond(Stats{KeyL2Hit: 7}); got != 7 {
+	if got := def.Count(Stats{KeyL2Hit: 7}); got != 7 {
 		t.Fatalf("L2 refill response = %v", got)
 	}
 	// MMX legacy events are dead on these benchmarks.
 	dead, _ := p.Catalog.Lookup("RETIRED_MMX_FP_INSTRUCTIONS:ALL")
-	if dead.Respond(Stats{KeyInstr: 100}) != 0 {
+	if dead.Count(Stats{KeyInstr: 100}) != 0 {
 		t.Fatalf("legacy event should read zero")
 	}
 }
@@ -52,7 +52,7 @@ func TestMI250XAggregates(t *testing.T) {
 	if !ok {
 		t.Fatalf("VALU aggregate missing")
 	}
-	if got := def.Respond(Stats{KeyGPUValuAll: 42}); got != 42 {
+	if got := def.Count(Stats{KeyGPUValuAll: 42}); got != 42 {
 		t.Fatalf("aggregate = %v", got)
 	}
 	waves, _ := p.Catalog.Lookup("rocm:::SQ_WAVES:device=0")
@@ -97,7 +97,7 @@ func TestSPRFillerFamiliesRespond(t *testing.T) {
 	if !ok {
 		t.Fatalf("stall event missing")
 	}
-	if def.Respond(Stats{KeyCycles: 100, KeyL1Miss: 10, KeyL2Miss: 5}) <= 0 {
+	if def.Count(Stats{KeyCycles: 100, KeyL1Miss: 10, KeyL2Miss: 5}) <= 0 {
 		t.Fatalf("stall event should respond to cycle/cache activity")
 	}
 	// TLB walk events respond to the TLB model's stats.
@@ -105,7 +105,7 @@ func TestSPRFillerFamiliesRespond(t *testing.T) {
 	if !ok {
 		t.Fatalf("walk event missing")
 	}
-	if walk.Respond(Stats{KeyWalks: 3, KeyDTLBMiss: 9}) <= 0 {
+	if walk.Count(Stats{KeyWalks: 3, KeyDTLBMiss: 9}) <= 0 {
 		t.Fatalf("walk event should respond to TLB stats")
 	}
 	// Dead families read zero everywhere.
@@ -113,7 +113,7 @@ func TestSPRFillerFamiliesRespond(t *testing.T) {
 	if !ok {
 		t.Fatalf("ITLB event missing")
 	}
-	if dead.Respond(Stats{KeyInstr: 1000, KeyCycles: 1000}) != 0 {
+	if dead.Count(Stats{KeyInstr: 1000, KeyCycles: 1000}) != 0 {
 		t.Fatalf("ITLB should be dead on these benchmarks")
 	}
 }

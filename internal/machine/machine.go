@@ -21,6 +21,7 @@ import (
 	"github.com/perfmetrics/eventlens/internal/fault"
 	"github.com/perfmetrics/eventlens/internal/mat"
 	"github.com/perfmetrics/eventlens/internal/par"
+	"github.com/perfmetrics/eventlens/internal/platdef"
 )
 
 // Stats is the ground truth a workload simulator reports for one benchmark
@@ -32,49 +33,11 @@ type Stats map[string]float64
 // Get returns the value for key, or 0 when absent.
 func (s Stats) Get(key string) float64 { return s[key] }
 
-// EventDef defines one raw hardware event.
-type EventDef struct {
-	// Name is the PAPI-style event name, e.g.
-	// "FP_ARITH_INST_RETIRED:256B_PACKED_DOUBLE".
-	Name string
-	// Desc is a one-line description (vendor docs are famously thin; so are
-	// some of these, deliberately).
-	Desc string
-	// RelNoise is the relative run-to-run noise sigma; 0 means the event is
-	// deterministic.
-	RelNoise float64
-	// AbsNoise is an additive noise sigma in counts.
-	AbsNoise float64
-	// Respond maps workload ground truth to the event's ideal count.
-	Respond func(Stats) float64
-	// Doc optionally records the event's *documented* semantics as a linear
-	// combination of ground-truth stat keys — what the vendor manual claims
-	// the event counts, as opposed to Respond, which is what the silicon
-	// actually counts. The event-trust validator scores the two against each
-	// other (DESIGN.md §14). nil means undocumented; an empty non-nil map
-	// documents an event that counts nothing the CAT kernels exercise.
-	Doc map[string]float64
-}
-
-// DocExpectation returns the documented expected count for one benchmark
-// point, or ok=false for an undocumented event. Terms are summed in
-// key-sorted order: float addition is order-sensitive at the ulp level, and
-// the validator's reports must be byte-identical run to run.
-func (e EventDef) DocExpectation(s Stats) (float64, bool) {
-	if e.Doc == nil {
-		return 0, false
-	}
-	keys := make([]string, 0, len(e.Doc))
-	for k := range e.Doc {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var v float64
-	for _, k := range keys {
-		v += e.Doc[k] * s.Get(k)
-	}
-	return v, true
-}
+// EventDef defines one raw hardware event: its name, noise model, and the
+// linear response (Count) and documented semantics (DocExpectation) over
+// ground-truth stat keys. Catalogs hold the definitions exactly as loaded
+// from a platform definition.
+type EventDef = platdef.Event
 
 // Catalog is an ordered set of event definitions.
 type Catalog struct {
@@ -82,27 +45,29 @@ type Catalog struct {
 	byName map[string]int
 }
 
-// NewCatalog builds a catalog, rejecting duplicate or unnamed events.
+// NewCatalog builds a catalog over events, rejecting duplicate or unnamed
+// events. The catalog keeps the slice as given; neither it nor the events'
+// term lists may be modified afterwards.
 func NewCatalog(events []EventDef) (*Catalog, error) {
-	c := &Catalog{byName: make(map[string]int, len(events))}
-	for _, e := range events {
+	c := &Catalog{events: events, byName: make(map[string]int, len(events))}
+	for i, e := range events {
 		if e.Name == "" {
 			return nil, fmt.Errorf("machine: event with empty name")
-		}
-		if e.Respond == nil {
-			return nil, fmt.Errorf("machine: event %q has no response model", e.Name)
 		}
 		if _, dup := c.byName[e.Name]; dup {
 			return nil, fmt.Errorf("machine: duplicate event %q", e.Name)
 		}
-		c.byName[e.Name] = len(c.events)
-		c.events = append(c.events, e)
+		c.byName[e.Name] = i
 	}
 	return c, nil
 }
 
 // Len returns the number of events.
 func (c *Catalog) Len() int { return len(c.events) }
+
+// Events returns the event definitions in catalog order. The slice is the
+// catalog's own and must be treated as read-only.
+func (c *Catalog) Events() []EventDef { return c.events }
 
 // Names returns all event names in catalog order.
 func (c *Catalog) Names() []string {
@@ -287,8 +252,7 @@ func (p *Platform) measureGroupOnce(points []Stats, group []string, groupIndex, 
 		}
 		vec := make([]float64, len(points))
 		for pi, stats := range points {
-			ideal := def.Respond(stats)
-			vec[pi] = p.noisy(ideal, def, name, groupIndex, pi, rep, thread)
+			vec[pi] = p.noisy(def.Count(stats), def, name, groupIndex, pi, rep, thread)
 			if corrupt {
 				vec[pi], _ = p.Inject.CorruptValue(coord, name, pi, vec[pi])
 			}

@@ -4,25 +4,24 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"github.com/perfmetrics/eventlens/internal/platdef"
 )
 
 func TestNewCatalogValidation(t *testing.T) {
-	ok := EventDef{Name: "A", Respond: func(Stats) float64 { return 0 }}
+	ok := EventDef{Name: "A"}
 	if _, err := NewCatalog([]EventDef{ok, ok}); err == nil {
 		t.Fatalf("duplicate names should fail")
 	}
-	if _, err := NewCatalog([]EventDef{{Name: "", Respond: ok.Respond}}); err == nil {
+	if _, err := NewCatalog([]EventDef{{Name: ""}}); err == nil {
 		t.Fatalf("empty name should fail")
-	}
-	if _, err := NewCatalog([]EventDef{{Name: "X"}}); err == nil {
-		t.Fatalf("missing response model should fail")
 	}
 }
 
 func TestCatalogLookup(t *testing.T) {
 	c, err := NewCatalog([]EventDef{
-		{Name: "A", Respond: func(Stats) float64 { return 1 }},
-		{Name: "B", Respond: func(Stats) float64 { return 2 }},
+		{Name: "A"},
+		{Name: "B"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,6 +39,9 @@ func TestCatalogLookup(t *testing.T) {
 	if names[0] != "A" || names[1] != "B" {
 		t.Fatalf("Names order wrong: %v", names)
 	}
+	if events := c.Events(); len(events) != 2 || events[1].Name != "B" {
+		t.Fatalf("Events order wrong: %v", events)
+	}
 }
 
 func TestStatsGetMissingKeyIsZero(t *testing.T) {
@@ -50,11 +52,11 @@ func TestStatsGetMissingKeyIsZero(t *testing.T) {
 }
 
 func TestLinearResponse(t *testing.T) {
-	f := linearResponse(map[string]float64{"a": 2, "b": -1})
-	if got := f(Stats{"a": 3, "b": 4}); got != 2 {
+	e := EventDef{Name: "E", Respond: []platdef.Term{{Key: "a", Coeff: 2}, {Key: "b", Coeff: -1}}}
+	if got := e.Count(Stats{"a": 3, "b": 4}); got != 2 {
 		t.Fatalf("linear response = %v want 2", got)
 	}
-	if got := linearResponse(nil)(Stats{"a": 1}); got != 0 {
+	if got := (EventDef{Name: "Z"}).Count(Stats{"a": 1}); got != 0 {
 		t.Fatalf("nil-terms response should be 0")
 	}
 }
@@ -74,9 +76,9 @@ func TestGroupsPartition(t *testing.T) {
 func testPlatform(t *testing.T) *Platform {
 	t.Helper()
 	cat, err := NewCatalog([]EventDef{
-		{Name: "EXACT", Respond: linearResponse(map[string]float64{"x": 2})},
-		{Name: "NOISY", RelNoise: 0.1, Respond: linearResponse(map[string]float64{"x": 1})},
-		{Name: "ZERO", Respond: linearResponse(nil)},
+		{Name: "EXACT", Respond: []platdef.Term{{Key: "x", Coeff: 2}}},
+		{Name: "NOISY", RelNoise: 0.1, Respond: []platdef.Term{{Key: "x", Coeff: 1}}},
+		{Name: "ZERO"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +134,7 @@ func TestMeasureNoisyEventVariesAcrossThreads(t *testing.T) {
 
 func TestMeasureClampsNegative(t *testing.T) {
 	cat, _ := NewCatalog([]EventDef{
-		{Name: "N", RelNoise: 100, Respond: linearResponse(map[string]float64{"x": 1})},
+		{Name: "N", RelNoise: 100, Respond: []platdef.Term{{Key: "x", Coeff: 1}}},
 	})
 	p := &Platform{Name: "clamp", Catalog: cat, Counters: 1}
 	points := make([]Stats, 64)
@@ -207,7 +209,7 @@ func TestSapphireRapidsCatalog(t *testing.T) {
 	if !ok {
 		t.Fatalf("FP_ARITH event missing")
 	}
-	got := def.Respond(Stats{FPKey("dp", "256", false): 10, FPKey("dp", "256", true): 5})
+	got := def.Count(Stats{FPKey("dp", "256", false): 10, FPKey("dp", "256", true): 5})
 	if got != 20 { // 10 non-FMA + 2*5 FMA
 		t.Fatalf("FMA double-count broken: %v want 20", got)
 	}
@@ -240,7 +242,7 @@ func TestSapphireRapidsBranchEvents(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing %s", name)
 		}
-		if got := def.Respond(stats); got != want {
+		if got := def.Count(stats); got != want {
 			t.Errorf("%s = %v want %v", name, got, want)
 		}
 	}
@@ -259,7 +261,7 @@ func TestMI250XCatalog(t *testing.T) {
 	if !ok {
 		t.Fatalf("VALU ADD event missing")
 	}
-	got := def.Respond(Stats{GPUValuKey("add", "f16"): 7, GPUValuKey("sub", "f16"): 3})
+	got := def.Count(Stats{GPUValuKey("add", "f16"): 7, GPUValuKey("sub", "f16"): 3})
 	if got != 10 {
 		t.Fatalf("ADD+SUB merge broken: %v want 10", got)
 	}
@@ -268,7 +270,7 @@ func TestMI250XCatalog(t *testing.T) {
 	if !ok {
 		t.Fatalf("idle-device event missing")
 	}
-	if idle.Respond(Stats{GPUValuKey("add", "f16"): 7}) != 0 {
+	if idle.Count(Stats{GPUValuKey("add", "f16"): 7}) != 0 {
 		t.Fatalf("idle device must read zero")
 	}
 }

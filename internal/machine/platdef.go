@@ -4,21 +4,20 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/perfmetrics/eventlens/internal/mat"
 	"github.com/perfmetrics/eventlens/internal/platdef"
 )
 
 // This file is the bridge between the pure-data platform definitions
 // (internal/platdef) and live simulated platforms: FromDef loads a
-// definition, ExportDef recovers one by probing. The two are exact inverses
-// for linear catalogs — FromDef(ExportDef(p)) responds bitwise-identically
-// to p on every input — which is how the committed .pdef files are proven
-// byte-identical replacements for the hand-coded builders they came from.
+// definition, ExportDef returns one. A catalog holds its definition's events
+// unchanged, so the two are exact inverses — the canonical bytes of
+// ExportDef(FromDef(d)) are d's — which is how the committed .pdef files
+// are proven to load without loss.
 
-// FromDef builds a live platform from a validated definition. Response
-// functions are linearResponse over the definition's terms — summed in
-// key-sorted order, so two platforms built from equal definitions read
-// bitwise-identical values.
+// FromDef builds a live platform from a validated definition whose terms
+// name only ground-truth stat keys a workload simulator can populate. The
+// platform's catalog shares the definition's events, which must not be
+// modified afterwards.
 func FromDef(def *platdef.Platform) (*Platform, error) {
 	if err := def.Validate(); err != nil {
 		return nil, err
@@ -27,7 +26,6 @@ func FromDef(def *platdef.Platform) (*Platform, error) {
 	for _, k := range KeyUniverse() {
 		known[k] = true
 	}
-	events := make([]EventDef, 0, len(def.Events))
 	for _, e := range def.Events {
 		for _, t := range e.Respond {
 			if !known[t.Key] {
@@ -39,20 +37,8 @@ func FromDef(def *platdef.Platform) (*Platform, error) {
 				return nil, fmt.Errorf("machine: platform %q event %q documents unknown stat key %q", def.Name, e.Name, t.Key)
 			}
 		}
-		ev := EventDef{
-			Name: e.Name, Desc: e.Desc,
-			RelNoise: e.RelNoise, AbsNoise: e.AbsNoise,
-			Respond: linearResponse(termMap(e.Respond)),
-		}
-		if e.Documented {
-			ev.Doc = make(map[string]float64, len(e.Doc))
-			for _, t := range e.Doc {
-				ev.Doc[t.Key] = t.Coeff
-			}
-		}
-		events = append(events, ev)
 	}
-	cat, err := NewCatalog(events)
+	cat, err := NewCatalog(def.Events)
 	if err != nil {
 		return nil, err
 	}
@@ -75,79 +61,15 @@ func FromDef(def *platdef.Platform) (*Platform, error) {
 	return p, nil
 }
 
-func termMap(terms []platdef.Term) map[string]float64 {
-	if len(terms) == 0 {
-		return nil
-	}
-	m := make(map[string]float64, len(terms))
-	for _, t := range terms {
-		m[t.Key] = t.Coeff
-	}
-	return m
-}
-
-// ExportDef recovers a platform's pure-data definition by probing each
-// event's response function over the ground-truth key universe. Probing is
-// exact for the linear responses this package builds: Respond on a
-// single-key Stats{k: 1} returns the coefficient of k bitwise (c*1 == c,
-// and the other terms contribute c*0 which never perturbs the sum), so the
-// recovered terms reproduce the original response function exactly.
-//
-// Responses that are not linear over the universe are detected and
-// rejected: a non-zero response at the origin, or a composite probe that
-// the recovered terms fail to reproduce bitwise.
+// ExportDef returns a platform's pure-data definition: its counter limits
+// and constraints plus a copy of the catalog's event list. The events'
+// term lists are shared with the catalog and must be treated as read-only.
 func ExportDef(p *Platform) (*platdef.Platform, error) {
-	keys := KeyUniverse()
-	composite := make(Stats, len(keys))
-	for i, k := range keys {
-		// Distinct, exactly representable values so coefficient mixups
-		// cannot cancel.
-		composite[k] = float64(2 + 3*i)
-	}
 	def := &platdef.Platform{
 		Name:     p.Name,
 		Class:    p.Class,
 		Counters: p.Counters,
-	}
-	for _, name := range p.Catalog.Names() {
-		ev, _ := p.Catalog.Lookup(name)
-		if v := ev.Respond(Stats{}); !mat.IsZero(v) {
-			return nil, fmt.Errorf("machine: event %q responds %g at the origin; not linear", name, v)
-		}
-		var terms []platdef.Term
-		for _, k := range keys {
-			if c := ev.Respond(Stats{k: 1}); !mat.IsZero(c) {
-				terms = append(terms, platdef.Term{Key: k, Coeff: c})
-			}
-		}
-		sort.Slice(terms, func(i, j int) bool { return terms[i].Key < terms[j].Key })
-		// The recovered terms must reproduce the live response bitwise on a
-		// composite input: summing coeff*value in the same key-sorted order
-		// linearResponse uses.
-		var want float64
-		for _, t := range terms {
-			want += t.Coeff * composite.Get(t.Key)
-		}
-		if got := ev.Respond(composite); !mat.ExactEq(got, want) {
-			return nil, fmt.Errorf("machine: event %q response is not linear over the key universe (probe %g, recovered %g)", name, got, want)
-		}
-		out := platdef.Event{
-			Name: name, Desc: ev.Desc,
-			RelNoise: ev.RelNoise, AbsNoise: ev.AbsNoise,
-			Respond: terms,
-		}
-		if ev.Doc != nil {
-			out.Documented = true
-			docKeys := make([]string, 0, len(ev.Doc))
-			for k := range ev.Doc {
-				docKeys = append(docKeys, k)
-			}
-			sort.Strings(docKeys)
-			for _, k := range docKeys {
-				out.Doc = append(out.Doc, platdef.Term{Key: k, Coeff: ev.Doc[k]})
-			}
-		}
-		def.Events = append(def.Events, out)
+		Events:   append([]platdef.Event(nil), p.Catalog.Events()...),
 	}
 	conEvents := make([]string, 0, len(p.Constraints))
 	for event := range p.Constraints {

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,14 +10,11 @@ import (
 	"github.com/perfmetrics/eventlens/internal/platdef"
 )
 
-var regenPlatforms = flag.Bool("regen-platforms", false, "rewrite the committed platform definition files from the loaded platforms")
-
 // TestBuiltinFilesCanonical is the byte-identity regression gate for the
-// data-platform refactor: every committed .pdef file must round-trip
-// load -> probe -> canonicalize back to its exact committed bytes. This
-// proves three things at once: the committed files are canonical (no
-// formatting drift), FromDef loses no information, and ExportDef's probing
-// recovers every coefficient bitwise.
+// data platforms: every committed .pdef file must round-trip
+// load -> export -> canonicalize back to its exact committed bytes. This
+// proves the committed files are canonical (no formatting drift) and that
+// FromDef and ExportDef lose no information.
 func TestBuiltinFilesCanonical(t *testing.T) {
 	for _, name := range platdef.BuiltinNames() {
 		t.Run(name, func(t *testing.T) {
@@ -34,16 +30,8 @@ func TestBuiltinFilesCanonical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := def.Canonical()
-			if *regenPlatforms {
-				path := filepath.Join("..", "platdef", "platforms", name+".pdef")
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			if !bytes.Equal(got, committed) {
-				t.Fatalf("platform %s: regenerated definition differs from committed %s.pdef\n(run go test ./internal/machine -regen-platforms to rewrite)", name, name)
+			if !bytes.Equal(def.Canonical(), committed) {
+				t.Fatalf("platform %s: exported definition differs from committed %s.pdef", name, name)
 			}
 		})
 	}
@@ -64,7 +52,7 @@ func TestBuiltinSeedPlatformShapes(t *testing.T) {
 	if !ok {
 		t.Fatal("spr: FP_ARITH_INST_RETIRED:SCALAR_DOUBLE missing")
 	}
-	got := ev.Respond(Stats{FPKey("dp", "scalar", true): 1})
+	got := ev.Count(Stats{FPKey("dp", "scalar", true): 1})
 	if !mat.ExactEq(got, 2) {
 		t.Fatalf("spr FMA quirk lost in data round trip: coeff %v, want 2", got)
 	}
@@ -87,7 +75,7 @@ func TestBuiltinSeedPlatformShapes(t *testing.T) {
 	if !ok {
 		t.Fatal("mi250x: rocm:::SQ_INSTS_VALU_ADD_F16:device=0 missing")
 	}
-	if v := add.Respond(Stats{GPUValuKey("sub", "f16"): 3}); !mat.ExactEq(v, 3) {
+	if v := add.Count(Stats{GPUValuKey("sub", "f16"): 3}); !mat.ExactEq(v, 3) {
 		t.Fatalf("mi250x add/sub merge lost: %v, want 3", v)
 	}
 
@@ -103,7 +91,7 @@ func TestBuiltinSeedPlatformShapes(t *testing.T) {
 		t.Fatal("zen4: RETIRED_SSE_AVX_OPS:256B_ALL missing")
 	}
 	// Precision-merged, FMA once: sp and dp 256-bit both count 1.
-	if v := w.Respond(Stats{FPKey("sp", "256", false): 1, FPKey("dp", "256", true): 1}); !mat.ExactEq(v, 2) {
+	if v := w.Count(Stats{FPKey("sp", "256", false): 1, FPKey("dp", "256", true): 1}); !mat.ExactEq(v, 2) {
 		t.Fatalf("zen4 width merge lost: %v, want 2", v)
 	}
 }
@@ -226,27 +214,5 @@ func TestFromDefRejectsUnknownKeys(t *testing.T) {
 	}
 	if _, err := FromDef(def); err == nil {
 		t.Fatal("unknown stat key should be rejected")
-	}
-}
-
-// TestExportDefRejectsNonlinear proves the probe-based exporter detects
-// response functions it cannot represent instead of silently mis-encoding
-// them.
-func TestExportDefRejectsNonlinear(t *testing.T) {
-	cases := map[string]func(Stats) float64{
-		"affine":    func(s Stats) float64 { return 1 + s.Get(KeyInstr) },
-		"quadratic": func(s Stats) float64 { v := s.Get(KeyInstr); return v * v },
-	}
-	for name, fn := range cases {
-		t.Run(name, func(t *testing.T) {
-			cat, err := NewCatalog([]EventDef{{Name: "X", Respond: fn}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := &Platform{Name: "nl-sim", Class: "cpu", Catalog: cat, Counters: 4}
-			if _, err := ExportDef(p); err == nil {
-				t.Fatal("nonlinear response should be rejected")
-			}
-		})
 	}
 }

@@ -1,6 +1,11 @@
 package machine
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+
+	"github.com/perfmetrics/eventlens/internal/platdef"
+)
 
 // SyntheticCatalog generates a platform with an arbitrarily large raw-event
 // catalog for scalability testing — modern HPC systems expose events on the
@@ -22,6 +27,7 @@ func SyntheticCatalog(nFiller int, seed uint64) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
+	signal := base.Catalog.Events()
 	var events []EventDef
 	drivers := [][]string{
 		nil, // all-zero family
@@ -36,23 +42,20 @@ func SyntheticCatalog(nFiller int, seed uint64) (*Platform, error) {
 		h := nameHash(name)
 		fam := drivers[h%uint64(len(drivers))]
 		def := EventDef{Name: name, Desc: "synthetic scale-test event"}
-		if len(fam) == 0 {
-			def.Respond = linearResponse(nil)
-		} else {
-			terms := make(map[string]float64, len(fam))
+		if len(fam) > 0 {
 			for di, d := range fam {
-				terms[d] = 0.01 + float64((h>>(8*uint(di)))&0xff)/64
+				def.Respond = append(def.Respond, platdef.Term{Key: d, Coeff: 0.01 + float64((h>>(8*uint(di)))&0xff)/64})
 			}
-			def.Respond = linearResponse(terms)
+			// Terms are summed in list order; keep it the canonical key order.
+			sort.Slice(def.Respond, func(a, b int) bool { return def.Respond[a].Key < def.Respond[b].Key })
 			def.RelNoise = spreadNoise(h, 1e-8, 1e1)
 		}
 		events = append(events, def)
 		// Interleave the real catalog one event at a time so signal events
 		// are scattered through the order.
-		if stride := nFiller/base.Catalog.Len() + 1; i%stride == 0 {
-			if idx := i / stride; idx < base.Catalog.Len() {
-				real, _ := base.Catalog.Lookup(base.Catalog.Names()[idx])
-				events = append(events, real)
+		if stride := nFiller/len(signal) + 1; i%stride == 0 {
+			if idx := i / stride; idx < len(signal) {
+				events = append(events, signal[idx])
 			}
 		}
 	}
@@ -61,10 +64,9 @@ func SyntheticCatalog(nFiller int, seed uint64) (*Platform, error) {
 	for _, e := range events {
 		present[e.Name] = true
 	}
-	for _, name := range base.Catalog.Names() {
-		if !present[name] {
-			real, _ := base.Catalog.Lookup(name)
-			events = append(events, real)
+	for _, e := range signal {
+		if !present[e.Name] {
+			events = append(events, e)
 		}
 	}
 	cat, err := NewCatalog(events)

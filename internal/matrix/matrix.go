@@ -30,10 +30,9 @@ import (
 	"github.com/perfmetrics/eventlens/internal/suite"
 )
 
-// DefaultThreshold is the backward-error bound under which a metric counts
-// as composable (Eq. 5) — the same bound the report renderer and serving
-// tier use for single-platform analyses.
-const DefaultThreshold = 1e-6
+// DefaultThreshold is the composability bound a request without a Threshold
+// applies: core.ComposableThreshold, the bound single-platform analyses use.
+const DefaultThreshold = core.ComposableThreshold
 
 // ErrAllDegraded reports a fault-injected matrix that lost every
 // (platform, benchmark) pair: there is no partial matrix to degrade to.

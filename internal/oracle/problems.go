@@ -31,9 +31,9 @@ func (p *Problems) rng(stream string, i int) *rand.Rand {
 // dims draws random dimensions m >= n within the pipeline's typical range
 // (bases are tall and thin: a handful of dimensions over tens of points).
 func dims(r *rand.Rand) (m, n int) {
-	n = 2 + r.Intn(7)        // 2..8 columns
-	m = n + r.Intn(40)       // up to ~48 rows
-	if m == n && n > 2 {     // keep a few exactly-square cases
+	n = 2 + r.Intn(7)    // 2..8 columns
+	m = n + r.Intn(40)   // up to ~48 rows
+	if m == n && n > 2 { // keep a few exactly-square cases
 		m += r.Intn(2)
 	}
 	return m, n

@@ -69,20 +69,55 @@ type Term struct {
 	Coeff float64 `json:"coeff"`
 }
 
-// Event describes one raw hardware event: the machine-package EventDef in
-// pure-data form. Respond is the silicon's actual counting behavior; Doc is
-// what the vendor manual claims (the event-trust validator scores the two
-// against each other). Documented=false means no documentation at all;
-// Documented=true with an empty Doc documents an event that counts nothing
-// the benchmarks exercise — a distinction the validator depends on.
+// Event describes one raw hardware event; simulated platform catalogs
+// (internal/machine) hold these values as loaded. Respond is the silicon's
+// actual counting behavior; Doc is what the vendor manual claims (the
+// event-trust validator scores the two against each other).
+// Documented=false means no documentation at all; Documented=true with an
+// empty Doc documents an event that counts nothing the benchmarks exercise —
+// a distinction the validator depends on.
 type Event struct {
-	Name       string  `json:"name"`
-	Desc       string  `json:"desc,omitempty"`
-	RelNoise   float64 `json:"rel_noise,omitempty"`
+	// Name is the PAPI-style event name, e.g.
+	// "FP_ARITH_INST_RETIRED:256B_PACKED_DOUBLE".
+	Name string `json:"name"`
+	// Desc is a one-line description (vendor docs are famously thin; so are
+	// some of these, deliberately).
+	Desc string `json:"desc,omitempty"`
+	// RelNoise is the relative run-to-run noise sigma; 0 means the event is
+	// deterministic.
+	RelNoise float64 `json:"rel_noise,omitempty"`
+	// AbsNoise is an additive noise sigma in counts.
 	AbsNoise   float64 `json:"abs_noise,omitempty"`
 	Respond    []Term  `json:"respond,omitempty"`
 	Documented bool    `json:"documented,omitempty"`
 	Doc        []Term  `json:"doc,omitempty"`
+}
+
+// Count returns the event's ideal (noise-free) count at one benchmark
+// point, given the ground-truth stats a workload simulator reports for it.
+func (e Event) Count(stats map[string]float64) float64 {
+	return sum(e.Respond, stats)
+}
+
+// DocExpectation returns the count the event's documentation predicts at
+// one benchmark point, or ok=false for an undocumented event.
+func (e Event) DocExpectation(stats map[string]float64) (float64, bool) {
+	if !e.Documented {
+		return 0, false
+	}
+	return sum(e.Doc, stats), true
+}
+
+// sum evaluates a linear combination over stats, reading absent keys as
+// zero. Terms are summed in list order, which Validate pins to key order:
+// float addition is order-sensitive at the ulp level, and event readings —
+// and so every report — must be byte-identical run to run.
+func sum(terms []Term, stats map[string]float64) float64 {
+	var v float64
+	for _, t := range terms {
+		v += t.Coeff * stats[t.Key]
+	}
+	return v
 }
 
 // Constraint restricts where one event may be programmed: on a dedicated

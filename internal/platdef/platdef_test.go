@@ -182,6 +182,31 @@ event E
 	}
 }
 
+// TestEventCountAndDocExpectation pins the one evaluator behind both the
+// actual and the documented count: absent keys read as zero, terms are
+// summed in key order (the a, b, c order below cancels the 1 that a, c, b
+// would keep), and only an undocumented event has no expectation.
+func TestEventCountAndDocExpectation(t *testing.T) {
+	terms := []Term{{Key: "a", Coeff: 1e16}, {Key: "b", Coeff: 1}, {Key: "c", Coeff: -1e16}}
+	e := Event{Name: "E", Respond: terms, Documented: true, Doc: terms[1:2]}
+	stats := map[string]float64{"a": 1, "b": 1, "c": 1, "unused": 9}
+	if got := e.Count(stats); got != 0 {
+		t.Fatalf("Count = %v, want 0 (key-order sum)", got)
+	}
+	if got := e.Count(map[string]float64{"b": 3}); got != 3 {
+		t.Fatalf("Count with absent keys = %v, want 3", got)
+	}
+	if got, ok := e.DocExpectation(stats); !ok || got != 1 {
+		t.Fatalf("DocExpectation = %v, %v; want 1, true", got, ok)
+	}
+	if got, ok := (Event{Name: "S", Documented: true}).DocExpectation(stats); !ok || got != 0 {
+		t.Fatalf("documented-silent DocExpectation = %v, %v; want 0, true", got, ok)
+	}
+	if _, ok := (Event{Name: "U", Respond: terms}).DocExpectation(stats); ok {
+		t.Fatal("undocumented event has a documented expectation")
+	}
+}
+
 // TestCommittedFilesCanonical fails on any formatting drift in the committed
 // platform files: parsing then canonicalizing must reproduce the bytes on
 // disk exactly.

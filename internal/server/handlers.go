@@ -18,10 +18,6 @@ import (
 	"github.com/perfmetrics/eventlens/internal/validate"
 )
 
-// composableThreshold is the backward-error bound under which a metric
-// counts as composable — the value cmd/analyze uses for preset emission.
-const composableThreshold = 1e-6
-
 // httpError carries an HTTP status through handler plumbing.
 type httpError struct {
 	code int
@@ -161,7 +157,7 @@ func toMetricJSON(d *core.MetricDefinition) metricJSON {
 		Metric:        d.Metric,
 		BackwardError: d.BackwardError,
 		Residual:      d.Residual,
-		Composable:    d.Composable(composableThreshold),
+		Composable:    d.Composable(core.ComposableThreshold),
 	}
 	for _, t := range d.Terms {
 		m.Terms = append(m.Terms, termJSON{Event: t.Event, Coeff: t.Coeff})
@@ -721,7 +717,7 @@ func (s *Server) handleDefine(w http.ResponseWriter, r *http.Request) {
 		Rounded:   toMetricJSON(def.Rounded(a.cfg.RoundTol)),
 		Text:      def.String(),
 	}
-	if p, err := def.ToPreset(a.cfg.RoundTol); err == nil && def.Composable(composableThreshold) {
+	if p, err := def.ToPreset(a.cfg.RoundTol); err == nil && def.Composable(core.ComposableThreshold) {
 		resp.Preset = &presetJSON{
 			Name:          p.Name,
 			Events:        p.Events,
@@ -822,7 +818,7 @@ func (s *Server) handlePresets(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "# auto-generated presets for %s (%s benchmark)\n", a.set.Platform, a.bench.Name)
-	fmt.Fprint(w, core.FormatPresets(a.defs, a.cfg.RoundTol, composableThreshold))
+	fmt.Fprint(w, core.FormatPresets(a.defs, a.cfg.RoundTol, core.ComposableThreshold))
 }
 
 type platformJSON struct {

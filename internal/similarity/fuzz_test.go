@@ -11,7 +11,7 @@ const fuzzFeatures = 4
 
 // fuzzMaxKernels bounds the decoded kernel count so the fuzzer spends its
 // budget on value shapes (NaN/±Inf/zero-variance/duplicates), not on large-n
-// eigensolves.
+// inputs.
 const fuzzMaxKernels = 64
 
 // FuzzCluster feeds arbitrary measurement vectors — NaN, ±Inf, zero-variance
@@ -55,7 +55,7 @@ func FuzzCluster(f *testing.F) {
 			}
 			vectors[i] = v
 		}
-		res, err := Cluster(vectors, Options{Threshold: thr})
+		res, err := Cluster(vectors, thr)
 		if err != nil {
 			return // rejected inputs are fine; panics are not
 		}

@@ -5,10 +5,8 @@
 // benchmark points so threshold sweeps can collect only kernels that add
 // information (DESIGN.md §14).
 //
-// The clustering itself is pairwise cosine over column-rescaled vectors; a
-// descriptive PCA (explained-variance spectrum of the kernel set) quantifies
-// how redundant the set is. Cosine rather than PCA drives the partition so
-// that two exact invariants hold, proven by the property tests:
+// The clustering is pairwise cosine over column-rescaled vectors, so that two
+// exact invariants hold, proven by the property tests:
 //
 //   - permutation invariance: reordering the kernels yields the same
 //     partition (as sets of kernels), bit for bit;
@@ -29,19 +27,6 @@ import (
 	"github.com/perfmetrics/eventlens/internal/mat"
 )
 
-// DefaultThreshold is the cosine similarity at or above which two kernels
-// count as redundant when Options.Threshold is unset.
-const DefaultThreshold = 0.9995
-
-// effectiveDimShare is the explained-variance share the leading principal
-// components must reach to count as the kernel set's effective dimension.
-const effectiveDimShare = 0.99
-
-// pcaMaxKernels bounds the descriptive PCA: beyond this many kernels the
-// O(n^3) eigensolve is skipped (Explained stays nil) rather than stalling
-// callers — the partition itself never needs it.
-const pcaMaxKernels = 512
-
 // Errors returned by Cluster for malformed inputs. All inputs either
 // classify or fail with one of these; Cluster never panics (fuzzed).
 var (
@@ -57,19 +42,7 @@ var (
 	ErrThreshold = errors.New("similarity: threshold must be in (0, 1]")
 )
 
-// Options configures Cluster.
-type Options struct {
-	// Threshold is the cosine similarity at or above which two kernels are
-	// considered redundant and share a cluster. Zero selects
-	// DefaultThreshold; values outside (0, 1] are rejected. Thresholds > 1
-	// are rejected rather than clamped because a threshold no cosine can
-	// reach would break duplicate stability (a copy of a kernel must always
-	// join its original's cluster, which needs cos=1 to qualify).
-	Threshold float64
-}
-
-// Result is a deterministic partition of the kernels plus the redundancy
-// spectrum.
+// Result is a deterministic partition of the kernels.
 type Result struct {
 	// Clusters partitions the kernel indices: members ascending within each
 	// cluster, clusters ordered by their smallest member.
@@ -81,27 +54,19 @@ type Result struct {
 	// the cluster leader) is what makes appending a duplicate kernel a
 	// no-op for selection.
 	Selected []int
-	// Explained is the PCA explained-variance spectrum of the (column
-	// rescaled, centered) kernel set, descending. Nil when the set has no
-	// variance or exceeds pcaMaxKernels.
-	Explained []float64
-	// EffectiveDim is the number of leading principal components needed to
-	// reach 99% explained variance — a scalar summary of how redundant the
-	// kernel set is. Zero when Explained is nil.
-	EffectiveDim int
 }
 
 // Cluster partitions kernel measurement vectors into cosine-similarity
-// clusters and selects one representative per cluster. All decisions are
-// deterministic functions of the multiset of rows; see the package comment
-// for the invariants.
-func Cluster(vectors [][]float64, opts Options) (*Result, error) {
-	thr := opts.Threshold
-	if mat.IsZero(thr) {
-		thr = DefaultThreshold
-	}
-	if thr <= 0 || thr > 1 || math.IsNaN(thr) {
-		return nil, fmt.Errorf("%w, got %v", ErrThreshold, opts.Threshold)
+// clusters and selects one representative per cluster. Two kernels share a
+// cluster when their cosine similarity reaches threshold, which must lie in
+// (0, 1]: a threshold above 1 is rejected rather than clamped because no
+// cosine could reach it, and duplicate stability needs a copy of a kernel
+// (cos = 1) to join its original's cluster. All decisions are deterministic
+// functions of the multiset of rows; see the package comment for the
+// invariants.
+func Cluster(vectors [][]float64, threshold float64) (*Result, error) {
+	if threshold <= 0 || threshold > 1 || math.IsNaN(threshold) {
+		return nil, fmt.Errorf("%w, got %v", ErrThreshold, threshold)
 	}
 	n := len(vectors)
 	if n == 0 {
@@ -135,7 +100,7 @@ func Cluster(vectors [][]float64, opts Options) (*Result, error) {
 	for _, i := range order {
 		placed := -1
 		for c, leader := range leaders {
-			if cosine(rows[i], rows[leader]) >= thr {
+			if cosine(rows[i], rows[leader]) >= threshold {
 				placed = c
 				break
 			}
@@ -165,11 +130,6 @@ func Cluster(vectors [][]float64, opts Options) (*Result, error) {
 	}
 	for i := range assign {
 		assign[i] = renumber[assign[i]]
-	}
-
-	if n <= pcaMaxKernels {
-		res.Explained = explainedVariance(rows, order)
-		res.EffectiveDim = effectiveDim(res.Explained)
 	}
 	return res, nil
 }
@@ -249,124 +209,4 @@ func cosine(a, b []float64) float64 {
 		return 0
 	}
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}
-
-// explainedVariance returns the descending explained-variance ratios of the
-// centered kernel set: the eigenvalue spectrum of the kernel Gram matrix,
-// accumulated in canonical row order so the (purely descriptive) spectrum is
-// also permutation invariant. Returns nil when the set has no variance.
-func explainedVariance(rows [][]float64, order []int) []float64 {
-	n, f := len(rows), len(rows[0])
-	mean := make([]float64, f)
-	for _, i := range order {
-		for j, x := range rows[i] {
-			mean[j] += x
-		}
-	}
-	for j := range mean {
-		mean[j] /= float64(n)
-	}
-	centered := make([][]float64, n)
-	for k, i := range order {
-		c := make([]float64, f)
-		for j, x := range rows[i] {
-			c[j] = x - mean[j]
-		}
-		centered[k] = c
-	}
-	g := make([][]float64, n)
-	for a := 0; a < n; a++ {
-		g[a] = make([]float64, n)
-	}
-	for a := 0; a < n; a++ {
-		for b := a; b < n; b++ {
-			var dot float64
-			for j := 0; j < f; j++ {
-				dot += centered[a][j] * centered[b][j]
-			}
-			g[a][b], g[b][a] = dot, dot
-		}
-	}
-	eig := jacobiEigenvalues(g)
-	total := 0.0
-	for i, v := range eig {
-		if v < 0 {
-			eig[i] = 0 // Gram matrices are PSD; clamp rounding residue
-		}
-		total += eig[i]
-	}
-	if mat.IsZero(total) {
-		return nil
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(eig)))
-	for i := range eig {
-		eig[i] /= total
-	}
-	return eig
-}
-
-// effectiveDim returns how many leading components reach effectiveDimShare.
-func effectiveDim(explained []float64) int {
-	sum := 0.0
-	for i, v := range explained {
-		sum += v
-		if sum >= effectiveDimShare {
-			return i + 1
-		}
-	}
-	return len(explained)
-}
-
-// jacobiEigenvalues returns the eigenvalues of a symmetric matrix via cyclic
-// Jacobi rotations — deterministic (fixed sweep order, no pivot search) and
-// ample for the descriptive spectrum. The matrix is destroyed.
-func jacobiEigenvalues(a [][]float64) []float64 {
-	n := len(a)
-	frob := 0.0
-	for p := 0; p < n; p++ {
-		for q := 0; q < n; q++ {
-			frob += a[p][q] * a[p][q]
-		}
-	}
-	for sweep := 0; sweep < 50; sweep++ {
-		off := 0.0
-		for p := 0; p < n; p++ {
-			for q := p + 1; q < n; q++ {
-				off += a[p][q] * a[p][q]
-			}
-		}
-		if off <= 1e-24*frob || mat.IsZero(off) {
-			break
-		}
-		for p := 0; p < n; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := a[p][q]
-				if mat.IsZero(apq) {
-					continue
-				}
-				theta := (a[q][q] - a[p][p]) / (2 * apq)
-				t := 1 / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				if theta < 0 {
-					t = -t
-				}
-				c := 1 / math.Sqrt(t*t+1)
-				s := t * c
-				for k := 0; k < n; k++ {
-					akp, akq := a[k][p], a[k][q]
-					a[k][p] = c*akp - s*akq
-					a[k][q] = s*akp + c*akq
-				}
-				for k := 0; k < n; k++ {
-					apk, aqk := a[p][k], a[q][k]
-					a[p][k] = c*apk - s*aqk
-					a[q][k] = s*apk + c*aqk
-				}
-			}
-		}
-	}
-	eig := make([]float64, n)
-	for i := 0; i < n; i++ {
-		eig[i] = a[i][i]
-	}
-	return eig
 }

@@ -8,6 +8,10 @@ import (
 	"testing"
 )
 
+// testThreshold is the cosine threshold for tests that exercise something
+// other than the threshold itself.
+const testThreshold = 0.9995
+
 func TestClusterGroupsProportionalKernels(t *testing.T) {
 	// Three families: scaled copies cluster together, the orthogonal kernel
 	// stands alone, zero kernels share the zero cluster.
@@ -21,7 +25,7 @@ func TestClusterGroupsProportionalKernels(t *testing.T) {
 		{0, 0, 0, 0},   // 6: zero
 		{-1, 2, 1, -3}, // 7: alone
 	}
-	res, err := Cluster(vectors, Options{Threshold: 0.999})
+	res, err := Cluster(vectors, 0.999)
 	if err != nil {
 		t.Fatalf("Cluster: %v", err)
 	}
@@ -43,23 +47,24 @@ func TestClusterGroupsProportionalKernels(t *testing.T) {
 
 func TestClusterInputErrors(t *testing.T) {
 	cases := []struct {
-		name    string
-		vectors [][]float64
-		opts    Options
-		want    error
+		name      string
+		vectors   [][]float64
+		threshold float64
+		want      error
 	}{
-		{"empty", nil, Options{}, ErrNoKernels},
-		{"no features", [][]float64{{}}, Options{}, ErrEmptyVector},
-		{"ragged", [][]float64{{1, 2}, {1}}, Options{}, ErrRagged},
-		{"nan", [][]float64{{1, math.NaN()}}, Options{}, ErrNonFinite},
-		{"+inf", [][]float64{{math.Inf(1), 0}}, Options{}, ErrNonFinite},
-		{"-inf", [][]float64{{0, math.Inf(-1)}}, Options{}, ErrNonFinite},
-		{"threshold too high", [][]float64{{1, 2}}, Options{Threshold: 1.5}, ErrThreshold},
-		{"threshold negative", [][]float64{{1, 2}}, Options{Threshold: -0.5}, ErrThreshold},
-		{"threshold nan", [][]float64{{1, 2}}, Options{Threshold: math.NaN()}, ErrThreshold},
+		{"empty", nil, testThreshold, ErrNoKernels},
+		{"no features", [][]float64{{}}, testThreshold, ErrEmptyVector},
+		{"ragged", [][]float64{{1, 2}, {1}}, testThreshold, ErrRagged},
+		{"nan", [][]float64{{1, math.NaN()}}, testThreshold, ErrNonFinite},
+		{"+inf", [][]float64{{math.Inf(1), 0}}, testThreshold, ErrNonFinite},
+		{"-inf", [][]float64{{0, math.Inf(-1)}}, testThreshold, ErrNonFinite},
+		{"threshold too high", [][]float64{{1, 2}}, 1.5, ErrThreshold},
+		{"threshold zero", [][]float64{{1, 2}}, 0, ErrThreshold},
+		{"threshold negative", [][]float64{{1, 2}}, -0.5, ErrThreshold},
+		{"threshold nan", [][]float64{{1, 2}}, math.NaN(), ErrThreshold},
 	}
 	for _, tc := range cases {
-		if _, err := Cluster(tc.vectors, tc.opts); !errors.Is(err, tc.want) {
+		if _, err := Cluster(tc.vectors, tc.threshold); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
@@ -73,7 +78,7 @@ func TestClusterZeroVarianceColumn(t *testing.T) {
 		{7, 0, 2, 4},
 		{7, 0, -3, 1},
 	}
-	res, err := Cluster(vectors, Options{Threshold: 0.9999})
+	res, err := Cluster(vectors, 0.9999)
 	if err != nil {
 		t.Fatalf("Cluster: %v", err)
 	}
@@ -82,44 +87,11 @@ func TestClusterZeroVarianceColumn(t *testing.T) {
 	}
 }
 
-func TestExplainedVarianceSpectrum(t *testing.T) {
-	vectors := [][]float64{
-		{1, 0, 0}, {2, 0, 0}, {4, 0, 0}, // one direction
-		{0, 1, 1}, {0, 2, 2}, // another
-	}
-	res, err := Cluster(vectors, Options{})
-	if err != nil {
-		t.Fatalf("Cluster: %v", err)
-	}
-	if res.Explained == nil {
-		t.Fatal("expected an explained-variance spectrum")
-	}
-	sum := 0.0
-	for i, v := range res.Explained {
-		if v < 0 {
-			t.Fatalf("explained[%d] = %v < 0", i, v)
-		}
-		if i > 0 && v > res.Explained[i-1] {
-			t.Fatalf("explained not descending: %v", res.Explained)
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("explained sums to %v, want 1", sum)
-	}
-	if res.EffectiveDim < 1 || res.EffectiveDim > len(vectors) {
-		t.Fatalf("effective dim = %d out of range", res.EffectiveDim)
-	}
-}
-
 func TestExplainedVarianceZeroSpread(t *testing.T) {
 	vectors := [][]float64{{1, 2}, {1, 2}, {1, 2}}
-	res, err := Cluster(vectors, Options{})
+	res, err := Cluster(vectors, testThreshold)
 	if err != nil {
 		t.Fatalf("Cluster: %v", err)
-	}
-	if res.Explained != nil || res.EffectiveDim != 0 {
-		t.Fatalf("identical kernels: explained = %v dim = %d, want nil/0", res.Explained, res.EffectiveDim)
 	}
 	if len(res.Clusters) != 1 {
 		t.Fatalf("identical kernels split: %v", res.Clusters)
@@ -158,13 +130,13 @@ func TestDuplicateKernelInvariance(t *testing.T) {
 		n := 3 + rng.Intn(12)
 		f := 2 + rng.Intn(6)
 		vectors := randomKernels(rng, n, f)
-		res, err := Cluster(vectors, Options{})
+		res, err := Cluster(vectors, testThreshold)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		dup := rng.Intn(n)
 		withDup := append(append([][]float64{}, vectors...), vectors[dup])
-		res2, err := Cluster(withDup, Options{})
+		res2, err := Cluster(withDup, testThreshold)
 		if err != nil {
 			t.Fatalf("trial %d (dup): %v", trial, err)
 		}
@@ -187,7 +159,7 @@ func TestPermutationInvariance(t *testing.T) {
 		n := 3 + rng.Intn(12)
 		f := 2 + rng.Intn(6)
 		vectors := randomKernels(rng, n, f)
-		res, err := Cluster(vectors, Options{})
+		res, err := Cluster(vectors, testThreshold)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -196,7 +168,7 @@ func TestPermutationInvariance(t *testing.T) {
 		for to, from := range perm {
 			permuted[to] = vectors[from]
 		}
-		res2, err := Cluster(permuted, Options{})
+		res2, err := Cluster(permuted, testThreshold)
 		if err != nil {
 			t.Fatalf("trial %d (perm): %v", trial, err)
 		}

@@ -2,9 +2,9 @@
 // event in a platform's catalog is scored against its *documented* semantics
 // using the CAT benchmarks' known-exact kernels as ground truth. The measured
 // per-point counts are compared with the counts the vendor documentation
-// (EventDef.Doc) predicts, and each event receives a trust verdict with the
-// evidence behind it — the proportionality scale, the residual of the fit,
-// and the run-to-run noise level.
+// predicts (EventDef.DocExpectation), and each event receives a trust verdict
+// with the evidence behind it — the proportionality scale, the residual of
+// the fit, and the run-to-run noise level.
 //
 // The verdict taxonomy, in decision order:
 //
@@ -382,12 +382,8 @@ func Run(ctx context.Context, req Request) (*Report, error) {
 		// Documented expectations for every catalog event — including ones
 		// dropped from this set — reduced across threads exactly like the
 		// measurements (per-point median).
-		for _, name := range catalog.Names() {
-			def, ok := p.Catalog.Lookup(name)
-			if !ok {
-				return nil, fmt.Errorf("validate: platform %s lost event %q", p.Name, name)
-			}
-			if _, present := set.Events[name]; !present {
+		for _, def := range p.Catalog.Events() {
+			if _, present := set.Events[def.Name]; !present {
 				continue
 			}
 			docVecs := make([][]float64, len(perThread))
@@ -398,19 +394,19 @@ func Run(ctx context.Context, req Request) (*Report, error) {
 				}
 				docVecs[t] = vec
 			}
-			expected[name] = append(expected[name], core.MedianOverThreads(docVecs)...)
+			expected[def.Name] = append(expected[def.Name], core.MedianOverThreads(docVecs)...)
 		}
 	}
 	if len(report.Benchmarks) == 0 {
 		return nil, fmt.Errorf("%w (%d lost)", ErrAllDegraded, len(report.Degraded))
 	}
-	for _, name := range catalog.Names() {
+	for _, def := range catalog.Events() {
+		name := def.Name
 		if !covered[name] {
 			report.Dropped = append(report.Dropped, name)
 			continue
 		}
-		def, _ := catalog.Lookup(name)
-		trust := classify(res.tol, def.Doc != nil, noise[name], measured[name], expected[name])
+		trust := classify(res.tol, def.Documented, noise[name], measured[name], expected[name])
 		trust.Event = name
 		report.Counts[trust.Verdict]++
 		report.Events = append(report.Events, trust)
