@@ -10,7 +10,7 @@
 //	analyze -bench branch -platform graviton   (collect on another platform)
 //
 // -platform picks any class-matched platform from the registry and
-// -platform-dir overlays extra *.pdef/*.json definitions; both apply only
+// -platform-dir overlays extra *.pdef definitions; both apply only
 // when collecting (they cannot be combined with -in).
 package main
 
@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	ratios := fs.Bool("ratios", false, "also derive the benchmark's standard ratio metrics")
 	minimal := fs.Bool("minimal", false, "collect only the minimal spanning kernel subset (similarity-clustered points)")
 	platformName := fs.String("platform", "", "collect on this platform instead of the benchmark's default (class must match)")
-	platformDir := fs.String("platform-dir", "", "load extra platform definitions (*.pdef, *.json) from this directory")
+	platformDir := fs.String("platform-dir", "", "load extra platform definitions (*.pdef) from this directory")
 	workersFlag := fs.Int("workers", 0, "pipeline worker pool size (0 = GOMAXPROCS, 1 = serial; output is byte-identical either way)")
 	if err := cli.ParseFlags(fs, args); err != nil {
 		return err

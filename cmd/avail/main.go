@@ -26,7 +26,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("avail", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	platformName := fs.String("platform", "spr", "platform name or its -sim shorthand (see -list)")
-	platformDir := fs.String("platform-dir", "", "load extra platform definitions (*.pdef, *.json) from this directory")
+	platformDir := fs.String("platform-dir", "", "load extra platform definitions (*.pdef) from this directory")
 	list := fs.Bool("list", false, "list the registered platforms and exit")
 	grep := fs.String("grep", "", "only list events whose name contains this substring")
 	counts := fs.Bool("counts", false, "print catalog statistics only")

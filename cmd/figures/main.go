@@ -45,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	fig := fs.String("fig", "", "figure to regenerate: 1, 2a, 2b, 2c, 2d, 3, matrix (default all but matrix)")
 	csv := fs.Bool("csv", false, "emit CSV data instead of ASCII plots")
-	platformDir := fs.String("platform-dir", "", "matrix: load extra platform definitions (*.pdef, *.json) from this directory")
+	platformDir := fs.String("platform-dir", "", "matrix: load extra platform definitions (*.pdef) from this directory")
 	platforms := fs.String("platforms", "", "matrix: comma-separated platforms (default every registered platform)")
 	benchmarks := fs.String("benchmarks", "", "matrix: comma-separated benchmarks (default every class-matched benchmark)")
 	minimal := fs.Bool("minimal", false, "matrix: collect with minimal spanning kernel selection")

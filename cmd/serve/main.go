@@ -16,9 +16,9 @@
 //	POST   /v1/analyze               run the pipeline (cached)
 //	POST   /v1/events/validate       event-trust validation (cached)
 //	POST   /v1/matrix                cross-architecture composability matrix (cached)
-//	POST   /v1/metrics/define        solve one signature against an analysis
-//	POST   /v1/events/explain        decode raw events in basis vocabulary
-//	GET    /v1/presets/{benchmark}   PAPI-style preset definitions
+//	POST   /v1/metrics/define        solve one signature against an analysis (cached)
+//	POST   /v1/events/explain        decode raw events in basis vocabulary (cached)
+//	GET    /v1/presets/{benchmark}   PAPI-style preset definitions (cached)
 //	POST   /v1/jobs                  enqueue an async analysis
 //	GET    /v1/jobs/{id}             poll job status/result
 //	DELETE /v1/jobs/{id}             cancel a queued or running job
@@ -55,14 +55,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "async job worker pool size")
 	pipelineWorkers := fs.Int("pipeline-workers", 0, "per-run pipeline worker pool size (0 = GOMAXPROCS, 1 = serial; results are identical either way)")
 	queueDepth := fs.Int("queue", 0, "async job queue depth (default 4x workers)")
-	cacheSize := fs.Int("cache-size", 64, "analysis result cache entries (LRU)")
+	cacheSize := fs.Int("cache-size", 64, "entries of the result cache and of the analysis cache (LRU each)")
 	jobTimeout := fs.Duration("job-timeout", time.Minute, "per-job pipeline timeout")
 	shutdownTimeout := fs.Duration("shutdown-timeout", 10*time.Second, "drain deadline on SIGINT/SIGTERM")
 	maxBody := fs.Int64("max-body", 1<<20, "maximum request body bytes")
 	chaos := fs.String("chaos", "", "deterministic fault-injection spec for daemon seams, e.g. seed=7,http503=0.1,transient=0.2 (empty = off)")
 	jobRetries := fs.Int("job-retries", 0, "re-runs of a transiently faulted async job (0 = the chaos spec's retry budget)")
-	storeDir := fs.String("store-dir", "", "persistent result-store directory; analyses survive restarts (empty = off)")
-	platformDir := fs.String("platform-dir", "", "load extra platform definitions (*.pdef, *.json) into the registry (empty = built-ins only)")
+	storeDir := fs.String("store-dir", "", "persistent result-store directory; cached responses survive restarts (empty = off)")
+	platformDir := fs.String("platform-dir", "", "load extra platform definitions (*.pdef) into the registry (empty = built-ins only)")
 	peers := fs.String("peers", "", "comma-separated base URLs of every replica in the serving tier, including this one (empty = single replica)")
 	selfURL := fs.String("self-url", "", "this replica's own base URL as listed in -peers")
 	maxSync := fs.Int("max-sync", 0, "concurrent synchronous analyses admitted before 429 (0 = 4x GOMAXPROCS)")

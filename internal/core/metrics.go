@@ -41,9 +41,8 @@ func DefineMetric(xhat *mat.Dense, eventNames []string, sig Signature) (*MetricD
 	if cols == 0 {
 		return nil, fmt.Errorf("core: no events selected; cannot define %q", sig.Name)
 	}
-	if len(sig.Coeffs) != rows {
-		return nil, fmt.Errorf("core: signature %q has %d coefficients, Xhat has %d rows",
-			sig.Name, len(sig.Coeffs), rows)
+	if err := sig.CheckDim(rows); err != nil {
+		return nil, err
 	}
 	res, err := mat.LeastSquares(xhat, sig.Coeffs)
 	if err != nil {

@@ -13,10 +13,15 @@ type Signature struct {
 }
 
 // Validate checks the signature against a basis.
-func (s Signature) Validate(b *Basis) error {
-	if len(s.Coeffs) != b.Dim() {
-		return fmt.Errorf("core: signature %q has %d coefficients, basis has %d dimensions",
-			s.Name, len(s.Coeffs), b.Dim())
+func (s Signature) Validate(b *Basis) error { return s.CheckDim(b.Dim()) }
+
+// CheckDim checks that the signature has one coefficient per basis
+// dimension, dim: the rows of every Xhat over that basis. DefineMetric
+// returns its error, so callers can reject a signature before analysing.
+func (s Signature) CheckDim(dim int) error {
+	if len(s.Coeffs) != dim {
+		return fmt.Errorf("core: signature %q has %d coefficients, Xhat has %d rows",
+			s.Name, len(s.Coeffs), dim)
 	}
 	return nil
 }

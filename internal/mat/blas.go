@@ -151,16 +151,3 @@ func MatTMul(a, b *Dense) *Dense {
 	}
 	return c
 }
-
-// Ger performs the rank-1 update A += alpha * x * yᵀ in place.
-func Ger(a *Dense, alpha float64, x, y []float64) {
-	if len(x) != a.rows || len(y) != a.cols {
-		panic(fmt.Sprintf("mat: Ger dimension mismatch %dx%d += %d x %d", a.rows, a.cols, len(x), len(y)))
-	}
-	if IsZero(alpha) {
-		return
-	}
-	for i := 0; i < a.rows; i++ {
-		Axpy(alpha*x[i], y, a.RawRow(i))
-	}
-}

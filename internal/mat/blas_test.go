@@ -85,19 +85,6 @@ func TestMatTMul(t *testing.T) {
 	}
 }
 
-func TestGer(t *testing.T) {
-	a := NewDense(2, 2)
-	Ger(a, 2, []float64{1, 2}, []float64{3, 4})
-	want := NewDenseData(2, 2, []float64{6, 8, 12, 16})
-	if !a.Equal(want) {
-		t.Fatalf("Ger =\n%v want\n%v", a, want)
-	}
-	Ger(a, 0, []float64{9, 9}, []float64{9, 9}) // alpha=0 no-op
-	if !a.Equal(want) {
-		t.Fatalf("Ger alpha=0 modified matrix")
-	}
-}
-
 // Property: (A*B)ᵀ == Bᵀ*Aᵀ.
 func TestMatMulTransposeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))

@@ -110,8 +110,3 @@ func SpectralNorm(a *Dense) float64 {
 func FrobeniusNorm(a *Dense) float64 {
 	return Norm2(a.data)
 }
-
-// Cond2 returns the 2-norm condition number of a.
-func Cond2(a *Dense) float64 {
-	return ComputeSVD(a).Cond()
-}

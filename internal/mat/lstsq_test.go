@@ -134,13 +134,6 @@ func TestFrobeniusNorm(t *testing.T) {
 	}
 }
 
-func TestCond2(t *testing.T) {
-	a := NewDenseData(2, 2, []float64{10, 0, 0, 1})
-	if c := Cond2(a); math.Abs(c-10) > 1e-8 {
-		t.Fatalf("Cond2 = %v want 10", c)
-	}
-}
-
 // Property: the least-squares residual never exceeds ‖b‖ (x=0 is feasible),
 // and Aᵀr ≈ 0 at the solution.
 func TestLeastSquaresOptimalityProperty(t *testing.T) {
@@ -163,6 +156,21 @@ func TestLeastSquaresOptimalityProperty(t *testing.T) {
 		r := SubVec(MatVec(a, res.X), b)
 		if NormInf(MatTVec(a, r)) > 1e-8 {
 			t.Fatalf("normal equations violated at solution")
+		}
+	}
+}
+
+func BenchmarkLeastSquaresQR(b *testing.B) {
+	rng := rand.New(rand.NewSource(64))
+	a := randomDense(rng, 128, 16)
+	rhs := make([]float64, 128)
+	for i := range rhs {
+		rhs[i] = rng.NormFloat64()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LeastSquares(a, rhs); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -8,28 +8,23 @@ import (
 	"strings"
 )
 
-// LoadFile parses one definition file. Files ending in .json use the JSON
-// codec; everything else (conventionally .pdef) uses the text codec.
+// LoadFile parses one definition file in the text format (conventionally
+// *.pdef).
 func LoadFile(path string) (*Platform, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("platdef: %w", err)
 	}
-	var p *Platform
-	if strings.HasSuffix(path, ".json") {
-		p, err = ParseJSON(data)
-	} else {
-		p, err = Parse(data)
-	}
+	p, err := Parse(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return p, nil
 }
 
-// LoadDir loads every *.pdef and *.json definition in a directory, in
-// file-name order, rejecting two files that define the same platform name.
-// It is the implementation behind the CLIs' -platform-dir flag.
+// LoadDir loads every *.pdef definition in a directory, in file-name order,
+// rejecting two files that define the same platform name. It is the
+// implementation behind the CLIs' -platform-dir flag.
 func LoadDir(dir string) ([]*Platform, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -40,7 +35,7 @@ func LoadDir(dir string) ([]*Platform, error) {
 		if ent.IsDir() {
 			continue
 		}
-		if strings.HasSuffix(ent.Name(), ".pdef") || strings.HasSuffix(ent.Name(), ".json") {
+		if strings.HasSuffix(ent.Name(), ".pdef") {
 			names = append(names, ent.Name())
 		}
 	}

@@ -1,5 +1,5 @@
 // Package platdef defines the loadable platform-definition format: a
-// deterministic, canonical text/JSON codec describing a platform's raw-event
+// deterministic, canonical text codec describing a platform's raw-event
 // catalog — names, documented semantics, linear response coefficients over
 // the ideal-event basis, quirks (FMA double-counting, prescalers, derived
 // columns), the noise model, and the counter/multiplexing limits.
@@ -43,8 +43,7 @@ const (
 
 // Error is the typed error every platdef parse or validation failure
 // surfaces as. Line is 1-based for text-format errors and 0 for semantic
-// errors that are not tied to a source line (JSON input, programmatic
-// construction).
+// errors that are not tied to a source line (programmatic construction).
 type Error struct {
 	Line int
 	Msg  string
@@ -141,8 +140,7 @@ type Platform struct {
 // validName reports whether s is usable as a platform name, event name or
 // stat key: non-empty, bounded, valid UTF-8, and free of whitespace and
 // control characters (names are tokens in the text format; invalid UTF-8
-// would be rewritten to U+FFFD by the JSON codec, breaking text/JSON
-// agreement).
+// would be rewritten to U+FFFD wherever a name is served as JSON).
 func validName(s string) bool {
 	if s == "" || len(s) > maxNameLen || !utf8.ValidString(s) {
 		return false
@@ -177,7 +175,7 @@ func validateTerms(kind, event string, terms []Term) error {
 }
 
 // Validate checks the definition against the format's semantic rules. Parse
-// and ParseJSON call it; loaders of programmatically built definitions
+// calls it; loaders of programmatically built definitions
 // should too. All failures are *Error values.
 func (p *Platform) Validate() error {
 	if !validName(p.Name) {

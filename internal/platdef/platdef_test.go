@@ -231,38 +231,6 @@ func TestCommittedFilesCanonical(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	p := parseTiny(t)
-	js, err := p.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := ParseJSON(js)
-	if err != nil {
-		t.Fatalf("canonical JSON failed to parse: %v\n%s", err, js)
-	}
-	if !bytes.Equal(p2.Canonical(), p.Canonical()) {
-		t.Fatal("JSON round trip changed the platform")
-	}
-	js2, err := p2.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(js2, js) {
-		t.Fatal("CanonicalJSON not a fixpoint")
-	}
-	// The documented-empty vs undocumented distinction must survive JSON.
-	var dead *Event
-	for i := range p2.Events {
-		if p2.Events[i].Name == "DEAD" {
-			dead = &p2.Events[i]
-		}
-	}
-	if dead == nil || !dead.Documented {
-		t.Fatal("documented-empty event lost in JSON round trip")
-	}
-}
-
 func TestParseErrors(t *testing.T) {
 	cases := map[string]struct {
 		text string

@@ -13,6 +13,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/perfmetrics/eventlens/internal/suite"
 )
 
 func benchServer(b *testing.B, cacheSize int) http.Handler {
@@ -29,7 +32,12 @@ func benchServer(b *testing.B, cacheSize int) http.Handler {
 
 func benchPost(b *testing.B, h http.Handler, body string) {
 	b.Helper()
-	req := httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(body))
+	benchDo(b, h, http.MethodPost, "/v1/analyze", body)
+}
+
+func benchDo(b *testing.B, h http.Handler, method, path, body string) {
+	b.Helper()
+	req := httptest.NewRequest(method, path, strings.NewReader(body))
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
@@ -59,5 +67,49 @@ func BenchmarkAnalyzeUncached(b *testing.B) {
 			`{"benchmark":"cpu-flops","config":{"tau":%g,"alpha":5e-4,"projection_tol":0.01,"round_tol":0.05}}`,
 			1e-10+float64(i)*1e-18)
 		benchPost(b, h, body)
+	}
+}
+
+// evictKeys is how many other measurement keys
+// BenchmarkAnalysisEndpointsAfterEviction analyses between the target
+// analysis and the timed request: one more than the measurement-set cache
+// holds, so the target's set is no longer cached.
+const evictKeys = setCacheSize + 1
+
+// BenchmarkAnalysisEndpointsAfterEviction times the first define, explain
+// and presets request on a benchmark's default analysis after /v1/analyze
+// served that analysis and then evictKeys other measurement keys. Each
+// iteration builds a fresh server, so every timed request is the first for
+// its key. ns/op covers the whole iteration, whose ten analyses keep b.N
+// small; ms/req is the measured request alone.
+func BenchmarkAnalysisEndpointsAfterEviction(b *testing.B) {
+	for _, name := range []string{"cpu-flops", "dcache"} {
+		bench, err := suite.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		requests := []struct{ endpoint, method, path, body string }{
+			{"define", http.MethodPost, "/v1/metrics/define",
+				fmt.Sprintf(`{"benchmark":%q,"metric":%q}`, name, bench.Signatures[0].Name)},
+			{"explain", http.MethodPost, "/v1/events/explain", fmt.Sprintf(`{"benchmark":%q}`, name)},
+			{"presets", http.MethodGet, "/v1/presets/" + name, ""},
+		}
+		for _, r := range requests {
+			b.Run(name+"/"+r.endpoint, func(b *testing.B) {
+				var spent time.Duration
+				for i := 0; i < b.N; i++ {
+					h := benchServer(b, 64)
+					benchDo(b, h, http.MethodPost, "/v1/analyze", fmt.Sprintf(`{"benchmark":%q}`, name))
+					for reps := 2; reps < 2+evictKeys; reps++ {
+						benchDo(b, h, http.MethodPost, "/v1/analyze",
+							fmt.Sprintf(`{"benchmark":"branch","run":{"reps":%d,"threads":1}}`, reps))
+					}
+					start := time.Now()
+					benchDo(b, h, r.method, r.path, r.body)
+					spent += time.Since(start)
+				}
+				b.ReportMetric(float64(spent.Microseconds())/1e3/float64(b.N), "ms/req")
+			})
+		}
 	}
 }

@@ -9,9 +9,10 @@ import (
 	"github.com/perfmetrics/eventlens/internal/obs"
 )
 
-// flightCache is an LRU cache with singleflight semantics. It backs both the
-// result cache (canonical responses of analyses, validations and matrices)
-// and the measurement-set cache that batches collection. Every producer is
+// flightCache is an LRU cache with singleflight semantics. It backs the
+// result cache (canonical response bytes of every cached endpoint), the
+// analysis cache those endpoints' computes share, and the measurement-set
+// cache that batches collection. Every producer is
 // deterministic — the same canonical key always produces the same value —
 // so cache hits are exact and concurrent identical requests can safely share
 // one execution.

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 )
 
 // metricsText fetches /metrics and returns the Prometheus text body.
@@ -65,7 +64,6 @@ func TestJobRetryThenSucceed(t *testing.T) {
 	s := newTestServer(t, Config{
 		Workers:    1,
 		Chaos:      "seed=1,transient=1,depth=1,retries=2",
-		RetryBase:  time.Millisecond,
 		JobRetries: 2,
 	})
 	ctx, cancel := context.WithCancel(context.Background())

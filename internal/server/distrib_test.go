@@ -47,13 +47,14 @@ func marshalReq(t *testing.T, req analyzeRequest) string {
 	return string(data)
 }
 
-// TestStoreWarmRestart is the restart-warm acceptance path: analyze, shut
-// the daemon down gracefully (the SIGTERM path), start a fresh daemon
-// against the same store directory, and the same request is served from
-// disk — byte-identical, with zero new collection passes.
+// TestStoreWarmRestart is the restart-warm acceptance path: analyze and
+// define, shut the daemon down gracefully (the SIGTERM path), start a fresh
+// daemon against the same store directory, and the same requests are served
+// from disk — byte-identical, with zero new collection passes.
 func TestStoreWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	body := `{"benchmark":"cpu-flops"}`
+	defineBody := `{"benchmark":"cpu-flops","metric":"DP Ops."}`
 
 	s1 := newTestServer(t, Config{Addr: "127.0.0.1:0", StoreDir: dir, ShutdownTimeout: 5 * time.Second})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -63,20 +64,29 @@ func TestStoreWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post("http://"+addr.String()+"/v1/analyze", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	post := func(path, body string) []byte {
+		t.Helper()
+		resp, err := http.Post("http://"+addr.String()+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %v", path, resp.StatusCode, err)
+		}
+		return data
 	}
-	first, err := io.ReadAll(resp.Body)
-	_ = resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("first analyze: %d %v", resp.StatusCode, err)
-	}
+	first := post("/v1/analyze", body)
 	if got := s1.collections.Value(); got != 1 {
 		t.Fatalf("collections after first analyze = %d, want 1", got)
 	}
 	if got := s1.storeWrites.Value(); got != 1 {
 		t.Fatalf("store writes = %d, want 1", got)
+	}
+	firstDefine := post("/v1/metrics/define", defineBody)
+	if got := s1.storeWrites.Value(); got != 2 {
+		t.Fatalf("store writes after define = %d, want 2", got)
 	}
 	cancel() // what SIGTERM triggers via signal.NotifyContext
 	select {
@@ -88,7 +98,7 @@ func TestStoreWarmRestart(t *testing.T) {
 		t.Fatal("shutdown did not complete")
 	}
 
-	// Fresh process, same store directory: the response comes from disk.
+	// Fresh process, same store directory: the responses come from disk.
 	s2 := newTestServer(t, Config{StoreDir: dir})
 	h := s2.Handler()
 	w := postJSON(t, h, "/v1/analyze", body)
@@ -101,12 +111,6 @@ func TestStoreWarmRestart(t *testing.T) {
 	if !bytes.Equal(first, w.Body.Bytes()) {
 		t.Fatal("disk-served response differs from the computed one")
 	}
-	if got := s2.collections.Value(); got != 0 {
-		t.Fatalf("warm restart ran %d collection passes, want 0", got)
-	}
-	if got := s2.pipelineRuns.Value(); got != 0 {
-		t.Fatalf("warm restart ran the pipeline %d times, want 0", got)
-	}
 
 	// The warmed entry lives in memory now; the next request is a plain hit.
 	w2 := postJSON(t, h, "/v1/analyze", body)
@@ -114,17 +118,28 @@ func TestStoreWarmRestart(t *testing.T) {
 		t.Fatalf("second warm request header = %q, want \"hit\"", got)
 	}
 
-	// A stub still upgrades for endpoints needing pipeline internals, and
-	// the recomputation agrees with the stored bytes.
-	wd := postJSON(t, h, "/v1/metrics/define", `{"benchmark":"cpu-flops","metric":"DP Ops."}`)
+	// The define response was persisted too and is served from disk as-is.
+	wd := postJSON(t, h, "/v1/metrics/define", defineBody)
 	if wd.Code != http.StatusOK {
-		t.Fatalf("define on warmed entry: %d %s", wd.Code, wd.Body)
+		t.Fatalf("warm define: %d %s", wd.Code, wd.Body)
+	}
+	if got := wd.Header().Get("X-Eventlens-Cache"); got != "disk" {
+		t.Fatalf("define cache header = %q, want \"disk\"", got)
+	}
+	if !bytes.Equal(firstDefine, wd.Body.Bytes()) {
+		t.Fatal("disk-served define differs from the computed one")
+	}
+	if got := s2.collections.Value(); got != 0 {
+		t.Fatalf("warm restart ran %d collection passes, want 0", got)
+	}
+	if got := s2.pipelineRuns.Value(); got != 0 {
+		t.Fatalf("warm restart ran the pipeline %d times, want 0", got)
 	}
 	text := metricsText(t, h)
-	if !strings.Contains(text, "eventlensd_store_hits_total 1") {
-		t.Fatalf("store hit not counted:\n%s", grepLines(text, "store_"))
+	if !strings.Contains(text, "eventlensd_store_hits_total 2") {
+		t.Fatalf("store hits not counted:\n%s", grepLines(text, "store_"))
 	}
-	if !strings.Contains(text, "eventlensd_store_entries 1") {
+	if !strings.Contains(text, "eventlensd_store_entries 2") {
 		t.Fatalf("store entries gauge wrong:\n%s", grepLines(text, "store_"))
 	}
 }
@@ -312,8 +327,9 @@ func postAnalyze(t *testing.T, url string, req analyzeRequest) (*http.Response, 
 // TestClusterShardingAndFailover is the 3-replica acceptance path:
 // consistent-hash routing sends each key to its owner exactly once
 // cluster-wide, K configs sharing a measurement set cost one collection
-// pass, responses stay byte-identical to single-process serving, and a
-// killed replica's keys are served by survivors.
+// pass, responses — analyses and defines alike — stay byte-identical to
+// single-process serving, and a killed replica's keys are served by
+// survivors.
 func TestClusterShardingAndFailover(t *testing.T) {
 	reps := startCluster(t, 3, "")
 	entry := reps[0] // all client traffic enters here
@@ -406,7 +422,44 @@ func TestClusterShardingAndFailover(t *testing.T) {
 		t.Fatalf("only %d owners among candidates; sharding not exercised", picked)
 	}
 
-	// Phase 3 — failover: kill a non-entry owner and request a fresh key it
+	// Phase 3 — define rides the same ring: a define whose key a non-entry
+	// replica owns is forwarded there and relayed byte-identical to the
+	// single-process response.
+	var define, defineOwner string
+	for i := 0; i < 16 && defineOwner == ""; i++ {
+		req := defineRequest{Benchmark: "cpu-flops", Config: taurq(i).Config, Metric: "DP Ops."}
+		ep, err := ref.defineEndpoint(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o := entry.srv.ring.Owner(ep.key); o != entry.url {
+			data, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			define, defineOwner = string(data), o
+		}
+	}
+	if defineOwner == "" {
+		t.Fatal("no candidate define key owned by a non-entry replica")
+	}
+	resp, err := http.Post(entry.url+"/v1/metrics/define", "application/json", strings.NewReader(define))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("define via entry: %d %v %s", resp.StatusCode, err, body)
+	}
+	if got := resp.Header.Get(servedByHeader); got != defineOwner {
+		t.Fatalf("define served by %q, owner is %q", got, defineOwner)
+	}
+	if w := postJSON(t, refH, "/v1/metrics/define", define); !bytes.Equal(body, w.Body.Bytes()) {
+		t.Fatal("sharded define differs from single-process define")
+	}
+
+	// Phase 4 — failover: kill a non-entry owner and request a fresh key it
 	// owns. A survivor serves it, byte-identical.
 	var victim *replica
 	for _, r := range reps[1:] {
@@ -421,7 +474,7 @@ func TestClusterShardingAndFailover(t *testing.T) {
 	req := byOwner[victim.url][4]
 	want := expect(req)
 	victim.kill(t)
-	resp, body := postAnalyze(t, entry.url, req)
+	resp, body = postAnalyze(t, entry.url, req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("analyze after kill: %d %s", resp.StatusCode, body)
 	}
@@ -491,6 +544,8 @@ func TestSyncAdmissionControl(t *testing.T) {
 		{"/v1/analyze", marshalReq(t, taurq(1))},
 		{"/v1/events/validate", validateBody("spr", []string{"branch"}, "")},
 		{"/v1/matrix", `{"platforms":["zen4"],"benchmarks":["branch"]}`},
+		{"/v1/metrics/define", `{"benchmark":"branch","metric":"Mispredicted Branches."}`},
+		{"/v1/events/explain", `{"benchmark":"branch"}`},
 	} {
 		t.Run(tc.path, func(t *testing.T) {
 			s := newTestServer(t, Config{MaxSyncCompute: 1})

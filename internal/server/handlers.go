@@ -13,6 +13,7 @@ import (
 	"github.com/perfmetrics/eventlens/internal/cat"
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/fault"
+	"github.com/perfmetrics/eventlens/internal/machine"
 	"github.com/perfmetrics/eventlens/internal/matrix"
 	"github.com/perfmetrics/eventlens/internal/suite"
 	"github.com/perfmetrics/eventlens/internal/validate"
@@ -195,29 +196,18 @@ type analyzeResponse struct {
 	Report string `json:"report"`
 }
 
-// analysis is the cached product of one analysis key. A freshly computed
-// entry is full: it carries the pipeline internals (res, set, defs) that
-// define/explain/presets need. An entry warmed from the persistent store is
-// a stub — only respJSON, the canonical analyze response, is known — and is
-// upgraded lazily (ensureFull) the first time an endpoint needs internals.
-// respJSON is always set and is what /v1/analyze serves, so disk-warmed and
-// computed entries are byte-identical on the wire.
+// analysis is the product of the analysis stages for one analysis key: the
+// shared measurement set, the pipeline result and the benchmark's metric
+// definitions. It is built once per analysis key, held in the analysis
+// cache and never mutated; the analyze, define, explain and presets
+// endpoints each render their canonical bytes from it.
 type analysis struct {
 	bench suite.Benchmark
 	run   cat.RunConfig
 	cfg   core.Config
-
-	// respJSON is the canonical /v1/analyze response body.
-	respJSON []byte
-
-	// mu guards the lazily upgraded fields below; full reports whether they
-	// are populated.
-	mu     sync.Mutex
-	full   bool
-	res    *core.Result
-	set    *core.MeasurementSet
-	defs   []*core.MetricDefinition
-	report string
+	set   *core.MeasurementSet
+	res   *core.Result
+	defs  []*core.MetricDefinition
 }
 
 func (a *analysis) response() *analyzeResponse {
@@ -238,7 +228,7 @@ func (a *analysis) response() *analyzeResponse {
 			Dropped:       append([]string{}, a.res.Projection.Dropped...),
 		},
 		SelectedEvents: append([]string{}, a.res.SelectedEvents...),
-		Report:         a.report,
+		Report:         core.FormatAnalysisReport(a.res, a.cfg.ProjectionTol, a.bench.MetricTable, a.defs),
 	}
 	if len(a.res.Unmeasured) > 0 {
 		resp.Faults = append([]string{}, a.res.Unmeasured...)
@@ -305,45 +295,29 @@ const (
 	srcMiss = "miss" // computed now
 )
 
-// cached is a result the serving ladder holds in memory: some value together
-// with the canonical response bytes every surface serves verbatim.
-type cached interface {
-	body() []byte
-}
-
-func (a *analysis) body() []byte { return a.respJSON }
-
-// rawBody is a result that is nothing but its canonical bytes: what the
-// validate and matrix endpoints compute, cache and revive from the store.
-type rawBody []byte
-
-func (b rawBody) body() []byte { return b }
-
-func reviveRaw(body []byte) cached { return rawBody(body) }
-
 // endpoint is what the serving ladder needs to know about one request: its
-// canonical cache/store/shard key, how to compute its result (counting the
-// endpoint's own runs), and how to revive a verified store entry.
+// canonical cache/store/shard key, and how to compute its canonical response
+// bytes (counting the endpoint's own runs).
 type endpoint struct {
 	key     string
-	compute func(ctx context.Context) (cached, error)
-	revive  func(body []byte) cached
+	compute func(ctx context.Context) ([]byte, error)
 }
 
 // serve is the serving ladder behind every cached endpoint and the async
 // job path: the in-memory cache (with singleflight), then the persistent
 // store, then admission control, then computation — publishing fresh
-// results back to the store. gated requests pass admission control before
-// computing; job workers are bounded already and pass gated=false. Every
-// producer is deterministic, so equal keys mean equal bytes everywhere: in
-// memory, on disk, and on whichever replica the key hashes to. The returned
-// source names the rung that served the result.
-func (s *Server) serve(ctx context.Context, ep endpoint, gated bool) (cached, string, error) {
+// results back to the store. The ladder holds nothing but canonical
+// response bytes, so a verified store entry is served as-is. gated requests
+// pass admission control before computing; job workers are bounded already
+// and pass gated=false. Every producer is deterministic, so equal keys mean
+// equal bytes everywhere: in memory, on disk, and on whichever replica the
+// key hashes to. The returned source names the rung that served the result.
+func (s *Server) serve(ctx context.Context, ep endpoint, gated bool) ([]byte, string, error) {
 	src := srcHit // stays "hit" when the cache or a joined flight serves it
-	v, err := s.cache.do(ctx, ep.key, func() (cached, error) {
+	body, err := s.cache.do(ctx, ep.key, func() ([]byte, error) {
 		if body, ok := s.storeGet(ep.key); ok {
 			src = srcDisk
-			return ep.revive(body), nil
+			return body, nil
 		}
 		src = srcMiss
 		if gated {
@@ -354,15 +328,15 @@ func (s *Server) serve(ctx context.Context, ep endpoint, gated bool) (cached, st
 			defer release()
 		}
 		start := time.Now()
-		v, err := ep.compute(ctx)
+		body, err := ep.compute(ctx)
 		if err != nil {
 			return nil, err
 		}
 		s.pipelineSeconds.Observe(time.Since(start).Seconds())
-		s.storePut(ep.key, v.body())
-		return v, nil
+		s.storePut(ep.key, body)
+		return body, nil
 	})
-	return v, src, err
+	return body, src, err
 }
 
 // handleLadder serves one cached POST endpoint: decode the request, route it
@@ -384,18 +358,17 @@ func handleLadder[R any](s *Server, describe func(R) (endpoint, error)) http.Han
 		if s.ring != nil && r.Header.Get(peerHeader) == "" && s.forwardToOwner(w, r, ep.key, req) {
 			return
 		}
-		v, src, err := s.serve(r.Context(), ep, true)
+		body, src, err := s.serve(r.Context(), ep, true)
 		if err != nil {
 			writeErr(w, err)
 			return
 		}
 		w.Header().Set("X-Eventlens-Cache", src)
-		writeBody(w, http.StatusOK, v.body())
+		writeBody(w, http.StatusOK, body)
 	}
 }
 
-// analyzeEndpoint describes /v1/analyze, which async jobs share. A store
-// hit revives as a stub analysis that knows only its canonical bytes.
+// analyzeEndpoint describes /v1/analyze, which async jobs share.
 func (s *Server) analyzeEndpoint(req analyzeRequest) (endpoint, error) {
 	bench, run, cfg, err := s.resolve(req)
 	if err != nil {
@@ -403,48 +376,39 @@ func (s *Server) analyzeEndpoint(req analyzeRequest) (endpoint, error) {
 	}
 	return endpoint{
 		key: analysisKey(bench, run, cfg),
-		compute: func(ctx context.Context) (cached, error) {
-			a, err := s.compute(ctx, bench, run, cfg)
+		compute: func(ctx context.Context) ([]byte, error) {
+			a, err := s.analyze(ctx, bench, run, cfg)
 			if err != nil {
 				return nil, err
 			}
-			return a, nil
-		},
-		revive: func(body []byte) cached {
-			return &analysis{bench: bench, run: run, cfg: cfg, respJSON: body}
+			return canonicalJSON(a.response()), nil
 		},
 	}, nil
 }
 
-// compute runs the pipeline for one analysis key: collection via the
-// batching measurement-set cache, then the analysis stages over the shared
-// (immutable) set.
-func (s *Server) compute(ctx context.Context, bench suite.Benchmark, run cat.RunConfig, cfg core.Config) (*analysis, error) {
-	set, err := s.measurementSet(ctx, bench, run)
-	if err != nil {
-		return nil, err
-	}
-	res, err := bench.AnalyzeSet(ctx, set, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defs, err := res.DefineMetrics(bench.Signatures)
-	if err != nil {
-		return nil, err
-	}
-	s.pipelineRuns.Inc()
-	a := &analysis{
-		bench:  bench,
-		run:    run,
-		cfg:    cfg,
-		full:   true,
-		res:    res,
-		set:    set,
-		defs:   defs,
-		report: core.FormatAnalysisReport(res, cfg.ProjectionTol, bench.MetricTable, defs),
-	}
-	a.respJSON = canonicalJSON(a.response())
-	return a, nil
+// analyze returns the analysis of one analysis key through the analysis
+// cache (with singleflight): on a miss, collection via the batching
+// measurement-set cache, then the analysis stages over the shared
+// (immutable) set. Every endpoint rendered from an analysis computes
+// through here, so the define, explain and presets requests on a key
+// analyze served reuse its analysis.
+func (s *Server) analyze(ctx context.Context, bench suite.Benchmark, run cat.RunConfig, cfg core.Config) (*analysis, error) {
+	return s.analyses.do(ctx, analysisKey(bench, run, cfg), func() (*analysis, error) {
+		set, err := s.measurementSet(ctx, bench, run)
+		if err != nil {
+			return nil, err
+		}
+		res, err := bench.AnalyzeSet(ctx, set, cfg)
+		if err != nil {
+			return nil, err
+		}
+		defs, err := res.DefineMetrics(bench.Signatures)
+		if err != nil {
+			return nil, err
+		}
+		s.pipelineRuns.Inc()
+		return &analysis{bench: bench, run: run, cfg: cfg, set: set, res: res, defs: defs}, nil
+	})
 }
 
 // measurementSet resolves (benchmark, run) to its shared measurement set
@@ -470,57 +434,6 @@ func (s *Server) measurementSet(ctx context.Context, bench suite.Benchmark, run 
 		}
 		return set, nil
 	})
-}
-
-// ensureFull upgrades a disk-warmed stub to a full analysis by recomputing
-// the pipeline internals (deterministic, so they match the stored response).
-// Concurrent upgraders of one entry serialize on the entry's mutex.
-func (s *Server) ensureFull(ctx context.Context, a *analysis) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.full {
-		return nil
-	}
-	release, err := s.admitSync()
-	if err != nil {
-		return err
-	}
-	defer release()
-	start := time.Now()
-	full, err := s.compute(ctx, a.bench, a.run, a.cfg)
-	if err != nil {
-		return err
-	}
-	s.pipelineSeconds.Observe(time.Since(start).Seconds())
-	if !bytes.Equal(full.respJSON, a.respJSON) {
-		// Determinism violation or a stale store from an incompatible
-		// release: keep serving the stored bytes for /v1/analyze (the
-		// contract) but flag it loudly.
-		s.log.Warn("recomputed analysis differs from stored response",
-			"benchmark", a.bench.Name, "run", a.run.String(), "config", a.cfg.String())
-	}
-	a.res, a.set, a.defs, a.report = full.res, full.set, full.defs, full.report
-	a.full = true
-	return nil
-}
-
-// fullAnalysisFor serves an analyze request through the ladder and upgrades
-// a store-revived stub: endpoints that need pipeline internals (define,
-// explain, presets) go through here.
-func (s *Server) fullAnalysisFor(ctx context.Context, req analyzeRequest) (*analysis, error) {
-	ep, err := s.analyzeEndpoint(req)
-	if err != nil {
-		return nil, err
-	}
-	v, _, err := s.serve(ctx, ep, true)
-	if err != nil {
-		return nil, err
-	}
-	a := v.(*analysis)
-	if err := s.ensureFull(ctx, a); err != nil {
-		return nil, err
-	}
-	return a, nil
 }
 
 // admitSync is admission control for synchronous computations: a
@@ -575,7 +488,7 @@ func (s *Server) validateEndpoint(req validate.Request) (endpoint, error) {
 	}
 	return endpoint{
 		key: key,
-		compute: func(ctx context.Context) (cached, error) {
+		compute: func(ctx context.Context) ([]byte, error) {
 			if req.Workers == 0 {
 				req.Workers = s.cfg.PipelineWorkers
 			}
@@ -589,9 +502,8 @@ func (s *Server) validateEndpoint(req validate.Request) (endpoint, error) {
 					s.validateVerdicts.With(verdict).Add(uint64(n))
 				}
 			}
-			return rawBody(validate.NewEnvelope(report).CanonicalJSON()), nil
+			return validate.NewEnvelope(report).CanonicalJSON(), nil
 		},
-		revive: reviveRaw,
 	}, nil
 }
 
@@ -621,7 +533,7 @@ func (s *Server) matrixEndpoint(req matrix.Request) (endpoint, error) {
 	}
 	return endpoint{
 		key: key,
-		compute: func(ctx context.Context) (cached, error) {
+		compute: func(ctx context.Context) ([]byte, error) {
 			if req.Workers == 0 {
 				req.Workers = s.cfg.PipelineWorkers
 			}
@@ -631,15 +543,13 @@ func (s *Server) matrixEndpoint(req matrix.Request) (endpoint, error) {
 			}
 			s.matrixRuns.Inc()
 			s.matrixCells.Add(uint64(report.Total))
-			return rawBody(matrix.NewEnvelope(report).CanonicalJSON()), nil
+			return matrix.NewEnvelope(report).CanonicalJSON(), nil
 		},
-		revive: reviveRaw,
 	}, nil
 }
 
 // defineRequest solves one signature — either a named one from the
-// benchmark's table or a custom coefficient vector — against the cached
-// analysis.
+// benchmark's table or a custom coefficient vector — against an analysis.
 type defineRequest struct {
 	Benchmark string         `json:"benchmark"`
 	Run       *cat.RunConfig `json:"run,omitempty"`
@@ -669,63 +579,76 @@ type defineResponse struct {
 	Text      string      `json:"text"`
 }
 
-func (s *Server) handleDefine(w http.ResponseWriter, r *http.Request) {
-	var req defineRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
+// defineEndpoint describes /v1/metrics/define: one signature solved against
+// the analysis of the request's (benchmark, run, config). Named metrics
+// resolve to their table signature here, so the key — the analysis key and
+// the signature's JSON under the endpoint's prefix — is the same for a named
+// request and the custom signature it names. A custom signature of the
+// wrong dimension is rejected here, before any analysis.
+func (s *Server) defineEndpoint(req defineRequest) (endpoint, error) {
 	if (req.Metric == "") == (req.Signature == nil) {
-		writeError(w, http.StatusBadRequest, "exactly one of \"metric\" (a name from the benchmark's table) or \"signature\" must be set")
-		return
+		return endpoint{}, httpError{http.StatusBadRequest,
+			"exactly one of \"metric\" (a name from the benchmark's table) or \"signature\" must be set"}
 	}
-	a, err := s.fullAnalysisFor(r.Context(), analyzeRequest{Benchmark: req.Benchmark, Run: req.Run, Config: req.Config})
+	bench, run, cfg, err := s.resolve(analyzeRequest{Benchmark: req.Benchmark, Run: req.Run, Config: req.Config})
 	if err != nil {
-		writeErr(w, err)
-		return
+		return endpoint{}, err
 	}
 	var sig core.Signature
 	if req.Signature != nil {
+		if req.Signature.Name == "" {
+			return endpoint{}, httpError{http.StatusBadRequest, "signature.name must be set"}
+		}
 		sig = core.Signature{Name: req.Signature.Name, Coeffs: req.Signature.Coeffs}
-		if sig.Name == "" {
-			writeError(w, http.StatusBadRequest, "signature.name must be set")
-			return
+		if err := sig.CheckDim(len(bench.BasisSymbols)); err != nil {
+			return endpoint{}, httpError{http.StatusBadRequest, err.Error()}
 		}
 	} else {
 		found := false
-		for _, candidate := range a.bench.Signatures {
+		for _, candidate := range bench.Signatures {
 			if candidate.Name == req.Metric {
 				sig, found = candidate, true
 				break
 			}
 		}
 		if !found {
-			writeError(w, http.StatusNotFound,
-				fmt.Sprintf("benchmark %q has no metric %q (have %s)", a.bench.Name, req.Metric, signatureNames(a.bench)))
-			return
+			return endpoint{}, httpError{http.StatusNotFound,
+				fmt.Sprintf("benchmark %q has no metric %q (have %s)", bench.Name, req.Metric, signatureNames(bench))}
 		}
 	}
-	def, err := a.res.DefineMetric(sig)
+	sigJSON, err := json.Marshal(signatureJSON{Name: sig.Name, Coeffs: sig.Coeffs})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return endpoint{}, httpError{http.StatusBadRequest, "signature: " + err.Error()}
 	}
-	resp := defineResponse{
-		Benchmark: a.bench.Name,
-		Platform:  a.set.Platform,
-		Metric:    toMetricJSON(def),
-		Rounded:   toMetricJSON(def.Rounded(a.cfg.RoundTol)),
-		Text:      def.String(),
-	}
-	if p, err := def.ToPreset(a.cfg.RoundTol); err == nil && def.Composable(core.ComposableThreshold) {
-		resp.Preset = &presetJSON{
-			Name:          p.Name,
-			Events:        p.Events,
-			Postfix:       p.Postfix,
-			BackwardError: p.BackwardError,
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return endpoint{
+		key: "define|" + analysisKey(bench, run, cfg) + "|" + string(sigJSON),
+		compute: func(ctx context.Context) ([]byte, error) {
+			a, err := s.analyze(ctx, bench, run, cfg)
+			if err != nil {
+				return nil, err
+			}
+			def, err := a.res.DefineMetric(sig)
+			if err != nil {
+				return nil, httpError{http.StatusBadRequest, err.Error()}
+			}
+			resp := defineResponse{
+				Benchmark: bench.Name,
+				Platform:  a.set.Platform,
+				Metric:    toMetricJSON(def),
+				Rounded:   toMetricJSON(def.Rounded(cfg.RoundTol)),
+				Text:      def.String(),
+			}
+			if p, err := def.ToPreset(cfg.RoundTol); err == nil && def.Composable(core.ComposableThreshold) {
+				resp.Preset = &presetJSON{
+					Name:          p.Name,
+					Events:        p.Events,
+					Postfix:       p.Postfix,
+					BackwardError: p.BackwardError,
+				}
+			}
+			return canonicalJSON(resp), nil
+		},
+	}, nil
 }
 
 func signatureNames(b suite.Benchmark) string {
@@ -763,62 +686,118 @@ type explainResponse struct {
 	Explanations []explanationJSON `json:"explanations"`
 }
 
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	var req explainRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	a, err := s.fullAnalysisFor(r.Context(), analyzeRequest{Benchmark: req.Benchmark, Run: req.Run, Config: req.Config})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	basis, err := a.bench.BasisFor(a.set)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	names := a.res.Noise.KeptOrder
-	if req.Event != "" && req.Event != "all" {
-		if _, ok := a.res.Noise.Kept[req.Event]; !ok {
-			writeError(w, http.StatusNotFound,
-				fmt.Sprintf("event %q not among the kept events (noisy, all-zero, or unknown)", req.Event))
-			return
-		}
-		names = []string{req.Event}
-	}
-	resp := explainResponse{Benchmark: a.bench.Name, Basis: basis.Names}
-	for _, name := range names {
-		e, err := core.ExplainEvent(basis, name, a.res.Noise.Kept[name], a.cfg.Alpha, a.cfg.ProjectionTol)
+// benchCatalogs maps each benchmark to its platform's raw-event catalog,
+// built on first use: an event outside it can never be kept.
+var benchCatalogs = sync.OnceValues(func() (map[string]*machine.Catalog, error) {
+	out := map[string]*machine.Catalog{}
+	for _, b := range suite.All() {
+		p, err := b.NewPlatform()
 		if err != nil {
-			writeErr(w, err)
-			return
+			return nil, err
 		}
-		ej := explanationJSON{
-			Event:       e.Event,
-			RelResidual: e.RelResidual,
-			Verdict:     e.Verdict,
-			Text:        e.String(),
-		}
-		for _, t := range e.Terms {
-			ej.Terms = append(ej.Terms, termJSON{Event: t.Event, Coeff: t.Coeff})
-		}
-		resp.Explanations = append(resp.Explanations, ej)
+		out[b.Name] = p.Catalog
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return out, nil
+})
+
+// notKept is the 404 of an explain request naming an event the analysis
+// did not keep.
+func notKept(event string) error {
+	return httpError{http.StatusNotFound,
+		fmt.Sprintf("event %q not among the kept events (noisy, all-zero, or unknown)", event)}
 }
 
+// explainEndpoint describes /v1/events/explain: the kept raw events of the
+// request's analysis decoded into basis vocabulary, keyed by the analysis
+// key and the event under the endpoint's prefix ("" and "all" are one key).
+// An event outside the benchmark's platform catalog is rejected here, before
+// any analysis.
+func (s *Server) explainEndpoint(req explainRequest) (endpoint, error) {
+	bench, run, cfg, err := s.resolve(analyzeRequest{Benchmark: req.Benchmark, Run: req.Run, Config: req.Config})
+	if err != nil {
+		return endpoint{}, err
+	}
+	event := req.Event
+	if event == "" {
+		event = "all"
+	}
+	if event != "all" {
+		catalogs, err := benchCatalogs()
+		if err != nil {
+			return endpoint{}, err
+		}
+		if _, ok := catalogs[bench.Name].Lookup(event); !ok {
+			return endpoint{}, notKept(event)
+		}
+	}
+	return endpoint{
+		key: "explain|" + analysisKey(bench, run, cfg) + "|" + event,
+		compute: func(ctx context.Context) ([]byte, error) {
+			a, err := s.analyze(ctx, bench, run, cfg)
+			if err != nil {
+				return nil, err
+			}
+			basis, err := bench.BasisFor(a.set)
+			if err != nil {
+				return nil, err
+			}
+			names := a.res.Noise.KeptOrder
+			if event != "all" {
+				if _, ok := a.res.Noise.Kept[event]; !ok {
+					return nil, notKept(event)
+				}
+				names = []string{event}
+			}
+			resp := explainResponse{Benchmark: bench.Name, Basis: basis.Names}
+			for _, name := range names {
+				e, err := core.ExplainEvent(basis, name, a.res.Noise.Kept[name], cfg.Alpha, cfg.ProjectionTol)
+				if err != nil {
+					return nil, err
+				}
+				ej := explanationJSON{
+					Event:       e.Event,
+					RelResidual: e.RelResidual,
+					Verdict:     e.Verdict,
+					Text:        e.String(),
+				}
+				for _, t := range e.Terms {
+					ej.Terms = append(ej.Terms, termJSON{Event: t.Event, Coeff: t.Coeff})
+				}
+				resp.Explanations = append(resp.Explanations, ej)
+			}
+			return canonicalJSON(resp), nil
+		},
+	}, nil
+}
+
+// handlePresets serves the PAPI-style preset text of a benchmark's default
+// analysis through the serving ladder, keyed by the analysis key under the
+// endpoint's prefix. It is a GET with the benchmark in the path, so it is
+// served where it lands rather than forwarded to the key's owner.
 func (s *Server) handlePresets(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("benchmark")
-	a, err := s.fullAnalysisFor(r.Context(), analyzeRequest{Benchmark: name})
+	bench, run, cfg, err := s.resolve(analyzeRequest{Benchmark: r.PathValue("benchmark")})
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	body, src, err := s.serve(r.Context(), endpoint{
+		key: "presets|" + analysisKey(bench, run, cfg),
+		compute: func(ctx context.Context) ([]byte, error) {
+			a, err := s.analyze(ctx, bench, run, cfg)
+			if err != nil {
+				return nil, err
+			}
+			header := fmt.Sprintf("# auto-generated presets for %s (%s benchmark)\n", a.set.Platform, bench.Name)
+			return []byte(header + core.FormatPresets(a.defs, cfg.RoundTol, core.ComposableThreshold)), nil
+		},
+	}, true)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "# auto-generated presets for %s (%s benchmark)\n", a.set.Platform, a.bench.Name)
-	fmt.Fprint(w, core.FormatPresets(a.defs, a.cfg.RoundTol, core.ComposableThreshold))
+	w.Header().Set("X-Eventlens-Cache", src)
+	_, _ = w.Write(body)
 }
 
 type platformJSON struct {

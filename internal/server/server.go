@@ -44,7 +44,9 @@ type Config struct {
 	// QueueDepth bounds the async job queue; a full queue rejects new jobs
 	// with 429 and a Retry-After hint. Defaults to 4x Workers.
 	QueueDepth int
-	// CacheSize bounds the LRU result cache (entries). Defaults to 64.
+	// CacheSize bounds the LRU result cache (entries), and the analysis
+	// cache behind it, which the analyze, define, explain and presets
+	// computations share. Defaults to 64.
 	CacheSize int
 	// JobTimeout bounds each async job's pipeline run. Defaults to 1m.
 	JobTimeout time.Duration
@@ -64,9 +66,6 @@ type Config struct {
 	// the chaos spec's retry budget; without a chaos spec there is nothing
 	// to retry.
 	JobRetries int
-	// RetryBase is the base delay of the job retry backoff (exponential,
-	// seeded jitter). Defaults to 10ms.
-	RetryBase time.Duration
 	// PlatformDir loads extra platform definitions (platdef text files,
 	// *.pdef) into the daemon's platform registry at startup. Definitions
 	// whose names match built-in platforms override them; new names extend
@@ -74,27 +73,22 @@ type Config struct {
 	// serves the built-in platforms only.
 	PlatformDir string
 	// StoreDir enables the persistent, content-addressed result store: every
-	// computed analysis, validation and matrix response is published there
-	// (atomic write-rename, checksummed), and cache misses consult it before
+	// response a cached endpoint computes is published there (atomic
+	// write-rename, checksummed), and cache misses consult it before
 	// recomputing, so the cache warms from disk across restarts. A corrupt or
 	// truncated entry is a miss, never a failure. Empty disables persistence.
 	StoreDir string
 	// Peers lists the base URLs ("http://host:port") of every replica in the
 	// serving tier, including this one. With two or more distinct peers,
-	// analysis, validation and matrix keys are partitioned across replicas by
-	// consistent hashing and /v1/analyze, /v1/events/validate and /v1/matrix
-	// requests are forwarded to their owner, failing over in ring order when
-	// owners are unreachable. Empty (or just this replica) serves everything
-	// locally.
+	// the keys of the cached POST endpoints (/v1/analyze, /v1/events/validate,
+	// /v1/matrix, /v1/metrics/define, /v1/events/explain) are partitioned
+	// across replicas by consistent hashing and requests are forwarded to
+	// their owner, failing over in ring order when owners are unreachable.
+	// Empty (or just this replica) serves everything locally.
 	Peers []string
 	// SelfURL is this replica's own entry in Peers; required when Peers is
 	// set, so the replica can recognize keys it owns.
 	SelfURL string
-	// SetCacheSize bounds the in-memory measurement-set cache (entries) that
-	// batches analyses sharing a (benchmark, RunConfig) collection: one
-	// collection pass serves every analysis configuration over the same
-	// measurement set. Defaults to 8.
-	SetCacheSize int
 	// MaxSyncCompute bounds concurrently executing synchronous pipeline
 	// computations. Requests that would exceed it are rejected with
 	// 429 Too Many Requests and a Retry-After hint — admission control, so
@@ -110,6 +104,17 @@ type Config struct {
 	// slog.Default().
 	Logger *slog.Logger
 }
+
+const (
+	// setCacheSize bounds the in-memory measurement-set cache (entries) that
+	// batches analyses sharing a (benchmark, RunConfig) collection: one
+	// collection pass serves every analysis configuration over the same
+	// measurement set.
+	setCacheSize = 8
+	// retryBase is the base delay of the async job retry backoff
+	// (exponential, seeded jitter).
+	retryBase = 10 * time.Millisecond
+)
 
 // Validate rejects configurations withDefaults would silently mangle:
 // negative worker counts are almost always a flag typo, and letting a
@@ -132,9 +137,6 @@ func (c Config) Validate() error {
 		if _, err := fault.ParseSpec(c.Chaos); err != nil {
 			return fmt.Errorf("server: bad chaos spec: %v", err)
 		}
-	}
-	if c.SetCacheSize < 0 {
-		return fmt.Errorf("server: set cache size must be >= 0 (0 means 8), got %d", c.SetCacheSize)
 	}
 	if c.MaxSyncCompute < 0 {
 		return fmt.Errorf("server: max sync compute must be >= 0 (0 means 4x GOMAXPROCS), got %d", c.MaxSyncCompute)
@@ -176,12 +178,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 10 * time.Millisecond
-	}
-	if c.SetCacheSize <= 0 {
-		c.SetCacheSize = 8
-	}
 	if c.MaxSyncCompute <= 0 {
 		c.MaxSyncCompute = 4 * runtime.GOMAXPROCS(0)
 	}
@@ -193,11 +189,12 @@ func (c Config) withDefaults() Config {
 
 // Server is the eventlensd daemon.
 type Server struct {
-	cfg   Config
-	log   *slog.Logger
-	cache *flightCache[cached]
-	sets  *flightCache[*core.MeasurementSet]
-	jobs  *jobManager
+	cfg      Config
+	log      *slog.Logger
+	cache    *flightCache[[]byte]
+	analyses *flightCache[*analysis]
+	sets     *flightCache[*core.MeasurementSet]
+	jobs     *jobManager
 
 	// platforms is the daemon's platform registry: the built-in platforms,
 	// extended by Config.PlatformDir. Built once in New and read-only after.
@@ -321,13 +318,13 @@ func New(cfg Config) (*Server, error) {
 	s.requestsTotal = reg.CounterVec("eventlensd_requests_total",
 		"HTTP requests served, by route pattern and status code.", "route", "code")
 	s.cacheHits = reg.Counter("eventlensd_cache_hits_total",
-		"Result cache hits on analyze, validate and matrix requests (including requests that joined an in-flight identical run).")
+		"Result cache hits on every cached endpoint (analyze, validate, matrix, define, explain, presets and jobs), including requests that joined an in-flight identical run.")
 	s.cacheMisses = reg.Counter("eventlensd_cache_misses_total",
-		"Result cache misses on analyze, validate and matrix requests (each miss reads the store or computes once).")
+		"Result cache misses on every cached endpoint (each miss reads the store or computes once).")
 	s.pipelineRuns = reg.Counter("eventlensd_pipeline_runs_total",
-		"Full pipeline executions (collection + noise filter + projection + QRCP + metrics).")
+		"Analysis runs (noise filter + projection + QRCP + metrics over a shared measurement set), one per analysis key computed; analyze, define, explain and presets computations share it.")
 	s.pipelineSeconds = reg.Histogram("eventlensd_pipeline_seconds",
-		"Latency of full pipeline executions.", obs.DefLatencyBuckets())
+		"Latency of serving-ladder computations (cache and store misses) on every cached endpoint.", obs.DefLatencyBuckets())
 	s.httpSeconds = reg.Histogram("eventlensd_http_request_seconds",
 		"HTTP request latency.", obs.DefLatencyBuckets())
 	s.jobsInflight = reg.Gauge("eventlensd_jobs_inflight",
@@ -345,7 +342,7 @@ func New(cfg Config) (*Server, error) {
 	s.storeMisses = reg.Counter("eventlensd_store_misses_total",
 		"Persistent result-store reads that found no entry.")
 	s.storeWrites = reg.Counter("eventlensd_store_writes_total",
-		"Analyze, validate and matrix responses published to the persistent result store.")
+		"Responses of every cached endpoint published to the persistent result store.")
 	s.storeCorrupt = reg.Counter("eventlensd_store_corrupt_total",
 		"Persistent result-store entries that failed verification (served as misses).")
 	s.batchCoalesced = reg.Counter("eventlensd_batch_coalesced_total",
@@ -353,7 +350,7 @@ func New(cfg Config) (*Server, error) {
 	s.collections = reg.Counter("eventlensd_collections_total",
 		"Benchmark collection passes executed; each serves every analysis sharing its measurement set.")
 	s.shardRequests = reg.CounterVec("eventlensd_shard_requests_total",
-		"Sharded analyze, validate and matrix requests, by routing outcome (local, forwarded, failover).", "outcome")
+		"Sharded analyze, validate, matrix, define and explain requests, by routing outcome (local, forwarded, failover).", "outcome")
 	s.admissionRejch = reg.CounterVec("eventlensd_admission_rejected_total",
 		"Requests rejected with 429 by admission control, by site (sync, jobs).", "site")
 	s.validateRuns = reg.Counter("eventlensd_validate_runs_total",
@@ -375,8 +372,11 @@ func New(cfg Config) (*Server, error) {
 			}
 			return int64(s.store.Len())
 		})
-	s.cache = newFlightCache[cached](cfg.CacheSize, s.cacheHits, s.cacheMisses)
-	s.sets = newFlightCache[*core.MeasurementSet](cfg.SetCacheSize, s.batchCoalesced, s.collections)
+	s.cache = newFlightCache[[]byte](cfg.CacheSize, s.cacheHits, s.cacheMisses)
+	// pipelineRuns counts the analyses computed; the cache's own counters go
+	// unexported.
+	s.analyses = newFlightCache[*analysis](cfg.CacheSize, new(obs.Counter), new(obs.Counter))
+	s.sets = newFlightCache[*core.MeasurementSet](setCacheSize, s.batchCoalesced, s.collections)
 	s.jobs = newJobManager(cfg.QueueDepth, cfg.JobTimeout, s.jobsInflight, s.queueDepth, s.jobsTotal)
 	return s, nil
 }
@@ -391,8 +391,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/analyze", handleLadder(s, s.analyzeEndpoint))
 	mux.HandleFunc("POST /v1/events/validate", handleLadder(s, s.validateEndpoint))
 	mux.HandleFunc("POST /v1/matrix", handleLadder(s, s.matrixEndpoint))
-	mux.HandleFunc("POST /v1/metrics/define", s.handleDefine)
-	mux.HandleFunc("POST /v1/events/explain", s.handleExplain)
+	mux.HandleFunc("POST /v1/metrics/define", handleLadder(s, s.defineEndpoint))
+	mux.HandleFunc("POST /v1/events/explain", handleLadder(s, s.explainEndpoint))
 	mux.HandleFunc("GET /v1/presets/{benchmark}", s.handlePresets)
 	mux.HandleFunc("POST /v1/jobs", s.handleJobCreate)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
@@ -539,7 +539,7 @@ func (s *Server) runJobResilient(ctx context.Context, j *job) ([]byte, error) {
 		}
 		s.jobRetries.Inc()
 		s.log.Info("retrying faulted job", "job", j.id, "attempt", attempt, "err", err.Error())
-		fault.Sleep(fault.BackoffDelay(s.cfg.RetryBase, time.Second, seed, attempt))
+		fault.Sleep(fault.BackoffDelay(retryBase, time.Second, seed, attempt))
 	}
 }
 
@@ -576,11 +576,8 @@ func (s *Server) runJobOnce(ctx context.Context, j *job, attempt int) (result []
 	if err != nil {
 		return nil, err
 	}
-	v, _, err := s.serve(ctx, ep, false)
-	if err != nil {
-		return nil, err
-	}
-	return v.body(), nil
+	body, _, err := s.serve(ctx, ep, false)
+	return body, err
 }
 
 // Run listens on cfg.Addr and serves until ctx is cancelled, then shuts

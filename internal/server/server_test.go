@@ -17,7 +17,7 @@ import (
 
 // newTestServer returns a Server with a quiet logger and small limits
 // suitable for handler tests.
-func newTestServer(t *testing.T, cfg Config) *Server {
+func newTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -315,6 +315,158 @@ func TestPresetsEndpoint(t *testing.T) {
 	decodeEnvelope(t, get(t, h, "/v1/presets/nope"), http.StatusNotFound)
 }
 
+// TestAnalysisEndpointsCached pins define, explain and presets to the
+// serving ladder: a repeated identical request is a memory hit with the same
+// bytes and does not run the analysis stages again.
+func TestAnalysisEndpointsCached(t *testing.T) {
+	for _, tc := range []struct{ name, path, body string }{
+		{"define", "/v1/metrics/define", `{"benchmark":"cpu-flops","metric":"DP Ops."}`},
+		{"define-custom", "/v1/metrics/define", `{"benchmark":"branch","signature":{"name":"Taken","coeffs":[0,0,1,0,0]}}`},
+		{"explain", "/v1/events/explain", `{"benchmark":"branch"}`},
+		{"presets", "/v1/presets/cpu-flops", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestServer(t, Config{})
+			h := s.Handler()
+			send := func() *httptest.ResponseRecorder {
+				if tc.body == "" {
+					return get(t, h, tc.path)
+				}
+				return postJSON(t, h, tc.path, tc.body)
+			}
+			first := send()
+			if first.Code != http.StatusOK {
+				t.Fatalf("first: %d %s", first.Code, first.Body)
+			}
+			if got := first.Header().Get("X-Eventlens-Cache"); got != "miss" {
+				t.Fatalf("first cache header = %q, want \"miss\"", got)
+			}
+			runs := s.pipelineRuns.Value()
+			second := send()
+			if got := second.Header().Get("X-Eventlens-Cache"); got != "hit" {
+				t.Fatalf("repeat cache header = %q, want \"hit\"", got)
+			}
+			if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
+				t.Fatal("cache hit served different bytes")
+			}
+			if got := second.Header().Get("Content-Type"); got != first.Header().Get("Content-Type") {
+				t.Fatalf("content type %q on the hit, %q on the miss", got, first.Header().Get("Content-Type"))
+			}
+			if got := s.pipelineRuns.Value(); got != runs {
+				t.Fatalf("pipeline runs %d -> %d on a repeated request", runs, got)
+			}
+		})
+	}
+}
+
+// TestAnalysisReusedAfterSetEviction pins the analysis cache: define,
+// explain and presets on a key /v1/analyze served reuse its analysis, with
+// no collection and no analysis run, even after more measurement keys than
+// the measurement-set cache holds were analysed since.
+func TestAnalysisReusedAfterSetEviction(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	if w := postJSON(t, h, "/v1/analyze", `{"benchmark":"cpu-flops"}`); w.Code != http.StatusOK {
+		t.Fatalf("analyze: %d %s", w.Code, w.Body)
+	}
+	for reps := 2; reps < 2+setCacheSize+1; reps++ {
+		body := fmt.Sprintf(`{"benchmark":"branch","run":{"reps":%d,"threads":1}}`, reps)
+		if w := postJSON(t, h, "/v1/analyze", body); w.Code != http.StatusOK {
+			t.Fatalf("analyze %s: %d %s", body, w.Code, w.Body)
+		}
+	}
+	collections, runs := s.collections.Value(), s.pipelineRuns.Value()
+	for _, w := range []*httptest.ResponseRecorder{
+		postJSON(t, h, "/v1/metrics/define", `{"benchmark":"cpu-flops","metric":"DP Ops."}`),
+		postJSON(t, h, "/v1/events/explain", `{"benchmark":"cpu-flops"}`),
+		get(t, h, "/v1/presets/cpu-flops"),
+	} {
+		if w.Code != http.StatusOK {
+			t.Fatalf("status = %d: %s", w.Code, w.Body)
+		}
+		if got := w.Header().Get("X-Eventlens-Cache"); got != "miss" {
+			t.Fatalf("cache header = %q, want \"miss\"", got)
+		}
+	}
+	if got := s.collections.Value(); got != collections {
+		t.Fatalf("collections %d -> %d", collections, got)
+	}
+	if got := s.pipelineRuns.Value(); got != runs {
+		t.Fatalf("pipeline runs %d -> %d", runs, got)
+	}
+}
+
+// TestAnalysisSharedAcrossEndpoints: concurrent first requests of every
+// endpoint rendered from one analysis key share one analysis flight.
+func TestAnalysisSharedAcrossEndpoints(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	requests := []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/analyze", `{"benchmark":"cpu-flops"}`},
+		{http.MethodPost, "/v1/metrics/define", `{"benchmark":"cpu-flops","metric":"DP Ops."}`},
+		{http.MethodPost, "/v1/metrics/define", `{"benchmark":"cpu-flops","metric":"SP Ops."}`},
+		{http.MethodPost, "/v1/events/explain", `{"benchmark":"cpu-flops"}`},
+		{http.MethodPost, "/v1/events/explain", `{"benchmark":"cpu-flops","event":"ASSISTS:FP"}`},
+		{http.MethodGet, "/v1/presets/cpu-flops", ""},
+	}
+	codes := make([]int, len(requests))
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i, r := range requests {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(r.method, r.path, strings.NewReader(r.body)))
+			codes[i] = w.Code
+		}()
+	}
+	close(start)
+	wg.Wait()
+	want := []int{200, 200, 200, 200, 404, 200}
+	for i, code := range codes {
+		if code != want[i] {
+			t.Fatalf("%s %s: status %d, want %d", requests[i].path, requests[i].body, code, want[i])
+		}
+	}
+	if runs, collections := s.pipelineRuns.Value(), s.collections.Value(); runs != 1 || collections != 1 {
+		t.Fatalf("%d analyses and %d collections for one analysis key, want 1 and 1", runs, collections)
+	}
+}
+
+// TestBadAnalysisRequestsComputeNothing: a custom signature of the wrong
+// dimension and an event outside the platform catalog are rejected before
+// any analysis, and an event the analysis did not keep costs no second
+// analysis, however often they repeat.
+func TestBadAnalysisRequestsComputeNothing(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	for i := 0; i < 3; i++ {
+		msg := decodeEnvelope(t, postJSON(t, h, "/v1/metrics/define",
+			`{"benchmark":"cpu-flops","signature":{"name":"short","coeffs":[1,2]}}`), http.StatusBadRequest)
+		if want := `core: signature "short" has 2 coefficients, Xhat has 16 rows`; msg != want {
+			t.Fatalf("define message = %q, want %q", msg, want)
+		}
+		decodeEnvelope(t, postJSON(t, h, "/v1/events/explain",
+			`{"benchmark":"cpu-flops","event":"NO_SUCH_EVENT"}`), http.StatusNotFound)
+	}
+	if runs, collections, misses := s.pipelineRuns.Value(), s.collections.Value(), s.cacheMisses.Value(); runs+collections+misses != 0 {
+		t.Fatalf("rejected requests reached the ladder: %d analyses, %d collections, %d cache misses", runs, collections, misses)
+	}
+	if w := postJSON(t, h, "/v1/analyze", `{"benchmark":"cpu-flops"}`); w.Code != http.StatusOK {
+		t.Fatalf("analyze: %d %s", w.Code, w.Body)
+	}
+	// ASSISTS:FP is in the platform catalog, but cpu-flops never keeps it.
+	for i := 0; i < 3; i++ {
+		decodeEnvelope(t, postJSON(t, h, "/v1/events/explain",
+			`{"benchmark":"cpu-flops","event":"ASSISTS:FP"}`), http.StatusNotFound)
+	}
+	if runs := s.pipelineRuns.Value(); runs != 1 {
+		t.Fatalf("pipeline runs = %d, want 1", runs)
+	}
+}
+
 func TestPlatformsAndBenchmarks(t *testing.T) {
 	h := newTestServer(t, Config{}).Handler()
 	w := get(t, h, "/v1/platforms")
@@ -393,8 +545,8 @@ func TestJobLifecycle(t *testing.T) {
 	}
 	sameCompactJSON(t, view.Result, sync.Body.Bytes())
 
-	// After a restart on the same store the job is served from the entry the
-	// store revives, and its result is still the synchronous body.
+	// After a restart on the same store the job is served from the stored
+	// entry, and its result is still the synchronous body.
 	s2 := newTestServer(t, Config{Workers: 1, StoreDir: dir})
 	s2.startJobWorkers(ctx)
 	h2 := s2.Handler()

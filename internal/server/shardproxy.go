@@ -18,9 +18,9 @@ const peerHeader = "X-Eventlens-Peer"
 const servedByHeader = "X-Eventlens-Served-By"
 
 // forwardToOwner relays req to the replica owning key, at the request's own
-// path, and copies the response back. Every cached endpoint rides the same
-// ring, hashed by its prefixed canonical key, so a tier shards analyses,
-// validations and matrices alike. Peers answering with 5xx or a transport
+// path, and copies the response back. Every cached POST endpoint rides the
+// same ring, hashed by its prefixed canonical key, so a tier shards analyses,
+// validations, matrices, definitions and explanations alike. Peers answering with 5xx or a transport
 // error are treated as down and the next owner in ring order is tried;
 // anything else — including 429, so admission control is not defeated by
 // rerouting — relays to the client byte-for-byte. It returns false when the
