@@ -145,14 +145,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *explain != "all" {
 			names = []string{*explain}
 		}
+		explanations, err := core.ExplainKept(basis, res.Noise, cfg.Alpha, cfg.ProjectionTol)
+		if err != nil {
+			return err
+		}
 		for _, name := range names {
-			m, ok := res.Noise.Kept[name]
+			e, ok := explanations[name]
 			if !ok {
 				return fmt.Errorf("event %q not among the kept events (noisy, all-zero, or unknown)", name)
-			}
-			e, err := core.ExplainEvent(basis, name, m, cfg.Alpha, cfg.ProjectionTol)
-			if err != nil {
-				return err
 			}
 			fmt.Fprintln(stdout, " ", e)
 		}

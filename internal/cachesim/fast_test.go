@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -141,7 +142,8 @@ func sameResult(t *testing.T, label string, got, want *ChaseResult) {
 // TestRunSweepTasksMatchesReference proves the planned path bit-identical to
 // RunSweepPointTLB over full sweeps of the tiny and odd hierarchies — with
 // and without a TLB model, at a sub-line stride (which disables level
-// skipping), for one and several measured passes, serial and parallel.
+// skipping), for one and several measured passes, serial and parallel. Each
+// worker count starts from an empty memo, so each one runs the engine.
 func TestRunSweepTasksMatchesReference(t *testing.T) {
 	tlbs := []TLBConfig{
 		{Name: "DTLB", Entries: 8, Ways: 2, PageBits: 8}, // tiny pages so TLB regimes vary
@@ -166,10 +168,7 @@ func TestRunSweepTasksMatchesReference(t *testing.T) {
 			tasks = append(tasks, SweepTask{Point: p, Seed: int64(100*i + 1)})
 		}
 		for _, workers := range []int{1, 4} {
-			got, err := RunSweepTasks(tc.levels, tc.tlbs, tasks, tc.passes, workers)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
-			}
+			got := coldRun(t, tc.levels, tc.tlbs, tasks, tc.passes, workers)
 			for i, task := range tasks {
 				want, err := RunSweepPointTLB(tc.levels, tc.tlbs, task.Point, task.Seed, tc.passes)
 				if err != nil {
@@ -181,13 +180,12 @@ func TestRunSweepTasksMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRunSweepTasksForcedSharding drops the sharding threshold to 1 so even
-// the tiny sweeps split into residue-class chunks, then re-proves equality —
-// the serial-vs-chunked traversal check at cachesim level.
+// TestRunSweepTasksForcedSharding drops the sharding threshold so even the
+// tiny sweeps split into residue-class chunks, then re-proves equality — the
+// serial-vs-chunked traversal check at cachesim level. At 1 every residue
+// group is its own execution unit; at 16 units are runs of several groups.
 func TestRunSweepTasksForcedSharding(t *testing.T) {
-	defer func(old int) { planShardMin = old; resetPlanCache() }(planShardMin)
-	planShardMin = 1
-	resetPlanCache()
+	defer func(old int) { planShardMin = old }(planShardMin)
 	tlbs := []TLBConfig{
 		{Name: "DTLB", Entries: 8, Ways: 2, PageBits: 8},
 		{Name: "STLB", Entries: 32, Ways: 4, PageBits: 8},
@@ -197,17 +195,17 @@ func TestRunSweepTasksForcedSharding(t *testing.T) {
 	for i, p := range points {
 		tasks = append(tasks, SweepTask{Point: p, Seed: int64(i) - 3})
 	}
-	for _, workers := range []int{1, 3} {
-		got, err := RunSweepTasks(TinyConfig(), tlbs, tasks, 2, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, task := range tasks {
-			want, err := RunSweepPointTLB(TinyConfig(), tlbs, task.Point, task.Seed, 2)
-			if err != nil {
-				t.Fatal(err)
+	for _, shardMin := range []int{1, 16} {
+		planShardMin = shardMin
+		for _, workers := range []int{1, 3} {
+			got := coldRun(t, TinyConfig(), tlbs, tasks, 2, workers)
+			for i, task := range tasks {
+				want, err := RunSweepPointTLB(TinyConfig(), tlbs, task.Point, task.Seed, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, fmt.Sprintf("sharded@%d/%s", shardMin, task.Point.Name()), got[i], want)
 			}
-			sameResult(t, "sharded/"+task.Point.Name(), got[i], want)
 		}
 	}
 }
@@ -223,10 +221,7 @@ func TestRunSweepTasksSPRMemPoint(t *testing.T) {
 		{Point: SweepPoint{Region: RegionL3, StrideBytes: 64, Elements: 22937}, Seed: 13},
 		{Point: SweepPoint{Region: RegionMem, StrideBytes: 128, Elements: 131072}, Seed: 14},
 	}
-	got, err := RunSweepTasks(levels, tlbs, tasks, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := coldRun(t, levels, tlbs, tasks, 1, 0)
 	for i, task := range tasks {
 		want, err := RunSweepPointTLB(levels, tlbs, task.Point, task.Seed, 1)
 		if err != nil {
@@ -256,38 +251,6 @@ func TestSkipLevels(t *testing.T) {
 		if got := skipLevels(levels, c.cfg, 6); got != c.want {
 			t.Errorf("skipLevels(n=%d stride=%d) = %d, want %d", c.cfg.Elements, c.cfg.StrideBytes, got, c.want)
 		}
-	}
-}
-
-// TestPlanCacheEviction shrinks the budget so plans evict, and checks both
-// that the cache honors the bound and that evicted plans rebuild correctly.
-func TestPlanCacheEviction(t *testing.T) {
-	defer func(old int) { PlanCacheBudget = old; resetPlanCache() }(PlanCacheBudget)
-	resetPlanCache()
-	PlanCacheBudget = 1 << 10
-	levels := TinyConfig()
-	var first *ChaseResult
-	for round := 0; round < 3; round++ {
-		for seed := int64(0); seed < 8; seed++ {
-			tasks := []SweepTask{{Point: SweepPoint{Region: RegionL2, StrideBytes: 64, Elements: 40}, Seed: seed}}
-			got, err := RunSweepTasks(levels, nil, tasks, 1, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seed == 0 && round == 0 {
-				first = got[0]
-			} else if seed == 0 {
-				sameResult(t, "rebuilt", got[0], first)
-			}
-		}
-	}
-	planCache.Lock()
-	defer planCache.Unlock()
-	if planCache.bytes > PlanCacheBudget+1024 {
-		t.Errorf("plan cache holds %d bytes, budget %d", planCache.bytes, PlanCacheBudget)
-	}
-	if len(planCache.entries) != len(planCache.order) {
-		t.Errorf("cache bookkeeping diverged: %d entries, %d order", len(planCache.entries), len(planCache.order))
 	}
 }
 

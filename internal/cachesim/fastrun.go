@@ -1,8 +1,10 @@
 package cachesim
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/perfmetrics/eventlens/internal/par"
 )
@@ -32,18 +34,22 @@ type unitCounts struct {
 	accesses     uint64
 }
 
-// execUnit names one replayable chunk: a task's cache or TLB component,
-// restricted to one residue group of its plan.
+// execUnit names one replayable chunk of a task's cache or TLB component:
+// the keys [lo, hi) of its plan, a run of whole residue groups.
 type execUnit struct {
-	task  int
-	group int
-	tlb   bool
+	task   int
+	lo, hi int32
+	tlb    bool
 }
+
+// engineRuns counts the chases the engine ran (memo misses), for tests.
+var engineRuns atomic.Int64
 
 // RunSweepTasks runs every task — warmup traversal, counter reset, passes
 // measured traversals — and returns one ChaseResult per task, bit-identical
-// to calling RunSweepPointTLB per task with the same arguments. workers
-// follows the par convention (0 = GOMAXPROCS, 1 = serial).
+// to calling RunSweepPointTLB per task with the same arguments. Results are
+// memoized per chase (plan.go), and callers get copies. workers follows the
+// par convention (0 = GOMAXPROCS, 1 = serial).
 func RunSweepTasks(cfgs []LevelConfig, tlbCfgs []TLBConfig, tasks []SweepTask, passes, workers int) ([]*ChaseResult, error) {
 	// Validate geometry once through the reference constructors so the fast
 	// path rejects exactly what the reference path rejects.
@@ -51,7 +57,6 @@ func RunSweepTasks(cfgs []LevelConfig, tlbCfgs []TLBConfig, tasks []SweepTask, p
 	if err != nil {
 		return nil, err
 	}
-	lineShift := h.lineShift
 	if len(tlbCfgs) > 0 {
 		if _, err := NewTLBHierarchy(tlbCfgs); err != nil {
 			return nil, err
@@ -61,34 +66,48 @@ func RunSweepTasks(cfgs []LevelConfig, tlbCfgs []TLBConfig, tasks []SweepTask, p
 		return nil, fmt.Errorf("cachesim: passes must be >= 1, got %d", passes)
 	}
 
-	// Phase 1: resolve every task's plan (cache-hit or build) concurrently.
-	plans := make([]*chasePlan, len(tasks))
-	err = par.ForErr(workers, len(tasks), func(i int) error {
-		p, err := planFor(cfgs, tlbCfgs, ChaseConfig{
-			Elements:    tasks[i].Point.Elements,
-			StrideBytes: tasks[i].Point.StrideBytes,
-			Seed:        tasks[i].Seed,
-		}, lineShift)
-		plans[i] = p
-		return err
-	})
-	if err != nil {
-		return nil, err
+	// Claim every task's memo entry and run the chases this call created.
+	// Settling them all before waiting on any entry means two overlapping
+	// calls never wait on each other.
+	entries := make([]*memoEntry, len(tasks))
+	var claimed []*memoEntry
+	for i, t := range tasks {
+		var created bool
+		cfg := ChaseConfig{Elements: t.Point.Elements, StrideBytes: t.Point.StrideBytes, Seed: t.Seed}
+		if entries[i], created = claimChase(cfgs, tlbCfgs, cfg, passes); created {
+			claimed = append(claimed, entries[i])
+		}
 	}
+	runChases(cfgs, tlbCfgs, h.lineShift, claimed, passes, workers)
+	results := make([]*ChaseResult, len(tasks))
+	for i, e := range entries {
+		if results[i], err = e.result(); err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
+}
+
+// runChases runs claimed chases through the planned engine and settles each
+// entry with its result or error. Plans live only for this call.
+func runChases(cfgs []LevelConfig, tlbCfgs []TLBConfig, lineShift uint, claimed []*memoEntry, passes, workers int) {
+	engineRuns.Add(int64(len(claimed)))
+	// Phase 1: build every chase's plan concurrently. A failed plan fails
+	// only its chase; a panic, contained by par, fails every chase.
+	plans := make([]*chasePlan, len(claimed))
+	errs := make([]error, len(claimed))
+	failed := par.ForErr(workers, len(claimed), func(ti int) error {
+		plans[ti], errs[ti] = buildPlan(cfgs, tlbCfgs, claimed[ti].cfg, lineShift)
+		return nil
+	})
 
 	// Phase 2: enumerate units deterministically and replay them under the
 	// worker budget. Engines recycle through pools — resetState is O(1).
 	var units []execUnit
 	for ti, p := range plans {
-		for g := 0; g+1 < len(p.cacheStarts); g++ {
-			if p.cacheStarts[g+1] > p.cacheStarts[g] {
-				units = append(units, execUnit{task: ti, group: g})
-			}
-		}
-		for g := 0; g+1 < len(p.tlbStarts); g++ {
-			if p.tlbStarts[g+1] > p.tlbStarts[g] {
-				units = append(units, execUnit{task: ti, group: g, tlb: true})
-			}
+		if p != nil {
+			units = appendUnits(units, ti, p.cacheStarts, false)
+			units = appendUnits(units, ti, p.tlbStarts, true)
 		}
 	}
 	counts := make([]unitCounts, len(units))
@@ -99,17 +118,17 @@ func RunSweepTasks(cfgs []LevelConfig, tlbCfgs []TLBConfig, tasks []SweepTask, p
 	}
 	var tlbPool sync.Pool
 	tlbPool.New = func() any { return newFastTLBSim(tlbCfgs) }
-	err = par.ForErr(workers, len(units), func(ui int) error {
+	err := par.ForErr(workers, len(units), func(ui int) error {
 		u := units[ui]
 		p := plans[u.task]
 		var keys []uint32
 		var sim *fastSim
 		if u.tlb {
-			keys = p.tlbKeys[p.tlbStarts[u.group]:p.tlbStarts[u.group+1]]
+			keys = p.tlbKeys[u.lo:u.hi]
 			sim = tlbPool.Get().(*fastSim)
 			defer tlbPool.Put(sim)
 		} else {
-			keys = p.cacheKeys[p.cacheStarts[u.group]:p.cacheStarts[u.group+1]]
+			keys = p.cacheKeys[u.lo:u.hi]
 			sim = cachePools[p.firstSim].Get().(*fastSim)
 			defer cachePools[p.firstSim].Put(sim)
 		}
@@ -129,17 +148,18 @@ func RunSweepTasks(cfgs []LevelConfig, tlbCfgs []TLBConfig, tasks []SweepTask, p
 		c.bottom, c.accesses = sim.bottom, sim.accesses
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
+	failed = cmp.Or(failed, err)
 
-	// Phase 3: reduce per task in fixed order. Counter totals are exact
+	// Phase 3: reduce per chase in fixed order. Counter totals are exact
 	// uint64 sums over disjoint residue classes, and skipped levels follow
 	// the all-miss arithmetic, so the float divisions below see the same
 	// integer operands the reference produced.
-	results := make([]*ChaseResult, len(tasks))
 	unitIdx := 0
 	for ti, p := range plans {
+		if err := cmp.Or(errs[ti], failed); err != nil {
+			claimed[ti].settle(nil, err)
+			continue
+		}
 		nl := len(cfgs)
 		hits := make([]uint64, nl)
 		misses := make([]uint64, nl)
@@ -173,8 +193,9 @@ func RunSweepTasks(cfgs []LevelConfig, tlbCfgs []TLBConfig, tasks []SweepTask, p
 			mem, cacheAcc = n, n
 		}
 		if cacheAcc != n || (len(tlbCfgs) > 0 && tlbAcc != n) {
-			return nil, fmt.Errorf("cachesim: internal: sharded access count %d/%d != %d for %s",
-				cacheAcc, tlbAcc, n, tasks[ti].Point.Name())
+			claimed[ti].settle(nil, fmt.Errorf("cachesim: internal: sharded access count %d/%d != %d for chase %+v",
+				cacheAcc, tlbAcc, n, p.cfg))
+			continue
 		}
 		res := &ChaseResult{Config: p.cfg, Accesses: n}
 		nf := float64(n)
@@ -189,7 +210,26 @@ func RunSweepTasks(cfgs []LevelConfig, tlbCfgs []TLBConfig, tasks []SweepTask, p
 			}
 			res.WalkRate = float64(walks) / nf
 		}
-		results[ti] = res
+		claimed[ti].settle(res, nil)
 	}
-	return results, nil
+}
+
+// appendUnits splits one component's residue groups (starts, see chasePlan)
+// into execution units: runs of consecutive groups holding at least
+// planShardMin keys together, so a chase sharded into thousands of tiny
+// groups does not pay a hand-off per group. Groups touch disjoint sets, so
+// replaying several back to back counts exactly what replaying each alone
+// does.
+func appendUnits(units []execUnit, task int, starts []int32, tlb bool) []execUnit {
+	for g := 0; g+1 < len(starts); {
+		end := g + 1
+		for end+1 < len(starts) && int(starts[end]-starts[g]) < planShardMin {
+			end++
+		}
+		if starts[end] > starts[g] {
+			units = append(units, execUnit{task: task, lo: starts[g], hi: starts[end], tlb: tlb})
+		}
+		g = end
+	}
+	return units
 }

@@ -8,11 +8,10 @@ import (
 )
 
 // plan.go builds per-sweep-point execution plans for the optimized
-// collection path (fastrun.go). A plan is derived once per distinct
-// (geometry, elements, stride, base, seed) tuple and cached, so chain
-// permutations are shared wherever seeds coincide — across repeated Runs
-// and across the serving tier's batched collections. Three exact analyses
-// make the plans fast to execute:
+// collection path (fastrun.go), and memoizes the results they produce. A
+// plan is built for one chase, replayed, and dropped; the memo at the end of
+// this file keeps only the chase's result. Three exact analyses make the
+// plans fast to execute:
 //
 //  1. Level skipping. For a chase whose stride covers at least one full
 //     line, consecutive elements touch strictly increasing — hence
@@ -61,13 +60,11 @@ type chasePlan struct {
 	// TLB model.
 	tlbKeys   []uint32
 	tlbStarts []int32
-	// bytes approximates the plan's retained size for cache accounting.
-	bytes int
 }
 
-// planShardMin is the element count below which residue sharding is skipped:
-// tiny chases cost more to chunk than to replay whole. Tests lower it to
-// force sharding on small inputs.
+// planShardMin is the element count below which residue sharding is skipped
+// and the fewest keys an execution unit replays (appendUnits): smaller chunks
+// cost more to hand out than to replay. Tests lower it to force sharding.
 var planShardMin = 1 << 12
 
 // maxPlanElements bounds chases the plan path accepts: keys are stored as
@@ -162,17 +159,7 @@ func gcd(a, b uint64) uint64 {
 // set count is exact for the whole tail: it requires the leading set count
 // to divide every lower level's, so residue classes map to disjoint sets
 // everywhere.
-func shardableCache(cfgs []LevelConfig) bool {
-	s0 := cfgs[0].Sets()
-	for _, cfg := range cfgs[1:] {
-		if cfg.Sets()%s0 != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func shardableTLB(cfgs []TLBConfig) bool {
+func shardable[C interface{ Sets() int }](cfgs []C) bool {
 	s0 := cfgs[0].Sets()
 	for _, cfg := range cfgs[1:] {
 		if cfg.Sets()%s0 != 0 {
@@ -194,6 +181,18 @@ func groupStarts(counts []int32) (starts, cursors []int32) {
 	return starts, cursors
 }
 
+// residue returns key's group: key mod mod, through mask when mod is a
+// power of two, and 0 when the component is not sharded (mod == 0).
+func residue(key, mask, mod uint64) int {
+	switch {
+	case mask != 0:
+		return int(key & mask)
+	case mod != 0:
+		return int(key % mod)
+	}
+	return 0
+}
+
 // buildPlan materializes the execution plan for one chase under the given
 // (validated) geometries. tlbCfgs may be empty.
 func buildPlan(cfgs []LevelConfig, tlbCfgs []TLBConfig, cfg ChaseConfig, lineShift uint) (*chasePlan, error) {
@@ -210,7 +209,7 @@ func buildPlan(cfgs []LevelConfig, tlbCfgs []TLBConfig, cfg ChaseConfig, lineShi
 	var cacheMod, tlbMod uint64
 	if p.firstSim < len(cfgs) {
 		cacheGroups = 1
-		if n >= planShardMin && shardableCache(cfgs[p.firstSim:]) {
+		if n >= planShardMin && shardable(cfgs[p.firstSim:]) {
 			cacheGroups = cfgs[p.firstSim].Sets()
 			cacheMod = uint64(cacheGroups)
 		}
@@ -219,13 +218,12 @@ func buildPlan(cfgs []LevelConfig, tlbCfgs []TLBConfig, cfg ChaseConfig, lineShi
 	if len(tlbCfgs) > 0 {
 		pageBits = tlbCfgs[0].PageBits
 		tlbGroups = 1
-		if n >= planShardMin && shardableTLB(tlbCfgs) {
+		if n >= planShardMin && shardable(tlbCfgs) {
 			tlbGroups = tlbCfgs[0].Sets()
 			tlbMod = uint64(tlbGroups)
 		}
 	}
 	if cacheGroups == 0 && tlbGroups == 0 {
-		p.bytes = 64
 		return p, nil
 	}
 
@@ -261,20 +259,10 @@ func buildPlan(cfgs []LevelConfig, tlbCfgs []TLBConfig, cfg ChaseConfig, lineShi
 	for i := 0; i < n; i++ {
 		addr := cfg.Base + uint64(i)*stride
 		if cacheMod != 0 {
-			line := addr >> lineShift
-			if cacheMask != 0 {
-				cacheCounts[line&cacheMask]++
-			} else {
-				cacheCounts[line%cacheMod]++
-			}
+			cacheCounts[residue(addr>>lineShift, cacheMask, cacheMod)]++
 		}
 		if tlbMod != 0 {
-			vpn := addr >> pageBits
-			if tlbMask != 0 {
-				tlbCounts[vpn&tlbMask]++
-			} else {
-				tlbCounts[vpn%tlbMod]++
-			}
+			tlbCounts[residue(addr>>pageBits, tlbMask, tlbMod)]++
 		}
 	}
 	if cacheGroups == 1 {
@@ -297,59 +285,52 @@ func buildPlan(cfgs []LevelConfig, tlbCfgs []TLBConfig, cfg ChaseConfig, lineShi
 		addr := cfg.Base + uint64(cur)*stride
 		if cacheGroups > 0 {
 			line := addr >> lineShift
-			g := 0
-			switch {
-			case cacheMask != 0:
-				g = int(line & cacheMask)
-			case cacheMod != 0:
-				g = int(line % cacheMod)
-			}
+			g := residue(line, cacheMask, cacheMod)
 			p.cacheKeys[cacheCur[g]] = uint32(line)
 			cacheCur[g]++
 		}
 		if tlbGroups > 0 {
 			vpn := addr >> pageBits
-			g := 0
-			switch {
-			case tlbMask != 0:
-				g = int(vpn & tlbMask)
-			case tlbMod != 0:
-				g = int(vpn % tlbMod)
-			}
+			g := residue(vpn, tlbMask, tlbMod)
 			p.tlbKeys[tlbCur[g]] = uint32(vpn)
 			tlbCur[g]++
 		}
 		cur = next[cur]
 	}
-	p.bytes = 64 + 4*(len(p.cacheKeys)+len(p.tlbKeys)) + 4*(len(p.cacheStarts)+len(p.tlbStarts))
 	return p, nil
 }
 
-// PlanCacheBudget bounds the bytes the chase-plan cache retains; least
-// recently used plans are dropped past it. Plans are pure functions of
-// their key, so eviction can never change results — only rebuild cost.
-var PlanCacheBudget = 96 << 20
+// chaseMemoEntries bounds the results the chase memo retains: a few hundred
+// bytes each; the shipped dcache sweep at four threads fills 64.
+const chaseMemoEntries = 4096
 
-// planCache shares built plans across goroutines and Runs. Entries build
-// under a per-entry once so concurrent misses on distinct keys build in
-// parallel while duplicate misses coalesce.
-var planCache = struct {
+// chaseMemo maps a chase's identity to its result. Results are pure
+// functions of their key, so eviction — first in, first out over a fixed
+// ring — changes only cost, never bytes. Plans are not kept: every
+// (thread, point) has its own chain seed, so a plan is never replayed twice
+// within a collection, and a later collection needs only the result.
+var chaseMemo = struct {
 	sync.Mutex
-	entries map[string]*planEntry
-	order   []string // LRU order, least recent first
-	bytes   int
-}{entries: map[string]*planEntry{}}
+	entries map[string]*memoEntry
+	ring    [chaseMemoEntries]*memoEntry
+	next    int
+}{entries: map[string]*memoEntry{}}
 
-type planEntry struct {
-	once sync.Once
-	plan *chasePlan
+// memoEntry is one chase's memo slot. The call that created it runs the
+// chase and settles the entry; concurrent calls for the same key wait on
+// done, so duplicate misses coalesce.
+type memoEntry struct {
+	key  string
+	cfg  ChaseConfig
+	done chan struct{}
+	res  *ChaseResult
 	err  error
 }
 
-// planKey renders the canonical identity of a plan: full geometry plus the
-// chase tuple. Passes are excluded — plans describe the traversal, not how
-// often it runs.
-func planKey(cfgs []LevelConfig, tlbCfgs []TLBConfig, cfg ChaseConfig) string {
+// claimChase returns the memo entry for a chase, and whether the caller
+// created it and so must run the chase and settle the entry. The key is the
+// full geometry, the chase tuple and the measured pass count.
+func claimChase(cfgs []LevelConfig, tlbCfgs []TLBConfig, cfg ChaseConfig, passes int) (*memoEntry, bool) {
 	var b strings.Builder
 	for _, c := range cfgs {
 		fmt.Fprintf(&b, "%d/%d/%d;", c.Size, c.Ways, c.LineSize)
@@ -358,72 +339,48 @@ func planKey(cfgs []LevelConfig, tlbCfgs []TLBConfig, cfg ChaseConfig) string {
 	for _, c := range tlbCfgs {
 		fmt.Fprintf(&b, "%d/%d/%d;", c.Entries, c.Ways, c.PageBits)
 	}
-	fmt.Fprintf(&b, "|n=%d,s=%d,b=%d,seed=%d", cfg.Elements, cfg.StrideBytes, cfg.Base, cfg.Seed)
-	return b.String()
+	fmt.Fprintf(&b, "|n=%d,s=%d,b=%d,seed=%d,passes=%d", cfg.Elements, cfg.StrideBytes, cfg.Base, cfg.Seed, passes)
+	key := b.String()
+	chaseMemo.Lock()
+	defer chaseMemo.Unlock()
+	if e := chaseMemo.entries[key]; e != nil {
+		return e, false
+	}
+	e := &memoEntry{key: key, cfg: cfg, done: make(chan struct{})}
+	if old := chaseMemo.ring[chaseMemo.next]; old != nil && chaseMemo.entries[old.key] == old {
+		delete(chaseMemo.entries, old.key)
+	}
+	chaseMemo.entries[key] = e
+	chaseMemo.ring[chaseMemo.next] = e
+	chaseMemo.next = (chaseMemo.next + 1) % chaseMemoEntries
+	return e, true
 }
 
-// planFor returns the cached plan for the chase, building it on first use.
-func planFor(cfgs []LevelConfig, tlbCfgs []TLBConfig, cfg ChaseConfig, lineShift uint) (*chasePlan, error) {
-	key := planKey(cfgs, tlbCfgs, cfg)
-	planCache.Lock()
-	e, ok := planCache.entries[key]
-	if ok {
-		// Refresh LRU position.
-		for i, k := range planCache.order {
-			if k == key {
-				planCache.order = append(append(planCache.order[:i:i], planCache.order[i+1:]...), key)
-				break
-			}
+// settle publishes the outcome of a claimed chase. A failed entry leaves the
+// memo first, so only calls already waiting on it see the error and the
+// next call runs the chase again.
+func (e *memoEntry) settle(res *ChaseResult, err error) {
+	if err != nil {
+		chaseMemo.Lock()
+		if chaseMemo.entries[e.key] == e {
+			delete(chaseMemo.entries, e.key)
 		}
-	} else {
-		e = &planEntry{}
-		planCache.entries[key] = e
-		planCache.order = append(planCache.order, key)
+		chaseMemo.Unlock()
 	}
-	planCache.Unlock()
-	e.once.Do(func() {
-		e.plan, e.err = buildPlan(cfgs, tlbCfgs, cfg, lineShift)
-		if e.err != nil {
-			return
-		}
-		planCache.Lock()
-		planCache.bytes += e.plan.bytes
-		for planCache.bytes > PlanCacheBudget && len(planCache.order) > 1 {
-			// Evict the least recent *built* plan; in-flight entries stay (their
-			// bytes are accounted only once built).
-			oldest := ""
-			for _, k := range planCache.order {
-				if old := planCache.entries[k]; k != key && old != nil && old.plan != nil {
-					oldest = k
-					break
-				}
-			}
-			if oldest == "" {
-				break
-			}
-			planCache.bytes -= planCache.entries[oldest].plan.bytes
-			delete(planCache.entries, oldest)
-			for i, k := range planCache.order {
-				if k == oldest {
-					planCache.order = append(planCache.order[:i], planCache.order[i+1:]...)
-					break
-				}
-			}
-		}
-		planCache.Unlock()
-	})
+	e.res, e.err = res, err
+	close(e.done)
+}
+
+// result waits for the entry to settle and returns a copy of its result, so
+// no caller can change what the memo serves next.
+func (e *memoEntry) result() (*ChaseResult, error) {
+	<-e.done
 	if e.err != nil {
 		return nil, e.err
 	}
-	return e.plan, nil
-}
-
-// resetPlanCache empties the plan cache; tests use it to exercise cold
-// builds and eviction deterministically.
-func resetPlanCache() {
-	planCache.Lock()
-	planCache.entries = map[string]*planEntry{}
-	planCache.order = nil
-	planCache.bytes = 0
-	planCache.Unlock()
+	r := *e.res
+	r.HitRate = append([]float64(nil), r.HitRate...)
+	r.MissRate = append([]float64(nil), r.MissRate...)
+	r.TLBMissRate = append([]float64(nil), r.TLBMissRate...)
+	return &r, nil
 }

@@ -3,6 +3,7 @@ package cat
 import (
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"github.com/perfmetrics/eventlens/internal/cachesim"
@@ -40,37 +41,53 @@ func statsBits(stats []machine.Stats) []map[string]uint64 {
 	return out
 }
 
+// referenceGroundTruthAll is referenceGroundTruth for every thread.
+func referenceGroundTruthAll(t *testing.T, b *DCache, threads int) [][]machine.Stats {
+	t.Helper()
+	ref := make([][]machine.Stats, threads)
+	for thread := range ref {
+		stats, err := referenceGroundTruth(b, int64(thread))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref[thread] = stats
+	}
+	return ref
+}
+
+// workerSeeds hands every DCache a worker-count comparison builds a seed no
+// earlier collection in the process has used — across tests and -count
+// iterations alike — so no worker count reads memoized chase results and
+// every one runs the engine. Seeds are spaced wider than one collection's
+// chain seeds (Seed + thread*7919 + point) and start above every fixed seed
+// the package's tests use.
+var workerSeeds atomic.Int64
+
+func workerSeed() int64 { return workerSeeds.Add(1) << 20 }
+
 // TestDCacheWorkersBitIdentical proves Collect's measurement set equals the
 // one measured over the reference ground truth for every worker count,
 // Workers=1 included — with and without TLB modelling, and with sharding
-// forced onto the tiny footprints.
+// forced onto the tiny footprints. Each worker count has its own seed and
+// its own reference.
 func TestDCacheWorkersBitIdentical(t *testing.T) {
 	p := sprPlatform(t)
 	const threads = 4
 	for _, withTLB := range []bool{false, true} {
-		b := testDCache()
-		if withTLB {
-			b.TLBs = []cachesim.TLBConfig{
-				{Name: "DTLB", Entries: 8, Ways: 2, PageBits: 8},
-				{Name: "STLB", Entries: 32, Ways: 4, PageBits: 8},
+		for _, workers := range []int{1, 0, 2, 8} {
+			b := testDCache()
+			b.Seed = workerSeed()
+			if withTLB {
+				b.TLBs = []cachesim.TLBConfig{
+					{Name: "DTLB", Entries: 8, Ways: 2, PageBits: 8},
+					{Name: "STLB", Entries: 32, Ways: 4, PageBits: 8},
+				}
 			}
-		}
-		refStats := make([][]machine.Stats, threads)
-		for thread := range refStats {
-			stats, err := referenceGroundTruth(b, int64(thread))
+			ref, err := Measure("dcache", p, b.PointNames(), referenceGroundTruthAll(t, b, threads), RunConfig{Reps: 3, Threads: threads, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			refStats[thread] = stats
-		}
-		ref, err := Measure("dcache", p, b.PointNames(), refStats, RunConfig{Reps: 3, Threads: threads, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 0, 2, 8} {
-			b2 := testDCache()
-			b2.TLBs = b.TLBs
-			got, err := Collect("dcache", b2, p, RunConfig{Reps: 3, Threads: threads, Workers: workers})
+			got, err := Collect("dcache", b, p, RunConfig{Reps: 3, Threads: threads, Workers: workers})
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -83,23 +100,17 @@ func TestDCacheWorkersBitIdentical(t *testing.T) {
 
 // TestDCacheGroundTruthMatchesFast compares the reference ground truth with
 // DCache.GroundTruth directly, bit for bit, per thread and point, at every
-// worker count.
+// worker count, each with its own seed and reference.
 func TestDCacheGroundTruthMatchesFast(t *testing.T) {
-	b := testDCache()
-	b.TLBs = []cachesim.TLBConfig{
-		{Name: "DTLB", Entries: 8, Ways: 2, PageBits: 8},
-		{Name: "STLB", Entries: 32, Ways: 4, PageBits: 8},
-	}
 	const threads = 3
-	ref := make([][]machine.Stats, threads)
-	for thread := range ref {
-		stats, err := referenceGroundTruth(b, int64(thread))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref[thread] = stats
-	}
 	for _, workers := range []int{1, 2, 8, 0} {
+		b := testDCache()
+		b.Seed = workerSeed()
+		b.TLBs = []cachesim.TLBConfig{
+			{Name: "DTLB", Entries: 8, Ways: 2, PageBits: 8},
+			{Name: "STLB", Entries: 32, Ways: 4, PageBits: 8},
+		}
+		ref := referenceGroundTruthAll(t, b, threads)
 		fast, err := b.GroundTruth(RunConfig{Reps: 1, Threads: threads, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

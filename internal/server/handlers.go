@@ -748,12 +748,13 @@ func (s *Server) explainEndpoint(req explainRequest) (endpoint, error) {
 				}
 				names = []string{event}
 			}
+			explanations, err := core.ExplainKept(basis, a.res.Noise, cfg.Alpha, cfg.ProjectionTol)
+			if err != nil {
+				return nil, err
+			}
 			resp := explainResponse{Benchmark: bench.Name, Basis: basis.Names}
 			for _, name := range names {
-				e, err := core.ExplainEvent(basis, name, a.res.Noise.Kept[name], cfg.Alpha, cfg.ProjectionTol)
-				if err != nil {
-					return nil, err
-				}
+				e := explanations[name]
 				ej := explanationJSON{
 					Event:       e.Event,
 					RelResidual: e.RelResidual,

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -297,6 +298,44 @@ func TestExplainEvents(t *testing.T) {
 		t.Fatalf("single event: %d %s", w.Code, w.Body)
 	}
 	decodeEnvelope(t, postJSON(t, h, "/v1/events/explain", `{"benchmark":"branch","event":"NO_SUCH_EVENT"}`), http.StatusNotFound)
+}
+
+// TestExplainAllMatchesPerEvent pins the "all" body to the per-event
+// requests: it lists the same explanations, in the analysis's KeptOrder.
+func TestExplainAllMatchesPerEvent(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	explain := func(body string) explainResponse {
+		t.Helper()
+		w := postJSON(t, h, "/v1/events/explain", body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", body, w.Code, w.Body)
+		}
+		var resp explainResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	all := explain(`{"benchmark":"branch"}`)
+	bench, run, cfg, err := s.resolve(analyzeRequest{Benchmark: "branch"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.analyze(context.Background(), bench, run, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := a.res.Noise.KeptOrder
+	if len(kept) == 0 || len(all.Explanations) != len(kept) {
+		t.Fatalf("all lists %d explanations, %d events kept", len(all.Explanations), len(kept))
+	}
+	for i, event := range kept {
+		one := explain(fmt.Sprintf(`{"benchmark":"branch","event":%q}`, event))
+		if len(one.Explanations) != 1 || !reflect.DeepEqual(one.Explanations[0], all.Explanations[i]) {
+			t.Fatalf("explanation %d (%s): all lists %+v, the per-event request %+v", i, event, all.Explanations[i], one.Explanations)
+		}
+	}
 }
 
 func TestPresetsEndpoint(t *testing.T) {
