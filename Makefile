@@ -112,6 +112,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEvalPostfix$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundToGrid$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxRNMSE$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzNoiseProfile$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCluster$$' -fuzztime $(FUZZTIME) ./internal/similarity
 	$(GO) test -run '^$$' -fuzz '^FuzzPlatDef$$' -fuzztime $(FUZZTIME) ./internal/platdef
 	$(GO) test -run '^$$' -fuzz '^FuzzLadderRequest$$' -fuzztime $(FUZZTIME) ./internal/server

@@ -125,17 +125,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if err := set.Validate(); err != nil {
+		return err
+	}
+	// One noise pass serves both the tau suggestion and the analysis.
+	prof := core.ProfileNoise(set, cfg.Workers)
 	if *autoTau {
-		// Run a preliminary noise pass and pick tau from the widest gap in
-		// the variability spectrum.
-		pre := core.FilterNoise(set, cfg.Tau)
-		s := core.SuggestTau(pre.Variabilities)
+		// Pick tau from the widest gap in the variability spectrum, which
+		// does not depend on tau.
+		s := core.SuggestTau(prof.Threshold(cfg.Tau).Variabilities)
 		fmt.Fprintf(stdout, "auto tau: %.3e (gap of %.1f decades, %d events below, %d above)\n",
 			s.Tau, s.GapDecades, s.Below, s.Above)
 		cfg.Tau = s.Tau
 	}
 	pipe := &core.Pipeline{Basis: basis, Config: cfg}
-	res, err := pipe.Analyze(set)
+	res, err := pipe.AnalyzeProfile(context.Background(), prof)
 	if err != nil {
 		return err
 	}

@@ -36,6 +36,21 @@ func TestGoldenBranchExtras(t *testing.T) {
 	goldie.Assert(t, "branch-presets-ratios", []byte(out))
 }
 
+// TestGoldenAutoTau pins -autotau: the suggestion line, then the analysis at
+// the suggested tau. dcache's spectrum has no decade-wide gap, so its
+// suggestion falls back to 1e-10, which keeps no representable event; the
+// golden records that error after the suggestion line.
+func TestGoldenAutoTau(t *testing.T) {
+	for _, bench := range []string{"branch", "dcache"} {
+		var stdout, stderr bytes.Buffer
+		out := ""
+		if err := run([]string{"-bench", bench, "-autotau"}, &stdout, &stderr); err != nil {
+			out = "error: " + err.Error() + "\n"
+		}
+		goldie.Assert(t, bench+"-autotau", []byte(stdout.String()+out))
+	}
+}
+
 func TestFlagSmoke(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"-h"}, &stdout, &stderr); !errors.Is(err, flag.ErrHelp) {

@@ -67,7 +67,9 @@ type NoiseReport struct {
 	// Filtered lists events rejected for exceeding the noise threshold.
 	Filtered []string
 	// Kept maps each surviving event to its average measurement vector
-	// (the mean over repetitions of the median over threads).
+	// (the mean over repetitions of the median over threads). The vectors
+	// are read-only: a report cut from a NoiseProfile shares them with the
+	// profile and with every other report cut from it.
 	Kept map[string][]float64
 	// KeptOrder lists surviving events in measurement order.
 	KeptOrder []string

@@ -96,17 +96,36 @@ func (p *Pipeline) AnalyzeContext(ctx context.Context, set *MeasurementSet) (*Re
 	if err := set.Validate(); err != nil {
 		return nil, err
 	}
+	return p.analyze(ctx, set.Benchmark, set.Dropped, func() *NoiseReport {
+		return FilterNoiseWithWorkers(set, p.Config.Tau, MaxRNMSE, p.Config.Workers)
+	})
+}
+
+// AnalyzeProfile is AnalyzeContext over a validated set's noise profile:
+// the noise stage is the profile cut at the configured tau, and every later
+// stage is AnalyzeContext's. The result equals AnalyzeContext's on the
+// profiled set; its noise report shares the profile's read-only vectors.
+func (p *Pipeline) AnalyzeProfile(ctx context.Context, prof *NoiseProfile) (*Result, error) {
+	return p.analyze(ctx, prof.Benchmark, prof.Dropped, func() *NoiseReport {
+		return prof.Threshold(p.Config.Tau)
+	})
+}
+
+// analyze runs the stages of one analysis of benchmark's data, taking the
+// noise report from noise once the basis has passed its rank check.
+// dropped lists the events collection abandoned.
+func (p *Pipeline) analyze(ctx context.Context, benchmark string, dropped []string, noise func() *NoiseReport) (*Result, error) {
 	if err := p.Basis.CheckFullRank(); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	noise := FilterNoiseWithWorkers(set, p.Config.Tau, MaxRNMSE, p.Config.Workers)
+	report := noise()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	proj, err := BuildXWorkers(p.Basis, noise.Kept, noise.KeptOrder, p.Config.ProjectionTol, p.Config.Workers)
+	proj, err := BuildXWorkers(p.Basis, report.Kept, report.KeptOrder, p.Config.ProjectionTol, p.Config.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -114,13 +133,13 @@ func (p *Pipeline) AnalyzeContext(ctx context.Context, set *MeasurementSet) (*Re
 		return nil, err
 	}
 	if len(proj.Order) == 0 {
-		return nil, fmt.Errorf("core: no events representable in the %s basis survived filtering", set.Benchmark)
+		return nil, fmt.Errorf("core: no events representable in the %s basis survived filtering", benchmark)
 	}
 	qr := SpecializedQRCP(proj.X, p.Config.Alpha)
 	if qr.Rank == 0 {
-		return nil, fmt.Errorf("core: specialized QRCP selected no events for %s", set.Benchmark)
+		return nil, fmt.Errorf("core: specialized QRCP selected no events for %s", benchmark)
 	}
-	res := &Result{Noise: noise, Projection: proj, QR: qr, Unmeasured: set.Dropped}
+	res := &Result{Noise: report, Projection: proj, QR: qr, Unmeasured: dropped}
 	for _, idx := range qr.Selected() {
 		res.SelectedEvents = append(res.SelectedEvents, proj.Order[idx])
 	}

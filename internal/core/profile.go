@@ -1,0 +1,48 @@
+package core
+
+import "math"
+
+// NoiseProfile is a measurement set reduced to everything the noise stage
+// computes before it cuts at tau (Section IV): per event, in measurement
+// order, whether every reading is zero, the event's max-RNMSE (a
+// non-finite one as +Inf), and — for non-zero, all-finite events — its mean
+// vector. That reduction is the same for every tau, so a server keeps one
+// profile per measurement key instead of the raw set and thresholds it per
+// analysis configuration with no float work. A profile is immutable: the
+// reports Threshold returns share its mean vectors, which nobody may modify.
+type NoiseProfile struct {
+	// Benchmark, Platform, PointNames, Order and Dropped are the profiled
+	// set's fields of the same names.
+	Benchmark  string
+	Platform   string
+	PointNames []string
+	Order      []string
+	Dropped    []string
+	// verdicts holds each Order entry's verdict, judged at tau = +Inf: it
+	// is kept exactly when every reading is finite.
+	verdicts []noiseVerdict
+}
+
+// ProfileNoise reduces a measurement set to its noise profile, measuring
+// events in parallel with the given worker count (<= 0 means GOMAXPROCS, 1
+// is serial); the profile is identical for every worker count. It shares
+// the set's name slices but none of its readings, so the set can be dropped
+// once profiled.
+func ProfileNoise(set *MeasurementSet, workers int) *NoiseProfile {
+	return &NoiseProfile{
+		Benchmark:  set.Benchmark,
+		Platform:   set.Platform,
+		PointNames: set.PointNames,
+		Order:      set.Order,
+		Dropped:    set.Dropped,
+		verdicts:   judgeSet(set, math.Inf(1), MaxRNMSE, workers),
+	}
+}
+
+// Threshold cuts the profile at tau. The report equals
+// FilterNoiseWithWorkers(set, tau, MaxRNMSE, w) on the profiled set for any
+// worker count w; its Kept vectors are the profile's own, shared and
+// read-only.
+func (p *NoiseProfile) Threshold(tau float64) *NoiseReport {
+	return newNoiseReport(p.Order, p.verdicts, tau)
+}

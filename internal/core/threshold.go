@@ -115,18 +115,21 @@ func FilterNoiseWith(set *MeasurementSet, tau float64, measure NoiseMeasure) *No
 }
 
 // noiseVerdict is one event's outcome, computed independently of every other
-// event's so the catalog dimension can fan out across workers.
+// event's so the catalog dimension can fan out across workers. The two
+// flags share one word: a NoiseProfile holds a verdict per event.
 type noiseVerdict struct {
 	allZero bool
-	noise   float64
 	keep    bool
+	noise   float64
 	mean    []float64
 }
 
 // judgeNoise is the per-event noise rule every filter applies: an all-zero
 // event is discarded; otherwise its measure is reported (a non-finite
 // measure as +Inf), and the event is kept — reduced to its mean vector —
-// only if the measure is <= tau and every reading is finite.
+// only if the measure is <= tau and every reading is finite. Judged at
+// tau = +Inf, the verdict keeps every all-finite event and so holds
+// everything a cut at a lower tau needs (see keptAt).
 func judgeNoise(vectors [][]float64, tau float64, measure NoiseMeasure) noiseVerdict {
 	allZero := true
 	for _, v := range vectors {
@@ -149,14 +152,48 @@ func judgeNoise(vectors [][]float64, tau float64, measure NoiseMeasure) noiseVer
 	return d
 }
 
-// record appends one event's verdict to the report.
+// judgeSet judges every event of a set at tau, concurrently on the given
+// worker count (<= 0 means GOMAXPROCS, 1 is serial); the verdicts are in
+// measurement order and identical for every worker count.
+func judgeSet(set *MeasurementSet, tau float64, measure NoiseMeasure, workers int) []noiseVerdict {
+	verdicts := make([]noiseVerdict, len(set.Order))
+	par.For(workers, len(set.Order), func(i int) {
+		verdicts[i] = judgeNoise(set.RepVectors(set.Order[i]), tau, measure)
+	})
+	return verdicts
+}
+
+// keptAt reports whether a verdict judged at tau or at any higher threshold
+// keeps its event at tau.
+func (d noiseVerdict) keptAt(tau float64) bool {
+	return d.keep && d.noise <= tau
+}
+
+// newNoiseReport assembles the report at tau from verdicts judged at tau or
+// at any higher threshold, in order.
+func newNoiseReport(order []string, verdicts []noiseVerdict, tau float64) *NoiseReport {
+	kept := 0
+	for _, d := range verdicts {
+		if d.keptAt(tau) {
+			kept++
+		}
+	}
+	report := &NoiseReport{Kept: make(map[string][]float64, kept), Tau: tau}
+	for i, event := range order {
+		report.record(event, verdicts[i])
+	}
+	return report
+}
+
+// record appends one event's verdict to the report, cut at the report's
+// tau.
 func (r *NoiseReport) record(event string, d noiseVerdict) {
 	if d.allZero {
 		r.Discarded = append(r.Discarded, event)
 		return
 	}
 	r.Variabilities = append(r.Variabilities, EventVariability{Event: event, MaxRNMSE: d.noise})
-	if !d.keep {
+	if !d.keptAt(r.Tau) {
 		r.Filtered = append(r.Filtered, event)
 		return
 	}
@@ -168,17 +205,11 @@ func (r *NoiseReport) record(event string, d noiseVerdict) {
 // (<= 0 means GOMAXPROCS, 1 is serial). Each event's repetition reduction,
 // noise measure and averaging are independent, so the per-event verdicts are
 // computed concurrently and the report is assembled in measurement order
-// afterwards — the result is byte-identical for every worker count.
+// afterwards — the result is byte-identical for every worker count. It
+// averages only the events it keeps; ProfileNoise averages every all-finite
+// event once, for all thresholds.
 func FilterNoiseWithWorkers(set *MeasurementSet, tau float64, measure NoiseMeasure, workers int) *NoiseReport {
-	verdicts := make([]noiseVerdict, len(set.Order))
-	par.For(workers, len(set.Order), func(i int) {
-		verdicts[i] = judgeNoise(set.RepVectors(set.Order[i]), tau, measure)
-	})
-	report := &NoiseReport{Kept: make(map[string][]float64), Tau: tau}
-	for i, event := range set.Order {
-		report.record(event, verdicts[i])
-	}
-	return report
+	return newNoiseReport(set.Order, judgeSet(set, tau, measure, workers), tau)
 }
 
 // TauSuggestion is the outcome of automatic threshold selection.

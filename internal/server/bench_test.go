@@ -1,9 +1,9 @@
 package server
 
 // Service-layer latency baselines for future perf PRs: the cached path
-// measures HTTP + JSON + cache lookup overhead; the uncached path adds a
-// full pipeline execution per request (each iteration uses a distinct tau
-// so every request misses).
+// measures HTTP + JSON + cache lookup overhead; the uncached path adds an
+// analysis run per request (each iteration uses a distinct tau so every
+// request misses).
 
 import (
 	"fmt"
@@ -58,7 +58,10 @@ func BenchmarkAnalyzeCached(b *testing.B) {
 func BenchmarkAnalyzeUncached(b *testing.B) {
 	// Unbounded cache so eviction cost is not measured; every iteration
 	// varies tau (numerically irrelevant for this benchmark's noise floor)
-	// to force a distinct cache key and hence a full pipeline run.
+	// to force a distinct cache key and hence an analysis run. The run
+	// cuts the measurement key's cached noise profile at its tau, so
+	// varying tau no longer forces a noise pass: the iterations time the
+	// cut, projection, QRCP, definitions and response rendering.
 	h := benchServer(b, 1<<30)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -12,7 +12,8 @@ import (
 // flightCache is an LRU cache with singleflight semantics. It backs the
 // result cache (canonical response bytes of every cached endpoint), the
 // analysis cache those endpoints' computes share, and the measurement-set
-// cache that batches collection. Every producer is
+// cache that batches collection (it holds each set's noise profile, not the
+// set). Every producer is
 // deterministic — the same canonical key always produces the same value —
 // so cache hits are exact and concurrent identical requests can safely share
 // one execution.

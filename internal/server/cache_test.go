@@ -69,19 +69,19 @@ func TestFlightJoinerOutlivesLeaderCancel(t *testing.T) {
 
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, err := s.measurementSet(leaderCtx, bench, run)
+		_, err := s.noiseProfile(leaderCtx, bench, run)
 		leaderErr <- err
 	}()
 	<-stall.leading
 	joiner := &parkCtx{Context: context.Background(), parked: make(chan struct{})}
 	type outcome struct {
-		set *core.MeasurementSet
-		err error
+		prof *core.NoiseProfile
+		err  error
 	}
 	joined := make(chan outcome, 1)
 	go func() {
-		set, err := s.measurementSet(joiner, bench, run)
-		joined <- outcome{set, err}
+		prof, err := s.noiseProfile(joiner, bench, run)
+		joined <- outcome{prof, err}
 	}()
 	<-joiner.parked
 	cancel()
@@ -90,8 +90,8 @@ func TestFlightJoinerOutlivesLeaderCancel(t *testing.T) {
 		t.Fatalf("leader: err = %v, want context.Canceled", err)
 	}
 	got := <-joined
-	if got.err != nil || got.set == nil || got.set.Benchmark != "stub" || len(got.set.Order) == 0 {
-		t.Fatalf("joiner: set %p, err %v; want its own flight's set", got.set, got.err)
+	if got.err != nil || got.prof == nil || got.prof.Benchmark != "stub" || len(got.prof.Order) == 0 {
+		t.Fatalf("joiner: profile %p, err %v; want its own flight's profile", got.prof, got.err)
 	}
 	if n := stall.calls.Load(); n != 2 {
 		t.Fatalf("collections = %d, want 2 (the cancelled leader's and the joiner's own)", n)

@@ -6,6 +6,9 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"github.com/perfmetrics/eventlens/internal/core"
+	"github.com/perfmetrics/eventlens/internal/suite"
 )
 
 // metricsText fetches /metrics and returns the Prometheus text body.
@@ -208,4 +211,49 @@ func grepLines(text, needle string) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+// TestAnalyzePartialListsFaults: collection faults past the retry budget
+// drop events, and the analyze body lists them under "faults". The daemon
+// analyzes the set's noise profile, so the dropped events must survive
+// profiling, and the body's report must equal the one-shot analysis of the
+// same collection.
+func TestAnalyzePartialListsFaults(t *testing.T) {
+	bench, err := suite.ByName("cpu-flops")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := bench.DefaultRun
+	run.Faults = "seed=3,transient=0.2,retries=0"
+	set, err := bench.Collect(context.Background(), run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := bench.AnalyzeSet(context.Background(), set, bench.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defs, err := res.DefineMetrics(bench.Signatures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(set.Dropped) == 0 {
+		t.Fatal("the fault spec dropped no events; pick one that does")
+	}
+
+	h := newTestServer(t, Config{}).Handler()
+	w := postJSON(t, h, "/v1/analyze", marshalReq(t, analyzeRequest{Benchmark: bench.Name, Run: &run}))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	var resp analyzeResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(resp.Faults, ",") != strings.Join(set.Dropped, ",") {
+		t.Fatalf("faults lists %d events, want the collection's %d dropped events", len(resp.Faults), len(set.Dropped))
+	}
+	if want := core.FormatAnalysisReport(res, bench.Config.ProjectionTol, bench.MetricTable, defs); resp.Report != want {
+		t.Fatalf("report differs from the one-shot analysis of the same collection:\n%s\nwant:\n%s", resp.Report, want)
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -204,41 +205,57 @@ func flipLastByte(raw []byte) []byte {
 }
 
 // TestBatchingOneCollectionManyConfigs is the measurement-set batching
-// acceptance check: K concurrent analyses differing only in analysis
-// thresholds share one (benchmark, RunConfig) measurement set, so exactly
-// one collection pass runs while the pipeline's analysis stages run K
-// times.
+// acceptance check: K concurrent analyses differing only in tau share one
+// (benchmark, RunConfig) measurement set, so exactly one collection pass runs
+// while the pipeline's analysis stages run K times. The taus keep 21, 28, 58
+// and 133 cpu-flops events, so every analysis must cut the shared noise
+// profile at its own tau: each body must equal the body a fresh server
+// computes for that request alone.
 func TestBatchingOneCollectionManyConfigs(t *testing.T) {
-	const k = 4
+	taus := []float64{1e-10, 1e-6, 1e-3, 1e-1}
+	wantKept := []int{21, 28, 58, 133}
+	k := len(taus)
 	s := newTestServer(t, Config{MaxSyncCompute: 2 * k})
 	h := s.Handler()
 
 	bodies := make([]string, k)
-	for i := range bodies {
-		bodies[i] = marshalReq(t, taurq(i))
+	for i, tau := range taus {
+		cfg := core.Config{Tau: tau, Alpha: 5e-4, ProjectionTol: 0.01, RoundTol: 0.05}
+		bodies[i] = marshalReq(t, analyzeRequest{Benchmark: "cpu-flops", Config: &cfg})
 	}
 	var wg sync.WaitGroup
-	codes := make([]int, k)
+	replies := make([]*httptest.ResponseRecorder, k)
 	for i := 0; i < k; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			codes[i] = postJSON(t, h, "/v1/analyze", bodies[i]).Code
+			replies[i] = postJSON(t, h, "/v1/analyze", bodies[i])
 		}(i)
 	}
 	wg.Wait()
-	for i, code := range codes {
-		if code != http.StatusOK {
-			t.Fatalf("request %d: status %d", i, code)
+	for i, w := range replies {
+		if w.Code != http.StatusOK {
+			t.Fatalf("tau=%g: status %d: %s", taus[i], w.Code, w.Body)
+		}
+		var resp analyzeResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Noise.Kept != wantKept[i] {
+			t.Fatalf("tau=%g kept %d events, want %d", taus[i], resp.Noise.Kept, wantKept[i])
+		}
+		alone := postJSON(t, newTestServer(t, Config{}).Handler(), "/v1/analyze", bodies[i])
+		if alone.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), alone.Body.Bytes()) {
+			t.Fatalf("tau=%g: batched body differs from a fresh server's (status %d)", taus[i], alone.Code)
 		}
 	}
 	if got := s.collections.Value(); got != 1 {
 		t.Fatalf("collections = %d for %d configs sharing a measurement set, want 1", got, k)
 	}
-	if got := s.batchCoalesced.Value(); got != k-1 {
+	if got := s.batchCoalesced.Value(); got != uint64(k-1) {
 		t.Fatalf("coalesced = %d, want %d", got, k-1)
 	}
-	if got := s.pipelineRuns.Value(); got != k {
+	if got := s.pipelineRuns.Value(); got != uint64(k) {
 		t.Fatalf("pipeline runs = %d, want %d (analysis is per-config)", got, k)
 	}
 	text := metricsText(t, h)

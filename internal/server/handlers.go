@@ -197,15 +197,15 @@ type analyzeResponse struct {
 }
 
 // analysis is the product of the analysis stages for one analysis key: the
-// shared measurement set, the pipeline result and the benchmark's metric
-// definitions. It is built once per analysis key, held in the analysis
-// cache and never mutated; the analyze, define, explain and presets
-// endpoints each render their canonical bytes from it.
+// shared noise profile of its measurement key, the pipeline result and the
+// benchmark's metric definitions. It is built once per analysis key, held in
+// the analysis cache and never mutated; the analyze, define, explain and
+// presets endpoints each render their canonical bytes from it.
 type analysis struct {
 	bench suite.Benchmark
 	run   cat.RunConfig
 	cfg   core.Config
-	set   *core.MeasurementSet
+	prof  *core.NoiseProfile
 	res   *core.Result
 	defs  []*core.MetricDefinition
 }
@@ -213,7 +213,7 @@ type analysis struct {
 func (a *analysis) response() *analyzeResponse {
 	resp := &analyzeResponse{
 		Benchmark: a.bench.Name,
-		Platform:  a.set.Platform,
+		Platform:  a.prof.Platform,
 		Run:       a.run,
 		Config:    a.cfg,
 		Noise: noiseJSON{
@@ -387,18 +387,18 @@ func (s *Server) analyzeEndpoint(req analyzeRequest) (endpoint, error) {
 }
 
 // analyze returns the analysis of one analysis key through the analysis
-// cache (with singleflight): on a miss, collection via the batching
-// measurement-set cache, then the analysis stages over the shared
-// (immutable) set. Every endpoint rendered from an analysis computes
+// cache (with singleflight): on a miss, the measurement key's noise profile
+// via the batching set cache, then the analysis stages over that shared
+// (immutable) profile. Every endpoint rendered from an analysis computes
 // through here, so the define, explain and presets requests on a key
 // analyze served reuse its analysis.
 func (s *Server) analyze(ctx context.Context, bench suite.Benchmark, run cat.RunConfig, cfg core.Config) (*analysis, error) {
 	return s.analyses.do(ctx, analysisKey(bench, run, cfg), func() (*analysis, error) {
-		set, err := s.measurementSet(ctx, bench, run)
+		prof, err := s.noiseProfile(ctx, bench, run)
 		if err != nil {
 			return nil, err
 		}
-		res, err := bench.AnalyzeSet(ctx, set, cfg)
+		res, err := bench.AnalyzeProfile(ctx, prof, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -407,32 +407,38 @@ func (s *Server) analyze(ctx context.Context, bench suite.Benchmark, run cat.Run
 			return nil, err
 		}
 		s.pipelineRuns.Inc()
-		return &analysis{bench: bench, run: run, cfg: cfg, set: set, res: res, defs: defs}, nil
+		return &analysis{bench: bench, run: run, cfg: cfg, prof: prof, res: res, defs: defs}, nil
 	})
 }
 
-// measurementSet resolves (benchmark, run) to its shared measurement set
-// through the batching set cache, keyed by cat.RunConfig.MeasurementKey.
-// Collection depends only on (benchmark, RunConfig) — analysis thresholds
-// never touch it — and every analysis stage treats the set as immutable, so
-// K analysis configurations sharing a measurement key trigger exactly one
-// collection pass whether they arrive concurrently (they join the flight)
-// or sequentially (they hit the cache). Collections running under minimal
-// spanning kernel selection count themselves and the points the selection
-// pruned (full basis rows minus collected points) — the cost it saved.
-func (s *Server) measurementSet(ctx context.Context, bench suite.Benchmark, run cat.RunConfig) (*core.MeasurementSet, error) {
-	return s.sets.do(ctx, run.MeasurementKey(bench.Name), func() (*core.MeasurementSet, error) {
+// noiseProfile resolves (benchmark, run) to the shared noise profile of its
+// measurement set through the batching set cache, keyed by
+// cat.RunConfig.MeasurementKey. Collection depends only on (benchmark,
+// RunConfig) — analysis thresholds never touch it — and so does the
+// profile, so K analysis configurations sharing a measurement key trigger
+// exactly one collection and one noise pass whether they arrive
+// concurrently (they join the flight) or sequentially (they hit the cache).
+// The raw set lives only until it is validated and profiled. Collections
+// running under minimal spanning kernel selection count themselves and the
+// points the selection pruned (full basis rows minus collected points) —
+// the cost it saved.
+func (s *Server) noiseProfile(ctx context.Context, bench suite.Benchmark, run cat.RunConfig) (*core.NoiseProfile, error) {
+	return s.sets.do(ctx, run.MeasurementKey(bench.Name), func() (*core.NoiseProfile, error) {
 		set, err := bench.Collect(ctx, run)
 		if err != nil {
 			return nil, err
 		}
+		if err := set.Validate(); err != nil {
+			return nil, err
+		}
+		prof := core.ProfileNoise(set, run.Workers)
 		if run.MinimalKernels {
 			s.minimalRuns.Inc()
-			if basis, err := bench.Basis(); err == nil && basis.Points() > len(set.PointNames) {
-				s.minimalPruned.Add(uint64(basis.Points() - len(set.PointNames)))
+			if basis, err := bench.Basis(); err == nil && basis.Points() > len(prof.PointNames) {
+				s.minimalPruned.Add(uint64(basis.Points() - len(prof.PointNames)))
 			}
 		}
-		return set, nil
+		return prof, nil
 	})
 }
 
@@ -633,7 +639,7 @@ func (s *Server) defineEndpoint(req defineRequest) (endpoint, error) {
 			}
 			resp := defineResponse{
 				Benchmark: bench.Name,
-				Platform:  a.set.Platform,
+				Platform:  a.prof.Platform,
 				Metric:    toMetricJSON(def),
 				Rounded:   toMetricJSON(def.Rounded(cfg.RoundTol)),
 				Text:      def.String(),
@@ -737,7 +743,7 @@ func (s *Server) explainEndpoint(req explainRequest) (endpoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			basis, err := bench.BasisFor(a.set)
+			basis, err := bench.BasisForPoints(a.prof.PointNames)
 			if err != nil {
 				return nil, err
 			}
@@ -788,7 +794,7 @@ func (s *Server) handlePresets(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return nil, err
 			}
-			header := fmt.Sprintf("# auto-generated presets for %s (%s benchmark)\n", a.set.Platform, bench.Name)
+			header := fmt.Sprintf("# auto-generated presets for %s (%s benchmark)\n", a.prof.Platform, bench.Name)
 			return []byte(header + core.FormatPresets(a.defs, cfg.RoundTol, core.ComposableThreshold)), nil
 		},
 	}, true)

@@ -108,8 +108,8 @@ type Config struct {
 const (
 	// setCacheSize bounds the in-memory measurement-set cache (entries) that
 	// batches analyses sharing a (benchmark, RunConfig) collection: one
-	// collection pass serves every analysis configuration over the same
-	// measurement set.
+	// collection pass, reduced to its noise profile, serves every analysis
+	// configuration over the same measurement set.
 	setCacheSize = 8
 	// retryBase is the base delay of the async job retry backoff
 	// (exponential, seeded jitter).
@@ -193,7 +193,7 @@ type Server struct {
 	log      *slog.Logger
 	cache    *flightCache[[]byte]
 	analyses *flightCache[*analysis]
-	sets     *flightCache[*core.MeasurementSet]
+	sets     *flightCache[*core.NoiseProfile]
 	jobs     *jobManager
 
 	// platforms is the daemon's platform registry: the built-in platforms,
@@ -376,7 +376,7 @@ func New(cfg Config) (*Server, error) {
 	// pipelineRuns counts the analyses computed; the cache's own counters go
 	// unexported.
 	s.analyses = newFlightCache[*analysis](cfg.CacheSize, new(obs.Counter), new(obs.Counter))
-	s.sets = newFlightCache[*core.MeasurementSet](setCacheSize, s.batchCoalesced, s.collections)
+	s.sets = newFlightCache[*core.NoiseProfile](setCacheSize, s.batchCoalesced, s.collections)
 	s.jobs = newJobManager(cfg.QueueDepth, cfg.JobTimeout, s.jobsInflight, s.queueDepth, s.jobsTotal)
 	return s, nil
 }

@@ -2,7 +2,8 @@
 // thresholds and signature tables, giving the command-line tools, examples,
 // daemon and benchmark harness one registry to drive the complete
 // reproduction. Collect and CollectOn are the only ways to collect a
-// benchmark's measurements; AnalyzeSet analyzes them.
+// benchmark's measurements; AnalyzeSet analyzes them, and AnalyzeProfile
+// analyzes their noise profile.
 package suite
 
 import (
@@ -194,20 +195,42 @@ func (b Benchmark) AnalyzeSet(ctx context.Context, set *core.MeasurementSet, ana
 	return pipe.AnalyzeContext(ctx, set)
 }
 
-// BasisFor returns the expectation basis matching a measurement set: the
-// full basis when the set covers every benchmark point, or the row subset
-// matching the set's points when it was collected under MinimalKernels (or
-// loaded from a file covering fewer points). Every consumer that pairs a
-// basis with a set — analysis, explain, the CLIs — goes through this, so
-// reduced sets never silently misalign with full bases.
+// AnalyzeProfile is AnalyzeSet over a validated set's noise profile
+// (core.ProfileNoise): the same result, with the noise stage reduced to a
+// cut at the configuration's tau. A serving tier profiles each collected set
+// once and analyzes the profile under every configuration that shares it.
+func (b Benchmark) AnalyzeProfile(ctx context.Context, prof *core.NoiseProfile, analysis core.Config) (*core.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	basis, err := b.BasisForPoints(prof.PointNames)
+	if err != nil {
+		return nil, err
+	}
+	pipe := &core.Pipeline{Basis: basis, Config: analysis}
+	return pipe.AnalyzeProfile(ctx, prof)
+}
+
+// BasisFor returns the expectation basis matching a measurement set's
+// points (BasisForPoints).
 func (b Benchmark) BasisFor(set *core.MeasurementSet) (*core.Basis, error) {
+	return b.BasisForPoints(set.PointNames)
+}
+
+// BasisForPoints returns the expectation basis matching a set's points: the
+// full basis when they are every benchmark point, or the row subset matching
+// them when the set was collected under MinimalKernels (or loaded from a
+// file covering fewer points). Every consumer that pairs a basis with a set
+// or its noise profile — analysis, explain, the CLIs — goes through this,
+// so reduced sets never silently misalign with full bases.
+func (b Benchmark) BasisForPoints(points []string) (*core.Basis, error) {
 	basis, err := b.Basis()
 	if err != nil {
 		return nil, err
 	}
-	if len(set.PointNames) == len(basis.PointNames) {
+	if len(points) == len(basis.PointNames) {
 		same := true
-		for i, n := range set.PointNames {
+		for i, n := range points {
 			if basis.PointNames[i] != n {
 				same = false
 				break
@@ -217,5 +240,5 @@ func (b Benchmark) BasisFor(set *core.MeasurementSet) (*core.Basis, error) {
 			return basis, nil
 		}
 	}
-	return basis.SelectPoints(set.PointNames)
+	return basis.SelectPoints(points)
 }
