@@ -30,16 +30,11 @@ lint:
 
 # Self-test: the gate must still FAIL on the seeded fixture violations under
 # cmd/lint/testdata/src — a lint run that cannot find the planted bugs is
-# broken, not clean. Expects one finding per analyzer plus goraw's _test.go
-# seed (see cmd/lint/main_test.go fixtureFindings).
+# broken, not clean. The golden tests own the fixture list
+# (cmd/lint/main_test.go fixtureDirs) and check that every analyzer fires at
+# the right file:line with exit status 1.
 lint-selftest:
-	@out=$$(cd cmd/lint && $(GO) run . -allow none \
-		testdata/src/cachekey testdata/src/errsink testdata/src/floateq \
-		testdata/src/goraw testdata/src/internal/core testdata/src/lockbyvalue \
-		testdata/src/maporder testdata/src/seedcoord 2>&1); \
-	if [ $$? -eq 0 ]; then echo "lint-selftest: fixture run passed, want findings"; exit 1; fi; \
-	echo "$$out" | grep -q '9 finding(s)' || { echo "lint-selftest: expected 9 findings, got:"; echo "$$out"; exit 1; }; \
-	echo "lint-selftest: all 8 analyzers fire on the seeded fixtures"
+	$(GO) test -count=1 -run '^TestGolden' ./cmd/lint
 
 # Timing guard: a full repo-wide lint run (all analyzers, test files
 # included) must stay within 2x the committed BENCH_9.json wall-time

@@ -19,8 +19,9 @@
 // themselves errors, so the file cannot rot.
 //
 // Packages are typechecked once into a process-shared cache and the
-// (package, analyzer) passes then fan out through internal/par — the same
-// deterministic pool the gate itself enforces.
+// (package, analyzer) passes, plus one pass per module analyzer over the
+// whole module, then fan out through internal/par — the same deterministic
+// pool the gate itself enforces.
 package main
 
 import (
@@ -30,6 +31,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"github.com/perfmetrics/eventlens/internal/cli"
@@ -116,14 +118,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
+	all, err := loader.LoadAll()
+	if err != nil {
+		return err
+	}
 	var pkgs []*lint.Package
 	for _, pattern := range patterns {
 		switch pattern {
 		case "./...", "...":
-			all, err := loader.LoadAll()
-			if err != nil {
-				return err
-			}
 			pkgs = append(pkgs, all...)
 		default:
 			pkg, err := loader.LoadDir(pattern)
@@ -133,6 +135,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 			pkgs = append(pkgs, pkg)
 		}
 	}
+	// Module analyzers read references from the whole module plus any
+	// fixture package named here, whichever packages the run reports on; a
+	// package listed twice adds nothing.
+	program := append(slices.Clip(all), pkgs...)
 	if *tests {
 		base := pkgs
 		for _, pkg := range base {
@@ -144,7 +150,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	diags := lint.RunWorkers(pkgs, analyzers, *workers)
+	diags := lint.RunWorkers(pkgs, program, analyzers, *workers)
 
 	rel := func(file string) string {
 		r, err := filepath.Rel(root, file)

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"io/fs"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,6 +22,7 @@ var fixtureDirs = []string{
 	"testdata/src/floateq",
 	"testdata/src/goraw",
 	"testdata/src/internal/core",
+	"testdata/src/internal/testonly",
 	"testdata/src/lockbyvalue",
 	"testdata/src/maporder",
 	"testdata/src/seedcoord",
@@ -26,7 +30,7 @@ var fixtureDirs = []string{
 
 // fixtureFindings is the seeded-violation count across fixtureDirs: one per
 // analyzer, plus goraw's extra _test.go seed.
-const fixtureFindings = "9 finding(s)"
+const fixtureFindings = "10 finding(s)"
 
 // runLint runs the command in-process and returns stdout plus the error.
 func runLint(t *testing.T, args ...string) (string, error) {
@@ -138,6 +142,48 @@ func TestModuleLintsClean(t *testing.T) {
 	out, err := runLint(t, "./...")
 	if err != nil {
 		t.Fatalf("module is not lint-clean: %v\n%s", err, out)
+	}
+}
+
+// TestTestOnlyIndependentOfNamedPackages checks that naming a package
+// cannot conjure testonly findings: uses come from the whole module, so
+// linting one package under internal/ reports a subset of what ./... does.
+func TestTestOnlyIndependentOfNamedPackages(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and typechecks the whole module")
+	}
+	all, _ := runLint(t, "-allow", "none", "-tests=false", "-run", "testonly", "./...")
+	reported := make(map[string]bool)
+	for _, line := range strings.Split(all, "\n") {
+		reported[line] = true
+	}
+	var dirs []string
+	err := filepath.WalkDir("../../internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") &&
+			!slices.Contains(dirs, filepath.Dir(path)) {
+			dirs = append(dirs, filepath.Dir(path))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dirs) < 20 {
+		t.Fatalf("found only %d packages under internal/", len(dirs))
+	}
+	for _, dir := range dirs {
+		out, _ := runLint(t, "-allow", "none", "-tests=false", "-run", "testonly", dir)
+		for _, line := range strings.Split(out, "\n") {
+			if !reported[line] {
+				t.Errorf("lint %s reports %q, which ./... does not", dir, line)
+			}
+		}
 	}
 }
 

@@ -184,9 +184,6 @@ func (h *Hierarchy) LevelStats(i int) (hits, misses uint64) {
 // NumLevels returns the number of cache levels.
 func (h *Hierarchy) NumLevels() int { return len(h.levels) }
 
-// LevelName returns the configured name of level i.
-func (h *Hierarchy) LevelName(i int) string { return h.levels[i].cfg.Name }
-
 // ResetCounters zeroes all hit/miss counters, preserving cache contents.
 // The CAT benchmark calls this between the warmup pass and the measured
 // passes.
@@ -198,19 +195,6 @@ func (h *Hierarchy) ResetCounters() {
 	h.Accesses = 0
 }
 
-// Contains reports whether the line holding addr is present at level i
-// (without touching LRU state or counters). Intended for tests.
-func (h *Hierarchy) Contains(i int, addr uint64) bool {
-	line := addr >> h.lineShift
-	set := h.levels[i].sets[line%h.levels[i].nsets]
-	for _, tag := range set {
-		if tag == line {
-			return true
-		}
-	}
-	return false
-}
-
 // SPRLikeConfig returns the default simulated hierarchy: a Sapphire-Rapids-
 // flavoured geometry scaled down so full sweeps stay fast while preserving
 // the L1 < L2 < L3 capacity ordering the analysis depends on.
@@ -219,14 +203,5 @@ func SPRLikeConfig() []LevelConfig {
 		{Name: "L1", Size: 32 << 10, Ways: 8, LineSize: 64},
 		{Name: "L2", Size: 512 << 10, Ways: 8, LineSize: 64},
 		{Name: "L3", Size: 4 << 20, Ways: 16, LineSize: 64},
-	}
-}
-
-// TinyConfig returns a miniature hierarchy for fast unit tests.
-func TinyConfig() []LevelConfig {
-	return []LevelConfig{
-		{Name: "L1", Size: 1 << 10, Ways: 2, LineSize: 64},
-		{Name: "L2", Size: 4 << 10, Ways: 4, LineSize: 64},
-		{Name: "L3", Size: 16 << 10, Ways: 4, LineSize: 64},
 	}
 }

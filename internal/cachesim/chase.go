@@ -13,9 +13,6 @@ type ChaseConfig struct {
 	Seed        int64  // permutation seed (deterministic chains)
 }
 
-// FootprintBytes returns the buffer span in bytes.
-func (c ChaseConfig) FootprintBytes() int { return c.Elements * c.StrideBytes }
-
 // Validate checks the chase parameters.
 func (c ChaseConfig) Validate() error {
 	if c.Elements < 2 {
@@ -63,15 +60,11 @@ type ChaseResult struct {
 	WalkRate    float64
 }
 
-// RunChase executes the pointer chase on h: one warmup traversal (uncounted)
-// followed by `passes` measured traversals, and returns per-access rates.
-func RunChase(h *Hierarchy, cfg ChaseConfig, passes int) (*ChaseResult, error) {
-	return RunChaseWithTLB(h, nil, cfg, passes)
-}
-
-// RunChaseWithTLB is RunChase with an optional translation hierarchy: every
-// demand load first translates its address, so the result additionally
-// reports per-level TLB miss rates and the page-walk rate.
+// RunChaseWithTLB executes the pointer chase on h: one warmup traversal
+// (uncounted) followed by `passes` measured traversals, and returns
+// per-access rates. With a non-nil tlb every demand load first translates
+// its address, so the result additionally reports per-level TLB miss rates
+// and the page-walk rate.
 func RunChaseWithTLB(h *Hierarchy, tlb *TLBHierarchy, cfg ChaseConfig, passes int) (*ChaseResult, error) {
 	chain, err := BuildChain(cfg)
 	if err != nil {

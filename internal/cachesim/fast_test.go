@@ -49,7 +49,7 @@ func oddGeometry() []LevelConfig {
 // the served level, all per-level counters, and the memory/access totals
 // after every single access — including across an O(1) state reset.
 func TestFastSimMatchesReferenceCache(t *testing.T) {
-	for _, cfgs := range [][]LevelConfig{TinyConfig(), oddGeometry(), {{Name: "only", Size: 2 * 2 * 64, Ways: 2, LineSize: 64}}} {
+	for _, cfgs := range [][]LevelConfig{tinyConfig(), oddGeometry(), {{Name: "only", Size: 2 * 2 * 64, Ways: 2, LineSize: 64}}} {
 		h, err := NewHierarchy(cfgs)
 		if err != nil {
 			t.Fatal(err)
@@ -155,8 +155,8 @@ func TestRunSweepTasksMatchesReference(t *testing.T) {
 		tlbs   []TLBConfig
 		passes int
 	}{
-		{"tiny", TinyConfig(), nil, 1},
-		{"tiny-tlb", TinyConfig(), tlbs, 2},
+		{"tiny", tinyConfig(), nil, 1},
+		{"tiny-tlb", tinyConfig(), tlbs, 2},
 		{"odd", oddGeometry(), tlbs, 1},
 	} {
 		points := BuildSweep(tc.levels, []int{32, 64, 128})
@@ -190,7 +190,7 @@ func TestRunSweepTasksForcedSharding(t *testing.T) {
 		{Name: "DTLB", Entries: 8, Ways: 2, PageBits: 8},
 		{Name: "STLB", Entries: 32, Ways: 4, PageBits: 8},
 	}
-	points := BuildSweep(TinyConfig(), []int{64, 128})
+	points := BuildSweep(tinyConfig(), []int{64, 128})
 	var tasks []SweepTask
 	for i, p := range points {
 		tasks = append(tasks, SweepTask{Point: p, Seed: int64(i) - 3})
@@ -198,9 +198,9 @@ func TestRunSweepTasksForcedSharding(t *testing.T) {
 	for _, shardMin := range []int{1, 16} {
 		planShardMin = shardMin
 		for _, workers := range []int{1, 3} {
-			got := coldRun(t, TinyConfig(), tlbs, tasks, 2, workers)
+			got := coldRun(t, tinyConfig(), tlbs, tasks, 2, workers)
 			for i, task := range tasks {
-				want, err := RunSweepPointTLB(TinyConfig(), tlbs, task.Point, task.Seed, 2)
+				want, err := RunSweepPointTLB(tinyConfig(), tlbs, task.Point, task.Seed, 2)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -60,7 +60,7 @@ func tinyTLBs() []TLBConfig {
 // point.
 func tinySweepTasks(seed int64) []SweepTask {
 	var tasks []SweepTask
-	for i, p := range BuildSweep(TinyConfig(), []int{64, 128}) {
+	for i, p := range BuildSweep(tinyConfig(), []int{64, 128}) {
 		tasks = append(tasks, SweepTask{Point: p, Seed: seed + int64(i)})
 	}
 	return tasks
@@ -79,7 +79,7 @@ func TestChaseMemoKeyMetamorphic(t *testing.T) {
 	}
 	base := func() input {
 		return input{
-			levels: TinyConfig(),
+			levels: tinyConfig(),
 			tlbs:   tinyTLBs(),
 			task:   SweepTask{Point: SweepPoint{Region: RegionL2, StrideBytes: 64, Elements: 40}, Seed: 5},
 			passes: 1,
@@ -156,12 +156,12 @@ func TestChaseMemoKeyMetamorphic(t *testing.T) {
 // fresh engine run of the same tasks.
 func TestChaseMemoHitMatchesFreshRun(t *testing.T) {
 	tasks := tinySweepTasks(40)
-	first := coldRun(t, TinyConfig(), tinyTLBs(), tasks, 2, 0)
-	hit, runs := runCounted(t, TinyConfig(), tinyTLBs(), tasks, 2, 0)
+	first := coldRun(t, tinyConfig(), tinyTLBs(), tasks, 2, 0)
+	hit, runs := runCounted(t, tinyConfig(), tinyTLBs(), tasks, 2, 0)
 	if runs != 0 {
 		t.Fatalf("warm run reached the engine %d times", runs)
 	}
-	fresh := coldRun(t, TinyConfig(), tinyTLBs(), tasks, 2, 1)
+	fresh := coldRun(t, tinyConfig(), tinyTLBs(), tasks, 2, 1)
 	for i, task := range tasks {
 		sameResult(t, "hit/"+task.Point.Name(), hit[i], fresh[i])
 		sameResult(t, "first/"+task.Point.Name(), first[i], fresh[i])
@@ -178,7 +178,7 @@ func TestChaseMemoCoalescesConcurrentCalls(t *testing.T) {
 	want := make([]*ChaseResult, len(tasks))
 	for i, task := range tasks {
 		var err error
-		if want[i], err = RunSweepPointTLB(TinyConfig(), tinyTLBs(), task.Point, task.Seed, 1); err != nil {
+		if want[i], err = RunSweepPointTLB(tinyConfig(), tinyTLBs(), task.Point, task.Seed, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,7 +206,7 @@ func TestChaseMemoCoalescesConcurrentCalls(t *testing.T) {
 			close(start)
 		}
 		<-start
-		got[c], errs[c] = RunSweepTasks(TinyConfig(), tinyTLBs(), mine, 1, c%3)
+		got[c], errs[c] = RunSweepTasks(tinyConfig(), tinyTLBs(), mine, 1, c%3)
 	})
 	if runs := engineRuns.Load() - before; runs != int64(len(tasks)) {
 		t.Fatalf("engine ran %d chases for %d distinct tasks", runs, len(tasks))
@@ -231,9 +231,9 @@ func TestChaseMemoBound(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = SweepTask{Point: point, Seed: int64(i)}
 	}
-	got := coldRun(t, TinyConfig(), nil, tasks, 1, 1)
+	got := coldRun(t, tinyConfig(), nil, tasks, 1, 1)
 	for i, task := range tasks {
-		want, err := RunSweepPointTLB(TinyConfig(), nil, task.Point, task.Seed, 1)
+		want, err := RunSweepPointTLB(tinyConfig(), nil, task.Point, task.Seed, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,10 +242,10 @@ func TestChaseMemoBound(t *testing.T) {
 	if n := memoLen(); n != chaseMemoEntries {
 		t.Fatalf("memo holds %d results, bound %d", n, chaseMemoEntries)
 	}
-	if _, runs := runCounted(t, TinyConfig(), nil, tasks[len(tasks)-1:], 1, 1); runs != 0 {
+	if _, runs := runCounted(t, tinyConfig(), nil, tasks[len(tasks)-1:], 1, 1); runs != 0 {
 		t.Fatal("newest result was evicted")
 	}
-	if _, runs := runCounted(t, TinyConfig(), nil, tasks[:1], 1, 1); runs != 1 {
+	if _, runs := runCounted(t, tinyConfig(), nil, tasks[:1], 1, 1); runs != 1 {
 		t.Fatal("oldest result outlived the bound")
 	}
 }
@@ -257,7 +257,7 @@ func TestChaseMemoDoesNotKeepErrors(t *testing.T) {
 	huge := []SweepTask{{Point: SweepPoint{Region: RegionMem, StrideBytes: 64, Elements: maxPlanElements}, Seed: 1}}
 	for call := 0; call < 3; call++ {
 		before := engineRuns.Load()
-		_, err := RunSweepTasks(TinyConfig(), nil, huge, 1, 1)
+		_, err := RunSweepTasks(tinyConfig(), nil, huge, 1, 1)
 		if err == nil || !strings.Contains(err.Error(), "plan limit") {
 			t.Fatalf("call %d: err = %v, want the plan-limit error", call, err)
 		}
@@ -274,17 +274,17 @@ func TestChaseMemoDoesNotKeepErrors(t *testing.T) {
 // still equal the reference.
 func TestChaseMemoServesCopies(t *testing.T) {
 	tasks := []SweepTask{{Point: SweepPoint{Region: RegionL2, StrideBytes: 64, Elements: 40}, Seed: 9}}
-	want, err := RunSweepPointTLB(TinyConfig(), tinyTLBs(), tasks[0].Point, tasks[0].Seed, 1)
+	want, err := RunSweepPointTLB(tinyConfig(), tinyTLBs(), tasks[0].Point, tasks[0].Seed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := coldRun(t, TinyConfig(), tinyTLBs(), tasks, 1, 1)
+	got := coldRun(t, tinyConfig(), tinyTLBs(), tasks, 1, 1)
 	for round := 0; round < 2; round++ {
 		r := got[0]
 		r.HitRate[0], r.MissRate[1], r.TLBMissRate[0] = 42, -1, 7
 		r.MemRate, r.WalkRate, r.Accesses = 3, 4, 0
 		var runs int64
-		got, runs = runCounted(t, TinyConfig(), tinyTLBs(), tasks, 1, 1)
+		got, runs = runCounted(t, tinyConfig(), tinyTLBs(), tasks, 1, 1)
 		if runs != 0 {
 			t.Fatalf("round %d: warm run reached the engine", round)
 		}

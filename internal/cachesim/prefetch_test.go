@@ -5,7 +5,7 @@ import "testing"
 func TestSequentialScanIsPrefetched(t *testing.T) {
 	// A sequential scan over a buffer much larger than L1 would miss every
 	// access without prefetching; a next-line prefetcher hides most misses.
-	cfgs := TinyConfig()
+	cfgs := tinyConfig()
 	n := 64 // 4x the tiny L1 (16 lines)
 
 	plain, err := NewPrefetchingHierarchy(cfgs, 0)
@@ -34,7 +34,7 @@ func TestRandomChaseDefeatsPrefetcher(t *testing.T) {
 	// The CAT design point: on a random single-cycle pointer chase the
 	// prefetcher fetches useless lines, and demand miss rates still reflect
 	// residency — thrash stays ~100% when the buffer exceeds L1.
-	cfgs := TinyConfig()
+	cfgs := tinyConfig()
 	cfg := ChaseConfig{Elements: 64, StrideBytes: 64, Seed: 5}
 
 	pf, err := NewPrefetchingHierarchy(cfgs, 2)
@@ -64,7 +64,7 @@ func TestRandomChaseDefeatsPrefetcher(t *testing.T) {
 }
 
 func TestPrefetchFillsDoNotCountAsDemand(t *testing.T) {
-	cfgs := TinyConfig()
+	cfgs := tinyConfig()
 	pf, err := NewPrefetchingHierarchy(cfgs, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestPrefetchFillsDoNotCountAsDemand(t *testing.T) {
 }
 
 func TestPrefetcherDegreeZeroIsPlain(t *testing.T) {
-	cfgs := TinyConfig()
+	cfgs := tinyConfig()
 	pf, err := NewPrefetchingHierarchy(cfgs, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestPrefetcherDegreeZeroIsPlain(t *testing.T) {
 
 func TestPrefetchingHierarchyChaseMatchesPlainOnFittingBuffer(t *testing.T) {
 	// When the chase fits L1 entirely, prefetching changes nothing.
-	cfgs := TinyConfig()
+	cfgs := tinyConfig()
 	cfg := ChaseConfig{Elements: 8, StrideBytes: 64, Seed: 2}
 	pf, err := NewPrefetchingHierarchy(cfgs, 2)
 	if err != nil {

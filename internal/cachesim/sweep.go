@@ -87,14 +87,11 @@ func BuildSweep(cfgs []LevelConfig, strides []int) []SweepPoint {
 	return points
 }
 
-// RunSweepPoint executes one sweep point on a fresh hierarchy and returns
-// its steady-state rates.
-func RunSweepPoint(cfgs []LevelConfig, p SweepPoint, seed int64, passes int) (*ChaseResult, error) {
-	return RunSweepPointTLB(cfgs, nil, p, seed, passes)
-}
-
-// RunSweepPointTLB is RunSweepPoint with an optional TLB hierarchy (pass nil
-// tlbCfgs to run without translation modelling).
+// RunSweepPointTLB executes one sweep point on a fresh hierarchy, with an
+// optional TLB hierarchy (pass nil tlbCfgs to run without translation
+// modelling), and returns its steady-state rates. It is the per-access
+// reference engine that RunSweepTasks must match bit for bit; only tests
+// run it.
 func RunSweepPointTLB(cfgs []LevelConfig, tlbCfgs []TLBConfig, p SweepPoint, seed int64, passes int) (*ChaseResult, error) {
 	h, err := NewHierarchy(cfgs)
 	if err != nil {

@@ -144,11 +144,6 @@ func (h *TLBHierarchy) ResetCounters() {
 	h.Accesses = 0
 }
 
-// Reach returns the address span one TLB level covers, in bytes.
-func Reach(cfg TLBConfig) int {
-	return cfg.Entries << cfg.PageBits
-}
-
 // SPRLikeTLBConfig returns a scaled-down SPR-flavoured TLB: a 64-entry L1
 // DTLB backed by a 512-entry STLB over 4 KiB pages — reaches 256 KiB and
 // 2 MiB respectively, bracketing the scaled cache hierarchy so the

@@ -88,16 +88,10 @@ func TestTLBCapacityEviction(t *testing.T) {
 	}
 }
 
-func TestTLBReach(t *testing.T) {
-	if got := Reach(TLBConfig{Entries: 64, Ways: 4, PageBits: 12}); got != 64*4096 {
-		t.Fatalf("Reach = %d", got)
-	}
-}
-
 func TestChaseWithTLBRegimes(t *testing.T) {
 	// Small chase: fits both TLBs -> no misses. Large chase: overflows
 	// the STLB -> walks on (almost) every access.
-	cfgs := TinyConfig()
+	cfgs := tinyConfig()
 	small := ChaseConfig{Elements: 8, StrideBytes: 64, Seed: 3} // one page
 	h, _ := NewHierarchy(cfgs)
 	tlb, _ := NewTLBHierarchy(tinyTLB())
@@ -131,7 +125,7 @@ func TestSweepWithTLBMonotonicRegions(t *testing.T) {
 	// beyond the STLB reach.
 	cfgs := SPRLikeConfig()
 	tlbs := SPRLikeTLBConfig()
-	reach := Reach(tlbs[1])
+	reach := tlbs[1].Entries << tlbs[1].PageBits // bytes the STLB maps
 	for _, p := range BuildSweep(cfgs, []int{64}) {
 		res, err := RunSweepPointTLB(cfgs, tlbs, p, 5, 1)
 		if err != nil {

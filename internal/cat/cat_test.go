@@ -34,7 +34,11 @@ func mi250xPlatform(t *testing.T) *machine.Platform {
 // tests fast while preserving the region structure.
 func testDCache() *DCache {
 	return &DCache{
-		Levels:  cachesim.TinyConfig(),
+		Levels: []cachesim.LevelConfig{
+			{Name: "L1", Size: 1 << 10, Ways: 2, LineSize: 64},
+			{Name: "L2", Size: 4 << 10, Ways: 4, LineSize: 64},
+			{Name: "L3", Size: 16 << 10, Ways: 4, LineSize: 64},
+		},
 		Strides: []int{64, 128},
 		Passes:  2,
 		Seed:    3,

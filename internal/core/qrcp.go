@@ -101,9 +101,9 @@ func SpecializedQRCP(x *mat.Dense, alpha float64) *SpecializedQRCPResult {
 		perm[i] = i
 	}
 	beta := alpha * math.Sqrt(float64(m))
-	tau := make([]float64, minInt(m, n))
+	tau := make([]float64, min(m, n))
 	res := &SpecializedQRCPResult{Perm: perm}
-	steps := minInt(m, n)
+	steps := min(m, n)
 	for i := 0; i < steps; i++ {
 		pivot, score := getPivot(x, work, perm, i, alpha, beta)
 		if pivot == -1 {
@@ -144,11 +144,4 @@ func getPivot(x, work *mat.Dense, perm []int, i int, alpha, beta float64) (int, 
 		return -1, 0
 	}
 	return pivot, bestScore
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

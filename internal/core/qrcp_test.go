@@ -190,7 +190,7 @@ func TestSpecializedQRCPIndependenceProperty(t *testing.T) {
 			cols = append(cols, base.Col(j))
 		}
 		cols = append(cols, base.Col(0))                  // duplicate
-		cols = append(cols, mat.AddVec(cols[0], cols[1])) // combination
+		cols = append(cols, mat.SubVec(cols[0], cols[1])) // combination
 		x := mat.FromColumns(cols)
 		res := SpecializedQRCP(x, 1e-4)
 		if res.Rank > r {

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/perfmetrics/eventlens/internal/mat"
@@ -71,19 +71,7 @@ func AlphaSensitivity(x *mat.Dense, eventNames []string, alphas []float64) (*Sen
 
 // equalAsSets compares two string slices as sets.
 func equalAsSets(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as := append([]string(nil), a...)
-	bs := append([]string(nil), b...)
-	sort.Strings(as)
-	sort.Strings(bs)
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(slices.Sorted(slices.Values(a)), slices.Sorted(slices.Values(b)))
 }
 
 // DecadeSweep returns n alpha values log-spaced from lo to hi inclusive.

@@ -178,11 +178,6 @@ func (c *Counts) Add(other *Counts) {
 	c.Cycles += other.Cycles
 }
 
-// FPInstr returns the retired count for one FP class.
-func (c *Counts) FPInstr(p Precision, w Width, fma bool) uint64 {
-	return c.FP[FPClass{Prec: p, Width: w, FMA: fma}]
-}
-
 // Core models the execution resources of a single core.
 type Core struct {
 	// FPPorts is the number of FP execution ports (issue throughput).

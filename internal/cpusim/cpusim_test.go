@@ -5,6 +5,11 @@ import (
 	"testing/quick"
 )
 
+// fpInstr returns c's retired count for one FP class.
+func fpInstr(c *Counts, p Precision, w Width, fma bool) uint64 {
+	return c.FP[FPClass{Prec: p, Width: w, FMA: fma}]
+}
+
 func TestLanes(t *testing.T) {
 	cases := []struct {
 		w    Width
@@ -40,13 +45,13 @@ func TestRunScalarKernelCounts(t *testing.T) {
 	k := BuildFlopsKernel(FlopsKernelSpec{Prec: DP, Width: Scalar})
 	c := DefaultCore().Run(k)
 	want := uint64(24 + 48 + 96)
-	if got := c.FPInstr(DP, Scalar, false); got != want {
+	if got := fpInstr(c, DP, Scalar, false); got != want {
 		t.Fatalf("DP scalar instrs = %d want %d", got, want)
 	}
 	if c.FLOPs != want { // scalar non-FMA: 1 FLOP per instruction
 		t.Fatalf("FLOPs = %d want %d", c.FLOPs, want)
 	}
-	if c.FPInstr(DP, Scalar, true) != 0 {
+	if fpInstr(c, DP, Scalar, true) != 0 {
 		t.Fatalf("no FMA instructions expected")
 	}
 }
@@ -57,7 +62,7 @@ func TestRunFMAKernelCounts(t *testing.T) {
 	k := BuildFlopsKernel(FlopsKernelSpec{Prec: DP, Width: W256, FMA: true})
 	c := DefaultCore().Run(k)
 	wantInstr := uint64(12 + 24 + 48)
-	if got := c.FPInstr(DP, W256, true); got != wantInstr {
+	if got := fpInstr(c, DP, W256, true); got != wantInstr {
 		t.Fatalf("FMA instrs = %d want %d", got, wantInstr)
 	}
 	if c.FLOPs != 8*wantInstr {
@@ -98,7 +103,7 @@ func TestPrologueBreaksProportionality(t *testing.T) {
 	for i, b := range k.Blocks {
 		c := core.Run(&Kernel{Blocks: []Block{b}})
 		instr[i] = float64(c.Instructions)
-		fp[i] = float64(c.FPInstr(DP, Scalar, false))
+		fp[i] = float64(fpInstr(c, DP, Scalar, false))
 	}
 	r0 := instr[0] / fp[0]
 	r1 := instr[1] / fp[1]
@@ -147,7 +152,7 @@ func TestRunMatchesExpectations(t *testing.T) {
 		for _, v := range exp {
 			want += uint64(v)
 		}
-		if got := c.FPInstr(spec.Prec, spec.Width, spec.FMA); got != want {
+		if got := fpInstr(c, spec.Prec, spec.Width, spec.FMA); got != want {
 			t.Fatalf("%s: instrs = %d want %d", spec.Name(), got, want)
 		}
 	}

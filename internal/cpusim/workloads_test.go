@@ -5,7 +5,7 @@ import "testing"
 func TestTriadKernelCounts(t *testing.T) {
 	c := DefaultCore().Run(TriadKernel(100))
 	// One AVX512 DP FMA per trip: 16 FLOPs each.
-	if got := c.FPInstr(DP, W512, true); got != 100 {
+	if got := fpInstr(c, DP, W512, true); got != 100 {
 		t.Fatalf("FMA instrs = %d want 100", got)
 	}
 	if c.FLOPs != 1600 {
@@ -18,7 +18,7 @@ func TestTriadKernelCounts(t *testing.T) {
 
 func TestDaxpyKernelCounts(t *testing.T) {
 	c := DefaultCore().Run(DaxpyKernel(50))
-	if got := c.FPInstr(DP, W256, true); got != 50 {
+	if got := fpInstr(c, DP, W256, true); got != 50 {
 		t.Fatalf("FMA instrs = %d", got)
 	}
 	dp, sp := TrueOps(c)
@@ -29,7 +29,7 @@ func TestDaxpyKernelCounts(t *testing.T) {
 
 func TestStencilKernelCounts(t *testing.T) {
 	c := DefaultCore().Run(StencilKernel(40))
-	if got := c.FPInstr(SP, W256, false); got != 120 { // 3 per trip
+	if got := fpInstr(c, SP, W256, false); got != 120 { // 3 per trip
 		t.Fatalf("SP instrs = %d want 120", got)
 	}
 	dp, sp := TrueOps(c)
@@ -52,7 +52,7 @@ func TestMixedPrecisionKernelOps(t *testing.T) {
 
 func TestDotKernelScalarFMA(t *testing.T) {
 	c := DefaultCore().Run(DotKernel(25))
-	if got := c.FPInstr(DP, Scalar, true); got != 25 {
+	if got := fpInstr(c, DP, Scalar, true); got != 25 {
 		t.Fatalf("scalar FMA instrs = %d", got)
 	}
 	dp, _ := TrueOps(c)

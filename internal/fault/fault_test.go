@@ -15,10 +15,10 @@ func TestSpecStringParseRoundTrip(t *testing.T) {
 		{Seed: 42, Depth: 3, Retries: 5},
 		{Seed: 0, Retries: 0},
 	}
-	specs[0].SetRate(Transient, 0.05)
-	specs[1].SetRate(Panic, 0.01)
-	specs[1].SetRate(Corrupt, 0.1)
-	specs[2].SetRate(HTTP503, 1)
+	specs[0].rates[Transient] = 0.05
+	specs[1].rates[Panic] = 0.01
+	specs[1].rates[Corrupt] = 0.1
+	specs[2].rates[HTTP503] = 1
 	for _, s := range specs {
 		s = s.withDefaults()
 		text := s.String()

@@ -19,9 +19,6 @@ func NewPlan(spec Spec) *Plan {
 	return &Plan{spec: spec.withDefaults()}
 }
 
-// Spec returns the plan's (defaulted) specification.
-func (p *Plan) Spec() Spec { return p.spec }
-
 // Retries returns the measurement-layer re-attempt budget: how many times a
 // failed coordinate is re-measured before its events are dropped.
 func (p *Plan) Retries() int { return p.spec.Retries }

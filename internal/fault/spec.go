@@ -41,20 +41,6 @@ func (s Spec) Rate(k Kind) float64 {
 	return s.rates[k]
 }
 
-// SetRate sets the fire probability for a kind (clamped to [0, 1]).
-func (s *Spec) SetRate(k Kind, rate float64) {
-	if int(k) >= kindCount || k == None {
-		return
-	}
-	if rate < 0 {
-		rate = 0
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	s.rates[k] = rate
-}
-
 func (s Spec) withDefaults() Spec {
 	if s.Depth < 1 {
 		s.Depth = defaultDepth

@@ -22,7 +22,7 @@ func analyzeModule(t *testing.T, files map[string]string, relDir string, as ...*
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Run([]*Package{pkg}, as)
+	return RunWorkers([]*Package{pkg}, []*Package{pkg}, as, 0)
 }
 
 func TestCacheKeyFlagsMissingField(t *testing.T) {

@@ -29,7 +29,6 @@ var floatEqApproved = map[string]bool{
 	"internal/core.IsIntegral": true,
 	"internal/mat.ExactEq":     true,
 	"internal/mat.IsZero":      true,
-	"internal/mat.EqWithin":    true,
 }
 
 func runFloatEq(p *Pass) {
@@ -60,7 +59,7 @@ func runFloatEq(p *Pass) {
 				if types.ExprString(bin.X) == types.ExprString(bin.Y) {
 					return true
 				}
-				p.Reportf(bin.OpPos, "floating-point %s between %s and %s; use a tolerance helper (mat.EqWithin, core.ExactEq, core.IsIntegral)",
+				p.Reportf(bin.OpPos, "floating-point %s between %s and %s; use a tolerance helper (core.ExactEq, core.IsIntegral)",
 					bin.Op, types.ExprString(bin.X), types.ExprString(bin.Y))
 				return true
 			})

@@ -7,7 +7,7 @@
 // while the analyzers here refuse the source constructs that could violate
 // them on any input.
 //
-// The eight project-specific analyzers and the invariants they protect:
+// The nine project-specific analyzers and the invariants they protect:
 //
 //   - maporder: byte-identical reports require no map-iteration order leaking
 //     into output or returned slices.
@@ -27,6 +27,9 @@
 //   - lockbyvalue: sync primitives are never copied by value.
 //   - seedcoord: random sources built under par.For/ForErr are seeded by
 //     coordinates (parameters, struct fields), not shared state.
+//   - testonly: every function and method of an internal/ package has a
+//     non-test use somewhere in the module. It is the one module analyzer:
+//     it reads uses from the whole program, not one package.
 //
 // See DESIGN.md §10 for the full rationale and TESTING.md for the allowlist
 // workflow.
@@ -37,6 +40,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
@@ -59,6 +63,12 @@ type Analyzer struct {
 	TestFiles bool
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
+	// RunModule, set instead of Run, makes a module analyzer: it runs once
+	// per lint run over every in-scope package together, and sees the whole
+	// program, so it can ask who anywhere in the module refers to a
+	// declaration. Module analyzers leave TestFiles unset: they never see
+	// test-augmented packages.
+	RunModule func(*ModulePass)
 }
 
 // Pass carries one analyzer's view of one typechecked package.
@@ -86,6 +96,17 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	})
 }
 
+// ModulePass carries a module analyzer's view of one lint run. The embedded
+// Pass supplies Analyzer, Fset and Reportf; its Files, Pkg and Info are unset.
+type ModulePass struct {
+	Pass
+	// Targets are the in-scope non-test packages the run reports on.
+	Targets []*Package
+	// Program is every non-test package whose references count: the whole
+	// module plus any fixture package the run names.
+	Program []*Package
+}
+
 // Diagnostic is one finding.
 type Diagnostic struct {
 	// Pos locates the offending construct (full position, including column;
@@ -109,6 +130,7 @@ func All() []*Analyzer {
 		MapOrder,
 		NonDetSrc,
 		SeedCoord,
+		TestOnly,
 	}
 	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })
 	return as
@@ -131,52 +153,66 @@ func ByName(names []string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// Run applies every analyzer to every package and returns the findings
-// sorted by position, then analyzer name, then message — a deterministic
-// order regardless of package or analyzer scheduling. It fans the
-// (package, analyzer) pairs out through the module's own worker pool;
-// Workers(0) semantics apply (GOMAXPROCS).
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunWorkers(pkgs, analyzers, 0)
-}
-
-// RunWorkers is Run with an explicit worker bound. Each (package, analyzer)
-// pair is an independent read-only pass over the shared typecheck results,
+// RunWorkers applies every analyzer to pkgs and returns the findings sorted
+// by position, then analyzer name, then message — a deterministic order
+// regardless of package or analyzer scheduling. program lists the non-test
+// packages module analyzers read references from; it should hold the whole
+// module, so that a finding does not depend on which packages a run names.
+//
+// Each (package, analyzer) pair, and each module analyzer, is an
+// independent read-only pass over the shared typecheck results, fanned out
+// through the module's own worker pool (workers <= 0 means GOMAXPROCS) and
 // writing to its own diagnostic slice; assembly and sorting afterwards make
 // the output order independent of scheduling. Test-augmented packages
 // (Package.TestFiles) run only TestFiles analyzers, and keep only the
 // findings located in _test.go files — the non-test files were already
 // covered by the regular package.
-func RunWorkers(pkgs []*Package, analyzers []*Analyzer, workers int) []Diagnostic {
+func RunWorkers(pkgs, program []*Package, analyzers []*Analyzer, workers int) []Diagnostic {
 	type task struct {
-		pkg *Package
-		a   *Analyzer
+		pkgs []*Package // one package, or a module analyzer's targets
+		a    *Analyzer
 	}
 	var tasks []task
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
+	for _, a := range analyzers {
+		var targets []*Package
+		for _, pkg := range pkgs {
 			if pkg.TestFiles && !a.TestFiles {
 				continue
 			}
 			if a.Scope != nil && !a.Scope(pkg.Path) {
 				continue
 			}
-			tasks = append(tasks, task{pkg: pkg, a: a})
+			targets = append(targets, pkg)
+		}
+		if a.RunModule != nil {
+			if len(targets) > 0 {
+				tasks = append(tasks, task{pkgs: targets, a: a})
+			}
+			continue
+		}
+		for _, pkg := range targets {
+			tasks = append(tasks, task{pkgs: []*Package{pkg}, a: a})
 		}
 	}
 	results := make([][]Diagnostic, len(tasks))
 	if err := par.ForErr(workers, len(tasks), func(i int) error {
 		var out []Diagnostic
 		t := tasks[i]
+		if t.a.RunModule != nil {
+			t.a.RunModule(&ModulePass{Pass: Pass{Analyzer: t.a, Fset: t.pkgs[0].Fset, diags: &out}, Targets: t.pkgs, Program: program})
+			results[i] = out
+			return nil
+		}
+		pkg := t.pkgs[0]
 		t.a.Run(&Pass{
 			Analyzer: t.a,
-			Fset:     t.pkg.Fset,
-			Files:    t.pkg.Files,
-			Pkg:      t.pkg.Types,
-			Info:     t.pkg.Info,
+			Fset:     pkg.Fset,
+			Files:    pkg.Files,
+			Pkg:      pkg.Types,
+			Info:     pkg.Info,
 			diags:    &out,
 		})
-		if t.pkg.TestFiles {
+		if pkg.TestFiles {
 			kept := out[:0]
 			for _, d := range out {
 				if strings.HasSuffix(d.Pos.Filename, "_test.go") {
@@ -215,11 +251,5 @@ func RunWorkers(pkgs []*Package, analyzers []*Analyzer, workers int) []Diagnosti
 	// A construct can be reached twice by one analyzer (seedcoord checks a
 	// nested par body both as an entry and through its enclosing function);
 	// identical findings collapse to one.
-	out := diags[:0]
-	for i, d := range diags {
-		if i == 0 || d != diags[i-1] {
-			out = append(out, d)
-		}
-	}
-	return out
+	return slices.Compact(diags)
 }

@@ -39,7 +39,7 @@ func analyze(t *testing.T, relDir, src string, as ...*Analyzer) []Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Run([]*Package{pkg}, as)
+	return RunWorkers([]*Package{pkg}, []*Package{pkg}, as, 0)
 }
 
 // TestPositionAccuracy pins the exact line and column each analyzer reports
@@ -56,7 +56,7 @@ func Bad(m map[string]int, a, b float64) bool {
 	return a == b
 }
 `
-	diags := Run(nil, nil)
+	diags := RunWorkers(nil, nil, nil, 0)
 	if len(diags) != 0 {
 		t.Fatalf("empty run produced %d diagnostics", len(diags))
 	}

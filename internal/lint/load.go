@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -174,7 +175,7 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 		return nil, err
 	}
 	sort.Strings(dirs)
-	dirs = dedupeSorted(dirs)
+	dirs = slices.Compact(dirs)
 	pkgs := make([]*Package, 0, len(dirs))
 	for _, dir := range dirs {
 		pkg, err := l.LoadDir(dir)
@@ -185,17 +186,6 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil
-}
-
-// dedupeSorted removes adjacent duplicates from a sorted slice.
-func dedupeSorted(s []string) []string {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // LoadDir parses and typechecks the package in one directory, which must lie

@@ -96,8 +96,3 @@ func tryPlace(g *ScheduledGroup, name string, c CounterConstraint, programmable 
 	}
 	return false
 }
-
-// Rounds returns the number of multiplexing rounds a schedule needs —
-// the figure of merit: fewer rounds means less multiplexing distortion on
-// real hardware.
-func Rounds(groups []ScheduledGroup) int { return len(groups) }

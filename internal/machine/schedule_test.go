@@ -12,8 +12,8 @@ func TestScheduleUnconstrainedPacksFully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Rounds(groups) != 3 {
-		t.Fatalf("rounds = %d want 3", Rounds(groups))
+	if len(groups) != 3 {
+		t.Fatalf("rounds = %d want 3", len(groups))
 	}
 	total := 0
 	for _, g := range groups {
@@ -38,8 +38,8 @@ func TestScheduleFixedCountersShareRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Rounds(groups) != 1 {
-		t.Fatalf("rounds = %d want 1: %v", Rounds(groups), groups)
+	if len(groups) != 1 {
+		t.Fatalf("rounds = %d want 1: %v", len(groups), groups)
 	}
 }
 
@@ -53,8 +53,8 @@ func TestScheduleFixedCounterConflictSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Rounds(groups) != 2 {
-		t.Fatalf("conflicting fixed events must split: %d rounds", Rounds(groups))
+	if len(groups) != 2 {
+		t.Fatalf("conflicting fixed events must split: %d rounds", len(groups))
 	}
 }
 
@@ -69,8 +69,8 @@ func TestScheduleRestrictedCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Rounds(groups) != 2 {
-		t.Fatalf("restricted events must serialize: %d rounds", Rounds(groups))
+	if len(groups) != 2 {
+		t.Fatalf("restricted events must serialize: %d rounds", len(groups))
 	}
 	for _, g := range groups {
 		for slot, name := range g.Events {
@@ -92,8 +92,8 @@ func TestScheduleMixedConstraints(t *testing.T) {
 	}
 	// fixed -> fixed slot; restricted -> counter 1; free1 -> counter 0;
 	// free2 -> second round.
-	if Rounds(groups) != 2 {
-		t.Fatalf("rounds = %d want 2: %v", Rounds(groups), groups)
+	if len(groups) != 2 {
+		t.Fatalf("rounds = %d want 2: %v", len(groups), groups)
 	}
 }
 

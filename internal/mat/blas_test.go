@@ -6,7 +6,7 @@ import (
 )
 
 func TestMatVec(t *testing.T) {
-	a := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	a := newDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	y := MatVec(a, []float64{1, 0, -1})
 	if y[0] != -2 || y[1] != -2 {
 		t.Fatalf("MatVec = %v", y)
@@ -14,7 +14,7 @@ func TestMatVec(t *testing.T) {
 }
 
 func TestMatTVec(t *testing.T) {
-	a := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	a := newDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	y := MatTVec(a, []float64{1, 1})
 	if y[0] != 5 || y[1] != 7 || y[2] != 9 {
 		t.Fatalf("MatTVec = %v", y)
@@ -27,10 +27,10 @@ func TestMatVecDimensionPanics(t *testing.T) {
 }
 
 func TestMatMulSmall(t *testing.T) {
-	a := NewDenseData(2, 2, []float64{1, 2, 3, 4})
-	b := NewDenseData(2, 2, []float64{5, 6, 7, 8})
+	a := newDenseData(2, 2, []float64{1, 2, 3, 4})
+	b := newDenseData(2, 2, []float64{5, 6, 7, 8})
 	c := MatMul(a, b)
-	want := NewDenseData(2, 2, []float64{19, 22, 43, 50})
+	want := newDenseData(2, 2, []float64{19, 22, 43, 50})
 	if !c.Equal(want) {
 		t.Fatalf("MatMul =\n%v want\n%v", c, want)
 	}

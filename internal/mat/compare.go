@@ -1,13 +1,11 @@
 package mat
 
-import "math"
-
 // This file holds the approved floating-point comparison helpers: the only
 // places in non-test code where raw ==/!= between floats is sanctioned (the
 // floateq analyzer in internal/lint enforces this). Routing every comparison
 // through a named helper makes the intent auditable — exact bitwise
-// agreement, exact-zero guard, or an explicit tolerance — instead of leaving
-// the reader to guess whether an == was a latent rounding bug.
+// agreement or an exact-zero guard — instead of leaving the reader to guess
+// whether an == was a latent rounding bug.
 
 // ExactEq reports whether a and b are exactly equal as float64 values. Use
 // it where bitwise-deterministic agreement is the contract (pivot
@@ -19,7 +17,3 @@ func ExactEq(a, b float64) bool { return a == b }
 // LAPACK-style guards in the kernels — skip an empty Householder column,
 // avoid dividing by a zero scale — where only exact zero is special.
 func IsZero(x float64) bool { return x == 0 }
-
-// EqWithin reports whether a and b agree to within an absolute tolerance.
-// tol = 0 degenerates to exact equality; NaNs never compare equal.
-func EqWithin(a, b, tol float64) bool { return math.Abs(a-b) <= tol }

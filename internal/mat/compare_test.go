@@ -25,18 +25,3 @@ func TestIsZero(t *testing.T) {
 		t.Error("IsZero must reject nonzero values and NaN")
 	}
 }
-
-func TestEqWithin(t *testing.T) {
-	if !EqWithin(1.0, 1.0+1e-12, 1e-9) {
-		t.Error("EqWithin rejected a value inside the tolerance")
-	}
-	if EqWithin(1.0, 1.1, 1e-9) {
-		t.Error("EqWithin accepted a value outside the tolerance")
-	}
-	if !EqWithin(2.5, 2.5, 0) {
-		t.Error("EqWithin with tol=0 must degrade to exact equality")
-	}
-	if EqWithin(math.NaN(), math.NaN(), 1) {
-		t.Error("EqWithin must never accept NaN")
-	}
-}

@@ -32,16 +32,6 @@ func NewDense(r, c int) *Dense {
 	return &Dense{rows: r, cols: c, data: make([]float64, r*c)}
 }
 
-// NewDenseData returns an r-by-c matrix backed by data, which must have
-// exactly r*c elements in row-major order. The matrix takes ownership of the
-// slice; the caller must not alias it afterwards.
-func NewDenseData(r, c int, data []float64) *Dense {
-	if len(data) != r*c {
-		panic(fmt.Sprintf("mat: data length %d does not match %dx%d", len(data), r, c))
-	}
-	return &Dense{rows: r, cols: c, data: data}
-}
-
 // FromColumns assembles a matrix whose columns are the given vectors. All
 // vectors must have the same length. An empty column list yields a 0x0 matrix.
 func FromColumns(cols [][]float64) *Dense {

@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// newDenseData returns an r-by-c matrix backed by data, which holds exactly
+// r*c elements in row-major order.
+func newDenseData(r, c int, data []float64) *Dense {
+	return &Dense{rows: r, cols: c, data: data}
+}
+
 func TestNewDenseZeroed(t *testing.T) {
 	m := NewDense(3, 4)
 	r, c := m.Dims()
@@ -18,18 +24,6 @@ func TestNewDenseZeroed(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestNewDenseDataLayout(t *testing.T) {
-	m := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	if m.At(0, 2) != 3 || m.At(1, 0) != 4 {
-		t.Fatalf("row-major layout broken: %v", m)
-	}
-}
-
-func TestNewDenseDataLengthPanics(t *testing.T) {
-	defer expectPanic(t, "short data")
-	NewDenseData(2, 3, []float64{1, 2})
 }
 
 func TestNegativeDimensionPanics(t *testing.T) {
@@ -88,7 +82,7 @@ func TestIdentity(t *testing.T) {
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	m := NewDenseData(1, 2, []float64{1, 2})
+	m := newDenseData(1, 2, []float64{1, 2})
 	c := m.Clone()
 	c.Set(0, 0, 99)
 	if m.At(0, 0) != 1 {
@@ -97,7 +91,7 @@ func TestCloneIsDeep(t *testing.T) {
 }
 
 func TestTranspose(t *testing.T) {
-	m := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	m := newDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	tr := m.Transpose()
 	if tr.Rows() != 3 || tr.Cols() != 2 {
 		t.Fatalf("transpose dims wrong")
@@ -112,7 +106,7 @@ func TestTranspose(t *testing.T) {
 }
 
 func TestSwapCols(t *testing.T) {
-	m := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	m := newDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	m.SwapCols(0, 2)
 	if m.At(0, 0) != 3 || m.At(1, 0) != 6 || m.At(0, 2) != 1 {
 		t.Fatalf("SwapCols wrong: %v", m)
@@ -124,7 +118,7 @@ func TestSwapCols(t *testing.T) {
 }
 
 func TestColRowCopies(t *testing.T) {
-	m := NewDenseData(2, 2, []float64{1, 2, 3, 4})
+	m := newDenseData(2, 2, []float64{1, 2, 3, 4})
 	col := m.Col(1)
 	col[0] = 99
 	if m.At(0, 1) != 2 {
@@ -147,7 +141,7 @@ func TestSetColSetRow(t *testing.T) {
 }
 
 func TestColSlice(t *testing.T) {
-	m := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	m := newDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	s := m.ColSlice([]int{2, 0})
 	if s.Cols() != 2 || s.At(0, 0) != 3 || s.At(0, 1) != 1 || s.At(1, 0) != 6 {
 		t.Fatalf("ColSlice wrong: %v", s)
@@ -155,8 +149,8 @@ func TestColSlice(t *testing.T) {
 }
 
 func TestAddSub(t *testing.T) {
-	a := NewDenseData(2, 2, []float64{1, 2, 3, 4})
-	b := NewDenseData(2, 2, []float64{4, 3, 2, 1})
+	a := newDenseData(2, 2, []float64{1, 2, 3, 4})
+	b := newDenseData(2, 2, []float64{4, 3, 2, 1})
 	sum := NewDense(2, 2).Add(a, b)
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
@@ -172,15 +166,15 @@ func TestAddSub(t *testing.T) {
 }
 
 func TestScale(t *testing.T) {
-	m := NewDenseData(1, 2, []float64{2, -4}).Scale(0.5)
+	m := newDenseData(1, 2, []float64{2, -4}).Scale(0.5)
 	if m.At(0, 0) != 1 || m.At(0, 1) != -2 {
 		t.Fatalf("Scale wrong: %v", m)
 	}
 }
 
 func TestEqualApprox(t *testing.T) {
-	a := NewDenseData(1, 2, []float64{1, 2})
-	b := NewDenseData(1, 2, []float64{1 + 1e-12, 2})
+	a := newDenseData(1, 2, []float64{1, 2})
+	b := newDenseData(1, 2, []float64{1 + 1e-12, 2})
 	if !a.EqualApprox(b, 1e-10) {
 		t.Fatalf("EqualApprox should accept tiny difference")
 	}
@@ -194,7 +188,7 @@ func TestEqualApprox(t *testing.T) {
 }
 
 func TestIsFinite(t *testing.T) {
-	m := NewDenseData(1, 2, []float64{1, 2})
+	m := newDenseData(1, 2, []float64{1, 2})
 	if !m.IsFinite() {
 		t.Fatalf("finite matrix misreported")
 	}
@@ -209,7 +203,7 @@ func TestIsFinite(t *testing.T) {
 }
 
 func TestMaxAbs(t *testing.T) {
-	m := NewDenseData(1, 3, []float64{-5, 2, 3})
+	m := newDenseData(1, 3, []float64{-5, 2, 3})
 	if m.MaxAbs() != 5 {
 		t.Fatalf("MaxAbs = %v", m.MaxAbs())
 	}

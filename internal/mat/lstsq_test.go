@@ -7,7 +7,7 @@ import (
 )
 
 func TestLeastSquaresExactFit(t *testing.T) {
-	a := NewDenseData(3, 2, []float64{
+	a := newDenseData(3, 2, []float64{
 		1, 0,
 		0, 1,
 		1, 1,
@@ -62,7 +62,7 @@ func TestLeastSquaresRankDeficientFallsBackToSVD(t *testing.T) {
 }
 
 func TestLeastSquaresUnderdetermined(t *testing.T) {
-	a := NewDenseData(1, 3, []float64{1, 1, 1})
+	a := newDenseData(1, 3, []float64{1, 1, 1})
 	res, err := LeastSquares(a, []float64{3})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestBackwardErrorUnmatchableSignature(t *testing.T) {
 }
 
 func TestSpectralNormKnown(t *testing.T) {
-	a := NewDenseData(2, 2, []float64{3, 0, 0, 2})
+	a := newDenseData(2, 2, []float64{3, 0, 0, 2})
 	if got := SpectralNorm(a); math.Abs(got-3) > 1e-9 {
 		t.Fatalf("SpectralNorm = %v want 3", got)
 	}
@@ -128,7 +128,7 @@ func TestSpectralNormMatchesSVD(t *testing.T) {
 }
 
 func TestFrobeniusNorm(t *testing.T) {
-	a := NewDenseData(2, 2, []float64{1, 2, 2, 4})
+	a := newDenseData(2, 2, []float64{1, 2, 2, 4})
 	if got := FrobeniusNorm(a); math.Abs(got-5) > 1e-12 {
 		t.Fatalf("FrobeniusNorm = %v want 5", got)
 	}

@@ -80,17 +80,6 @@ func HouseholderStep(work *Dense, k int, tau []float64) {
 	houseColumn(work, k, k, tau, nil)
 }
 
-// R returns the n-by-n upper-triangular factor.
-func (f *QR) R() *Dense {
-	r := NewDense(f.n, f.n)
-	for i := 0; i < f.n; i++ {
-		for j := i; j < f.n; j++ {
-			r.Set(i, j, f.qr.At(i, j))
-		}
-	}
-	return r
-}
-
 // QTVec applies Qᵀ to b in place; b must have length m.
 func (f *QR) QTVec(b []float64) {
 	if len(b) != f.m {
@@ -111,43 +100,6 @@ func (f *QR) QTVec(b []float64) {
 			b[i] -= w * f.qr.At(i, k)
 		}
 	}
-}
-
-// QVec applies Q to b in place; b must have length m.
-func (f *QR) QVec(b []float64) {
-	if len(b) != f.m {
-		panic(fmt.Sprintf("mat: QVec length %d, want %d", len(b), f.m))
-	}
-	for k := f.n - 1; k >= 0; k-- {
-		t := f.tau[k]
-		if IsZero(t) {
-			continue
-		}
-		w := b[k]
-		for i := k + 1; i < f.m; i++ {
-			w += f.qr.At(i, k) * b[i]
-		}
-		w *= t
-		b[k] -= w
-		for i := k + 1; i < f.m; i++ {
-			b[i] -= w * f.qr.At(i, k)
-		}
-	}
-}
-
-// Q materializes the thin m-by-n orthonormal factor.
-func (f *QR) Q() *Dense {
-	q := NewDense(f.m, f.n)
-	col := make([]float64, f.m)
-	for j := 0; j < f.n; j++ {
-		for i := range col {
-			col[i] = 0
-		}
-		col[j] = 1
-		f.QVec(col)
-		q.SetCol(j, col)
-	}
-	return q
 }
 
 // Solve solves the least-squares problem min ‖A*x - b‖₂ using the

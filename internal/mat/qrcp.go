@@ -1,9 +1,6 @@
 package mat
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // QRCPResult records the outcome of a column-pivoted QR factorization.
 type QRCPResult struct {
@@ -45,9 +42,9 @@ func QRCP(a *Dense, tol float64) *QRCPResult {
 		}
 	}
 	threshold := tol * maxNorm
-	tau := make([]float64, minInt(m, n))
+	tau := make([]float64, min(m, n))
 	rank := 0
-	steps := minInt(m, n)
+	steps := min(m, n)
 	for k := 0; k < steps; k++ {
 		// Recompute trailing norms exactly: the downdating formula is
 		// cheaper but loses accuracy; our matrices are small enough.
@@ -69,7 +66,7 @@ func QRCP(a *Dense, tol float64) *QRCPResult {
 		houseColumn(work, k, k, tau, nil)
 		rank++
 	}
-	r := NewDense(minInt(m, n), n)
+	r := NewDense(min(m, n), n)
 	for i := 0; i < r.Rows(); i++ {
 		for j := i; j < n; j++ {
 			r.Set(i, j, work.At(i, j))
@@ -102,38 +99,4 @@ func partialColNorm(work *Dense, row, col int) float64 {
 		return 0
 	}
 	return scale * math.Sqrt(ssq)
-}
-
-// IndependentColumns returns the original indices of the linearly independent
-// columns identified by the factorization, in pivot order.
-func (r *QRCPResult) IndependentColumns() []int {
-	out := make([]int, r.Rank)
-	copy(out, r.Perm[:r.Rank])
-	return out
-}
-
-// ValidatePerm reports an error if Perm is not a permutation of 0..n-1.
-func (r *QRCPResult) ValidatePerm() error {
-	seen := make([]bool, len(r.Perm))
-	for _, p := range r.Perm {
-		if p < 0 || p >= len(r.Perm) || seen[p] {
-			return fmt.Errorf("mat: invalid permutation %v", r.Perm)
-		}
-		seen[p] = true
-	}
-	return nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -102,38 +102,6 @@ func rotateCols(m *Dense, p, q int, c, s float64) {
 	}
 }
 
-// Rank returns the numerical rank: the number of singular values exceeding
-// tol * S[0]. Pass tol <= 0 for a machine-precision default.
-func (d *SVD) Rank(tol float64) int {
-	if len(d.S) == 0 || IsZero(d.S[0]) {
-		return 0
-	}
-	if tol <= 0 {
-		tol = float64(max(d.U.Rows(), len(d.S))) * 1e-15
-	}
-	thresh := tol * d.S[0]
-	rank := 0
-	for _, v := range d.S {
-		if v > thresh {
-			rank++
-		}
-	}
-	return rank
-}
-
-// Cond returns the 2-norm condition number S[0]/S[n-1], or +Inf if the
-// smallest singular value is zero.
-func (d *SVD) Cond() float64 {
-	if len(d.S) == 0 {
-		return 1
-	}
-	last := d.S[len(d.S)-1]
-	if IsZero(last) {
-		return math.Inf(1)
-	}
-	return d.S[0] / last
-}
-
 // PseudoSolve returns the minimum-norm least-squares solution x = A⁺ b using
 // the decomposition, truncating singular values below tol * S[0]
 // (machine-precision default for tol <= 0).

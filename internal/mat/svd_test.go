@@ -54,7 +54,7 @@ func TestSVDOrthogonality(t *testing.T) {
 
 func TestSVDKnownValues(t *testing.T) {
 	// diag(3, 2) has singular values {3, 2}.
-	a := NewDenseData(2, 2, []float64{3, 0, 0, 2})
+	a := newDenseData(2, 2, []float64{3, 0, 0, 2})
 	d := ComputeSVD(a)
 	if math.Abs(d.S[0]-3) > 1e-12 || math.Abs(d.S[1]-2) > 1e-12 {
 		t.Fatalf("S = %v want [3 2]", d.S)
@@ -64,20 +64,10 @@ func TestSVDKnownValues(t *testing.T) {
 func TestSVDRank(t *testing.T) {
 	col := []float64{1, 2, 3}
 	a := FromColumns([][]float64{col, col, {0, 0, 1}})
+	// Rank 2: two singular values clear of zero, the third at rounding level.
 	d := ComputeSVD(a)
-	if r := d.Rank(0); r != 2 {
-		t.Fatalf("rank = %d want 2", r)
-	}
-}
-
-func TestSVDCond(t *testing.T) {
-	a := NewDenseData(2, 2, []float64{4, 0, 0, 1})
-	if c := ComputeSVD(a).Cond(); math.Abs(c-4) > 1e-10 {
-		t.Fatalf("cond = %v want 4", c)
-	}
-	z := ComputeSVD(NewDense(2, 2))
-	if !math.IsInf(z.Cond(), 1) {
-		t.Fatalf("cond of zero matrix should be +Inf")
+	if d.S[1] <= 1e-12*d.S[0] || d.S[2] > 1e-12*d.S[0] {
+		t.Fatalf("S = %v, want exactly two values above 1e-12*S[0]", d.S)
 	}
 }
 
@@ -101,7 +91,7 @@ func TestSVDWideMatrix(t *testing.T) {
 
 func TestPseudoSolveMinimumNorm(t *testing.T) {
 	// Underdetermined: x + y = 2 has minimum-norm solution (1, 1).
-	a := NewDenseData(1, 2, []float64{1, 1})
+	a := newDenseData(1, 2, []float64{1, 1})
 	x := ComputeSVD(a).PseudoSolve([]float64{2}, 0)
 	if !VecEqualApprox(x, []float64{1, 1}, 1e-10) {
 		t.Fatalf("PseudoSolve = %v want [1 1]", x)

@@ -73,15 +73,6 @@ func SubNorm2(x, y []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// Norm1 returns the sum of absolute values of x.
-func Norm1(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
 // NormInf returns the largest absolute value in x, or 0 for empty x.
 func NormInf(x []float64) float64 {
 	var m float64
@@ -111,18 +102,6 @@ func ScaleVec(alpha float64, x []float64) {
 	for i := range x {
 		x[i] *= alpha
 	}
-}
-
-// AddVec returns x+y as a new slice.
-func AddVec(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mat: AddVec length mismatch %d vs %d", len(x), len(y)))
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] + y[i]
-	}
-	return out
 }
 
 // SubVec returns x-y as a new slice.

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -112,7 +113,7 @@ func (r Request) resolve(reg *machine.Registry) (resolved, error) {
 		}
 	}
 	sort.Strings(platforms)
-	platforms = dedupe(platforms)
+	platforms = slices.Compact(platforms)
 	requested := make(map[string]bool, len(r.Benchmarks))
 	for _, name := range r.Benchmarks {
 		b, err := suite.ByName(name)
@@ -158,22 +159,6 @@ func (r Request) resolve(reg *machine.Registry) (resolved, error) {
 		workers:   r.Workers,
 		faults:    r.Faults,
 	}, nil
-}
-
-func dedupe(sorted []string) []string {
-	out := sorted[:0]
-	for i, s := range sorted {
-		if i == 0 || sorted[i-1] != s {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Validate checks the request against a registry without running it.
-func (r Request) Validate(reg *machine.Registry) error {
-	_, err := r.resolve(reg)
-	return err
 }
 
 // Key is the canonical cache/store/shard identity of a matrix: equal keys

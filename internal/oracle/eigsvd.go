@@ -112,25 +112,6 @@ func applyJacobi(g, v *mat.Dense, p, q int, c, s float64) {
 	}
 }
 
-// Rank returns the numerical rank: singular values above tol * S[0], with
-// tol <= 0 defaulting to eigTruncTol.
-func (d *EigSVD) Rank(tol float64) int {
-	if len(d.S) == 0 || mat.IsZero(d.S[0]) {
-		return 0
-	}
-	if tol <= 0 {
-		tol = eigTruncTol
-	}
-	thresh := tol * d.S[0]
-	rank := 0
-	for _, s := range d.S {
-		if s > thresh {
-			rank++
-		}
-	}
-	return rank
-}
-
 // eigTruncTol is the default truncation tolerance for the eigendecomposition
 // oracle. Going through AᵀA maps exactly-zero singular values to roundoff of
 // size ~sqrt(eps)·σ₀ ≈ 1.5e-8·σ₀, so the cut must sit well above that —

@@ -32,9 +32,9 @@ type GSQRCP struct {
 func GramSchmidtQRCP(a *mat.Dense, tol float64) *GSQRCP {
 	m, n := a.Dims()
 	if tol <= 0 {
-		tol = float64(maxInt(m, n)) * 1e-14
+		tol = float64(max(m, n)) * 1e-14
 	}
-	k := minInt(m, n)
+	k := min(m, n)
 	// Working copy: cols[j] is the j-th column, progressively
 	// orthogonalized against the chosen pivots.
 	cols := make([][]float64, n)
@@ -168,18 +168,4 @@ func gramSchmidtNoPivot(a *mat.Dense) *GSQRCP {
 		}
 	}
 	return &GSQRCP{Q: q, R: r}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

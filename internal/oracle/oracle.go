@@ -95,20 +95,6 @@ func (t Tol) Close(a, b float64) bool {
 	return false
 }
 
-// CloseVec reports whether x and y agree elementwise within t; vectors of
-// different lengths never agree.
-func (t Tol) CloseVec(x, y []float64) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for i := range x {
-		if !t.Close(x[i], y[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // CheckVec returns a descriptive error for the first elementwise
 // disagreement between got and want, or nil.
 func (t Tol) CheckVec(what string, got, want []float64) error {

@@ -106,7 +106,7 @@ func TestEigSVDSelfConsistency(t *testing.T) {
 // exact answer.
 func TestSVDLeastSquaresKnownSolution(t *testing.T) {
 	// A = [[1,0],[0,2],[1,1]], x = [3, -1] => b = [3, -2, 2].
-	a := mat.NewDenseData(3, 2, []float64{1, 0, 0, 2, 1, 1})
+	a := mat.FromColumns([][]float64{{1, 0, 1}, {0, 2, 1}})
 	x, err := SVDLeastSquares(a, []float64{3, -2, 2}, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -132,10 +132,3 @@ func (c *flightCache[V]) insert(key string, val V) {
 		delete(c.items, tail.Value.(*cacheEntry[V]).key)
 	}
 }
-
-// len reports the number of cached entries.
-func (c *flightCache[V]) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

@@ -362,7 +362,7 @@ func TestClusterShardingAndFailover(t *testing.T) {
 		return append([]byte(nil), w.Body.Bytes()...)
 	}
 	owner := func(req analyzeRequest) string {
-		return entry.srv.ring.Owner(keyOf(t, ref, req))
+		return entry.srv.ring.Owners(keyOf(t, ref, req), 1)[0]
 	}
 
 	// Bucket candidate requests by owning replica.
@@ -449,7 +449,7 @@ func TestClusterShardingAndFailover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if o := entry.srv.ring.Owner(ep.key); o != entry.url {
+		if o := entry.srv.ring.Owners(ep.key, 1)[0]; o != entry.url {
 			data, err := json.Marshal(req)
 			if err != nil {
 				t.Fatal(err)
@@ -529,7 +529,7 @@ func TestClusterPeerChaosFailsOver(t *testing.T) {
 	found := false
 	for i := 0; i < 16 && !found; i++ {
 		req = taurq(i)
-		owner := s.ring.Owner(keyOf(t, s, req))
+		owner := s.ring.Owners(keyOf(t, s, req), 1)[0]
 		found = owner != self
 	}
 	if !found {

@@ -36,7 +36,7 @@ type job struct {
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	cancel   context.CancelFunc // set while running; also used by DELETE
+	cancel   context.CancelFunc // set by claim; also used by DELETE
 	canceled bool               // user asked for cancellation
 }
 
@@ -117,20 +117,11 @@ func (m *jobManager) worker(ctx context.Context) {
 	defer m.wg.Done()
 	for j := range m.queue {
 		m.queueDepth.Dec()
-		if !j.claim() {
+		jctx, cancel, ok := j.claim(ctx, m.timeout)
+		if !ok {
 			continue // canceled while queued
 		}
 		m.inflight.Inc()
-		jctx := ctx
-		cancel := context.CancelFunc(func() {})
-		if m.timeout > 0 {
-			jctx, cancel = context.WithTimeout(ctx, m.timeout)
-		} else {
-			jctx, cancel = context.WithCancel(ctx)
-		}
-		j.mu.Lock()
-		j.cancel = cancel
-		j.mu.Unlock()
 		m.runJob(jctx, j)
 		cancel()
 		m.inflight.Dec()
@@ -138,16 +129,26 @@ func (m *jobManager) worker(ctx context.Context) {
 	}
 }
 
-// claim transitions a queued job to running, refusing if it was canceled.
-func (j *job) claim() bool {
+// claim transitions a queued job to running, refusing if it was canceled,
+// and returns the context the job runs under: ctx, bounded by timeout when
+// positive. The cancel func is installed in the same critical section that
+// marks the job running, so a DELETE that finds the job running always has
+// a context to cancel.
+func (j *job) claim(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.status != jobQueued {
-		return false
+		return nil, nil, false
 	}
 	j.status = jobRunning
 	j.started = time.Now()
-	return true
+	var jctx context.Context
+	if timeout > 0 {
+		jctx, j.cancel = context.WithTimeout(ctx, timeout)
+	} else {
+		jctx, j.cancel = context.WithCancel(ctx)
+	}
+	return jctx, j.cancel, true
 }
 
 func (j *job) currentStatus() string {
@@ -213,9 +214,7 @@ func (m *jobManager) cancelJob(id string) (jobView, bool, error) {
 		m.jobsTotal.With(jobCanceled).Inc()
 	case jobRunning:
 		j.canceled = true
-		if j.cancel != nil {
-			j.cancel()
-		}
+		j.cancel()
 	default:
 		j.mu.Unlock()
 		return j.snapshot(), true, fmt.Errorf("job %s already %s", id, j.currentStatus())

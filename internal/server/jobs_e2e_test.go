@@ -84,6 +84,42 @@ func TestJobCancelRunning(t *testing.T) {
 	decodeEnvelope(t, rec, http.StatusConflict)
 }
 
+// TestJobCancelRightAfterClaim pins the claim/cancel handoff without timing:
+// the test plays the worker's part by hand, so the DELETE lands after the job
+// is claimed (running) but before its pipeline starts. The DELETE must cancel
+// the context the pipeline then runs under, so the job ends canceled — not
+// acknowledged with 200 and then recorded done.
+func TestJobCancelRightAfterClaim(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	h := s.Handler()
+
+	w := postJSON(t, h, "/v1/jobs", `{"benchmark":"branch"}`)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("enqueue: %d %s", w.Code, w.Body)
+	}
+	j := <-s.jobs.queue
+	jctx, cancel, ok := j.claim(context.Background(), s.jobs.timeout)
+	if !ok {
+		t.Fatal("claim refused a queued job")
+	}
+	defer cancel()
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/v1/jobs/"+j.id, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("cancel: %d %s", rec.Code, rec.Body)
+	}
+	if jctx.Err() == nil {
+		t.Fatal("DELETE was acknowledged but left the claimed job's context live")
+	}
+
+	result, err := s.runJobResilient(jctx, j)
+	j.finish(result, err)
+	if view := j.snapshot(); view.Status != jobCanceled {
+		t.Fatalf("status after cancel = %q (error %q), want %q", view.Status, view.Error, jobCanceled)
+	}
+}
+
 // TestJobTimeout gives the worker pool a timeout no pipeline can meet (the
 // deadline has already passed by the first context check): the job must end
 // failed (not canceled — nobody asked for cancellation) with a deadline

@@ -264,7 +264,7 @@ func TestMatrixSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := entry.srv.ring.Owner(key)
+	owner := entry.srv.ring.Owners(key, 1)[0]
 	if servedBy := resp.Header.Get(servedByHeader); owner != entry.url && servedBy != owner {
 		t.Fatalf("key owned by %q served by %q", owner, servedBy)
 	}

@@ -201,7 +201,10 @@ func TestCacheLRUEviction(t *testing.T) {
 			t.Fatalf("status = %d: %s", w.Code, w.Body)
 		}
 	}
-	if got := s.cache.len(); got != 2 {
+	s.cache.mu.Lock()
+	got := s.cache.ll.Len()
+	s.cache.mu.Unlock()
+	if got != 2 {
 		t.Fatalf("cache holds %d entries, want 2", got)
 	}
 }

@@ -85,11 +85,6 @@ func (r *Ring) Peers() []string {
 	return append([]string(nil), r.peers...)
 }
 
-// Owner returns the peer owning key.
-func (r *Ring) Owner(key string) string {
-	return r.peers[r.points[r.locate(key)].peer]
-}
-
 // Owners returns up to n distinct peers in ring order starting at key's
 // owner: the preference order for serving the key, and therefore the
 // failover order when owners are unreachable. n <= 0 or n beyond the peer

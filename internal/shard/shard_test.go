@@ -48,26 +48,20 @@ func TestDeterministicAcrossOrderings(t *testing.T) {
 		t.Fatalf("peer lists differ: %v vs %v", a.Peers(), b.Peers())
 	}
 	for _, k := range keys(200) {
-		if a.Owner(k) != b.Owner(k) {
-			t.Fatalf("ownership of %q differs: %q vs %q", k, a.Owner(k), b.Owner(k))
-		}
 		if !reflect.DeepEqual(a.Owners(k, 3), b.Owners(k, 3)) {
 			t.Fatalf("failover order of %q differs", k)
 		}
 	}
 }
 
-// TestOwnersDistinctAndComplete checks the failover sequence shape: the
-// owner first, every peer exactly once, truncation honored.
+// TestOwnersDistinctAndComplete checks the failover sequence shape: every
+// peer exactly once, truncation honored.
 func TestOwnersDistinctAndComplete(t *testing.T) {
 	r := ring(t, peers3)
 	for _, k := range keys(50) {
 		all := r.Owners(k, 0)
 		if len(all) != 3 {
 			t.Fatalf("Owners(%q, 0) = %v", k, all)
-		}
-		if all[0] != r.Owner(k) {
-			t.Fatalf("Owners[0] %q != Owner %q", all[0], r.Owner(k))
 		}
 		seen := map[string]bool{}
 		for _, p := range all {
@@ -90,7 +84,7 @@ func TestBalance(t *testing.T) {
 	counts := map[string]int{}
 	const n = 3000
 	for _, k := range keys(n) {
-		counts[r.Owner(k)]++
+		counts[r.Owners(k, 1)[0]]++
 	}
 	fair := n / len(peers3)
 	for p, c := range counts {
@@ -109,8 +103,8 @@ func TestMinimalRemapping(t *testing.T) {
 	reduced := ring(t, peers3[:2])
 	moved := 0
 	for _, k := range keys(1000) {
-		before := full.Owner(k)
-		after := reduced.Owner(k)
+		before := full.Owners(k, 1)[0]
+		after := reduced.Owners(k, 1)[0]
 		if before != peers3[2] && before != after {
 			t.Fatalf("key %q moved %q -> %q though its owner survived", k, before, after)
 		}
@@ -137,7 +131,7 @@ func TestFailoverMatchesReducedRing(t *testing.T) {
 				survivors = append(survivors, p)
 			}
 		}
-		if got := ring(t, survivors).Owner(k); got != order[1] {
+		if got := ring(t, survivors).Owners(k, 1)[0]; got != order[1] {
 			t.Fatalf("key %q: failover %q, reduced ring elects %q", k, order[1], got)
 		}
 	}
@@ -146,7 +140,7 @@ func TestFailoverMatchesReducedRing(t *testing.T) {
 func TestSinglePeerOwnsEverything(t *testing.T) {
 	r := ring(t, []string{"http://localhost:1"})
 	for _, k := range keys(20) {
-		if r.Owner(k) != "http://localhost:1" {
+		if r.Owners(k, 1)[0] != "http://localhost:1" {
 			t.Fatal("single peer must own every key")
 		}
 	}

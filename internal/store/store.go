@@ -28,6 +28,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -81,9 +82,6 @@ func Open(dir string) (*Store, error) {
 	}
 	return &Store{dir: dir}, nil
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Path returns the file an entry for key lives at (whether or not it exists).
 func (s *Store) Path(key string) string {
@@ -190,27 +188,14 @@ func decode(raw []byte, key string) ([]byte, error) {
 	_, _ = h.Write(lens)
 	_, _ = h.Write(storedKey)
 	_, _ = h.Write(payload)
-	if !digestEqual(h.Sum(nil), raw[len(magic)+8:len(magic)+8+sha256.Size]) {
+	// A plain compare: the checksum guards against corruption, not adversaries.
+	if !bytes.Equal(h.Sum(nil), raw[len(magic)+8:len(magic)+8+sha256.Size]) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	if string(storedKey) != key {
 		return nil, fmt.Errorf("%w: entry holds key %q", ErrCorrupt, storedKey)
 	}
 	return payload, nil
-}
-
-// digestEqual compares two digests; plain bytes.Equal semantics (the store
-// guards against corruption, not adversaries).
-func digestEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Len counts published entries (temporary files are ignored). It exists for

@@ -204,7 +204,7 @@ func TestConcurrentWriteRename(t *testing.T) {
 		t.Error(err)
 	}
 	// No temporary droppings survive the writers.
-	entries, err := os.ReadDir(s.Dir())
+	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestDistinctKeysDistinctFiles(t *testing.T) {
 	if s.Path("a") != s.Path("a") {
 		t.Fatal("Path not stable")
 	}
-	if filepath.Dir(s.Path("a")) != s.Dir() {
+	if filepath.Dir(s.Path("a")) != s.dir {
 		t.Fatal("entry outside store dir")
 	}
 	if err := s.Put("a", []byte("1")); err != nil {

@@ -86,7 +86,7 @@ func LogScatter(title string, values []float64, thresh float64, width, height in
 		}
 	}
 	for i, v := range values {
-		c := i * (width - 1) / maxInt(len(values)-1, 1)
+		c := i * (width - 1) / max(len(values)-1, 1)
 		grid[row(v)][c] = '*'
 	}
 	var b strings.Builder
@@ -170,30 +170,6 @@ func legendRow(labels []string, colW int) string {
 			ch = l[:1]
 		}
 		b.WriteString(" " + ch + strings.Repeat(" ", colW-2))
-	}
-	return b.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// CSV renders aligned series as comma-separated rows with a header.
-func CSV(header []string, rows [][]float64) string {
-	var b strings.Builder
-	b.WriteString(strings.Join(header, ","))
-	b.WriteByte('\n')
-	for _, row := range rows {
-		for i, v := range row {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%g", v)
-		}
-		b.WriteByte('\n')
 	}
 	return b.String()
 }

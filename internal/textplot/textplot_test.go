@@ -71,11 +71,3 @@ func TestSeriesAllZero(t *testing.T) {
 		t.Fatalf("zero series should still render coincident points")
 	}
 }
-
-func TestCSV(t *testing.T) {
-	out := CSV([]string{"a", "b"}, [][]float64{{1, 2}, {3.5, -4}})
-	want := "a,b\n1,2\n3.5,-4\n"
-	if out != want {
-		t.Fatalf("CSV = %q want %q", out, want)
-	}
-}

@@ -235,12 +235,6 @@ func (r Request) resolve() (resolved, error) {
 	return resolved{platform: platform, benches: benches, tol: tol, workers: r.Workers, faults: r.Faults}, nil
 }
 
-// Validate checks the request without running it.
-func (r Request) Validate() error {
-	_, err := r.resolve()
-	return err
-}
-
 // Key is the canonical cache/store/shard identity of a validation: equal
 // keys mean byte-identical reports. Workers is excluded — it cannot change
 // results — while Faults and non-default tolerances are included, mirroring
