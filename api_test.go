@@ -54,6 +54,20 @@ func TestPublicPlatformConstructors(t *testing.T) {
 	}
 }
 
+// TestPublicBenchmarkPlatforms pins Benchmark.Platform: every benchmark
+// names a built-in platform of its own class.
+func TestPublicBenchmarkPlatforms(t *testing.T) {
+	for _, b := range eventlens.Benchmarks() {
+		p, err := eventlens.BuiltinPlatform(b.Platform)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		if p.Name != b.Platform || p.Class != b.Class {
+			t.Errorf("%s: platform %s is %s-class, benchmark is %s-class", b.Name, p.Name, p.Class, b.Class)
+		}
+	}
+}
+
 func TestPublicCustomCatalog(t *testing.T) {
 	// A custom event is its response and documentation terms.
 	ev := eventlens.EventDef{

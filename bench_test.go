@@ -17,6 +17,7 @@ import (
 	"github.com/perfmetrics/eventlens"
 	"github.com/perfmetrics/eventlens/internal/cat"
 	"github.com/perfmetrics/eventlens/internal/core"
+	"github.com/perfmetrics/eventlens/internal/machine"
 	"github.com/perfmetrics/eventlens/internal/mat"
 	"github.com/perfmetrics/eventlens/internal/suite"
 )
@@ -169,7 +170,7 @@ func benchCollect(b *testing.B, name string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	platform, err := bench.NewPlatform()
+	platform, err := machine.BuiltinPlatform(bench.Platform)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func BenchmarkCollectDCacheWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	platform, err := bench.NewPlatform()
+	platform, err := machine.BuiltinPlatform(bench.Platform)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func benchCollectWorkers(b *testing.B, name string, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	platform, err := bench.NewPlatform()
+	platform, err := machine.BuiltinPlatform(bench.Platform)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -89,29 +90,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		runCfg := cat.RunConfig(bench.DefaultRun)
 		runCfg.Workers = *workersFlag
 		runCfg.MinimalKernels = *minimal
-		platform, err := bench.NewPlatform()
+		reg, err := machine.NewRegistry(*platformDir)
 		if err != nil {
 			return err
 		}
-		if *platformName != "" || *platformDir != "" {
-			reg, err := machine.NewRegistry()
-			if err != nil {
-				return err
-			}
-			if *platformDir != "" {
-				if _, err := reg.LoadDir(*platformDir); err != nil {
-					return err
-				}
-			}
-			// A platform dir without -platform still collects on the
-			// benchmark's default platform (possibly overridden in dir).
-			name := platform.Name
-			if *platformName != "" {
-				name = *platformName
-			}
-			if platform, err = reg.New(name); err != nil {
-				return err
-			}
+		// Without -platform, collect on the benchmark's default platform as
+		// the registry defines it (a platform dir may override it).
+		platform, err := reg.New(cmp.Or(*platformName, bench.Platform))
+		if err != nil {
+			return err
 		}
 		set, err = bench.CollectOn(context.Background(), platform, runCfg)
 		if err != nil {
@@ -186,8 +173,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *presets {
 		fmt.Fprintln(stdout)
-		fmt.Fprintf(stdout, "# auto-generated presets for %s (%s benchmark)\n", set.Platform, bench.Name)
-		fmt.Fprint(stdout, core.FormatPresets(defs, cfg.RoundTol, core.ComposableThreshold))
+		fmt.Fprint(stdout, core.PresetFile(set.Platform, bench.Name, defs, cfg.RoundTol))
 	}
 	if *ratios {
 		fmt.Fprintln(stdout)

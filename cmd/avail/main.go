@@ -34,14 +34,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	reg, err := machine.NewRegistry()
+	reg, err := machine.NewRegistry(*platformDir)
 	if err != nil {
 		return err
-	}
-	if *platformDir != "" {
-		if _, err := reg.LoadDir(*platformDir); err != nil {
-			return err
-		}
 	}
 	if *list {
 		for _, name := range reg.Names() {

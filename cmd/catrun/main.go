@@ -20,6 +20,7 @@ import (
 	"github.com/perfmetrics/eventlens/internal/cat"
 	"github.com/perfmetrics/eventlens/internal/catio"
 	"github.com/perfmetrics/eventlens/internal/cli"
+	"github.com/perfmetrics/eventlens/internal/machine"
 	"github.com/perfmetrics/eventlens/internal/suite"
 )
 
@@ -70,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *threads > 0 {
 		cfg.Threads = *threads
 	}
-	platform, err := bench.NewPlatform()
+	platform, err := machine.BuiltinPlatform(bench.Platform)
 	if err != nil {
 		return err
 	}

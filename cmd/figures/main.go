@@ -81,14 +81,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 // and backward error per metric cell. The -json envelope is byte-identical
 // to the daemon's /v1/matrix response for the same request.
 func figureMatrix(w io.Writer, platformDir, platforms, benchmarks string, minimal bool, faults string, jsonOut bool) error {
-	reg, err := machine.NewRegistry()
+	reg, err := machine.NewRegistry(platformDir)
 	if err != nil {
 		return err
-	}
-	if platformDir != "" {
-		if _, err := reg.LoadDir(platformDir); err != nil {
-			return err
-		}
 	}
 	req := matrix.Request{
 		Platforms:  cli.SplitList(platforms),

@@ -23,6 +23,9 @@
 //	GET    /v1/jobs/{id}             poll job status/result
 //	DELETE /v1/jobs/{id}             cancel a queued or running job
 //
+// -platform-dir loads *.pdef definitions into the one platform registry
+// every endpoint reads, validate included, as the CLIs' flag does.
+//
 // The process shuts down gracefully on SIGINT/SIGTERM: in-flight requests
 // and queued jobs drain within -shutdown-timeout, then it exits 0.
 package main

@@ -7,6 +7,7 @@
 //	validate -platform spr
 //	validate -platform mi250x -json
 //	validate -platform spr -bench branch,dcache -fit-tol 1e-3
+//	validate -platform-dir defs -platform custom -json   (as eventlensd -platform-dir defs)
 package main
 
 import (
@@ -17,6 +18,7 @@ import (
 	"strings"
 
 	"github.com/perfmetrics/eventlens/internal/cli"
+	"github.com/perfmetrics/eventlens/internal/machine"
 	"github.com/perfmetrics/eventlens/internal/validate"
 )
 
@@ -28,6 +30,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("validate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	platform := fs.String("platform", "", "platform catalog to validate: any registered platform (spr, mi250x, h100, ...)")
+	platformDir := fs.String("platform-dir", "", "load extra platform definitions (*.pdef) from this directory")
 	benches := fs.String("bench", "", "comma-separated benchmark subset (default: every benchmark of the platform)")
 	jsonOut := fs.Bool("json", false, "emit the canonical JSON envelope instead of text (byte-identical to /v1/events/validate)")
 	workersFlag := fs.Int("workers", 0, "collection worker pool size (0 = GOMAXPROCS, 1 = serial; output is byte-identical either way)")
@@ -74,7 +77,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *benches != "" {
 		req.Benchmarks = strings.Split(*benches, ",")
 	}
-	report, err := validate.Run(context.Background(), req)
+	reg, err := machine.NewRegistry(*platformDir)
+	if err != nil {
+		return err
+	}
+	report, err := validate.RunIn(context.Background(), reg, req)
 	if err != nil {
 		return err
 	}

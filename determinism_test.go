@@ -12,6 +12,7 @@ import (
 
 	"github.com/perfmetrics/eventlens/internal/cat"
 	"github.com/perfmetrics/eventlens/internal/core"
+	"github.com/perfmetrics/eventlens/internal/machine"
 	"github.com/perfmetrics/eventlens/internal/suite"
 )
 
@@ -70,7 +71,7 @@ func TestStreamEventsWorkersDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	platform, err := bench.NewPlatform()
+	platform, err := machine.BuiltinPlatform(bench.Platform)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,6 +198,9 @@ var (
 	SapphireRapids = machine.SapphireRapids
 	// MI250X is the AMD-MI250X-like GPU platform (Frontier stand-in).
 	MI250X = machine.MI250X
+	// BuiltinPlatform builds a committed platform by registry name, such as
+	// a Benchmark's Platform.
+	BuiltinPlatform = machine.BuiltinPlatform
 )
 
 // Benchmark registry.

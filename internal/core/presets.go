@@ -118,6 +118,14 @@ func FormatPresets(defs []*MetricDefinition, roundTol, maxBackwardError float64)
 	return b.String()
 }
 
+// PresetFile renders a benchmark's preset file, as `analyze -presets` prints
+// it and the daemon's /v1/presets serves it: a header naming the platform
+// and the benchmark, then FormatPresets at ComposableThreshold.
+func PresetFile(platform, benchmark string, defs []*MetricDefinition, roundTol float64) string {
+	return fmt.Sprintf("# auto-generated presets for %s (%s benchmark)\n", platform, benchmark) +
+		FormatPresets(defs, roundTol, ComposableThreshold)
+}
+
 // ParsePresets parses preset definition lines (the FormatPresets output
 // format) back into Presets, skipping comments and blank lines. Malformed
 // PRESET lines are an error — a silently dropped preset is a silently

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/perfmetrics/eventlens/internal/mat"
@@ -137,6 +138,10 @@ func TestRegistryResolution(t *testing.T) {
 	}
 }
 
+// TestRegistryLoadDirOverride: NewRegistry loads each non-empty dir after
+// the built-ins. New names extend the registry; a built-in name is replaced
+// in place. Refs follow content: an overriding definition gets a new Ref,
+// and a byte-identical copy of a built-in keeps the built-in's.
 func TestRegistryLoadDirOverride(t *testing.T) {
 	dir := t.TempDir()
 	def := `platdef v1
@@ -153,20 +158,17 @@ event E1
 	if err := os.WriteFile(filepath.Join(dir, "tiny-sim.pdef"), []byte(def), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	reg, err := NewRegistry()
+	builtins, err := NewRegistry("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := len(reg.Names())
-	added, err := reg.LoadDir(dir)
+	reg, err := NewRegistry(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(added) != 1 || added[0] != "tiny-sim" {
-		t.Fatalf("added = %v", added)
-	}
-	if got := len(reg.Names()); got != before+1 {
-		t.Fatalf("names after load = %d, want %d", got, before+1)
+	before := len(builtins.Names())
+	if got := reg.Names(); len(got) != before+1 || got[before] != "tiny-sim" {
+		t.Fatalf("names after load = %v", got)
 	}
 	p, err := reg.New("tiny")
 	if err != nil {
@@ -176,7 +178,8 @@ event E1
 		t.Fatalf("tiny platform: counters=%d events=%d", p.Counters, p.Catalog.Len())
 	}
 
-	// A directory definition reusing a builtin name replaces it in place.
+	// A second dir reusing a builtin name replaces it in place; a copy of
+	// a builtin changes nothing, its Ref included.
 	override := `platdef v1
 
 platform zen4-sim
@@ -186,10 +189,19 @@ counters 3
 event ONLY
   respond cpu.cycles=1
 `
-	if err := os.WriteFile(filepath.Join(dir, "zen4-sim.pdef"), []byte(override), 0o644); err != nil {
+	dir2 := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir2, "zen4-sim.pdef"), []byte(override), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.LoadDir(dir); err != nil {
+	icl, err := platdef.BuiltinBytes("icl-sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir2, "icl-sim.pdef"), icl, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg, err = NewRegistry(dir, dir2)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := len(reg.Names()); got != before+1 {
@@ -201,6 +213,41 @@ event ONLY
 	}
 	if z.Counters != 3 || z.Catalog.Len() != 1 {
 		t.Fatalf("zen4 override not applied: counters=%d events=%d", z.Counters, z.Catalog.Len())
+	}
+	ref := func(r *Registry, name string) string {
+		t.Helper()
+		s, err := r.Ref(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	if got, was := ref(reg, "zen4"), ref(builtins, "zen4"); got == was || !strings.HasPrefix(got, "zen4-sim@") {
+		t.Fatalf("zen4 override Ref %q, built-in %q", got, was)
+	}
+	if got, want := ref(reg, "icl"), ref(builtins, "icl-sim"); got != want {
+		t.Fatalf("a copy of icl-sim changed its Ref: %q, want %q", got, want)
+	}
+	if want := "icl-sim@" + platdef.Digest(icl); ref(builtins, "icl") != want {
+		t.Fatalf("built-in Ref %q is not the digest of its file %q", ref(builtins, "icl"), want)
+	}
+	if _, err := reg.Ref("m2max"); err == nil {
+		t.Fatal("Ref(m2max) should fail")
+	}
+
+	// An override keeps its platform's class: benchmarks pick their default
+	// platform by name.
+	mi, err := platdef.BuiltinBytes("mi250x-sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpu := t.TempDir()
+	spr := bytes.Replace(mi, []byte("platform mi250x-sim"), []byte("platform spr-sim"), 1)
+	if err := os.WriteFile(filepath.Join(gpu, "spr-sim.pdef"), spr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRegistry(gpu); err == nil || !strings.Contains(err.Error(), "redefines cpu-class platform spr-sim as gpu-class") {
+		t.Fatalf("class-changing override: err = %v", err)
 	}
 }
 

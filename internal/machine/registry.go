@@ -8,46 +8,58 @@ import (
 )
 
 // Registry resolves platform names to definitions: the committed built-in
-// platforms, optionally extended (or overridden) by definitions loaded from
-// a directory — the CLIs' -platform-dir flag. A registry is built once and
-// read concurrently; LoadDir must not race with readers.
+// platforms, extended (or overridden) by definitions loaded from
+// directories — the -platform-dir flag of the CLIs and the daemon. A
+// process builds one registry at start-up and passes it down; it is
+// immutable, so any number of goroutines may read it.
 type Registry struct {
-	order []string
-	defs  map[string]*platdef.Platform
+	order   []string
+	entries map[string]entry
+}
+
+// entry is one registered definition and its Ref.
+type entry struct {
+	def *platdef.Platform
+	ref string
 }
 
 // NewRegistry returns a registry holding the built-in platforms in
-// canonical listing order.
-func NewRegistry() (*Registry, error) {
-	r := &Registry{defs: make(map[string]*platdef.Platform)}
+// canonical listing order, then the definitions of each non-empty dir in
+// turn (platdef.LoadDir). A definition whose name is already registered
+// replaces it in place, in the same class (benchmarks pick their default
+// platform by name); new names append in file order. Each definition's
+// digest is computed here, once: the built-ins' once per process.
+func NewRegistry(dirs ...string) (*Registry, error) {
+	r := &Registry{entries: make(map[string]entry)}
+	add := func(def *platdef.Platform, digest string) {
+		if _, exists := r.entries[def.Name]; !exists {
+			r.order = append(r.order, def.Name)
+		}
+		r.entries[def.Name] = entry{def: def, ref: def.Name + "@" + digest}
+	}
 	for _, name := range platdef.BuiltinNames() {
-		def, err := platdef.Builtin(name)
+		def, digest, err := platdef.Builtin(name)
 		if err != nil {
 			return nil, err
 		}
-		r.order = append(r.order, name)
-		r.defs[name] = def
+		add(def, digest)
+	}
+	for _, dir := range dirs {
+		if dir == "" {
+			continue
+		}
+		defs, err := platdef.LoadDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		for _, def := range defs {
+			if old, ok := r.entries[def.Name]; ok && old.def.Class != def.Class {
+				return nil, fmt.Errorf("machine: %s redefines %s-class platform %s as %s-class", dir, old.def.Class, def.Name, def.Class)
+			}
+			add(def, platdef.Digest(def.Canonical()))
+		}
 	}
 	return r, nil
-}
-
-// LoadDir loads every platform definition in dir into the registry,
-// returning the names loaded. A definition whose name matches an existing
-// platform replaces it in place; new names append in file order.
-func (r *Registry) LoadDir(dir string) ([]string, error) {
-	defs, err := platdef.LoadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, def := range defs {
-		if _, exists := r.defs[def.Name]; !exists {
-			r.order = append(r.order, def.Name)
-		}
-		r.defs[def.Name] = def
-		names = append(names, def.Name)
-	}
-	return names, nil
 }
 
 // Names returns every registered platform name in listing order.
@@ -58,11 +70,11 @@ func (r *Registry) Names() []string {
 // Canonical resolves a platform name or its short alias (the name minus a
 // "-sim" suffix: "spr" for "spr-sim") to the registered platform name.
 func (r *Registry) Canonical(name string) (string, error) {
-	if _, ok := r.defs[name]; ok {
+	if _, ok := r.entries[name]; ok {
 		return name, nil
 	}
 	if !strings.HasSuffix(name, "-sim") {
-		if full := name + "-sim"; r.defs[full] != nil {
+		if full := name + "-sim"; r.entries[full].def != nil {
 			return full, nil
 		}
 	}
@@ -80,7 +92,20 @@ func (r *Registry) Def(name string) (*platdef.Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.defs[full], nil
+	return r.entries[full].def, nil
+}
+
+// Ref names a registered platform's definition in store keys: its
+// registered name and content digest (platdef.Digest), "spr-sim@<hex>".
+// Every key that reaches the result store carries the Ref of each platform
+// its request reads, so a definition that a platform dir or a new build
+// changes turns old entries into misses, never wrong hits.
+func (r *Registry) Ref(name string) (string, error) {
+	full, err := r.Canonical(name)
+	if err != nil {
+		return "", err
+	}
+	return r.entries[full].ref, nil
 }
 
 // New builds a fresh live platform from a registered definition.
@@ -93,10 +118,10 @@ func (r *Registry) New(name string) (*Platform, error) {
 }
 
 // BuiltinPlatform builds a live platform from a committed built-in
-// definition by exact name — the loader behind SapphireRapids, MI250X and
-// Zen4.
+// definition by exact name — the loader behind SapphireRapids, MI250X,
+// Zen4 and suite.Benchmark.Collect.
 func BuiltinPlatform(name string) (*Platform, error) {
-	def, err := platdef.Builtin(name)
+	def, _, err := platdef.Builtin(name)
 	if err != nil {
 		return nil, err
 	}

@@ -162,27 +162,32 @@ func (r Request) resolve(reg *machine.Registry) (resolved, error) {
 }
 
 // Key is the canonical cache/store/shard identity of a matrix: equal keys
-// mean byte-identical reports. Workers is excluded — it cannot change
-// results — while Minimal, Faults and non-default thresholds are included,
-// mirroring cat.RunConfig.String.
+// mean byte-identical reports. It names each platform by its Ref, the
+// definition its column is computed from. Workers is excluded — it cannot
+// change results — while Minimal, Faults and non-default thresholds are
+// included, mirroring cat.RunConfig.String.
 func (r Request) Key(reg *machine.Registry) (string, error) {
 	res, err := r.resolve(reg)
 	if err != nil {
 		return "", err
 	}
+	refs := make([]string, len(res.platforms))
+	for i, name := range res.platforms {
+		if refs[i], err = reg.Ref(name); err != nil {
+			return "", err
+		}
+	}
 	names := make([]string, len(res.benches))
 	for i, b := range res.benches {
 		names[i] = b.Name
 	}
-	key := fmt.Sprintf("%s|%s|threshold=%g", strings.Join(res.platforms, ","), strings.Join(names, ","), res.threshold)
+	key := fmt.Sprintf("%s|%s|threshold=%g", strings.Join(refs, ","), strings.Join(names, ","), res.threshold)
 	if res.minimal {
 		key += "|minimal"
 	}
 	if res.faults != "" {
-		if spec, err := fault.ParseSpec(res.faults); err == nil {
-			return key + "|faults=" + spec.String(), nil
-		}
-		return key + "|faults=" + res.faults, nil
+		spec, _ := fault.ParseSpec(res.faults) // resolve rejected specs that do not parse
+		key += "|faults=" + spec.String()
 	}
 	return key, nil
 }

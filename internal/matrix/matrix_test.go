@@ -3,11 +3,14 @@ package matrix
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/perfmetrics/eventlens/internal/goldie"
 	"github.com/perfmetrics/eventlens/internal/machine"
+	"github.com/perfmetrics/eventlens/internal/platdef"
 )
 
 func reg(t *testing.T) *machine.Registry {
@@ -39,8 +42,37 @@ func TestRequestKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range r.Names() {
-		if !strings.Contains(kAll, name) {
-			t.Errorf("default key %q misses platform %s", kAll, name)
+		if ref, _ := r.Ref(name); !strings.Contains(kAll, ref) {
+			t.Errorf("default key %q misses platform %s", kAll, ref)
+		}
+	}
+	// A platform dir that redefines zen4 changes the keys that read it, and
+	// only those.
+	raw, err := platdef.BuiltinBytes("zen4-sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	edited := bytes.Replace(raw, []byte("counters 6"), []byte("counters 5"), 1)
+	if err := os.WriteFile(filepath.Join(dir, "zen4-sim.pdef"), edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	over, err := machine.NewRegistry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		platform string
+		same     bool
+	}{{"zen4", false}, {"spr", true}} {
+		req := Request{Platforms: []string{tc.platform}, Benchmarks: []string{"branch"}}
+		kb, err1 := req.Key(r)
+		ko, err2 := req.Key(over)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		if (kb == ko) != tc.same {
+			t.Errorf("%s: built-in key %q, overridden key %q", tc.platform, kb, ko)
 		}
 	}
 	// Threshold, minimal and faults all change results, so they change keys.

@@ -1,7 +1,9 @@
 package platdef
 
 import (
+	"crypto/sha256"
 	"embed"
+	"encoding/hex"
 	"fmt"
 	"sync"
 )
@@ -27,45 +29,55 @@ func BuiltinNames() []string {
 	return append([]string(nil), builtinOrder...)
 }
 
-var (
-	builtinOnce sync.Once
-	builtinDefs map[string]*Platform
-	builtinErr  error
-)
+// Digest is the content digest of a definition's canonical bytes: their
+// hex SHA-256. Canonical bytes are equal iff definitions are, so equal
+// digests mean equal definitions.
+func Digest(canonical []byte) string {
+	sum := sha256.Sum256(canonical)
+	return hex.EncodeToString(sum[:])
+}
 
-func loadBuiltins() {
-	builtinDefs = make(map[string]*Platform, len(builtinOrder))
+// builtin is one committed platform: its parsed definition and the digest
+// of its file, which is canonical (cmd/verify and the canonical-drift tests
+// prove it), so hashing the file is hashing the canonical bytes.
+type builtin struct {
+	def    *Platform
+	digest string
+}
+
+// builtins parses every committed platform once per process.
+var builtins = sync.OnceValues(func() (map[string]builtin, error) {
+	out := make(map[string]builtin, len(builtinOrder))
 	for _, name := range builtinOrder {
 		data, err := builtinFS.ReadFile("platforms/" + name + ".pdef")
 		if err != nil {
-			builtinErr = fmt.Errorf("platdef: %w", err)
-			return
+			return nil, fmt.Errorf("platdef: %w", err)
 		}
 		def, err := Parse(data)
 		if err != nil {
-			builtinErr = fmt.Errorf("builtin %s: %w", name, err)
-			return
+			return nil, fmt.Errorf("builtin %s: %w", name, err)
 		}
 		if def.Name != name {
-			builtinErr = fmt.Errorf("platdef: builtin file %s.pdef defines platform %q", name, def.Name)
-			return
+			return nil, fmt.Errorf("platdef: builtin file %s.pdef defines platform %q", name, def.Name)
 		}
-		builtinDefs[name] = def
+		out[name] = builtin{def: def, digest: Digest(data)}
 	}
-}
+	return out, nil
+})
 
 // Builtin returns the committed definition of a built-in platform by exact
-// name. The returned value is shared and must be treated as read-only.
-func Builtin(name string) (*Platform, error) {
-	builtinOnce.Do(loadBuiltins)
-	if builtinErr != nil {
-		return nil, builtinErr
+// name, and its Digest. The returned value is shared and must be treated as
+// read-only.
+func Builtin(name string) (*Platform, string, error) {
+	all, err := builtins()
+	if err != nil {
+		return nil, "", err
 	}
-	def, ok := builtinDefs[name]
+	b, ok := all[name]
 	if !ok {
-		return nil, fmt.Errorf("platdef: no builtin platform %q", name)
+		return nil, "", fmt.Errorf("platdef: no builtin platform %q", name)
 	}
-	return def, nil
+	return b.def, b.digest, nil
 }
 
 // BuiltinBytes returns the committed canonical bytes of a built-in

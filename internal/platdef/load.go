@@ -8,20 +8,6 @@ import (
 	"strings"
 )
 
-// LoadFile parses one definition file in the text format (conventionally
-// *.pdef).
-func LoadFile(path string) (*Platform, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("platdef: %w", err)
-	}
-	p, err := Parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return p, nil
-}
-
 // LoadDir loads every *.pdef definition in a directory, in file-name order,
 // rejecting two files that define the same platform name. It is the
 // implementation behind the CLIs' -platform-dir flag.
@@ -43,9 +29,14 @@ func LoadDir(dir string) ([]*Platform, error) {
 	var out []*Platform
 	seen := make(map[string]string, len(names))
 	for _, name := range names {
-		p, err := LoadFile(filepath.Join(dir, name))
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("platdef: %w", err)
+		}
+		p, err := Parse(data)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 		if first, dup := seen[p.Name]; dup {
 			return nil, fmt.Errorf("platdef: %s and %s both define platform %q", first, name, p.Name)

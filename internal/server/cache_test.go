@@ -60,10 +60,10 @@ func TestFlightJoinerOutlivesLeaderCancel(t *testing.T) {
 	defer cancel()
 	stall := &stallDriver{leading: make(chan struct{}), release: leaderCtx}
 	bench := suite.Benchmark{
-		Name:        "stub",
-		Class:       "cpu",
-		NewPlatform: machine.SapphireRapids,
-		Driver:      stall,
+		Name:     "stub",
+		Class:    "cpu",
+		Platform: "spr-sim",
+		Driver:   stall,
 	}
 	run := cat.RunConfig{Reps: 1, Threads: 1}
 

@@ -32,11 +32,11 @@ func taurq(i int) analyzeRequest {
 // does and returns its canonical analysis key.
 func keyOf(t *testing.T, s *Server, req analyzeRequest) string {
 	t.Helper()
-	bench, run, cfg, err := s.resolve(req)
+	id, err := s.resolve(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return analysisKey(bench, run, cfg)
+	return id.key
 }
 
 func marshalReq(t *testing.T, req analyzeRequest) string {

@@ -7,14 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
+	"slices"
 	"time"
 
 	"github.com/perfmetrics/eventlens/internal/cat"
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/fault"
-	"github.com/perfmetrics/eventlens/internal/machine"
 	"github.com/perfmetrics/eventlens/internal/matrix"
+	"github.com/perfmetrics/eventlens/internal/platdef"
 	"github.com/perfmetrics/eventlens/internal/suite"
 	"github.com/perfmetrics/eventlens/internal/validate"
 )
@@ -196,18 +196,27 @@ type analyzeResponse struct {
 	Report string `json:"report"`
 }
 
+// analysisID is a resolved analysis request and its canonical cache/store/
+// shard key: the benchmark, the Ref of its platform's definition, and the
+// canonical RunConfig and Config. The pipeline is deterministic, so equal
+// keys mean equal results — in memory, on disk, and on any replica.
+type analysisID struct {
+	bench suite.Benchmark
+	run   cat.RunConfig
+	cfg   core.Config
+	key   string
+}
+
 // analysis is the product of the analysis stages for one analysis key: the
 // shared noise profile of its measurement key, the pipeline result and the
 // benchmark's metric definitions. It is built once per analysis key, held in
 // the analysis cache and never mutated; the analyze, define, explain and
 // presets endpoints each render their canonical bytes from it.
 type analysis struct {
-	bench suite.Benchmark
-	run   cat.RunConfig
-	cfg   core.Config
-	prof  *core.NoiseProfile
-	res   *core.Result
-	defs  []*core.MetricDefinition
+	analysisID
+	prof *core.NoiseProfile
+	res  *core.Result
+	defs []*core.MetricDefinition
 }
 
 func (a *analysis) response() *analyzeResponse {
@@ -241,15 +250,13 @@ func (a *analysis) response() *analyzeResponse {
 
 // resolve validates an analyzeRequest against the benchmark registry and
 // fills defaults.
-func (s *Server) resolve(req analyzeRequest) (suite.Benchmark, cat.RunConfig, core.Config, error) {
+func (s *Server) resolve(req analyzeRequest) (analysisID, error) {
 	if req.Benchmark == "" {
-		return suite.Benchmark{}, cat.RunConfig{}, core.Config{},
-			httpError{http.StatusBadRequest, "missing required field \"benchmark\""}
+		return analysisID{}, httpError{http.StatusBadRequest, "missing required field \"benchmark\""}
 	}
 	bench, err := suite.ByName(req.Benchmark)
 	if err != nil {
-		return suite.Benchmark{}, cat.RunConfig{}, core.Config{},
-			httpError{http.StatusNotFound, err.Error()}
+		return analysisID{}, httpError{http.StatusNotFound, err.Error()}
 	}
 	run := bench.DefaultRun
 	if req.Run != nil {
@@ -259,8 +266,7 @@ func (s *Server) resolve(req analyzeRequest) (suite.Benchmark, cat.RunConfig, co
 		run.Workers = s.cfg.PipelineWorkers
 	}
 	if err := run.Validate(); err != nil {
-		return suite.Benchmark{}, cat.RunConfig{}, core.Config{},
-			httpError{http.StatusBadRequest, err.Error()}
+		return analysisID{}, httpError{http.StatusBadRequest, err.Error()}
 	}
 	cfg := bench.Config
 	if req.Config != nil {
@@ -270,22 +276,17 @@ func (s *Server) resolve(req analyzeRequest) (suite.Benchmark, cat.RunConfig, co
 		cfg.Workers = s.cfg.PipelineWorkers
 	}
 	if cfg.Tau < 0 || cfg.Alpha <= 0 || cfg.ProjectionTol <= 0 {
-		return suite.Benchmark{}, cat.RunConfig{}, core.Config{},
-			httpError{http.StatusBadRequest, "config: tau must be >= 0, alpha and projection_tol must be > 0"}
+		return analysisID{}, httpError{http.StatusBadRequest, "config: tau must be >= 0, alpha and projection_tol must be > 0"}
 	}
 	if cfg.Workers < 0 {
-		return suite.Benchmark{}, cat.RunConfig{}, core.Config{},
-			httpError{http.StatusBadRequest, "config: workers must be >= 0 (0 means GOMAXPROCS)"}
+		return analysisID{}, httpError{http.StatusBadRequest, "config: workers must be >= 0 (0 means GOMAXPROCS)"}
 	}
-	return bench, run, cfg, nil
-}
-
-// analysisKey is the canonical cache/store/shard key of one analysis: the
-// canonical rendering of (benchmark, RunConfig, Config). The pipeline is
-// deterministic, so equal keys mean equal results — everywhere: in memory,
-// on disk, and on whichever replica the key hashes to.
-func analysisKey(bench suite.Benchmark, run cat.RunConfig, cfg core.Config) string {
-	return fmt.Sprintf("%s|%s|%s", bench.Name, run, cfg)
+	ref, err := s.platforms.Ref(bench.Platform)
+	if err != nil {
+		return analysisID{}, err
+	}
+	return analysisID{bench: bench, run: run, cfg: cfg,
+		key: fmt.Sprintf("%s|%s|%s|%s", bench.Name, ref, run, cfg)}, nil
 }
 
 // Cache sources reported in the X-Eventlens-Cache header.
@@ -370,14 +371,14 @@ func handleLadder[R any](s *Server, describe func(R) (endpoint, error)) http.Han
 
 // analyzeEndpoint describes /v1/analyze, which async jobs share.
 func (s *Server) analyzeEndpoint(req analyzeRequest) (endpoint, error) {
-	bench, run, cfg, err := s.resolve(req)
+	id, err := s.resolve(req)
 	if err != nil {
 		return endpoint{}, err
 	}
 	return endpoint{
-		key: analysisKey(bench, run, cfg),
+		key: id.key,
 		compute: func(ctx context.Context) ([]byte, error) {
-			a, err := s.analyze(ctx, bench, run, cfg)
+			a, err := s.analyze(ctx, id)
 			if err != nil {
 				return nil, err
 			}
@@ -392,30 +393,31 @@ func (s *Server) analyzeEndpoint(req analyzeRequest) (endpoint, error) {
 // (immutable) profile. Every endpoint rendered from an analysis computes
 // through here, so the define, explain and presets requests on a key
 // analyze served reuse its analysis.
-func (s *Server) analyze(ctx context.Context, bench suite.Benchmark, run cat.RunConfig, cfg core.Config) (*analysis, error) {
-	return s.analyses.do(ctx, analysisKey(bench, run, cfg), func() (*analysis, error) {
-		prof, err := s.noiseProfile(ctx, bench, run)
+func (s *Server) analyze(ctx context.Context, id analysisID) (*analysis, error) {
+	return s.analyses.do(ctx, id.key, func() (*analysis, error) {
+		prof, err := s.noiseProfile(ctx, id.bench, id.run)
 		if err != nil {
 			return nil, err
 		}
-		res, err := bench.AnalyzeProfile(ctx, prof, cfg)
+		res, err := id.bench.AnalyzeProfile(ctx, prof, id.cfg)
 		if err != nil {
 			return nil, err
 		}
-		defs, err := res.DefineMetrics(bench.Signatures)
+		defs, err := res.DefineMetrics(id.bench.Signatures)
 		if err != nil {
 			return nil, err
 		}
 		s.pipelineRuns.Inc()
-		return &analysis{bench: bench, run: run, cfg: cfg, prof: prof, res: res, defs: defs}, nil
+		return &analysis{analysisID: id, prof: prof, res: res, defs: defs}, nil
 	})
 }
 
 // noiseProfile resolves (benchmark, run) to the shared noise profile of its
 // measurement set through the batching set cache, keyed by
-// cat.RunConfig.MeasurementKey. Collection depends only on (benchmark,
-// RunConfig) — analysis thresholds never touch it — and so does the
-// profile, so K analysis configurations sharing a measurement key trigger
+// cat.RunConfig.MeasurementKey. Collection runs on the registry's definition
+// of the benchmark's platform, fixed for the process, so it depends only on
+// (benchmark, RunConfig) — analysis thresholds never touch it — and so does
+// the profile: K analysis configurations sharing a measurement key trigger
 // exactly one collection and one noise pass whether they arrive
 // concurrently (they join the flight) or sequentially (they hit the cache).
 // The raw set lives only until it is validated and profiled. Collections
@@ -424,7 +426,11 @@ func (s *Server) analyze(ctx context.Context, bench suite.Benchmark, run cat.Run
 // the cost it saved.
 func (s *Server) noiseProfile(ctx context.Context, bench suite.Benchmark, run cat.RunConfig) (*core.NoiseProfile, error) {
 	return s.sets.do(ctx, run.MeasurementKey(bench.Name), func() (*core.NoiseProfile, error) {
-		set, err := bench.Collect(ctx, run)
+		p, err := s.platforms.New(bench.Platform)
+		if err != nil {
+			return nil, err
+		}
+		set, err := bench.CollectOn(ctx, p, run)
 		if err != nil {
 			return nil, err
 		}
@@ -471,11 +477,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // ---- Event-trust validation -------------------------------------------
 
 // validateKey is the canonical cache/store/shard key of one event-trust
-// validation: the request's own canonical key under the endpoint's prefix,
-// so validations and analyses never collide in the cache, the persistent
-// store, or the shard ring.
-func validateKey(req validate.Request) (string, error) {
-	k, err := req.Key()
+// validation: the request's own canonical key against the daemon's registry
+// under the endpoint's prefix, so validations and analyses never collide in
+// the cache, the persistent store, or the shard ring.
+func (s *Server) validateKey(req validate.Request) (string, error) {
+	k, err := req.KeyIn(s.platforms)
 	if err != nil {
 		return "", httpError{http.StatusBadRequest, err.Error()}
 	}
@@ -488,7 +494,7 @@ func validateKey(req validate.Request) (string, error) {
 // benchmarks and dropped events are listed in the report, and only a
 // validation losing every benchmark fails (as 503, never 500).
 func (s *Server) validateEndpoint(req validate.Request) (endpoint, error) {
-	key, err := validateKey(req)
+	key, err := s.validateKey(req)
 	if err != nil {
 		return endpoint{}, err
 	}
@@ -498,7 +504,7 @@ func (s *Server) validateEndpoint(req validate.Request) (endpoint, error) {
 			if req.Workers == 0 {
 				req.Workers = s.cfg.PipelineWorkers
 			}
-			report, err := validate.Run(ctx, req)
+			report, err := validate.RunIn(ctx, s.platforms, req)
 			if err != nil {
 				return nil, err
 			}
@@ -596,10 +602,11 @@ func (s *Server) defineEndpoint(req defineRequest) (endpoint, error) {
 		return endpoint{}, httpError{http.StatusBadRequest,
 			"exactly one of \"metric\" (a name from the benchmark's table) or \"signature\" must be set"}
 	}
-	bench, run, cfg, err := s.resolve(analyzeRequest{Benchmark: req.Benchmark, Run: req.Run, Config: req.Config})
+	id, err := s.resolve(analyzeRequest{Benchmark: req.Benchmark, Run: req.Run, Config: req.Config})
 	if err != nil {
 		return endpoint{}, err
 	}
+	bench, cfg := id.bench, id.cfg
 	var sig core.Signature
 	if req.Signature != nil {
 		if req.Signature.Name == "" {
@@ -627,9 +634,9 @@ func (s *Server) defineEndpoint(req defineRequest) (endpoint, error) {
 		return endpoint{}, httpError{http.StatusBadRequest, "signature: " + err.Error()}
 	}
 	return endpoint{
-		key: "define|" + analysisKey(bench, run, cfg) + "|" + string(sigJSON),
+		key: "define|" + id.key + "|" + string(sigJSON),
 		compute: func(ctx context.Context) ([]byte, error) {
-			a, err := s.analyze(ctx, bench, run, cfg)
+			a, err := s.analyze(ctx, id)
 			if err != nil {
 				return nil, err
 			}
@@ -692,20 +699,6 @@ type explainResponse struct {
 	Explanations []explanationJSON `json:"explanations"`
 }
 
-// benchCatalogs maps each benchmark to its platform's raw-event catalog,
-// built on first use: an event outside it can never be kept.
-var benchCatalogs = sync.OnceValues(func() (map[string]*machine.Catalog, error) {
-	out := map[string]*machine.Catalog{}
-	for _, b := range suite.All() {
-		p, err := b.NewPlatform()
-		if err != nil {
-			return nil, err
-		}
-		out[b.Name] = p.Catalog
-	}
-	return out, nil
-})
-
 // notKept is the 404 of an explain request naming an event the analysis
 // did not keep.
 func notKept(event string) error {
@@ -716,30 +709,31 @@ func notKept(event string) error {
 // explainEndpoint describes /v1/events/explain: the kept raw events of the
 // request's analysis decoded into basis vocabulary, keyed by the analysis
 // key and the event under the endpoint's prefix ("" and "all" are one key).
-// An event outside the benchmark's platform catalog is rejected here, before
-// any analysis.
+// An event outside the registry's definition of the benchmark's platform can
+// never be kept, so it is rejected here, before any analysis.
 func (s *Server) explainEndpoint(req explainRequest) (endpoint, error) {
-	bench, run, cfg, err := s.resolve(analyzeRequest{Benchmark: req.Benchmark, Run: req.Run, Config: req.Config})
+	id, err := s.resolve(analyzeRequest{Benchmark: req.Benchmark, Run: req.Run, Config: req.Config})
 	if err != nil {
 		return endpoint{}, err
 	}
+	bench, cfg := id.bench, id.cfg
 	event := req.Event
 	if event == "" {
 		event = "all"
 	}
 	if event != "all" {
-		catalogs, err := benchCatalogs()
+		def, err := s.platforms.Def(bench.Platform)
 		if err != nil {
 			return endpoint{}, err
 		}
-		if _, ok := catalogs[bench.Name].Lookup(event); !ok {
+		if !slices.ContainsFunc(def.Events, func(e platdef.Event) bool { return e.Name == event }) {
 			return endpoint{}, notKept(event)
 		}
 	}
 	return endpoint{
-		key: "explain|" + analysisKey(bench, run, cfg) + "|" + event,
+		key: "explain|" + id.key + "|" + event,
 		compute: func(ctx context.Context) ([]byte, error) {
-			a, err := s.analyze(ctx, bench, run, cfg)
+			a, err := s.analyze(ctx, id)
 			if err != nil {
 				return nil, err
 			}
@@ -782,20 +776,19 @@ func (s *Server) explainEndpoint(req explainRequest) (endpoint, error) {
 // endpoint's prefix. It is a GET with the benchmark in the path, so it is
 // served where it lands rather than forwarded to the key's owner.
 func (s *Server) handlePresets(w http.ResponseWriter, r *http.Request) {
-	bench, run, cfg, err := s.resolve(analyzeRequest{Benchmark: r.PathValue("benchmark")})
+	id, err := s.resolve(analyzeRequest{Benchmark: r.PathValue("benchmark")})
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
 	body, src, err := s.serve(r.Context(), endpoint{
-		key: "presets|" + analysisKey(bench, run, cfg),
+		key: "presets|" + id.key,
 		compute: func(ctx context.Context) ([]byte, error) {
-			a, err := s.analyze(ctx, bench, run, cfg)
+			a, err := s.analyze(ctx, id)
 			if err != nil {
 				return nil, err
 			}
-			header := fmt.Sprintf("# auto-generated presets for %s (%s benchmark)\n", a.prof.Platform, bench.Name)
-			return []byte(header + core.FormatPresets(a.defs, cfg.RoundTol, core.ComposableThreshold)), nil
+			return []byte(core.PresetFile(a.prof.Platform, a.bench.Name, a.defs, a.cfg.RoundTol)), nil
 		},
 	}, true)
 	if err != nil {
@@ -852,15 +845,10 @@ type benchmarkJSON struct {
 func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 	var out []benchmarkJSON
 	for _, b := range suite.All() {
-		p, err := b.NewPlatform()
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
 		bj := benchmarkJSON{
 			Name:           b.Name,
 			Description:    b.Description,
-			Platform:       p.Name,
+			Platform:       b.Platform,
 			SignatureTable: b.SignatureTable,
 			MetricTable:    b.MetricTable,
 			Figure:         b.Figure,
@@ -882,7 +870,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Fail fast on requests that could never run.
-	if _, _, _, err := s.resolve(req); err != nil {
+	if _, err := s.resolve(req); err != nil {
 		writeErr(w, err)
 		return
 	}

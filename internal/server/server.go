@@ -69,8 +69,10 @@ type Config struct {
 	// PlatformDir loads extra platform definitions (platdef text files,
 	// *.pdef) into the daemon's platform registry at startup. Definitions
 	// whose names match built-in platforms override them; new names extend
-	// the registry. The registry drives /v1/platforms and /v1/matrix. Empty
-	// serves the built-in platforms only.
+	// the registry. The registry is the daemon's only source of platform
+	// definitions: every endpoint reads it, and every cached endpoint's key
+	// names the digest of each definition its request reads. Empty serves
+	// the built-in platforms only.
 	PlatformDir string
 	// StoreDir enables the persistent, content-addressed result store: every
 	// response a cached endpoint computes is published there (atomic
@@ -197,7 +199,7 @@ type Server struct {
 	jobs     *jobManager
 
 	// platforms is the daemon's platform registry: the built-in platforms,
-	// extended by Config.PlatformDir. Built once in New and read-only after.
+	// extended by Config.PlatformDir. Built once in New; immutable.
 	platforms *machine.Registry
 
 	// store is the persistent result store (nil when Config.StoreDir is
@@ -270,14 +272,9 @@ func New(cfg Config) (*Server, error) {
 		syncSem:    make(chan struct{}, cfg.MaxSyncCompute),
 		ready:      make(chan struct{}),
 	}
-	platforms, err := machine.NewRegistry()
+	platforms, err := machine.NewRegistry(cfg.PlatformDir)
 	if err != nil {
-		return nil, fmt.Errorf("server: loading built-in platforms: %w", err)
-	}
-	if cfg.PlatformDir != "" {
-		if _, err := platforms.LoadDir(cfg.PlatformDir); err != nil {
-			return nil, fmt.Errorf("server: loading platform dir: %w", err)
-		}
+		return nil, fmt.Errorf("server: loading platforms: %w", err)
 	}
 	s.platforms = platforms
 	if cfg.StoreDir != "" {

@@ -321,11 +321,11 @@ func TestExplainAllMatchesPerEvent(t *testing.T) {
 		return resp
 	}
 	all := explain(`{"benchmark":"branch"}`)
-	bench, run, cfg, err := s.resolve(analyzeRequest{Benchmark: "branch"})
+	id, err := s.resolve(analyzeRequest{Benchmark: "branch"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := s.analyze(context.Background(), bench, run, cfg)
+	a, err := s.analyze(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/perfmetrics/eventlens/internal/machine"
 	"github.com/perfmetrics/eventlens/internal/validate"
 )
 
@@ -25,6 +26,40 @@ func validateBody(platform string, benches []string, extra string) string {
 		b += "," + extra
 	}
 	return b + "}"
+}
+
+// TestValidatePlatformDir: validation reads the daemon's registry, so it
+// serves every platform the daemon serves. A dir-loaded platform validates
+// to the CLI's bytes for the same dir, and an overridden built-in validates
+// its overriding definition.
+func TestValidatePlatformDir(t *testing.T) {
+	dir := overrideDir(t)
+	h := newTestServer(t, Config{PlatformDir: dir}).Handler()
+	w := postJSON(t, h, "/v1/events/validate", validateBody("custom", nil, ""))
+	if w.Code != http.StatusOK {
+		t.Fatalf("validate custom: %d %s", w.Code, w.Body)
+	}
+	reg, err := machine.NewRegistry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := validate.RunIn(context.Background(), reg, validate.Request{Platform: "custom"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := validate.NewEnvelope(report).CanonicalJSON(); !bytes.Equal(w.Body.Bytes(), want) {
+		t.Fatalf("dir-loaded platform: API response differs from the CLI envelope:\n--- api\n%s\n--- cli\n%s", w.Body.Bytes(), want)
+	}
+
+	body := validateBody("spr", []string{"cpu-flops"}, "")
+	over := postJSON(t, h, "/v1/events/validate", body)
+	builtin := postJSON(t, newTestServer(t, Config{}).Handler(), "/v1/events/validate", body)
+	if over.Code != http.StatusOK || builtin.Code != http.StatusOK {
+		t.Fatalf("validate spr: %d, %d", over.Code, builtin.Code)
+	}
+	if bytes.Equal(over.Body.Bytes(), builtin.Body.Bytes()) {
+		t.Fatal("an overridden spr-sim validated to the built-in definition's bytes")
+	}
 }
 
 // TestValidateEndpoint pins the endpoint's contract: the response is the
@@ -43,9 +78,13 @@ func TestValidateEndpoint(t *testing.T) {
 		t.Fatalf("first request cache header = %q, want \"miss\"", got)
 	}
 
-	// The CLI's -json output is NewEnvelope(Run(req)).CanonicalJSON(); the
-	// endpoint must serve those exact bytes.
-	report, err := validate.Run(context.Background(), validate.Request{Platform: "spr", Benchmarks: []string{"branch"}})
+	// The CLI's -json output is NewEnvelope(RunIn(registry, req))
+	// .CanonicalJSON(); the endpoint must serve those exact bytes.
+	reg, err := machine.NewRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := validate.RunIn(context.Background(), reg, validate.Request{Platform: "spr", Benchmarks: []string{"branch"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +295,7 @@ func TestValidateSharded(t *testing.T) {
 		t.Fatal("sharded validation differs from single-process serving")
 	}
 
-	key, err := validateKey(validate.Request{Platform: "spr", Benchmarks: []string{"branch"}})
+	key, err := entry.srv.validateKey(validate.Request{Platform: "spr", Benchmarks: []string{"branch"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,9 +32,9 @@ type Benchmark struct {
 	// "gpu". The composability matrix only pairs a benchmark with platforms
 	// of its class — a CPU kernel reads all-zero events on a GPU catalog.
 	Class string
-	// NewPlatform constructs the default simulated machine (the platform
-	// the paper ran this benchmark on).
-	NewPlatform func() (*machine.Platform, error)
+	// Platform is the registry name of the default simulated machine: the
+	// platform the paper ran this benchmark on.
+	Platform string
 	// Driver runs the benchmark's kernels: b.PointNames(), b.Basis() and
 	// b.GroundTruth(cfg) — the known-exact kernel behaviour collection
 	// measures and the event-trust validator scores documented event
@@ -60,7 +60,7 @@ func All() []Benchmark {
 			MetricTable:    "V",
 			Figure:         "2b",
 			Class:          "cpu",
-			NewPlatform:    machine.SapphireRapids,
+			Platform:       "spr-sim",
 			Driver:         cat.NewFlopsCPU(),
 			Config:         core.DefaultConfig(),
 			Signatures:     core.CPUFlopsSignatures(),
@@ -74,7 +74,7 @@ func All() []Benchmark {
 			MetricTable:    "VI",
 			Figure:         "2c",
 			Class:          "gpu",
-			NewPlatform:    machine.MI250X,
+			Platform:       "mi250x-sim",
 			Driver:         cat.NewFlopsGPU(),
 			Config:         core.DefaultConfig(),
 			Signatures:     core.GPUFlopsSignatures(),
@@ -88,7 +88,7 @@ func All() []Benchmark {
 			MetricTable:    "VII",
 			Figure:         "2a",
 			Class:          "cpu",
-			NewPlatform:    machine.SapphireRapids,
+			Platform:       "spr-sim",
 			Driver:         cat.NewBranch(),
 			Config:         core.DefaultConfig(),
 			Signatures:     core.BranchSignatures(),
@@ -102,7 +102,7 @@ func All() []Benchmark {
 			MetricTable:    "VIII",
 			Figure:         "2d",
 			Class:          "cpu",
-			NewPlatform:    machine.SapphireRapids,
+			Platform:       "spr-sim",
 			Driver:         cat.NewDCache(),
 			Config:         core.CacheConfig(),
 			Signatures:     core.CacheSignatures(),
@@ -148,17 +148,17 @@ func (b Benchmark) Analyze(cfg cat.RunConfig) (*core.Result, *core.MeasurementSe
 	return res, set, nil
 }
 
-// Collect runs only the measurement phase on the benchmark's default
-// platform and returns the measurement set. It is the expensive half of an
-// analysis, split out so a serving tier can run it once per (benchmark,
-// RunConfig) and feed the same set to many analysis configurations via
-// AnalyzeSet. The returned set is treated as immutable by every analysis
-// stage, which is what makes that sharing sound.
+// Collect runs only the measurement phase on the built-in definition of the
+// benchmark's default platform and returns the measurement set: the path of
+// the one-shot tools that load no platform dir. Tools that do collect with
+// CollectOn on their registry's platform. The returned set is treated as
+// immutable by every analysis stage, so one set can feed many analysis
+// configurations via AnalyzeSet.
 func (b Benchmark) Collect(ctx context.Context, cfg cat.RunConfig) (*core.MeasurementSet, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	platform, err := b.NewPlatform()
+	platform, err := machine.BuiltinPlatform(b.Platform)
 	if err != nil {
 		return nil, err
 	}

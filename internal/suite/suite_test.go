@@ -17,7 +17,7 @@ func TestAllBenchmarksWellFormed(t *testing.T) {
 			t.Fatalf("duplicate benchmark %q", b.Name)
 		}
 		seen[b.Name] = true
-		if b.NewPlatform == nil || b.Driver == nil {
+		if b.Platform == "" || b.Driver == nil {
 			t.Fatalf("%s: missing wiring", b.Name)
 		}
 		if len(b.Signatures) == 0 || len(b.BasisSymbols) == 0 {

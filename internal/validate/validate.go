@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"github.com/perfmetrics/eventlens/internal/cat"
 	"github.com/perfmetrics/eventlens/internal/core"
@@ -133,40 +132,6 @@ type Request struct {
 	Tolerances *Tolerances `json:"tolerances,omitempty"`
 }
 
-// registry returns the package's platform registry: every committed
-// built-in platform, built once and shared. Validation covers any
-// registered platform — the ground-truth benchmarks of the platform's
-// class drive it, exactly like the composability matrix.
-func registry() (*machine.Registry, error) {
-	regOnce.Do(func() { reg, regErr = machine.NewRegistry() })
-	return reg, regErr
-}
-
-var (
-	regOnce sync.Once
-	reg     *machine.Registry
-	regErr  error
-)
-
-// CanonicalPlatform resolves a platform spelling (full name or its "-sim"
-// shorthand) to the canonical simulator name, erroring on platforms the
-// registry does not hold.
-func CanonicalPlatform(name string) (string, error) {
-	r, err := registry()
-	if err != nil {
-		return "", err
-	}
-	full, err := r.Canonical(name)
-	if err != nil {
-		short := make([]string, 0, len(r.Names()))
-		for _, n := range r.Names() {
-			short = append(short, strings.TrimSuffix(n, "-sim"))
-		}
-		return "", fmt.Errorf("validate: unknown platform %q (have %s)", name, strings.Join(short, ", "))
-	}
-	return full, nil
-}
-
 // resolved is a validated request: canonical platform, registry-ordered
 // benchmarks, effective tolerances.
 type resolved struct {
@@ -177,14 +142,17 @@ type resolved struct {
 	faults   string
 }
 
-// resolve validates a request and fills defaults. The benchmark list comes
-// back deduplicated in suite-registry order, so equal requests in any
-// spelling share one canonical identity.
-func (r Request) resolve() (resolved, error) {
-	platform, err := CanonicalPlatform(r.Platform)
+// resolve validates a request against a platform registry and fills
+// defaults. The benchmark list comes back deduplicated in suite-registry
+// order, so equal requests in any spelling share one canonical identity.
+// Validation covers any registered platform: the ground-truth benchmarks of
+// the platform's class drive it, exactly like the composability matrix.
+func (r Request) resolve(reg *machine.Registry) (resolved, error) {
+	def, err := reg.Def(r.Platform)
 	if err != nil {
 		return resolved{}, err
 	}
+	platform := def.Name
 	if r.Workers < 0 {
 		return resolved{}, fmt.Errorf("validate: workers must be >= 0 (0 means GOMAXPROCS), got %d", r.Workers)
 	}
@@ -198,14 +166,6 @@ func (r Request) resolve() (resolved, error) {
 		tol = *r.Tolerances
 	}
 	if err := tol.Validate(); err != nil {
-		return resolved{}, err
-	}
-	r2, err := registry()
-	if err != nil {
-		return resolved{}, err
-	}
-	def, err := r2.Def(platform)
-	if err != nil {
 		return resolved{}, err
 	}
 	requested := make(map[string]bool, len(r.Benchmarks))
@@ -235,12 +195,27 @@ func (r Request) resolve() (resolved, error) {
 	return resolved{platform: platform, benches: benches, tol: tol, workers: r.Workers, faults: r.Faults}, nil
 }
 
-// Key is the canonical cache/store/shard identity of a validation: equal
-// keys mean byte-identical reports. Workers is excluded — it cannot change
-// results — while Faults and non-default tolerances are included, mirroring
-// cat.RunConfig.String.
+// Key is KeyIn over the built-in platforms. It exists only for cmd/loadgen
+// until the next benchmark change; everything else calls KeyIn.
 func (r Request) Key() (string, error) {
-	res, err := r.resolve()
+	reg, err := machine.NewRegistry()
+	if err != nil {
+		return "", err
+	}
+	return r.KeyIn(reg)
+}
+
+// KeyIn is the canonical cache/store/shard identity of a validation against
+// a registry: equal keys mean byte-identical reports. It names the
+// platform's Ref, the definition the report is computed from. Workers is
+// excluded — it cannot change results — while Faults and non-default
+// tolerances are included, mirroring cat.RunConfig.String.
+func (r Request) KeyIn(reg *machine.Registry) (string, error) {
+	res, err := r.resolve(reg)
+	if err != nil {
+		return "", err
+	}
+	ref, err := reg.Ref(res.platform)
 	if err != nil {
 		return "", err
 	}
@@ -248,12 +223,10 @@ func (r Request) Key() (string, error) {
 	for i, b := range res.benches {
 		names[i] = b.Name
 	}
-	key := fmt.Sprintf("%s|%s|%s", res.platform, strings.Join(names, ","), res.tol)
+	key := fmt.Sprintf("%s|%s|%s", ref, strings.Join(names, ","), res.tol)
 	if res.faults != "" {
-		if spec, err := fault.ParseSpec(res.faults); err == nil {
-			return key + "|faults=" + spec.String(), nil
-		}
-		return key + "|faults=" + res.faults, nil
+		spec, _ := fault.ParseSpec(res.faults) // resolve rejected specs that do not parse
+		key += "|faults=" + spec.String()
 	}
 	return key, nil
 }
@@ -304,13 +277,23 @@ type Report struct {
 	Degraded []DegradedBenchmark `json:"degraded,omitempty"`
 }
 
-// Run executes the validation: computes each selected benchmark's ground
-// truth once and measures every event over it, reduces measured and
-// documented counts to per-event vectors over the benchmark points, and
-// classifies every catalog event. The report is a pure function
-// of the request's Key — worker counts never change a byte.
+// Run is RunIn over the built-in platforms. It exists only for cmd/loadgen
+// until the next benchmark change; everything else calls RunIn.
 func Run(ctx context.Context, req Request) (*Report, error) {
-	res, err := req.resolve()
+	reg, err := machine.NewRegistry()
+	if err != nil {
+		return nil, err
+	}
+	return RunIn(ctx, reg, req)
+}
+
+// RunIn executes the validation on a registry's platform: computes each
+// selected benchmark's ground truth once and measures every event over it,
+// reduces measured and documented counts to per-event vectors over the
+// benchmark points, and classifies every catalog event. The report is a
+// pure function of the request's KeyIn — worker counts never change a byte.
+func RunIn(ctx context.Context, reg *machine.Registry, req Request) (*Report, error) {
+	res, err := req.resolve(reg)
 	if err != nil {
 		return nil, err
 	}
@@ -326,15 +309,11 @@ func Run(ctx context.Context, req Request) (*Report, error) {
 	expected := make(map[string][]float64) // concatenated documented counts
 	noise := make(map[string]float64)      // worst MaxRNMSE on any benchmark
 	covered := make(map[string]bool)       // measured on at least one benchmark
-	r, err := registry()
-	if err != nil {
-		return nil, err
-	}
 	for _, b := range res.benches {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p, err := r.New(res.platform)
+		p, err := reg.New(res.platform)
 		if err != nil {
 			return nil, err
 		}

@@ -5,14 +5,26 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"github.com/perfmetrics/eventlens/internal/machine"
 )
+
+// builtins is the registry of the committed platforms.
+func builtins(t *testing.T) *machine.Registry {
+	t.Helper()
+	reg, err := machine.NewRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
 
 // TestRunSPR validates the full SPR catalog and pins the headline facts the
 // catalog is built to exhibit: the exact documented events are valid, the
 // FMA double-counting shows up as scaled, fillers classify as derived or
 // bogus, and the heteroscedastic tail is noisy.
 func TestRunSPR(t *testing.T) {
-	r, err := Run(context.Background(), Request{Platform: "spr"})
+	r, err := RunIn(context.Background(), builtins(t), Request{Platform: "spr"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +72,7 @@ func TestRunSPR(t *testing.T) {
 // subtractions too) must not come out valid, and GRBM_COUNT's 1.2x prescaler
 // must classify as scaled.
 func TestRunMI250X(t *testing.T) {
-	r, err := Run(context.Background(), Request{Platform: "mi250x"})
+	r, err := RunIn(context.Background(), builtins(t), Request{Platform: "mi250x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +93,11 @@ func TestRunMI250X(t *testing.T) {
 // TestDeterministicAcrossWorkers pins the determinism contract: the
 // canonical envelope is byte-identical for serial and concurrent collection.
 func TestDeterministicAcrossWorkers(t *testing.T) {
-	serial, err := Run(context.Background(), Request{Platform: "spr", Benchmarks: []string{"branch"}, Workers: 1})
+	serial, err := RunIn(context.Background(), builtins(t), Request{Platform: "spr", Benchmarks: []string{"branch"}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(context.Background(), Request{Platform: "spr", Benchmarks: []string{"branch"}, Workers: 8})
+	parallel, err := RunIn(context.Background(), builtins(t), Request{Platform: "spr", Benchmarks: []string{"branch"}, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,35 +110,44 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 // TestRequestKey pins the canonical key: worker count excluded, benchmark
 // spelling canonicalized, faults and tolerances included.
 func TestRequestKey(t *testing.T) {
-	k1, err := Request{Platform: "spr", Workers: 1}.Key()
+	reg := builtins(t)
+	k1, err := Request{Platform: "spr", Workers: 1}.KeyIn(reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2, err := Request{Platform: "spr-sim", Workers: 8}.Key()
+	k2, err := Request{Platform: "spr-sim", Workers: 8}.KeyIn(reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k1 != k2 {
 		t.Errorf("equivalent requests key differently: %q vs %q", k1, k2)
 	}
-	k3, err := Request{Platform: "spr", Faults: "seed=7,transient=0.5"}.Key()
+	k3, err := Request{Platform: "spr", Faults: "seed=7,transient=0.5"}.KeyIn(reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k3 == k1 {
 		t.Errorf("faulted request shares the clean key %q", k1)
 	}
-	if _, err := (Request{Platform: "nope"}).Key(); err == nil {
+	if _, err := (Request{Platform: "nope"}).KeyIn(reg); err == nil {
 		t.Errorf("unknown platform produced a key")
 	}
-	if _, err := (Request{Platform: "spr", Benchmarks: []string{"gpu-flops"}}).Key(); err == nil {
+	if _, err := (Request{Platform: "spr", Benchmarks: []string{"gpu-flops"}}).KeyIn(reg); err == nil {
 		t.Errorf("cross-platform benchmark selection produced a key")
 	}
-	if _, err := (Request{Platform: "spr", Workers: -1}).Key(); err == nil {
+	if _, err := (Request{Platform: "spr", Workers: -1}).KeyIn(reg); err == nil {
 		t.Errorf("negative workers produced a key")
 	}
-	if _, err := (Request{Platform: "spr", Tolerances: &Tolerances{}}).Key(); err == nil {
+	if _, err := (Request{Platform: "spr", Tolerances: &Tolerances{}}).KeyIn(reg); err == nil {
 		t.Errorf("zero tolerances produced a key")
+	}
+	// The key names the definition it reads, and Key forwards to KeyIn over
+	// the built-ins.
+	if ref, _ := reg.Ref("spr"); !strings.HasPrefix(k1, ref+"|") {
+		t.Errorf("key %q does not name the platform's Ref %q", k1, ref)
+	}
+	if k, err := (Request{Platform: "spr", Workers: 1}).Key(); err != nil || k != k1 {
+		t.Errorf("Key() = %q, %v; want KeyIn's %q", k, err, k1)
 	}
 }
 
@@ -135,7 +156,7 @@ func TestRequestKey(t *testing.T) {
 // every event degrade into the report, and only a validation losing every
 // benchmark fails.
 func TestDegradedUnderFaults(t *testing.T) {
-	r, err := Run(context.Background(), Request{Platform: "spr", Faults: "seed=3,transient=0.5,retries=0"})
+	r, err := RunIn(context.Background(), builtins(t), Request{Platform: "spr", Faults: "seed=3,transient=0.5,retries=0"})
 	if err != nil {
 		t.Fatalf("partial fault injection should degrade, not fail: %v", err)
 	}
@@ -151,7 +172,7 @@ func TestDegradedUnderFaults(t *testing.T) {
 		t.Errorf("transient=0.5 with no retries dropped no events")
 	}
 	// Injection sinking every benchmark is an error, not an empty report.
-	if _, err := Run(context.Background(), Request{Platform: "spr", Faults: "seed=3,transient=1.0,retries=0"}); err == nil {
+	if _, err := RunIn(context.Background(), builtins(t), Request{Platform: "spr", Faults: "seed=3,transient=1.0,retries=0"}); err == nil {
 		t.Errorf("total fault injection should fail once every benchmark is lost")
 	}
 }
@@ -195,33 +216,31 @@ func TestClassifyTable(t *testing.T) {
 // platform resolves (full name and shorthand), benchmark selection follows
 // the platform's class, and a data-only platform validates end to end.
 func TestRegistryPlatforms(t *testing.T) {
+	reg := builtins(t)
 	for _, name := range []string{"spr", "mi250x", "zen4", "icl", "graviton", "h100", "spr-smtoff"} {
-		full, err := CanonicalPlatform(name)
+		res, err := Request{Platform: name}.resolve(reg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if full != name+"-sim" {
-			t.Errorf("%s resolved to %q", name, full)
-		}
-		if again, err := CanonicalPlatform(full); err != nil || again != full {
-			t.Errorf("%s not a fixpoint: %q, %v", full, again, err)
+		if res.platform != name+"-sim" {
+			t.Errorf("%s resolved to %q", name, res.platform)
 		}
 	}
 	// Class drives benchmark selection: a cpu platform never accepts the GPU
 	// benchmark, and its key lists the three cpu benchmarks.
-	if _, err := (Request{Platform: "graviton", Benchmarks: []string{"gpu-flops"}}).Key(); err == nil {
+	if _, err := (Request{Platform: "graviton", Benchmarks: []string{"gpu-flops"}}).KeyIn(reg); err == nil {
 		t.Error("gpu benchmark keyed on a cpu platform")
 	}
-	k, err := Request{Platform: "graviton"}.Key()
+	k, err := Request{Platform: "graviton"}.KeyIn(reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(k, "graviton-sim|cpu-flops,branch,dcache|") {
+	if ref, _ := reg.Ref("graviton"); !strings.HasPrefix(k, ref+"|cpu-flops,branch,dcache|") {
 		t.Errorf("graviton key = %q", k)
 	}
 	// A data-only platform validates: graviton's branch catalog is built so
 	// its documented events hold up.
-	report, err := Run(context.Background(), Request{Platform: "graviton", Benchmarks: []string{"branch"}})
+	report, err := RunIn(context.Background(), builtins(t), Request{Platform: "graviton", Benchmarks: []string{"branch"}})
 	if err != nil {
 		t.Fatal(err)
 	}
