@@ -76,14 +76,15 @@ validate:
 	$(GO) run ./cmd/validate -platform mi250x
 
 # Platform-catalog lane: the platdef codec (property, byte-identity and
-# fuzz-seed suites), the data-driven platform registry, the composability
+# fuzz-seed suites), the data-driven platform registry, the analysis request
+# model (keys naming the platform each request reads), the composability
 # matrix engine and its /v1/matrix + figures surfaces (cache/store/shard/
-# chaos e2e), and -platform-dir overrides (store keys naming definition
-# digests; daemon and CLIs agreeing byte for byte) under the race detector,
-# then a full cross-architecture matrix render as a smoke run. See
-# DESIGN.md §15.
+# chaos e2e), and -platform-dir overrides and per-request platforms (store
+# keys naming definition digests; daemon and CLIs agreeing byte for byte)
+# under the race detector, then a full cross-architecture matrix render as a
+# smoke run. See DESIGN.md §15.
 matrix:
-	$(GO) test -race -count=1 ./internal/platdef/... ./internal/matrix/... ./internal/machine/...
+	$(GO) test -race -count=1 ./internal/platdef/... ./internal/matrix/... ./internal/machine/... ./internal/analysis/...
 	$(GO) test -race -count=1 -run 'Matrix|Platforms' ./internal/server ./cmd/figures ./cmd/serve
 	$(GO) run ./cmd/figures -fig matrix
 

@@ -9,24 +9,27 @@
 //	analyze -bench branch            (collect and analyze in one step)
 //	analyze -bench branch -platform graviton   (collect on another platform)
 //
+// The flags build the analysis request eventlensd serves
+// (internal/analysis): -bench and -platform are its benchmark and platform,
+// -workers its default worker count, and -minimal, -tau and -alpha override
+// the resolved run and configuration. So `analyze -bench b -platform p`
+// prints the report field of /v1/analyze {"benchmark":b,"platform":p}.
 // -platform picks any class-matched platform from the registry and
-// -platform-dir overlays extra *.pdef definitions; both apply only
-// when collecting (they cannot be combined with -in).
+// -platform-dir overlays extra *.pdef definitions; both apply only when
+// collecting (they cannot be combined with -in).
 package main
 
 import (
-	"cmp"
 	"context"
 	"flag"
 	"fmt"
 	"io"
 
-	"github.com/perfmetrics/eventlens/internal/cat"
+	"github.com/perfmetrics/eventlens/internal/analysis"
 	"github.com/perfmetrics/eventlens/internal/catio"
 	"github.com/perfmetrics/eventlens/internal/cli"
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/machine"
-	"github.com/perfmetrics/eventlens/internal/suite"
 )
 
 func main() {
@@ -58,127 +61,95 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return &cli.UsageError{Err: fmt.Errorf("missing -bench"), Quiet: true}
 	}
-	bench, err := suite.ByName(*benchName)
-	if err != nil {
-		return err
-	}
-	cfg := bench.Config
-	if *tau > 0 {
-		cfg.Tau = *tau
-	}
-	if *alpha > 0 {
-		cfg.Alpha = *alpha
-	}
 	if *workersFlag < 0 {
 		return cli.Usagef("workers must be >= 0 (0 means GOMAXPROCS), got %d", *workersFlag)
 	}
-	cfg.Workers = *workersFlag
-
-	var set *core.MeasurementSet
-	if *in != "" {
-		if *platformName != "" || *platformDir != "" {
-			return cli.Usagef("-platform and -platform-dir select a collection target; they cannot be combined with -in")
-		}
-		set, err = catio.ReadFile(*in)
-		if err != nil {
-			return err
-		}
-		if set.Benchmark != bench.Name {
-			return fmt.Errorf("measurement file holds %q data, benchmark is %q", set.Benchmark, bench.Name)
-		}
-	} else {
-		runCfg := cat.RunConfig(bench.DefaultRun)
-		runCfg.Workers = *workersFlag
-		runCfg.MinimalKernels = *minimal
-		reg, err := machine.NewRegistry(*platformDir)
-		if err != nil {
-			return err
-		}
-		// Without -platform, collect on the benchmark's default platform as
-		// the registry defines it (a platform dir may override it).
-		platform, err := reg.New(cmp.Or(*platformName, bench.Platform))
-		if err != nil {
-			return err
-		}
-		set, err = bench.CollectOn(context.Background(), platform, runCfg)
-		if err != nil {
-			return err
-		}
+	if *in != "" && (*platformName != "" || *platformDir != "") {
+		return cli.Usagef("-platform and -platform-dir select a collection target; they cannot be combined with -in")
 	}
-
-	// The basis must match the set's points: a -minimal collection (or a
-	// reduced measurement file) analyzes against the matching basis rows.
-	basis, err := bench.BasisFor(set)
+	reg, err := machine.NewRegistry(*platformDir)
 	if err != nil {
 		return err
 	}
-	if err := set.Validate(); err != nil {
+	id, err := analysis.Request{Benchmark: *benchName, Platform: *platformName}.Resolve(reg, *workersFlag)
+	if err != nil {
 		return err
 	}
-	// One noise pass serves both the tau suggestion and the analysis.
-	prof := core.ProfileNoise(set, cfg.Workers)
+	id.Run.MinimalKernels = *minimal
+	if *tau > 0 {
+		id.Config.Tau = *tau
+	}
+	if *alpha > 0 {
+		id.Config.Alpha = *alpha
+	}
+
+	ctx := context.Background()
+	var prof *core.NoiseProfile
+	if *in != "" {
+		set, err := catio.ReadFile(*in)
+		if err != nil {
+			return err
+		}
+		if set.Benchmark != id.Bench.Name {
+			return fmt.Errorf("measurement file holds %q data, benchmark is %q", set.Benchmark, id.Bench.Name)
+		}
+		prof, err = id.ProfileSet(set)
+		if err != nil {
+			return err
+		}
+	} else if prof, err = id.Profile(ctx); err != nil {
+		return err
+	}
 	if *autoTau {
 		// Pick tau from the widest gap in the variability spectrum, which
 		// does not depend on tau.
-		s := core.SuggestTau(prof.Threshold(cfg.Tau).Variabilities)
+		s := core.SuggestTau(prof.Threshold(id.Config.Tau).Variabilities)
 		fmt.Fprintf(stdout, "auto tau: %.3e (gap of %.1f decades, %d events below, %d above)\n",
 			s.Tau, s.GapDecades, s.Below, s.Above)
-		cfg.Tau = s.Tau
+		id.Config.Tau = s.Tau
 	}
-	pipe := &core.Pipeline{Basis: basis, Config: cfg}
-	res, err := pipe.AnalyzeProfile(context.Background(), prof)
+	a, err := id.Analyze(ctx, prof)
 	if err != nil {
 		return err
 	}
 	if *explain != "" {
-		fmt.Fprintln(stdout, "event explanations (in the basis:", basis.Names, "):")
-		names := res.Noise.KeptOrder
-		if *explain != "all" {
-			names = []string{*explain}
-		}
-		explanations, err := core.ExplainKept(basis, res.Noise, cfg.Alpha, cfg.ProjectionTol)
+		resp, err := a.Explain(*explain)
 		if err != nil {
 			return err
 		}
-		for _, name := range names {
-			e, ok := explanations[name]
-			if !ok {
-				return fmt.Errorf("event %q not among the kept events (noisy, all-zero, or unknown)", name)
-			}
-			fmt.Fprintln(stdout, " ", e)
+		fmt.Fprintln(stdout, "event explanations (in the basis:", resp.Basis, "):")
+		for _, e := range resp.Explanations {
+			fmt.Fprintln(stdout, " ", e.Text)
 		}
 		fmt.Fprintln(stdout)
 	}
 	if *sensitivity {
 		sweep := core.DecadeSweep(1e-5, 1e-1, 9)
-		sens, err := core.AlphaSensitivity(res.Projection.X, res.Projection.Order, sweep)
+		sens, err := core.AlphaSensitivity(a.Result.Projection.X, a.Result.Projection.Order, sweep)
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(stdout, sens)
 	}
 
-	defs, err := res.DefineMetrics(bench.Signatures)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(stdout, core.FormatAnalysisReport(res, cfg.ProjectionTol, bench.MetricTable, defs))
+	fmt.Fprint(stdout, a.Report())
+	roundTol := id.Config.RoundTol
 	if *rounded {
 		fmt.Fprintln(stdout)
-		roundedDefs := make([]*core.MetricDefinition, len(defs))
-		for i, d := range defs {
-			roundedDefs[i] = d.Rounded(cfg.RoundTol)
+		roundedDefs := make([]*core.MetricDefinition, len(a.Defs))
+		for i, d := range a.Defs {
+			roundedDefs[i] = d.Rounded(roundTol)
 		}
 		fmt.Fprint(stdout, core.FormatMetricTable("integer-rounded combinations:", roundedDefs))
 	}
 	if *presets {
 		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, core.PresetFile(set.Platform, bench.Name, defs, cfg.RoundTol))
+		fmt.Fprint(stdout, a.Presets())
 	}
 	if *ratios {
 		fmt.Fprintln(stdout)
 		fmt.Fprintln(stdout, "derived ratio metrics:")
-		printRatios(stdout, bench.Name, defs, cfg.RoundTol)
+		printRatios(stdout, id.Bench.Name, a.Defs, roundTol)
 	}
 	return nil
 }

@@ -26,7 +26,7 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/perfmetrics/eventlens/internal/cat"
+	"github.com/perfmetrics/eventlens/internal/analysis"
 	"github.com/perfmetrics/eventlens/internal/cli"
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/cpusim"
@@ -150,27 +150,24 @@ func figure2(w io.Writer, bench suite.Benchmark, csv bool) error {
 
 // figure3 renders the six cache-metric approximation panels.
 func figure3(w io.Writer, csv bool) error {
-	bench, err := suite.ByName("dcache")
+	reg, err := machine.NewRegistry()
 	if err != nil {
 		return err
 	}
-	res, _, err := bench.Analyze(cat.RunConfig(bench.DefaultRun))
+	a, err := analysis.Run(context.Background(), reg, analysis.Request{Benchmark: "dcache"}, 0)
 	if err != nil {
 		return err
 	}
-	basis, err := bench.Basis()
+	basis, err := a.ID.Bench.Basis()
 	if err != nil {
 		return err
 	}
 	labels := make([]string, len(basis.PointNames))
 	copy(labels, basis.PointNames)
-	for _, sig := range core.CacheSignatures() {
-		def, err := res.DefineMetric(sig)
-		if err != nil {
-			return err
-		}
-		rounded := def.Rounded(bench.Config.RoundTol)
-		combo, err := rounded.Combine(res.Noise.Kept)
+	for i, def := range a.Defs {
+		sig := a.ID.Bench.Signatures[i]
+		rounded := def.Rounded(a.ID.Config.RoundTol)
+		combo, err := rounded.Combine(a.Result.Noise.Kept)
 		if err != nil {
 			return err
 		}

@@ -13,17 +13,18 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
+	"github.com/perfmetrics/eventlens/internal/analysis"
 	"github.com/perfmetrics/eventlens/internal/cat"
 	"github.com/perfmetrics/eventlens/internal/cli"
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/cpusim"
 	"github.com/perfmetrics/eventlens/internal/machine"
-	"github.com/perfmetrics/eventlens/internal/suite"
 )
 
 func main() {
@@ -125,17 +126,13 @@ func loadOrDerivePresets(path string) ([]*core.Preset, error) {
 		}
 		return core.ParsePresets(string(data))
 	}
-	bench, err := suite.ByName("cpu-flops")
+	reg, err := machine.NewRegistry()
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := bench.Analyze(cat.RunConfig(bench.DefaultRun))
+	a, err := analysis.Run(context.Background(), reg, analysis.Request{Benchmark: "cpu-flops"}, 0)
 	if err != nil {
 		return nil, err
 	}
-	defs, err := res.DefineMetrics(bench.Signatures)
-	if err != nil {
-		return nil, err
-	}
-	return core.ParsePresets(core.FormatPresets(defs, bench.Config.RoundTol, core.ComposableThreshold))
+	return core.ParsePresets(core.FormatPresets(a.Defs, a.ID.Config.RoundTol, core.ComposableThreshold))
 }

@@ -295,3 +295,45 @@ func TestPlatformsDirDaemonMatchesCLIs(t *testing.T) {
 	}
 	stopDaemon(t, srv)
 }
+
+// TestPlatformsAnalyzeRequestDaemonMatchesCLI: the platform is a field of
+// the analysis request, so `analyze -bench branch -platform graviton` prints
+// exactly the report of /v1/analyze on graviton, and define and explain
+// take the same field.
+func TestPlatformsAnalyzeRequestDaemonMatchesCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short")
+	}
+	bins := buildBinaries(t, "analyze", "serve")
+	cli, err := exec.Command(bins[0], "-bench", "branch", "-platform", "graviton").Output()
+	if err != nil {
+		t.Fatalf("analyze -bench branch -platform graviton: %v", err)
+	}
+	srv, base := startDaemon(t, bins[1])
+	post := func(path, body string) []byte {
+		t.Helper()
+		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: %d %v %s", path, body, resp.StatusCode, err, got)
+		}
+		return got
+	}
+	var analysis struct {
+		Platform string `json:"platform"`
+		Report   string `json:"report"`
+	}
+	if err := json.Unmarshal(post("/v1/analyze", `{"benchmark":"branch","platform":"graviton"}`), &analysis); err != nil {
+		t.Fatal(err)
+	}
+	if analysis.Platform != "graviton-sim" || analysis.Report != string(cli) {
+		t.Errorf("/v1/analyze on %s differs from analyze -platform graviton:\n--- daemon\n%s\n--- cli\n%s", analysis.Platform, analysis.Report, cli)
+	}
+	post("/v1/metrics/define", `{"benchmark":"branch","platform":"graviton","metric":"Conditional Branches Taken."}`)
+	post("/v1/events/explain", `{"benchmark":"branch","platform":"graviton","event":"all"}`)
+	stopDaemon(t, srv)
+}

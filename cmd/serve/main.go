@@ -23,8 +23,10 @@
 //	GET    /v1/jobs/{id}             poll job status/result
 //	DELETE /v1/jobs/{id}             cancel a queued or running job
 //
-// -platform-dir loads *.pdef definitions into the one platform registry
-// every endpoint reads, validate included, as the CLIs' flag does.
+// Analyze, define, explain and jobs take internal/analysis requests, whose
+// optional "platform" field is `analyze -platform`. -platform-dir loads
+// *.pdef definitions into the one platform registry every endpoint reads,
+// as the CLIs' flag does.
 //
 // The process shuts down gracefully on SIGINT/SIGTERM: in-flight requests
 // and queued jobs drain within -shutdown-timeout, then it exits 0.
@@ -62,8 +64,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	jobTimeout := fs.Duration("job-timeout", time.Minute, "per-job pipeline timeout")
 	shutdownTimeout := fs.Duration("shutdown-timeout", 10*time.Second, "drain deadline on SIGINT/SIGTERM")
 	maxBody := fs.Int64("max-body", 1<<20, "maximum request body bytes")
-	chaos := fs.String("chaos", "", "deterministic fault-injection spec for daemon seams, e.g. seed=7,http503=0.1,transient=0.2 (empty = off)")
-	jobRetries := fs.Int("job-retries", 0, "re-runs of a transiently faulted async job (0 = the chaos spec's retry budget)")
+	chaos := fs.String("chaos", "", "deterministic fault-injection spec for daemon seams, e.g. seed=7,http503=0.1,transient=0.2,retries=3; retries= bounds async job re-runs (empty = off)")
 	storeDir := fs.String("store-dir", "", "persistent result-store directory; cached responses survive restarts (empty = off)")
 	platformDir := fs.String("platform-dir", "", "load extra platform definitions (*.pdef) into the registry (empty = built-ins only)")
 	peers := fs.String("peers", "", "comma-separated base URLs of every replica in the serving tier, including this one (empty = single replica)")
@@ -84,7 +85,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		ShutdownTimeout: *shutdownTimeout,
 		MaxBodyBytes:    *maxBody,
 		Chaos:           *chaos,
-		JobRetries:      *jobRetries,
 		StoreDir:        *storeDir,
 		PlatformDir:     *platformDir,
 		SelfURL:         *selfURL,

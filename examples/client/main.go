@@ -1,6 +1,7 @@
 // Client example: drive the eventlensd HTTP API end to end — discover the
 // benchmark registry, run an analysis, derive one metric definition, and
-// fetch the PAPI-style presets.
+// fetch the PAPI-style presets. Requests and responses are the daemon's own
+// types (internal/analysis).
 //
 // Start the daemon first, then point the client at it:
 //
@@ -20,6 +21,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/perfmetrics/eventlens/internal/analysis"
 	"github.com/perfmetrics/eventlens/internal/fault"
 )
 
@@ -59,26 +61,16 @@ func main() {
 
 	// 2. Run the full analysis (the server caches it, so the metric
 	// definition below reuses this pipeline execution).
-	var analysis struct {
-		Platform       string   `json:"platform"`
-		SelectedEvents []string `json:"selected_events"`
-	}
-	postJSON(base+"/v1/analyze", map[string]any{"benchmark": *bench}, &analysis)
-	fmt.Printf("\n%s selected %d independent events on %s:\n", *bench, len(analysis.SelectedEvents), analysis.Platform)
-	for _, e := range analysis.SelectedEvents {
+	var res analysis.Response
+	postJSON(base+"/v1/analyze", analysis.Request{Benchmark: *bench}, &res)
+	fmt.Printf("\n%s selected %d independent events on %s:\n", *bench, len(res.SelectedEvents), res.Platform)
+	for _, e := range res.SelectedEvents {
 		fmt.Println("  ", e)
 	}
 
 	// 3. Derive one metric definition over HTTP.
-	var def struct {
-		Text   string `json:"text"`
-		Preset *struct {
-			Name    string   `json:"name"`
-			Postfix string   `json:"postfix"`
-			Events  []string `json:"events"`
-		} `json:"preset"`
-	}
-	postJSON(base+"/v1/metrics/define", map[string]any{"benchmark": *bench, "metric": *metric}, &def)
+	var def analysis.DefineResponse
+	postJSON(base+"/v1/metrics/define", analysis.DefineRequest{Request: analysis.Request{Benchmark: *bench}, Metric: *metric}, &def)
 	fmt.Printf("\n%s", def.Text)
 	if def.Preset != nil {
 		fmt.Printf("as PAPI preset: %s = %s over %s\n",

@@ -1,0 +1,145 @@
+package analysis
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"github.com/perfmetrics/eventlens/internal/cat"
+	"github.com/perfmetrics/eventlens/internal/core"
+	"github.com/perfmetrics/eventlens/internal/machine"
+	"github.com/perfmetrics/eventlens/internal/suite"
+)
+
+func registry(t *testing.T) *machine.Registry {
+	t.Helper()
+	reg, err := machine.NewRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+// TestKeysNamePlatformRef pins the key formats: the analysis key is
+// "<bench>|<ref>|<run>|<cfg>" with the resolved platform's Ref, so every
+// spelling of the default platform shares the key a request without one
+// has; define and explain append their signature and event; the
+// measurement key names the Ref too, so two platforms never share a set.
+func TestKeysNamePlatformRef(t *testing.T) {
+	reg := registry(t)
+	bench, err := suite.ByName("cpu-flops")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := reg.Ref("spr-sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("cpu-flops|%s|%s|%s", ref, bench.DefaultRun, bench.Config)
+	for _, platform := range []string{"", "spr", "spr-sim"} {
+		key, err := Request{Benchmark: "cpu-flops", Platform: platform}.Key(reg)
+		if err != nil || key != want {
+			t.Fatalf("platform %q: key %q, %v; want %q", platform, key, err, want)
+		}
+	}
+
+	dp := core.Signature{Name: "DP Ops.", Coeffs: []float64{0, 0, 0, 0, 1, 2, 4, 8, 0, 0, 0, 0, 2, 4, 8, 16}}
+	namedKey, err1 := DefineRequest{Request: Request{Benchmark: "cpu-flops"}, Metric: "DP Ops."}.Key(reg)
+	customKey, err2 := DefineRequest{Request: Request{Benchmark: "cpu-flops"}, Signature: &dp}.Key(reg)
+	if err1 != nil || err2 != nil || namedKey != customKey || namedKey != want+`|{"name":"DP Ops.","coeffs":[0,0,0,0,1,2,4,8,0,0,0,0,2,4,8,16]}` {
+		t.Fatalf("define keys: named %q (%v), custom %q (%v)", namedKey, err1, customKey, err2)
+	}
+	for _, event := range []string{"", "all"} {
+		key, err := ExplainRequest{Request: Request{Benchmark: "cpu-flops"}, Event: event}.Key(reg)
+		if err != nil || key != want+"|all" {
+			t.Fatalf("explain %q: key %q, %v", event, key, err)
+		}
+	}
+
+	spr, err := Request{Benchmark: "branch", Platform: "spr"}.Resolve(reg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graviton, err := Request{Benchmark: "branch", Platform: "graviton"}.Resolve(reg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spr.MeasurementKey() == graviton.MeasurementKey() || spr.Key() == graviton.Key() {
+		t.Fatalf("spr and graviton share a key: %q, %q", spr.MeasurementKey(), graviton.MeasurementKey())
+	}
+}
+
+// TestRejections classifies every rejected request: names that do not
+// exist are ErrNotFound, malformed requests ErrInvalid, with the messages
+// the daemon serves.
+func TestRejections(t *testing.T) {
+	reg := registry(t)
+	errOf := func(_ string, err error) error { return err }
+	branch := Request{Benchmark: "branch"}
+	badRun := cat.RunConfig{Reps: 0, Threads: 1}
+	badCfg := core.DefaultConfig()
+	badCfg.Alpha = 0
+	for _, c := range []struct {
+		name string
+		err  error
+		kind error
+		msg  string
+	}{
+		{"missing benchmark", errOf(Request{}.Key(reg)), ErrInvalid, `missing required field "benchmark"`},
+		{"unknown benchmark", errOf(Request{Benchmark: "nope"}.Key(reg)), ErrNotFound, ""},
+		{"bad run", errOf(Request{Benchmark: "branch", Run: &badRun}.Key(reg)), ErrInvalid, "cat: reps must be >= 1, got 0"},
+		{"bad config", errOf(Request{Benchmark: "branch", Config: &badCfg}.Key(reg)), ErrInvalid, ""},
+		{"unknown platform", errOf(Request{Benchmark: "branch", Platform: "nope"}.Key(reg)), ErrInvalid, ""},
+		{"class mismatch", errOf(Request{Benchmark: "branch", Platform: "mi250x"}.Key(reg)), ErrInvalid,
+			"analysis: benchmark branch drives cpu platforms, mi250x-sim is gpu"},
+		{"no metric", errOf(DefineRequest{Request: branch}.Key(reg)), ErrInvalid, ""},
+		{"unknown metric", errOf(DefineRequest{Request: branch, Metric: "x"}.Key(reg)), ErrNotFound, ""},
+		{"unnamed signature", errOf(DefineRequest{Request: branch, Signature: &core.Signature{Coeffs: make([]float64, 5)}}.Key(reg)), ErrInvalid, ""},
+		{"short signature", errOf(DefineRequest{Request: branch, Signature: &core.Signature{Name: "x"}}.Key(reg)), ErrInvalid, ""},
+		{"event off the platform", errOf(ExplainRequest{Request: Request{Benchmark: "branch", Platform: "graviton"}, Event: "BR_INST_RETIRED:ALL_BRANCHES"}.Key(reg)), ErrNotFound,
+			`event "BR_INST_RETIRED:ALL_BRANCHES" not among the kept events (noisy, all-zero, or unknown)`},
+	} {
+		err := c.err
+		if !errors.Is(err, c.kind) || (c.msg != "" && err.Error() != c.msg) {
+			t.Errorf("%s: got %v, want %v %q", c.name, err, c.kind, c.msg)
+		}
+	}
+}
+
+// TestRunEqualsAnalyzeSet: the one-shot run — collection, noise profile,
+// analysis — defines exactly the metrics AnalyzeSet defines over the same
+// collection, on the benchmark's default platform and on another one.
+func TestRunEqualsAnalyzeSet(t *testing.T) {
+	reg := registry(t)
+	ctx := context.Background()
+	for _, platform := range []string{"", "graviton"} {
+		a, err := Run(ctx, reg, Request{Benchmark: "branch", Platform: platform}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := machine.FromDef(a.ID.Platform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := a.ID.Bench.CollectOn(ctx, p, a.ID.Run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.ID.Bench.AnalyzeSet(ctx, set, a.ID.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defs, err := res.DefineMetrics(a.ID.Bench.Signatures)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(defs, a.Defs) || !reflect.DeepEqual(res.SelectedEvents, a.Result.SelectedEvents) {
+			t.Fatalf("platform %q: Run and AnalyzeSet disagree", platform)
+		}
+		if a.Profile.Platform != a.ID.Platform.Name {
+			t.Fatalf("platform %q: collected on %s, resolved %s", platform, a.Profile.Platform, a.ID.Platform.Name)
+		}
+	}
+}

@@ -12,16 +12,16 @@ import (
 // promises, rendered for a human.
 type Explanation struct {
 	// Event is the raw event name.
-	Event string
+	Event string `json:"event"`
 	// Terms are the ideal-event contributions, largest magnitude first,
 	// after rounding with the analysis alpha (tiny projection residue
 	// vanishes).
-	Terms []Term
+	Terms []Term `json:"terms"`
 	// RelResidual is how much of the measurement the basis cannot explain.
-	RelResidual float64
+	RelResidual float64 `json:"rel_residual"`
 	// Verdict is a one-line classification: "exact", "approximate" or
 	// "unrepresentable".
-	Verdict string
+	Verdict string `json:"verdict"`
 }
 
 // ExplainEvent projects one event's averaged measurement vector onto the

@@ -10,8 +10,8 @@ import (
 
 // Term is one scaled raw event in a metric definition.
 type Term struct {
-	Event string
-	Coeff float64
+	Event string  `json:"event"`
+	Coeff float64 `json:"coeff"`
 }
 
 // MetricDefinition is a high-level metric composed from raw events
@@ -19,15 +19,15 @@ type Term struct {
 // backward-error fitness.
 type MetricDefinition struct {
 	// Metric is the signature name.
-	Metric string
+	Metric string `json:"metric"`
 	// Terms holds one entry per selected event, in selection order,
 	// including near-zero coefficients (they are diagnostic: an all-tiny
 	// combination with error ~1 means the metric is not composable).
-	Terms []Term
+	Terms []Term `json:"terms"`
 	// BackwardError is ||Xhat*y - s|| / (||Xhat||*||y|| + ||s||), Eq. 5.
-	BackwardError float64
+	BackwardError float64 `json:"backward_error"`
 	// Residual is ||Xhat*y - s||_2.
-	Residual float64
+	Residual float64 `json:"residual"`
 }
 
 // DefineMetric solves Xhat * y = s for one signature. Xhat's columns

@@ -13,15 +13,15 @@ import (
 // Preset is one auto-generated PAPI-style preset definition.
 type Preset struct {
 	// Name is the preset symbol, e.g. "PAPI_DP_OPS".
-	Name string
+	Name string `json:"name"`
 	// Events are the raw events referenced by the formula, in order.
-	Events []string
+	Events []string `json:"events"`
 	// Postfix is the derived-event formula in PAPI's reverse-polish syntax
 	// over N0, N1, ... placeholders, e.g. "N0|N1|2|*|+|".
-	Postfix string
+	Postfix string `json:"postfix"`
 	// BackwardError carries the definition's fitness through to the output
 	// so consumers can audit the preset.
-	BackwardError float64
+	BackwardError float64 `json:"backward_error"`
 }
 
 // PresetName derives a PAPI-style symbol from a metric name:

@@ -7,9 +7,9 @@ import "fmt"
 // metric would read, expressed in the coordinates of an expectation basis.
 type Signature struct {
 	// Name is the metric, e.g. "DP Ops." or "L2 Misses.".
-	Name string
+	Name string `json:"name"`
 	// Coeffs are the basis coordinates, in the basis's column order.
-	Coeffs []float64
+	Coeffs []float64 `json:"coeffs"`
 }
 
 // Validate checks the signature against a basis.

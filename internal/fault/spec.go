@@ -21,10 +21,11 @@ type Spec struct {
 	// before clearing (each faulted coordinate draws its own depth in
 	// [1, Depth]). Defaults to 2.
 	Depth int
-	// Retries is the measurement-layer re-attempt budget: how many times a
-	// failed group read is re-measured before its events are dropped.
-	// Retries >= Depth guarantees every transient measurement fault
-	// recovers. Defaults to 3.
+	// Retries is the re-attempt budget: how many times a failed group read
+	// is re-measured before its events are dropped and, in a daemon's chaos
+	// spec, how many times a transiently faulted async job is re-run.
+	// Retries >= Depth guarantees every transient fault recovers. Defaults
+	// to 3.
 	Retries int
 }
 

@@ -23,6 +23,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/perfmetrics/eventlens/internal/analysis"
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/fault"
 	"github.com/perfmetrics/eventlens/internal/machine"
@@ -327,40 +328,29 @@ func Run(ctx context.Context, reg *machine.Registry, req Request) (*Report, erro
 	return report, nil
 }
 
-// runPair runs the full pipeline for one (platform, benchmark) pair and
+// runPair runs the analysis of one (platform, benchmark) pair — the
+// benchmark's default run and analysis configuration on that platform — and
 // returns its metric cells in signature order.
 func runPair(ctx context.Context, reg *machine.Registry, platform string, b suite.Benchmark, res resolved) ([]Cell, error) {
-	p, err := reg.New(platform)
-	if err != nil {
-		return nil, err
-	}
-	cfg := b.DefaultRun
+	run := b.DefaultRun
 	// Pair-level parallelism already saturates the pool; each collection
 	// runs serially inside its worker.
-	cfg.Workers = 1
-	cfg.Faults = res.faults
-	cfg.MinimalKernels = res.minimal
-	set, err := b.CollectOn(ctx, p, cfg)
+	run.Workers = 1
+	run.Faults = res.faults
+	run.MinimalKernels = res.minimal
+	a, err := analysis.Run(ctx, reg, analysis.Request{Benchmark: b.Name, Platform: platform, Run: &run}, 0)
 	if err != nil {
 		return nil, err
 	}
-	result, err := b.AnalyzeSet(ctx, set, b.Config)
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]Cell, 0, len(b.Signatures))
-	for _, sig := range b.Signatures {
-		def, err := core.DefineMetric(result.Xhat, result.SelectedEvents, sig)
-		if err != nil {
-			return nil, err
-		}
+	cells := make([]Cell, 0, len(a.Defs))
+	for _, def := range a.Defs {
 		cells = append(cells, Cell{
 			Platform:      platform,
 			Benchmark:     b.Name,
-			Metric:        sig.Name,
+			Metric:        def.Metric,
 			BackwardError: def.BackwardError,
 			Composable:    def.Composable(res.threshold),
-			Rank:          len(result.SelectedEvents),
+			Rank:          len(a.Result.SelectedEvents),
 		})
 	}
 	return cells, nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/fault"
 	"github.com/perfmetrics/eventlens/internal/suite"
 )
@@ -43,17 +42,8 @@ func PartialSpec(seed uint64) string {
 // default shape.
 func renderChaosReport(bench suite.Benchmark, workers int, spec string) (string, error) {
 	run := bench.DefaultRun
-	run.Workers = workers
 	run.Faults = spec
-	res, _, err := bench.Analyze(run)
-	if err != nil {
-		return "", err
-	}
-	defs, err := res.DefineMetrics(bench.Signatures)
-	if err != nil {
-		return "", err
-	}
-	return core.FormatAnalysisReport(res, bench.Config.ProjectionTol, bench.MetricTable, defs), nil
+	return renderReport(bench, run, workers)
 }
 
 // CheckChaosSchedule verifies that a plan's fault schedule over a

@@ -7,7 +7,10 @@ import (
 	"math/rand"
 	"sort"
 
+	"github.com/perfmetrics/eventlens/internal/analysis"
+	"github.com/perfmetrics/eventlens/internal/cat"
 	"github.com/perfmetrics/eventlens/internal/core"
+	"github.com/perfmetrics/eventlens/internal/machine"
 	"github.com/perfmetrics/eventlens/internal/suite"
 )
 
@@ -303,12 +306,14 @@ func CheckWorkersDeterminism(bench suite.Benchmark, seed int64, configs int) Che
 		reps := 2 + rng.Intn(4)    // 2..5
 		threads := 1 + rng.Intn(3) // 1..3
 		workers := 2 + rng.Intn(7) // 2..8
-		serial, err := renderReport(bench, reps, threads, 1)
+		run := bench.DefaultRun
+		run.Reps, run.Threads = reps, threads
+		serial, err := renderReport(bench, run, 1)
 		if err != nil {
 			res.Err = fmt.Errorf("config %d (reps=%d threads=%d): serial: %v", i, reps, threads, err)
 			return res
 		}
-		parallel, err := renderReport(bench, reps, threads, workers)
+		parallel, err := renderReport(bench, run, workers)
 		if err != nil {
 			res.Err = fmt.Errorf("config %d (reps=%d threads=%d workers=%d): %v", i, reps, threads, workers, err)
 			return res
@@ -326,30 +331,20 @@ func CheckWorkersDeterminism(bench suite.Benchmark, seed int64, configs int) Che
 	return res
 }
 
-// renderReport runs the benchmark end to end — collection, analysis, metric
-// definition — with the given worker count in both the collection and
-// analysis configs, rendering the canonical text report.
-func renderReport(bench suite.Benchmark, reps, threads, workers int) (string, error) {
-	ctx := context.Background()
-	run := bench.DefaultRun
-	run.Reps = reps
-	run.Threads = threads
-	run.Workers = workers
-	set, err := bench.Collect(ctx, run)
+// renderReport runs the benchmark end to end as eventlensd and cmd/analyze
+// do (analysis.Run: collection, noise profile, analysis, metric definition)
+// on run, with workers filling the collection and analysis worker counts,
+// and renders the canonical text report.
+func renderReport(bench suite.Benchmark, run cat.RunConfig, workers int) (string, error) {
+	reg, err := machine.NewRegistry()
 	if err != nil {
 		return "", err
 	}
-	cfg := bench.Config
-	cfg.Workers = workers
-	res, err := bench.AnalyzeSet(ctx, set, cfg)
+	a, err := analysis.Run(context.Background(), reg, analysis.Request{Benchmark: bench.Name, Run: &run}, workers)
 	if err != nil {
 		return "", err
 	}
-	defs, err := res.DefineMetrics(bench.Signatures)
-	if err != nil {
-		return "", err
-	}
-	return core.FormatAnalysisReport(res, cfg.ProjectionTol, bench.MetricTable, defs), nil
+	return a.Report(), nil
 }
 
 // ---- comparison helpers ------------------------------------------------

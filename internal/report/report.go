@@ -5,11 +5,13 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
 
+	"github.com/perfmetrics/eventlens/internal/analysis"
 	"github.com/perfmetrics/eventlens/internal/cat"
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/cpusim"
@@ -183,38 +185,25 @@ func (r *Report) checkWorkloadValidation(res *core.Result) {
 // checkZen4CrossArch verifies the merged-precision platform: precision
 // metrics must fail, the four width events must be selected.
 func (r *Report) checkZen4CrossArch() {
-	platform, err := machine.Zen4()
+	reg, err := machine.NewRegistry()
 	if err != nil {
 		r.add("Extension/zen4", false, "%v", err)
 		return
 	}
-	bench := cat.NewFlopsCPU()
-	set, err := cat.Collect("cpu-flops", bench, platform, cat.DefaultRunConfig())
+	a, err := analysis.Run(context.Background(), reg, analysis.Request{Benchmark: "cpu-flops", Platform: "zen4"}, 0)
 	if err != nil {
 		r.add("Extension/zen4", false, "%v", err)
 		return
 	}
-	basis, err := bench.Basis()
-	if err != nil {
-		r.add("Extension/zen4", false, "%v", err)
-		return
-	}
-	pipe := &core.Pipeline{Basis: basis, Config: core.DefaultConfig()}
-	res, err := pipe.Analyze(set)
-	if err != nil {
-		r.add("Extension/zen4", false, "%v", err)
-		return
-	}
-	pass := len(res.SelectedEvents) == 4
-	for _, sig := range core.CPUFlopsSignatures() {
-		def, err := res.DefineMetric(sig)
-		if err != nil || def.Composable(1e-2) {
+	pass := len(a.Result.SelectedEvents) == 4
+	for _, def := range a.Defs {
+		if def.Composable(1e-2) {
 			pass = false
 		}
 	}
 	r.add("Extension/zen4", pass,
 		"merged-precision platform: %d width events selected, all precision metrics correctly non-composable",
-		len(res.SelectedEvents))
+		len(a.Result.SelectedEvents))
 }
 
 // checkSelection verifies the Section V event selections.

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"github.com/perfmetrics/eventlens/internal/analysis"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -65,11 +66,15 @@ func TestFlightJoinerOutlivesLeaderCancel(t *testing.T) {
 		Platform: "spr-sim",
 		Driver:   stall,
 	}
-	run := cat.RunConfig{Reps: 1, Threads: 1}
+	def, err := s.platforms.Def(bench.Platform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := analysis.ID{Bench: bench, Platform: def, Run: cat.RunConfig{Reps: 1, Threads: 1}}
 
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, err := s.noiseProfile(leaderCtx, bench, run)
+		_, err := s.noiseProfile(leaderCtx, id)
 		leaderErr <- err
 	}()
 	<-stall.leading
@@ -80,7 +85,7 @@ func TestFlightJoinerOutlivesLeaderCancel(t *testing.T) {
 	}
 	joined := make(chan outcome, 1)
 	go func() {
-		prof, err := s.noiseProfile(joiner, bench, run)
+		prof, err := s.noiseProfile(joiner, id)
 		joined <- outcome{prof, err}
 	}()
 	<-joiner.parked

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"github.com/perfmetrics/eventlens/internal/analysis"
 	"net/http"
 	"strings"
 	"testing"
@@ -65,9 +66,8 @@ func TestJobQueueFull429(t *testing.T) {
 // the job must end done, with the retry and the injected fault both counted.
 func TestJobRetryThenSucceed(t *testing.T) {
 	s := newTestServer(t, Config{
-		Workers:    1,
-		Chaos:      "seed=1,transient=1,depth=1,retries=2",
-		JobRetries: 2,
+		Workers: 1,
+		Chaos:   "seed=1,transient=1,depth=1,retries=2",
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -86,7 +86,7 @@ func TestJobRetryThenSucceed(t *testing.T) {
 	if view.Status != jobDone {
 		t.Fatalf("status = %q (error %q), want done after retry", view.Status, view.Error)
 	}
-	var res analyzeResponse
+	var res analysis.Response
 	if err := json.Unmarshal(view.Result, &res); err != nil || res.Report == "" {
 		t.Fatalf("done job carries no result: %v", err)
 	}
@@ -96,6 +96,33 @@ func TestJobRetryThenSucceed(t *testing.T) {
 	}
 	if !strings.Contains(text, "eventlensd_job_retries_total 1") {
 		t.Fatalf("retry not counted:\n%s", grepLines(text, "job_retries"))
+	}
+}
+
+// TestJobRetryBudgetZero: the job budget is the chaos spec's retries=, and
+// retries=0 is a budget of zero, not the default — the transient job fault
+// fails the job without a single retry.
+func TestJobRetryBudgetZero(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, Chaos: "seed=1,transient=1,depth=1,retries=0"})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.startJobWorkers(ctx)
+	h := s.Handler()
+
+	w := postJSON(t, h, "/v1/jobs", `{"benchmark":"branch"}`)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("enqueue: %d %s", w.Code, w.Body)
+	}
+	var view jobView
+	if err := json.Unmarshal(w.Body.Bytes(), &view); err != nil {
+		t.Fatal(err)
+	}
+	view = pollJob(t, h, view.ID, terminal)
+	if view.Status != jobFailed || !strings.Contains(view.Error, "transient") {
+		t.Fatalf("status = %q (error %q), want failed on the transient fault", view.Status, view.Error)
+	}
+	if text := metricsText(t, h); !strings.Contains(text, "eventlensd_job_retries_total 0") {
+		t.Fatalf("a zero budget retried:\n%s", grepLines(text, "job_retries"))
 	}
 }
 
@@ -188,14 +215,10 @@ func TestHTTPInjectionReplays(t *testing.T) {
 	}
 }
 
-// TestChaosConfigValidation rejects unparsable specs and negative budgets
-// up front.
+// TestChaosConfigValidation rejects unparsable specs up front.
 func TestChaosConfigValidation(t *testing.T) {
 	if err := (Config{Chaos: "bogus"}).Validate(); err == nil {
 		t.Fatal("bad chaos spec accepted")
-	}
-	if err := (Config{JobRetries: -1}).Validate(); err == nil {
-		t.Fatal("negative job retries accepted")
 	}
 	if err := (Config{Chaos: "seed=1,transient=0.5"}).Validate(); err != nil {
 		t.Fatalf("valid chaos spec rejected: %v", err)
@@ -242,11 +265,11 @@ func TestAnalyzePartialListsFaults(t *testing.T) {
 	}
 
 	h := newTestServer(t, Config{}).Handler()
-	w := postJSON(t, h, "/v1/analyze", marshalReq(t, analyzeRequest{Benchmark: bench.Name, Run: &run}))
+	w := postJSON(t, h, "/v1/analyze", marshalReq(t, analysis.Request{Benchmark: bench.Name, Run: &run}))
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body)
 	}
-	var resp analyzeResponse
+	var resp analysis.Response
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"github.com/perfmetrics/eventlens/internal/analysis"
 	"io"
 	"log/slog"
 	"net"
@@ -23,23 +24,23 @@ import (
 // taurq builds an analyze request whose tau offset gives it a distinct
 // cache/store/shard key without changing the numerical outcome (the offsets
 // sit far below the benchmark's noise floor).
-func taurq(i int) analyzeRequest {
+func taurq(i int) analysis.Request {
 	cfg := core.Config{Tau: 1e-10 + float64(i)*1e-13, Alpha: 5e-4, ProjectionTol: 0.01, RoundTol: 0.05}
-	return analyzeRequest{Benchmark: "cpu-flops", Config: &cfg}
+	return analysis.Request{Benchmark: "cpu-flops", Config: &cfg}
 }
 
 // keyOf resolves a request through a server exactly as the serving path
 // does and returns its canonical analysis key.
-func keyOf(t *testing.T, s *Server, req analyzeRequest) string {
+func keyOf(t *testing.T, s *Server, req analysis.Request) string {
 	t.Helper()
-	id, err := s.resolve(req)
+	key, err := req.Key(s.platforms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return id.key
+	return key
 }
 
-func marshalReq(t *testing.T, req analyzeRequest) string {
+func marshalReq(t *testing.T, req any) string {
 	t.Helper()
 	data, err := json.Marshal(req)
 	if err != nil {
@@ -221,7 +222,7 @@ func TestBatchingOneCollectionManyConfigs(t *testing.T) {
 	bodies := make([]string, k)
 	for i, tau := range taus {
 		cfg := core.Config{Tau: tau, Alpha: 5e-4, ProjectionTol: 0.01, RoundTol: 0.05}
-		bodies[i] = marshalReq(t, analyzeRequest{Benchmark: "cpu-flops", Config: &cfg})
+		bodies[i] = marshalReq(t, analysis.Request{Benchmark: "cpu-flops", Config: &cfg})
 	}
 	var wg sync.WaitGroup
 	replies := make([]*httptest.ResponseRecorder, k)
@@ -237,7 +238,7 @@ func TestBatchingOneCollectionManyConfigs(t *testing.T) {
 		if w.Code != http.StatusOK {
 			t.Fatalf("tau=%g: status %d: %s", taus[i], w.Code, w.Body)
 		}
-		var resp analyzeResponse
+		var resp analysis.Response
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +328,7 @@ func startCluster(t *testing.T, n int, chaos string) []*replica {
 }
 
 // postAnalyze sends an analyze request to a replica over real HTTP.
-func postAnalyze(t *testing.T, url string, req analyzeRequest) (*http.Response, []byte) {
+func postAnalyze(t *testing.T, url string, req analysis.Request) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Post(url+"/v1/analyze", "application/json", strings.NewReader(marshalReq(t, req)))
 	if err != nil {
@@ -354,19 +355,19 @@ func TestClusterShardingAndFailover(t *testing.T) {
 	// Single-process reference for byte-identity.
 	ref := newTestServer(t, Config{})
 	refH := ref.Handler()
-	expect := func(req analyzeRequest) []byte {
+	expect := func(req analysis.Request) []byte {
 		w := postJSON(t, refH, "/v1/analyze", marshalReq(t, req))
 		if w.Code != http.StatusOK {
 			t.Fatalf("reference analyze: %d %s", w.Code, w.Body)
 		}
 		return append([]byte(nil), w.Body.Bytes()...)
 	}
-	owner := func(req analyzeRequest) string {
+	owner := func(req analysis.Request) string {
 		return entry.srv.ring.Owners(keyOf(t, ref, req), 1)[0]
 	}
 
 	// Bucket candidate requests by owning replica.
-	byOwner := map[string][]analyzeRequest{}
+	byOwner := map[string][]analysis.Request{}
 	for i := 0; i < 24; i++ {
 		req := taurq(i)
 		byOwner[owner(req)] = append(byOwner[owner(req)], req)
@@ -444,8 +445,8 @@ func TestClusterShardingAndFailover(t *testing.T) {
 	// single-process response.
 	var define, defineOwner string
 	for i := 0; i < 16 && defineOwner == ""; i++ {
-		req := defineRequest{Benchmark: "cpu-flops", Config: taurq(i).Config, Metric: "DP Ops."}
-		ep, err := ref.defineEndpoint(req)
+		req := analysis.DefineRequest{Request: taurq(i), Metric: "DP Ops."}
+		ep, err := analysisEndpoint[analysis.DefineRequest](ref, "define|")(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -525,7 +526,7 @@ func TestClusterPeerChaosFailsOver(t *testing.T) {
 	refH := ref.Handler()
 
 	// Find a request owned by a dead peer so forwarding is attempted.
-	var req analyzeRequest
+	var req analysis.Request
 	found := false
 	for i := 0; i < 16 && !found; i++ {
 		req = taurq(i)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"github.com/perfmetrics/eventlens/internal/analysis"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -46,6 +47,11 @@ func FuzzLadderRequest(f *testing.F) {
 		`{"benchmark":"branch"}`,
 		`{"benchmark":"branch","event":"BR_INST_RETIRED:ALL_BRANCHES"}`,
 		`{"benchmark":"branch","event":"NO_SUCH_EVENT"}`,
+		`{"benchmark":"branch","platform":"nope"}`,
+		`{"benchmark":"branch","platform":"mi250x"}`,
+		`{"benchmark":"branch","platform":""}`,
+		`{"benchmark":"branch","platform":"graviton"}`,
+		`{"benchmark":"branch","platform":"graviton","event":"BR_INST_RETIRED:ALL_BRANCHES"}`,
 		`{"platform":"spr","benchmarks":["branch"]}`,
 		`{"platform":`,
 		`{"platform":"spr"} trailing`,
@@ -74,11 +80,11 @@ func FuzzLadderRequest(f *testing.F) {
 			name string
 			err  error
 		}{
-			{"analyze", describeBody(s, body, s.analyzeEndpoint)},
+			{"analyze", describeBody(s, body, analysisEndpoint[analysis.Request](s, ""))},
 			{"validate", describeBody(s, body, s.validateEndpoint)},
 			{"matrix", describeBody(s, body, s.matrixEndpoint)},
-			{"define", describeBody(s, body, s.defineEndpoint)},
-			{"explain", describeBody(s, body, s.explainEndpoint)},
+			{"define", describeBody(s, body, analysisEndpoint[analysis.DefineRequest](s, "define|"))},
+			{"explain", describeBody(s, body, analysisEndpoint[analysis.ExplainRequest](s, "explain|"))},
 		} {
 			if c.err == nil {
 				continue

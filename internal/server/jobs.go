@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/perfmetrics/eventlens/internal/analysis"
 	"github.com/perfmetrics/eventlens/internal/obs"
 )
 
@@ -23,7 +24,7 @@ const (
 // queued -> running -> done|failed, or queued|running -> canceled.
 type job struct {
 	id  string
-	req analyzeRequest
+	req analysis.Request
 	// seq is the job's creation ordinal — the coordinate axis chaos
 	// injection addresses jobs by, so "the 3rd job" faults identically in
 	// every run of a seed regardless of worker interleaving.
@@ -159,7 +160,7 @@ func (j *job) currentStatus() string {
 
 // enqueue registers a job and places it on the queue. It fails when the
 // queue is full (callers map this to 503) or the manager is shutting down.
-func (m *jobManager) enqueue(req analyzeRequest) (*job, error) {
+func (m *jobManager) enqueue(req analysis.Request) (*job, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()

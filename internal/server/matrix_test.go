@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/perfmetrics/eventlens/internal/analysis"
 	"github.com/perfmetrics/eventlens/internal/machine"
 	"github.com/perfmetrics/eventlens/internal/matrix"
 	"github.com/perfmetrics/eventlens/internal/platdef"
@@ -259,12 +261,12 @@ func TestMatrixSharded(t *testing.T) {
 		t.Fatal("sharded matrix differs from single-process serving")
 	}
 
-	key, err := entry.srv.matrixKey(matrix.Request{
+	ep, err := entry.srv.matrixEndpoint(matrix.Request{
 		Platforms: []string{"graviton"}, Benchmarks: []string{"branch"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := entry.srv.ring.Owners(key, 1)[0]
+	owner := entry.srv.ring.Owners(ep.key, 1)[0]
 	if servedBy := resp.Header.Get(servedByHeader); owner != entry.url && servedBy != owner {
 		t.Fatalf("key owned by %q served by %q", owner, servedBy)
 	}
@@ -327,5 +329,54 @@ func TestMatrixPlatformDir(t *testing.T) {
 	}
 	if _, err := New(Config{PlatformDir: bad}); err == nil {
 		t.Fatal("New accepted a platform dir with an unparsable definition")
+	}
+}
+
+// TestMatrixCellIsItsAnalysis: each matrix cell is the analysis of its
+// (benchmark, platform) — the cell's backward error, composable verdict at
+// the default threshold and rank equal the metric's backward error and
+// verdict and the number of selected events in /v1/analyze on that
+// platform.
+func TestMatrixCellIsItsAnalysis(t *testing.T) {
+	h := newTestServer(t, Config{}).Handler()
+	w := postJSON(t, h, "/v1/matrix", `{"platforms":["spr","graviton"],"benchmarks":["branch","cpu-flops"]}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("matrix: %d %s", w.Code, w.Body)
+	}
+	var env matrix.Envelope
+	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+		t.Fatal(err)
+	}
+	analyses := map[[2]string]analysis.Response{}
+	for _, c := range env.Cells {
+		pair := [2]string{c.Benchmark, c.Platform}
+		a, ok := analyses[pair]
+		if !ok {
+			wa := postJSON(t, h, "/v1/analyze", fmt.Sprintf(`{"benchmark":%q,"platform":%q}`, c.Benchmark, c.Platform))
+			if wa.Code != http.StatusOK {
+				t.Fatalf("analyze %v: %d %s", pair, wa.Code, wa.Body)
+			}
+			if err := json.Unmarshal(wa.Body.Bytes(), &a); err != nil {
+				t.Fatal(err)
+			}
+			analyses[pair] = a
+		}
+		found := false
+		for _, m := range a.Metrics {
+			if m.Metric != c.Metric {
+				continue
+			}
+			found = true
+			if m.BackwardError != c.BackwardError || m.Composable != c.Composable || len(a.SelectedEvents) != c.Rank {
+				t.Errorf("%v %s: cell (error %g, composable %v, rank %d), analysis (error %g, composable %v, rank %d)",
+					pair, c.Metric, c.BackwardError, c.Composable, c.Rank, m.BackwardError, m.Composable, len(a.SelectedEvents))
+			}
+		}
+		if !found {
+			t.Errorf("%v: metric %s missing from the analysis", pair, c.Metric)
+		}
+	}
+	if len(analyses) != 4 || len(env.Cells) == 0 {
+		t.Fatalf("compared %d cells over %d pairs, want 4 pairs", len(env.Cells), len(analyses))
 	}
 }

@@ -69,3 +69,65 @@ func TestPlatformsStoreKeysNameDefinitions(t *testing.T) {
 		}
 	}
 }
+
+// TestPlatformsRequestKeysNamePlatform: an analysis request's platform
+// reaches both of its keys. Spellings of one platform ("spr", "spr-sim" or
+// the benchmark's default) share one analysis key, so the second and third
+// are cache hits. Two platforms with the same run are two collections — the
+// measurement key names the platform's Ref too — and the second platform's
+// bytes are a fresh daemon's, not an analysis of the first's profile.
+func TestPlatformsRequestKeysNamePlatform(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	first := postJSON(t, h, "/v1/analyze", `{"benchmark":"cpu-flops"}`)
+	if first.Code != http.StatusOK {
+		t.Fatalf("analyze: %d %s", first.Code, first.Body)
+	}
+	for _, platform := range []string{"spr", "spr-sim"} {
+		w := postJSON(t, h, "/v1/analyze", `{"benchmark":"cpu-flops","platform":"`+platform+`"}`)
+		if got := w.Header().Get("X-Eventlens-Cache"); w.Code != http.StatusOK || got != "hit" {
+			t.Fatalf("platform %q: %d, cache %q; want a 200 hit", platform, w.Code, got)
+		}
+		if !bytes.Equal(w.Body.Bytes(), first.Body.Bytes()) {
+			t.Fatalf("platform %q served different bytes than the default platform", platform)
+		}
+	}
+
+	const run = `"run":{"reps":2,"threads":1}`
+	before := s.collections.Value()
+	spr := postJSON(t, h, "/v1/analyze", `{"benchmark":"branch","platform":"spr",`+run+`}`)
+	graviton := postJSON(t, h, "/v1/analyze", `{"benchmark":"branch","platform":"graviton",`+run+`}`)
+	if spr.Code != http.StatusOK || graviton.Code != http.StatusOK {
+		t.Fatalf("branch: spr %d, graviton %d", spr.Code, graviton.Code)
+	}
+	if got := s.collections.Value() - before; got != 2 {
+		t.Fatalf("collections rose by %d, want 2 (one per platform)", got)
+	}
+	fresh := postJSON(t, newTestServer(t, Config{}).Handler(), "/v1/analyze",
+		`{"benchmark":"branch","platform":"graviton",`+run+`}`)
+	if !bytes.Equal(graviton.Body.Bytes(), fresh.Body.Bytes()) {
+		t.Fatalf("graviton after spr differs from a fresh daemon's graviton:\n--- after spr\n%s\n--- fresh\n%s",
+			graviton.Body, fresh.Body)
+	}
+}
+
+// TestPlatformsExplainEventOutsideDefinition: explain resolves its event
+// against the request's platform, so an spr-sim event is a 404 on graviton
+// before any analysis, and an unknown platform or a class mismatch is a
+// 400 on every endpoint of the analysis family.
+func TestPlatformsExplainEventOutsideDefinition(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	decodeEnvelope(t, postJSON(t, h, "/v1/events/explain",
+		`{"benchmark":"branch","platform":"graviton","event":"BR_INST_RETIRED:ALL_BRANCHES"}`), http.StatusNotFound)
+	for _, platform := range []string{"nope", "mi250x"} {
+		for _, path := range []string{"/v1/analyze", "/v1/events/explain", "/v1/jobs"} {
+			decodeEnvelope(t, postJSON(t, h, path, `{"benchmark":"branch","platform":"`+platform+`"}`), http.StatusBadRequest)
+		}
+		decodeEnvelope(t, postJSON(t, h, "/v1/metrics/define",
+			`{"benchmark":"branch","platform":"`+platform+`","metric":"Conditional Branches Taken."}`), http.StatusBadRequest)
+	}
+	if got := s.collections.Value(); got != 0 {
+		t.Fatalf("rejected requests collected %d times", got)
+	}
+}

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/perfmetrics/eventlens/internal/analysis"
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/fault"
 	"github.com/perfmetrics/eventlens/internal/machine"
@@ -62,10 +63,6 @@ type Config struct {
 	// disables injection. This knob exercises the daemon's resilience; it is
 	// independent of measurement-layer injection (RunConfig.Faults).
 	Chaos string
-	// JobRetries bounds re-runs of a transiently faulted async job. 0 takes
-	// the chaos spec's retry budget; without a chaos spec there is nothing
-	// to retry.
-	JobRetries int
 	// PlatformDir loads extra platform definitions (platdef text files,
 	// *.pdef) into the daemon's platform registry at startup. Definitions
 	// whose names match built-in platforms override them; new names extend
@@ -132,9 +129,6 @@ func (c Config) Validate() error {
 	if c.QueueDepth < 0 {
 		return fmt.Errorf("server: queue depth must be >= 0 (0 means 4x workers), got %d", c.QueueDepth)
 	}
-	if c.JobRetries < 0 {
-		return fmt.Errorf("server: job retries must be >= 0, got %d", c.JobRetries)
-	}
 	if c.Chaos != "" {
 		if _, err := fault.ParseSpec(c.Chaos); err != nil {
 			return fmt.Errorf("server: bad chaos spec: %v", err)
@@ -194,7 +188,7 @@ type Server struct {
 	cfg      Config
 	log      *slog.Logger
 	cache    *flightCache[[]byte]
-	analyses *flightCache[*analysis]
+	analyses *flightCache[*analysis.Analysis]
 	sets     *flightCache[*core.NoiseProfile]
 	jobs     *jobManager
 
@@ -372,7 +366,7 @@ func New(cfg Config) (*Server, error) {
 	s.cache = newFlightCache[[]byte](cfg.CacheSize, s.cacheHits, s.cacheMisses)
 	// pipelineRuns counts the analyses computed; the cache's own counters go
 	// unexported.
-	s.analyses = newFlightCache[*analysis](cfg.CacheSize, new(obs.Counter), new(obs.Counter))
+	s.analyses = newFlightCache[*analysis.Analysis](cfg.CacheSize, new(obs.Counter), new(obs.Counter))
 	s.sets = newFlightCache[*core.NoiseProfile](setCacheSize, s.batchCoalesced, s.collections)
 	s.jobs = newJobManager(cfg.QueueDepth, cfg.JobTimeout, s.jobsInflight, s.queueDepth, s.jobsTotal)
 	return s, nil
@@ -385,11 +379,11 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/platforms", s.handlePlatforms)
 	mux.HandleFunc("GET /v1/benchmarks", s.handleBenchmarks)
-	mux.HandleFunc("POST /v1/analyze", handleLadder(s, s.analyzeEndpoint))
+	mux.HandleFunc("POST /v1/analyze", handleLadder(s, analysisEndpoint[analysis.Request](s, "")))
 	mux.HandleFunc("POST /v1/events/validate", handleLadder(s, s.validateEndpoint))
 	mux.HandleFunc("POST /v1/matrix", handleLadder(s, s.matrixEndpoint))
-	mux.HandleFunc("POST /v1/metrics/define", handleLadder(s, s.defineEndpoint))
-	mux.HandleFunc("POST /v1/events/explain", handleLadder(s, s.explainEndpoint))
+	mux.HandleFunc("POST /v1/metrics/define", handleLadder(s, analysisEndpoint[analysis.DefineRequest](s, "define|")))
+	mux.HandleFunc("POST /v1/events/explain", handleLadder(s, analysisEndpoint[analysis.ExplainRequest](s, "explain|")))
 	mux.HandleFunc("GET /v1/presets/{benchmark}", s.handlePresets)
 	mux.HandleFunc("POST /v1/jobs", s.handleJobCreate)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
@@ -508,13 +502,10 @@ func (s *Server) startJobWorkers(ctx context.Context) {
 	})
 }
 
-// jobRetryBudget resolves the async retry budget: the explicit JobRetries
-// knob, or the chaos plan's budget when the knob is unset. Without a chaos
-// plan there are no injected faults and nothing to retry.
+// jobRetryBudget is the async retry budget: the chaos spec's retries=.
+// The only transient job failure is the job seam's own injected fault, so
+// without a chaos plan there is nothing to retry.
 func (s *Server) jobRetryBudget() int {
-	if s.cfg.JobRetries > 0 {
-		return s.cfg.JobRetries
-	}
 	if s.chaos != nil {
 		return s.chaos.Retries()
 	}
@@ -569,7 +560,7 @@ func (s *Server) runJobOnce(ctx context.Context, j *job, attempt int) (result []
 			fault.Sleep(s.chaos.Delay(coord))
 		}
 	}
-	ep, err := s.analyzeEndpoint(j.req)
+	ep, err := analysisEndpoint[analysis.Request](s, "")(j.req)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"github.com/perfmetrics/eventlens/internal/analysis"
 	"io"
 	"log/slog"
 	"net/http"
@@ -107,20 +108,20 @@ func TestAnalyzeCPUFlops(t *testing.T) {
 	if got := w.Header().Get("X-Eventlens-Cache"); got != "miss" {
 		t.Fatalf("first request cache header = %q", got)
 	}
-	var resp analyzeResponse
+	var resp analysis.Response
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Platform != "spr-sim" || len(resp.SelectedEvents) != 8 {
 		t.Fatalf("platform %q, %d selected events", resp.Platform, len(resp.SelectedEvents))
 	}
-	var dp *metricJSON
-	for i := range resp.Metrics {
-		if resp.Metrics[i].Metric == "DP Ops." {
-			dp = &resp.Metrics[i]
+	dp := -1
+	for i, m := range resp.Metrics {
+		if m.Metric == "DP Ops." {
+			dp = i
 		}
 	}
-	if dp == nil || !dp.Composable {
+	if dp < 0 || !resp.Metrics[dp].Composable {
 		t.Fatalf("DP Ops. should be composable: %+v", resp.Metrics)
 	}
 	if !strings.Contains(resp.Report, "metric definitions (paper Table V):") {
@@ -255,7 +256,7 @@ func TestDefineMetric(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", w.Code, w.Body)
 	}
-	var resp defineResponse
+	var resp analysis.DefineResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestExplainEvents(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", w.Code, w.Body)
 	}
-	var resp explainResponse
+	var resp analysis.ExplainResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -308,28 +309,24 @@ func TestExplainEvents(t *testing.T) {
 func TestExplainAllMatchesPerEvent(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
-	explain := func(body string) explainResponse {
+	explain := func(body string) analysis.ExplainResponse {
 		t.Helper()
 		w := postJSON(t, h, "/v1/events/explain", body)
 		if w.Code != http.StatusOK {
 			t.Fatalf("%s: status = %d: %s", body, w.Code, w.Body)
 		}
-		var resp explainResponse
+		var resp analysis.ExplainResponse
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
 		return resp
 	}
 	all := explain(`{"benchmark":"branch"}`)
-	id, err := s.resolve(analyzeRequest{Benchmark: "branch"})
+	a, err := s.analyze(context.Background(), analysis.Request{Benchmark: "branch"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := s.analyze(context.Background(), id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept := a.res.Noise.KeptOrder
+	kept := a.Result.Noise.KeptOrder
 	if len(kept) == 0 || len(all.Explanations) != len(kept) {
 		t.Fatalf("all lists %d explanations, %d events kept", len(all.Explanations), len(kept))
 	}
@@ -574,7 +571,7 @@ func TestJobLifecycle(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	var res analyzeResponse
+	var res analysis.Response
 	if err := json.Unmarshal(view.Result, &res); err != nil || res.Benchmark != "branch" {
 		t.Fatalf("done job missing result (%v): %s", err, w.Body)
 	}

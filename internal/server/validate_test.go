@@ -295,11 +295,11 @@ func TestValidateSharded(t *testing.T) {
 		t.Fatal("sharded validation differs from single-process serving")
 	}
 
-	key, err := entry.srv.validateKey(validate.Request{Platform: "spr", Benchmarks: []string{"branch"}})
+	ep, err := entry.srv.validateEndpoint(validate.Request{Platform: "spr", Benchmarks: []string{"branch"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := entry.srv.ring.Owners(key, 1)[0]
+	owner := entry.srv.ring.Owners(ep.key, 1)[0]
 	if servedBy := resp.Header.Get(servedByHeader); owner != entry.url && servedBy != owner {
 		t.Fatalf("key owned by %q served by %q", owner, servedBy)
 	}

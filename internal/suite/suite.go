@@ -2,7 +2,7 @@
 // thresholds and signature tables, giving the command-line tools, examples,
 // daemon and benchmark harness one registry to drive the complete
 // reproduction. Collect and CollectOn are the only ways to collect a
-// benchmark's measurements; AnalyzeSet analyzes them, and AnalyzeProfile
+// benchmark's measurements, and AnalyzeSet analyzes them; internal/analysis
 // analyzes their noise profile.
 package suite
 
@@ -193,22 +193,6 @@ func (b Benchmark) AnalyzeSet(ctx context.Context, set *core.MeasurementSet, ana
 	}
 	pipe := &core.Pipeline{Basis: basis, Config: analysis}
 	return pipe.AnalyzeContext(ctx, set)
-}
-
-// AnalyzeProfile is AnalyzeSet over a validated set's noise profile
-// (core.ProfileNoise): the same result, with the noise stage reduced to a
-// cut at the configuration's tau. A serving tier profiles each collected set
-// once and analyzes the profile under every configuration that shares it.
-func (b Benchmark) AnalyzeProfile(ctx context.Context, prof *core.NoiseProfile, analysis core.Config) (*core.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	basis, err := b.BasisForPoints(prof.PointNames)
-	if err != nil {
-		return nil, err
-	}
-	pipe := &core.Pipeline{Basis: basis, Config: analysis}
-	return pipe.AnalyzeProfile(ctx, prof)
 }
 
 // BasisFor returns the expectation basis matching a measurement set's
