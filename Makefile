@@ -127,12 +127,12 @@ cover:
 golden:
 	$(GO) test ./cmd/... -run Golden -update
 
-# Smoke-run the table/figure/collection/projection benchmarks once each and
-# record the result as BENCH_7.json, so the performance trajectory is
+# Smoke-run the table/figure/collection/projection/validation benchmarks once
+# each and record the result as BENCH_7.json, so the performance trajectory is
 # versioned alongside the code. -benchtime=1x keeps this cheap enough for CI;
 # run `go test -bench 'Serial|Parallel' -benchtime=2s .` for real comparisons.
 bench:
-	$(GO) test -run '^$$' -bench 'Table|Figure|Collect|BuildX|NoiseFilter' -benchtime=1x -count=1 . | tee bench.out
+	$(GO) test -run '^$$' -bench 'Table|Figure|Collect|BuildX|NoiseFilter|Validate' -benchtime=1x -count=1 . | tee bench.out
 	$(GO) run ./cmd/benchjson -out BENCH_7.json < bench.out
 	@rm -f bench.out
 

@@ -20,6 +20,7 @@ import (
 	"github.com/perfmetrics/eventlens/internal/machine"
 	"github.com/perfmetrics/eventlens/internal/mat"
 	"github.com/perfmetrics/eventlens/internal/suite"
+	"github.com/perfmetrics/eventlens/internal/validate"
 )
 
 // collected caches one measurement set + analysis per benchmark so that
@@ -225,6 +226,31 @@ func BenchmarkCollectDCacheWarm(b *testing.B) {
 		}
 	}
 }
+
+// Validation benchmarks: the event-trust validator over a platform's whole
+// catalog and every benchmark of its class, through one registry. One
+// untimed run fills the DCache chase memo first, so the spr row times
+// collection and classification, not the chase engine (CollectDCache's row).
+func benchValidate(b *testing.B, platform string) {
+	reg, err := machine.NewRegistry()
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := validate.Request{Platform: platform}
+	if _, err := validate.RunIn(context.Background(), reg, req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := validate.RunIn(context.Background(), reg, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkValidateSPR(b *testing.B)    { benchValidate(b, "spr") }
+func BenchmarkValidateMI250X(b *testing.B) { benchValidate(b, "mi250x") }
 
 // Serial vs Parallel pairs: the same stage pinned to Workers=1 and to
 // Workers=GOMAXPROCS. Outputs are byte-identical (determinism_test.go); these

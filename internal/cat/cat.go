@@ -62,6 +62,19 @@ type RunConfig struct {
 	MinimalKernels bool `json:"minimal_kernels,omitempty"`
 }
 
+// Collection bounds. Every committed caller stays far below them (at most 9
+// repetitions and 4 threads); they keep reps × threads × groups from
+// overflowing and bound the largest collection. A set holds reps × threads
+// × events × points floats — at the caps about 107 MB for mi250x's 1,160
+// events × 45 points — and each DCache thread holds about 5.6 MB of chase
+// plans while it runs.
+const (
+	// MaxThreads bounds RunConfig.Threads.
+	MaxThreads = 16
+	// MaxSamples bounds RunConfig.Reps × RunConfig.Threads.
+	MaxSamples = 256
+)
+
 // DefaultRunConfig matches the paper's setup: 5 repetitions, single thread.
 func DefaultRunConfig() RunConfig {
 	return RunConfig{Reps: 5, Threads: 1}
@@ -106,6 +119,13 @@ func (c RunConfig) Validate() error {
 	}
 	if c.Threads < 1 {
 		return fmt.Errorf("cat: threads must be >= 1, got %d", c.Threads)
+	}
+	if c.Threads > MaxThreads {
+		return fmt.Errorf("cat: threads must be <= %d, got %d", MaxThreads, c.Threads)
+	}
+	// Divided, not multiplied: reps × threads may overflow.
+	if c.Reps > MaxSamples/c.Threads {
+		return fmt.Errorf("cat: reps*threads must be <= %d, got reps=%d threads=%d", MaxSamples, c.Reps, c.Threads)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("cat: workers must be >= 0 (0 means GOMAXPROCS), got %d", c.Workers)
@@ -177,11 +197,13 @@ func Collect(benchmark string, d Driver, p *machine.Platform, cfg RunConfig) (*c
 
 // Measure reads every event of the platform over the named points' ground
 // truth (a driver's GroundTruth) for each repetition and thread of cfg,
-// which must already be valid. The (rep, thread, group) space fans out
-// across cfg.Workers; each task's noise is seeded purely by its coordinates
-// — the group index is the one the group holds in the platform's full
-// schedule — so every worker count reproduces the serial path's bytes.
-// Measurements are added in the serial (rep, thread, catalog) order.
+// which must already be valid. Each group's noise-free counts are computed
+// once per ground-truth thread and dropped with the collection. The
+// (rep, thread, group) space fans out across cfg.Workers; each task's noise
+// is seeded purely by its coordinates — the group index is the one the
+// group holds in the platform's full schedule — so every worker count
+// reproduces the serial path's bytes. Measurements are added in the serial
+// (rep, thread, catalog) order.
 //
 // A transient fault that survives the whole retry budget drops its group's
 // events (listed in the set's Dropped) instead of failing the run; any other
@@ -194,15 +216,19 @@ func Measure(benchmark string, p *machine.Platform, names []string, truth [][]ma
 	events := p.Catalog.Names()
 	groups := p.Groups(events)
 	nG := len(groups)
+	ideal, err := idealCounts(p, truth, groups, cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
 	tasks := cfg.Reps * cfg.Threads * nG
-	results := make([]map[string][]float64, tasks)
+	results := make([][][]float64, tasks)
 	faults := make([]*fault.Fault, tasks)
-	err := par.ForErr(cfg.Workers, tasks, func(i int) error {
+	err = par.ForErr(cfg.Workers, tasks, func(i int) error {
 		gi := i % nG
 		rt := i / nG
 		thread := rt % cfg.Threads
 		rep := rt / cfg.Threads
-		vectors, err := p.MeasureGroup(threadTruth(truth, thread), groups[gi], gi, rep, thread)
+		vectors, err := p.MeasureGroup(ideal[truthIndex(truth, thread)*nG+gi], groups[gi], gi, rep, thread)
 		if err != nil {
 			if f, ok := fault.As(err); ok && f.Transient() {
 				faults[i] = f
@@ -218,38 +244,37 @@ func Measure(benchmark string, p *machine.Platform, names []string, truth [][]ma
 	}
 	// A group that faulted at any (rep, thread) is dropped wholesale: partial
 	// per-rep coverage would silently bias the noise statistics.
-	dropped := make(map[string]bool)
+	droppedGroup := make([]bool, nG)
 	for i, f := range faults {
 		if f != nil {
-			for _, name := range groups[i%nG] {
-				dropped[name] = true
-			}
+			droppedGroup[i%nG] = true
+		}
+	}
+	// Where each event sits in the schedule: its group and its position in
+	// that group's vectors.
+	type slot struct{ group, index int }
+	at := make(map[string]slot, len(events))
+	for gi, group := range groups {
+		for k, name := range group {
+			at[name] = slot{gi, k}
 		}
 	}
 	set := core.NewMeasurementSet(benchmark, p.Name, names)
-	idx := 0
-	for rep := 0; rep < cfg.Reps; rep++ {
-		for thread := 0; thread < cfg.Threads; thread++ {
-			merged := make(map[string][]float64, len(events))
-			for gi := 0; gi < nG; gi++ {
-				for name, vec := range results[idx] {
-					merged[name] = vec
-				}
-				idx++
+	for rt := 0; rt < cfg.Reps*cfg.Threads; rt++ {
+		rep, thread := rt/cfg.Threads, rt%cfg.Threads
+		// Catalog order keeps downstream tie-breaking deterministic.
+		for _, name := range events {
+			s := at[name]
+			if droppedGroup[s.group] {
+				continue
 			}
-			// Catalog order keeps downstream tie-breaking deterministic.
-			for _, name := range events {
-				if dropped[name] {
-					continue
-				}
-				if err := set.Add(name, core.Measurement{Rep: rep, Thread: thread, Vector: merged[name]}); err != nil {
-					return nil, err
-				}
+			if err := set.Add(name, core.Measurement{Rep: rep, Thread: thread, Vector: results[rt*nG+s.group][s.index]}); err != nil {
+				return nil, err
 			}
 		}
 	}
 	for _, name := range events {
-		if dropped[name] {
+		if droppedGroup[at[name].group] {
 			set.Dropped = append(set.Dropped, name)
 		}
 	}
@@ -261,12 +286,12 @@ func Measure(benchmark string, p *machine.Platform, names []string, truth [][]ma
 
 // StreamEvents is Measure one multiplexing group at a time: it yields each
 // event's per-repetition vectors (median-reduced over threads) as soon as
-// its group is read, so peak memory is one group's worth of measurements
-// rather than the whole catalog — the collection mode that scales to the
-// hundreds of thousands of events the paper's introduction describes.
-// truth is a driver's GroundTruth. Events are yielded in schedule order,
-// each with exactly the values Measure collects for it; unlike Measure, any
-// fault ends the stream with an error.
+// its group is read, so peak memory is one group's worth of noise-free
+// counts and measurements rather than the whole catalog — the collection
+// mode that scales to the hundreds of thousands of events the paper's
+// introduction describes. truth is a driver's GroundTruth. Events are
+// yielded in schedule order, each with exactly the values Measure collects
+// for it; unlike Measure, any fault ends the stream with an error.
 func StreamEvents(p *machine.Platform, truth [][]machine.Stats, cfg RunConfig) core.EventSource {
 	return func(yield func(string, [][]float64) error) error {
 		if err := cfg.Validate(); err != nil {
@@ -276,24 +301,29 @@ func StreamEvents(p *machine.Platform, truth [][]machine.Stats, cfg RunConfig) c
 			return err
 		}
 		p := injected(p, cfg)
+		groups := p.Groups(p.Catalog.Names())
 		nRT := cfg.Reps * cfg.Threads
-		for gi, group := range p.Groups(p.Catalog.Names()) {
-			measured := make([]map[string][]float64, nRT)
-			err := par.ForErr(cfg.Workers, nRT, func(i int) error {
+		for gi, group := range groups {
+			ideal, err := idealCounts(p, truth, groups[gi:gi+1], cfg.Workers)
+			if err != nil {
+				return err
+			}
+			measured := make([][][]float64, nRT)
+			err = par.ForErr(cfg.Workers, nRT, func(i int) error {
 				rep, thread := i/cfg.Threads, i%cfg.Threads
-				vectors, err := p.MeasureGroup(threadTruth(truth, thread), group, gi, rep, thread)
+				vectors, err := p.MeasureGroup(ideal[truthIndex(truth, thread)], group, gi, rep, thread)
 				measured[i] = vectors
 				return err
 			})
 			if err != nil {
 				return err
 			}
-			for _, name := range group {
+			for k, name := range group {
 				reps := make([][]float64, cfg.Reps)
 				for rep := range reps {
 					threadVectors := make([][]float64, cfg.Threads)
 					for thread := range threadVectors {
-						threadVectors[thread] = measured[rep*cfg.Threads+thread][name]
+						threadVectors[thread] = measured[rep*cfg.Threads+thread][k]
 					}
 					reps[rep] = core.MedianOverThreads(threadVectors)
 				}
@@ -306,6 +336,20 @@ func StreamEvents(p *machine.Platform, truth [][]machine.Stats, cfg RunConfig) c
 	}
 }
 
+// idealCounts computes each group's noise-free counts under each
+// ground-truth thread, at index truth thread × len(groups) + group: every
+// repetition, and every measuring thread that shares a truth, reads the
+// same ones.
+func idealCounts(p *machine.Platform, truth [][]machine.Stats, groups [][]string, workers int) ([][][]float64, error) {
+	ideal := make([][][]float64, len(truth)*len(groups))
+	err := par.ForErr(workers, len(ideal), func(i int) error {
+		counts, err := p.IdealCounts(truth[i/len(groups)], groups[i%len(groups)])
+		ideal[i] = counts
+		return err
+	})
+	return ideal, err
+}
+
 // checkTruth rejects ground truth that does not cover cfg's threads.
 func checkTruth(truth [][]machine.Stats, cfg RunConfig) error {
 	if len(truth) != 1 && len(truth) != cfg.Threads {
@@ -314,10 +358,10 @@ func checkTruth(truth [][]machine.Stats, cfg RunConfig) error {
 	return nil
 }
 
-// threadTruth is the ground truth one thread measures.
-func threadTruth(truth [][]machine.Stats, thread int) []machine.Stats {
+// truthIndex is the index of the ground truth one thread measures.
+func truthIndex(truth [][]machine.Stats, thread int) int {
 	if len(truth) == 1 {
-		return truth[0]
+		return 0
 	}
-	return truth[thread]
+	return thread
 }

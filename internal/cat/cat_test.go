@@ -448,6 +448,20 @@ func TestRunConfigValidate(t *testing.T) {
 	if err := DefaultRunConfig().Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// The caps admit every committed configuration and their own edges, and
+	// reject the first value past each — including a reps × threads product
+	// that overflows int.
+	for _, ok := range []RunConfig{{Reps: 9, Threads: 4}, {Reps: MaxSamples, Threads: 1}, {Reps: MaxSamples / MaxThreads, Threads: MaxThreads}} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%+v: %v", ok, err)
+		}
+	}
+	for _, bad := range []RunConfig{{Reps: 1, Threads: MaxThreads + 1}, {Reps: MaxSamples + 1, Threads: 1},
+		{Reps: MaxSamples/4 + 1, Threads: 4}, {Reps: 1 << 62, Threads: 4}} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%+v accepted", bad)
+		}
+	}
 }
 
 func TestNoiseSplitMatchesFigure2(t *testing.T) {

@@ -171,19 +171,22 @@ func (p *Platform) Groups(names []string) [][]string {
 // because every value's noise seed depends only on its coordinates.
 func (p *Platform) Measure(points []Stats, names []string, rep, thread int) (map[string][]float64, error) {
 	groups := p.Groups(names)
-	results := make([]map[string][]float64, len(groups))
+	results := make([][][]float64, len(groups))
 	err := par.ForErr(0, len(groups), func(gi int) error {
-		vectors, err := p.MeasureGroup(points, groups[gi], gi, rep, thread)
-		results[gi] = vectors
+		ideal, err := p.IdealCounts(points, groups[gi])
+		if err != nil {
+			return err
+		}
+		results[gi], err = p.MeasureGroup(ideal, groups[gi], gi, rep, thread)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string][]float64, len(names))
-	for _, r := range results {
-		for name, vec := range r {
-			out[name] = vec
+	for gi, group := range groups {
+		for k, name := range group {
+			out[name] = results[gi][k]
 		}
 	}
 	return out, nil
@@ -194,26 +197,52 @@ func (p *Platform) MeasureAll(points []Stats, rep, thread int) (map[string][]flo
 	return p.Measure(points, p.Catalog.Names(), rep, thread)
 }
 
+// IdealCounts returns the noise-free counts of one multiplexing group's
+// events over a series of benchmark points: one vector per event, in group
+// order, sharing one block. They depend on neither repetition nor thread,
+// so a collection computes them once per (ground truth, group) and hands
+// them to every MeasureGroup read of that group.
+func (p *Platform) IdealCounts(points []Stats, group []string) ([][]float64, error) {
+	n := len(points)
+	block := make([]float64, len(group)*n)
+	out := make([][]float64, len(group))
+	for k, name := range group {
+		def, err := p.event(name)
+		if err != nil {
+			return nil, err
+		}
+		vec := block[k*n : (k+1)*n : (k+1)*n]
+		for pi, stats := range points {
+			vec[pi] = def.Count(stats)
+		}
+		out[k] = vec
+	}
+	return out, nil
+}
+
 // MeasureGroup measures one already-scheduled multiplexing group for one
-// repetition on one thread. groupIndex is the group's position within the
-// full measurement's group schedule — it is a noise-seed coordinate, so
-// callers that fan groups out across workers (internal/cat) must pass the
-// index the group has in Groups' order to reproduce Measure's values exactly.
-// The method reads only immutable platform state and is safe to call
-// concurrently from any number of goroutines.
+// repetition on one thread: it perturbs the group's noise-free counts
+// (IdealCounts over the points the thread measures) with each event's noise
+// and returns one vector per event, in group order. groupIndex is the
+// group's position within the full measurement's group schedule — it is a
+// noise-seed coordinate, so callers that fan groups out across workers
+// (internal/cat) must pass the index the group has in Groups' order to
+// reproduce Measure's values exactly. The method reads only immutable
+// platform state and is safe to call concurrently from any number of
+// goroutines.
 //
 // When the platform carries a fault-injection plan, a faulted group read is
 // re-measured up to the plan's retry budget; a fault that persists past the
 // budget surfaces as a *fault.Fault naming the coordinate. Because transient
 // faults recover deterministically (see fault.Plan.At), a budget >= the
 // plan's depth makes the returned vectors identical to a fault-free run.
-func (p *Platform) MeasureGroup(points []Stats, group []string, groupIndex, rep, thread int) (map[string][]float64, error) {
+func (p *Platform) MeasureGroup(ideal [][]float64, group []string, groupIndex, rep, thread int) ([][]float64, error) {
 	if p.Inject == nil {
-		return p.measureGroupOnce(points, group, groupIndex, rep, thread, 0)
+		return p.measureGroupOnce(ideal, group, groupIndex, rep, thread, 0)
 	}
 	var lastErr error
 	for attempt := 0; attempt <= p.Inject.Retries(); attempt++ {
-		vectors, err := p.measureGroupOnce(points, group, groupIndex, rep, thread, attempt)
+		vectors, err := p.measureGroupOnce(ideal, group, groupIndex, rep, thread, attempt)
 		if err == nil {
 			return vectors, nil
 		}
@@ -228,7 +257,7 @@ func (p *Platform) MeasureGroup(points []Stats, group []string, groupIndex, rep,
 // measureGroupOnce performs a single group-read attempt, consulting the
 // platform's fault plan (if any) at the read's coordinate before and during
 // the read.
-func (p *Platform) measureGroupOnce(points []Stats, group []string, groupIndex, rep, thread, attempt int) (map[string][]float64, error) {
+func (p *Platform) measureGroupOnce(ideal [][]float64, group []string, groupIndex, rep, thread, attempt int) ([][]float64, error) {
 	corrupt := false
 	var coord fault.Coord
 	if p.Inject != nil {
@@ -244,41 +273,43 @@ func (p *Platform) measureGroupOnce(points []Stats, group []string, groupIndex, 
 			corrupt = true
 		}
 	}
-	vectors := make(map[string][]float64, len(group))
-	for _, name := range group {
-		def, ok := p.Catalog.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("machine: platform %s has no event %q", p.Name, name)
+	n := 0
+	if len(group) > 0 {
+		n = len(ideal[0])
+	}
+	block := make([]float64, len(group)*n)
+	out := make([][]float64, len(group))
+	for k, name := range group {
+		def, err := p.event(name)
+		if err != nil {
+			return nil, err
 		}
-		vec := make([]float64, len(points))
-		for pi, stats := range points {
-			vec[pi] = p.noisy(def.Count(stats), def, name, groupIndex, pi, rep, thread)
-			if corrupt {
+		vec := block[k*n : (k+1)*n : (k+1)*n]
+		if mat.IsZero(def.RelNoise) && mat.IsZero(def.AbsNoise) {
+			copy(vec, ideal[k])
+		} else {
+			prefix := seedPrefix(p.Name, name, groupIndex)
+			for pi, c := range ideal[k] {
+				vec[pi] = noisy(c, def.RelNoise, def.AbsNoise, valueSeed(prefix, pi, rep, thread))
+			}
+		}
+		if corrupt {
+			for pi := range vec {
 				vec[pi], _ = p.Inject.CorruptValue(coord, name, pi, vec[pi])
 			}
 		}
-		vectors[name] = vec
+		out[k] = vec
 	}
-	return vectors, nil
+	return out, nil
 }
 
-// noisy perturbs an ideal count with the event's noise model.
-func (p *Platform) noisy(ideal float64, def EventDef, name string, group, point, rep, thread int) float64 {
-	if mat.IsZero(def.RelNoise) && mat.IsZero(def.AbsNoise) {
-		return ideal
+// event returns the catalog's definition of a named event, in place.
+func (p *Platform) event(name string) (*EventDef, error) {
+	i, ok := p.Catalog.byName[name]
+	if !ok {
+		return nil, fmt.Errorf("machine: platform %s has no event %q", p.Name, name)
 	}
-	r := newRNG(hashSeed(p.Name, name, uint64(group), uint64(point), uint64(rep), uint64(thread)))
-	v := ideal
-	if !mat.IsZero(def.RelNoise) {
-		v *= 1 + def.RelNoise*r.norm()
-	}
-	if !mat.IsZero(def.AbsNoise) {
-		v += def.AbsNoise * r.norm()
-	}
-	if v < 0 {
-		v = 0 // counters never go negative
-	}
-	return v
+	return &p.Catalog.events[i], nil
 }
 
 // SortedNames returns the catalog's event names sorted lexicographically —

@@ -160,7 +160,7 @@ func TestMeasureUnknownEvent(t *testing.T) {
 }
 
 func TestRNGNormalMoments(t *testing.T) {
-	r := newRNG(12345)
+	r := &rng{state: 12345}
 	n := 20000
 	var sum, sumSq float64
 	for i := 0; i < n; i++ {
@@ -179,9 +179,9 @@ func TestRNGNormalMoments(t *testing.T) {
 }
 
 func TestHashSeedDistinct(t *testing.T) {
-	a := hashSeed("x", uint64(1), uint64(2))
-	b := hashSeed("x", uint64(2), uint64(1))
-	c := hashSeed("y", uint64(1), uint64(2))
+	a := valueSeed(seedPrefix("p", "x", 0), 1, 2, 0)
+	b := valueSeed(seedPrefix("p", "x", 0), 2, 1, 0)
+	c := valueSeed(seedPrefix("p", "y", 0), 1, 2, 0)
 	if a == b || a == c {
 		t.Fatalf("hash collisions across distinct coordinates")
 	}

@@ -93,19 +93,27 @@ func (c *flightCache[V]) do(ctx context.Context, key string, fn func() (V, error
 	}
 }
 
+// errLeaderPanicked is what a flight's joiners get when its leader's fn
+// panicked; the panic itself unwinds the leader.
+var errLeaderPanicked = errors.New("server: computation panicked")
+
 // lead runs fn for a flight this caller registered, publishes a successful
-// value, and releases the flight's joiners.
+// value, and releases the flight's joiners. The flight settles even if fn
+// panics, so the key is never left waiting on a dead flight: the next
+// caller leads a fresh one.
 func (c *flightCache[V]) lead(key string, call *flight[V], fn func() (V, error)) (V, error) {
 	c.misses.Inc()
+	call.err = errLeaderPanicked // replaced when fn returns
+	defer func() {
+		c.mu.Lock()
+		delete(c.flights, key)
+		if call.err == nil {
+			c.insert(key, call.val)
+		}
+		c.mu.Unlock()
+		close(call.done)
+	}()
 	call.val, call.err = fn()
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if call.err == nil {
-		c.insert(key, call.val)
-	}
-	c.mu.Unlock()
-	close(call.done)
 	return call.val, call.err
 }
 

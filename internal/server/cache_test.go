@@ -7,10 +7,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/perfmetrics/eventlens/internal/cat"
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/machine"
+	"github.com/perfmetrics/eventlens/internal/obs"
 	"github.com/perfmetrics/eventlens/internal/suite"
 )
 
@@ -100,5 +102,47 @@ func TestFlightJoinerOutlivesLeaderCancel(t *testing.T) {
 	}
 	if n := stall.calls.Load(); n != 2 {
 		t.Fatalf("collections = %d, want 2 (the cancelled leader's and the joiner's own)", n)
+	}
+}
+
+// TestFlightLeaderPanicSettlesKey: a leader whose compute panics must still
+// settle its flight. A joiner waiting on it gets an error, and the next
+// caller of the key leads a fresh flight instead of waiting on a dead one.
+func TestFlightLeaderPanicSettlesKey(t *testing.T) {
+	c := newFlightCache[int](4, new(obs.Counter), new(obs.Counter))
+	leading, release := make(chan struct{}), make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		_, _ = c.do(context.Background(), "k", func() (int, error) {
+			close(leading)
+			<-release
+			panic("compute exploded")
+		})
+	}()
+	<-leading
+	joiner := &parkCtx{Context: context.Background(), parked: make(chan struct{})}
+	joined := make(chan error, 1)
+	go func() {
+		_, err := c.do(joiner, "k", func() (int, error) { return 0, errors.New("a joiner led") })
+		joined <- err
+	}()
+	<-joiner.parked
+	close(release)
+	if r := <-leaderPanic; r == nil {
+		t.Fatal("the leader's panic did not reach its caller")
+	}
+	select {
+	case err := <-joined:
+		if !errors.Is(err, errLeaderPanicked) {
+			t.Fatalf("joiner: err = %v, want errLeaderPanicked", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("joiner still waits on the panicked flight")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if v, err := c.do(ctx, "k", func() (int, error) { return 7, nil }); err != nil || v != 7 {
+		t.Fatalf("next caller: %d, %v; want a fresh flight's 7", v, err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"github.com/perfmetrics/eventlens/internal/analysis"
+	"github.com/perfmetrics/eventlens/internal/cat"
 	"io"
 	"log/slog"
 	"net/http"
@@ -90,6 +91,26 @@ func TestAnalyzeMalformedJSON(t *testing.T) {
 	decodeEnvelope(t, postJSON(t, h, "/v1/analyze", `{"benchmark":"cpu-flops","run":{"reps":0,"threads":1}}`), http.StatusBadRequest)
 	decodeEnvelope(t, postJSON(t, h, "/v1/analyze", `{"benchmark":"cpu-flops","config":{"tau":1e-10,"alpha":0,"projection_tol":0.01,"round_tol":0.05}}`), http.StatusBadRequest)
 	decodeEnvelope(t, postJSON(t, h, "/v1/analyze", `{}`), http.StatusBadRequest)
+}
+
+// TestAnalyzeRunBounds: reps and threads past the collection caps are a 400
+// that names the bound. Unbounded, the first body overflows
+// reps × threads × groups and panics mid-collection, which drops the
+// connection. A run at the cap computes.
+func TestAnalyzeRunBounds(t *testing.T) {
+	h := newTestServer(t, Config{}).Handler()
+	msg := decodeEnvelope(t, postJSON(t, h, "/v1/analyze", `{"benchmark":"cpu-flops","run":{"reps":4611686018427387904,"threads":4}}`), http.StatusBadRequest)
+	if want := fmt.Sprintf("<= %d", cat.MaxSamples); !strings.Contains(msg, want) {
+		t.Fatalf("message = %q, want the bound %q", msg, want)
+	}
+	msg = decodeEnvelope(t, postJSON(t, h, "/v1/analyze", fmt.Sprintf(`{"benchmark":"branch","run":{"reps":1,"threads":%d}}`, cat.MaxThreads+1)), http.StatusBadRequest)
+	if want := fmt.Sprintf("<= %d", cat.MaxThreads); !strings.Contains(msg, want) {
+		t.Fatalf("message = %q, want the bound %q", msg, want)
+	}
+	atCap := fmt.Sprintf(`{"benchmark":"branch","run":{"reps":%d,"threads":%d}}`, cat.MaxSamples/cat.MaxThreads, cat.MaxThreads)
+	if w := postJSON(t, h, "/v1/analyze", atCap); w.Code != http.StatusOK {
+		t.Fatalf("run at the cap: status %d: %s", w.Code, w.Body)
+	}
 }
 
 func TestAnalyzeOversizedBody(t *testing.T) {
