@@ -114,6 +114,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCluster$$' -fuzztime $(FUZZTIME) ./internal/similarity
 	$(GO) test -run '^$$' -fuzz '^FuzzPlatDef$$' -fuzztime $(FUZZTIME) ./internal/platdef
 	$(GO) test -run '^$$' -fuzz '^FuzzLadderRequest$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzTailWarmup$$' -fuzztime $(FUZZTIME) ./internal/cachesim
 
 # Total statement coverage with a hard floor, so coverage can only ratchet up.
 cover:

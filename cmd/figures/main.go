@@ -96,7 +96,11 @@ func figureMatrix(w io.Writer, platformDir, platforms, benchmarks string, minima
 		return err
 	}
 	if jsonOut {
-		_, err := w.Write(matrix.NewEnvelope(report).CanonicalJSON())
+		body, err := matrix.NewEnvelope(report).Encode()
+		if err != nil {
+			return err
+		}
+		_, err = w.Write(body)
 		return err
 	}
 	_, err = io.WriteString(w, report.Format())

@@ -86,7 +86,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if *jsonOut {
-		_, err := stdout.Write(validate.NewEnvelope(report).CanonicalJSON())
+		body, err := validate.NewEnvelope(report).Encode()
+		if err != nil {
+			return err
+		}
+		_, err = stdout.Write(body)
 		return err
 	}
 	_, err = io.WriteString(stdout, report.Format())

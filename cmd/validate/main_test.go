@@ -86,3 +86,22 @@ func TestWorkersByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestCorruptFaultsJSONFails: corrupt faults write NaN and ±Inf into
+// measured means, which JSON cannot carry. -json must fail, so the command
+// exits non-zero, and print nothing, instead of exiting 0 with an empty
+// body. The text report still renders the values.
+func TestCorruptFaultsJSONFails(t *testing.T) {
+	args := []string{"-platform", "spr", "-bench", "branch", "-faults", "seed=3,corrupt=0.1"}
+	var stdout, stderr bytes.Buffer
+	err := run(append(args, "-json"), &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "unsupported value") {
+		t.Fatalf("-json under corrupt faults: err = %v, want the encoder's error", err)
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("-json under corrupt faults printed %d bytes", stdout.Len())
+	}
+	if out, _ := runCmd(t, args...); !strings.Contains(out, "Inf") {
+		t.Fatal("text report under corrupt faults shows no corrupt value")
+	}
+}

@@ -18,6 +18,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -246,7 +247,12 @@ func checkMatrixDeterminism() oracle.CheckResult {
 		res.Err = err
 		return res
 	}
-	if !bytes.Equal(matrix.NewEnvelope(serial).CanonicalJSON(), matrix.NewEnvelope(parallel).CanonicalJSON()) {
+	a, errA := matrix.NewEnvelope(serial).Encode()
+	b, errB := matrix.NewEnvelope(parallel).Encode()
+	switch {
+	case errA != nil || errB != nil:
+		res.Err = cmp.Or(errA, errB)
+	case !bytes.Equal(a, b):
 		res.Err = fmt.Errorf("matrix envelope differs between Workers=1 and Workers=8")
 	}
 	return res

@@ -13,12 +13,13 @@ import (
 // whole (task × component × residue-class) space flattens into independent
 // execution units that fan out through par.ForErr under the caller's worker
 // budget — one giant Mem-region chase no longer serializes a collection,
-// because its cache side is arithmetic (plan.go analysis 1) and its TLB side
-// splits into set-residue chunks (analysis 2). Every unit writes only its
-// own slot of a pre-sized counter slice, and reduction sums uint64 counters
-// in fixed order, so results are bit-identical to the reference simulator
-// for any worker count — the equivalence property tests in fast_test.go and
-// the repo-level determinism suite both prove it.
+// because its cache side is arithmetic (plan.go analyses 1 and 4) and its
+// TLB side splits into set-residue chunks (analysis 2) that warm on a
+// proven tail (analysis 5). Every unit writes only its own slot of a
+// pre-sized counter slice, and reduction sums uint64 counters in fixed
+// order, so results are bit-identical to the reference simulator for any
+// worker count — the equivalence property tests in fast_test.go and the
+// repo-level determinism suite both prove it.
 
 // SweepTask is one chase execution request: a sweep point plus the seed of
 // its chain permutation.
@@ -35,15 +36,18 @@ type unitCounts struct {
 }
 
 // execUnit names one replayable chunk of a task's cache or TLB component:
-// the keys [lo, hi) of its plan, a run of whole residue groups.
+// the residue groups [g0, g1) of its plan, whose keys are contiguous.
 type execUnit struct {
 	task   int
-	lo, hi int32
+	g0, g1 int32
 	tlb    bool
 }
 
-// engineRuns counts the chases the engine ran (memo misses), for tests.
-var engineRuns atomic.Int64
+// engineRuns counts the chases the engine ran (memo misses); allHitRuns
+// counts those whose cache side analysis 4 settled, and tailWarmups the
+// residue groups that warmed on a proven tail (analysis 5). Tests read them
+// so that a silent fallback to simulation fails.
+var engineRuns, allHitRuns, tailWarmups atomic.Int64
 
 // RunSweepTasks runs every task — warmup traversal, counter reset, passes
 // measured traversals — and returns one ChaseResult per task, bit-identical
@@ -121,19 +125,19 @@ func runChases(cfgs []LevelConfig, tlbCfgs []TLBConfig, lineShift uint, claimed 
 	err := par.ForErr(workers, len(units), func(ui int) error {
 		u := units[ui]
 		p := plans[u.task]
-		var keys []uint32
-		var sim *fastSim
-		if u.tlb {
-			keys = p.tlbKeys[u.lo:u.hi]
-			sim = tlbPool.Get().(*fastSim)
-			defer tlbPool.Put(sim)
-		} else {
-			keys = p.cacheKeys[u.lo:u.hi]
-			sim = cachePools[p.firstSim].Get().(*fastSim)
-			defer cachePools[p.firstSim].Put(sim)
+		keys, starts, pool := p.tlbKeys, p.tlbStarts, &tlbPool
+		if !u.tlb {
+			keys, starts, pool = p.cacheKeys, p.cacheStarts, &cachePools[p.firstSim]
 		}
+		sim := pool.Get().(*fastSim)
+		defer pool.Put(sim)
+		groups := starts[u.g0 : u.g1+1]
+		keys = keys[groups[0]:groups[len(groups)-1]]
 		sim.resetState()
-		sim.replay(keys)
+		if !u.tlb || !sim.warmTails(keys, groups, tailWarmKeys) {
+			sim.resetState()
+			sim.replay(keys)
+		}
 		sim.resetCounters()
 		for pass := 0; pass < passes; pass++ {
 			sim.replay(keys)
@@ -187,10 +191,15 @@ func runChases(cfgs []LevelConfig, tlbCfgs []TLBConfig, lineShift uint, claimed 
 		for li := 0; li < p.firstSim; li++ {
 			misses[li] = n
 		}
-		if p.firstSim == nl {
+		switch {
+		case p.firstSim == nl:
 			// Whole cache side is arithmetic: every access misses all levels
 			// and goes to memory.
 			mem, cacheAcc = n, n
+		case p.allHit:
+			// Level firstSim serves every access; nothing reaches below it.
+			hits[p.firstSim], cacheAcc = n, n
+			allHitRuns.Add(1)
 		}
 		if cacheAcc != n || (len(tlbCfgs) > 0 && tlbAcc != n) {
 			claimed[ti].settle(nil, fmt.Errorf("cachesim: internal: sharded access count %d/%d != %d for chase %+v",
@@ -227,9 +236,29 @@ func appendUnits(units []execUnit, task int, starts []int32, tlb bool) []execUni
 			end++
 		}
 		if starts[end] > starts[g] {
-			units = append(units, execUnit{task: task, lo: starts[g], hi: starts[end], tlb: tlb})
+			units = append(units, execUnit{task: task, g0: int32(g), g1: int32(end), tlb: tlb})
 		}
 		g = end
 	}
 	return units
+}
+
+// warmTails warms the engine, fresh from a reset, for a unit's keys, whose
+// residue groups starts bounds (offsets into the plan; keys begins at
+// starts[0]), each on its proven tail of tail keys. It reports false,
+// leaving a partial state, when any group fails its proof; the caller then
+// resets the engine and warms in full.
+func (s *fastSim) warmTails(keys []uint32, starts []int32, tail int) bool {
+	proven := int64(0)
+	for g := 0; g+1 < len(starts); g++ {
+		group := keys[starts[g]-starts[0] : starts[g+1]-starts[0]]
+		if !s.warmTail(group, tail) {
+			return false
+		}
+		if len(group) > tail {
+			proven++
+		}
+	}
+	tailWarmups.Add(proven)
+	return true
 }

@@ -24,6 +24,10 @@ type fastLevel struct {
 	stamps []uint64
 	hits   uint64
 	misses uint64
+	// marks[s] == the engine's epoch flags set s as one the group under
+	// warmTail maps keys to. Allocated on the engine's first warmTail and
+	// reused by every later one.
+	marks []uint64
 }
 
 func newFastLevel(nsets, ways int) fastLevel {
@@ -39,13 +43,16 @@ func newFastLevel(nsets, ways int) fastLevel {
 	return l
 }
 
-// setBase returns the first slot index of the set holding key.
-func (l *fastLevel) setBase(key uint64) uint64 {
+// set returns the index of the set holding key.
+func (l *fastLevel) set(key uint64) uint64 {
 	if l.mask != 0 {
-		return (key & l.mask) * l.ways
+		return key & l.mask
 	}
-	return (key % l.nsets) * l.ways
+	return key % l.nsets
 }
+
+// setBase returns the first slot index of the set holding key.
+func (l *fastLevel) setBase(key uint64) uint64 { return l.set(key) * l.ways }
 
 // probe returns the slot index of a live entry for key, or -1. Only one live
 // copy of a key can exist per level (fill is guarded by a failed probe), so
@@ -108,6 +115,7 @@ type fastSim struct {
 	floor     uint64
 	bottom    uint64
 	accesses  uint64
+	epoch     uint64 // marks equal to it flag the sets of warmTail's current group
 }
 
 // newFastCacheSim builds the engine for the cache levels cfgs (which may be
@@ -443,6 +451,73 @@ func (s *fastSim) replay2w48(keys []uint32) {
 	s.bottom += bottom
 	s.accesses += n
 	s.clock = clock
+}
+
+// tailWarmKeys is the tail length warmTail replays of a residue group
+// (plan.go analysis 5). Every Mem-region TLB group of the shipped sweep
+// passes the check at this length with room to spare: at seed 1 and four
+// threads, 256-key tails still pass all 256 groups, and 128-key tails fail
+// 9. A failed check costs its unit a full warmup, never a wrong count.
+const tailWarmKeys = 1024
+
+// warmTail warms the engine for one residue group — keys in traversal
+// order, touching sets no other key replayed since the last reset touches —
+// on only its last tail keys, and reports whether the check of plan.go
+// analysis 5 proved the resulting state equal to a full warmup's. A group
+// of at most tail keys replays in full and needs no proof. On false the
+// group's sets hold a partial state: the caller must reset the engine and
+// warm in full. Engines with back-invalidation never qualify.
+func (s *fastSim) warmTail(keys []uint32, tail int) bool {
+	if len(keys) <= tail {
+		s.replay(keys)
+		return true
+	}
+	if s.backInval {
+		return false
+	}
+	s.markSets(keys)
+	keys = keys[len(keys)-tail:]
+	nl := len(s.levels)
+	for p := range s.levels {
+		since := s.clock + 1
+		s.replay(keys[p*tail/nl : (p+1)*tail/nl])
+		if !s.levels[p].settled(s.epoch, since) {
+			return false
+		}
+	}
+	return true
+}
+
+// markSets flags, at every level, the sets that keys map to.
+func (s *fastSim) markSets(keys []uint32) {
+	s.epoch++
+	for i := range s.levels {
+		l := &s.levels[i]
+		if l.marks == nil {
+			l.marks = make([]uint64, l.nsets)
+		}
+		for _, k := range keys {
+			l.marks[l.set(uint64(k))] = s.epoch
+		}
+	}
+}
+
+// settled reports whether every set marked in epoch is full of entries
+// stamped at or after since. A slot stamped at or after since is live, so
+// a settled set is a full one.
+func (l *fastLevel) settled(epoch, since uint64) bool {
+	for set, m := range l.marks {
+		if m != epoch {
+			continue
+		}
+		base := uint64(set) * l.ways
+		for _, st := range l.stamps[base : base+l.ways] {
+			if st < since {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // resetCounters zeroes hit/miss/bottom/access counters, keeping contents —

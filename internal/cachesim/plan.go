@@ -10,8 +10,9 @@ import (
 // plan.go builds per-sweep-point execution plans for the optimized
 // collection path (fastrun.go), and memoizes the results they produce. A
 // plan is built for one chase, replayed, and dropped; the memo at the end of
-// this file keeps only the chase's result. Three exact analyses make the
-// plans fast to execute:
+// this file keeps only the chase's result. Five exact analyses make the
+// plans fast to execute; whatever they cannot prove goes through the
+// simulating engine, so results stay bit-identical to RunSweepPointTLB:
 //
 //  1. Level skipping. For a chase whose stride covers at least one full
 //     line, consecutive elements touch strictly increasing — hence
@@ -42,16 +43,53 @@ import (
 //     — the pointer chase itself (the actually-serial dependency chain) is
 //     never re-walked during measurement, and replaying a stream is a
 //     linear scan.
+//
+//  4. All-hit levels. Take a chase whose stride covers at least one line
+//     (so its lines are distinct), and let f be the first level analysis 1
+//     leaves. If every set of level f, and every set of the last level,
+//     receives at most `ways` distinct lines, the warmup traversal — one
+//     compulsory miss per line — evicts nothing from f by a fill, and
+//     nothing from the last level, so no back-invalidation ever fires:
+//     after the warmup every line sits in f and stays there. Every measured
+//     access then misses the levels above f (analysis 1 still holds for
+//     them) and hits f, so the counters are arithmetic — n misses above f,
+//     n hits at f, no accesses below it, no memory traffic — and the
+//     cache side builds and replays no key stream. Middle levels need no
+//     check: their evictions do not cascade. The set loads are the same
+//     closed form as analysis 1 for line-aligned strides, and an O(n)
+//     count otherwise. Every L1-, L2- and L3-region point of the shipped
+//     sweep qualifies.
+//
+//  5. Proven-tail warmup (fastsim.go's warmTail; TLB side only). A residue
+//     group longer than tailWarmKeys warms on its last tailWarmKeys keys
+//     instead of the whole traversal, replayed from an empty engine in one
+//     part per level. After part p the engine checks that every level-p set
+//     the group's keys map to is full, and that every entry in it was
+//     touched after part p−1 ended. Level 0 sees every access, and level p
+//     sees exactly level p−1's misses, so by induction level p's input
+//     during part p is the input a full warmup gives it at the same point
+//     of the traversal; a full set whose entries were all touched in that
+//     window holds the last `ways` distinct keys of it, which is what true
+//     LRU holds after the full warmup, in the same recency order. The
+//     induction needs fills that never cascade: back-invalidation can
+//     remove an entry a full warmup would keep, so the cache side always
+//     warms in full. A group that fails the check — a set the tail did
+//     not fill, or an entry left over from an earlier part — sends its
+//     whole unit back through a reset engine and a full warmup.
 type chasePlan struct {
 	cfg ChaseConfig
 	// firstSim is the first cache level needing real simulation; levels
 	// above it are provably all-miss. len(levels) means the whole cache
 	// side is arithmetic.
 	firstSim int
+	// allHit reports that level firstSim serves every measured access
+	// (analysis 4): the cache side is arithmetic and cacheKeys is empty.
+	allHit bool
 	// cacheKeys holds pre-shifted line numbers in traversal order grouped
 	// by line residue at level firstSim; cacheStarts[r]:cacheStarts[r+1]
 	// bounds group r. A single group means sharding was not applicable.
-	// Empty when firstSim == len(levels). Storing keys instead of byte
+	// Empty when the cache side is arithmetic (firstSim == len(levels), or
+	// allHit). Storing keys instead of byte
 	// offsets moves the base-add and line-shift out of the replay loop.
 	cacheKeys   []uint32
 	cacheStarts []int32
@@ -113,37 +151,62 @@ func skipLevels(cfgs []LevelConfig, cfg ChaseConfig, lineShift uint) int {
 	return f
 }
 
+// allHit reports whether level f, the first level skipLevels leaves, serves
+// every measured access of the chase (analysis 4): level f and the last
+// level each receive at most `ways` distinct lines in every set. False when
+// the stride is narrower than a line, and when no level is left.
+func allHit(cfgs []LevelConfig, cfg ChaseConfig, lineShift uint, f int) bool {
+	if cfg.StrideBytes < cfgs[0].LineSize || f == len(cfgs) {
+		return false
+	}
+	return allSetsFit(cfgs[f], cfg, lineShift) && allSetsFit(cfgs[len(cfgs)-1], cfg, lineShift)
+}
+
 // allSetsOverflow reports whether every set of the level touched by the
 // chase receives strictly more distinct lines than the level has ways.
-// Caller guarantees stride >= line size, which makes the chase's lines
-// distinct, so per-set element counts are per-set distinct-line counts.
+func allSetsOverflow(lc LevelConfig, cfg ChaseConfig, lineShift uint) bool {
+	least, _ := setLoads(lc, cfg, lineShift)
+	return least > uint64(lc.Ways)
+}
+
+// allSetsFit reports whether no set of the level receives more distinct
+// lines than the level has ways.
+func allSetsFit(lc LevelConfig, cfg ChaseConfig, lineShift uint) bool {
+	_, most := setLoads(lc, cfg, lineShift)
+	return most <= uint64(lc.Ways)
+}
+
+// setLoads returns the fewest and the most lines any set of the level
+// touched by the chase receives. Caller guarantees stride >= line size,
+// which makes the chase's lines distinct, so per-set element counts are
+// per-set distinct-line counts.
 //
 // For line-aligned strides the counts are closed-form: with q lines per
 // step the i-th element lands in set (base-line + i*q) mod S, a sequence of
 // period S/gcd(q,S) that distributes elements evenly — every visited set
-// receives floor(n/period) or one more. The O(n) count is the fallback for
-// strides that straddle line boundaries.
-func allSetsOverflow(lc LevelConfig, cfg ChaseConfig, lineShift uint) bool {
+// receives floor(n/period) or one more, and at least one. The O(n) count is
+// the fallback for strides that straddle line boundaries.
+func setLoads(lc LevelConfig, cfg ChaseConfig, lineShift uint) (least, most uint64) {
 	nsets := uint64(lc.Sets())
+	n := uint64(cfg.Elements)
 	if cfg.StrideBytes%lc.LineSize == 0 {
 		// (base + i*q*L) >> shift == base>>shift + i*q exactly: multiples
 		// of the line size never carry into the low shift bits.
 		q := uint64(cfg.StrideBytes / lc.LineSize)
-		g := gcd(q%nsets, nsets)
-		period := nsets / g
-		return uint64(cfg.Elements)/period > uint64(lc.Ways)
+		period := nsets / gcd(q%nsets, nsets)
+		return max(n/period, 1), (n + period - 1) / period
 	}
-	counts := make([]int32, nsets)
-	for i := 0; i < cfg.Elements; i++ {
-		line := (cfg.Base + uint64(i)*uint64(cfg.StrideBytes)) >> lineShift
-		counts[line%nsets]++
+	counts := make([]uint64, nsets)
+	for i := uint64(0); i < n; i++ {
+		counts[((cfg.Base+i*uint64(cfg.StrideBytes))>>lineShift)%nsets]++
 	}
+	least = n
 	for _, c := range counts {
-		if c != 0 && int(c) <= lc.Ways {
-			return false
+		if c != 0 {
+			least, most = min(least, c), max(most, c)
 		}
 	}
-	return true
+	return least, most
 }
 
 // gcd is Euclid's algorithm; gcd(0, b) = b covers strides that are set-count
@@ -202,12 +265,13 @@ func buildPlan(cfgs []LevelConfig, tlbCfgs []TLBConfig, cfg ChaseConfig, lineShi
 	}
 	n := cfg.Elements
 	p := &chasePlan{cfg: cfg, firstSim: skipLevels(cfgs, cfg, lineShift)}
+	p.allHit = allHit(cfgs, cfg, lineShift, p.firstSim)
 
 	// Decide the grouping for each component: nGroups==1 replays the whole
 	// traversal as one stream (sharding inapplicable or not worth it).
 	cacheGroups, tlbGroups := 0, 0
 	var cacheMod, tlbMod uint64
-	if p.firstSim < len(cfgs) {
+	if p.firstSim < len(cfgs) && !p.allHit {
 		cacheGroups = 1
 		if n >= planShardMin && shardable(cfgs[p.firstSim:]) {
 			cacheGroups = cfgs[p.firstSim].Sets()

@@ -11,11 +11,13 @@ import (
 // TestOnly keeps code only tests run out of the build. Every function and
 // method declared in a non-test file of an internal/ package needs a
 // non-test use somewhere in the module — cmd/, examples/, the root facade or
-// another internal package. A use is a reference; a method whose name and
-// signature an interface of the program or of its standard-library imports
-// declares (fmt.Stringer reaches String through %s with no call in sight),
-// including the Unwrap, Is and As methods package errors probes; or a
-// method of a type that a package outside internal/ re-exports by alias.
+// another internal package. A use is a reference from outside the
+// function's own body, so a function that only calls itself is flagged; a
+// method whose name and signature an interface of the program or of its
+// standard-library imports declares (fmt.Stringer reaches String through %s
+// with no call in sight), including the Unwrap, Is and As methods package
+// errors probes; or a method of a type that a package outside internal/
+// re-exports by alias.
 // References come from the whole program, so a finding does not depend on
 // which packages a run names.
 var TestOnly = &Analyzer{
@@ -75,11 +77,26 @@ func runTestOnly(p *ModulePass) {
 			scan(imp)
 		}
 	}
+	// Each function's own body: a reference from inside it is recursion, so
+	// a function only it calls is still unused.
+	bodies := make(map[types.Object][2]token.Pos)
+	for _, pkg := range p.Program {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					bodies[pkg.Info.Defs[fd.Name]] = [2]token.Pos{fd.Body.Pos(), fd.Body.End()}
+				}
+			}
+		}
+	}
 	for _, pkg := range p.Program {
 		scan(pkg.Types)
-		for _, obj := range pkg.Info.Uses {
+		for id, obj := range pkg.Info.Uses {
 			if fn, ok := obj.(*types.Func); ok {
-				used[fn.Origin()] = true
+				body, ok := bodies[fn.Origin()]
+				if !ok || id.Pos() < body[0] || id.Pos() >= body[1] {
+					used[fn.Origin()] = true
+				}
 			}
 		}
 		// Interface literals, including those declared inside functions.

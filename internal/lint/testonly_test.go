@@ -156,6 +156,49 @@ func main() { _ = q.Total(p.Box{}) + q.Count(nil) }
 		},
 		want: []string{"(Box).Len"},
 	}, {
+		name: "functions only their own bodies call",
+		files: map[string]string{
+			"internal/p/p.go": `package p
+
+func Fact(n int) int {
+	if n < 2 {
+		return 1
+	}
+	return n * Fact(n-1)
+}
+
+func countdown(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return countdown(n - 1)
+}
+
+type Tree struct{ kids []Tree }
+
+func (t Tree) size() int {
+	n := 1
+	for _, k := range t.kids {
+		n += k.size()
+	}
+	return n
+}
+`,
+			"internal/p/p_test.go": `package p
+
+import "testing"
+
+func TestCountdown(t *testing.T) { _ = countdown(3) + Tree{}.size() }
+`,
+			app: `package main
+
+import "example.com/fixture/internal/p"
+
+func main() { _ = p.Fact(3) }
+`,
+		},
+		want: []string{"countdown", "(Tree).size"},
+	}, {
 		name: "method of a facade-aliased type",
 		files: map[string]string{
 			"internal/p/p.go": `package p

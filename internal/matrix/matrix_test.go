@@ -126,8 +126,7 @@ func TestWorkerIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewEnvelope(serial).CanonicalJSON()
-	b := NewEnvelope(parallel).CanonicalJSON()
+	a, b := encode(t, serial), encode(t, parallel)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("worker count changed the matrix:\n--- serial\n%s\n--- parallel\n%s", a, b)
 	}
@@ -189,7 +188,17 @@ func TestMatrixGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	goldie.Assert(t, "matrix_branch", NewEnvelope(rep).CanonicalJSON())
+	goldie.Assert(t, "matrix_branch", encode(t, rep))
+}
+
+// encode renders a report's envelope, failing the test if it cannot.
+func encode(t *testing.T, rep *Report) []byte {
+	t.Helper()
+	body, err := NewEnvelope(rep).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
 }
 
 // TestDegradedUnderFaults pins graceful degradation: pairs losing their
@@ -224,7 +233,7 @@ func TestDegradedUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(NewEnvelope(rep).CanonicalJSON(), NewEnvelope(rep2).CanonicalJSON()) {
+	if !bytes.Equal(encode(t, rep), encode(t, rep2)) {
 		t.Error("faulted matrix is not deterministic")
 	}
 	// Injection sinking every pair is an error, not an empty report.

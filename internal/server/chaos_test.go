@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"github.com/perfmetrics/eventlens/internal/analysis"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 
@@ -278,5 +279,32 @@ func TestAnalyzePartialListsFaults(t *testing.T) {
 	}
 	if want := core.FormatAnalysisReport(res, bench.Config.ProjectionTol, bench.MetricTable, defs); resp.Report != want {
 		t.Fatalf("report differs from the one-shot analysis of the same collection:\n%s\nwant:\n%s", resp.Report, want)
+	}
+}
+
+// TestCorruptFaultsAnswer503 pins the empty-200 fix: corrupt faults write
+// NaN and ±Inf into measured values, which JSON cannot carry. A validate
+// request under them answers a typed 503 instead of an empty 200, and
+// neither the cache nor the store keeps anything, so the same request
+// computes again and gets the same answer.
+func TestCorruptFaultsAnswer503(t *testing.T) {
+	dir := t.TempDir()
+	h := newTestServer(t, Config{StoreDir: dir}).Handler()
+	body := validateBody("spr", []string{"branch"}, `"faults":"seed=3,corrupt=0.1"`)
+	for attempt := 0; attempt < 2; attempt++ {
+		w := postJSON(t, h, "/v1/events/validate", body)
+		if msg := decodeEnvelope(t, w, http.StatusServiceUnavailable); !strings.Contains(msg, "unsupported value") {
+			t.Fatalf("attempt %d: message = %q, want the encoder's error", attempt, msg)
+		}
+		if src := w.Header().Get("X-Eventlens-Cache"); src != "" {
+			t.Fatalf("attempt %d: a failed request reports cache rung %q", attempt, src)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("store holds %d entries (%v) after failed requests", len(entries), err)
+	}
+	text := metricsText(t, h)
+	if !strings.Contains(text, `eventlensd_requests_total{route="/v1/events/validate",code="503"} 2`) {
+		t.Fatalf("503s not counted:\n%s", grepLines(text, "requests_total"))
 	}
 }

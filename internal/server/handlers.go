@@ -353,9 +353,22 @@ func (s *Server) validateEndpoint(req validate.Request) (endpoint, error) {
 					s.validateVerdicts.With(verdict).Add(uint64(n))
 				}
 			}
-			return validate.NewEnvelope(report).CanonicalJSON(), nil
+			body, err := validate.NewEnvelope(report).Encode()
+			return body, encodeErr(err, req.Faults)
 		},
 	}, nil
+}
+
+// encodeErr types an envelope's encoding error. Corrupt faults can write NaN
+// or ±Inf into measured values, which JSON cannot carry: under injection
+// that is the daemon degrading itself, a 503 like a total fault loss, while
+// without injection it is a bug and stays a 500. As an error it is neither
+// cached nor stored.
+func encodeErr(err error, faults string) error {
+	if err != nil && faults != "" {
+		return httpError{http.StatusServiceUnavailable, err.Error()}
+	}
+	return err
 }
 
 // ---- Composability matrix ---------------------------------------------
@@ -383,7 +396,8 @@ func (s *Server) matrixEndpoint(req matrix.Request) (endpoint, error) {
 			}
 			s.matrixRuns.Inc()
 			s.matrixCells.Add(uint64(report.Total))
-			return matrix.NewEnvelope(report).CanonicalJSON(), nil
+			body, err := matrix.NewEnvelope(report).Encode()
+			return body, encodeErr(err, req.Faults)
 		},
 	}, nil
 }

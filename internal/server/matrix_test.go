@@ -46,7 +46,7 @@ func TestMatrixEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := matrix.NewEnvelope(report).CanonicalJSON(); !bytes.Equal(w.Body.Bytes(), want) {
+	if want := mustEncode(t, matrix.NewEnvelope(report)); !bytes.Equal(w.Body.Bytes(), want) {
 		t.Fatalf("API response differs from the canonical envelope:\n--- api\n%s\n--- canonical\n%s",
 			w.Body.Bytes(), want)
 	}

@@ -49,6 +49,17 @@ func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 }
 
 // decodeEnvelope asserts a JSON error envelope with the given status.
+// mustEncode renders a validate or matrix envelope, failing the test if it
+// cannot.
+func mustEncode(t *testing.T, env interface{ Encode() ([]byte, error) }) []byte {
+	t.Helper()
+	body, err := env.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
 func decodeEnvelope(t *testing.T, w *httptest.ResponseRecorder, wantCode int) string {
 	t.Helper()
 	if w.Code != wantCode {

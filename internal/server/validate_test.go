@@ -47,7 +47,7 @@ func TestValidatePlatformDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := validate.NewEnvelope(report).CanonicalJSON(); !bytes.Equal(w.Body.Bytes(), want) {
+	if want := mustEncode(t, validate.NewEnvelope(report)); !bytes.Equal(w.Body.Bytes(), want) {
 		t.Fatalf("dir-loaded platform: API response differs from the CLI envelope:\n--- api\n%s\n--- cli\n%s", w.Body.Bytes(), want)
 	}
 
@@ -78,8 +78,8 @@ func TestValidateEndpoint(t *testing.T) {
 		t.Fatalf("first request cache header = %q, want \"miss\"", got)
 	}
 
-	// The CLI's -json output is NewEnvelope(RunIn(registry, req))
-	// .CanonicalJSON(); the endpoint must serve those exact bytes.
+	// The CLI's -json output is NewEnvelope(RunIn(registry, req)).Encode();
+	// the endpoint must serve those exact bytes.
 	reg, err := machine.NewRegistry()
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestValidateEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := validate.NewEnvelope(report).CanonicalJSON(); !bytes.Equal(w.Body.Bytes(), want) {
+	if want := mustEncode(t, validate.NewEnvelope(report)); !bytes.Equal(w.Body.Bytes(), want) {
 		t.Fatalf("API response differs from the CLI envelope:\n--- api\n%s\n--- cli\n%s", w.Body.Bytes(), want)
 	}
 

@@ -546,7 +546,7 @@ func (r *Report) Format() string {
 
 // Envelope is the canonical JSON shape of a validation: the report fields
 // plus the rendered text, so API consumers get both without a second
-// request. CanonicalJSON of the envelope is what the daemon stores and
+// request. Encode of the envelope is what the daemon stores and
 // serves, and what `validate -json` prints — byte-identical by construction.
 type Envelope struct {
 	*Report
@@ -557,13 +557,25 @@ type Envelope struct {
 // NewEnvelope wraps a report with its rendered text.
 func NewEnvelope(r *Report) Envelope { return Envelope{Report: r, Text: r.Format()} }
 
-// CanonicalJSON renders the envelope exactly as the daemon serves it:
-// two-space indent, trailing newline. (encoding/json sorts map keys, so the
-// Counts map marshals deterministically.)
-func (e Envelope) CanonicalJSON() []byte {
+// Encode renders the envelope exactly as the daemon serves it: two-space
+// indent, trailing newline. (encoding/json sorts map keys, so the Counts map
+// marshals deterministically.) It fails when the report holds a value JSON
+// cannot carry — NaN or ±Inf, which corrupt-fault injection writes into
+// measured values — rather than return an empty body.
+func (e Envelope) Encode() ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(e)
-	return buf.Bytes()
+	if err := enc.Encode(e); err != nil {
+		return nil, fmt.Errorf("validate: encode report: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// CanonicalJSON is Encode without the error: nil when Encode fails. It
+// exists only for cmd/loadgen until the next benchmark change; everything
+// else calls Encode.
+func (e Envelope) CanonicalJSON() []byte {
+	body, _ := e.Encode()
+	return body
 }

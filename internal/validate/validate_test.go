@@ -101,7 +101,11 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := NewEnvelope(serial).CanonicalJSON(), NewEnvelope(parallel).CanonicalJSON()
+	a, errA := NewEnvelope(serial).Encode()
+	b, errB := NewEnvelope(parallel).Encode()
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("workers changed the canonical report:\n--- workers=1\n%s\n--- workers=8\n%s", a, b)
 	}
