@@ -115,6 +115,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlatDef$$' -fuzztime $(FUZZTIME) ./internal/platdef
 	$(GO) test -run '^$$' -fuzz '^FuzzLadderRequest$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzTailWarmup$$' -fuzztime $(FUZZTIME) ./internal/cachesim
+	$(GO) test -run '^$$' -fuzz '^FuzzTraversal$$' -fuzztime $(FUZZTIME) ./internal/cachesim
 
 # Total statement coverage with a hard floor, so coverage can only ratchet up.
 cover:
@@ -138,8 +139,10 @@ bench:
 	@rm -f bench.out
 
 # Regression guard for the collection hot path: re-run the DCache collection
-# benchmark and fail if ns/op exceeds 2x the committed BENCH_7.json baseline.
-# -benchtime=2x smooths one-shot jitter without making CI slow.
+# benchmark and fail if ns/op exceeds 2x the committed BENCH_7.json baseline,
+# or B/op or allocs/op exceed it by more than 10% (they repeat within 0.3%
+# across runs and -cpu 1,2,4). -benchtime=2x smooths one-shot jitter without
+# making CI slow.
 bench-guard:
 	$(GO) test -run '^$$' -bench 'BenchmarkCollectDCache$$' -benchtime=2x -count=1 . | tee bench.out
 	$(GO) run ./cmd/benchjson -guard BENCH_7.json < bench.out

@@ -112,9 +112,16 @@ func findResult(doc *Document, name string) (Result, bool) {
 	return Result{}, false
 }
 
+// memFactor bounds a guarded row's B/op and allocs/op against the baseline.
+// Allocation counts repeat within 0.3% run to run and across -cpu values,
+// where wall time moves 5–15%, so this bound is tight where factor is not.
+const memFactor = 1.1
+
 // runGuard compares the parsed run against a committed baseline document and
-// fails when the guarded benchmark's ns/op regressed past the factor. A
-// missing benchmark on either side is an error — a guard that cannot find
+// fails when any row of the guarded benchmark (one per -cpu value) regressed:
+// ns/op past factor, or B/op or allocs/op past memFactor. A missing
+// benchmark on either side is an error, and so is a run that does not
+// report the allocations its baseline records — a guard that cannot find
 // its subject must not pass silently.
 func runGuard(doc *Document, baselinePath, name string, factor float64, stdout io.Writer) error {
 	if factor <= 0 {
@@ -132,17 +139,39 @@ func runGuard(doc *Document, baselinePath, name string, factor float64, stdout i
 	if !ok {
 		return fmt.Errorf("guard: baseline %s has no benchmark %q", baselinePath, name)
 	}
-	cur, ok := findResult(doc, name)
-	if !ok {
+	found := false
+	for _, cur := range doc.Benchmarks {
+		if baseName(cur.Name) != name {
+			continue
+		}
+		found = true
+		if cur.NsPerOp > base.NsPerOp*factor {
+			return fmt.Errorf("guard: %s regressed to %.0f ns/op, more than %gx the %s baseline of %.0f ns/op",
+				cur.Name, cur.NsPerOp, factor, baselinePath, base.NsPerOp)
+		}
+		for _, m := range []struct {
+			unit      string
+			cur, base int64
+		}{{"B/op", cur.BytesPerOp, base.BytesPerOp}, {"allocs/op", cur.AllocsPerOp, base.AllocsPerOp}} {
+			switch {
+			case m.base < 0:
+			case m.cur < 0:
+				return fmt.Errorf("guard: %s reports no %s; the %s baseline records %d", cur.Name, m.unit, baselinePath, m.base)
+			case float64(m.cur) > float64(m.base)*memFactor:
+				return fmt.Errorf("guard: %s regressed to %d %s, more than %gx the %s baseline of %d %s",
+					cur.Name, m.cur, m.unit, memFactor, baselinePath, m.base, m.unit)
+			}
+		}
+		fmt.Fprintf(stdout, "guard: %s at %.0f ns/op within %gx of baseline %.0f ns/op", cur.Name, cur.NsPerOp, factor, base.NsPerOp)
+		if base.BytesPerOp >= 0 || base.AllocsPerOp >= 0 {
+			fmt.Fprintf(stdout, "; %d B/op, %d allocs/op within %gx of %d, %d",
+				cur.BytesPerOp, cur.AllocsPerOp, memFactor, base.BytesPerOp, base.AllocsPerOp)
+		}
+		fmt.Fprintln(stdout)
+	}
+	if !found {
 		return fmt.Errorf("guard: current run has no benchmark %q", name)
 	}
-	limit := base.NsPerOp * factor
-	if cur.NsPerOp > limit {
-		return fmt.Errorf("guard: %s regressed to %.0f ns/op, more than %gx the %s baseline of %.0f ns/op",
-			name, cur.NsPerOp, factor, baselinePath, base.NsPerOp)
-	}
-	fmt.Fprintf(stdout, "guard: %s at %.0f ns/op within %gx of baseline %.0f ns/op\n",
-		name, cur.NsPerOp, factor, base.NsPerOp)
 	return nil
 }
 

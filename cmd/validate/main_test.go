@@ -105,3 +105,29 @@ func TestCorruptFaultsJSONFails(t *testing.T) {
 		t.Fatal("text report under corrupt faults shows no corrupt value")
 	}
 }
+
+// TestErrorPrefixedOnce: internal/validate's errors already begin with
+// "validate: ", so the exit path must not add the command name again.
+func TestErrorPrefixedOnce(t *testing.T) {
+	for _, c := range []struct {
+		faults string
+		json   bool
+		want   string // the stderr line's start
+	}{
+		{"seed=3,corrupt=0.1", true, "validate: encode report: json: unsupported value: "},
+		{"seed=3,transient=1.0,retries=0", false, "validate: every benchmark degraded under fault injection"},
+	} {
+		args := []string{"-platform", "spr", "-bench", "branch", "-faults", c.faults}
+		if c.json {
+			args = append(args, "-json")
+		}
+		var stdout, stderr bytes.Buffer
+		if code := cli.ExitCode("validate", run(args, &stdout, &stderr), &stderr); code != 1 {
+			t.Fatalf("-faults %s: exit %d, want 1", c.faults, code)
+		}
+		got := stderr.String()
+		if !strings.HasPrefix(got, c.want) || strings.Count(got, "validate: ") != 1 || strings.Count(got, "\n") != 1 {
+			t.Errorf("-faults %s: stderr %q, want one line starting %q", c.faults, got, c.want)
+		}
+	}
+}

@@ -27,7 +27,9 @@ func (c ChaseConfig) Validate() error {
 // BuildChain returns the access sequence of one full traversal of the chase:
 // a permutation of all element addresses forming a single cycle (Sattolo's
 // algorithm — a uniformly random single-cycle permutation, built by
-// buildPerm and shared with the planned execution path in plan.go).
+// buildPerm), walked from element 0. The planned execution path reads the
+// same order off Sattolo's insertion tree instead (plan.go analysis 3), so
+// this walk is its independent check.
 func BuildChain(cfg ChaseConfig) ([]uint64, error) {
 	next, err := buildPerm(cfg)
 	if err != nil {

@@ -54,7 +54,7 @@ func TestFastSimMatchesReferenceCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast := newFastCacheSim(cfgs, h.lineShift)
+		fast := newFastCacheSim(cfgs)
 		rng := rand.New(rand.NewSource(42))
 		for round := 0; round < 3; round++ {
 			// Fresh reference vs O(1)-reset fast engine each round.
@@ -85,35 +85,58 @@ func TestFastSimMatchesReferenceCache(t *testing.T) {
 	}
 }
 
-// TestFastSimMatchesReferenceTLB is the same drive for the translation side.
+// TestFastSimMatchesReferenceTLB is the same drive for the move-to-front
+// TLB engine, on 1-, 2- and 3-level geometries with odd set counts and odd
+// ways, and the shipped shape: after every access the served level agrees,
+// and after every round each set's tags equal the reference's MRU-first
+// slice, padded with empty slots — including across a reset.
 func TestFastSimMatchesReferenceTLB(t *testing.T) {
-	cfgs := []TLBConfig{
-		{Name: "DTLB", Entries: 12, Ways: 3, PageBits: 12}, // 4 sets, odd ways
-		{Name: "STLB", Entries: 32, Ways: 4, PageBits: 12},
-	}
-	ref, err := NewTLBHierarchy(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast := newFastTLBSim(cfgs)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 20000; i++ {
-		addr := uint64(rng.Intn(1 << 18))
-		want := ref.Translate(addr)
-		got := fast.access(addr >> cfgs[0].PageBits)
-		if got != want {
-			t.Fatalf("access %d (addr %d): level %d, reference %d", i, addr, got, want)
+	for _, cfgs := range [][]TLBConfig{
+		{{Name: "DTLB", Entries: 12, Ways: 3, PageBits: 12}, {Name: "STLB", Entries: 32, Ways: 4, PageBits: 12}},
+		{{Name: "only", Entries: 15, Ways: 5, PageBits: 12}},
+		{{Name: "T0", Entries: 6, Ways: 2, PageBits: 12}, {Name: "T1", Entries: 18, Ways: 3, PageBits: 12}, {Name: "T2", Entries: 40, Ways: 4, PageBits: 12}},
+		{{Name: "T0", Entries: 4, Ways: 1, PageBits: 12}, {Name: "T1", Entries: 14, Ways: 7, PageBits: 12}},
+		SPRLikeTLBConfig(),
+	} {
+		fast := newMTFSim(cfgs)
+		rng := rand.New(rand.NewSource(7))
+		for round := 0; round < 3; round++ {
+			ref, err := NewTLBHierarchy(cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fast.resetState()
+			span := 4 * cfgs[len(cfgs)-1].Entries << 12
+			for i := 0; i < 20000; i++ {
+				addr := uint64(rng.Intn(span))
+				want := ref.Translate(addr)
+				if got := fast.access(uint32(addr >> cfgs[0].PageBits)); got != want {
+					t.Fatalf("%+v round %d access %d (addr %d): level %d, reference %d", cfgs, round, i, addr, got, want)
+				}
+			}
+			for li := range cfgs {
+				wh, wm := ref.LevelStats(li)
+				fl := &fast.levels[li]
+				if fl.hits != wh || fl.misses != wm {
+					t.Fatalf("%+v TLB level %d counters (%d,%d) != reference (%d,%d)", cfgs, li, fl.hits, fl.misses, wh, wm)
+				}
+				for set, want := range ref.levels[li].sets {
+					got := fl.tags[uint64(set)*fl.ways : uint64(set+1)*fl.ways]
+					for j := range got {
+						w := uint64(emptyTag)
+						if j < len(want) {
+							w = want[j]
+						}
+						if got[j] != w {
+							t.Fatalf("%+v round %d level %d set %d: tags %v, reference %v", cfgs, round, li, set, got, want)
+						}
+					}
+				}
+			}
+			if fast.bottom != ref.Walks || fast.accesses != ref.Accesses {
+				t.Fatalf("walks/accesses (%d,%d) != reference (%d,%d)", fast.bottom, fast.accesses, ref.Walks, ref.Accesses)
+			}
 		}
-	}
-	for li := range cfgs {
-		wh, wm := ref.LevelStats(li)
-		if fast.levels[li].hits != wh || fast.levels[li].misses != wm {
-			t.Fatalf("TLB level %d counters (%d,%d) != reference (%d,%d)",
-				li, fast.levels[li].hits, fast.levels[li].misses, wh, wm)
-		}
-	}
-	if fast.bottom != ref.Walks || fast.accesses != ref.Accesses {
-		t.Fatalf("walks/accesses (%d,%d) != reference (%d,%d)", fast.bottom, fast.accesses, ref.Walks, ref.Accesses)
 	}
 }
 
@@ -255,58 +278,93 @@ func TestSkipLevels(t *testing.T) {
 }
 
 // TestReplayMatchesAccess drives the fused replay kernels (and the generic
-// dispatcher path) against per-access access() on a twin engine, across
-// 1-, 2- and 3-level geometries, pow2 and non-pow2 set counts, and both
-// backInval modes. Counter totals and full tag/stamp state must agree after
-// every traversal, including across an O(1) reset.
+// dispatcher path) against per-access access() on a twin engine: the cache
+// engine across 1-, 2- and 3-level geometries with pow2 and non-pow2 set
+// counts, and the TLB engine on the shipped 4-over-8 shape (the unrolled
+// kernel), the same ways over an odd set count, and other shapes (the
+// generic loop). Counter totals and full tag state (and for the cache
+// engine, stamps) must agree after every traversal, including across a
+// reset.
 func TestReplayMatchesAccess(t *testing.T) {
 	geoms := [][]LevelConfig{
 		{{Size: 1 << 10, Ways: 2, LineSize: 64}},
 		{{Size: 1 << 10, Ways: 2, LineSize: 64}, {Size: 1 << 12, Ways: 4, LineSize: 64}},
 		{{Size: 1 << 10, Ways: 2, LineSize: 64}, {Size: 1 << 12, Ways: 4, LineSize: 64}, {Size: 1 << 14, Ways: 4, LineSize: 64}},
-		// The DTLB+STLB way shape: exercises the unrolled replay2w48 kernel.
 		{{Size: 1 << 12, Ways: 4, LineSize: 64}, {Size: 1 << 13, Ways: 8, LineSize: 64}},
 		oddGeometry(),
 		oddGeometry()[:2],
 		oddGeometry()[:1],
 	}
 	rng := rand.New(rand.NewSource(99))
+	// Small key range forces heavy set conflicts, evictions, and cascade
+	// invalidations.
+	stream := func(span int) []uint32 {
+		keys := make([]uint32, 4096)
+		for i := range keys {
+			keys[i] = uint32(rng.Intn(span))
+		}
+		return keys
+	}
 	for gi, cfgs := range geoms {
-		for _, backInval := range []bool{true, false} {
-			fast := newFastCacheSim(cfgs, 6)
-			ref := newFastCacheSim(cfgs, 6)
-			fast.backInval = backInval
-			ref.backInval = backInval
-			for round := 0; round < 3; round++ {
-				keys := make([]uint32, 4096)
-				for i := range keys {
-					// Small key range forces heavy set conflicts, evictions,
-					// and (under backInval) cascade invalidations.
-					keys[i] = uint32(rng.Intn(700))
-				}
-				fast.replay(keys)
-				for _, k := range keys {
-					ref.access(uint64(k))
-				}
-				if fast.clock != ref.clock || fast.bottom != ref.bottom || fast.accesses != ref.accesses {
-					t.Fatalf("geom %d backInval=%v round %d: clocks/bottom/accesses diverged", gi, backInval, round)
-				}
-				for li := range fast.levels {
-					fl, rl := &fast.levels[li], &ref.levels[li]
-					if fl.hits != rl.hits || fl.misses != rl.misses {
-						t.Fatalf("geom %d backInval=%v round %d level %d: counters %d/%d != %d/%d",
-							gi, backInval, round, li, fl.hits, fl.misses, rl.hits, rl.misses)
-					}
-					for s := range fl.tags {
-						fLive, rLive := fl.stamps[s] >= fast.floor, rl.stamps[s] >= ref.floor
-						if fLive != rLive || (fLive && (fl.tags[s] != rl.tags[s] || fl.stamps[s] != rl.stamps[s])) {
-							t.Fatalf("geom %d backInval=%v round %d level %d slot %d: state diverged", gi, backInval, round, li, s)
-						}
-					}
-				}
-				fast.resetState()
-				ref.resetState()
+		fast := newFastCacheSim(cfgs)
+		ref := newFastCacheSim(cfgs)
+		for round := 0; round < 3; round++ {
+			keys := stream(700)
+			fast.replay(keys)
+			for _, k := range keys {
+				ref.access(uint64(k))
 			}
+			if fast.clock != ref.clock || fast.bottom != ref.bottom || fast.accesses != ref.accesses {
+				t.Fatalf("geom %d round %d: clocks/bottom/accesses diverged", gi, round)
+			}
+			for li := range fast.levels {
+				fl, rl := &fast.levels[li], &ref.levels[li]
+				if fl.hits != rl.hits || fl.misses != rl.misses {
+					t.Fatalf("geom %d round %d level %d: counters %d/%d != %d/%d",
+						gi, round, li, fl.hits, fl.misses, rl.hits, rl.misses)
+				}
+				for s := range fl.tags {
+					fLive, rLive := fl.stamps[s] >= fast.floor, rl.stamps[s] >= ref.floor
+					if fLive != rLive || (fLive && (fl.tags[s] != rl.tags[s] || fl.stamps[s] != rl.stamps[s])) {
+						t.Fatalf("geom %d round %d level %d slot %d: state diverged", gi, round, li, s)
+					}
+				}
+			}
+			fast.resetState()
+			ref.resetState()
+		}
+	}
+
+	tlbGeoms := [][]TLBConfig{
+		SPRLikeTLBConfig(), // 16 sets x 4 over 64 x 8: the unrolled kernel
+		{{Entries: 12, Ways: 4, PageBits: 12}, {Entries: 48, Ways: 8, PageBits: 12}}, // 4-over-8 ways, 3 sets
+		{{Entries: 8, Ways: 4, PageBits: 12}, {Entries: 16, Ways: 8, PageBits: 12}},  // 2 sets each
+		{{Entries: 6, Ways: 2, PageBits: 12}, {Entries: 18, Ways: 3, PageBits: 12}, {Entries: 40, Ways: 4, PageBits: 12}},
+		{{Entries: 15, Ways: 5, PageBits: 12}},
+	}
+	for gi, cfgs := range tlbGeoms {
+		fast, ref := newMTFSim(cfgs), newMTFSim(cfgs)
+		for round := 0; round < 3; round++ {
+			keys := stream(2 * cfgs[len(cfgs)-1].Entries)
+			fast.replay(keys)
+			for _, k := range keys {
+				ref.access(k)
+			}
+			if fast.bottom != ref.bottom || fast.accesses != ref.accesses {
+				t.Fatalf("TLB geom %d round %d: walks/accesses %d/%d != %d/%d", gi, round, fast.bottom, fast.accesses, ref.bottom, ref.accesses)
+			}
+			for li := range fast.levels {
+				fl, rl := &fast.levels[li], &ref.levels[li]
+				if fl.hits != rl.hits || fl.misses != rl.misses {
+					t.Fatalf("TLB geom %d round %d level %d: counters %d/%d != %d/%d",
+						gi, round, li, fl.hits, fl.misses, rl.hits, rl.misses)
+				}
+				if !reflect.DeepEqual(fl.tags, rl.tags) {
+					t.Fatalf("TLB geom %d round %d level %d: tags diverged", gi, round, li)
+				}
+			}
+			fast.resetState()
+			ref.resetState()
 		}
 	}
 }
@@ -351,9 +409,9 @@ func TestAllSetsOverflowAnalytic(t *testing.T) {
 }
 
 // BenchmarkReplay2MissStream pins the dominant collection cost: the
-// DTLB+STLB kernel on a miss-heavy Mem-region VPN stream.
+// DTLB+STLB move-to-front kernel on a miss-heavy Mem-region VPN stream.
 func BenchmarkReplay2MissStream(b *testing.B) {
-	sim := newFastTLBSim(SPRLikeTLBConfig())
+	sim := newMTFSim(SPRLikeTLBConfig())
 	keys := make([]uint32, 1<<20)
 	rng := rand.New(rand.NewSource(1))
 	for i := range keys {

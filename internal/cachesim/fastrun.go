@@ -106,7 +106,8 @@ func runChases(cfgs []LevelConfig, tlbCfgs []TLBConfig, lineShift uint, claimed 
 	})
 
 	// Phase 2: enumerate units deterministically and replay them under the
-	// worker budget. Engines recycle through pools — resetState is O(1).
+	// worker budget. Engines recycle through pools: a reset raises the cache
+	// engine's floor in O(1) and clears the TLB engine's few hundred tags.
 	var units []execUnit
 	for ti, p := range plans {
 		if p != nil {
@@ -118,10 +119,10 @@ func runChases(cfgs []LevelConfig, tlbCfgs []TLBConfig, lineShift uint, claimed 
 	cachePools := make([]sync.Pool, len(cfgs))
 	for f := range cachePools {
 		tail := cfgs[f:]
-		cachePools[f].New = func() any { return newFastCacheSim(tail, lineShift) }
+		cachePools[f].New = func() any { return newFastCacheSim(tail) }
 	}
 	var tlbPool sync.Pool
-	tlbPool.New = func() any { return newFastTLBSim(tlbCfgs) }
+	tlbPool.New = func() any { return newMTFSim(tlbCfgs) }
 	err := par.ForErr(workers, len(units), func(ui int) error {
 		u := units[ui]
 		p := plans[u.task]
@@ -129,12 +130,12 @@ func runChases(cfgs []LevelConfig, tlbCfgs []TLBConfig, lineShift uint, claimed 
 		if !u.tlb {
 			keys, starts, pool = p.cacheKeys, p.cacheStarts, &cachePools[p.firstSim]
 		}
-		sim := pool.Get().(*fastSim)
-		defer pool.Put(sim)
 		groups := starts[u.g0 : u.g1+1]
 		keys = keys[groups[0]:groups[len(groups)-1]]
+		sim := pool.Get().(engine)
+		defer pool.Put(sim)
 		sim.resetState()
-		if !u.tlb || !sim.warmTails(keys, groups, tailWarmKeys) {
+		if !u.tlb || !sim.(*mtfSim).warmTails(keys, groups, tailWarmKeys, len(starts)-1) {
 			sim.resetState()
 			sim.replay(keys)
 		}
@@ -142,14 +143,7 @@ func runChases(cfgs []LevelConfig, tlbCfgs []TLBConfig, lineShift uint, claimed 
 		for pass := 0; pass < passes; pass++ {
 			sim.replay(keys)
 		}
-		c := &counts[ui]
-		c.hits = make([]uint64, len(sim.levels))
-		c.misses = make([]uint64, len(sim.levels))
-		for li := range sim.levels {
-			c.hits[li] = sim.levels[li].hits
-			c.misses[li] = sim.levels[li].misses
-		}
-		c.bottom, c.accesses = sim.bottom, sim.accesses
+		counts[ui] = sim.counts()
 		return nil
 	})
 	failed = cmp.Or(failed, err)
@@ -223,6 +217,33 @@ func runChases(cfgs []LevelConfig, tlbCfgs []TLBConfig, lineShift uint, claimed 
 	}
 }
 
+// engine is what runChases needs of the cache engine (fastsim.go) and the
+// TLB engine (fasttlb.go).
+type engine interface {
+	replay(keys []uint32)
+	resetState()
+	resetCounters()
+	counts() unitCounts
+}
+
+// counts copies the cache engine's counters out.
+func (s *fastSim) counts() unitCounts {
+	c := unitCounts{hits: make([]uint64, len(s.levels)), misses: make([]uint64, len(s.levels)), bottom: s.bottom, accesses: s.accesses}
+	for i := range s.levels {
+		c.hits[i], c.misses[i] = s.levels[i].hits, s.levels[i].misses
+	}
+	return c
+}
+
+// counts copies the TLB engine's counters out.
+func (s *mtfSim) counts() unitCounts {
+	c := unitCounts{hits: make([]uint64, len(s.levels)), misses: make([]uint64, len(s.levels)), bottom: s.bottom, accesses: s.accesses}
+	for i := range s.levels {
+		c.hits[i], c.misses[i] = s.levels[i].hits, s.levels[i].misses
+	}
+	return c
+}
+
 // appendUnits splits one component's residue groups (starts, see chasePlan)
 // into execution units: runs of consecutive groups holding at least
 // planShardMin keys together, so a chase sharded into thousands of tiny
@@ -241,24 +262,4 @@ func appendUnits(units []execUnit, task int, starts []int32, tlb bool) []execUni
 		g = end
 	}
 	return units
-}
-
-// warmTails warms the engine, fresh from a reset, for a unit's keys, whose
-// residue groups starts bounds (offsets into the plan; keys begins at
-// starts[0]), each on its proven tail of tail keys. It reports false,
-// leaving a partial state, when any group fails its proof; the caller then
-// resets the engine and warms in full.
-func (s *fastSim) warmTails(keys []uint32, starts []int32, tail int) bool {
-	proven := int64(0)
-	for g := 0; g+1 < len(starts); g++ {
-		group := keys[starts[g]-starts[0] : starts[g+1]-starts[0]]
-		if !s.warmTail(group, tail) {
-			return false
-		}
-		if len(group) > tail {
-			proven++
-		}
-	}
-	tailWarmups.Add(proven)
-	return true
 }

@@ -1,14 +1,16 @@
 package cachesim
 
-// fastsim.go is the allocation-conscious chase engine behind the optimized
+// fastsim.go is the allocation-conscious cache engine behind the optimized
 // sweep runner (fastrun.go): flat tag/stamp storage replaces the reference
 // simulator's per-set slices, true-LRU order is carried by monotonically
 // increasing access stamps instead of slice shuffles, and the whole state
 // resets in O(1) by raising a liveness floor — which is what lets a worker
 // pool recycle one engine across thousands of residue-class chunks without
-// re-zeroing megabytes of arrays. Semantics are bit-identical to
-// Hierarchy.Access / TLBHierarchy.Translate; the equivalence property tests
-// in fast_test.go drive both engines access-by-access and compare.
+// re-zeroing megabytes of arrays. Stamps also make the inclusive
+// hierarchy's back-invalidation a single stamp write. Semantics are
+// bit-identical to Hierarchy.Access; the equivalence property tests in
+// fast_test.go drive both engines access-by-access and compare. The TLB side
+// runs on the move-to-front engine in fasttlb.go.
 
 // fastLevel is one set-associative level in flat layout: slot j of set s
 // lives at index s*ways+j of tags and stamps. A slot is live iff its stamp
@@ -24,10 +26,6 @@ type fastLevel struct {
 	stamps []uint64
 	hits   uint64
 	misses uint64
-	// marks[s] == the engine's epoch flags set s as one the group under
-	// warmTail maps keys to. Allocated on the engine's first warmTail and
-	// reused by every later one.
-	marks []uint64
 }
 
 func newFastLevel(nsets, ways int) fastLevel {
@@ -102,27 +100,22 @@ func (l *fastLevel) invalidate(key, floor uint64) {
 	}
 }
 
-// fastSim simulates a multi-level true-LRU hierarchy: the cache hierarchy
-// when backInval is set (inclusive — a live eviction from the last level
-// back-invalidates the levels above it), the TLB hierarchy otherwise (fills
-// propagate, evictions don't cascade). bottom counts accesses that missed
-// every level: memory accesses for caches, page walks for TLBs.
+// fastSim simulates a multi-level inclusive true-LRU cache hierarchy: a
+// live eviction from the last level back-invalidates the levels above it.
+// bottom counts accesses that missed every level: memory accesses.
 type fastSim struct {
-	levels    []fastLevel
-	shift     uint // line shift (caches) or page bits (TLBs)
-	backInval bool
-	clock     uint64
-	floor     uint64
-	bottom    uint64
-	accesses  uint64
-	epoch     uint64 // marks equal to it flag the sets of warmTail's current group
+	levels   []fastLevel
+	clock    uint64
+	floor    uint64
+	bottom   uint64
+	accesses uint64
 }
 
 // newFastCacheSim builds the engine for the cache levels cfgs (which may be
 // a tail of the full hierarchy when upper levels are provably all-miss; see
 // plan.go). cfgs must already be validated.
-func newFastCacheSim(cfgs []LevelConfig, lineShift uint) *fastSim {
-	s := &fastSim{shift: lineShift, backInval: true}
+func newFastCacheSim(cfgs []LevelConfig) *fastSim {
+	s := &fastSim{}
 	for _, cfg := range cfgs {
 		s.levels = append(s.levels, newFastLevel(cfg.Sets(), cfg.Ways))
 	}
@@ -130,20 +123,9 @@ func newFastCacheSim(cfgs []LevelConfig, lineShift uint) *fastSim {
 	return s
 }
 
-// newFastTLBSim builds the engine for a validated TLB hierarchy.
-func newFastTLBSim(cfgs []TLBConfig) *fastSim {
-	s := &fastSim{shift: cfgs[0].PageBits}
-	for _, cfg := range cfgs {
-		s.levels = append(s.levels, newFastLevel(cfg.Sets(), cfg.Ways))
-	}
-	s.resetState()
-	return s
-}
-
-// access performs one demand access of the already-shifted key (line number
-// or VPN) and returns the level index that served it, or len(levels) for
-// the bottom (memory / page walk). It mirrors Hierarchy.Access and
-// TLBHierarchy.Translate line for line.
+// access performs one demand access of the already-shifted line number and
+// returns the level index that served it, or len(levels) for memory. It
+// mirrors Hierarchy.Access line for line.
 func (s *fastSim) access(key uint64) int {
 	s.accesses++
 	s.clock++
@@ -165,7 +147,7 @@ func (s *fastSim) access(key uint64) int {
 	}
 	for i := hit - 1; i >= 0; i-- {
 		victim, evicted := s.levels[i].fill(key, stamp, s.floor)
-		if evicted && s.backInval && i == nl-1 {
+		if evicted && i == nl-1 {
 			for j := 0; j < i; j++ {
 				s.levels[j].invalidate(victim, s.floor)
 			}
@@ -176,23 +158,18 @@ func (s *fastSim) access(key uint64) int {
 
 // replay performs one traversal over a stream of already-shifted keys,
 // dispatching to a fused kernel when the geometry allows (one or two levels,
-// power-of-two set counts, ways small enough for the victim encoding — every
-// shipped geometry and every post-skip tail of one). The kernels replicate
-// access exactly — same probe order, same victim tie-break, same stamp
-// values — they only collapse the per-access function calls into one loop
-// with the level state held in locals. The dispatcher and both kernels are
-// pinned to access by TestReplayMatchesAccess across geometries,
-// pow2/non-pow2 set counts, and both backInval modes.
+// power-of-two set counts, ways small enough for the victim encoding). The
+// kernels replicate access exactly — same probe order, same victim
+// tie-break, same stamp values — they only collapse the per-access function
+// calls into one loop with the level state held in locals. The dispatcher
+// and both kernels are pinned to access by TestReplayMatchesAccess across
+// geometries and pow2/non-pow2 set counts.
 func (s *fastSim) replay(keys []uint32) {
 	switch {
 	case len(s.levels) == 1 && s.levels[0].kernelable():
 		s.replay1(keys)
 	case len(s.levels) == 2 && s.levels[0].kernelable() && s.levels[1].kernelable():
-		if s.levels[0].ways == 4 && s.levels[1].ways == 8 {
-			s.replay2w48(keys)
-		} else {
-			s.replay2(keys)
-		}
+		s.replay2(keys)
 	default:
 		for _, key := range keys {
 			s.access(uint64(key))
@@ -237,8 +214,7 @@ func victimMin(e, v uint64) uint64 {
 // replay1 is the single-level kernel: the fill victim (first minimum-stamp
 // slot in scan order — stale-first, then LRU) is computed during the probe
 // scan, so a miss costs one pass over the set instead of two. With one level
-// the back-invalidation cascade has no upper levels to touch, so backInval
-// needs no handling here.
+// the back-invalidation cascade has no upper levels to touch.
 func (s *fastSim) replay1(keys []uint32) {
 	l := &s.levels[0]
 	ways, mask := l.ways, l.mask
@@ -273,12 +249,11 @@ outer:
 	s.clock = clock
 }
 
-// replay2 is the two-level kernel (the shipped DTLB+STLB shape, and cache
-// tails with one provably-all-miss level skipped). Probe and victim scans
-// fuse per level; when a last-level eviction back-invalidates under
-// backInval, the level-0 victim is rescanned because the invalidation may
-// have freed a slot in the very set being filled — exactly the state the
-// reference sees when it runs fill after the cascade.
+// replay2 is the two-level kernel (cache tails with one provably-all-miss
+// level skipped). Probe and victim scans fuse per level; when a last-level
+// eviction back-invalidates, the level-0 victim is rescanned because the
+// invalidation may have freed a slot in the very set being filled — exactly
+// the state the reference sees when it runs fill after the cascade.
 func (s *fastSim) replay2(keys []uint32) {
 	l0, l1 := &s.levels[0], &s.levels[1]
 	ways0, mask0 := l0.ways, l0.mask
@@ -286,7 +261,6 @@ func (s *fastSim) replay2(keys []uint32) {
 	tags0, stamps0 := l0.tags, l0.stamps
 	tags1, stamps1 := l1.tags, l1.stamps
 	floor, clock := s.floor, s.clock
-	backInval := s.backInval
 	var hits0, hits1, bottom uint64
 outer:
 	for _, k := range keys {
@@ -325,7 +299,7 @@ outer:
 			victim, evicted := t1[v1], e1>>victimShift >= floor
 			t1[v1] = key
 			s1[v1] = clock
-			if evicted && backInval {
+			if evicted {
 				l0.invalidate(victim, floor)
 				// The cascade may have staled a slot in key's own level-0
 				// set; redo the victim scan over the updated stamps.
@@ -348,176 +322,6 @@ outer:
 	s.bottom += bottom
 	s.accesses += n
 	s.clock = clock
-}
-
-// replay2w48 is replay2 specialized for 4-way level 0 over 8-way level 1 —
-// the shipped DTLB+STLB geometry, which carries ~90% of a DCache collection's
-// simulated accesses. Unrolling lets the victim minimum reduce as a tree
-// (depth 2 and 3) instead of a serial chain (length 4 and 8): victimMin's
-// arithmetic select has multi-cycle latency, and on the dominant miss path
-// the chained version's critical path is exactly that chain. min over the
-// same stamp<<shift|slot candidates is associative, so the tree picks the
-// identical victim, tie-breaks included.
-func (s *fastSim) replay2w48(keys []uint32) {
-	l0, l1 := &s.levels[0], &s.levels[1]
-	mask0, mask1 := l0.mask, l1.mask
-	tags0, stamps0 := l0.tags, l0.stamps
-	tags1, stamps1 := l1.tags, l1.stamps
-	floor, clock := s.floor, s.clock
-	backInval := s.backInval
-	var hits0, hits1, bottom uint64
-	for _, k := range keys {
-		key := uint64(k)
-		clock++
-		b0 := (key & mask0) * 4
-		t0 := tags0[b0 : b0+4 : b0+4]
-		s0 := stamps0[b0 : b0+4 : b0+4]
-		if t0[0] == key && s0[0] >= floor {
-			s0[0] = clock
-			hits0++
-			continue
-		}
-		if t0[1] == key && s0[1] >= floor {
-			s0[1] = clock
-			hits0++
-			continue
-		}
-		if t0[2] == key && s0[2] >= floor {
-			s0[2] = clock
-			hits0++
-			continue
-		}
-		if t0[3] == key && s0[3] >= floor {
-			s0[3] = clock
-			hits0++
-			continue
-		}
-		e0 := victimMin(victimMin(s0[0]<<victimShift, s0[1]<<victimShift|1),
-			victimMin(s0[2]<<victimShift|2, s0[3]<<victimShift|3))
-		b1 := (key & mask1) * 8
-		t1 := tags1[b1 : b1+8 : b1+8]
-		s1 := stamps1[b1 : b1+8 : b1+8]
-		hit1 := -1
-		switch {
-		case t1[0] == key && s1[0] >= floor:
-			hit1 = 0
-		case t1[1] == key && s1[1] >= floor:
-			hit1 = 1
-		case t1[2] == key && s1[2] >= floor:
-			hit1 = 2
-		case t1[3] == key && s1[3] >= floor:
-			hit1 = 3
-		case t1[4] == key && s1[4] >= floor:
-			hit1 = 4
-		case t1[5] == key && s1[5] >= floor:
-			hit1 = 5
-		case t1[6] == key && s1[6] >= floor:
-			hit1 = 6
-		case t1[7] == key && s1[7] >= floor:
-			hit1 = 7
-		}
-		if hit1 >= 0 {
-			s1[hit1] = clock
-			hits1++
-		} else {
-			bottom++
-			e1 := victimMin(
-				victimMin(victimMin(s1[0]<<victimShift, s1[1]<<victimShift|1),
-					victimMin(s1[2]<<victimShift|2, s1[3]<<victimShift|3)),
-				victimMin(victimMin(s1[4]<<victimShift|4, s1[5]<<victimShift|5),
-					victimMin(s1[6]<<victimShift|6, s1[7]<<victimShift|7)))
-			v1 := e1 & victimMask
-			victim, evicted := t1[v1], e1>>victimShift >= floor
-			t1[v1] = key
-			s1[v1] = clock
-			if evicted && backInval {
-				l0.invalidate(victim, floor)
-				// The cascade may have staled a slot in key's own level-0
-				// set; redo the victim scan over the updated stamps.
-				e0 = victimMin(victimMin(s0[0]<<victimShift, s0[1]<<victimShift|1),
-					victimMin(s0[2]<<victimShift|2, s0[3]<<victimShift|3))
-			}
-		}
-		v0 := e0 & victimMask
-		t0[v0] = key
-		s0[v0] = clock
-	}
-	n := uint64(len(keys))
-	misses0 := n - hits0
-	l0.hits += hits0
-	l0.misses += misses0
-	l1.hits += hits1
-	l1.misses += misses0 - hits1
-	s.bottom += bottom
-	s.accesses += n
-	s.clock = clock
-}
-
-// tailWarmKeys is the tail length warmTail replays of a residue group
-// (plan.go analysis 5). Every Mem-region TLB group of the shipped sweep
-// passes the check at this length with room to spare: at seed 1 and four
-// threads, 256-key tails still pass all 256 groups, and 128-key tails fail
-// 9. A failed check costs its unit a full warmup, never a wrong count.
-const tailWarmKeys = 1024
-
-// warmTail warms the engine for one residue group — keys in traversal
-// order, touching sets no other key replayed since the last reset touches —
-// on only its last tail keys, and reports whether the check of plan.go
-// analysis 5 proved the resulting state equal to a full warmup's. A group
-// of at most tail keys replays in full and needs no proof. On false the
-// group's sets hold a partial state: the caller must reset the engine and
-// warm in full. Engines with back-invalidation never qualify.
-func (s *fastSim) warmTail(keys []uint32, tail int) bool {
-	if len(keys) <= tail {
-		s.replay(keys)
-		return true
-	}
-	if s.backInval {
-		return false
-	}
-	s.markSets(keys)
-	keys = keys[len(keys)-tail:]
-	nl := len(s.levels)
-	for p := range s.levels {
-		since := s.clock + 1
-		s.replay(keys[p*tail/nl : (p+1)*tail/nl])
-		if !s.levels[p].settled(s.epoch, since) {
-			return false
-		}
-	}
-	return true
-}
-
-// markSets flags, at every level, the sets that keys map to.
-func (s *fastSim) markSets(keys []uint32) {
-	s.epoch++
-	for i := range s.levels {
-		l := &s.levels[i]
-		if l.marks == nil {
-			l.marks = make([]uint64, l.nsets)
-		}
-		for _, k := range keys {
-			l.marks[l.set(uint64(k))] = s.epoch
-		}
-	}
-}
-
-// settled reports whether every set marked in epoch is full of entries
-// stamped at or after since. A slot stamped at or after since is live, so
-// a settled set is a full one.
-func (l *fastLevel) settled(epoch, since uint64) bool {
-	for set, m := range l.marks {
-		if m != epoch {
-			continue
-		}
-		base := uint64(set) * l.ways
-		for _, st := range l.stamps[base : base+l.ways] {
-			if st < since {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // resetCounters zeroes hit/miss/bottom/access counters, keeping contents —

@@ -38,11 +38,28 @@ import (
 //     identical float64 rates. TLB streams shard the same way by
 //     vpn mod T_0.
 //
-//  3. Stream flattening. The traversal's element byte offsets are
-//     materialized once, grouped by residue in traversal order, as []uint32
-//     — the pointer chase itself (the actually-serial dependency chain) is
-//     never re-walked during measurement, and replaying a stream is a
-//     linear scan.
+//  3. Stream flattening from the insertion tree. Each simulated
+//     component's keys are materialized once, grouped by residue in
+//     traversal order, as []uint32, so replaying a stream is a linear scan.
+//     The traversal order itself is read off the tree Sattolo's algorithm
+//     grows, not walked: with j_k = Intn(k) drawn for k = n−1 … 1, the
+//     cycle read from element 0 is 0 followed by the post-order of the tree
+//     parent(k) = j_k without its root, each node's children in index
+//     order. Proof: let seq(x) be the elements after x in x's cycle, up to
+//     x. Before step k every x ≤ k heads its own cycle, and swapping
+//     next[k] with next[j_k] splices k's cycle into j_k's:
+//     seq(j_k) becomes seq(k) ++ [k] ++ seq(j_k). Steps run downward, so a
+//     node's children are spliced in from the largest index to the
+//     smallest, each in front of the last; seq(x) ends up as seq(c) ++ [c]
+//     over x's children c in increasing order — x's subtree in post-order,
+//     without x. So element x ≥ 1 sits at 1 + start(x) + size(x) − 1, where
+//     size(x) counts x's subtree and start(x) is where its block begins
+//     within seq(0): a node's children's blocks follow one another in index
+//     order from the node's own block start. traversal computes the sizes
+//     (one downward pass with the draws: children carry larger indices),
+//     the block starts (one upward pass: parents come first) and the
+//     positions (one scatter). None of the passes is a chain of dependent
+//     loads, which is what the walk is, and the draws are the walk's.
 //
 //  4. All-hit levels. Take a chase whose stride covers at least one line
 //     (so its lines are distinct), and let f be the first level analysis 1
@@ -60,7 +77,7 @@ import (
 //     count otherwise. Every L1-, L2- and L3-region point of the shipped
 //     sweep qualifies.
 //
-//  5. Proven-tail warmup (fastsim.go's warmTail; TLB side only). A residue
+//  5. Proven-tail warmup (fasttlb.go's warmTail; TLB side only). A residue
 //     group longer than tailWarmKeys warms on its last tailWarmKeys keys
 //     instead of the whole traversal, replayed from an empty engine in one
 //     part per level. After part p the engine checks that every level-p set
@@ -75,7 +92,10 @@ import (
 //     remove an entry a full warmup would keep, so the cache side always
 //     warms in full. A group that fails the check — a set the tail did
 //     not fill, or an entry left over from an earlier part — sends its
-//     whole unit back through a reset engine and a full warmup.
+//     whole unit back through a reset engine and a full warmup. The sets a
+//     group maps to are found from its keys; a plan of G residue groups
+//     sends one group's keys to at most S_i/G sets of level i, and the scan
+//     stops once it has found that many.
 type chasePlan struct {
 	cfg ChaseConfig
 	// firstSim is the first cache level needing real simulation; levels
@@ -110,18 +130,76 @@ var planShardMin = 1 << 12
 // this limit fails with the plan-limit error at every worker count.
 const maxPlanElements = 1 << 31
 
-// buildPerm returns the successor array of the Sattolo single-cycle
-// permutation BuildChain walks. The draw sequence matches the reference
-// exactly — same source, same Intn calls — so chains are bit-for-bit
-// reproducible across both paths.
-func buildPerm(cfg ChaseConfig) ([]int32, error) {
+// traversal writes the chase's traversal order into order — order[i] is the
+// element the chase visits i-th, starting at element 0 — without walking the
+// cycle (analysis 3). It consumes the same draws as buildPerm, so the order
+// is the walk of buildPerm's cycle. work is scratch of the same length; both
+// slices are overwritten.
+func traversal(seed int64, order, work []uint32) {
+	n := len(order)
+	// Draws and subtree sizes, k = n−1 … 1: order[k] = parent(k) = j_k, and
+	// work[x] counts x's descendants. A child has a larger index than its
+	// parent, so work[k] is final when k is drawn.
+	clear(work)
+	src := rand.NewSource(seed)
+	for k := n - 1; k > 0; k-- {
+		j := intn(src, uint32(k))
+		order[k] = j
+		work[j] += work[k] + 1
+	}
+	// Block cursors, k = 1 … n−1 (parents first, children in index order):
+	// k's block starts at its parent's cursor, which then moves past the
+	// block; k's own cursor starts there. Once every child has taken its
+	// block, work[x] is the last slot of x's block, x's own post-order slot,
+	// counted from 0 after element 0.
+	work[0] = 0
+	for k := 1; k < n; k++ {
+		j := order[k]
+		c := work[j]
+		work[j] = c + work[k] + 1
+		work[k] = c
+	}
+	order[0] = 0
+	for x := 1; x < n; x++ {
+		order[work[x]+1] = uint32(x)
+	}
+}
+
+// intn returns rand.Rand.Intn(m) for m in [1, 2^31) from src, consuming the
+// same draws: Int31n's rejection test v > 2^31−1−(2^31 mod m) holds exactly
+// when v's multiple-of-m floor leaves less than m below 2^31, so one
+// division decides both the test and the result. Powers of two never reject
+// and v mod m is v's low bits, as Int31n's mask takes them.
+func intn(src rand.Source, m uint32) uint32 {
+	for {
+		v := uint32(src.Int63() >> 32)
+		r := v % m
+		if v-r <= 1<<31-m {
+			return r
+		}
+	}
+}
+
+// checkChase validates a chase and rejects one past the plan limit.
+func checkChase(cfg ChaseConfig) error {
 	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if cfg.Elements >= maxPlanElements {
+		return fmt.Errorf("cachesim: chase of %d elements exceeds the plan limit", cfg.Elements)
+	}
+	return nil
+}
+
+// buildPerm returns the successor array of the Sattolo single-cycle
+// permutation that BuildChain walks. The planned path never builds it:
+// analysis 3 reads the same order off the draws, and BuildChain's swaps and
+// walk are the independent check that it does.
+func buildPerm(cfg ChaseConfig) ([]int32, error) {
+	if err := checkChase(cfg); err != nil {
 		return nil, err
 	}
 	n := cfg.Elements
-	if n >= maxPlanElements {
-		return nil, fmt.Errorf("cachesim: chase of %d elements exceeds the plan limit", n)
-	}
 	next := make([]int32, n)
 	for i := range next {
 		next[i] = int32(i)
@@ -256,11 +334,28 @@ func residue(key, mask, mod uint64) int {
 	return 0
 }
 
+// countGroups adds to counts[g] how many of the chase's elements have a key,
+// (base + i*stride) >> shift, in residue group g. Keys rise with i, so the
+// count steps from one key's run of elements to the next: one step per page
+// for a TLB key and a stride below the page size.
+func countGroups(counts []int32, cfg ChaseConfig, shift uint, mask, mod uint64) {
+	base, stride, n := cfg.Base, uint64(cfg.StrideBytes), uint64(cfg.Elements)
+	for i := uint64(0); i < n; {
+		key := (base + i*stride) >> shift
+		end := i + 1
+		if stride < 1<<shift {
+			// The first element whose address reaches the next key.
+			end = min(((key+1)<<shift-base+stride-1)/stride, n)
+		}
+		counts[residue(key, mask, mod)] += int32(end - i)
+		i = end
+	}
+}
+
 // buildPlan materializes the execution plan for one chase under the given
 // (validated) geometries. tlbCfgs may be empty.
 func buildPlan(cfgs []LevelConfig, tlbCfgs []TLBConfig, cfg ChaseConfig, lineShift uint) (*chasePlan, error) {
-	next, err := buildPerm(cfg)
-	if err != nil {
+	if err := checkChase(cfg); err != nil {
 		return nil, err
 	}
 	n := cfg.Elements
@@ -315,25 +410,16 @@ func buildPlan(cfgs []LevelConfig, tlbCfgs []TLBConfig, cfg ChaseConfig, lineShi
 	if tlbMod > 1 && tlbMod&(tlbMod-1) == 0 {
 		tlbMask = tlbMod - 1
 	}
-	// Group sizes first (order-independent, so a plain element scan), then
-	// one traversal walk placing each key — a counting sort per component
-	// sharing the single walk.
+	// Group sizes first (order-independent), then one pass over the
+	// traversal order placing each key — a counting sort per component
+	// sharing the single pass.
 	cacheCounts := make([]int32, cacheGroups)
 	tlbCounts := make([]int32, tlbGroups)
-	for i := 0; i < n; i++ {
-		addr := cfg.Base + uint64(i)*stride
-		if cacheMod != 0 {
-			cacheCounts[residue(addr>>lineShift, cacheMask, cacheMod)]++
-		}
-		if tlbMod != 0 {
-			tlbCounts[residue(addr>>pageBits, tlbMask, tlbMod)]++
-		}
+	if cacheGroups > 0 {
+		countGroups(cacheCounts, cfg, lineShift, cacheMask, cacheMod)
 	}
-	if cacheGroups == 1 {
-		cacheCounts[0] = int32(n)
-	}
-	if tlbGroups == 1 {
-		tlbCounts[0] = int32(n)
+	if tlbGroups > 0 {
+		countGroups(tlbCounts, cfg, pageBits, tlbMask, tlbMod)
 	}
 	var cacheCur, tlbCur []int32
 	if cacheGroups > 0 {
@@ -344,9 +430,16 @@ func buildPlan(cfgs []LevelConfig, tlbCfgs []TLBConfig, cfg ChaseConfig, lineShi
 		p.tlbKeys = make([]uint32, n)
 		p.tlbStarts, tlbCur = groupStarts(tlbCounts)
 	}
-	cur := int32(0)
-	for k := 0; k < n; k++ {
-		addr := cfg.Base + uint64(cur)*stride
+	// The traversal's scratch is a key buffer, which the placing pass then
+	// overwrites.
+	work := p.tlbKeys
+	if work == nil {
+		work = p.cacheKeys
+	}
+	order := make([]uint32, n)
+	traversal(cfg.Seed, order, work)
+	for _, x := range order {
+		addr := cfg.Base + uint64(x)*stride
 		if cacheGroups > 0 {
 			line := addr >> lineShift
 			g := residue(line, cacheMask, cacheMod)
@@ -359,7 +452,6 @@ func buildPlan(cfgs []LevelConfig, tlbCfgs []TLBConfig, cfg ChaseConfig, lineShi
 			p.tlbKeys[tlbCur[g]] = uint32(vpn)
 			tlbCur[g]++
 		}
-		cur = next[cur]
 	}
 	return p, nil
 }

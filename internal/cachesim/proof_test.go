@@ -2,6 +2,7 @@ package cachesim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -125,19 +126,63 @@ func TestShippedSweepTakesProofs(t *testing.T) {
 	}
 }
 
-// TestWarmTailRefusesBackInvalidation pins why analysis 5 is TLB-only. On
-// two inclusive 2-way levels, the tail [1 0 2 0 3] of this stream passes
-// both level checks, yet the full warmup ends with {3, 0} in both levels
-// and the tail with {3, 2}: key 0's hit at level 0 leaves it least recent
-// at the last level, whose evictions then back-invalidate it at different
-// times. A cache engine must refuse the tail.
+// TestWarmTailRefusesBackInvalidation pins why analysis 5 is TLB-only, and
+// so why only the TLB engine has a tail warm-up. On two inclusive 2-way
+// cache levels, the tail [1 0 2 0 3] of this stream passes both level
+// checks — after each part, the level's one set is full of lines touched in
+// that part — yet the full warmup ends with {3, 0} in both levels and the
+// tail with {3, 2}: key 0's hit at level 0 leaves it least recent at the
+// last level, whose evictions then back-invalidate it at different times.
+// The TLB engine, whose fills never cascade, proves the same tail on the
+// same shape and ends where its full warmup does.
 func TestWarmTailRefusesBackInvalidation(t *testing.T) {
+	stream := []uint32{0, 1, 0, 2, 0, 3}
+	tail := stream[1:]
 	cfgs := []LevelConfig{
 		{Name: "L1", Size: 2 * 64, Ways: 2, LineSize: 64},
 		{Name: "L2", Size: 2 * 64, Ways: 2, LineSize: 64},
 	}
-	if newFastCacheSim(cfgs, 6).warmTail([]uint32{0, 1, 0, 2, 0, 3}, 5) {
-		t.Fatal("warmTail proved a tail on an engine with back-invalidation")
+	full := newFastCacheSim(cfgs)
+	full.replay(stream)
+	part := newFastCacheSim(cfgs)
+	for p, keys := range [][]uint32{tail[:2], tail[2:]} {
+		since := part.clock + 1
+		part.replay(keys)
+		for _, st := range part.levels[p].stamps {
+			if st < since {
+				t.Fatalf("cache level %d is not settled after part %d", p, p)
+			}
+		}
+	}
+	lines := func(s *fastSim, li int) map[uint64]bool {
+		live := map[uint64]bool{}
+		for j, tag := range s.levels[li].tags {
+			if s.levels[li].stamps[j] >= s.floor {
+				live[tag] = true
+			}
+		}
+		return live
+	}
+	for li := range cfgs {
+		if want := map[uint64]bool{3: true, 0: true}; !reflect.DeepEqual(lines(full, li), want) {
+			t.Fatalf("cache level %d after the full warmup holds %v, want %v", li, lines(full, li), want)
+		}
+		if want := map[uint64]bool{3: true, 2: true}; !reflect.DeepEqual(lines(part, li), want) {
+			t.Fatalf("cache level %d after the tail holds %v, want %v", li, lines(part, li), want)
+		}
+	}
+
+	tlbs := []TLBConfig{{Name: "T0", Entries: 2, Ways: 2, PageBits: 12}, {Name: "T1", Entries: 2, Ways: 2, PageBits: 12}}
+	fullTLB, tailTLB := newMTFSim(tlbs), newMTFSim(tlbs)
+	fullTLB.replay(stream)
+	if !tailTLB.warmTail(stream, len(tail), 1) {
+		t.Fatal("the TLB engine refused a tail its fills cannot break")
+	}
+	for li := range tlbs {
+		if !reflect.DeepEqual(tailTLB.levels[li].tags, fullTLB.levels[li].tags) {
+			t.Fatalf("TLB level %d after the tail holds %v, after the full warmup %v",
+				li, tailTLB.levels[li].tags, fullTLB.levels[li].tags)
+		}
 	}
 }
 
@@ -195,14 +240,14 @@ func checkTailWarmup(t *testing.T, cfgs []TLBConfig, stream []byte, tail int) in
 		longest = max(longest, counts[g])
 	}
 
-	full := newFastTLBSim(cfgs)
+	full := newMTFSim(cfgs)
 	full.replay(keys)
 	full.resetCounters()
 	full.replay(keys)
 
-	sim := newFastTLBSim(cfgs)
+	sim := newMTFSim(cfgs)
 	outcome := tailShort
-	if !sim.warmTails(keys, starts, tail) {
+	if !sim.warmTails(keys, starts, tail, s0) {
 		outcome = tailFellBack
 		sim.resetState()
 		sim.replay(keys)
@@ -252,6 +297,11 @@ var tailWarmupSeeds = []struct {
 	// the tail leaves that set empty, and only marking the whole group's
 	// sets, not just the tail's, catches it.
 	{shape: 1<<5 | 1<<11, tail: 1, stream: []byte{5, 2, 4}, outcome: tailFellBack},
+	// The same shape: the first key's level-1 set is one the tail settles,
+	// and key 1, before the tail, maps to the other, which the tail leaves
+	// empty. Only marking every set the group maps to, not just the first
+	// ones the scan meets, catches it.
+	{shape: 1<<5 | 1<<11, tail: 1, stream: []byte{0, 1, 2, 4}, outcome: tailFellBack},
 }
 
 // cycle returns keys 0..n-1 repeated reps times.

@@ -65,18 +65,25 @@ func Main(name string, run func(args []string, stdout, stderr io.Writer) error) 
 }
 
 // ExitCode maps a run error onto an exit status, reporting unprinted errors
-// to stderr with the command-name prefix log.Fatal used to add.
+// to stderr with the command-name prefix log.Fatal used to add. A message
+// that already begins with that prefix, as a package error named after its
+// command does, is printed as it is rather than prefixed twice.
 func ExitCode(name string, err error, stderr io.Writer) int {
 	if err == nil || errors.Is(err, flag.ErrHelp) {
 		return 0
 	}
+	code := 1
 	var ue *UsageError
 	if errors.As(err, &ue) {
-		if !ue.Quiet {
-			fmt.Fprintf(stderr, "%s: %v\n", name, err)
+		if ue.Quiet {
+			return 2
 		}
-		return 2
+		code = 2
 	}
-	fmt.Fprintf(stderr, "%s: %v\n", name, err)
-	return 1
+	msg := err.Error()
+	if !strings.HasPrefix(msg, name+": ") {
+		msg = name + ": " + msg
+	}
+	fmt.Fprintln(stderr, msg)
+	return code
 }

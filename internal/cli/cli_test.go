@@ -22,6 +22,10 @@ func TestExitCode(t *testing.T) {
 		{"usage", Usagef("missing -bench"), 2, "cmd: missing -bench\n"},
 		{"quiet usage", &UsageError{Err: errors.New("already printed"), Quiet: true}, 2, ""},
 		{"runtime", errors.New("boom"), 1, "cmd: boom\n"},
+		{"already prefixed", errors.New("cmd: encode report: NaN"), 1, "cmd: encode report: NaN\n"},
+		{"wrapped prefix", fmt.Errorf("cmd: load: %w", errors.New("cmd: inner")), 1, "cmd: load: cmd: inner\n"},
+		{"prefix without separator", errors.New("cmdline too long"), 1, "cmd: cmdline too long\n"},
+		{"prefixed usage", Usagef("cmd: unknown platform"), 2, "cmd: unknown platform\n"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

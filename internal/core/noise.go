@@ -60,7 +60,10 @@ func MaxRNMSE(vectors [][]float64) float64 {
 // NoiseReport is the outcome of the noise-analysis stage.
 type NoiseReport struct {
 	// Variabilities holds one entry per event that produced any nonzero
-	// measurement, in the measurement set's event order.
+	// measurement, in the measurement set's event order. It and Discarded
+	// do not depend on the threshold, so a report cut from a NoiseProfile
+	// shares both with the profile and with every other report cut from it;
+	// they are read-only.
 	Variabilities []EventVariability
 	// Discarded lists all-zero (irrelevant) events.
 	Discarded []string

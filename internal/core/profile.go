@@ -9,7 +9,8 @@ import "math"
 // vector. That reduction is the same for every tau, so a server keeps one
 // profile per measurement key instead of the raw set and thresholds it per
 // analysis configuration with no float work. A profile is immutable: the
-// reports Threshold returns share its mean vectors, which nobody may modify.
+// reports Threshold returns share its mean vectors, its variabilities and
+// its discarded events, which nobody may modify.
 type NoiseProfile struct {
 	// Benchmark, Platform, PointNames, Order and Dropped are the profiled
 	// set's fields of the same names.
@@ -21,6 +22,8 @@ type NoiseProfile struct {
 	// verdicts holds each Order entry's verdict, judged at tau = +Inf: it
 	// is kept exactly when every reading is finite.
 	verdicts []noiseVerdict
+	// spectrum is every cut's tau-independent part, built once.
+	spectrum noiseSpectrum
 }
 
 // ProfileNoise reduces a measurement set to its noise profile, measuring
@@ -29,20 +32,22 @@ type NoiseProfile struct {
 // the set's name slices but none of its readings, so the set can be dropped
 // once profiled.
 func ProfileNoise(set *MeasurementSet, workers int) *NoiseProfile {
+	verdicts := judgeSet(set, math.Inf(1), MaxRNMSE, workers)
 	return &NoiseProfile{
 		Benchmark:  set.Benchmark,
 		Platform:   set.Platform,
 		PointNames: set.PointNames,
 		Order:      set.Order,
 		Dropped:    set.Dropped,
-		verdicts:   judgeSet(set, math.Inf(1), MaxRNMSE, workers),
+		verdicts:   verdicts,
+		spectrum:   newNoiseSpectrum(set.Order, verdicts),
 	}
 }
 
 // Threshold cuts the profile at tau. The report equals
 // FilterNoiseWithWorkers(set, tau, MaxRNMSE, w) on the profiled set for any
-// worker count w; its Kept vectors are the profile's own, shared and
-// read-only.
+// worker count w; its Kept vectors, Variabilities and Discarded are the
+// profile's own, shared and read-only.
 func (p *NoiseProfile) Threshold(tau float64) *NoiseReport {
-	return newNoiseReport(p.Order, p.verdicts, tau)
+	return p.spectrum.cut(p.Order, p.verdicts, tau)
 }

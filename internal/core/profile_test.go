@@ -262,6 +262,34 @@ func TestNoiseProfileEdgeCases(t *testing.T) {
 	}
 }
 
+// TestNoiseProfileCutsShareSpectrum pins what a cached report costs: every
+// cut of one profile shares the profile's Variabilities and Discarded, and
+// each slice a report owns is sized exactly, for the profile's cuts and the
+// one-shot filter's alike.
+func TestNoiseProfileCutsShareSpectrum(t *testing.T) {
+	set := edgeSet(t)
+	prof := core.ProfileNoise(set, 1)
+	tight, all := prof.Threshold(1e-10), prof.Threshold(math.Inf(1))
+	if &tight.Variabilities[0] != &all.Variabilities[0] || &tight.Discarded[0] != &all.Discarded[0] {
+		t.Fatal("two cuts of one profile hold separate copies of its variabilities or discarded events")
+	}
+	for _, r := range []*core.NoiseReport{tight, all, core.FilterNoiseWithWorkers(set, 1e-10, core.MaxRNMSE, 1)} {
+		for _, f := range []struct {
+			name     string
+			len, cap int
+		}{
+			{"Variabilities", len(r.Variabilities), cap(r.Variabilities)},
+			{"Discarded", len(r.Discarded), cap(r.Discarded)},
+			{"Filtered", len(r.Filtered), cap(r.Filtered)},
+			{"KeptOrder", len(r.KeptOrder), cap(r.KeptOrder)},
+		} {
+			if f.len == 0 || f.cap != f.len {
+				t.Errorf("tau=%v: %s has length %d and capacity %d, want equal and nonzero", r.Tau, f.name, f.len, f.cap)
+			}
+		}
+	}
+}
+
 // FuzzNoiseProfile builds small random sets — 1 to 4 repetitions, 1 to 3
 // threads, 1 to 3 points and 1 to 4 events, with readings drawn from 0,
 // -0, NaN, ±Inf and ordinary values — and checks the profile cut at a

@@ -169,24 +169,76 @@ func (d noiseVerdict) keptAt(tau float64) bool {
 	return d.keep && d.noise <= tau
 }
 
-// newNoiseReport assembles the report at tau from verdicts judged at tau or
-// at any higher threshold, in order.
-func newNoiseReport(order []string, verdicts []noiseVerdict, tau float64) *NoiseReport {
+// noiseSpectrum is the part of a noise report no threshold changes: every
+// non-zero event's variability and the all-zero events, in measurement
+// order. A NoiseProfile builds it once and every report cut from the
+// profile shares it, so a server caching many analyses of one measurement
+// set keeps one copy.
+type noiseSpectrum struct {
+	variabilities []EventVariability
+	discarded     []string
+}
+
+// newNoiseSpectrum builds the spectrum of verdicts judged at any threshold,
+// each slice sized exactly and nil when empty.
+func newNoiseSpectrum(order []string, verdicts []noiseVerdict) noiseSpectrum {
+	zero := 0
+	for _, d := range verdicts {
+		if d.allZero {
+			zero++
+		}
+	}
+	var s noiseSpectrum
+	if n := len(verdicts) - zero; n > 0 {
+		s.variabilities = make([]EventVariability, 0, n)
+	}
+	if zero > 0 {
+		s.discarded = make([]string, 0, zero)
+	}
+	for i, d := range verdicts {
+		if d.allZero {
+			s.discarded = append(s.discarded, order[i])
+			continue
+		}
+		s.variabilities = append(s.variabilities, EventVariability{Event: order[i], MaxRNMSE: d.noise})
+	}
+	return s
+}
+
+// cut assembles the report at tau from the verdicts s was built from,
+// judged at tau or at any higher threshold, in order. The report shares
+// s's slices and the verdicts' mean vectors; its own slices are sized
+// exactly and nil when empty, since a cache may keep the report for the
+// life of the process.
+func (s noiseSpectrum) cut(order []string, verdicts []noiseVerdict, tau float64) *NoiseReport {
 	kept := 0
 	for _, d := range verdicts {
 		if d.keptAt(tau) {
 			kept++
 		}
 	}
-	report := &NoiseReport{Kept: make(map[string][]float64, kept), Tau: tau}
-	for i, event := range order {
-		report.record(event, verdicts[i])
+	r := &NoiseReport{Variabilities: s.variabilities, Discarded: s.discarded, Kept: make(map[string][]float64, kept), Tau: tau}
+	if kept > 0 {
+		r.KeptOrder = make([]string, 0, kept)
 	}
-	return report
+	if filtered := len(s.variabilities) - kept; filtered > 0 {
+		r.Filtered = make([]string, 0, filtered)
+	}
+	for i, d := range verdicts {
+		switch {
+		case d.allZero:
+		case d.keptAt(tau):
+			r.Kept[order[i]] = d.mean
+			r.KeptOrder = append(r.KeptOrder, order[i])
+		default:
+			r.Filtered = append(r.Filtered, order[i])
+		}
+	}
+	return r
 }
 
 // record appends one event's verdict to the report, cut at the report's
-// tau.
+// tau: the streaming filter's step, which cannot size the report ahead.
 func (r *NoiseReport) record(event string, d noiseVerdict) {
 	if d.allZero {
 		r.Discarded = append(r.Discarded, event)
@@ -209,7 +261,8 @@ func (r *NoiseReport) record(event string, d noiseVerdict) {
 // averages only the events it keeps; ProfileNoise averages every all-finite
 // event once, for all thresholds.
 func FilterNoiseWithWorkers(set *MeasurementSet, tau float64, measure NoiseMeasure, workers int) *NoiseReport {
-	return newNoiseReport(set.Order, judgeSet(set, tau, measure, workers), tau)
+	verdicts := judgeSet(set, tau, measure, workers)
+	return newNoiseSpectrum(set.Order, verdicts).cut(set.Order, verdicts, tau)
 }
 
 // TauSuggestion is the outcome of automatic threshold selection.

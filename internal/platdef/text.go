@@ -1,6 +1,7 @@
 package platdef
 
 import (
+	"bytes"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,8 +40,14 @@ const header = "platdef v1"
 
 // Parse decodes and validates one platform definition in the text format.
 // Failures are *Error values carrying the offending 1-based line number.
+// The definition shares no memory with data: every string it holds is a
+// copy, one per distinct value, so a registry that keeps definitions does
+// not keep their files' text.
 func Parse(data []byte) (*Platform, error) {
-	p := &Platform{}
+	// A canonical file opens every event block with "\nevent ", so this
+	// sizes Events exactly for one; any other is copied to its length below.
+	events := bytes.Count(data, []byte("\nevent "))
+	p := &Platform{Events: make([]Event, 0, events)}
 	var (
 		cur        *Event // event block being assembled, nil in the header
 		sawHeader  bool
@@ -49,7 +56,18 @@ func Parse(data []byte) (*Platform, error) {
 		sawCount   bool
 		blockSeen  map[string]bool // directives seen in the current block
 		constraint = map[string]int{}
+		strs       = make(map[string]string, events)
 	)
+	// own returns a copy of s detached from the file's text, the same copy
+	// for every equal s.
+	own := func(s string) string {
+		c, ok := strs[s]
+		if !ok {
+			c = strings.Clone(s)
+			strs[c] = c
+		}
+		return c
+	}
 	lines := strings.Split(string(data), "\n")
 	for i, raw := range lines {
 		ln := i + 1
@@ -75,7 +93,7 @@ func Parse(data []byte) (*Platform, error) {
 				if len(fields) != 2 {
 					return nil, errf(ln, "platform takes exactly one name")
 				}
-				p.Name = fields[1]
+				p.Name = own(fields[1])
 				sawName = true
 				continue
 			case "class":
@@ -85,7 +103,7 @@ func Parse(data []byte) (*Platform, error) {
 				if len(fields) != 2 {
 					return nil, errf(ln, "class takes exactly one value")
 				}
-				p.Class = fields[1]
+				p.Class = own(fields[1])
 				sawClass = true
 				continue
 			case "counters":
@@ -114,7 +132,7 @@ func Parse(data []byte) (*Platform, error) {
 					return nil, errf(ln, "duplicate constraint for event %q (first on line %d)", fields[1], prev)
 				}
 				constraint[fields[1]] = ln
-				p.Constraints = append(p.Constraints, Constraint{Event: fields[1], Fixed: slot})
+				p.Constraints = append(p.Constraints, Constraint{Event: own(fields[1]), Fixed: slot})
 				continue
 			case "allowed":
 				if len(fields) < 3 {
@@ -135,7 +153,7 @@ func Parse(data []byte) (*Platform, error) {
 					return nil, errf(ln, "duplicate constraint for event %q (first on line %d)", fields[1], prev)
 				}
 				constraint[fields[1]] = ln
-				p.Constraints = append(p.Constraints, Constraint{Event: fields[1], Fixed: -1, Allowed: slots})
+				p.Constraints = append(p.Constraints, Constraint{Event: own(fields[1]), Fixed: -1, Allowed: slots})
 				continue
 			case "event":
 				// Falls through to the shared event-open path below.
@@ -151,7 +169,8 @@ func Parse(data []byte) (*Platform, error) {
 			if len(p.Events) >= MaxEvents {
 				return nil, errf(ln, "more than %d events", MaxEvents)
 			}
-			p.Events = append(p.Events, Event{Name: fields[1]})
+			// Names are unique (Validate), so interning one saves nothing.
+			p.Events = append(p.Events, Event{Name: strings.Clone(fields[1])})
 			cur = &p.Events[len(p.Events)-1]
 			blockSeen = map[string]bool{}
 		case "desc":
@@ -159,8 +178,7 @@ func Parse(data []byte) (*Platform, error) {
 				return nil, errf(ln, "duplicate desc in event %q", cur.Name)
 			}
 			blockSeen[directive] = true
-			rest := strings.TrimSpace(strings.TrimPrefix(line, "desc"))
-			cur.Desc = rest
+			cur.Desc = own(strings.TrimSpace(strings.TrimPrefix(line, "desc")))
 		case "noise":
 			if blockSeen[directive] {
 				return nil, errf(ln, "duplicate noise in event %q", cur.Name)
@@ -183,7 +201,7 @@ func Parse(data []byte) (*Platform, error) {
 				return nil, errf(ln, "duplicate respond in event %q", cur.Name)
 			}
 			blockSeen[directive] = true
-			terms, err := parseTerms(ln, fields[1:])
+			terms, err := parseTerms(ln, fields[1:], own)
 			if err != nil {
 				return nil, err
 			}
@@ -193,7 +211,7 @@ func Parse(data []byte) (*Platform, error) {
 				return nil, errf(ln, "duplicate doc in event %q", cur.Name)
 			}
 			blockSeen[directive] = true
-			terms, err := parseTerms(ln, fields[1:])
+			terms, err := parseTerms(ln, fields[1:], own)
 			if err != nil {
 				return nil, err
 			}
@@ -205,6 +223,11 @@ func Parse(data []byte) (*Platform, error) {
 	}
 	if !sawHeader {
 		return nil, errf(len(lines), "missing %q header", header)
+	}
+	// Drop any append slack: the definition may live as long as the
+	// process.
+	if cap(p.Events) != len(p.Events) {
+		p.Events = append(make([]Event, 0, len(p.Events)), p.Events...)
 	}
 	// Constraint encounter order is not semantic; canonical order is by
 	// event name, which Validate requires.
@@ -218,8 +241,8 @@ func Parse(data []byte) (*Platform, error) {
 }
 
 // parseTerms decodes key=value tokens into a key-sorted term list,
-// rejecting duplicate keys.
-func parseTerms(ln int, tokens []string) ([]Term, error) {
+// rejecting duplicate keys. own detaches each key from the file's text.
+func parseTerms(ln int, tokens []string, own func(string) string) ([]Term, error) {
 	if len(tokens) == 0 {
 		return nil, nil
 	}
@@ -233,7 +256,7 @@ func parseTerms(ln int, tokens []string) ([]Term, error) {
 		if err != nil {
 			return nil, errf(ln, "bad coefficient %q for key %q", val, key)
 		}
-		terms = append(terms, Term{Key: key, Coeff: coeff})
+		terms = append(terms, Term{Key: own(key), Coeff: coeff})
 	}
 	sort.Slice(terms, func(i, j int) bool { return terms[i].Key < terms[j].Key })
 	for i := 1; i < len(terms); i++ {
