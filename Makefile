@@ -116,6 +116,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLadderRequest$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzTailWarmup$$' -fuzztime $(FUZZTIME) ./internal/cachesim
 	$(GO) test -run '^$$' -fuzz '^FuzzTraversal$$' -fuzztime $(FUZZTIME) ./internal/cachesim
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheEngine$$' -fuzztime $(FUZZTIME) ./internal/cachesim
 
 # Total statement coverage with a hard floor, so coverage can only ratchet up.
 cover:

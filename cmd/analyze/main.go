@@ -76,11 +76,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	id.Run.MinimalKernels = *minimal
-	if *tau > 0 {
-		id.Config.Tau = *tau
-	}
-	if *alpha > 0 {
-		id.Config.Alpha = *alpha
+	// A given -tau or -alpha is applied, then checked by the rule Resolve
+	// applies to a request's config: it is never ignored.
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "tau":
+			id.Config.Tau = *tau
+		case "alpha":
+			id.Config.Alpha = *alpha
+		}
+	})
+	if err := id.Config.Validate(); err != nil {
+		return &cli.UsageError{Err: err}
 	}
 
 	ctx := context.Background()

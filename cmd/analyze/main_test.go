@@ -80,6 +80,35 @@ func TestNegativeWorkersRejected(t *testing.T) {
 	}
 }
 
+// TestThresholdFlagsAppliedOrRejected: a given -tau or -alpha is applied or
+// rejected with a usage error (exit 2) naming it, before anything is
+// collected, and never ignored. NaN, negative values, ±Inf and a zero alpha
+// used to run the defaults (the report said tau=1e-10), a +Inf tau kept
+// every noisy event, and a +Inf alpha failed deep in QRCP. A valid -tau,
+// zero included, reaches the report.
+func TestThresholdFlagsAppliedOrRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-tau", "NaN"}, {"-tau", "-1"}, {"-tau", "Inf"}, {"-tau", "-Inf"},
+		{"-alpha", "NaN"}, {"-alpha", "-2"}, {"-alpha", "Inf"}, {"-alpha", "0"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(append([]string{"-bench", "branch"}, args...), &stdout, &stderr)
+		var ue *cli.UsageError
+		if !errors.As(err, &ue) || !strings.Contains(err.Error(), args[0][1:]) {
+			t.Errorf("%v: got %v, want a usage error naming %s", args, err, args[0][1:])
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: printed %q", args, stdout.String())
+		}
+	}
+	for _, tau := range [][2]string{{"2e-10", "2e-10"}, {"0", "0e+00"}} {
+		out, _ := runCmd(t, "-bench", "branch", "-tau", tau[0])
+		if want := "noise analysis (tau=" + tau[1] + ")"; !strings.HasPrefix(out, want) {
+			t.Errorf("-tau %s: report begins %q, want %q", tau[0], out[:min(len(out), 40)], want)
+		}
+	}
+}
+
 // TestCollectionFlagsRejectedWithIn: -platform and -platform-dir pick where
 // to collect, so with -in (nothing is collected) each is a usage error
 // rather than silently ignored — even when the file itself analyzes fine.

@@ -50,22 +50,23 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *workersFlag < 0 {
 		return cli.Usagef("workers must be >= 0 (0 means GOMAXPROCS), got %d", *workersFlag)
 	}
+	// A given tolerance is applied, then checked by the rule a request's
+	// tolerances pass: it is never ignored.
 	tol := validate.DefaultTolerances()
-	for _, o := range []struct {
-		flag *float64
-		dst  *float64
-	}{
-		{noisyTau, &tol.NoisyTau},
-		{fitTol, &tol.FitTol},
-		{scaleTol, &tol.ScaleTol},
-		{derivedCos, &tol.DerivedCos},
-	} {
-		if *o.flag < 0 {
-			return cli.Usagef("tolerances must be > 0, got %g", *o.flag)
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "noisy-tau":
+			tol.NoisyTau = *noisyTau
+		case "fit-tol":
+			tol.FitTol = *fitTol
+		case "scale-tol":
+			tol.ScaleTol = *scaleTol
+		case "derived-cos":
+			tol.DerivedCos = *derivedCos
 		}
-		if *o.flag > 0 {
-			*o.dst = *o.flag
-		}
+	})
+	if err := tol.Validate(); err != nil {
+		return &cli.UsageError{Err: err}
 	}
 
 	req := validate.Request{

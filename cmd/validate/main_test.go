@@ -74,6 +74,32 @@ func TestNegativeToleranceRejected(t *testing.T) {
 	}
 }
 
+// TestToleranceFlagsAppliedOrRejected: a given tolerance is applied or
+// rejected with a usage error (exit 2), before anything is collected, and
+// never ignored. NaN used to run the default tolerances, and a +Inf fit
+// tolerance printed "fit +Inf". A valid value reaches the report's
+// tolerance line.
+func TestToleranceFlagsAppliedOrRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-noisy-tau", "NaN"}, {"-scale-tol", "NaN"}, {"-derived-cos", "NaN"}, {"-fit-tol", "NaN"},
+		{"-fit-tol", "Inf"}, {"-noisy-tau", "-Inf"}, {"-scale-tol", "0"}, {"-derived-cos", "1.5"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(append([]string{"-platform", "spr", "-bench", "branch"}, args...), &stdout, &stderr)
+		var ue *cli.UsageError
+		if !errors.As(err, &ue) {
+			t.Errorf("%v: got %v, want UsageError", args, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: printed %q", args, stdout.String())
+		}
+	}
+	out, _ := runCmd(t, "-platform", "spr", "-bench", "branch", "-fit-tol", "1e-3")
+	if !strings.Contains(out, "fit 1e-03,") {
+		t.Errorf("-fit-tol 1e-3 did not reach the report:\n%s", out[:min(len(out), 200)])
+	}
+}
+
 // TestWorkersByteIdentical pins the CLI half of the determinism contract:
 // serial and concurrent collection print the same bytes, text and JSON.
 func TestWorkersByteIdentical(t *testing.T) {

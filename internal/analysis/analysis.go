@@ -101,11 +101,8 @@ func (r Request) Resolve(reg *machine.Registry, workers int) (ID, error) {
 	if cfg.Workers == 0 {
 		cfg.Workers = workers
 	}
-	if cfg.Tau < 0 || cfg.Alpha <= 0 || cfg.ProjectionTol <= 0 {
-		return ID{}, invalid("config: tau must be >= 0, alpha and projection_tol must be > 0")
-	}
-	if cfg.Workers < 0 {
-		return ID{}, invalid("config: workers must be >= 0 (0 means GOMAXPROCS)")
+	if err := cfg.Validate(); err != nil {
+		return ID{}, invalid(err.Error())
 	}
 	def, err := reg.Def(cmp.Or(r.Platform, bench.Platform))
 	if err != nil {

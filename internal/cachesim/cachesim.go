@@ -9,6 +9,11 @@
 // that in the post-warmup steady state every access resolves at exactly that
 // level: a cyclic LRU reference stream either fits a level (hit rate 1) or
 // thrashes it completely (hit rate 0).
+//
+// Hierarchy and TLBHierarchy are the reference simulators, one slice per
+// set. Collection runs RunSweepTasks instead: plans (plan.go) prove what
+// they can and replay the rest on one move-to-front engine (mtf.go), whose
+// tests compare it with the references access by access.
 package cachesim
 
 import "fmt"

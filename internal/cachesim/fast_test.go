@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -44,52 +45,99 @@ func oddGeometry() []LevelConfig {
 	}
 }
 
-// TestFastSimMatchesReferenceCache drives the reference hierarchy and the
-// flat engine with identical random access streams and demands equality of
-// the served level, all per-level counters, and the memory/access totals
-// after every single access — including across an O(1) state reset.
-func TestFastSimMatchesReferenceCache(t *testing.T) {
-	for _, cfgs := range [][]LevelConfig{tinyConfig(), oddGeometry(), {{Name: "only", Size: 2 * 2 * 64, Ways: 2, LineSize: 64}}} {
-		h, err := NewHierarchy(cfgs)
-		if err != nil {
-			t.Fatal(err)
+// coprimeGeometry has set counts (4, 6, 10) that do not divide one
+// another, so a line the last level evicts can sit in another upper-level
+// set than the key that evicted it: back-invalidation then frees a slot
+// the key's fill does not take.
+func coprimeGeometry() []LevelConfig {
+	return []LevelConfig{
+		{Name: "L1", Size: 4 * 2 * 64, Ways: 2, LineSize: 64},
+		{Name: "L2", Size: 6 * 2 * 64, Ways: 2, LineSize: 64},
+		{Name: "L3", Size: 10 * 2 * 64, Ways: 2, LineSize: 64},
+	}
+}
+
+// fourOverEight is a cache of replay48's shape — a power-of-two 4-way level
+// over a power-of-two 8-way one, 16 sets each — which an inclusive engine
+// must replay per key: the unrolled kernel never back-invalidates.
+func fourOverEight() []LevelConfig {
+	return []LevelConfig{
+		{Name: "L1", Size: 1 << 12, Ways: 4, LineSize: 64},
+		{Name: "L2", Size: 1 << 13, Ways: 8, LineSize: 64},
+	}
+}
+
+// sameState fails unless the engine's per-level counters equal stats(i),
+// its bottom and access totals equal the reference's, and every set of
+// every level holds the reference's MRU-first slice sets(i)[set], padded
+// with empty slots.
+func sameState(t *testing.T, label string, s *mtfSim, stats func(int) (uint64, uint64), sets func(int) [][]uint64, bottom, accesses uint64) {
+	t.Helper()
+	for li := range s.levels {
+		l := &s.levels[li]
+		if wh, wm := stats(li); l.hits != wh || l.misses != wm {
+			t.Fatalf("%s level %d: counters (%d,%d) != reference (%d,%d)", label, li, l.hits, l.misses, wh, wm)
 		}
-		fast := newFastCacheSim(cfgs)
+		for set, want := range sets(li) {
+			got := l.tags[uint64(set)*l.ways : uint64(set+1)*l.ways]
+			for j := range got {
+				w := uint64(emptyTag)
+				if j < len(want) {
+					w = want[j]
+				}
+				if got[j] != w {
+					t.Fatalf("%s level %d set %d: tags %v, reference %v", label, li, set, got, want)
+				}
+			}
+		}
+	}
+	if s.bottom != bottom || s.accesses != accesses {
+		t.Fatalf("%s: bottom/accesses (%d,%d) != reference (%d,%d)", label, s.bottom, s.accesses, bottom, accesses)
+	}
+}
+
+// sameAsHierarchy is sameState against the reference cache.
+func sameAsHierarchy(t *testing.T, label string, s *mtfSim, h *Hierarchy) {
+	t.Helper()
+	sets := func(i int) [][]uint64 { return h.levels[i].sets }
+	sameState(t, label, s, h.LevelStats, sets, h.MemAccesses, h.Accesses)
+}
+
+// sameAsTLB is sameState against the reference TLB.
+func sameAsTLB(t *testing.T, label string, s *mtfSim, h *TLBHierarchy) {
+	t.Helper()
+	sets := func(i int) [][]uint64 { return h.levels[i].sets }
+	sameState(t, label, s, h.LevelStats, sets, h.Walks, h.Accesses)
+}
+
+// TestFastSimMatchesReferenceCache drives the reference hierarchy and the
+// inclusive move-to-front engine with identical random access streams: the
+// served level after every access, and after every round every counter and
+// every set's tags — across resets, on odd set counts, on set counts that
+// do not divide one another, on one level, and on replay48's 4-over-8 shape.
+func TestFastSimMatchesReferenceCache(t *testing.T) {
+	for _, cfgs := range [][]LevelConfig{tinyConfig(), oddGeometry(), coprimeGeometry(), {{Name: "only", Size: 2 * 2 * 64, Ways: 2, LineSize: 64}}, fourOverEight()} {
+		fast := newMTFCacheSim(cfgs)
 		rng := rand.New(rand.NewSource(42))
 		for round := 0; round < 3; round++ {
-			// Fresh reference vs O(1)-reset fast engine each round.
-			h, err = NewHierarchy(cfgs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			h := mustHierarchy(t, cfgs)
 			fast.resetState()
 			for i := 0; i < 20000; i++ {
 				addr := uint64(rng.Intn(cfgs[len(cfgs)-1].Size * 3))
 				want := h.Access(addr)
-				got := fast.access(addr >> h.lineShift)
-				if got != want {
-					t.Fatalf("%s round %d access %d (addr %d): level %d, reference %d", cfgs[0].Name, round, i, addr, got, want)
+				if got := fast.access(uint32(addr >> h.lineShift)); got != want {
+					t.Fatalf("%+v round %d access %d (addr %d): level %d, reference %d", cfgs, round, i, addr, got, want)
 				}
 			}
-			for li := range cfgs {
-				wh, wm := h.LevelStats(li)
-				if fast.levels[li].hits != wh || fast.levels[li].misses != wm {
-					t.Fatalf("level %d counters (%d,%d) != reference (%d,%d)",
-						li, fast.levels[li].hits, fast.levels[li].misses, wh, wm)
-				}
-			}
-			if fast.bottom != h.MemAccesses || fast.accesses != h.Accesses {
-				t.Fatalf("mem/accesses (%d,%d) != reference (%d,%d)", fast.bottom, fast.accesses, h.MemAccesses, h.Accesses)
-			}
+			sameAsHierarchy(t, fmt.Sprintf("%+v round %d", cfgs, round), fast, h)
 		}
 	}
 }
 
-// TestFastSimMatchesReferenceTLB is the same drive for the move-to-front
-// TLB engine, on 1-, 2- and 3-level geometries with odd set counts and odd
-// ways, and the shipped shape: after every access the served level agrees,
-// and after every round each set's tags equal the reference's MRU-first
-// slice, padded with empty slots — including across a reset.
+// TestFastSimMatchesReferenceTLB is the same drive for a TLB engine, on 1-,
+// 2- and 3-level geometries with odd set counts and odd ways, and the
+// shipped shape: after every access the served level agrees, and after
+// every round every counter and each set's tags — including across a reset.
 func TestFastSimMatchesReferenceTLB(t *testing.T) {
 	for _, cfgs := range [][]TLBConfig{
 		{{Name: "DTLB", Entries: 12, Ways: 3, PageBits: 12}, {Name: "STLB", Entries: 32, Ways: 4, PageBits: 12}},
@@ -114,30 +162,121 @@ func TestFastSimMatchesReferenceTLB(t *testing.T) {
 					t.Fatalf("%+v round %d access %d (addr %d): level %d, reference %d", cfgs, round, i, addr, got, want)
 				}
 			}
-			for li := range cfgs {
-				wh, wm := ref.LevelStats(li)
-				fl := &fast.levels[li]
-				if fl.hits != wh || fl.misses != wm {
-					t.Fatalf("%+v TLB level %d counters (%d,%d) != reference (%d,%d)", cfgs, li, fl.hits, fl.misses, wh, wm)
-				}
-				for set, want := range ref.levels[li].sets {
-					got := fl.tags[uint64(set)*fl.ways : uint64(set+1)*fl.ways]
-					for j := range got {
-						w := uint64(emptyTag)
-						if j < len(want) {
-							w = want[j]
-						}
-						if got[j] != w {
-							t.Fatalf("%+v round %d level %d set %d: tags %v, reference %v", cfgs, round, li, set, got, want)
-						}
-					}
-				}
-			}
-			if fast.bottom != ref.Walks || fast.accesses != ref.Accesses {
-				t.Fatalf("walks/accesses (%d,%d) != reference (%d,%d)", fast.bottom, fast.accesses, ref.Walks, ref.Accesses)
-			}
+			sameAsTLB(t, fmt.Sprintf("%+v round %d", cfgs, round), fast, ref)
 		}
 	}
+}
+
+// cacheShape decodes a fuzz shape into a valid cache hierarchy of 1–3
+// levels with 64-byte lines. Bits 0–1 pick the level count. Level i takes
+// its set count from bits 2+6i–4+6i (1, 2, 3, 4, 5, 6, 8 or 16 sets, so an
+// upper level's set count need not divide a lower one's) and its ways (1–8)
+// from bits 5+6i–7+6i, raised where needed so that no level holds fewer
+// lines than the one above it.
+func cacheShape(shape uint32) []LevelConfig {
+	field := func(at, width int) int { return int(shape>>at) & (1<<width - 1) }
+	var cfgs []LevelConfig
+	lines := 0
+	for i := 0; i < 1+field(0, 2)%3; i++ {
+		sets := []int{1, 2, 3, 4, 5, 6, 8, 16}[field(2+6*i, 3)]
+		ways := max(1+field(5+6*i, 3), (lines+sets-1)/sets)
+		lines = sets * ways
+		cfgs = append(cfgs, LevelConfig{Name: fmt.Sprintf("L%d", i+1), Size: lines * 64, Ways: ways, LineSize: 64})
+	}
+	return cfgs
+}
+
+// checkCacheEngine drives an inclusive engine and the reference hierarchy
+// with the stream's keys, one per byte: the served level must agree at
+// every access, and every counter and every set's tags at the end. A twin
+// engine replays the whole stream through replay and must end in the same
+// state.
+func checkCacheEngine(t *testing.T, cfgs []LevelConfig, stream []byte) {
+	t.Helper()
+	h := mustHierarchy(t, cfgs)
+	s := newMTFCacheSim(cfgs)
+	keys := make([]uint32, len(stream))
+	for i, b := range stream {
+		keys[i] = uint32(b)
+		if got, want := s.access(keys[i]), h.Access(uint64(b)<<h.lineShift); got != want {
+			t.Fatalf("%+v access %d (key %d): level %d, reference %d", cfgs, i, b, got, want)
+		}
+	}
+	sameAsHierarchy(t, fmt.Sprintf("%+v", cfgs), s, h)
+	twin := newMTFCacheSim(cfgs)
+	twin.replay(keys)
+	sameAsHierarchy(t, fmt.Sprintf("%+v replayed", cfgs), twin, h)
+}
+
+// restores counts the accesses of the stream, one key per byte, on which
+// back-invalidation needs backInvalidate's restore, read off the reference:
+// the key misses every level, the last level evicts a line, and at some
+// upper level that line shares the key's full set, so the reference's
+// fill takes the slot the invalidation freed and drops nothing.
+func restores(t *testing.T, cfgs []LevelConfig, stream []byte) int {
+	t.Helper()
+	h := mustHierarchy(t, cfgs)
+	n := 0
+	for _, b := range stream {
+		key := uint64(b)
+		last := h.levels[len(h.levels)-1]
+		if set := last.sets[key%last.nsets]; len(set) == last.cfg.Ways && !slices.Contains(set, key) {
+			victim := set[len(set)-1]
+			for _, l := range h.levels[:len(h.levels)-1] {
+				if up := l.sets[key%l.nsets]; len(up) == l.cfg.Ways && slices.Contains(up, victim) {
+					n++
+					break
+				}
+			}
+		}
+		h.Access(key << h.lineShift)
+	}
+	return n
+}
+
+// cacheEngineSeeds are FuzzCacheEngine's committed seeds. Shapes are
+// cacheShape's bit fields; TestCacheEngineSeeds pins which reach the
+// restore.
+var cacheEngineSeeds = []struct {
+	shape    uint32
+	stream   []byte
+	restores bool
+}{
+	// One 2-way set over one 2-way set: key 2 evicts 0 from the last level
+	// while level 0 holds {0, 1}, so level 0 must end with {2, 1}.
+	{shape: 1 | 1<<5 | 1<<11, stream: []byte{0, 1, 0, 2}, restores: true},
+	// replay48's shape: 16 sets x 4 ways over 16 sets x 8 ways.
+	{shape: 1 | 7<<2 | 3<<5 | 7<<8 | 7<<11, stream: draws(3, 400, 200), restores: true},
+	// 4 sets x 2 ways over 6 sets x 2 ways: a victim can sit in another
+	// level-0 set than the key, where nothing is restored.
+	{shape: 1 | 3<<2 | 1<<5 | 5<<8 | 1<<11, stream: draws(4, 200, 40), restores: true},
+	// Three levels with odd set counts (3, 5, 6).
+	{shape: 2 | 2<<2 | 1<<5 | 4<<8 | 1<<11 | 5<<14 | 2<<17, stream: draws(5, 200, 60), restores: true},
+	// One level: nothing above it to invalidate.
+	{shape: 4<<2 | 2<<5, stream: draws(6, 100, 30)},
+}
+
+// TestCacheEngineSeeds runs each committed seed and pins whether it reaches
+// the restore, so the corpus keeps exercising it.
+func TestCacheEngineSeeds(t *testing.T) {
+	for i, s := range cacheEngineSeeds {
+		cfgs := cacheShape(s.shape)
+		checkCacheEngine(t, cfgs, s.stream)
+		if got := restores(t, cfgs, s.stream) > 0; got != s.restores {
+			t.Errorf("seed %d (%+v): reaches the restore %v, want %v", i, cfgs, got, s.restores)
+		}
+	}
+}
+
+// FuzzCacheEngine compares the inclusive engine with Hierarchy.Access over
+// fuzzed cache geometries (cacheShape) and key streams.
+func FuzzCacheEngine(f *testing.F) {
+	for _, s := range cacheEngineSeeds {
+		f.Add(s.shape, s.stream)
+	}
+	f.Fuzz(func(t *testing.T, shape uint32, stream []byte) {
+		checkCacheEngine(t, cacheShape(shape), stream)
+	})
 }
 
 // sameResult demands bit-level equality of every ChaseResult field.
@@ -277,21 +416,23 @@ func TestSkipLevels(t *testing.T) {
 	}
 }
 
-// TestReplayMatchesAccess drives the fused replay kernels (and the generic
-// dispatcher path) against per-access access() on a twin engine: the cache
-// engine across 1-, 2- and 3-level geometries with pow2 and non-pow2 set
-// counts, and the TLB engine on the shipped 4-over-8 shape (the unrolled
-// kernel), the same ways over an odd set count, and other shapes (the
-// generic loop). Counter totals and full tag state (and for the cache
-// engine, stamps) must agree after every traversal, including across a
-// reset.
+// TestReplayMatchesAccess drives replay — the unrolled 4-over-8 kernel and
+// the per-key path — against the reference simulators key by key: cache
+// engines on 1-, 2- and 3-level geometries with pow2, non-pow2 and
+// mutually non-dividing set counts, and replay48's 4-over-8 shape, which an
+// inclusive engine
+// must replay per key; and TLB engines on the shipped 4-over-8 shape (the
+// unrolled kernel), the same ways over an odd set count, and other shapes
+// (the per-key path). Every counter and every set's tags must agree after
+// every traversal, including across a reset.
 func TestReplayMatchesAccess(t *testing.T) {
 	geoms := [][]LevelConfig{
 		{{Size: 1 << 10, Ways: 2, LineSize: 64}},
 		{{Size: 1 << 10, Ways: 2, LineSize: 64}, {Size: 1 << 12, Ways: 4, LineSize: 64}},
 		{{Size: 1 << 10, Ways: 2, LineSize: 64}, {Size: 1 << 12, Ways: 4, LineSize: 64}, {Size: 1 << 14, Ways: 4, LineSize: 64}},
-		{{Size: 1 << 12, Ways: 4, LineSize: 64}, {Size: 1 << 13, Ways: 8, LineSize: 64}},
+		fourOverEight(),
 		oddGeometry(),
+		coprimeGeometry(),
 		oddGeometry()[:2],
 		oddGeometry()[:1],
 	}
@@ -306,32 +447,16 @@ func TestReplayMatchesAccess(t *testing.T) {
 		return keys
 	}
 	for gi, cfgs := range geoms {
-		fast := newFastCacheSim(cfgs)
-		ref := newFastCacheSim(cfgs)
+		fast := newMTFCacheSim(cfgs)
 		for round := 0; round < 3; round++ {
+			ref := mustHierarchy(t, cfgs)
 			keys := stream(700)
 			fast.replay(keys)
 			for _, k := range keys {
-				ref.access(uint64(k))
+				ref.Access(uint64(k) << ref.lineShift)
 			}
-			if fast.clock != ref.clock || fast.bottom != ref.bottom || fast.accesses != ref.accesses {
-				t.Fatalf("geom %d round %d: clocks/bottom/accesses diverged", gi, round)
-			}
-			for li := range fast.levels {
-				fl, rl := &fast.levels[li], &ref.levels[li]
-				if fl.hits != rl.hits || fl.misses != rl.misses {
-					t.Fatalf("geom %d round %d level %d: counters %d/%d != %d/%d",
-						gi, round, li, fl.hits, fl.misses, rl.hits, rl.misses)
-				}
-				for s := range fl.tags {
-					fLive, rLive := fl.stamps[s] >= fast.floor, rl.stamps[s] >= ref.floor
-					if fLive != rLive || (fLive && (fl.tags[s] != rl.tags[s] || fl.stamps[s] != rl.stamps[s])) {
-						t.Fatalf("geom %d round %d level %d slot %d: state diverged", gi, round, li, s)
-					}
-				}
-			}
+			sameAsHierarchy(t, fmt.Sprintf("geom %d round %d", gi, round), fast, ref)
 			fast.resetState()
-			ref.resetState()
 		}
 	}
 
@@ -343,28 +468,19 @@ func TestReplayMatchesAccess(t *testing.T) {
 		{{Entries: 15, Ways: 5, PageBits: 12}},
 	}
 	for gi, cfgs := range tlbGeoms {
-		fast, ref := newMTFSim(cfgs), newMTFSim(cfgs)
+		fast := newMTFSim(cfgs)
 		for round := 0; round < 3; round++ {
+			ref, err := NewTLBHierarchy(cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
 			keys := stream(2 * cfgs[len(cfgs)-1].Entries)
 			fast.replay(keys)
 			for _, k := range keys {
-				ref.access(k)
+				ref.Translate(uint64(k) << cfgs[0].PageBits)
 			}
-			if fast.bottom != ref.bottom || fast.accesses != ref.accesses {
-				t.Fatalf("TLB geom %d round %d: walks/accesses %d/%d != %d/%d", gi, round, fast.bottom, fast.accesses, ref.bottom, ref.accesses)
-			}
-			for li := range fast.levels {
-				fl, rl := &fast.levels[li], &ref.levels[li]
-				if fl.hits != rl.hits || fl.misses != rl.misses {
-					t.Fatalf("TLB geom %d round %d level %d: counters %d/%d != %d/%d",
-						gi, round, li, fl.hits, fl.misses, rl.hits, rl.misses)
-				}
-				if !reflect.DeepEqual(fl.tags, rl.tags) {
-					t.Fatalf("TLB geom %d round %d level %d: tags diverged", gi, round, li)
-				}
-			}
+			sameAsTLB(t, fmt.Sprintf("TLB geom %d round %d", gi, round), fast, ref)
 			fast.resetState()
-			ref.resetState()
 		}
 	}
 }
@@ -408,9 +524,10 @@ func TestAllSetsOverflowAnalytic(t *testing.T) {
 	}
 }
 
-// BenchmarkReplay2MissStream pins the dominant collection cost: the
-// DTLB+STLB move-to-front kernel on a miss-heavy Mem-region VPN stream.
-func BenchmarkReplay2MissStream(b *testing.B) {
+// BenchmarkReplay48MissStream times the measured-pass TLB kernel: replay48,
+// the unrolled DTLB+STLB move-to-front kernel, on a miss-heavy Mem-region
+// VPN stream.
+func BenchmarkReplay48MissStream(b *testing.B) {
 	sim := newMTFSim(SPRLikeTLBConfig())
 	keys := make([]uint32, 1<<20)
 	rng := rand.New(rand.NewSource(1))

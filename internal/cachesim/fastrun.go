@@ -9,17 +9,18 @@ import (
 	"github.com/perfmetrics/eventlens/internal/par"
 )
 
-// fastrun.go executes many sweep points through the optimized engine. The
-// whole (task × component × residue-class) space flattens into independent
-// execution units that fan out through par.ForErr under the caller's worker
-// budget — one giant Mem-region chase no longer serializes a collection,
-// because its cache side is arithmetic (plan.go analyses 1 and 4) and its
-// TLB side splits into set-residue chunks (analysis 2) that warm on a
-// proven tail (analysis 5). Every unit writes only its own slot of a
-// pre-sized counter slice, and reduction sums uint64 counters in fixed
-// order, so results are bit-identical to the reference simulator for any
-// worker count — the equivalence property tests in fast_test.go and the
-// repo-level determinism suite both prove it.
+// fastrun.go executes many sweep points through the move-to-front engine
+// (mtf.go), which replays both the cache and the TLB side. The whole (task ×
+// component × residue-class) space flattens into independent execution
+// units that fan out through par.ForErr under the caller's worker budget —
+// one giant Mem-region chase no longer serializes a collection, because its
+// cache side is arithmetic (plan.go analyses 1 and 4) and its TLB side
+// splits into set-residue chunks (analysis 2) that warm on a proven tail
+// (analysis 5). Every unit writes only its own slot of a pre-sized counter
+// slice, and reduction sums uint64 counters in fixed order, so results are
+// bit-identical to the reference simulator for any worker count — the
+// equivalence property tests in fast_test.go and the repo-level determinism
+// suite both prove it.
 
 // SweepTask is one chase execution request: a sweep point plus the seed of
 // its chain permutation.
@@ -106,8 +107,9 @@ func runChases(cfgs []LevelConfig, tlbCfgs []TLBConfig, lineShift uint, claimed 
 	})
 
 	// Phase 2: enumerate units deterministically and replay them under the
-	// worker budget. Engines recycle through pools: a reset raises the cache
-	// engine's floor in O(1) and clears the TLB engine's few hundred tags.
+	// worker budget. Engines recycle through pools, one per cache tail and
+	// one for the TLB, all of the move-to-front engine (mtf.go); a reset
+	// clears an engine's tags, a few hundred for the TLB.
 	var units []execUnit
 	for ti, p := range plans {
 		if p != nil {
@@ -119,7 +121,7 @@ func runChases(cfgs []LevelConfig, tlbCfgs []TLBConfig, lineShift uint, claimed 
 	cachePools := make([]sync.Pool, len(cfgs))
 	for f := range cachePools {
 		tail := cfgs[f:]
-		cachePools[f].New = func() any { return newFastCacheSim(tail) }
+		cachePools[f].New = func() any { return newMTFCacheSim(tail) }
 	}
 	var tlbPool sync.Pool
 	tlbPool.New = func() any { return newMTFSim(tlbCfgs) }
@@ -132,11 +134,10 @@ func runChases(cfgs []LevelConfig, tlbCfgs []TLBConfig, lineShift uint, claimed 
 		}
 		groups := starts[u.g0 : u.g1+1]
 		keys = keys[groups[0]:groups[len(groups)-1]]
-		sim := pool.Get().(engine)
+		sim := pool.Get().(*mtfSim)
 		defer pool.Put(sim)
 		sim.resetState()
-		if !u.tlb || !sim.(*mtfSim).warmTails(keys, groups, tailWarmKeys, len(starts)-1) {
-			sim.resetState()
+		if !sim.warmTails(keys, groups, tailWarmKeys, len(starts)-1) {
 			sim.replay(keys)
 		}
 		sim.resetCounters()
@@ -217,25 +218,7 @@ func runChases(cfgs []LevelConfig, tlbCfgs []TLBConfig, lineShift uint, claimed 
 	}
 }
 
-// engine is what runChases needs of the cache engine (fastsim.go) and the
-// TLB engine (fasttlb.go).
-type engine interface {
-	replay(keys []uint32)
-	resetState()
-	resetCounters()
-	counts() unitCounts
-}
-
-// counts copies the cache engine's counters out.
-func (s *fastSim) counts() unitCounts {
-	c := unitCounts{hits: make([]uint64, len(s.levels)), misses: make([]uint64, len(s.levels)), bottom: s.bottom, accesses: s.accesses}
-	for i := range s.levels {
-		c.hits[i], c.misses[i] = s.levels[i].hits, s.levels[i].misses
-	}
-	return c
-}
-
-// counts copies the TLB engine's counters out.
+// counts copies the engine's counters out.
 func (s *mtfSim) counts() unitCounts {
 	c := unitCounts{hits: make([]uint64, len(s.levels)), misses: make([]uint64, len(s.levels)), bottom: s.bottom, accesses: s.accesses}
 	for i := range s.levels {

@@ -77,7 +77,7 @@ import (
 //     count otherwise. Every L1-, L2- and L3-region point of the shipped
 //     sweep qualifies.
 //
-//  5. Proven-tail warmup (fasttlb.go's warmTail; TLB side only). A residue
+//  5. Proven-tail warmup (mtf.go's warmTails; TLB side only). A residue
 //     group longer than tailWarmKeys warms on its last tailWarmKeys keys
 //     instead of the whole traversal, replayed from an empty engine in one
 //     part per level. After part p the engine checks that every level-p set
@@ -89,10 +89,11 @@ import (
 //     window holds the last `ways` distinct keys of it, which is what true
 //     LRU holds after the full warmup, in the same recency order. The
 //     induction needs fills that never cascade: back-invalidation can
-//     remove an entry a full warmup would keep, so the cache side always
-//     warms in full. A group that fails the check — a set the tail did
-//     not fill, or an entry left over from an earlier part — sends its
-//     whole unit back through a reset engine and a full warmup. The sets a
+//     remove an entry a full warmup would keep, so the engine refuses a
+//     tail warmup when it is inclusive, and the cache side always warms
+//     in full. A group that fails the check — a set the tail did not
+//     fill, or an entry left over from an earlier part — sends its whole
+//     unit back through a reset engine and a full warmup. The sets a
 //     group maps to are found from its keys; a plan of G residue groups
 //     sends one group's keys to at most S_i/G sets of level i, and the scan
 //     stops once it has found that many.

@@ -3,6 +3,7 @@ package cachesim
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -82,14 +83,33 @@ func TestAllHitNeedsLastLevelFit(t *testing.T) {
 	}
 }
 
-// TestShippedSweepTakesProofs pins analyses 4 and 5 on the shipped sweep at
-// four threads, with the chain seeds cat.DCache uses: every L1-, L2- and
-// L3-region chase takes the all-hit path, and every residue group of every
-// Mem-region chase's TLB side warms on a proven tail. The counters are bumped
-// where the paths run, so a silent fallback to simulation fails here even
-// though its results would still be right.
+// TestShippedSweepTakesProofs pins analyses 1, 4 and 5 on the shipped
+// sweep. Every point's cache side is settled without a key stream: the L1-,
+// L2- and L3-region points are all-hit at their own level (analysis 4), and
+// the Mem points all-miss at every level (analysis 1). Both analyses read
+// the geometry, the stride and the length, never the seed, so this holds at
+// every thread count up to cat.MaxThreads. A failure here puts the cache
+// engine back on the collection path, and that path must then be measured.
+// Then, at four threads with the chain seeds cat.DCache uses, every L1-, L2-
+// and L3-region chase takes the all-hit path, and every residue group of
+// every Mem-region chase's TLB side warms on a proven tail. The counters are
+// bumped where the paths run, so a silent fallback to simulation fails here
+// even though its results would still be right.
 func TestShippedSweepTakesProofs(t *testing.T) {
 	levels, tlbs := SPRLikeConfig(), SPRLikeTLBConfig()
+	for _, p := range BuildSweep(levels, []int{64, 128}) {
+		plan, err := buildPlan(levels, tlbs, ChaseConfig{Elements: p.Elements, StrideBytes: p.StrideBytes, Seed: 1}, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A region's index is its level's; RegionMem's is len(levels).
+		settled := plan.allHit || plan.firstSim == len(levels)
+		if plan.firstSim != int(p.Region) || !settled || plan.cacheKeys != nil || plan.cacheStarts != nil {
+			t.Errorf("%s: first simulated level %d, all-hit %v, %d cache keys; want level %d, settled, no keys",
+				p.Name(), plan.firstSim, plan.allHit, len(plan.cacheKeys), int(p.Region))
+		}
+	}
+
 	var fits, mem []SweepTask
 	for thread := int64(0); thread < 4; thread++ {
 		for i, p := range BuildSweep(levels, []int{64, 128}) {
@@ -127,14 +147,15 @@ func TestShippedSweepTakesProofs(t *testing.T) {
 }
 
 // TestWarmTailRefusesBackInvalidation pins why analysis 5 is TLB-only, and
-// so why only the TLB engine has a tail warm-up. On two inclusive 2-way
-// cache levels, the tail [1 0 2 0 3] of this stream passes both level
-// checks — after each part, the level's one set is full of lines touched in
-// that part — yet the full warmup ends with {3, 0} in both levels and the
-// tail with {3, 2}: key 0's hit at level 0 leaves it least recent at the
-// last level, whose evictions then back-invalidate it at different times.
-// The TLB engine, whose fills never cascade, proves the same tail on the
-// same shape and ends where its full warmup does.
+// so why the engine refuses a tail warm-up when it is inclusive. On two
+// inclusive 2-way cache levels, the tail [1 0 2 0 3] of this stream passes
+// both level checks — after each part, the level's one set is full of lines
+// touched in that part — yet the full warmup ends with {3, 0} in both levels
+// and the tail with {3, 2}: key 0's hit at level 0 leaves it least recent at
+// the last level, whose evictions then back-invalidate it at different
+// times. The inclusive engine refuses that tail and stays empty. A TLB
+// engine, whose fills never cascade, proves the same tail on the same shape
+// and ends where its full warmup does.
 func TestWarmTailRefusesBackInvalidation(t *testing.T) {
 	stream := []uint32{0, 1, 0, 2, 0, 3}
 	tail := stream[1:]
@@ -142,26 +163,25 @@ func TestWarmTailRefusesBackInvalidation(t *testing.T) {
 		{Name: "L1", Size: 2 * 64, Ways: 2, LineSize: 64},
 		{Name: "L2", Size: 2 * 64, Ways: 2, LineSize: 64},
 	}
-	full := newFastCacheSim(cfgs)
-	full.replay(stream)
-	part := newFastCacheSim(cfgs)
-	for p, keys := range [][]uint32{tail[:2], tail[2:]} {
-		since := part.clock + 1
-		part.replay(keys)
-		for _, st := range part.levels[p].stamps {
-			if st < since {
-				t.Fatalf("cache level %d is not settled after part %d", p, p)
-			}
-		}
-	}
-	lines := func(s *fastSim, li int) map[uint64]bool {
+	lines := func(s *mtfSim, li int) map[uint64]bool {
 		live := map[uint64]bool{}
-		for j, tag := range s.levels[li].tags {
-			if s.levels[li].stamps[j] >= s.floor {
+		for _, tag := range s.levels[li].tags {
+			if tag != emptyTag {
 				live[tag] = true
 			}
 		}
 		return live
+	}
+	full := newMTFCacheSim(cfgs)
+	full.replay(stream)
+	part := newMTFCacheSim(cfgs)
+	for p, keys := range [][]uint32{tail[:2], tail[2:]} {
+		part.replay(keys)
+		for _, tag := range part.levels[p].tags {
+			if tag == emptyTag || !slices.Contains(keys, uint32(tag)) {
+				t.Fatalf("cache level %d is not settled after part %d: it holds %v", p, p, part.levels[p].tags)
+			}
+		}
 	}
 	for li := range cfgs {
 		if want := map[uint64]bool{3: true, 0: true}; !reflect.DeepEqual(lines(full, li), want) {
@@ -171,11 +191,20 @@ func TestWarmTailRefusesBackInvalidation(t *testing.T) {
 			t.Fatalf("cache level %d after the tail holds %v, want %v", li, lines(part, li), want)
 		}
 	}
+	cache := newMTFCacheSim(cfgs)
+	if cache.warmTails(stream, []int32{0, int32(len(stream))}, len(tail), 1) {
+		t.Fatal("the inclusive engine accepted a tail warm-up, which back-invalidation breaks")
+	}
+	for li := range cfgs {
+		if got := lines(cache, li); len(got) != 0 {
+			t.Fatalf("cache level %d holds %v after the refused warm-up, want nothing", li, got)
+		}
+	}
 
 	tlbs := []TLBConfig{{Name: "T0", Entries: 2, Ways: 2, PageBits: 12}, {Name: "T1", Entries: 2, Ways: 2, PageBits: 12}}
 	fullTLB, tailTLB := newMTFSim(tlbs), newMTFSim(tlbs)
 	fullTLB.replay(stream)
-	if !tailTLB.warmTail(stream, len(tail), 1) {
+	if !tailTLB.warmTails(stream, []int32{0, int32(len(stream))}, len(tail), 1) {
 		t.Fatal("the TLB engine refused a tail its fills cannot break")
 	}
 	for li := range tlbs {
@@ -216,9 +245,9 @@ const (
 
 // checkTailWarmup groups the stream's keys (one per byte) by residue at
 // level 0 in stream order, as buildPlan does, and warms one engine on the
-// groups' proven tails — falling back as runChases does — and a twin in
-// full. It then replays the keys once on each and fails unless every
-// counter matches.
+// groups' proven tails — falling back as runChases does, from the empty
+// engine a failed proof must leave — and a twin in full. It then replays
+// the keys once on each and fails unless every counter matches.
 func checkTailWarmup(t *testing.T, cfgs []TLBConfig, stream []byte, tail int) int {
 	t.Helper()
 	if _, err := NewTLBHierarchy(cfgs); err != nil {
@@ -249,7 +278,13 @@ func checkTailWarmup(t *testing.T, cfgs []TLBConfig, stream []byte, tail int) in
 	outcome := tailShort
 	if !sim.warmTails(keys, starts, tail, s0) {
 		outcome = tailFellBack
-		sim.resetState()
+		for li := range sim.levels {
+			for _, tag := range sim.levels[li].tags {
+				if tag != emptyTag {
+					t.Fatalf("%+v tail %d: level %d holds %v after a failed proof, want an empty engine", cfgs, tail, li, sim.levels[li].tags)
+				}
+			}
+		}
 		sim.replay(keys)
 	} else if int(longest) > tail {
 		outcome = tailProven

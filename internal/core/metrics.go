@@ -32,7 +32,10 @@ type MetricDefinition struct {
 
 // DefineMetric solves Xhat * y = s for one signature. Xhat's columns
 // correspond to eventNames; the signature must be expressed in the same
-// basis coordinates as Xhat's rows.
+// basis coordinates as Xhat's rows. A signature whose solution or fitness
+// overflows (a coefficient, the backward error or the residual is not
+// finite) has no definition and is an error: such a definition could be
+// neither compared with a bound nor rendered as JSON.
 func DefineMetric(xhat *mat.Dense, eventNames []string, sig Signature) (*MetricDefinition, error) {
 	rows, cols := xhat.Dims()
 	if cols != len(eventNames) {
@@ -48,6 +51,14 @@ func DefineMetric(xhat *mat.Dense, eventNames []string, sig Signature) (*MetricD
 	if err != nil {
 		return nil, fmt.Errorf("core: defining %q: %w", sig.Name, err)
 	}
+	for i, x := range res.X {
+		if !finite(x) {
+			return nil, fmt.Errorf("core: defining %q: the coefficient of %s is %g", sig.Name, eventNames[i], x)
+		}
+	}
+	if !finite(res.BackwardError) || !finite(res.Residual) {
+		return nil, fmt.Errorf("core: defining %q: backward error %g, residual %g", sig.Name, res.BackwardError, res.Residual)
+	}
 	def := &MetricDefinition{
 		Metric:        sig.Name,
 		BackwardError: res.BackwardError,
@@ -58,6 +69,9 @@ func DefineMetric(xhat *mat.Dense, eventNames []string, sig Signature) (*MetricD
 	}
 	return def, nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // ComposableThreshold is the backward-error bound under which a metric
 // counts as composable (Eq. 5): the bound analyses, presets, the serving

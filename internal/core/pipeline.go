@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"github.com/perfmetrics/eventlens/internal/mat"
 )
@@ -43,6 +44,23 @@ type Config struct {
 func (c Config) String() string {
 	return fmt.Sprintf("tau=%g,alpha=%g,ptol=%g,rtol=%g",
 		c.Tau, c.Alpha, c.ProjectionTol, c.RoundTol)
+}
+
+// Validate checks the thresholds: tau must be finite and >= 0, alpha and
+// projection_tol finite and > 0, and workers >= 0. Each bound is written so
+// that NaN fails it.
+func (c Config) Validate() error {
+	switch {
+	case !(c.Tau >= 0) || math.IsInf(c.Tau, 1):
+		return fmt.Errorf("config: tau must be finite and >= 0, got %g", c.Tau)
+	case !(c.Alpha > 0) || math.IsInf(c.Alpha, 1):
+		return fmt.Errorf("config: alpha must be finite and > 0, got %g", c.Alpha)
+	case !(c.ProjectionTol > 0) || math.IsInf(c.ProjectionTol, 1):
+		return fmt.Errorf("config: projection_tol must be finite and > 0, got %g", c.ProjectionTol)
+	case c.Workers < 0:
+		return fmt.Errorf("config: workers must be >= 0 (0 means GOMAXPROCS), got %d", c.Workers)
+	}
+	return nil
 }
 
 // DefaultConfig returns the paper's thresholds for low-noise (FLOPs,

@@ -98,16 +98,27 @@ func writeErr(w http.ResponseWriter, err error) {
 // canonicalJSON renders v exactly as writeJSON serves it: two-space indent,
 // trailing newline. The persistent result store holds these bytes verbatim,
 // which is what makes disk-served responses byte-identical to computed ones.
-func canonicalJSON(v any) []byte {
+// It returns the encoder's error (a value JSON cannot carry, such as NaN),
+// so no response can become an empty 200: the ladder answers a 500 and
+// neither caches nor stores it.
+func canonicalJSON(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-	return buf.Bytes()
+	if err := enc.Encode(v); err != nil {
+		return nil, fmt.Errorf("server: encoding the response: %w", err)
+	}
+	return buf.Bytes(), nil
 }
 
+// writeJSON serves v as canonical JSON, or a 500 if v cannot be encoded.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	writeBody(w, code, canonicalJSON(v))
+	body, err := canonicalJSON(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	writeBody(w, code, body)
 }
 
 // writeBody serves pre-rendered canonical JSON bytes.
@@ -246,7 +257,7 @@ func analysisEndpoint[R analysisRequest](s *Server, prefix string) func(R) (endp
 				if err != nil {
 					return nil, err
 				}
-				return canonicalJSON(v), nil
+				return canonicalJSON(v)
 			},
 		}, nil
 	}

@@ -9,8 +9,10 @@ import (
 	"github.com/perfmetrics/eventlens/internal/cat"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -313,6 +315,41 @@ func TestDefineMetric(t *testing.T) {
 	// Wrong-dimension custom signature is a client error, not a 500.
 	decodeEnvelope(t, postJSON(t, h, "/v1/metrics/define",
 		`{"benchmark":"cpu-flops","signature":{"name":"short","coeffs":[1,2]}}`), http.StatusBadRequest)
+}
+
+// TestDefineNonFiniteSolution posts a signature whose least-squares
+// solution overflows: every attempt is a 400 naming the signature, no
+// attempt reports a cache rung, and the store stays empty. The daemon used
+// to drop the encoder's error and serve, cache and store an empty 200.
+func TestDefineNonFiniteSolution(t *testing.T) {
+	dir := t.TempDir()
+	h := newTestServer(t, Config{StoreDir: dir}).Handler()
+	body := `{"benchmark":"branch","signature":{"name":"x","coeffs":[1e308,1e308,1e308,1e308,1e308]}}`
+	for attempt := 0; attempt < 2; attempt++ {
+		w := postJSON(t, h, "/v1/metrics/define", body)
+		if msg := decodeEnvelope(t, w, http.StatusBadRequest); !strings.Contains(msg, `defining "x"`) {
+			t.Fatalf("attempt %d: message = %q, want the definition's error", attempt, msg)
+		}
+		if src := w.Header().Get("X-Eventlens-Cache"); src != "" {
+			t.Fatalf("attempt %d: a failed request reports cache rung %q", attempt, src)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("store holds %d entries (%v) after failed requests", len(entries), err)
+	}
+}
+
+// TestWriteJSONUnencodable pins the net under every response: a value JSON
+// cannot carry is a 500 with the encoder's error, never an empty 200.
+func TestWriteJSONUnencodable(t *testing.T) {
+	w := httptest.NewRecorder()
+	writeJSON(w, http.StatusOK, map[string]float64{"x": math.Inf(1)})
+	if msg := decodeEnvelope(t, w, http.StatusInternalServerError); !strings.Contains(msg, "unsupported value") {
+		t.Fatalf("message = %q, want the encoder's error", msg)
+	}
+	if _, err := canonicalJSON(math.NaN()); err == nil {
+		t.Fatal("canonicalJSON encoded NaN")
+	}
 }
 
 func TestExplainEvents(t *testing.T) {

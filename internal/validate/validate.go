@@ -93,13 +93,17 @@ func DefaultTolerances() Tolerances {
 	return Tolerances{NoisyTau: 1e-1, FitTol: 5e-2, ScaleTol: 1e-2, DerivedCos: 0.5}
 }
 
-// Validate checks the thresholds are usable.
+// Validate checks the thresholds are usable: noisy_tau, fit_tol and
+// scale_tol finite and > 0, derived_cos in (0, 1]. Each bound is written so
+// that NaN fails it.
 func (t Tolerances) Validate() error {
-	if t.NoisyTau <= 0 || t.FitTol <= 0 || t.ScaleTol <= 0 {
-		return fmt.Errorf("validate: tolerances must be > 0 (noisy_tau %g, fit_tol %g, scale_tol %g)",
-			t.NoisyTau, t.FitTol, t.ScaleTol)
+	for _, x := range []float64{t.NoisyTau, t.FitTol, t.ScaleTol} {
+		if !(x > 0) || math.IsInf(x, 1) {
+			return fmt.Errorf("validate: tolerances must be finite and > 0 (noisy_tau %g, fit_tol %g, scale_tol %g)",
+				t.NoisyTau, t.FitTol, t.ScaleTol)
+		}
 	}
-	if t.DerivedCos <= 0 || t.DerivedCos > 1 {
+	if !(t.DerivedCos > 0 && t.DerivedCos <= 1) {
 		return fmt.Errorf("validate: derived_cos must be in (0, 1], got %g", t.DerivedCos)
 	}
 	return nil
