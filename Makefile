@@ -139,14 +139,17 @@ bench:
 	$(GO) run ./cmd/benchjson -out BENCH_7.json < bench.out
 	@rm -f bench.out
 
-# Regression guard for the collection hot path: re-run the DCache collection
-# benchmark and fail if ns/op exceeds 2x the committed BENCH_7.json baseline,
-# or B/op or allocs/op exceed it by more than 10% (they repeat within 0.3%
-# across runs and -cpu 1,2,4). -benchtime=2x smooths one-shot jitter without
-# making CI slow.
+# Regression guard for the collection hot path and the event validator:
+# re-run the DCache collection and the two validation benchmarks and fail if
+# any ns/op exceeds 2x its committed BENCH_7.json baseline, or its B/op or
+# allocs/op exceed it by more than 10% (they repeat within 1% across runs
+# and -cpu 1,2,4). -benchtime=2x smooths one-shot jitter without making CI
+# slow.
 bench-guard:
-	$(GO) test -run '^$$' -bench 'BenchmarkCollectDCache$$' -benchtime=2x -count=1 . | tee bench.out
+	$(GO) test -run '^$$' -bench 'Benchmark(CollectDCache|ValidateSPR|ValidateMI250X)$$' -benchtime=2x -count=1 . | tee bench.out
 	$(GO) run ./cmd/benchjson -guard BENCH_7.json < bench.out
+	$(GO) run ./cmd/benchjson -guard BENCH_7.json -guard-name BenchmarkValidateSPR < bench.out
+	$(GO) run ./cmd/benchjson -guard BENCH_7.json -guard-name BenchmarkValidateMI250X < bench.out
 	@rm -f bench.out
 
 # CPU + heap profiles of the DCache collection hot path; inspect with

@@ -1,6 +1,8 @@
 package cat
 
 import (
+	"sync"
+
 	"github.com/perfmetrics/eventlens/internal/branchsim"
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/machine"
@@ -31,9 +33,42 @@ func (b *Branch) PointNames() []string {
 	return names
 }
 
-// GroundTruth executes every kernel through a fresh branching unit and
-// returns per-iteration statistics, which every thread measures.
+// branchTruths memoizes Branch ground truth by its loop windows, which are
+// all it depends on: like DCache's chase memo, it lets every collection
+// and validation in the process read one simulation of the kernels. An
+// entry holds 11 points' statistics, about 3 KB; every shipped caller uses
+// NewBranch's windows.
+var branchTruths = struct {
+	sync.Mutex
+	entries map[[2]uint64]*branchTruth
+}{entries: map[[2]uint64]*branchTruth{}}
+
+// branchTruth is one memo entry: the first caller simulates, and
+// concurrent callers wait on once.
+type branchTruth struct {
+	once  sync.Once
+	truth [][]machine.Stats
+	err   error
+}
+
+// GroundTruth returns the per-iteration statistics of every kernel, which
+// every thread measures. The kernels run once per (Warmup, Measured) in
+// the process; the result is shared and read-only.
 func (b *Branch) GroundTruth(RunConfig) ([][]machine.Stats, error) {
+	key := [2]uint64{b.Warmup, b.Measured}
+	branchTruths.Lock()
+	e := branchTruths.entries[key]
+	if e == nil {
+		e = new(branchTruth)
+		branchTruths.entries[key] = e
+	}
+	branchTruths.Unlock()
+	e.once.Do(func() { e.truth, e.err = b.simulate() })
+	return e.truth, e.err
+}
+
+// simulate executes every kernel through a fresh branching unit.
+func (b *Branch) simulate() ([][]machine.Stats, error) {
 	var points []machine.Stats
 	for _, kernel := range branchsim.CATKernels() {
 		unit := branchsim.NewUnit()

@@ -2,10 +2,12 @@
 // the workload simulators. Each benchmark is a Driver: it names its points,
 // builds its expectation basis, and executes its microkernels for their
 // known-exact ground-truth statistics. Collection is one path shared by all
-// of them: Collect computes a driver's ground truth and hands it to Measure,
-// which reads every raw event of a platform over it per point, repetition
-// and thread; StreamEvents makes the same reads one multiplexing group at a
-// time.
+// of them: Collect computes a driver's ground truth and measures every raw
+// event of a platform over it per point, repetition and thread;
+// StreamEvents makes the same reads one multiplexing group at a time.
+// Event validation reads a driver's ground truth directly, for the counts
+// each event's documentation predicts, and the measurements through the
+// noise profile of Collect's set.
 //
 // Four drivers are provided, mirroring the paper:
 //
@@ -156,7 +158,7 @@ func injected(p *machine.Platform, cfg RunConfig) *machine.Platform {
 // Driver is what one CAT benchmark contributes to collection: the labels of
 // its points, its expectation basis, and the known-exact behaviour of its
 // kernels. Everything else — configuration checks, spanning selection,
-// measurement, fault degradation — is shared by Collect, Measure and
+// measurement, fault degradation — is shared by Collect and
 // StreamEvents. Implementations must be safe for concurrent use: one driver
 // serves every collection of its benchmark.
 type Driver interface {
@@ -167,13 +169,14 @@ type Driver interface {
 	// GroundTruth runs the kernels under cfg and returns per-point
 	// statistics for every point: one slice per measuring thread, or a
 	// single slice every thread measures when the points do not depend on
-	// the thread. cfg.MinimalKernels is ignored.
+	// the thread. cfg.MinimalKernels is ignored. A driver may memoize what
+	// its kernels compute, so callers treat the result as read-only.
 	GroundTruth(cfg RunConfig) ([][]machine.Stats, error)
 }
 
 // Collect runs one benchmark on a platform: it checks cfg, computes the
 // driver's ground truth, narrows it to the spanning subset under
-// cfg.MinimalKernels, and measures every event over it (see Measure).
+// cfg.MinimalKernels, and measures every event over it (see measure).
 func Collect(benchmark string, d Driver, p *machine.Platform, cfg RunConfig) (*core.MeasurementSet, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -192,10 +195,10 @@ func Collect(benchmark string, d Driver, p *machine.Platform, cfg RunConfig) (*c
 			return nil, err
 		}
 	}
-	return Measure(benchmark, p, names, truth, cfg)
+	return measure(benchmark, p, names, truth, cfg)
 }
 
-// Measure reads every event of the platform over the named points' ground
+// measure reads every event of the platform over the named points' ground
 // truth (a driver's GroundTruth) for each repetition and thread of cfg,
 // which must already be valid. Each group's noise-free counts are computed
 // once per ground-truth thread and dropped with the collection. The
@@ -208,7 +211,7 @@ func Collect(benchmark string, d Driver, p *machine.Platform, cfg RunConfig) (*c
 // A transient fault that survives the whole retry budget drops its group's
 // events (listed in the set's Dropped) instead of failing the run; any other
 // fault, injected panics included, or losing every event is an error.
-func Measure(benchmark string, p *machine.Platform, names []string, truth [][]machine.Stats, cfg RunConfig) (*core.MeasurementSet, error) {
+func measure(benchmark string, p *machine.Platform, names []string, truth [][]machine.Stats, cfg RunConfig) (*core.MeasurementSet, error) {
 	if err := checkTruth(truth, cfg); err != nil {
 		return nil, err
 	}
@@ -284,14 +287,14 @@ func Measure(benchmark string, p *machine.Platform, names []string, truth [][]ma
 	return set, nil
 }
 
-// StreamEvents is Measure one multiplexing group at a time: it yields each
+// StreamEvents is measure one multiplexing group at a time: it yields each
 // event's per-repetition vectors (median-reduced over threads) as soon as
 // its group is read, so peak memory is one group's worth of noise-free
 // counts and measurements rather than the whole catalog — the collection
 // mode that scales to the hundreds of thousands of events the paper's
 // introduction describes. truth is a driver's GroundTruth. Events are
-// yielded in schedule order, each with exactly the values Measure collects
-// for it; unlike Measure, any fault ends the stream with an error.
+// yielded in schedule order, each with exactly the values measure collects
+// for it; unlike measure, any fault ends the stream with an error.
 func StreamEvents(p *machine.Platform, truth [][]machine.Stats, cfg RunConfig) core.EventSource {
 	return func(yield func(string, [][]float64) error) error {
 		if err := cfg.Validate(); err != nil {

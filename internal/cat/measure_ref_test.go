@@ -155,7 +155,7 @@ func referenceMeasure(t *testing.T, p *machine.Platform, truth [][]machine.Stats
 	for _, name := range ref.dropped {
 		dropped[name] = true
 	}
-	// Measure lists dropped events in catalog order, like its kept ones.
+	// measure lists dropped events in catalog order, like its kept ones.
 	ref.dropped = ref.dropped[:0]
 	for _, name := range events {
 		if dropped[name] {
@@ -225,12 +225,12 @@ func checkStreamAgainstReference(t *testing.T, p *machine.Platform, truth [][]ma
 	}
 }
 
-// TestMeasureMatchesPerValueReference: Measure and StreamEvents produce,
+// TestMeasureMatchesPerValueReference: measure and StreamEvents produce,
 // bit for bit, what the per-value loop produces — on every built-in
 // platform, for each benchmark of its class, serial and parallel, clean and
 // under fault specs whose corrupt, transient and slow faults fire at the
 // measure site. Under the dropping spec some transients outlast the retry
-// budget: Measure drops their groups and the stream fails.
+// budget: measure drops their groups and the stream fails.
 func TestMeasureMatchesPerValueReference(t *testing.T) {
 	reg, err := machine.NewRegistry()
 	if err != nil {
@@ -279,7 +279,7 @@ func TestMeasureMatchesPerValueReference(t *testing.T) {
 				ref := referenceMeasure(t, p, truths[bi], cfg, tally)
 				for _, workers := range []int{1, 0} {
 					cfg.Workers = workers
-					set, err := Measure(b.name, p, names, truths[bi], cfg)
+					set, err := measure(b.name, p, names, truths[bi], cfg)
 					if err != nil {
 						t.Fatalf("%s × %s, faults %q, workers %d: %v", platform, b.name, spec, workers, err)
 					}

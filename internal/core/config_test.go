@@ -2,6 +2,8 @@ package core
 
 import (
 	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -83,5 +85,26 @@ func TestConfigStringCanonical(t *testing.T) {
 	want := "tau=1e-10,alpha=0.0005,ptol=0.01,rtol=0.05"
 	if got := DefaultConfig().String(); got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}
+
+// TestConfigValidateRoundTol: round_tol is a threshold like the others. A
+// negative, NaN or infinite value is rejected by name — a negative one
+// would let no coefficient round, yet analyze under a key of its own —
+// while 0, what an omitted field decodes to, stays valid.
+func TestConfigValidateRoundTol(t *testing.T) {
+	for _, tol := range []float64{-1, math.Copysign(1e-300, -1), math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := DefaultConfig()
+		cfg.RoundTol = tol
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "round_tol") {
+			t.Errorf("round_tol %v: err = %v, want a rejection naming round_tol", tol, err)
+		}
+	}
+	for _, tol := range []float64{0, 1e-9, 0.05, 0.5} {
+		cfg := DefaultConfig()
+		cfg.RoundTol = tol
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("round_tol %v: %v", tol, err)
+		}
 	}
 }

@@ -46,13 +46,16 @@ func (c Config) String() string {
 		c.Tau, c.Alpha, c.ProjectionTol, c.RoundTol)
 }
 
-// Validate checks the thresholds: tau must be finite and >= 0, alpha and
-// projection_tol finite and > 0, and workers >= 0. Each bound is written so
-// that NaN fails it.
+// Validate checks the thresholds: tau and round_tol must be finite and
+// >= 0, alpha and projection_tol finite and > 0, and workers >= 0. Each
+// bound is written so that NaN fails it. A round_tol of 0 (what an omitted
+// field decodes to) rounds only coefficients that are already integers.
 func (c Config) Validate() error {
 	switch {
 	case !(c.Tau >= 0) || math.IsInf(c.Tau, 1):
 		return fmt.Errorf("config: tau must be finite and >= 0, got %g", c.Tau)
+	case !(c.RoundTol >= 0) || math.IsInf(c.RoundTol, 1):
+		return fmt.Errorf("config: round_tol must be finite and >= 0, got %g", c.RoundTol)
 	case !(c.Alpha > 0) || math.IsInf(c.Alpha, 1):
 		return fmt.Errorf("config: alpha must be finite and > 0, got %g", c.Alpha)
 	case !(c.ProjectionTol > 0) || math.IsInf(c.ProjectionTol, 1):

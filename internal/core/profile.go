@@ -5,12 +5,13 @@ import "math"
 // NoiseProfile is a measurement set reduced to everything the noise stage
 // computes before it cuts at tau (Section IV): per event, in measurement
 // order, whether every reading is zero, the event's max-RNMSE (a
-// non-finite one as +Inf), and — for non-zero, all-finite events — its mean
-// vector. That reduction is the same for every tau, so a server keeps one
-// profile per measurement key instead of the raw set and thresholds it per
-// analysis configuration with no float work. A profile is immutable: the
-// reports Threshold returns share its mean vectors, its variabilities and
-// its discarded events, which nobody may modify.
+// non-finite one as +Inf), and — for non-zero events — its mean vector.
+// That reduction is the same for every tau, so a server keeps one profile
+// per measurement key instead of the raw set and thresholds it per
+// analysis configuration with no float work, and event validation reads
+// the same reduction (Reduction). A profile is immutable: the reports
+// Threshold returns share its mean vectors, its variabilities and its
+// discarded events, which nobody may modify.
 type NoiseProfile struct {
 	// Benchmark, Platform, PointNames, Order and Dropped are the profiled
 	// set's fields of the same names.
@@ -20,7 +21,9 @@ type NoiseProfile struct {
 	Order      []string
 	Dropped    []string
 	// verdicts holds each Order entry's verdict, judged at tau = +Inf: it
-	// is kept exactly when every reading is finite.
+	// is kept exactly when every reading is finite. An unkept non-zero
+	// event still carries its mean, which no cut reads; only sets with
+	// non-finite readings (corrupt-fault injection) have such events.
 	verdicts []noiseVerdict
 	// spectrum is every cut's tau-independent part, built once.
 	spectrum noiseSpectrum
@@ -33,6 +36,11 @@ type NoiseProfile struct {
 // once profiled.
 func ProfileNoise(set *MeasurementSet, workers int) *NoiseProfile {
 	verdicts := judgeSet(set, math.Inf(1), MaxRNMSE, workers)
+	for i := range verdicts {
+		if d := &verdicts[i]; !d.allZero && !d.keep {
+			d.mean = MeanVector(set.RepVectors(set.Order[i]))
+		}
+	}
 	return &NoiseProfile{
 		Benchmark:  set.Benchmark,
 		Platform:   set.Platform,
@@ -50,4 +58,16 @@ func ProfileNoise(set *MeasurementSet, workers int) *NoiseProfile {
 // profile's own, shared and read-only.
 func (p *NoiseProfile) Threshold(tau float64) *NoiseReport {
 	return p.spectrum.cut(p.Order, p.verdicts, tau)
+}
+
+// Reduction returns the i-th event of Order reduced over its repetitions:
+// exactly what MaxRNMSE and MeanVector return on its repetition vectors,
+// non-finite readings included. An all-zero event's are 0 and a new zero
+// vector; any other event's mean is the profile's own and read-only.
+func (p *NoiseProfile) Reduction(i int) (float64, []float64) {
+	d := p.verdicts[i]
+	if d.allZero {
+		return 0, make([]float64, len(p.PointNames))
+	}
+	return d.noise, d.mean
 }

@@ -117,6 +117,26 @@ func diffNoise(got, want *core.NoiseReport) string {
 	return ""
 }
 
+// diffReductions names the first event whose Reduction differs, bit for
+// bit, from MaxRNMSE and MeanVector of its repetition vectors — the
+// reduction event validation reads; "" means every event's agrees.
+func diffReductions(set *core.MeasurementSet, prof *core.NoiseProfile) string {
+	for i, name := range set.Order {
+		vectors := set.RepVectors(name)
+		noise, mean := prof.Reduction(i)
+		want := core.MeanVector(vectors)
+		if math.Float64bits(noise) != math.Float64bits(core.MaxRNMSE(vectors)) || len(mean) != len(want) {
+			return fmt.Sprintf("event %q: reduction (%v, %v), want (%v, %v)", name, noise, mean, core.MaxRNMSE(vectors), want)
+		}
+		for k := range want {
+			if math.Float64bits(mean[k]) != math.Float64bits(want[k]) {
+				return fmt.Sprintf("event %q: mean[%d] = %v, want %v", name, k, mean[k], want[k])
+			}
+		}
+	}
+	return ""
+}
+
 // around returns v with both of its Nextafter neighbours: the thresholds at
 // which a cut at v changes.
 func around(v float64) [3]float64 {
@@ -147,6 +167,9 @@ func checkNoiseProfile(t *testing.T, set *core.MeasurementSet, configured float6
 		if p.Benchmark != set.Benchmark || p.Platform != set.Platform ||
 			fmt.Sprint(p.PointNames, p.Order, p.Dropped) != fmt.Sprint(set.PointNames, set.Order, set.Dropped) {
 			t.Fatalf("workers=%d: profile identity fields differ from the set's", w)
+		}
+		if d := diffReductions(set, p); d != "" {
+			t.Fatalf("workers=%d: %s", w, d)
 		}
 	}
 	cuts := map[float64]bool{0: true, math.Inf(1): true, configured: true} // value: check the one-shot filter too
@@ -331,8 +354,12 @@ func FuzzNoiseProfile(f *testing.F) {
 			}
 		}
 		want := referenceReport(referenceEvents(set), tau)
-		if d := diffNoise(core.ProfileNoise(set, 1).Threshold(tau), want); d != "" {
+		prof := core.ProfileNoise(set, 1)
+		if d := diffNoise(prof.Threshold(tau), want); d != "" {
 			t.Fatalf("tau=%v: %s", tau, d)
+		}
+		if d := diffReductions(set, prof); d != "" {
+			t.Fatal(d)
 		}
 	})
 }

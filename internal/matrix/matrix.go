@@ -242,12 +242,23 @@ type pairResult struct {
 	degraded *DegradedPair
 }
 
-// Run computes the matrix: for every class-matching (platform, benchmark)
-// pair it builds the platform from its definition, collects the benchmark
-// on it, runs the analysis pipeline and defines every signature metric.
-// Pairs run concurrently under req.Workers; the report is assembled in
-// canonical order regardless, so worker counts never change a byte.
+// Run computes the matrix, analyzing every pair itself (RunWith with
+// analysis.Run).
 func Run(ctx context.Context, reg *machine.Registry, req Request) (*Report, error) {
+	return RunWith(ctx, reg, req, func(ctx context.Context, r analysis.Request) (*analysis.Analysis, error) {
+		return analysis.Run(ctx, reg, r, 0)
+	})
+}
+
+// RunWith computes the matrix: every class-matching (platform, benchmark)
+// pair is the analysis of the benchmark's default run on the platform,
+// taken from analyze, and each of its signature metrics becomes a cell
+// judged at the request's threshold. Any source of analyses serves — a
+// fresh run, or a cache keyed by the request's analysis key — since equal
+// keys mean equal analyses. Pairs run concurrently under req.Workers; the
+// report is assembled in canonical order regardless, so worker counts
+// never change a byte.
+func RunWith(ctx context.Context, reg *machine.Registry, req Request, analyze func(context.Context, analysis.Request) (*analysis.Analysis, error)) (*Report, error) {
 	res, err := req.resolve(reg)
 	if err != nil {
 		return nil, err
@@ -277,7 +288,7 @@ func Run(ctx context.Context, reg *machine.Registry, req Request) (*Report, erro
 			return err
 		}
 		pr := pairs[i]
-		cells, err := runPair(ctx, reg, pr.platform, pr.bench, res)
+		cells, err := runPair(ctx, analyze, pr.platform, pr.bench, res)
 		if err != nil {
 			// Under fault injection a pair whose collection cannot
 			// complete degrades into the report instead of failing the
@@ -328,17 +339,17 @@ func Run(ctx context.Context, reg *machine.Registry, req Request) (*Report, erro
 	return report, nil
 }
 
-// runPair runs the analysis of one (platform, benchmark) pair — the
-// benchmark's default run and analysis configuration on that platform — and
-// returns its metric cells in signature order.
-func runPair(ctx context.Context, reg *machine.Registry, platform string, b suite.Benchmark, res resolved) ([]Cell, error) {
+// runPair analyzes one (platform, benchmark) pair — the benchmark's
+// default run and analysis configuration on that platform — and returns its
+// metric cells in signature order.
+func runPair(ctx context.Context, analyze func(context.Context, analysis.Request) (*analysis.Analysis, error), platform string, b suite.Benchmark, res resolved) ([]Cell, error) {
 	run := b.DefaultRun
 	// Pair-level parallelism already saturates the pool; each collection
 	// runs serially inside its worker.
 	run.Workers = 1
 	run.Faults = res.faults
 	run.MinimalKernels = res.minimal
-	a, err := analysis.Run(ctx, reg, analysis.Request{Benchmark: b.Name, Platform: platform, Run: &run}, 0)
+	a, err := analyze(ctx, analysis.Request{Benchmark: b.Name, Platform: platform, Run: &run})
 	if err != nil {
 		return nil, err
 	}

@@ -116,3 +116,29 @@ func BenchmarkAnalysisEndpointsAfterEviction(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkValidateAfterAnalyze times a validation served from cached
+// noise profiles: the platform's default analyses fill the set cache once,
+// and every iteration validates at a distinct noisy_tau, so each misses
+// the result cache and reads every benchmark's profile from the set cache.
+// What it times is the ground truth, the documented counts and the
+// classification, with no collection.
+func BenchmarkValidateAfterAnalyze(b *testing.B) {
+	for _, platform := range []string{"spr", "mi250x"} {
+		b.Run(platform, func(b *testing.B) {
+			h := benchServer(b, 1<<30)
+			for _, bench := range suite.All() {
+				if (bench.Class == "gpu") == (platform == "mi250x") {
+					benchPost(b, h, fmt.Sprintf(`{"benchmark":%q,"platform":%q}`, bench.Name, platform))
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchDo(b, h, http.MethodPost, "/v1/events/validate", fmt.Sprintf(
+					`{"platform":%q,"tolerances":{"noisy_tau":%g,"fit_tol":0.05,"scale_tol":0.01,"derived_cos":0.5}}`,
+					platform, 0.1*(1+float64(i+1)*1e-9)))
+			}
+		})
+	}
+}

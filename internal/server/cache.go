@@ -93,6 +93,24 @@ func (c *flightCache[V]) do(ctx context.Context, key string, fn func() (V, error
 	}
 }
 
+// peek returns the cached value for key, counting a hit and refreshing its
+// recency, without running anything or inserting: a miss leaves the cache
+// as it was. In-flight computations are not joined.
+func (c *flightCache[V]) peek(key string) (V, bool) {
+	c.mu.Lock()
+	el, ok := c.items[key]
+	if !ok {
+		c.mu.Unlock()
+		var zero V
+		return zero, false
+	}
+	c.ll.MoveToFront(el)
+	val := el.Value.(*cacheEntry[V]).val
+	c.mu.Unlock()
+	c.hits.Inc()
+	return val, true
+}
+
 // errLeaderPanicked is what a flight's joiners get when its leader's fn
 // panicked; the panic itself unwinds the leader.
 var errLeaderPanicked = errors.New("server: computation panicked")

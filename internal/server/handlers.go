@@ -309,6 +309,21 @@ func (s *Server) noiseProfile(ctx context.Context, id analysis.ID) (*core.NoiseP
 	})
 }
 
+// cachedProfile is validate's source of noise profiles: the set cache's
+// profile for the analysis's measurement key when the cache holds it, or
+// else a collection of its own that is never inserted. A validation reads
+// every benchmark of its platform at once; inserting them would hold up to
+// three more profiles (mi250x's gpu-flops one alone is 478 KiB) and evict
+// the sets analyses are sweeping, so the analysis family alone fills the
+// cache.
+func (s *Server) cachedProfile(ctx context.Context, id analysis.ID) (*core.NoiseProfile, error) {
+	if prof, ok := s.sets.peek(id.MeasurementKey()); ok {
+		return prof, nil
+	}
+	s.collections.Inc()
+	return id.Profile(ctx)
+}
+
 // admitSync is admission control for synchronous computations: a
 // non-blocking semaphore acquire. At the bound the request is rejected
 // immediately with an overloadError (429) rather than queued — overload
@@ -339,10 +354,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // validateEndpoint describes /v1/events/validate: the canonical event-trust
 // envelope for a platform, byte-identical to `validate -platform <p> -json`,
-// keyed by the request's own key under the endpoint's prefix. Requests
-// carrying a fault spec degrade exactly like the CLI — lost benchmarks and
-// dropped events are listed in the report, and only a validation losing
-// every benchmark fails (as 503, never 500).
+// keyed by the request's own key under the endpoint's prefix. Each
+// benchmark's measurements come from cachedProfile. Requests carrying a
+// fault spec degrade exactly like the CLI — lost benchmarks and dropped
+// events are listed in the report, and only a validation losing every
+// benchmark fails (as 503, never 500).
 func (s *Server) validateEndpoint(req validate.Request) (endpoint, error) {
 	key, err := req.KeyIn(s.platforms)
 	if err != nil {
@@ -354,7 +370,7 @@ func (s *Server) validateEndpoint(req validate.Request) (endpoint, error) {
 			if req.Workers == 0 {
 				req.Workers = s.cfg.PipelineWorkers
 			}
-			report, err := validate.RunIn(ctx, s.platforms, req)
+			report, err := validate.RunWith(ctx, s.platforms, req, s.cachedProfile)
 			if err != nil {
 				return nil, err
 			}
@@ -387,7 +403,10 @@ func encodeErr(err error, faults string) error {
 // matrixEndpoint describes /v1/matrix: the cross-architecture
 // composability matrix over the registered platforms, byte-identical to
 // `figures -fig matrix -json` for the same request, keyed by the request's
-// own key under the endpoint's prefix. Requests carrying a fault spec
+// own key under the endpoint's prefix. Each pair's analysis is the one
+// /v1/analyze serves for the benchmark on the platform, read through
+// analyze (the analysis cache, then the set cache), so only the cells are
+// rendered at the request's threshold. Requests carrying a fault spec
 // degrade like the CLI — pairs losing their collection are listed in the
 // report — and only a matrix losing every pair fails (as 503, never 500).
 func (s *Server) matrixEndpoint(req matrix.Request) (endpoint, error) {
@@ -401,7 +420,9 @@ func (s *Server) matrixEndpoint(req matrix.Request) (endpoint, error) {
 			if req.Workers == 0 {
 				req.Workers = s.cfg.PipelineWorkers
 			}
-			report, err := matrix.Run(ctx, s.platforms, req)
+			report, err := matrix.RunWith(ctx, s.platforms, req, func(ctx context.Context, r analysis.Request) (*analysis.Analysis, error) {
+				return s.analyze(ctx, r)
+			})
 			if err != nil {
 				return nil, err
 			}

@@ -106,6 +106,23 @@ func TestAnalyzeMalformedJSON(t *testing.T) {
 	decodeEnvelope(t, postJSON(t, h, "/v1/analyze", `{}`), http.StatusBadRequest)
 }
 
+// TestAnalyzeRoundTolChecked: a negative round_tol is a 400 naming the
+// field, not a 200 cached under a key of its own; an omitted one decodes
+// to 0 and analyzes.
+func TestAnalyzeRoundTolChecked(t *testing.T) {
+	h := newTestServer(t, Config{}).Handler()
+	w := postJSON(t, h, "/v1/analyze", `{"benchmark":"branch","config":{"tau":1e-10,"alpha":5e-4,"projection_tol":1e-2,"round_tol":-1}}`)
+	if msg := decodeEnvelope(t, w, http.StatusBadRequest); !strings.Contains(msg, "round_tol") {
+		t.Fatalf("message = %q, want it to name round_tol", msg)
+	}
+	if got := w.Header().Get("X-Eventlens-Cache"); got != "" {
+		t.Fatalf("rejected request answered from the %q rung", got)
+	}
+	if w := postJSON(t, h, "/v1/analyze", `{"benchmark":"branch","config":{"tau":1e-10,"alpha":5e-4,"projection_tol":1e-2}}`); w.Code != http.StatusOK {
+		t.Fatalf("omitted round_tol: %d %s", w.Code, w.Body)
+	}
+}
+
 // TestAnalyzeRunBounds: reps and threads past the collection caps are a 400
 // that names the bound. Unbounded, the first body overflows
 // reps × threads × groups and panics mid-collection, which drops the

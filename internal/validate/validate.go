@@ -41,11 +41,13 @@ import (
 	"math"
 	"strings"
 
+	"github.com/perfmetrics/eventlens/internal/analysis"
 	"github.com/perfmetrics/eventlens/internal/cat"
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/fault"
 	"github.com/perfmetrics/eventlens/internal/machine"
 	"github.com/perfmetrics/eventlens/internal/mat"
+	"github.com/perfmetrics/eventlens/internal/platdef"
 	"github.com/perfmetrics/eventlens/internal/suite"
 )
 
@@ -136,10 +138,11 @@ type Request struct {
 	Tolerances *Tolerances `json:"tolerances,omitempty"`
 }
 
-// resolved is a validated request: canonical platform, registry-ordered
-// benchmarks, effective tolerances.
+// resolved is a validated request: canonical platform and its definition,
+// registry-ordered benchmarks, effective tolerances.
 type resolved struct {
 	platform string
+	def      *platdef.Platform
 	benches  []suite.Benchmark
 	tol      Tolerances
 	workers  int
@@ -196,7 +199,7 @@ func (r Request) resolve(reg *machine.Registry) (resolved, error) {
 	if len(benches) == 0 {
 		return resolved{}, fmt.Errorf("validate: no benchmarks selected for platform %s", platform)
 	}
-	return resolved{platform: platform, benches: benches, tol: tol, workers: r.Workers, faults: r.Faults}, nil
+	return resolved{platform: platform, def: def, benches: benches, tol: tol, workers: r.Workers, faults: r.Faults}, nil
 }
 
 // Key is KeyIn over the built-in platforms. It exists only for cmd/loadgen
@@ -291,12 +294,27 @@ func Run(ctx context.Context, req Request) (*Report, error) {
 	return RunIn(ctx, reg, req)
 }
 
-// RunIn executes the validation on a registry's platform: computes each
-// selected benchmark's ground truth once and measures every event over it,
-// reduces measured and documented counts to per-event vectors over the
-// benchmark points, and classifies every catalog event. The report is a
-// pure function of the request's KeyIn — worker counts never change a byte.
+// RunIn executes the validation on a registry's platform, collecting and
+// profiling each selected benchmark's measurement set itself (RunWith with
+// analysis.ID.Profile). The report is a pure function of the request's
+// KeyIn — worker counts never change a byte.
 func RunIn(ctx context.Context, reg *machine.Registry, req Request) (*Report, error) {
+	return RunWith(ctx, reg, req, func(ctx context.Context, id analysis.ID) (*core.NoiseProfile, error) {
+		return id.Profile(ctx)
+	})
+}
+
+// RunWith executes the validation on a registry's platform. Each selected
+// benchmark is the analysis of its default run on the platform, so its
+// measurements are that analysis's noise profile, taken from profile: each
+// event's worst max-RNMSE and its mean vector over the benchmark points.
+// Any source of profiles serves — a fresh collection, or a cache keyed by
+// analysis.ID.MeasurementKey — since equal keys mean equal profiles.
+// The documented counts come from the benchmark driver's ground truth,
+// computed once per benchmark and handed to profile in id's driver, and
+// are reduced across threads like the measurements. Every catalog event
+// is then classified.
+func RunWith(ctx context.Context, reg *machine.Registry, req Request, profile func(context.Context, analysis.ID) (*core.NoiseProfile, error)) (*Report, error) {
 	res, err := req.resolve(reg)
 	if err != nil {
 		return nil, err
@@ -307,89 +325,95 @@ func RunIn(ctx context.Context, reg *machine.Registry, req Request) (*Report, er
 		Tolerances: res.tol,
 		Counts:     make(map[string]int),
 	}
-	var catalog *machine.Catalog
+	events := res.def.Events
+	at := make(map[string]int, len(events)) // catalog index by event name
+	for i, e := range events {
+		at[e.Name] = i
+	}
 	// Per-event accumulated evidence across benchmarks.
 	measured := make(map[string][]float64) // concatenated mean measured counts
 	expected := make(map[string][]float64) // concatenated documented counts
 	noise := make(map[string]float64)      // worst MaxRNMSE on any benchmark
-	covered := make(map[string]bool)       // measured on at least one benchmark
 	for _, b := range res.benches {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p, err := reg.New(res.platform)
+		run := b.DefaultRun
+		run.Workers = res.workers
+		run.Faults = res.faults
+		id, err := analysis.Request{Benchmark: b.Name, Platform: res.platform, Run: &run}.Resolve(reg, res.workers)
 		if err != nil {
 			return nil, err
 		}
-		if catalog == nil {
-			catalog = p.Catalog
-		}
-		cfg := b.DefaultRun
-		cfg.Workers = res.workers
-		cfg.Faults = res.faults
-		// One ground-truth pass per benchmark: the events are measured over
-		// exactly the truth their documentation is scored against.
-		perThread, err := b.GroundTruth(cfg)
+		perThread, err := id.Bench.GroundTruth(id.Run)
 		if err != nil {
 			return nil, err
 		}
-		set, err := cat.Measure(b.Name, p, b.PointNames(), perThread, cfg)
+		id.Bench.Driver = knownTruth{id.Bench.Driver, perThread}
+		prof, err := profile(ctx, id)
 		if err != nil {
 			// Under fault injection a benchmark whose collection cannot
 			// complete — a hard fault, or every event dropped — degrades
 			// into the report instead of failing the whole validation.
-			// Without injection there is nothing to degrade gracefully from.
-			if res.faults != "" {
+			// Without injection there is nothing to degrade gracefully from,
+			// and an ended context is no fault: a report degraded by it
+			// would be cached as the request's answer.
+			if res.faults != "" && ctx.Err() == nil {
 				report.Degraded = append(report.Degraded, DegradedBenchmark{Benchmark: b.Name, Error: err.Error()})
 				continue
 			}
 			return nil, err
 		}
 		report.Benchmarks = append(report.Benchmarks, b.Name)
-		report.Points += len(set.PointNames)
-		nPoints := len(set.PointNames)
-		for _, name := range set.Order {
-			reps := set.RepVectors(name)
-			if v := core.MaxRNMSE(reps); v > noise[name] {
+		report.Points += len(prof.PointNames)
+		for i, name := range prof.Order {
+			v, mean := prof.Reduction(i)
+			if v > noise[name] {
 				noise[name] = v
 			}
-			measured[name] = append(measured[name], core.MeanVector(reps)...)
-			covered[name] = true
-		}
-		// Documented expectations for every catalog event — including ones
-		// dropped from this set — reduced across threads exactly like the
-		// measurements (per-point median).
-		for _, def := range p.Catalog.Events() {
-			if _, present := set.Events[def.Name]; !present {
-				continue
-			}
+			measured[name] = append(measured[name], mean...)
+			// The documented counts over the truth the event was measured
+			// on, reduced across threads exactly like the measurements
+			// (per-point median).
+			def := &events[at[name]]
 			docVecs := make([][]float64, len(perThread))
 			for t, stats := range perThread {
-				vec := make([]float64, nPoints)
+				vec := make([]float64, len(prof.PointNames))
 				for pi := range vec {
 					vec[pi], _ = def.DocExpectation(stats[pi])
 				}
 				docVecs[t] = vec
 			}
-			expected[def.Name] = append(expected[def.Name], core.MedianOverThreads(docVecs)...)
+			expected[name] = append(expected[name], core.MedianOverThreads(docVecs)...)
 		}
 	}
 	if len(report.Benchmarks) == 0 {
 		return nil, fmt.Errorf("%w (%d lost)", ErrAllDegraded, len(report.Degraded))
 	}
-	for _, def := range catalog.Events() {
+	for _, def := range events {
 		name := def.Name
-		if !covered[name] {
+		m, ok := measured[name]
+		if !ok {
 			report.Dropped = append(report.Dropped, name)
 			continue
 		}
-		trust := classify(res.tol, def.Documented, noise[name], measured[name], expected[name])
+		trust := classify(res.tol, def.Documented, noise[name], m, expected[name])
 		trust.Event = name
 		report.Counts[trust.Verdict]++
 		report.Events = append(report.Events, trust)
 	}
 	return report, nil
 }
+
+// knownTruth is a driver whose ground truth is already computed: a
+// validation that has to collect a set measures the very truth its
+// documented counts read, so the kernels run once per benchmark.
+type knownTruth struct {
+	cat.Driver
+	truth [][]machine.Stats
+}
+
+func (d knownTruth) GroundTruth(cat.RunConfig) ([][]machine.Stats, error) { return d.truth, nil }
 
 // classify walks the trust decision tree for one event.
 func classify(tol Tolerances, documented bool, noiseLevel float64, m, d []float64) EventTrust {

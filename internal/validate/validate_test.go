@@ -3,9 +3,12 @@ package validate
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
+	"github.com/perfmetrics/eventlens/internal/analysis"
+	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/machine"
 )
 
@@ -178,6 +181,27 @@ func TestDegradedUnderFaults(t *testing.T) {
 	// Injection sinking every benchmark is an error, not an empty report.
 	if _, err := RunIn(context.Background(), builtins(t), Request{Platform: "spr", Faults: "seed=3,transient=1.0,retries=0"}); err == nil {
 		t.Errorf("total fault injection should fail once every benchmark is lost")
+	}
+}
+
+// TestEndedContextNeverDegrades: under fault injection a benchmark whose
+// profile fails degrades into the report, but one that fails because the
+// context ended fails the validation, even on the last benchmark, where no
+// later check would catch it: a degraded report would be cached as the
+// request's answer.
+func TestEndedContextNeverDegrades(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	profile := func(ctx context.Context, id analysis.ID) (*core.NoiseProfile, error) {
+		if id.Bench.Name == "dcache" {
+			cancel()
+			return nil, ctx.Err()
+		}
+		return id.Profile(ctx)
+	}
+	r, err := RunWith(ctx, builtins(t), Request{Platform: "spr", Faults: "seed=3,transient=0.1,retries=0"}, profile)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("report %+v, err %v; want context.Canceled", r, err)
 	}
 }
 
