@@ -143,10 +143,12 @@ bench:
 # re-run the DCache collection and the two validation benchmarks and fail if
 # any ns/op exceeds 2x its committed BENCH_7.json baseline, or its B/op or
 # allocs/op exceed it by more than 10% (they repeat within 1% across runs
-# and -cpu 1,2,4). -benchtime=2x smooths one-shot jitter without making CI
-# slow.
+# at one -cpu). The DCache engine holds one pair of stream buffers per
+# worker, so its B/op grows with GOMAXPROCS: the guard runs at -cpu 2, the
+# worker count the baseline rows were recorded at, on any runner.
+# -benchtime=2x smooths one-shot jitter without making CI slow.
 bench-guard:
-	$(GO) test -run '^$$' -bench 'Benchmark(CollectDCache|ValidateSPR|ValidateMI250X)$$' -benchtime=2x -count=1 . | tee bench.out
+	$(GO) test -run '^$$' -bench 'Benchmark(CollectDCache|ValidateSPR|ValidateMI250X)$$' -benchtime=2x -count=1 -cpu 2 . | tee bench.out
 	$(GO) run ./cmd/benchjson -guard BENCH_7.json < bench.out
 	$(GO) run ./cmd/benchjson -guard BENCH_7.json -guard-name BenchmarkValidateSPR < bench.out
 	$(GO) run ./cmd/benchjson -guard BENCH_7.json -guard-name BenchmarkValidateMI250X < bench.out

@@ -16,7 +16,10 @@
 // tests compare it with the references access by access.
 package cachesim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LevelConfig describes one cache level.
 type LevelConfig struct {
@@ -121,33 +124,42 @@ type Hierarchy struct {
 // NewHierarchy builds a hierarchy from level configs ordered L1 first.
 // All levels must share one line size that is a power of two.
 func NewHierarchy(cfgs []LevelConfig) (*Hierarchy, error) {
-	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("cachesim: no levels")
-	}
-	line := cfgs[0].LineSize
-	if line&(line-1) != 0 || line == 0 {
-		return nil, fmt.Errorf("cachesim: line size %d not a power of two", line)
-	}
-	shift := uint(0)
-	for 1<<shift != line {
-		shift++
+	shift, err := checkLevels(cfgs)
+	if err != nil {
+		return nil, err
 	}
 	h := &Hierarchy{lineShift: shift}
-	prevLines := 0
 	for _, cfg := range cfgs {
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		if cfg.LineSize != line {
-			return nil, fmt.Errorf("cachesim: mixed line sizes %d and %d", line, cfg.LineSize)
-		}
-		if cfg.Lines() < prevLines {
-			return nil, fmt.Errorf("cachesim: level %q smaller than the level above it", cfg.Name)
-		}
-		prevLines = cfg.Lines()
 		h.levels = append(h.levels, newLevel(cfg))
 	}
 	return h, nil
+}
+
+// checkLevels applies NewHierarchy's rules without building anything and
+// returns the line shift, so RunSweepTasks rejects exactly what the
+// reference rejects, with the same error.
+func checkLevels(cfgs []LevelConfig) (uint, error) {
+	if len(cfgs) == 0 {
+		return 0, fmt.Errorf("cachesim: no levels")
+	}
+	line := cfgs[0].LineSize
+	if line&(line-1) != 0 || line == 0 {
+		return 0, fmt.Errorf("cachesim: line size %d not a power of two", line)
+	}
+	prevLines := 0
+	for _, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return 0, err
+		}
+		if cfg.LineSize != line {
+			return 0, fmt.Errorf("cachesim: mixed line sizes %d and %d", line, cfg.LineSize)
+		}
+		if cfg.Lines() < prevLines {
+			return 0, fmt.Errorf("cachesim: level %q smaller than the level above it", cfg.Name)
+		}
+		prevLines = cfg.Lines()
+	}
+	return uint(bits.TrailingZeros(uint(line))), nil
 }
 
 // Access performs one demand load of addr. It returns the 0-based index of

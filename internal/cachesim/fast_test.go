@@ -342,38 +342,88 @@ func TestRunSweepTasksMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRunSweepTasksForcedSharding drops the sharding threshold so even the
-// tiny sweeps split into residue-class chunks, then re-proves equality — the
-// serial-vs-chunked traversal check at cachesim level. At 1 every residue
-// group is its own execution unit; at 16 units are runs of several groups.
-func TestRunSweepTasksForcedSharding(t *testing.T) {
-	defer func(old int) { planShardMin = old }(planShardMin)
-	tlbs := []TLBConfig{
-		{Name: "DTLB", Entries: 8, Ways: 2, PageBits: 8},
-		{Name: "STLB", Entries: 32, Ways: 4, PageBits: 8},
-	}
-	points := BuildSweep(tinyConfig(), []int{64, 128})
+// TestRunSweepTasksOrderAndWorkers runs the tiny sweep — at strides below,
+// at and above the line, with and without a TLB model — at 1, 2, 3 and 8
+// workers with its tasks in order, reversed and shuffled. Each worker count
+// starts from an empty memo, and every result must equal RunSweepPointTLB's
+// for its own task: neither the hand-out order (largest first, ties in task
+// order) nor which worker's scratch a chase lands on may change a count.
+func TestRunSweepTasksOrderAndWorkers(t *testing.T) {
 	var tasks []SweepTask
-	for i, p := range points {
+	for i, p := range BuildSweep(tinyConfig(), []int{32, 64, 128}) {
 		tasks = append(tasks, SweepTask{Point: p, Seed: int64(i) - 3})
 	}
-	for _, shardMin := range []int{1, 16} {
-		planShardMin = shardMin
-		for _, workers := range []int{1, 3} {
-			got := coldRun(t, tinyConfig(), tlbs, tasks, 2, workers)
-			for i, task := range tasks {
-				want, err := RunSweepPointTLB(tinyConfig(), tlbs, task.Point, task.Seed, 2)
-				if err != nil {
-					t.Fatal(err)
+	reversed := slices.Clone(tasks)
+	slices.Reverse(reversed)
+	shuffled := slices.Clone(tasks)
+	rand.New(rand.NewSource(4)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for _, tlbs := range [][]TLBConfig{nil, tinyTLBs()} {
+		want := map[SweepTask]*ChaseResult{}
+		for _, task := range tasks {
+			r, err := RunSweepPointTLB(tinyConfig(), tlbs, task.Point, task.Seed, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[task] = r
+		}
+		for oi, order := range [][]SweepTask{tasks, reversed, shuffled} {
+			for _, workers := range []int{1, 2, 3, 8} {
+				got := coldRun(t, tinyConfig(), tlbs, order, 2, workers)
+				for i, task := range order {
+					sameResult(t, fmt.Sprintf("order %d workers %d tlb %v/%s", oi, workers, tlbs != nil, task.Point.Name()), got[i], want[task])
 				}
-				sameResult(t, fmt.Sprintf("sharded@%d/%s", shardMin, task.Point.Name()), got[i], want)
 			}
 		}
 	}
 }
 
+// TestRunSweepTasksRejectsWhatReferenceRejects runs a table of invalid cache
+// and TLB geometries: RunSweepTasks, which builds neither reference, must
+// fail with exactly the error text the reference constructors give.
+func TestRunSweepTasksRejectsWhatReferenceRejects(t *testing.T) {
+	tasks := []SweepTask{{Point: SweepPoint{Region: RegionL1, StrideBytes: 64, Elements: 8}, Seed: 1}}
+	l1 := LevelConfig{Name: "L1", Size: 1 << 10, Ways: 2, LineSize: 64}
+	for _, tc := range []struct {
+		name string
+		cfgs []LevelConfig
+	}{
+		{"no levels", nil},
+		{"line not a power of two", []LevelConfig{{Name: "L1", Size: 96 * 4, Ways: 4, LineSize: 96}}},
+		{"zero line", []LevelConfig{{Name: "L1", Size: 1 << 10, Ways: 2}}},
+		{"negative line", []LevelConfig{{Name: "L1", Size: 1 << 10, Ways: 2, LineSize: -64}}},
+		{"non-positive size", []LevelConfig{{Name: "L1", Size: -64, Ways: 2, LineSize: 64}}},
+		{"zero ways", []LevelConfig{l1, {Name: "L2", Size: 1 << 12, LineSize: 64}}},
+		{"size not divisible", []LevelConfig{{Name: "L1", Size: 1000, Ways: 4, LineSize: 64}}},
+		{"mixed line sizes", []LevelConfig{l1, {Name: "L2", Size: 1 << 12, Ways: 4, LineSize: 128}}},
+		{"smaller than above", []LevelConfig{l1, {Name: "L2", Size: 1 << 9, Ways: 2, LineSize: 64}}},
+	} {
+		_, want := NewHierarchy(tc.cfgs)
+		_, got := RunSweepTasks(tc.cfgs, nil, tasks, 1, 1)
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Errorf("%s: RunSweepTasks error %v, NewHierarchy error %v", tc.name, got, want)
+		}
+	}
+	dtlb := TLBConfig{Name: "DTLB", Entries: 8, Ways: 2, PageBits: 12}
+	for _, tc := range []struct {
+		name string
+		cfgs []TLBConfig
+	}{
+		{"zero entries", []TLBConfig{{Name: "DTLB", Ways: 2, PageBits: 12}}},
+		{"zero page bits", []TLBConfig{{Name: "DTLB", Entries: 8, Ways: 2}}},
+		{"entries not divisible", []TLBConfig{dtlb, {Name: "STLB", Entries: 30, Ways: 4, PageBits: 12}}},
+		{"mixed page sizes", []TLBConfig{dtlb, {Name: "STLB", Entries: 32, Ways: 4, PageBits: 13}}},
+		{"smaller than above", []TLBConfig{dtlb, {Name: "STLB", Entries: 4, Ways: 2, PageBits: 12}}},
+	} {
+		_, want := NewTLBHierarchy(tc.cfgs)
+		_, got := RunSweepTasks(tinyConfig(), tc.cfgs, tasks, 1, 1)
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Errorf("%s: RunSweepTasks error %v, NewTLBHierarchy error %v", tc.name, got, want)
+		}
+	}
+}
+
 // TestRunSweepTasksSPRMemPoint proves the fully-arithmetic cache side and
-// the sharded TLB side on real SPR-like geometry, including a Mem-region
+// the tail-warmed TLB side on real SPR-like geometry, including a Mem-region
 // point whose cache hierarchy is provably all-miss.
 func TestRunSweepTasksSPRMemPoint(t *testing.T) {
 	levels, tlbs := SPRLikeConfig(), SPRLikeTLBConfig()

@@ -3,22 +3,24 @@ package cachesim
 import (
 	"cmp"
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"github.com/perfmetrics/eventlens/internal/par"
 )
 
 // fastrun.go executes many sweep points through the move-to-front engine
-// (mtf.go), which replays both the cache and the TLB side. The whole (task ×
-// component × residue-class) space flattens into independent execution
-// units that fan out through par.ForErr under the caller's worker budget —
-// one giant Mem-region chase no longer serializes a collection, because its
-// cache side is arithmetic (plan.go analyses 1 and 4) and its TLB side
-// splits into set-residue chunks (analysis 2) that warm on a proven tail
-// (analysis 5). Every unit writes only its own slot of a pre-sized counter
-// slice, and reduction sums uint64 counters in fixed order, so results are
-// bit-identical to the reference simulator for any worker count — the
+// (mtf.go), which replays both the cache and the TLB side. Every chase a
+// call claims is one par.ForErr task under the caller's worker budget,
+// handed out largest first so that the longest chases never start last.
+// A task plans its chase (plan.go), scatters its key streams into its
+// worker's scratch, warms the engine — on the stream's proven tail when
+// analysis 4 proves one — replays the measured passes and settles the
+// chase's memo entry. Its cache side is arithmetic on every shipped point
+// (analyses 1 and 3); a test geometry or a sub-line stride replays it in the
+// same task. One engine replays a chase's whole stream, and skipped levels
+// follow the plan's arithmetic, so results are bit-identical to the
+// reference simulator for any worker count and any hand-out order — the
 // equivalence property tests in fast_test.go and the repo-level determinism
 // suite both prove it.
 
@@ -29,25 +31,10 @@ type SweepTask struct {
 	Seed  int64
 }
 
-// unitCounts carries one execution unit's counters out of the worker pool.
-type unitCounts struct {
-	hits, misses []uint64
-	bottom       uint64
-	accesses     uint64
-}
-
-// execUnit names one replayable chunk of a task's cache or TLB component:
-// the residue groups [g0, g1) of its plan, whose keys are contiguous.
-type execUnit struct {
-	task   int
-	g0, g1 int32
-	tlb    bool
-}
-
 // engineRuns counts the chases the engine ran (memo misses); allHitRuns
-// counts those whose cache side analysis 4 settled, and tailWarmups the
-// residue groups that warmed on a proven tail (analysis 5). Tests read them
-// so that a silent fallback to simulation fails.
+// counts those whose cache side analysis 3 settled, and tailWarmups the
+// streams that warmed on a proven tail (analysis 4). Tests read them so
+// that a silent fallback to simulation fails.
 var engineRuns, allHitRuns, tailWarmups atomic.Int64
 
 // RunSweepTasks runs every task — warmup traversal, counter reset, passes
@@ -56,14 +43,14 @@ var engineRuns, allHitRuns, tailWarmups atomic.Int64
 // memoized per chase (plan.go), and callers get copies. workers follows the
 // par convention (0 = GOMAXPROCS, 1 = serial).
 func RunSweepTasks(cfgs []LevelConfig, tlbCfgs []TLBConfig, tasks []SweepTask, passes, workers int) ([]*ChaseResult, error) {
-	// Validate geometry once through the reference constructors so the fast
-	// path rejects exactly what the reference path rejects.
-	h, err := NewHierarchy(cfgs)
+	// The reference constructors' rules, without building either reference,
+	// so the fast path rejects exactly what the reference path rejects.
+	lineShift, err := checkLevels(cfgs)
 	if err != nil {
 		return nil, err
 	}
 	if len(tlbCfgs) > 0 {
-		if _, err := NewTLBHierarchy(tlbCfgs); err != nil {
+		if err := checkTLBs(tlbCfgs); err != nil {
 			return nil, err
 		}
 	}
@@ -83,7 +70,7 @@ func RunSweepTasks(cfgs []LevelConfig, tlbCfgs []TLBConfig, tasks []SweepTask, p
 			claimed = append(claimed, entries[i])
 		}
 	}
-	runChases(cfgs, tlbCfgs, h.lineShift, claimed, passes, workers)
+	runChases(cfgs, tlbCfgs, lineShift, claimed, passes, workers)
 	results := make([]*ChaseResult, len(tasks))
 	for i, e := range entries {
 		if results[i], err = e.result(); err != nil {
@@ -93,156 +80,129 @@ func RunSweepTasks(cfgs []LevelConfig, tlbCfgs []TLBConfig, tasks []SweepTask, p
 	return results, nil
 }
 
-// runChases runs claimed chases through the planned engine and settles each
-// entry with its result or error. Plans live only for this call.
+// chaseWorker is one worker's scratch: the traversal's two buffers, sized to
+// the call's longest stream, and its engines, built on first use and reset
+// by every chase. A call makes one per worker before its fan-out, so what it
+// allocates for streams is workers × 8 bytes × the longest chase, whatever
+// the number of chases, and none of it outlives the call.
+type chaseWorker struct {
+	keys, work []uint32
+	tlb        *mtfSim
+	cache      []*mtfSim // by first simulated level
+}
+
+// runChases runs claimed chases, one task each, largest first, and settles
+// each entry with its result or error.
 func runChases(cfgs []LevelConfig, tlbCfgs []TLBConfig, lineShift uint, claimed []*memoEntry, passes, workers int) {
 	engineRuns.Add(int64(len(claimed)))
-	// Phase 1: build every chase's plan concurrently. A failed plan fails
-	// only its chase; a panic, contained by par, fails every chase.
-	plans := make([]*chasePlan, len(claimed))
+	slices.SortStableFunc(claimed, func(a, b *memoEntry) int { return cmp.Compare(b.cfg.Elements, a.cfg.Elements) })
+	// Plans first: a chase they reject sizes no scratch.
+	plans := make([]chasePlan, len(claimed))
 	errs := make([]error, len(claimed))
-	failed := par.ForErr(workers, len(claimed), func(ti int) error {
-		plans[ti], errs[ti] = buildPlan(cfgs, tlbCfgs, claimed[ti].cfg, lineShift)
-		return nil
-	})
-
-	// Phase 2: enumerate units deterministically and replay them under the
-	// worker budget. Engines recycle through pools, one per cache tail and
-	// one for the TLB, all of the move-to-front engine (mtf.go); a reset
-	// clears an engine's tags, a few hundred for the TLB.
-	var units []execUnit
-	for ti, p := range plans {
-		if p != nil {
-			units = appendUnits(units, ti, p.cacheStarts, false)
-			units = appendUnits(units, ti, p.tlbStarts, true)
+	longest := 0
+	for i, e := range claimed {
+		plans[i], errs[i] = planChase(cfgs, tlbCfgs, e.cfg, lineShift)
+		if errs[i] == nil && plans[i].replays() {
+			longest = max(longest, e.cfg.Elements)
 		}
 	}
-	counts := make([]unitCounts, len(units))
-	cachePools := make([]sync.Pool, len(cfgs))
-	for f := range cachePools {
-		tail := cfgs[f:]
-		cachePools[f].New = func() any { return newMTFCacheSim(tail) }
+	// No more tasks run at once than par starts workers, so a task always
+	// finds a free scratch.
+	free := make(chan *chaseWorker, min(par.Workers(workers), len(claimed)))
+	for range cap(free) {
+		free <- &chaseWorker{keys: make([]uint32, longest), work: make([]uint32, longest), cache: make([]*mtfSim, len(cfgs))}
 	}
-	var tlbPool sync.Pool
-	tlbPool.New = func() any { return newMTFSim(tlbCfgs) }
-	err := par.ForErr(workers, len(units), func(ui int) error {
-		u := units[ui]
-		p := plans[u.task]
-		keys, starts, pool := p.tlbKeys, p.tlbStarts, &tlbPool
-		if !u.tlb {
-			keys, starts, pool = p.cacheKeys, p.cacheStarts, &cachePools[p.firstSim]
+	settled := make([]bool, len(claimed))
+	failed := par.ForErr(workers, len(claimed), func(i int) error {
+		var res *ChaseResult
+		if errs[i] == nil {
+			w := <-free
+			defer func() { free <- w }()
+			res = w.run(cfgs, tlbCfgs, lineShift, &plans[i], passes)
 		}
-		groups := starts[u.g0 : u.g1+1]
-		keys = keys[groups[0]:groups[len(groups)-1]]
-		sim := pool.Get().(*mtfSim)
-		defer pool.Put(sim)
-		sim.resetState()
-		if !sim.warmTails(keys, groups, tailWarmKeys, len(starts)-1) {
-			sim.replay(keys)
-		}
-		sim.resetCounters()
-		for pass := 0; pass < passes; pass++ {
-			sim.replay(keys)
-		}
-		counts[ui] = sim.counts()
+		claimed[i].settle(res, errs[i])
+		settled[i] = true
 		return nil
 	})
-	failed = cmp.Or(failed, err)
-
-	// Phase 3: reduce per chase in fixed order. Counter totals are exact
-	// uint64 sums over disjoint residue classes, and skipped levels follow
-	// the all-miss arithmetic, so the float divisions below see the same
-	// integer operands the reference produced.
-	unitIdx := 0
-	for ti, p := range plans {
-		if err := cmp.Or(errs[ti], failed); err != nil {
-			claimed[ti].settle(nil, err)
-			continue
+	// A panic, contained by par, fails the chase that raised it.
+	for i, e := range claimed {
+		if !settled[i] {
+			e.settle(nil, failed)
 		}
-		nl := len(cfgs)
-		hits := make([]uint64, nl)
-		misses := make([]uint64, nl)
-		var mem, cacheAcc uint64
-		tlbMisses := make([]uint64, len(tlbCfgs))
-		var walks, tlbAcc uint64
-		for ; unitIdx < len(units) && units[unitIdx].task == ti; unitIdx++ {
-			c := &counts[unitIdx]
-			if units[unitIdx].tlb {
-				for li := range tlbMisses {
-					tlbMisses[li] += c.misses[li]
-				}
-				walks += c.bottom
-				tlbAcc += c.accesses
-			} else {
-				for li := range c.hits {
-					hits[p.firstSim+li] += c.hits[li]
-					misses[p.firstSim+li] += c.misses[li]
-				}
-				mem += c.bottom
-				cacheAcc += c.accesses
-			}
-		}
-		n := uint64(p.cfg.Elements) * uint64(passes)
-		for li := 0; li < p.firstSim; li++ {
-			misses[li] = n
-		}
-		switch {
-		case p.firstSim == nl:
-			// Whole cache side is arithmetic: every access misses all levels
-			// and goes to memory.
-			mem, cacheAcc = n, n
-		case p.allHit:
-			// Level firstSim serves every access; nothing reaches below it.
-			hits[p.firstSim], cacheAcc = n, n
-			allHitRuns.Add(1)
-		}
-		if cacheAcc != n || (len(tlbCfgs) > 0 && tlbAcc != n) {
-			claimed[ti].settle(nil, fmt.Errorf("cachesim: internal: sharded access count %d/%d != %d for chase %+v",
-				cacheAcc, tlbAcc, n, p.cfg))
-			continue
-		}
-		res := &ChaseResult{Config: p.cfg, Accesses: n}
-		nf := float64(n)
-		for li := 0; li < nl; li++ {
-			res.HitRate = append(res.HitRate, float64(hits[li])/nf)
-			res.MissRate = append(res.MissRate, float64(misses[li])/nf)
-		}
-		res.MemRate = float64(mem) / nf
-		if len(tlbCfgs) > 0 {
-			for li := range tlbCfgs {
-				res.TLBMissRate = append(res.TLBMissRate, float64(tlbMisses[li])/nf)
-			}
-			res.WalkRate = float64(walks) / nf
-		}
-		claimed[ti].settle(res, nil)
 	}
 }
 
-// counts copies the engine's counters out.
-func (s *mtfSim) counts() unitCounts {
-	c := unitCounts{hits: make([]uint64, len(s.levels)), misses: make([]uint64, len(s.levels)), bottom: s.bottom, accesses: s.accesses}
-	for i := range s.levels {
-		c.hits[i], c.misses[i] = s.levels[i].hits, s.levels[i].misses
+// run executes one planned chase on the worker's scratch and engines.
+// Skipped levels follow the plan's arithmetic, so the float divisions see
+// the same integer operands the reference produced.
+func (w *chaseWorker) run(cfgs []LevelConfig, tlbCfgs []TLBConfig, lineShift uint, p *chasePlan, passes int) *ChaseResult {
+	n := uint64(p.cfg.Elements) * uint64(passes)
+	nf := float64(n)
+	rate := func(count uint64) float64 { return float64(count) / nf }
+	res := &ChaseResult{Config: p.cfg, Accesses: n, HitRate: make([]float64, len(cfgs)), MissRate: make([]float64, len(cfgs))}
+	var pageBits uint
+	if p.tlb {
+		pageBits = tlbCfgs[0].PageBits
 	}
-	return c
+	cacheKeys, tlbKeys := w.streams(p, lineShift, pageBits)
+	for li := range p.firstSim {
+		res.MissRate[li] = rate(n)
+	}
+	switch {
+	case p.cache:
+		if w.cache[p.firstSim] == nil {
+			w.cache[p.firstSim] = newMTFCacheSim(cfgs[p.firstSim:])
+		}
+		sim := w.cache[p.firstSim]
+		sim.measure(cacheKeys, passes)
+		for li := range sim.levels {
+			res.HitRate[p.firstSim+li] = rate(sim.levels[li].hits)
+			res.MissRate[p.firstSim+li] = rate(sim.levels[li].misses)
+		}
+		res.MemRate = rate(sim.bottom)
+	case p.allHit:
+		// Level firstSim serves every access; nothing reaches below it.
+		res.HitRate[p.firstSim] = rate(n)
+		allHitRuns.Add(1)
+	default:
+		// Every access misses every level and goes to memory.
+		res.MemRate = rate(n)
+	}
+	if p.tlb {
+		if w.tlb == nil {
+			w.tlb = newMTFSim(tlbCfgs)
+		}
+		w.tlb.measure(tlbKeys, passes)
+		res.TLBMissRate = make([]float64, len(tlbCfgs))
+		for li := range w.tlb.levels {
+			res.TLBMissRate[li] = rate(w.tlb.levels[li].misses)
+		}
+		res.WalkRate = rate(w.tlb.bottom)
+	}
+	return res
 }
 
-// appendUnits splits one component's residue groups (starts, see chasePlan)
-// into execution units: runs of consecutive groups holding at least
-// planShardMin keys together, so a chase sharded into thousands of tiny
-// groups does not pay a hand-off per group. Groups touch disjoint sets, so
-// replaying several back to back counts exactly what replaying each alone
-// does.
-func appendUnits(units []execUnit, task int, starts []int32, tlb bool) []execUnit {
-	for g := 0; g+1 < len(starts); {
-		end := g + 1
-		for end+1 < len(starts) && int(starts[end]-starts[g]) < planShardMin {
-			end++
-		}
-		if starts[end] > starts[g] {
-			units = append(units, execUnit{task: task, g0: int32(g), g1: int32(end), tlb: tlb})
-		}
-		g = end
+// streams scatters the plan's key streams into the worker's buffers and
+// returns the cache side's line numbers and the TLB side's VPNs, nil for a
+// side that replays nothing (analysis 2).
+func (w *chaseWorker) streams(p *chasePlan, lineShift, pageBits uint) (cache, tlb []uint32) {
+	if !p.replays() {
+		return nil, nil
 	}
-	return units
+	keys, other := w.keys[:p.cfg.Elements], w.work[:p.cfg.Elements]
+	traversal(p.cfg, p.shift, keys, other)
+	switch {
+	case p.cache && p.tlb:
+		d := max(lineShift, pageBits) - p.shift
+		for i, k := range keys {
+			other[i] = k >> d
+		}
+		if lineShift > pageBits {
+			return other, keys
+		}
+		return keys, other
+	case p.cache:
+		return keys, nil
+	}
+	return nil, keys
 }

@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -268,6 +269,36 @@ func TestChaseMemoDoesNotKeepErrors(t *testing.T) {
 	if n := memoLen(); n != 0 {
 		t.Fatalf("memo kept %d entries for failed chases", n)
 	}
+}
+
+// TestRejectedChaseSizesNoScratch runs a chase past the plan limit next to
+// a small one on two workers: the call fails with the plan-limit error, the
+// small chase still settles with the reference result, and the call
+// allocates about what the small chase needs, not scratch sized to the
+// rejected 2³¹ elements.
+func TestRejectedChaseSizesNoScratch(t *testing.T) {
+	resetChaseMemo()
+	small := SweepTask{Point: SweepPoint{Region: RegionL2, StrideBytes: 64, Elements: 40}, Seed: 2}
+	tasks := []SweepTask{{Point: SweepPoint{Region: RegionMem, StrideBytes: 64, Elements: maxPlanElements}, Seed: 1}, small}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := RunSweepTasks(tinyConfig(), tinyTLBs(), tasks, 1, 2)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "plan limit") {
+		t.Fatalf("err = %v, want the plan-limit error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("the call allocated %d bytes", got)
+	}
+	got, runs := runCounted(t, tinyConfig(), tinyTLBs(), []SweepTask{small}, 1, 1)
+	if runs != 0 {
+		t.Fatal("the small chase did not settle in the failed call")
+	}
+	want, err := RunSweepPointTLB(tinyConfig(), tinyTLBs(), small.Point, small.Seed, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "small", got[0], want)
 }
 
 // TestChaseMemoServesCopies mutates every returned result: the next hit must

@@ -33,7 +33,7 @@ type mtfLevel struct {
 	// part began, on an engine that never back-invalidates, so that is
 	// enough.
 	stamps []uint64
-	// marks[s] == the engine's epoch flags set s as one the group under
+	// marks[s] == the engine's epoch flags set s as one the stream under
 	// warmTail maps keys to. Allocated on the engine's first warmTail and
 	// reused by every later one.
 	marks []uint64
@@ -105,7 +105,7 @@ type mtfSim struct {
 	clock    uint64 // advanced by access only
 	bottom   uint64
 	accesses uint64
-	epoch    uint64 // marks equal to it flag the sets of warmTail's current group
+	epoch    uint64 // marks equal to it flag the sets of warmTail's current stream
 	// inclusive marks a cache engine: the simulated policy, not a setting.
 	// A tag the last level drops leaves every level above it.
 	inclusive bool
@@ -284,27 +284,32 @@ func (s *mtfSim) replay48(keys []uint32) {
 	s.accesses += n
 }
 
-// tailWarmKeys is the tail length warmTail replays of a residue group
-// (plan.go analysis 5). Every Mem-region TLB group of the shipped sweep
-// passes the check at this length with room to spare: at seed 1 and four
-// threads, 256-key tails still pass all 256 groups, and 128-key tails fail
-// 9. A failed check costs its unit a full warmup, never a wrong count.
-const tailWarmKeys = 1024
+// tailWarmKeys is the tail length warmTail replays of a stream (plan.go
+// analysis 4), split into one part per level. A shipped stream is provable
+// when its pages fill every STLB set: the Mem-region streams and the
+// 717-page L3-region ones. Over 16 seed bases at four threads, 4,096 keys
+// prove all 256 Mem-region streams (3,072 prove 253, and 2,048 only 104),
+// and the L3-region streams, whose sets hold 11 or 12 pages, need 6,144
+// (4,096 prove 116 of 128); this length leaves a third again on top. A
+// failed check costs its chase a full warmup, never a wrong count.
+const tailWarmKeys = 8192
 
-// warmTail warms the engine for one residue group — keys in traversal
-// order, touching sets no other key replayed since the last reset touches —
-// on only its last tail keys, and reports whether the check of plan.go
-// analysis 5 proved the resulting state equal to a full warmup's. A group
+// warmTail warms the engine, fresh from a reset, for a chase's stream on
+// only its last tail keys, and reports whether the check of plan.go
+// analysis 4 proved the resulting state equal to a full warmup's. A stream
 // of at most tail keys replays in full and needs no proof. On false the
-// group's sets hold a partial state, which warmTails clears. groups is the
-// number of residue groups the group's plan splits the stream into (see
-// markSets). The engine must not be inclusive (see warmTails).
-func (s *mtfSim) warmTail(keys []uint32, tail, groups int) bool {
+// engine is empty again, and the caller warms in full. An inclusive engine
+// refuses at once: analysis 4's induction needs fills that never cascade,
+// and back-invalidation breaks it (TestWarmTailRefusesBackInvalidation).
+func (s *mtfSim) warmTail(keys []uint32, tail int) bool {
+	if s.inclusive {
+		return false
+	}
 	if len(keys) <= tail {
 		s.replay(keys)
 		return true
 	}
-	s.markSets(keys, groups)
+	s.markSets(keys)
 	keys = keys[len(keys)-tail:]
 	nl := len(s.levels)
 	for p := range s.levels {
@@ -313,26 +318,24 @@ func (s *mtfSim) warmTail(keys []uint32, tail, groups int) bool {
 			s.access(k)
 		}
 		if !s.levels[p].settled(s.epoch, since) {
+			s.resetState()
 			return false
 		}
 	}
+	tailWarmups.Add(1)
 	return true
 }
 
-// markSets flags, at every level, the sets that keys — one of groups
-// residue groups — map to. A plan splits its stream into groups residue
-// classes of level 0's set count S_0, or keeps one group, and S_0 divides
-// every lower level's set count S_i when it splits; so one group's keys
-// reach at most S_i/groups sets of level i, and the scan stops once it has
-// flagged that many.
-func (s *mtfSim) markSets(keys []uint32, groups int) {
+// markSets flags, at every level, the sets the stream's keys map to. A
+// level's scan stops once it has flagged every set of the level.
+func (s *mtfSim) markSets(keys []uint32) {
 	s.epoch++
 	for i := range s.levels {
 		l := &s.levels[i]
 		if l.marks == nil {
 			l.marks = make([]uint64, l.nsets)
 		}
-		left := l.nsets / uint64(groups)
+		left := l.nsets
 		for _, k := range keys {
 			if m := &l.marks[l.set(uint64(k))]; *m != s.epoch {
 				*m = s.epoch
@@ -384,29 +387,16 @@ func (s *mtfSim) resetState() {
 	s.resetCounters()
 }
 
-// warmTails warms the engine, fresh from a reset, for a unit's keys, whose
-// residue groups starts bounds (offsets into the plan; keys begins at
-// starts[0]), each on its proven tail of tail keys; the plan has groups
-// residue groups in all. It reports false, with the engine empty again,
-// when it cannot; the caller then warms in full. An inclusive engine
-// refuses at once: analysis 5's induction needs fills that never cascade,
-// and back-invalidation breaks it (TestWarmTailRefusesBackInvalidation). A
-// TLB engine fails when any group fails its proof.
-func (s *mtfSim) warmTails(keys []uint32, starts []int32, tail, groups int) bool {
-	if s.inclusive {
-		return false
+// measure runs a chase's stream on the engine: a warmup traversal — on the
+// stream's proven tail when warmTail proves one — then passes measured
+// traversals, whose counts it leaves in the counters.
+func (s *mtfSim) measure(keys []uint32, passes int) {
+	s.resetState()
+	if !s.warmTail(keys, tailWarmKeys) {
+		s.replay(keys)
 	}
-	proven := int64(0)
-	for g := 0; g+1 < len(starts); g++ {
-		group := keys[starts[g]-starts[0] : starts[g+1]-starts[0]]
-		if !s.warmTail(group, tail, groups) {
-			s.resetState()
-			return false
-		}
-		if len(group) > tail {
-			proven++
-		}
+	s.resetCounters()
+	for range passes {
+		s.replay(keys)
 	}
-	tailWarmups.Add(proven)
-	return true
 }

@@ -2,55 +2,48 @@ package cachesim
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
-// walkOrder is the reference traversal: Sattolo's swaps (buildPerm, the
-// permutation BuildChain walks) and the walk from element 0.
-func walkOrder(t testing.TB, n int, seed int64) []uint32 {
+// checkTraversal fails unless traversal's keys are the walk's addresses
+// (BuildChain: Sattolo's swaps and the walk from element 0) shifted right by
+// shift.
+func checkTraversal(t testing.TB, cfg ChaseConfig, shift uint) {
 	t.Helper()
-	next, err := buildPerm(ChaseConfig{Elements: n, StrideBytes: 64, Seed: seed})
+	chain, err := BuildChain(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := make([]uint32, n)
-	cur := int32(0)
-	for i := range order {
-		order[i] = uint32(cur)
-		cur = next[cur]
-	}
-	return order
-}
-
-// checkTraversal fails unless traversal's order equals the walk's.
-func checkTraversal(t testing.TB, n int, seed int64) {
-	t.Helper()
-	got := make([]uint32, n)
-	traversal(seed, got, make([]uint32, n))
-	if want := walkOrder(t, n, seed); !reflect.DeepEqual(got, want) {
-		i := 0
-		for got[i] == want[i] {
-			i++
+	got := make([]uint32, cfg.Elements)
+	traversal(cfg, shift, got, make([]uint32, cfg.Elements))
+	for i, addr := range chain {
+		if want := uint32(addr >> shift); got[i] != want {
+			t.Fatalf("%+v shift %d: traversal differs from the walk first at position %d: key %d, walk %d", cfg, shift, i, got[i], want)
 		}
-		t.Fatalf("n=%d seed=%d: traversal differs from the walk first at position %d: %d, walk %d", n, seed, i, got[i], want[i])
 	}
 }
 
-// TestTraversalMatchesWalk pins analysis 3's identity: the order read off
-// Sattolo's insertion tree is the walk of the cycle, for every n in 2–600 at
-// several seeds, and for every chase of the shipped sweep at four threads
-// with the chain seeds cat.DCache uses.
+// TestTraversalMatchesWalk pins analysis 2's identity: the keys scattered
+// off Sattolo's insertion tree are the walk of the cycle's, as element
+// indices for every n in 2–600 at several seeds, as keys at strides below,
+// at and above the key size from unaligned bases, and as the VPNs of every
+// chase of the shipped sweep at four threads with the chain seeds cat.DCache
+// uses.
 func TestTraversalMatchesWalk(t *testing.T) {
 	for n := 2; n <= 600; n++ {
 		for _, seed := range []int64{1, -3, 7919, 1 << 40} {
-			checkTraversal(t, n, seed)
+			checkTraversal(t, ChaseConfig{Elements: n, StrideBytes: 1, Seed: seed}, 0)
+		}
+	}
+	for _, stride := range []int{24, 64, 100, 4096, 5000} {
+		for _, base := range []uint64{0, 4096 + 192, 1<<20 + 7} {
+			checkTraversal(t, ChaseConfig{Elements: 3001, StrideBytes: stride, Base: base, Seed: 5}, 6)
 		}
 	}
 	chases := 0
 	for thread := int64(0); thread < 4; thread++ {
 		for i, p := range BuildSweep(SPRLikeConfig(), []int{64, 128}) {
-			checkTraversal(t, p.Elements, 1+thread*7919+int64(i))
+			checkTraversal(t, ChaseConfig{Elements: p.Elements, StrideBytes: p.StrideBytes, Seed: 1 + thread*7919 + int64(i)}, 12)
 			chases++
 		}
 	}
@@ -59,16 +52,20 @@ func TestTraversalMatchesWalk(t *testing.T) {
 	}
 }
 
-// FuzzTraversal compares traversal with the walk at fuzzed sizes and seeds.
+// FuzzTraversal compares traversal with the walk at fuzzed sizes, seeds,
+// strides, bases and shifts.
 func FuzzTraversal(f *testing.F) {
 	for _, s := range []struct {
-		n    uint16
-		seed int64
-	}{{0, 1}, {1, 7}, {15, -3}, {599, 123456789}, {4095, 1 << 40}} {
-		f.Add(s.n, s.seed)
+		n      uint16
+		seed   int64
+		stride uint16
+		base   uint32
+		shift  uint8
+	}{{0, 1, 0, 0, 0}, {1, 7, 63, 0, 6}, {15, -3, 99, 4096 + 192, 6}, {599, 123456789, 127, 64, 12}, {4095, 1 << 40, 4095, 1<<20 + 7, 12}} {
+		f.Add(s.n, s.seed, s.stride, s.base, s.shift)
 	}
-	f.Fuzz(func(t *testing.T, n uint16, seed int64) {
-		checkTraversal(t, 2+int(n), seed)
+	f.Fuzz(func(t *testing.T, n uint16, seed int64, stride uint16, base uint32, shift uint8) {
+		checkTraversal(t, ChaseConfig{Elements: 2 + int(n), StrideBytes: 1 + int(stride), Base: uint64(base), Seed: seed}, uint(shift%17))
 	})
 }
 
@@ -115,34 +112,6 @@ func TestIntnMatchesRand(t *testing.T) {
 		}
 		if rejected < 100 {
 			t.Fatalf("seed %d: only %d rejections fired", seed, rejected)
-		}
-	}
-}
-
-// TestCountGroups pins the run-stepping group count against a count of every
-// element, for strides below, at and above the key size, odd and power-of-two
-// group counts, and unaligned bases.
-func TestCountGroups(t *testing.T) {
-	for _, shift := range []uint{6, 8, 12} {
-		for _, stride := range []int{24, 64, 100, 128, 256, 4096, 5000} {
-			for _, base := range []uint64{0, 64, 4096 + 192, 1<<20 + 7} {
-				for _, mod := range []uint64{0, 1, 3, 16} {
-					var mask uint64
-					if mod > 1 && mod&(mod-1) == 0 {
-						mask = mod - 1
-					}
-					cfg := ChaseConfig{Elements: 3001, StrideBytes: stride, Base: base}
-					got := make([]int32, max(mod, 1))
-					countGroups(got, cfg, shift, mask, mod)
-					want := make([]int32, max(mod, 1))
-					for i := 0; i < cfg.Elements; i++ {
-						want[residue((base+uint64(i)*uint64(stride))>>shift, mask, mod)]++
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("shift %d stride %d base %d mod %d: counts %v, want %v", shift, stride, base, mod, got, want)
-					}
-				}
-			}
 		}
 	}
 }

@@ -83,30 +83,31 @@ func TestAllHitNeedsLastLevelFit(t *testing.T) {
 	}
 }
 
-// TestShippedSweepTakesProofs pins analyses 1, 4 and 5 on the shipped
+// TestShippedSweepTakesProofs pins analyses 1, 3 and 4 on the shipped
 // sweep. Every point's cache side is settled without a key stream: the L1-,
-// L2- and L3-region points are all-hit at their own level (analysis 4), and
+// L2- and L3-region points are all-hit at their own level (analysis 3), and
 // the Mem points all-miss at every level (analysis 1). Both analyses read
 // the geometry, the stride and the length, never the seed, so this holds at
 // every thread count up to cat.MaxThreads. A failure here puts the cache
 // engine back on the collection path, and that path must then be measured.
 // Then, at four threads with the chain seeds cat.DCache uses, every L1-, L2-
-// and L3-region chase takes the all-hit path, and every residue group of
-// every Mem-region chase's TLB side warms on a proven tail. The counters are
-// bumped where the paths run, so a silent fallback to simulation fails here
-// even though its results would still be right.
+// and L3-region chase takes the all-hit path, and every Mem-region chase's
+// TLB stream warms on a proven tail, as do the L3-region chases whose pages
+// fill every STLB set. The counters are bumped where the paths run, so a
+// silent fallback to simulation fails here even though its results would
+// still be right.
 func TestShippedSweepTakesProofs(t *testing.T) {
 	levels, tlbs := SPRLikeConfig(), SPRLikeTLBConfig()
 	for _, p := range BuildSweep(levels, []int{64, 128}) {
-		plan, err := buildPlan(levels, tlbs, ChaseConfig{Elements: p.Elements, StrideBytes: p.StrideBytes, Seed: 1}, 6)
+		plan, err := planChase(levels, tlbs, ChaseConfig{Elements: p.Elements, StrideBytes: p.StrideBytes, Seed: 1}, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// A region's index is its level's; RegionMem's is len(levels).
 		settled := plan.allHit || plan.firstSim == len(levels)
-		if plan.firstSim != int(p.Region) || !settled || plan.cacheKeys != nil || plan.cacheStarts != nil {
-			t.Errorf("%s: first simulated level %d, all-hit %v, %d cache keys; want level %d, settled, no keys",
-				p.Name(), plan.firstSim, plan.allHit, len(plan.cacheKeys), int(p.Region))
+		if plan.firstSim != int(p.Region) || !settled || plan.cache {
+			t.Errorf("%s: first simulated level %d, all-hit %v, cache stream %v; want level %d, settled, no stream",
+				p.Name(), plan.firstSim, plan.allHit, plan.cache, int(p.Region))
 		}
 	}
 
@@ -124,10 +125,15 @@ func TestShippedSweepTakesProofs(t *testing.T) {
 	if len(fits) != 48 || len(mem) != 16 {
 		t.Fatalf("sweep has %d non-Mem and %d Mem chases, want 48 and 16", len(fits), len(mem))
 	}
-	before := allHitRuns.Load()
+	before, proven := allHitRuns.Load(), tailWarmups.Load()
 	got := coldRun(t, levels, tlbs, fits, 1, 0)
 	if n := allHitRuns.Load() - before; n != int64(len(fits)) {
 		t.Fatalf("%d of %d non-Mem chases took the all-hit path", n, len(fits))
+	}
+	// The four threads' L3-region chases of 717 pages give every one of the
+	// STLB's 64 sets 11 or 12; the other non-Mem chases cannot fill it.
+	if n := tailWarmups.Load() - proven; n != 8 {
+		t.Fatalf("%d non-Mem TLB streams warmed on a proven tail, want 8", n)
 	}
 	for i, task := range fits {
 		want, err := RunSweepPointTLB(levels, tlbs, task.Point, task.Seed, 1)
@@ -137,12 +143,10 @@ func TestShippedSweepTakesProofs(t *testing.T) {
 		sameResult(t, task.Point.Name(), got[i], want)
 	}
 
-	// Every Mem chase is long enough to shard, one residue group per DTLB set.
-	groups := int64(len(mem) * tlbs[0].Sets())
-	before = tailWarmups.Load()
+	proven = tailWarmups.Load()
 	coldRun(t, levels, tlbs, mem, 1, 0)
-	if n := tailWarmups.Load() - before; n != groups {
-		t.Fatalf("%d of %d Mem-region TLB groups warmed on a proven tail", n, groups)
+	if n := tailWarmups.Load() - proven; n != int64(len(mem)) {
+		t.Fatalf("%d of %d Mem-region TLB streams warmed on a proven tail", n, len(mem))
 	}
 }
 
@@ -192,7 +196,7 @@ func TestWarmTailRefusesBackInvalidation(t *testing.T) {
 		}
 	}
 	cache := newMTFCacheSim(cfgs)
-	if cache.warmTails(stream, []int32{0, int32(len(stream))}, len(tail), 1) {
+	if cache.warmTail(stream, len(tail)) {
 		t.Fatal("the inclusive engine accepted a tail warm-up, which back-invalidation breaks")
 	}
 	for li := range cfgs {
@@ -204,7 +208,7 @@ func TestWarmTailRefusesBackInvalidation(t *testing.T) {
 	tlbs := []TLBConfig{{Name: "T0", Entries: 2, Ways: 2, PageBits: 12}, {Name: "T1", Entries: 2, Ways: 2, PageBits: 12}}
 	fullTLB, tailTLB := newMTFSim(tlbs), newMTFSim(tlbs)
 	fullTLB.replay(stream)
-	if !tailTLB.warmTails(stream, []int32{0, int32(len(stream))}, len(tail), 1) {
+	if !tailTLB.warmTail(stream, len(tail)) {
 		t.Fatal("the TLB engine refused a tail its fills cannot break")
 	}
 	for li := range tlbs {
@@ -217,8 +221,7 @@ func TestWarmTailRefusesBackInvalidation(t *testing.T) {
 
 // tlbShape decodes a fuzz shape into a valid TLB hierarchy of 1–3 levels.
 // Level 0 has 1, 2, 3, 4, 5 or 8 sets; each lower level multiplies the set
-// count by 1–3 and adds 0–2 ways, so entries never shrink and level 0's set
-// count divides every lower one, as residue sharding requires.
+// count by 1–3 and adds 0–2 ways, so entries never shrink.
 //
 // Bits 0–2 pick level 0's set count, bits 3–4 its ways (1–4), bits 5–6 the
 // level count; level i uses bits 7+4i–8+4i for its set multiplier and
@@ -238,14 +241,13 @@ func tlbShape(shape uint32) []TLBConfig {
 
 // Outcomes of checkTailWarmup.
 const (
-	tailShort    = iota // every group fit in the tail and warmed in full
-	tailProven          // some group warmed on a proven tail
-	tailFellBack        // a proof failed; the unit warmed in full
+	tailShort    = iota // the stream fit in the tail and warmed in full
+	tailProven          // the stream warmed on a proven tail
+	tailFellBack        // the proof failed; the stream warmed in full
 )
 
-// checkTailWarmup groups the stream's keys (one per byte) by residue at
-// level 0 in stream order, as buildPlan does, and warms one engine on the
-// groups' proven tails — falling back as runChases does, from the empty
+// checkTailWarmup warms one engine for the stream's keys (one per byte) as
+// a chase's task does — on the proven tail, and in full from the empty
 // engine a failed proof must leave — and a twin in full. It then replays
 // the keys once on each and fails unless every counter matches.
 func checkTailWarmup(t *testing.T, cfgs []TLBConfig, stream []byte, tail int) int {
@@ -253,20 +255,9 @@ func checkTailWarmup(t *testing.T, cfgs []TLBConfig, stream []byte, tail int) in
 	if _, err := NewTLBHierarchy(cfgs); err != nil {
 		t.Fatal(err)
 	}
-	s0 := cfgs[0].Sets()
-	counts := make([]int32, s0)
-	for _, b := range stream {
-		counts[int(b)%s0]++
-	}
-	starts, cur := groupStarts(counts)
 	keys := make([]uint32, len(stream))
-	longest := int32(0)
-	for _, b := range stream {
-		keys[cur[int(b)%s0]] = uint32(b)
-		cur[int(b)%s0]++
-	}
-	for g := range counts {
-		longest = max(longest, counts[g])
+	for i, b := range stream {
+		keys[i] = uint32(b)
 	}
 
 	full := newMTFSim(cfgs)
@@ -276,7 +267,7 @@ func checkTailWarmup(t *testing.T, cfgs []TLBConfig, stream []byte, tail int) in
 
 	sim := newMTFSim(cfgs)
 	outcome := tailShort
-	if !sim.warmTails(keys, starts, tail, s0) {
+	if !sim.warmTail(keys, tail) {
 		outcome = tailFellBack
 		for li := range sim.levels {
 			for _, tag := range sim.levels[li].tags {
@@ -286,7 +277,7 @@ func checkTailWarmup(t *testing.T, cfgs []TLBConfig, stream []byte, tail int) in
 			}
 		}
 		sim.replay(keys)
-	} else if int(longest) > tail {
+	} else if len(keys) > tail {
 		outcome = tailProven
 	}
 	sim.resetCounters()
@@ -317,8 +308,9 @@ var tailWarmupSeeds = []struct {
 }{
 	// A cyclic stream over 3 sets x 3 ways above 3 sets x 4 ways.
 	{shape: 2<<3 | 1<<5 | 1<<13, tail: 32, stream: cycle(40, 4), outcome: tailProven},
-	// Random keys over three levels with odd set counts (3, 6, 12).
-	{shape: 2 | 1<<3 | 2<<5 | 2<<11 | 1<<15, tail: 96, stream: draws(1, 600, 120), outcome: tailProven},
+	// Random keys over three 2-way levels of 3, 9 and 18 sets. A tail of
+	// 250 keys or fewer leaves a set of the last level unsettled.
+	{shape: 2 | 1<<3 | 2<<5 | 2<<11 | 1<<15, tail: 299, stream: draws(1, 600, 120), outcome: tailProven},
 	// A 1-key tail cannot fill level 0.
 	{shape: 1 | 1<<3 | 1<<5, tail: 0, stream: cycle(16, 3), outcome: tailFellBack},
 	// The tail revisits one key, so level 1 (2 ways) is never filled.
@@ -329,12 +321,12 @@ var tailWarmupSeeds = []struct {
 	// only the check that entries were touched after part 0 catches it.
 	{shape: 1 | 1<<3 | 1<<5, tail: 3, stream: []byte{2, 0, 2, 4, 4, 1}, outcome: tailFellBack},
 	// Key 5 is the only key of its level-1 set and comes before the tail:
-	// the tail leaves that set empty, and only marking the whole group's
+	// the tail leaves that set empty, and only marking the whole stream's
 	// sets, not just the tail's, catches it.
 	{shape: 1<<5 | 1<<11, tail: 1, stream: []byte{5, 2, 4}, outcome: tailFellBack},
 	// The same shape: the first key's level-1 set is one the tail settles,
 	// and key 1, before the tail, maps to the other, which the tail leaves
-	// empty. Only marking every set the group maps to, not just the first
+	// empty. Only marking every set the stream maps to, not just the first
 	// ones the scan meets, catches it.
 	{shape: 1<<5 | 1<<11, tail: 1, stream: []byte{0, 1, 2, 4}, outcome: tailFellBack},
 }

@@ -83,25 +83,37 @@ type TLBHierarchy struct {
 
 // NewTLBHierarchy builds a TLB hierarchy; all levels must share a page size.
 func NewTLBHierarchy(cfgs []TLBConfig) (*TLBHierarchy, error) {
-	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("cachesim: no TLB levels")
+	if err := checkTLBs(cfgs); err != nil {
+		return nil, err
 	}
 	h := &TLBHierarchy{pageBits: cfgs[0].PageBits}
-	prev := 0
 	for _, cfg := range cfgs {
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		if cfg.PageBits != h.pageBits {
-			return nil, fmt.Errorf("cachesim: mixed TLB page sizes")
-		}
-		if cfg.Entries < prev {
-			return nil, fmt.Errorf("cachesim: TLB %q smaller than the level above", cfg.Name)
-		}
-		prev = cfg.Entries
 		h.levels = append(h.levels, newTLBLevel(cfg))
 	}
 	return h, nil
+}
+
+// checkTLBs applies NewTLBHierarchy's rules without building anything, so
+// RunSweepTasks rejects exactly what the reference rejects, with the same
+// error.
+func checkTLBs(cfgs []TLBConfig) error {
+	if len(cfgs) == 0 {
+		return fmt.Errorf("cachesim: no TLB levels")
+	}
+	prev := 0
+	for _, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return err
+		}
+		if cfg.PageBits != cfgs[0].PageBits {
+			return fmt.Errorf("cachesim: mixed TLB page sizes")
+		}
+		if cfg.Entries < prev {
+			return fmt.Errorf("cachesim: TLB %q smaller than the level above", cfg.Name)
+		}
+		prev = cfg.Entries
+	}
+	return nil
 }
 
 // Translate looks an address up, returning the 0-based level that hit or

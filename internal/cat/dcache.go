@@ -114,12 +114,12 @@ func (b *DCache) Basis() (*core.Basis, error) {
 
 // GroundTruth returns every measuring thread's ground truth for the full
 // sweep under cfg (each thread owns a private hierarchy and a disjoint
-// buffer). The whole (thread × sweep-point) space — further split into
-// residue-class chunks for large chases — runs through the planned cachesim
-// engine, fanned out by par.ForErr under cfg.Workers with each coordinate's
-// chain seed preserved, so results are bit-identical to the per-access
-// reference simulator (cachesim.RunSweepPointTLB) for any worker count, and
-// Workers=1 spawns nothing.
+// buffer). The whole (thread × sweep-point) space runs through the planned
+// cachesim engine, one chase per task fanned out by par.ForErr under
+// cfg.Workers with each coordinate's chain seed preserved, so results are
+// bit-identical to the per-access reference simulator
+// (cachesim.RunSweepPointTLB) for any worker count, and Workers=1 spawns
+// nothing.
 func (b *DCache) GroundTruth(cfg RunConfig) ([][]machine.Stats, error) {
 	pts := b.Points()
 	tasks := make([]cachesim.SweepTask, 0, cfg.Threads*len(pts))

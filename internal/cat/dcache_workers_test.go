@@ -3,6 +3,7 @@ package cat
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -67,9 +68,8 @@ func workerSeed() int64 { return workerSeeds.Add(1) << 20 }
 
 // TestDCacheWorkersBitIdentical proves Collect's measurement set equals the
 // one measured over the reference ground truth for every worker count,
-// Workers=1 included — with and without TLB modelling, and with sharding
-// forced onto the tiny footprints. Each worker count has its own seed and
-// its own reference.
+// Workers=1 included — with and without TLB modelling. Each worker count
+// has its own seed and its own reference.
 func TestDCacheWorkersBitIdentical(t *testing.T) {
 	p := sprPlatform(t)
 	const threads = 4
@@ -120,5 +120,34 @@ func TestDCacheGroundTruthMatchesFast(t *testing.T) {
 				t.Fatalf("workers=%d thread %d: fast ground truth differs from reference", workers, thread)
 			}
 		}
+	}
+}
+
+// TestDCacheMemoHitGroundTruthAllocs bounds what a memo-hit GroundTruth of
+// the shipped sweep at four threads allocates — what every validation of a
+// CPU platform pays for its documented counts. Building the reference
+// hierarchy only to validate the geometry cost 857 KB and 6,614 allocations
+// per call; checking the geometry allocates nothing, and the bound is a
+// fifth of that.
+func TestDCacheMemoHitGroundTruthAllocs(t *testing.T) {
+	b := NewDCache()
+	b.Seed = workerSeed()
+	cfg := RunConfig{Reps: 5, Threads: 4}
+	if _, err := b.GroundTruth(cfg); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := b.GroundTruth(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun makes one warm-up call besides its runs.
+	perCall := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+	if allocs > 6614/5 || perCall > 857_290/5 {
+		t.Fatalf("a memo-hit GroundTruth allocates %.0f objects and %d bytes, bound %d and %d", allocs, perCall, 6614/5, 857_290/5)
 	}
 }

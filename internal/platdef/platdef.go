@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"unicode/utf8"
 
 	"github.com/perfmetrics/eventlens/internal/mat"
@@ -142,11 +143,14 @@ type Platform struct {
 // control characters (names are tokens in the text format; invalid UTF-8
 // would be rewritten to U+FFFD wherever a name is served as JSON).
 func validName(s string) bool {
-	if s == "" || len(s) > maxNameLen || !utf8.ValidString(s) {
+	if s == "" || len(s) > maxNameLen {
 		return false
 	}
-	for _, r := range s {
-		if r <= ' ' || r == 0x7f {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c >= utf8.RuneSelf {
+			// Not ASCII: decode the whole name.
+			return utf8.ValidString(s) && !strings.ContainsFunc(s, func(r rune) bool { return r <= ' ' || r == 0x7f })
+		} else if c <= ' ' || c == 0x7f {
 			return false
 		}
 	}
@@ -194,7 +198,8 @@ func (p *Platform) Validate() error {
 		return errf(0, "platform %q: %d events exceeds the %d limit", p.Name, len(p.Events), MaxEvents)
 	}
 	seen := make(map[string]bool, len(p.Events))
-	for _, e := range p.Events {
+	for i := range p.Events {
+		e := &p.Events[i]
 		if !validName(e.Name) {
 			return errf(0, "platform %q: invalid event name %q", p.Name, e.Name)
 		}
@@ -208,10 +213,8 @@ func (p *Platform) Validate() error {
 		if !utf8.ValidString(e.Desc) {
 			return errf(0, "event %q: description is not valid UTF-8", e.Name)
 		}
-		for _, r := range e.Desc {
-			if r == '\n' || r == '\r' {
-				return errf(0, "event %q: description contains a line break", e.Name)
-			}
+		if strings.IndexByte(e.Desc, '\n') >= 0 || strings.IndexByte(e.Desc, '\r') >= 0 {
+			return errf(0, "event %q: description contains a line break", e.Name)
 		}
 		if e.Desc != "" && (e.Desc[0] == ' ' || e.Desc[len(e.Desc)-1] == ' ') {
 			return errf(0, "event %q: description has leading or trailing spaces", e.Name)

@@ -2,9 +2,10 @@ package platdef
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"github.com/perfmetrics/eventlens/internal/mat"
 )
@@ -54,9 +55,10 @@ func Parse(data []byte) (*Platform, error) {
 		sawName    bool
 		sawClass   bool
 		sawCount   bool
-		blockSeen  map[string]bool // directives seen in the current block
+		blockSeen  uint8 // directives seen in the current block, by blockBit
 		constraint = map[string]int{}
 		strs       = make(map[string]string, events)
+		fieldBuf   [16]string // a line's fields; only long lines outgrow it
 	)
 	// own returns a copy of s detached from the file's text, the same copy
 	// for every equal s.
@@ -68,9 +70,15 @@ func Parse(data []byte) (*Platform, error) {
 		}
 		return c
 	}
-	lines := strings.Split(string(data), "\n")
-	for i, raw := range lines {
-		ln := i + 1
+	// Lines are cut off the text one at a time, numbered as strings.Split
+	// would number them: a trailing newline ends an empty last line.
+	text := string(data)
+	lines := 0
+	for rest, more := text, true; more; {
+		var raw string
+		raw, rest, more = strings.Cut(rest, "\n")
+		lines++
+		ln := lines
 		line := strings.TrimSpace(raw)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
@@ -82,7 +90,14 @@ func Parse(data []byte) (*Platform, error) {
 			sawHeader = true
 			continue
 		}
-		fields := strings.Fields(line)
+		// A desc line is its directive and free text, so only its first
+		// field is split off.
+		fields := fieldBuf[:0]
+		if desc, ok := strings.CutPrefix(line, "desc"); ok && (desc == "" || desc[0] == ' ' || desc[0] == '\t') {
+			fields = append(fields, "desc")
+		} else {
+			fields = appendFields(fields, line)
+		}
 		directive := fields[0]
 		if cur == nil {
 			switch directive {
@@ -148,7 +163,7 @@ func Parse(data []byte) (*Platform, error) {
 					}
 					slots = append(slots, slot)
 				}
-				sort.Ints(slots)
+				slices.Sort(slots)
 				if prev, dup := constraint[fields[1]]; dup {
 					return nil, errf(ln, "duplicate constraint for event %q (first on line %d)", fields[1], prev)
 				}
@@ -161,8 +176,7 @@ func Parse(data []byte) (*Platform, error) {
 				return nil, errf(ln, "unknown directive %q in platform header", directive)
 			}
 		}
-		switch directive {
-		case "event":
+		if directive == "event" {
 			if len(fields) != 2 {
 				return nil, errf(ln, "event takes exactly one name")
 			}
@@ -172,57 +186,50 @@ func Parse(data []byte) (*Platform, error) {
 			// Names are unique (Validate), so interning one saves nothing.
 			p.Events = append(p.Events, Event{Name: strings.Clone(fields[1])})
 			cur = &p.Events[len(p.Events)-1]
-			blockSeen = map[string]bool{}
+			blockSeen = 0
+			continue
+		}
+		bit := blockBit(directive)
+		if bit == 0 {
+			return nil, errf(ln, "unknown directive %q in event %q", directive, cur.Name)
+		}
+		if blockSeen&bit != 0 {
+			return nil, errf(ln, "duplicate %s in event %q", directive, cur.Name)
+		}
+		blockSeen |= bit
+		switch directive {
 		case "desc":
-			if blockSeen[directive] {
-				return nil, errf(ln, "duplicate desc in event %q", cur.Name)
-			}
-			blockSeen[directive] = true
 			cur.Desc = own(strings.TrimSpace(strings.TrimPrefix(line, "desc")))
 		case "noise":
-			if blockSeen[directive] {
-				return nil, errf(ln, "duplicate noise in event %q", cur.Name)
-			}
-			blockSeen[directive] = true
 			if len(fields) != 3 {
 				return nil, errf(ln, "noise takes a relative and an absolute sigma")
 			}
-			rel, err := strconv.ParseFloat(fields[1], 64)
+			rel, err := parseNumber(fields[1])
 			if err != nil {
 				return nil, errf(ln, "bad relative noise %q", fields[1])
 			}
-			abs, err := strconv.ParseFloat(fields[2], 64)
+			abs, err := parseNumber(fields[2])
 			if err != nil {
 				return nil, errf(ln, "bad absolute noise %q", fields[2])
 			}
 			cur.RelNoise, cur.AbsNoise = rel, abs
 		case "respond":
-			if blockSeen[directive] {
-				return nil, errf(ln, "duplicate respond in event %q", cur.Name)
-			}
-			blockSeen[directive] = true
 			terms, err := parseTerms(ln, fields[1:], own)
 			if err != nil {
 				return nil, err
 			}
 			cur.Respond = terms
 		case "doc":
-			if blockSeen[directive] {
-				return nil, errf(ln, "duplicate doc in event %q", cur.Name)
-			}
-			blockSeen[directive] = true
 			terms, err := parseTerms(ln, fields[1:], own)
 			if err != nil {
 				return nil, err
 			}
 			cur.Documented = true
 			cur.Doc = terms
-		default:
-			return nil, errf(ln, "unknown directive %q in event %q", directive, cur.Name)
 		}
 	}
 	if !sawHeader {
-		return nil, errf(len(lines), "missing %q header", header)
+		return nil, errf(lines, "missing %q header", header)
 	}
 	// Drop any append slack: the definition may live as long as the
 	// process.
@@ -231,13 +238,66 @@ func Parse(data []byte) (*Platform, error) {
 	}
 	// Constraint encounter order is not semantic; canonical order is by
 	// event name, which Validate requires.
-	sort.Slice(p.Constraints, func(i, j int) bool {
-		return p.Constraints[i].Event < p.Constraints[j].Event
-	})
+	slices.SortFunc(p.Constraints, func(a, b Constraint) int { return strings.Compare(a.Event, b.Event) })
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// blockBit is the bit an event block's directive takes in Parse's
+// seen-directives mask, or 0 for a directive no block takes.
+func blockBit(directive string) uint8 {
+	switch directive {
+	case "desc":
+		return 1
+	case "noise":
+		return 2
+	case "respond":
+		return 4
+	case "doc":
+		return 8
+	}
+	return 0
+}
+
+// byteClass sorts bytes for appendFields: 0 for a byte of a field, 1 for
+// the ASCII whitespace strings.Fields splits at, 2 for a non-ASCII byte.
+var byteClass = func() (c [256]uint8) {
+	for _, b := range "\t\n\v\f\r " {
+		c[b] = 1
+	}
+	for b := utf8.RuneSelf; b < len(c); b++ {
+		c[b] = 2
+	}
+	return c
+}()
+
+// appendFields appends line's whitespace-separated fields to dst, split
+// exactly as strings.Fields splits them. An ASCII line — every line of a
+// committed file — splits in one pass without allocating while dst has
+// room; any other goes through strings.Fields.
+func appendFields(dst []string, line string) []string {
+	n, start := len(dst), -1
+	for i := 0; i < len(line); i++ {
+		switch byteClass[line[i]] {
+		case 0:
+			if start < 0 {
+				start = i
+			}
+		case 1:
+			if start >= 0 {
+				dst = append(dst, line[start:i])
+				start = -1
+			}
+		default:
+			return append(dst[:n], strings.Fields(line)...)
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
 }
 
 // parseTerms decodes key=value tokens into a key-sorted term list,
@@ -252,13 +312,13 @@ func parseTerms(ln int, tokens []string, own func(string) string) ([]Term, error
 		if !ok || key == "" {
 			return nil, errf(ln, "bad term %q (want key=value)", tok)
 		}
-		coeff, err := strconv.ParseFloat(val, 64)
+		coeff, err := parseNumber(val)
 		if err != nil {
 			return nil, errf(ln, "bad coefficient %q for key %q", val, key)
 		}
 		terms = append(terms, Term{Key: own(key), Coeff: coeff})
 	}
-	sort.Slice(terms, func(i, j int) bool { return terms[i].Key < terms[j].Key })
+	slices.SortFunc(terms, func(a, b Term) int { return strings.Compare(a.Key, b.Key) })
 	for i := 1; i < len(terms); i++ {
 		if terms[i-1].Key == terms[i].Key {
 			return nil, errf(ln, "duplicate term key %q", terms[i].Key)
@@ -266,6 +326,44 @@ func parseTerms(ln int, tokens []string, own func(string) string) ([]Term, error
 	}
 	return terms, nil
 }
+
+// parseNumber is strconv.ParseFloat(s, 64) with a fast path for the plain
+// decimals the format holds ("0", "2", "0.7943208883658387"). A mantissa m
+// below 2^53 and a power 10^k with k ≤ 22 are both exact float64s, and IEEE
+// division rounds m/10^k correctly, as ParseFloat rounds, so both paths give
+// the same bits. Anything else — an exponent, a sign other than a leading
+// '-', more than 19 digits, malformed text — goes through ParseFloat.
+func parseNumber(s string) (float64, error) {
+	digits, neg := strings.CutPrefix(s, "-")
+	var m uint64
+	n, k, dot := 0, 0, false
+	for i := 0; i < len(digits); i++ {
+		switch c := digits[i]; {
+		case c >= '0' && c <= '9' && n < 19:
+			m = m*10 + uint64(c-'0')
+			n++
+			if dot {
+				k++
+			}
+		case c == '.' && !dot:
+			dot = true
+		default:
+			return strconv.ParseFloat(s, 64)
+		}
+	}
+	if n == 0 || m >= 1<<53 || k >= len(pow10) {
+		return strconv.ParseFloat(s, 64)
+	}
+	f := float64(m) / pow10[k]
+	if neg {
+		f = -f
+	}
+	return f, nil
+}
+
+// pow10 holds the powers of ten float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
 // Canonical renders the definition in the canonical text form: the unique
 // byte representation of its value. Parse(Canonical(p)) reproduces p

@@ -310,15 +310,22 @@ func (s *Server) noiseProfile(ctx context.Context, id analysis.ID) (*core.NoiseP
 }
 
 // cachedProfile is validate's source of noise profiles: the set cache's
-// profile for the analysis's measurement key when the cache holds it, or
-// else a collection of its own that is never inserted. A validation reads
-// every benchmark of its platform at once; inserting them would hold up to
-// three more profiles (mi250x's gpu-flops one alone is 478 KiB) and evict
-// the sets analyses are sweeping, so the analysis family alone fills the
-// cache.
+// profile for the analysis's measurement key when the cache holds it, then
+// the profile the analysis cache keeps with the same analysis — it holds
+// far more entries than the set cache, so a default analysis outlives its
+// set there — or else a collection of its own that is never inserted. A
+// validation reads every benchmark of its platform at once; inserting them
+// would hold up to three more profiles (mi250x's gpu-flops one alone is
+// 478 KiB) and evict the sets analyses are sweeping, so the analysis family
+// alone fills the cache. Fault runs have keys of their own, so they never
+// read an analysis of a clean run.
 func (s *Server) cachedProfile(ctx context.Context, id analysis.ID) (*core.NoiseProfile, error) {
 	if prof, ok := s.sets.peek(id.MeasurementKey()); ok {
 		return prof, nil
+	}
+	if a, ok := s.analyses.peek(id.Key()); ok {
+		s.batchCoalesced.Inc()
+		return a.Profile, nil
 	}
 	s.collections.Inc()
 	return id.Profile(ctx)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/perfmetrics/eventlens/internal/matrix"
@@ -110,6 +111,58 @@ func TestValidateMissLeavesSetCacheUnchanged(t *testing.T) {
 	// branch was cached; cpu-flops and dcache were collected and dropped.
 	if c, hits := s.collections.Value(), s.batchCoalesced.Value(); c != 3 || hits != 1 {
 		t.Fatalf("%d collections and %d set-cache hits, want 3 and 1", c, hits)
+	}
+}
+
+// TestValidateReadsCachedAnalysisProfiles: after the default analyses of
+// cpu-flops, branch and dcache, branch at reps 2–9 (reps 5 is the default,
+// an analysis-cache hit) puts seven more sets into the 8-entry set cache,
+// evicting the default cpu-flops and branch sets. Their analyses are still
+// cached, with their profiles, so a validation of spr collects nothing:
+// eventlensd_collections_total does not move, and the bytes are RunIn's.
+func TestValidateReadsCachedAnalysisProfiles(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	for _, body := range []string{`{"benchmark":"cpu-flops"}`, `{"benchmark":"branch"}`, `{"benchmark":"dcache"}`} {
+		if w := postJSON(t, h, "/v1/analyze", body); w.Code != http.StatusOK {
+			t.Fatalf("analyze %s: %d %s", body, w.Code, w.Body)
+		}
+	}
+	for reps := 2; reps <= 9; reps++ {
+		body := fmt.Sprintf(`{"benchmark":"branch","run":{"reps":%d,"threads":1}}`, reps)
+		if w := postJSON(t, h, "/v1/analyze", body); w.Code != http.StatusOK {
+			t.Fatalf("analyze %s: %d %s", body, w.Code, w.Body)
+		}
+	}
+	if keys := cacheKeys(s.sets); len(keys) != setCacheSize || s.collections.Value() != 10 {
+		t.Fatalf("%d collections, set cache %q; want 10 and a full cache", s.collections.Value(), keys)
+	}
+	collections := func() string {
+		for _, line := range strings.Split(metricsText(t, h), "\n") {
+			if strings.HasPrefix(line, "eventlensd_collections_total ") {
+				return line
+			}
+		}
+		t.Fatal("metrics: no eventlensd_collections_total")
+		return ""
+	}
+	before, coalesced := collections(), s.batchCoalesced.Value()
+	w := postJSON(t, h, "/v1/events/validate", `{"platform":"spr"}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("validate: %d %s", w.Code, w.Body)
+	}
+	if after := collections(); after != before {
+		t.Fatalf("the validation collected: %q before, %q after", before, after)
+	}
+	if got := s.batchCoalesced.Value() - coalesced; got != 3 {
+		t.Fatalf("validate read %d cached profiles, want 3", got)
+	}
+	rep, err := validate.RunIn(context.Background(), s.platforms, validate.Request{Platform: "spr"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := mustEncode(t, validate.NewEnvelope(rep)); !bytes.Equal(w.Body.Bytes(), want) {
+		t.Fatal("validate: daemon bytes differ from RunIn's")
 	}
 }
 

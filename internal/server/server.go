@@ -337,9 +337,9 @@ func New(cfg Config) (*Server, error) {
 	s.storeCorrupt = reg.Counter("eventlensd_store_corrupt_total",
 		"Persistent result-store entries that failed verification (served as misses).")
 	s.batchCoalesced = reg.Counter("eventlensd_batch_coalesced_total",
-		"Measurement sets read from the set cache instead of collected: analyses (matrix pairs included) sharing a set another configuration collected, and validations reading a cached noise profile.")
+		"Measurement sets read from cache instead of collected: analyses (matrix pairs included) sharing a set another configuration collected, and validations reading a noise profile the set cache or a cached analysis holds.")
 	s.collections = reg.Counter("eventlensd_collections_total",
-		"Benchmark collection passes executed, each reduced to its noise profile: the set cache's misses, which serve every analysis and matrix pair sharing the measurement set, and validations' own passes over sets the cache did not hold.")
+		"Benchmark collection passes executed, each reduced to its noise profile: the set cache's misses, which serve every analysis and matrix pair sharing the measurement set, and validations' own passes over sets neither cache held.")
 	s.shardRequests = reg.CounterVec("eventlensd_shard_requests_total",
 		"Sharded analyze, validate, matrix, define and explain requests, by routing outcome (local, forwarded, failover).", "outcome")
 	s.admissionRejch = reg.CounterVec("eventlensd_admission_rejected_total",
