@@ -143,9 +143,9 @@ bench:
 # re-run the DCache collection and the two validation benchmarks and fail if
 # any ns/op exceeds 2x its committed BENCH_7.json baseline, or its B/op or
 # allocs/op exceed it by more than 10% (they repeat within 1% across runs
-# at one -cpu). The DCache engine holds one pair of stream buffers per
-# worker, so its B/op grows with GOMAXPROCS: the guard runs at -cpu 2, the
-# worker count the baseline rows were recorded at, on any runner.
+# at one -cpu). The DCache engine holds up to one pair of stream buffers
+# per worker, so its B/op grows with GOMAXPROCS: the guard runs at -cpu 2,
+# the worker count the baseline rows were recorded at, on any runner.
 # -benchtime=2x smooths one-shot jitter without making CI slow.
 bench-guard:
 	$(GO) test -run '^$$' -bench 'Benchmark(CollectDCache|ValidateSPR|ValidateMI250X)$$' -benchtime=2x -count=1 -cpu 2 . | tee bench.out

@@ -343,24 +343,58 @@ func TestRunSweepTasksMatchesReference(t *testing.T) {
 }
 
 // TestRunSweepTasksOrderAndWorkers runs the tiny sweep — at strides below,
-// at and above the line, with and without a TLB model — at 1, 2, 3 and 8
-// workers with its tasks in order, reversed and shuffled. Each worker count
-// starts from an empty memo, and every result must equal RunSweepPointTLB's
-// for its own task: neither the hand-out order (largest first, ties in task
-// order) nor which worker's scratch a chase lands on may change a count.
+// at and above the line, with and without a TLB model — and a sweep whose
+// pages are smaller than its lines, at 1, 2, 3 and 8 workers with its tasks
+// in order, reversed and shuffled. Each worker count starts from an empty
+// memo, and every result must equal RunSweepPointTLB's for its own task:
+// neither the hand-out order (largest first, ties in task order) nor which
+// worker's scratch a chase lands on may change a count.
 func TestRunSweepTasksOrderAndWorkers(t *testing.T) {
-	var tasks []SweepTask
-	for i, p := range BuildSweep(tinyConfig(), []int{32, 64, 128}) {
-		tasks = append(tasks, SweepTask{Point: p, Seed: int64(i) - 3})
+	// 256-byte lines over 128-byte pages: both sides replay, and the
+	// stream is keyed by page with the lines derived from it.
+	wideLines := []LevelConfig{
+		{Name: "L1", Size: 4 << 10, Ways: 2, LineSize: 256},
+		{Name: "L2", Size: 16 << 10, Ways: 4, LineSize: 256},
 	}
-	reversed := slices.Clone(tasks)
-	slices.Reverse(reversed)
-	shuffled := slices.Clone(tasks)
-	rand.New(rand.NewSource(4)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	for _, tlbs := range [][]TLBConfig{nil, tinyTLBs()} {
+	smallPages := []TLBConfig{
+		{Name: "DTLB", Entries: 8, Ways: 2, PageBits: 7},
+		{Name: "STLB", Entries: 32, Ways: 4, PageBits: 7},
+	}
+	for gi, g := range []struct {
+		cfgs    []LevelConfig
+		tlbs    []TLBConfig
+		strides []int
+	}{
+		{tinyConfig(), nil, []int{32, 64, 128}},
+		{tinyConfig(), tinyTLBs(), []int{32, 64, 128}},
+		{wideLines, smallPages, []int{64, 256}},
+	} {
+		var tasks []SweepTask
+		for i, p := range BuildSweep(g.cfgs, g.strides) {
+			tasks = append(tasks, SweepTask{Point: p, Seed: int64(i) - 3})
+		}
+		if g.tlbs != nil && g.tlbs[0].PageBits < 8 {
+			both := 0
+			for _, task := range tasks {
+				p, err := planChase(g.cfgs, g.tlbs, ChaseConfig{Elements: task.Point.Elements, StrideBytes: task.Point.StrideBytes, Seed: task.Seed}, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p.cache && p.tlb {
+					both++
+				}
+			}
+			if both == 0 {
+				t.Fatal("no chase of the small-page sweep replays both sides")
+			}
+		}
+		reversed := slices.Clone(tasks)
+		slices.Reverse(reversed)
+		shuffled := slices.Clone(tasks)
+		rand.New(rand.NewSource(4)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		want := map[SweepTask]*ChaseResult{}
 		for _, task := range tasks {
-			r, err := RunSweepPointTLB(tinyConfig(), tlbs, task.Point, task.Seed, 2)
+			r, err := RunSweepPointTLB(g.cfgs, g.tlbs, task.Point, task.Seed, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -368,9 +402,9 @@ func TestRunSweepTasksOrderAndWorkers(t *testing.T) {
 		}
 		for oi, order := range [][]SweepTask{tasks, reversed, shuffled} {
 			for _, workers := range []int{1, 2, 3, 8} {
-				got := coldRun(t, tinyConfig(), tlbs, order, 2, workers)
+				got := coldRun(t, g.cfgs, g.tlbs, order, 2, workers)
 				for i, task := range order {
-					sameResult(t, fmt.Sprintf("order %d workers %d tlb %v/%s", oi, workers, tlbs != nil, task.Point.Name()), got[i], want[task])
+					sameResult(t, fmt.Sprintf("geometry %d order %d workers %d/%s", gi, oi, workers, task.Point.Name()), got[i], want[task])
 				}
 			}
 		}

@@ -80,11 +80,15 @@ func RunSweepTasks(cfgs []LevelConfig, tlbCfgs []TLBConfig, tasks []SweepTask, p
 	return results, nil
 }
 
-// chaseWorker is one worker's scratch: the traversal's two buffers, sized to
-// the call's longest stream, and its engines, built on first use and reset
-// by every chase. A call makes one per worker before its fan-out, so what it
-// allocates for streams is workers × 8 bytes × the longest chase, whatever
-// the number of chases, and none of it outlives the call.
+// chaseWorker is one running chase's scratch: the traversal's two buffers
+// and its engines, built on first use and reset by every chase. A task
+// takes a free one or makes one, and grows its buffers when its chase is
+// longer. At most W tasks run at once, so a call holds at most W of them,
+// and tasks are handed out largest first, so the buffers come to about 8
+// bytes per element of the W longest chases that replay a stream: at most
+// W × 8 × the longest chase whatever the number of chases, and about 8
+// bytes per element of the batch whatever the worker count. None of it
+// outlives the call.
 type chaseWorker struct {
 	keys, work []uint32
 	tlb        *mtfSim
@@ -96,31 +100,26 @@ type chaseWorker struct {
 func runChases(cfgs []LevelConfig, tlbCfgs []TLBConfig, lineShift uint, claimed []*memoEntry, passes, workers int) {
 	engineRuns.Add(int64(len(claimed)))
 	slices.SortStableFunc(claimed, func(a, b *memoEntry) int { return cmp.Compare(b.cfg.Elements, a.cfg.Elements) })
-	// Plans first: a chase they reject sizes no scratch.
-	plans := make([]chasePlan, len(claimed))
-	errs := make([]error, len(claimed))
-	longest := 0
-	for i, e := range claimed {
-		plans[i], errs[i] = planChase(cfgs, tlbCfgs, e.cfg, lineShift)
-		if errs[i] == nil && plans[i].replays() {
-			longest = max(longest, e.cfg.Elements)
-		}
-	}
-	// No more tasks run at once than par starts workers, so a task always
-	// finds a free scratch.
+	// No more tasks run at once than par starts workers, so returning a
+	// scratch never blocks.
 	free := make(chan *chaseWorker, min(par.Workers(workers), len(claimed)))
-	for range cap(free) {
-		free <- &chaseWorker{keys: make([]uint32, longest), work: make([]uint32, longest), cache: make([]*mtfSim, len(cfgs))}
-	}
 	settled := make([]bool, len(claimed))
 	failed := par.ForErr(workers, len(claimed), func(i int) error {
+		e := claimed[i]
+		p, err := planChase(cfgs, tlbCfgs, e.cfg, lineShift)
 		var res *ChaseResult
-		if errs[i] == nil {
-			w := <-free
+		if err == nil {
+			// A chase the plan rejects sizes no scratch.
+			var w *chaseWorker
+			select {
+			case w = <-free:
+			default:
+				w = &chaseWorker{cache: make([]*mtfSim, len(cfgs))}
+			}
 			defer func() { free <- w }()
-			res = w.run(cfgs, tlbCfgs, lineShift, &plans[i], passes)
+			res = w.run(cfgs, tlbCfgs, lineShift, &p, passes)
 		}
-		claimed[i].settle(res, errs[i])
+		e.settle(res, err)
 		settled[i] = true
 		return nil
 	})
@@ -189,7 +188,11 @@ func (w *chaseWorker) streams(p *chasePlan, lineShift, pageBits uint) (cache, tl
 	if !p.replays() {
 		return nil, nil
 	}
-	keys, other := w.keys[:p.cfg.Elements], w.work[:p.cfg.Elements]
+	n := p.cfg.Elements
+	if len(w.keys) < n {
+		w.keys, w.work = make([]uint32, n), make([]uint32, n)
+	}
+	keys, other := w.keys[:n], w.work[:n]
 	traversal(p.cfg, p.shift, keys, other)
 	switch {
 	case p.cache && p.tlb:

@@ -301,6 +301,28 @@ func TestRejectedChaseSizesNoScratch(t *testing.T) {
 	sameResult(t, "small", got[0], want)
 }
 
+// TestScratchFollowsRunningChases runs one long chase among seven short
+// ones on eight workers: the call allocates about one stream pair of the
+// long chase's length, not one per worker.
+func TestScratchFollowsRunningChases(t *testing.T) {
+	resetChaseMemo()
+	const long = 1 << 16
+	tasks := []SweepTask{{Point: SweepPoint{Region: RegionMem, StrideBytes: 64, Elements: long}, Seed: 1}}
+	for i := range 7 {
+		tasks = append(tasks, SweepTask{Point: SweepPoint{Region: RegionL2, StrideBytes: 64, Elements: 40}, Seed: int64(2 + i)})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := RunSweepTasks(tinyConfig(), tinyTLBs(), tasks, 1, 8); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	// A pair is two uint32 buffers: 8 bytes per element.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*8*long {
+		t.Fatalf("the call allocated %d bytes; one pair of the long chase is %d", got, 8*long)
+	}
+}
+
 // TestChaseMemoServesCopies mutates every returned result: the next hit must
 // still equal the reference.
 func TestChaseMemoServesCopies(t *testing.T) {

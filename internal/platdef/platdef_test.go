@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -361,54 +359,5 @@ func BenchmarkParseBuiltins(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-}
-
-// TestParseNumberMatchesParseFloat pins parseNumber's fast path to
-// strconv.ParseFloat bit for bit, signed zeros included, and its errors to
-// ParseFloat's: on hand-picked edge cases, every value of the committed
-// files, and random decimals of 1–22 digits with the point anywhere.
-func TestParseNumberMatchesParseFloat(t *testing.T) {
-	check := func(s string) {
-		t.Helper()
-		got, gotErr := parseNumber(s)
-		want, wantErr := strconv.ParseFloat(s, 64)
-		if (gotErr != nil) != (wantErr != nil) || math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("parseNumber(%q) = %v, %v; ParseFloat gives %v, %v", s, got, gotErr, want, wantErr)
-		}
-	}
-	for _, s := range []string{"", "-", ".", "-.", "0", "-0", "0.0", "-0.0", "00", "1.", ".5", "-.5", "1..2", "1.2.3",
-		"+1", "1e5", "1E-3", "0x1p3", "inf", "NaN", "1_000", " 1", "1 ", "٣",
-		"9007199254740991", "9007199254740992", "9007199254740993", "0.9007199254740993",
-		"1234567890123456789", "12345678901234567890", "0.0000000000000000000001", "0.00000000000000000000001",
-		"0.043437500000000004", "0.7943208883658387", "179769313486231570000000000000000000000"} {
-		check(s)
-	}
-	for _, name := range BuiltinNames() {
-		data, err := BuiltinBytes(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tok := range strings.Fields(string(data)) {
-			check(tok)
-			if _, val, ok := strings.Cut(tok, "="); ok {
-				check(val)
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 200000; i++ {
-		b := make([]byte, 1+rng.Intn(22))
-		for j := range b {
-			b[j] = byte('0' + rng.Intn(10))
-		}
-		s := string(b)
-		if dot := rng.Intn(len(b) + 2); dot <= len(b) {
-			s = s[:dot] + "." + s[dot:]
-		}
-		if rng.Intn(2) == 0 {
-			s = "-" + s
-		}
-		check(s)
 	}
 }

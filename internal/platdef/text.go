@@ -204,11 +204,11 @@ func Parse(data []byte) (*Platform, error) {
 			if len(fields) != 3 {
 				return nil, errf(ln, "noise takes a relative and an absolute sigma")
 			}
-			rel, err := parseNumber(fields[1])
+			rel, err := strconv.ParseFloat(fields[1], 64)
 			if err != nil {
 				return nil, errf(ln, "bad relative noise %q", fields[1])
 			}
-			abs, err := parseNumber(fields[2])
+			abs, err := strconv.ParseFloat(fields[2], 64)
 			if err != nil {
 				return nil, errf(ln, "bad absolute noise %q", fields[2])
 			}
@@ -312,7 +312,7 @@ func parseTerms(ln int, tokens []string, own func(string) string) ([]Term, error
 		if !ok || key == "" {
 			return nil, errf(ln, "bad term %q (want key=value)", tok)
 		}
-		coeff, err := parseNumber(val)
+		coeff, err := strconv.ParseFloat(val, 64)
 		if err != nil {
 			return nil, errf(ln, "bad coefficient %q for key %q", val, key)
 		}
@@ -326,44 +326,6 @@ func parseTerms(ln int, tokens []string, own func(string) string) ([]Term, error
 	}
 	return terms, nil
 }
-
-// parseNumber is strconv.ParseFloat(s, 64) with a fast path for the plain
-// decimals the format holds ("0", "2", "0.7943208883658387"). A mantissa m
-// below 2^53 and a power 10^k with k ≤ 22 are both exact float64s, and IEEE
-// division rounds m/10^k correctly, as ParseFloat rounds, so both paths give
-// the same bits. Anything else — an exponent, a sign other than a leading
-// '-', more than 19 digits, malformed text — goes through ParseFloat.
-func parseNumber(s string) (float64, error) {
-	digits, neg := strings.CutPrefix(s, "-")
-	var m uint64
-	n, k, dot := 0, 0, false
-	for i := 0; i < len(digits); i++ {
-		switch c := digits[i]; {
-		case c >= '0' && c <= '9' && n < 19:
-			m = m*10 + uint64(c-'0')
-			n++
-			if dot {
-				k++
-			}
-		case c == '.' && !dot:
-			dot = true
-		default:
-			return strconv.ParseFloat(s, 64)
-		}
-	}
-	if n == 0 || m >= 1<<53 || k >= len(pow10) {
-		return strconv.ParseFloat(s, 64)
-	}
-	f := float64(m) / pow10[k]
-	if neg {
-		f = -f
-	}
-	return f, nil
-}
-
-// pow10 holds the powers of ten float64 represents exactly.
-var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
-	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
 // Canonical renders the definition in the canonical text form: the unique
 // byte representation of its value. Parse(Canonical(p)) reproduces p
