@@ -4,6 +4,7 @@
 package eventlens_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -11,28 +12,35 @@ import (
 	"github.com/perfmetrics/eventlens"
 )
 
+// analyze runs a benchmark's default analysis through the facade. It names
+// the registry and the analysis by their facade types, as code outside the
+// module must.
+func analyze(t *testing.T, benchmark string) *eventlens.Analysis {
+	t.Helper()
+	var reg *eventlens.Registry
+	reg, err := eventlens.NewRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := eventlens.Analyze(context.Background(), reg, eventlens.AnalysisRequest{Benchmark: benchmark}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func TestPublicQuickstartFlow(t *testing.T) {
-	bench, err := eventlens.BenchmarkByName("cpu-flops")
-	if err != nil {
-		t.Fatal(err)
+	a := analyze(t, "cpu-flops")
+	if a.Profile.Platform != "spr-sim" {
+		t.Fatalf("platform = %q", a.Profile.Platform)
 	}
-	res, set, err := bench.Analyze(eventlens.DefaultRunConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.Platform != "spr-sim" {
-		t.Fatalf("platform = %q", set.Platform)
-	}
-	if len(res.SelectedEvents) != 8 {
-		t.Fatalf("selected %d events", len(res.SelectedEvents))
+	if len(a.Result.SelectedEvents) != 8 {
+		t.Fatalf("selected %d events", len(a.Result.SelectedEvents))
 	}
 	var dpOps *eventlens.MetricDefinition
-	for _, sig := range eventlens.CPUFlopsSignatures() {
-		if sig.Name == "DP Ops." {
-			dpOps, err = res.DefineMetric(sig)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, def := range a.Defs {
+		if def.Metric == "DP Ops." {
+			dpOps = def
 		}
 	}
 	if dpOps == nil || !dpOps.Composable(1e-6) {
@@ -157,19 +165,7 @@ func TestPublicQRCPUtilities(t *testing.T) {
 }
 
 func TestPublicPresetFlow(t *testing.T) {
-	bench, err := eventlens.BenchmarkByName("branch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := bench.Analyze(eventlens.DefaultRunConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defs, err := res.DefineMetrics(eventlens.BranchSignatures())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := eventlens.FormatPresets(defs, 0.05, 1e-6)
+	out := eventlens.FormatPresets(analyze(t, "branch").Defs, 0.05, 1e-6)
 	if !strings.Contains(out, "PRESET,PAPI_MISPREDICTED_BRANCHES,") {
 		t.Fatalf("preset output missing mispredicted branches:\n%s", out)
 	}

@@ -2,8 +2,10 @@
 // paper, plus ablations of the design choices called out in DESIGN.md.
 //
 // Tables I-IV are signature/basis constructions; Tables V-VIII run the
-// metric-definition stage against pre-collected measurements; Figures 2a-2d
-// run the noise analysis; Figure 3 evaluates the cache combinations. The
+// analysis the daemon serves (the noise profile, then AnalyzeProfile) and
+// the metric definitions against pre-collected measurements; Figures 2a-2d
+// cut the noise profile at tau, as cmd/figures does; Figure 3 evaluates the
+// cache combinations. The
 // Collect* benchmarks measure raw data collection on the simulated
 // platforms, and the QRCPAblation benchmarks compare the paper's specialized
 // pivoting against classical largest-norm pivoting on the same input.
@@ -75,7 +77,7 @@ func benchSignatureTable(b *testing.B, name string) {
 			b.Fatal(err)
 		}
 		for _, sig := range bench.Signatures {
-			if err := sig.Validate(basis); err != nil {
+			if err := sig.CheckDim(basis.Dim()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -89,8 +91,8 @@ func BenchmarkTableIII_BranchSignatures(b *testing.B)  { benchSignatureTable(b, 
 func BenchmarkTableIV_CacheSignatures(b *testing.B)    { benchSignatureTable(b, "dcache") }
 
 // benchMetricTable regenerates one metric table (Tables V-VIII): the full
-// analysis pipeline plus least-squares metric definitions, against cached
-// measurements.
+// analysis pipeline — noise profile, then the stages the daemon runs over
+// it — plus least-squares metric definitions, against cached measurements.
 func benchMetricTable(b *testing.B, name string) {
 	c := collect(b, name)
 	pipe := &core.Pipeline{Basis: c.basis, Config: c.bench.Config}
@@ -116,14 +118,14 @@ func BenchmarkTableVI_GPUFlopsMetrics(b *testing.B) { benchMetricTable(b, "gpu-f
 func BenchmarkTableVII_BranchMetrics(b *testing.B)  { benchMetricTable(b, "branch") }
 func BenchmarkTableVIII_CacheMetrics(b *testing.B)  { benchMetricTable(b, "dcache") }
 
-// benchFigure2 regenerates one variability figure: the max-RNMSE noise
-// analysis over all events, plus the sort.
+// benchFigure2 regenerates one variability figure: the noise profile of
+// every event cut at tau, plus the sort.
 func benchFigure2(b *testing.B, name string) {
 	c := collect(b, name)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		report := core.FilterNoise(c.set, c.bench.Config.Tau)
+		report := core.ProfileNoise(c.set, 0).Threshold(c.bench.Config.Tau)
 		if len(report.SortedVariabilities()) == 0 {
 			b.Fatal("no variabilities")
 		}
@@ -418,20 +420,18 @@ func BenchmarkNoiseMeasureRNMSE(b *testing.B) { benchNoiseMeasure(b, core.MaxRNM
 func BenchmarkNoiseMeasureMAD(b *testing.B)   { benchNoiseMeasure(b, core.MaxPairwiseMAD) }
 func BenchmarkNoiseMeasureCV(b *testing.B)    { benchNoiseMeasure(b, core.MaxCV) }
 
-// End-to-end: the public-API path a downstream user takes.
+// End-to-end: the public-API path a downstream user takes, which is the
+// daemon's analysis path (collection, noise profile, analysis, definitions).
 func BenchmarkEndToEndQuickstart(b *testing.B) {
-	bench, err := eventlens.BenchmarkByName("branch")
+	reg, err := eventlens.NewRegistry()
 	if err != nil {
 		b.Fatal(err)
 	}
+	req := eventlens.AnalysisRequest{Benchmark: "branch"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _, err := bench.Analyze(eventlens.DefaultRunConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := res.DefineMetrics(eventlens.BranchSignatures()); err != nil {
+		if _, err := eventlens.Analyze(context.Background(), reg, req, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

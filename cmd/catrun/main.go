@@ -9,6 +9,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -17,7 +18,7 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"github.com/perfmetrics/eventlens/internal/cat"
+	"github.com/perfmetrics/eventlens/internal/analysis"
 	"github.com/perfmetrics/eventlens/internal/catio"
 	"github.com/perfmetrics/eventlens/internal/cli"
 	"github.com/perfmetrics/eventlens/internal/machine"
@@ -60,23 +61,30 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *threads < 0 {
 		return cli.Usagef("threads must be >= 1 (0 means the benchmark default), got %d", *threads)
 	}
-	bench, err := suite.ByName(*benchName)
+	reg, err := machine.NewRegistry()
 	if err != nil {
 		return err
 	}
-	cfg := bench.DefaultRun
+	id, err := analysis.Request{Benchmark: *benchName}.Resolve(reg, *workers)
+	if errors.Is(err, analysis.ErrInvalid) {
+		return &cli.UsageError{Err: err}
+	}
+	if err != nil {
+		return err
+	}
+	// A given -reps or -threads replaces the benchmark's default, then the
+	// run is checked by the rule Resolve applies to a request's run.
 	if *reps > 0 {
-		cfg.Reps = *reps
+		id.Run.Reps = *reps
 	}
 	if *threads > 0 {
-		cfg.Threads = *threads
+		id.Run.Threads = *threads
 	}
-	platform, err := machine.BuiltinPlatform(bench.Platform)
-	if err != nil {
-		return err
+	if err := id.Run.Validate(); err != nil {
+		return &cli.UsageError{Err: err}
 	}
 	fmt.Fprintf(stderr, "catrun: running %s on %s (%d events, %d reps, %d threads)\n",
-		bench.Name, platform.Name, platform.Catalog.Len(), cfg.Reps, cfg.Threads)
+		id.Bench.Name, id.Platform.Name, len(id.Platform.Events), id.Run.Reps, id.Run.Threads)
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -88,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	set, err := bench.CollectOn(context.Background(), platform, cat.RunConfig{Reps: cfg.Reps, Threads: cfg.Threads, Workers: *workers})
+	set, err := id.Collect(context.Background())
 	if err != nil {
 		return err
 	}

@@ -62,13 +62,22 @@ func TestFlagSmoke(t *testing.T) {
 	}
 }
 
-// TestNegativeRunConfigRejected pins the fix for silently-ignored negative
-// -reps/-threads: they are now usage errors.
+// TestNegativeRunConfigRejected pins catrun's run checks: negative
+// -reps/-threads, and runs past the collection bounds or with a negative
+// worker count, are usage errors reported before the run is announced.
 func TestNegativeRunConfigRejected(t *testing.T) {
-	for _, args := range [][]string{
-		{"-bench", "branch", "-out", "x.json", "-reps", "-1"},
-		{"-bench", "branch", "-out", "x.json", "-threads", "-3"},
+	for _, c := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-reps", "-1"}, "reps must be >= 1"},
+		{[]string{"-threads", "-3"}, "threads must be >= 1"},
+		{[]string{"-reps", "300"}, "reps*threads must be <= 256"},
+		{[]string{"-threads", "17"}, "threads must be <= 16"},
+		{[]string{"-reps", "100", "-threads", "4"}, "reps*threads must be <= 256"},
+		{[]string{"-workers", "-3"}, "workers must be >= 0"},
 	} {
+		args := append([]string{"-bench", "branch", "-out", filepath.Join(t.TempDir(), "x.json")}, c.args...)
 		var stdout, stderr bytes.Buffer
 		err := run(args, &stdout, &stderr)
 		var ue *cli.UsageError
@@ -76,8 +85,11 @@ func TestNegativeRunConfigRejected(t *testing.T) {
 			t.Errorf("run(%q): got %v, want UsageError", args, err)
 			continue
 		}
-		if !strings.Contains(err.Error(), "must be >= 1") {
-			t.Errorf("run(%q): unhelpful message %q", args, err)
+		if !strings.Contains(err.Error(), c.msg) {
+			t.Errorf("run(%q): message %q, want it to contain %q", args, err, c.msg)
+		}
+		if stderr.Len() != 0 {
+			t.Errorf("run(%q): announced a rejected run: %q", args, stderr.String())
 		}
 	}
 }

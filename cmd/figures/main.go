@@ -28,7 +28,6 @@ import (
 
 	"github.com/perfmetrics/eventlens/internal/analysis"
 	"github.com/perfmetrics/eventlens/internal/cli"
-	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/cpusim"
 	"github.com/perfmetrics/eventlens/internal/machine"
 	"github.com/perfmetrics/eventlens/internal/matrix"
@@ -61,15 +60,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *fig == "" || *fig == "1" {
 		figure1(stdout)
 	}
+	reg, err := machine.NewRegistry()
+	if err != nil {
+		return err
+	}
 	for _, bench := range suite.All() {
 		if *fig == "" || *fig == bench.Figure {
-			if err := figure2(stdout, bench, *csv); err != nil {
+			if err := figure2(stdout, reg, bench, *csv); err != nil {
 				return err
 			}
 		}
 	}
 	if *fig == "" || *fig == "3" {
-		if err := figure3(stdout, *csv); err != nil {
+		if err := figure3(stdout, reg, *csv); err != nil {
 			return err
 		}
 	}
@@ -124,16 +127,20 @@ func figure1(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// figure2 renders one panel of Figure 2: sorted event variabilities.
-func figure2(w io.Writer, bench suite.Benchmark, csv bool) error {
-	set, err := bench.Collect(context.Background(), bench.DefaultRun)
+// figure2 renders one panel of Figure 2: the sorted event variabilities of
+// the benchmark's default analysis, its noise profile cut at its tau.
+func figure2(w io.Writer, reg *machine.Registry, bench suite.Benchmark, csv bool) error {
+	id, err := analysis.Request{Benchmark: bench.Name}.Resolve(reg, 0)
 	if err != nil {
 		return err
 	}
-	report := core.FilterNoise(set, bench.Config.Tau)
-	sorted := report.SortedVariabilities()
+	prof, err := id.Profile(context.Background())
+	if err != nil {
+		return err
+	}
+	sorted := prof.Threshold(id.Config.Tau).SortedVariabilities()
 	title := fmt.Sprintf("Figure %s: sorted event variabilities (CAT %s benchmark, %s)",
-		bench.Figure, bench.Name, set.Platform)
+		bench.Figure, bench.Name, prof.Platform)
 	if csv {
 		fmt.Fprintln(w, title)
 		fmt.Fprintln(w, "index,event,max_rnmse")
@@ -147,17 +154,13 @@ func figure2(w io.Writer, bench suite.Benchmark, csv bool) error {
 	for i, v := range sorted {
 		values[i] = v.MaxRNMSE
 	}
-	fmt.Fprint(w, textplot.LogScatter(title, values, bench.Config.Tau, 70, 16))
+	fmt.Fprint(w, textplot.LogScatter(title, values, id.Config.Tau, 70, 16))
 	fmt.Fprintln(w)
 	return nil
 }
 
 // figure3 renders the six cache-metric approximation panels.
-func figure3(w io.Writer, csv bool) error {
-	reg, err := machine.NewRegistry()
-	if err != nil {
-		return err
-	}
+func figure3(w io.Writer, reg *machine.Registry, csv bool) error {
 	a, err := analysis.Run(context.Background(), reg, analysis.Request{Benchmark: "dcache"}, 0)
 	if err != nil {
 		return err

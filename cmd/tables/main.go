@@ -11,13 +11,15 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 
-	"github.com/perfmetrics/eventlens/internal/cat"
+	"github.com/perfmetrics/eventlens/internal/analysis"
 	"github.com/perfmetrics/eventlens/internal/cli"
 	"github.com/perfmetrics/eventlens/internal/core"
+	"github.com/perfmetrics/eventlens/internal/machine"
 	"github.com/perfmetrics/eventlens/internal/suite"
 )
 
@@ -38,9 +40,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *table < 0 || *table > 8 {
 		return cli.Usagef("table must be 0-8, got %d", *table)
 	}
-	// Signature tables come straight from the suite; metric tables need the
-	// pipeline. Benchmarks are ordered so benchmark i produces signature
-	// table i+1 and metric table i+5.
+	reg, err := machine.NewRegistry()
+	if err != nil {
+		return err
+	}
+	// Signature tables come straight from the suite; metric tables are the
+	// definitions of each benchmark's default analysis. Benchmarks are
+	// ordered so benchmark i produces signature table i+1 and metric table
+	// i+5.
 	for i, bench := range suite.All() {
 		sigTable := i + 1
 		metTable := i + 5
@@ -50,14 +57,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintln(stdout)
 		}
 		if *table == 0 || *table == metTable {
-			res, _, err := bench.Analyze(cat.RunConfig(bench.DefaultRun))
+			a, err := analysis.Run(context.Background(), reg, analysis.Request{Benchmark: bench.Name}, 0)
 			if err != nil {
 				return fmt.Errorf("%s: %v", bench.Name, err)
 			}
-			defs, err := res.DefineMetrics(bench.Signatures)
-			if err != nil {
-				return fmt.Errorf("%s: %v", bench.Name, err)
-			}
+			defs := a.Defs
 			if *rounded {
 				for j, d := range defs {
 					defs[j] = d.Rounded(bench.Config.RoundTol)

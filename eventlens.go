@@ -22,22 +22,25 @@
 //
 // The package is a facade over the implementation in internal/: it
 // re-exports the analysis types (Pipeline, Basis, Signature, ...), the CAT
-// benchmark drivers, and the two simulated platforms (an Intel Sapphire
-// Rapids-like CPU and an AMD MI250X-like GPU) that substitute for the
-// paper's Aurora and Frontier machines.
+// benchmark drivers, and the simulated platforms (an Intel Sapphire
+// Rapids-like CPU and an AMD MI250X-like GPU among them) that substitute
+// for the paper's Aurora and Frontier machines. Analyze runs a benchmark's
+// analysis exactly as the eventlensd daemon serves it: the request is
+// resolved against a platform registry, collected, reduced to its noise
+// profile and analyzed.
 //
 // # Quick start
 //
-//	bench, _ := eventlens.BenchmarkByName("cpu-flops")
-//	res, _, err := bench.Analyze(eventlens.DefaultRunConfig())
+//	reg, _ := eventlens.NewRegistry()
+//	a, err := eventlens.Analyze(context.Background(), reg, eventlens.AnalysisRequest{Benchmark: "cpu-flops"}, 0)
 //	if err != nil { ... }
-//	def, _ := res.DefineMetric(eventlens.CPUFlopsSignatures()[4]) // DP Ops.
-//	fmt.Println(def)
+//	fmt.Println(a.Defs[4]) // DP Ops.
 //
 // See examples/ for complete programs.
 package eventlens
 
 import (
+	"github.com/perfmetrics/eventlens/internal/analysis"
 	"github.com/perfmetrics/eventlens/internal/cat"
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/machine"
@@ -116,11 +119,6 @@ var (
 	FilterNoise = core.FilterNoise
 	// NewProjector factorizes a basis once for repeated projections.
 	NewProjector = core.NewProjector
-	// BuildX projects all kept events and assembles the QRCP input.
-	BuildX = core.BuildX
-	// BuildXWorkers is BuildX with an explicit worker-pool size (0 means
-	// GOMAXPROCS, 1 forces the serial path; results are byte-identical).
-	BuildXWorkers = core.BuildXWorkers
 	// SpecializedQRCP is the paper's Algorithm 2.
 	SpecializedQRCP = core.SpecializedQRCP
 	// RoundToGrid is the paper's noise-tolerant rounding R(u).
@@ -151,10 +149,6 @@ type (
 var (
 	// FilterNoiseWith is FilterNoise with a pluggable noise measure.
 	FilterNoiseWith = core.FilterNoiseWith
-	// FilterNoiseWithWorkers is FilterNoiseWith with an explicit worker-pool
-	// size (0 means GOMAXPROCS, 1 forces the serial path; results are
-	// byte-identical).
-	FilterNoiseWithWorkers = core.FilterNoiseWithWorkers
 	// MaxPairwiseMAD is a median-based, glitch-robust noise measure.
 	MaxPairwiseMAD = core.MaxPairwiseMAD
 	// MaxCV is the classical coefficient-of-variation noise measure.
@@ -203,6 +197,31 @@ var (
 	BuiltinPlatform = machine.BuiltinPlatform
 )
 
+// Requests: one analysis of a benchmark, resolved against a registry of
+// platforms.
+type (
+	// AnalysisRequest selects a benchmark and optionally the platform to
+	// collect it on and overrides of its run and thresholds; it is the body
+	// of the daemon's /v1/analyze.
+	AnalysisRequest = analysis.Request
+	// Analysis is one analyzed request: its noise profile, the pipeline
+	// result and the benchmark's metric definitions.
+	Analysis = analysis.Analysis
+	// Registry is a set of named platform definitions requests resolve
+	// against.
+	Registry = machine.Registry
+)
+
+var (
+	// NewRegistry loads the built-in platform definitions, then the *.pdef
+	// files of each given directory.
+	NewRegistry = machine.NewRegistry
+	// Analyze resolves a request against a registry, collects it and runs
+	// the analysis, defining the benchmark's metrics (workers bounds the
+	// collection and analysis pools; 0 means GOMAXPROCS).
+	Analyze = analysis.Run
+)
+
 // Benchmark registry.
 var (
 	// Benchmarks returns the four CAT benchmarks in paper order.
@@ -249,7 +268,7 @@ type (
 	// Explanation decodes what a raw event measures in basis vocabulary.
 	Explanation = core.Explanation
 	// RatioMetric is a quotient of two composed metrics (miss ratios,
-	// misprediction rates, MPKI).
+	// misprediction rates).
 	RatioMetric = core.RatioMetric
 )
 

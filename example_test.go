@@ -10,21 +10,17 @@ import (
 // Compose double-precision FLOPs on the simulated Sapphire Rapids — the
 // paper's motivating example, end to end through the public API.
 func Example() {
-	bench, err := eventlens.BenchmarkByName("cpu-flops")
+	reg, err := eventlens.NewRegistry()
 	if err != nil {
 		panic(err)
 	}
-	res, _, err := bench.Analyze(eventlens.DefaultRunConfig())
+	a, err := eventlens.Analyze(context.Background(), reg, eventlens.AnalysisRequest{Benchmark: "cpu-flops"}, 0)
 	if err != nil {
 		panic(err)
 	}
-	for _, sig := range eventlens.CPUFlopsSignatures() {
-		if sig.Name != "DP Ops." {
+	for _, def := range a.Defs {
+		if def.Metric != "DP Ops." {
 			continue
-		}
-		def, err := res.DefineMetric(sig)
-		if err != nil {
-			panic(err)
 		}
 		for _, term := range def.Rounded(0.05).NonZeroTerms() {
 			fmt.Printf("%g x %s\n", term.Coeff, term.Event)

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -20,30 +21,28 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	bench, err := eventlens.BenchmarkByName("dcache")
+	reg, err := eventlens.NewRegistry()
 	if err != nil {
 		log.Fatal(err)
 	}
 	// 5 repetitions, 4 concurrent measuring threads on disjoint buffers.
-	res, set, err := bench.Analyze(eventlens.RunConfig{Reps: 5, Threads: 4})
+	req := eventlens.AnalysisRequest{Benchmark: "dcache", Run: &eventlens.RunConfig{Reps: 5, Threads: 4}}
+	a, err := eventlens.Analyze(context.Background(), reg, req, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("pointer-chase sweep: %d configurations (two strides x L1/L2/L3/memory regions)\n",
-		len(set.PointNames))
-	fmt.Print(eventlens.FormatNoiseSummary(res.Noise))
-	fmt.Print(eventlens.FormatSelection(res))
+		len(a.Profile.PointNames))
+	fmt.Print(eventlens.FormatNoiseSummary(a.Result.Noise))
+	fmt.Print(eventlens.FormatSelection(a.Result))
 	fmt.Println()
 
-	basis, err := bench.Basis()
+	basis, err := a.ID.Bench.Basis()
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, sig := range eventlens.CacheSignatures() {
-		def, err := res.DefineMetric(sig)
-		if err != nil {
-			log.Fatal(err)
-		}
+	for i, def := range a.Defs {
+		sig := a.ID.Bench.Signatures[i]
 		rounded := def.Rounded(0.05)
 		fmt.Printf("%-12s raw coefficients:", sig.Name)
 		for _, t := range def.Terms {
@@ -55,7 +54,7 @@ func main() {
 		}
 		// Verify the rounded combination tracks the signature across the
 		// sweep (this is what Figure 3 plots).
-		combo, err := rounded.Combine(res.Noise.Kept)
+		combo, err := rounded.Combine(a.Result.Noise.Kept)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -64,8 +63,8 @@ func main() {
 			log.Fatal(err)
 		}
 		worst := 0.0
-		for i := range combo {
-			worst = math.Max(worst, math.Abs(combo[i]-want[i]))
+		for j := range combo {
+			worst = math.Max(worst, math.Abs(combo[j]-want[j]))
 		}
 		fmt.Printf("   max |combo - signature| = %.3g\n", worst)
 	}

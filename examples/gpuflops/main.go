@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,33 +18,24 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	bench, err := eventlens.BenchmarkByName("gpu-flops")
+	reg, err := eventlens.NewRegistry()
 	if err != nil {
 		log.Fatal(err)
 	}
-	platform, err := eventlens.MI250X()
+	a, err := eventlens.Analyze(context.Background(), reg, eventlens.AnalysisRequest{Benchmark: "gpu-flops"}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("simulated platform %s exposes %d raw events\n", platform.Name, platform.Catalog.Len())
-
-	res, set, err := bench.Analyze(eventlens.DefaultRunConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("benchmark points: %d, events measured: %d\n", len(set.PointNames), len(set.Order))
-	fmt.Print(eventlens.FormatNoiseSummary(res.Noise))
-	fmt.Print(eventlens.FormatSelection(res))
+	fmt.Printf("simulated platform %s exposes %d raw events\n", a.ID.Platform.Name, len(a.ID.Platform.Events))
+	fmt.Printf("benchmark points: %d, events measured: %d\n", len(a.Profile.PointNames), len(a.Profile.Order))
+	fmt.Print(eventlens.FormatNoiseSummary(a.Result.Noise))
+	fmt.Print(eventlens.FormatSelection(a.Result))
 	fmt.Println()
 
-	defs, err := res.DefineMetrics(eventlens.GPUFlopsSignatures())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(eventlens.FormatMetricTable("GPU floating-point metrics (paper Table VI):", defs))
+	fmt.Print(eventlens.FormatMetricTable("GPU floating-point metrics (paper Table VI):", a.Defs))
 
 	fmt.Println("\ncomposability verdicts:")
-	for _, def := range defs {
+	for _, def := range a.Defs {
 		verdict := "composable"
 		if !def.Composable(eventlens.ComposableThreshold) {
 			verdict = "NOT composable on this architecture"

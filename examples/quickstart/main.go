@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,50 +22,37 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	// Pick the CPU-FLOPs benchmark: 16 microkernels stressing every
-	// floating-point instruction class, on the simulated Sapphire Rapids.
-	bench, err := eventlens.BenchmarkByName("cpu-flops")
+	// Analyze the CPU-FLOPs benchmark — 16 microkernels stressing every
+	// floating-point instruction class — on its default platform, the
+	// simulated Sapphire Rapids: collect 5 repetitions of every raw event
+	// over all 48 kernel loops, then run the analysis pipeline (noise
+	// filter -> expectation-basis projection -> specialized QRCP) and define
+	// the benchmark's metrics from the selected events.
+	reg, err := eventlens.NewRegistry()
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Collect measurements (5 repetitions of every raw event over all 48
-	// kernel loops) and run the analysis pipeline: noise filter ->
-	// expectation-basis projection -> specialized QRCP.
-	res, _, err := bench.Analyze(eventlens.DefaultRunConfig())
+	a, err := eventlens.Analyze(context.Background(), reg, eventlens.AnalysisRequest{Benchmark: "cpu-flops"}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(eventlens.FormatSelection(res))
+	fmt.Print(eventlens.FormatSelection(a.Result))
 	fmt.Println()
 
-	// Define the DP Ops metric from the selected events.
-	for _, sig := range eventlens.CPUFlopsSignatures() {
-		if sig.Name != "DP Ops." {
-			continue
+	for _, def := range a.Defs {
+		switch def.Metric {
+		case "DP Ops.":
+			fmt.Println("composed metric:")
+			fmt.Print(def)
+			if def.Composable(eventlens.ComposableThreshold) {
+				fmt.Println("\nDP FLOPs can be measured on this architecture with the combination above.")
+			}
+		case "DP FMA Instrs.":
+			// Contrast: FMA instruction counts canNOT be composed — no
+			// FMA-only event exists, and the backward error says so (paper
+			// Table V).
+			fmt.Printf("\n%s backward error = %.3g -> not composable (no FMA-only event exists)\n",
+				def.Metric, def.BackwardError)
 		}
-		def, err := res.DefineMetric(sig)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("composed metric:")
-		fmt.Print(def)
-		if def.Composable(eventlens.ComposableThreshold) {
-			fmt.Println("\nDP FLOPs can be measured on this architecture with the combination above.")
-		}
-	}
-
-	// Contrast: FMA instruction counts canNOT be composed — no FMA-only
-	// event exists, and the backward error says so (paper Table V).
-	for _, sig := range eventlens.CPUFlopsSignatures() {
-		if sig.Name != "DP FMA Instrs." {
-			continue
-		}
-		def, err := res.DefineMetric(sig)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\n%s backward error = %.3g -> not composable (no FMA-only event exists)\n",
-			def.Metric, def.BackwardError)
 	}
 }

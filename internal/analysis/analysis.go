@@ -143,14 +143,20 @@ func (id ID) MeasurementKey() string {
 	return id.Ref + "|" + id.Run.MeasurementKey(id.Bench.Name)
 }
 
-// Profile collects the benchmark on the resolved platform and reduces the
-// set to its noise profile (ProfileSet).
-func (id ID) Profile(ctx context.Context) (*core.NoiseProfile, error) {
+// Collect collects the benchmark's measurement set with the resolved run on
+// the resolved platform.
+func (id ID) Collect(ctx context.Context) (*core.MeasurementSet, error) {
 	p, err := machine.FromDef(id.Platform)
 	if err != nil {
 		return nil, err
 	}
-	set, err := id.Bench.CollectOn(ctx, p, id.Run)
+	return id.Bench.CollectOn(ctx, p, id.Run)
+}
+
+// Profile collects the ID's measurement set (Collect) and reduces it to its
+// noise profile (ProfileSet).
+func (id ID) Profile(ctx context.Context) (*core.NoiseProfile, error) {
+	set, err := id.Collect(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -168,8 +174,8 @@ func (id ID) ProfileSet(set *core.MeasurementSet) (*core.NoiseProfile, error) {
 }
 
 // Analyze runs the analysis stages over a noise profile of the ID's
-// measurement set and defines the benchmark's metrics. Its result equals
-// the analysis of the profiled set itself (suite.Benchmark.AnalyzeSet).
+// measurement set (core.Pipeline.AnalyzeProfile) and defines the
+// benchmark's metrics.
 func (id ID) Analyze(ctx context.Context, prof *core.NoiseProfile) (*Analysis, error) {
 	basis, err := id.Bench.BasisForPoints(prof.PointNames)
 	if err != nil {

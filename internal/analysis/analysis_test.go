@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"github.com/perfmetrics/eventlens/internal/cat"
@@ -108,38 +107,80 @@ func TestRejections(t *testing.T) {
 	}
 }
 
-// TestRunEqualsAnalyzeSet: the one-shot run — collection, noise profile,
-// analysis — defines exactly the metrics AnalyzeSet defines over the same
-// collection, on the benchmark's default platform and on another one.
+// TestRunEqualsAnalyzeSet checks the served analysis — Run: resolution,
+// collection, the noise profile, then core.Pipeline.AnalyzeProfile —
+// against a stage-by-stage reference over the same collection: the
+// one-shot noise filter, projection, the specialized QRCP and one
+// least-squares definition per signature, the stages cmd/loadgen's traced
+// replayer runs. The kept, filtered and discarded events, the kept vectors,
+// the variabilities, the selection and every definition must agree bit for
+// bit (%v renders each float64 in its shortest round-tripping form) on every
+// built-in platform: branch on the CPU ones, gpu-flops on the GPU ones.
 func TestRunEqualsAnalyzeSet(t *testing.T) {
 	reg := registry(t)
 	ctx := context.Background()
-	for _, platform := range []string{"", "graviton"} {
-		a, err := Run(ctx, reg, Request{Benchmark: "branch", Platform: platform}, 1)
+	benchmarks := map[string]string{"cpu": "branch", "gpu": "gpu-flops"}
+	for _, name := range reg.Names() {
+		def, err := reg.Def(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := machine.FromDef(a.ID.Platform)
-		if err != nil {
-			t.Fatal(err)
-		}
-		set, err := a.ID.Bench.CollectOn(ctx, p, a.ID.Run)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := a.ID.Bench.AnalyzeSet(ctx, set, a.ID.Config)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defs, err := res.DefineMetrics(a.ID.Bench.Signatures)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(defs, a.Defs) || !reflect.DeepEqual(res.SelectedEvents, a.Result.SelectedEvents) {
-			t.Fatalf("platform %q: Run and AnalyzeSet disagree", platform)
-		}
-		if a.Profile.Platform != a.ID.Platform.Name {
-			t.Fatalf("platform %q: collected on %s, resolved %s", platform, a.Profile.Platform, a.ID.Platform.Name)
-		}
+		t.Run(name, func(t *testing.T) {
+			a, err := Run(ctx, reg, Request{Benchmark: benchmarks[def.Class], Platform: name}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Profile.Platform != def.Name {
+				t.Fatalf("collected on %s, resolved %s", a.Profile.Platform, def.Name)
+			}
+			set, err := a.ID.Collect(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			basis, err := a.ID.Bench.BasisFor(set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := a.ID.Config
+			noise := core.FilterNoiseWithWorkers(set, cfg.Tau, core.MaxRNMSE, 1)
+			proj, err := core.BuildXWorkers(basis, noise.Kept, noise.KeptOrder, cfg.ProjectionTol, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qr := core.SpecializedQRCP(proj.X, cfg.Alpha)
+			var selected []string
+			for _, i := range qr.Selected() {
+				selected = append(selected, proj.Order[i])
+			}
+			got := a.Result.Noise
+			for _, c := range []struct {
+				what      string
+				got, want any
+			}{
+				{"kept events", got.KeptOrder, noise.KeptOrder},
+				{"kept vectors", got.Kept, noise.Kept},
+				{"filtered events", got.Filtered, noise.Filtered},
+				{"discarded events", got.Discarded, noise.Discarded},
+				{"variabilities", got.Variabilities, noise.Variabilities},
+				{"selected events", a.Result.SelectedEvents, selected},
+			} {
+				if g, w := fmt.Sprint(c.got), fmt.Sprint(c.want); g != w {
+					t.Errorf("%s differ:\n got %.200s\nwant %.200s", c.what, g, w)
+				}
+			}
+			xhat := proj.X.ColSlice(qr.Selected())
+			for i, sig := range a.ID.Bench.Signatures {
+				want, err := core.DefineMetric(xhat, selected, sig)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g, w := fmt.Sprintf("%+v", *a.Defs[i]), fmt.Sprintf("%+v", *want); g != w {
+					t.Errorf("%s differs:\n got %s\nwant %s", sig.Name, g, w)
+				}
+			}
+		})
+	}
+	if n := len(reg.Names()); n != 7 {
+		t.Errorf("checked %d built-in platforms, want 7", n)
 	}
 }

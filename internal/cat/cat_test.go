@@ -96,7 +96,7 @@ func TestFlopsCPUBasisMatchesGroundTruth(t *testing.T) {
 	}
 	for pi, stats := range points {
 		for ki, key := range keys {
-			if got, want := stats.Get(key), basis.E.At(pi, ki); got != want {
+			if got, want := stats[key], basis.E.At(pi, ki); got != want {
 				t.Fatalf("point %d, ideal %s: ground truth %v, basis %v", pi, symbols[ki], got, want)
 			}
 		}
@@ -403,7 +403,7 @@ func TestBranchGroundTruthMatchesEq3(t *testing.T) {
 	keys := []string{machine.KeyBrCE, machine.KeyBrCR, machine.KeyBrTaken, machine.KeyBrDirect, machine.KeyBrMisp}
 	for i, stats := range truth[0] {
 		for j, key := range keys {
-			if got, want := stats.Get(key), basis.E.At(i, j); got != want {
+			if got, want := stats[key], basis.E.At(i, j); got != want {
 				t.Fatalf("kernel %d %s: ground truth %v, Eq3 %v", i, key, got, want)
 			}
 		}

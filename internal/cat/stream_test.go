@@ -148,7 +148,7 @@ func TestStreamingPipelineHundredThousandEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj, err := core.BuildX(basis, noise.Kept, noise.KeptOrder, 1e-2)
+	proj, err := core.BuildXWorkers(basis, noise.Kept, noise.KeptOrder, 1e-2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

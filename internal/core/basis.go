@@ -6,7 +6,7 @@
 //
 // The stages map one-to-one onto the paper's sections:
 //
-//	Section III  -> Basis, Projector, BuildX
+//	Section III  -> Basis, Projector, BuildXWorkers
 //	Section IV   -> MaxRNMSE, FilterNoise, MedianOverThreads
 //	Section V    -> SpecializedQRCP (Algorithm 2), RoundToGrid, Score
 //	Section VI   -> DefineMetric, BackwardError, Rounded
@@ -62,16 +62,6 @@ func (b *Basis) Dim() int { return len(b.Names) }
 
 // Points returns the number of benchmark points.
 func (b *Basis) Points() int { return len(b.PointNames) }
-
-// IndexOf returns the column index of an ideal event name, or -1.
-func (b *Basis) IndexOf(name string) int {
-	for i, n := range b.Names {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
 
 // Expand maps a coefficient vector in basis coordinates to point space:
 // E * coeffs. This is how a signature becomes a per-point expectation series

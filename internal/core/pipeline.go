@@ -103,49 +103,31 @@ type Result struct {
 	Unmeasured []string
 }
 
-// Analyze runs noise filtering, projection and the specialized QRCP on a
-// measurement set.
+// Analyze runs the analysis of a measurement set: it validates the set,
+// reduces it to its noise profile on the configured worker count and runs
+// AnalyzeProfile over it.
 func (p *Pipeline) Analyze(set *MeasurementSet) (*Result, error) {
-	return p.AnalyzeContext(context.Background(), set)
-}
-
-// AnalyzeContext is Analyze with cancellation: the context is checked
-// between the pipeline stages, so a caller (a server handler, a job worker)
-// can abandon an analysis whose deadline passed without waiting for the
-// remaining stages.
-func (p *Pipeline) AnalyzeContext(ctx context.Context, set *MeasurementSet) (*Result, error) {
 	if err := set.Validate(); err != nil {
 		return nil, err
 	}
-	return p.analyze(ctx, set.Benchmark, set.Dropped, func() *NoiseReport {
-		return FilterNoiseWithWorkers(set, p.Config.Tau, MaxRNMSE, p.Config.Workers)
-	})
+	return p.AnalyzeProfile(context.Background(), ProfileNoise(set, p.Config.Workers))
 }
 
-// AnalyzeProfile is AnalyzeContext over a validated set's noise profile:
-// the noise stage is the profile cut at the configured tau, and every later
-// stage is AnalyzeContext's. The result equals AnalyzeContext's on the
-// profiled set; its noise report shares the profile's read-only vectors.
+// AnalyzeProfile runs the analysis stages over a validated set's noise
+// profile: the noise stage is the profile cut at the configured tau, then
+// projection, the specialized QRCP and the selection. The context is
+// checked between the stages, so a caller (a server handler, a job worker)
+// can abandon an analysis whose deadline passed without waiting for the
+// remaining ones. The result's noise report shares the profile's read-only
+// vectors.
 func (p *Pipeline) AnalyzeProfile(ctx context.Context, prof *NoiseProfile) (*Result, error) {
-	return p.analyze(ctx, prof.Benchmark, prof.Dropped, func() *NoiseReport {
-		return prof.Threshold(p.Config.Tau)
-	})
-}
-
-// analyze runs the stages of one analysis of benchmark's data, taking the
-// noise report from noise once the basis has passed its rank check.
-// dropped lists the events collection abandoned.
-func (p *Pipeline) analyze(ctx context.Context, benchmark string, dropped []string, noise func() *NoiseReport) (*Result, error) {
 	if err := p.Basis.CheckFullRank(); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	report := noise()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	report := prof.Threshold(p.Config.Tau)
 	proj, err := BuildXWorkers(p.Basis, report.Kept, report.KeptOrder, p.Config.ProjectionTol, p.Config.Workers)
 	if err != nil {
 		return nil, err
@@ -154,13 +136,13 @@ func (p *Pipeline) analyze(ctx context.Context, benchmark string, dropped []stri
 		return nil, err
 	}
 	if len(proj.Order) == 0 {
-		return nil, fmt.Errorf("core: no events representable in the %s basis survived filtering", benchmark)
+		return nil, fmt.Errorf("core: no events representable in the %s basis survived filtering", prof.Benchmark)
 	}
 	qr := SpecializedQRCP(proj.X, p.Config.Alpha)
 	if qr.Rank == 0 {
-		return nil, fmt.Errorf("core: specialized QRCP selected no events for %s", benchmark)
+		return nil, fmt.Errorf("core: specialized QRCP selected no events for %s", prof.Benchmark)
 	}
-	res := &Result{Noise: report, Projection: proj, QR: qr, Unmeasured: dropped}
+	res := &Result{Noise: report, Projection: proj, QR: qr, Unmeasured: prof.Dropped}
 	for _, idx := range qr.Selected() {
 		res.SelectedEvents = append(res.SelectedEvents, proj.Order[idx])
 	}

@@ -81,15 +81,9 @@ type ProjectionReport struct {
 	X *mat.Dense
 }
 
-// BuildX projects every kept event onto the basis and assembles the X matrix
-// from those that fit within relTol. Projections run in parallel with
-// GOMAXPROCS workers; use BuildXWorkers for explicit control.
-func BuildX(b *Basis, kept map[string][]float64, order []string, relTol float64) (*ProjectionReport, error) {
-	return BuildXWorkers(b, kept, order, relTol, 0)
-}
-
-// BuildXWorkers is BuildX with an explicit worker count (<= 0 means
-// GOMAXPROCS, 1 is serial). The basis is factorized once; the read-only
+// BuildXWorkers projects every kept event onto the basis and assembles the
+// X matrix from those that fit within relTol, on the given worker count (<= 0
+// means GOMAXPROCS, 1 is serial). The basis is factorized once; the read-only
 // factor is shared across workers, each of which owns one scratch buffer and
 // projects a contiguous block of events. The report is assembled in
 // measurement order afterwards, so the result is byte-identical for every

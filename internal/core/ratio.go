@@ -7,21 +7,19 @@ import (
 
 // RatioMetric is a quotient of two composed metrics — the natural extension
 // of the paper's linear framework to the rate metrics performance tools
-// report (miss ratios, misprediction rates, MPKI). The numerator and
-// denominator are each linear combinations of raw events, so a RatioMetric
-// stays measurable on real hardware: read the union of events once, form
-// both combinations, divide.
+// report (miss ratios, misprediction rates). The numerator and denominator
+// are each linear combinations of raw events, so a RatioMetric stays
+// measurable on real hardware: read the union of events once, form both
+// combinations, divide.
 type RatioMetric struct {
 	// Name is the ratio's label, e.g. "Branch Misprediction Ratio".
 	Name string
 	// Num and Den are the composed numerator and denominator.
 	Num *MetricDefinition
-	// Scale multiplies the quotient (1000 for per-kilo rates like MPKI).
-	Scale float64
-	Den   *MetricDefinition
+	Den *MetricDefinition
 }
 
-// NewRatioMetric builds a ratio from two metric definitions with scale 1.
+// NewRatioMetric builds a ratio from two metric definitions.
 func NewRatioMetric(name string, num, den *MetricDefinition) (*RatioMetric, error) {
 	if num == nil || den == nil {
 		return nil, fmt.Errorf("core: ratio %q needs both numerator and denominator", name)
@@ -29,7 +27,7 @@ func NewRatioMetric(name string, num, den *MetricDefinition) (*RatioMetric, erro
 	if len(num.NonZeroTerms()) == 0 || len(den.NonZeroTerms()) == 0 {
 		return nil, fmt.Errorf("core: ratio %q has an empty side (non-composable metric?)", name)
 	}
-	return &RatioMetric{Name: name, Num: num, Den: den, Scale: 1}, nil
+	return &RatioMetric{Name: name, Num: num, Den: den}, nil
 }
 
 // Events returns the union of raw events the ratio needs, numerator first,
@@ -48,44 +46,10 @@ func (r *RatioMetric) Events() []string {
 	return out
 }
 
-// Evaluate computes the ratio per benchmark point from raw measurements. A
-// zero denominator at a point yields NaN there, mirroring what a real
-// monitoring tool reports when the denominator event did not fire.
-func (r *RatioMetric) Evaluate(measurements map[string][]float64) ([]float64, error) {
-	num, err := r.Num.Combine(measurements)
-	if err != nil {
-		return nil, fmt.Errorf("core: ratio %q numerator: %w", r.Name, err)
-	}
-	den, err := r.Den.Combine(measurements)
-	if err != nil {
-		return nil, fmt.Errorf("core: ratio %q denominator: %w", r.Name, err)
-	}
-	if len(num) != len(den) {
-		return nil, fmt.Errorf("core: ratio %q has mismatched sides", r.Name)
-	}
-	scale := r.Scale
-	if IsZero(scale) {
-		scale = 1
-	}
-	out := make([]float64, len(num))
-	for i := range out {
-		if IsZero(den[i]) {
-			out[i] = math.NaN()
-			continue
-		}
-		out[i] = scale * num[i] / den[i]
-	}
-	return out, nil
-}
-
 // String renders the ratio definition.
 func (r *RatioMetric) String() string {
-	scale := ""
-	if !IsZero(r.Scale) && !ExactEq(r.Scale, 1) {
-		scale = fmt.Sprintf(" x %g", r.Scale)
-	}
-	return fmt.Sprintf("%s = (%s) / (%s)%s", r.Name,
-		combinationString(r.Num), combinationString(r.Den), scale)
+	return fmt.Sprintf("%s = (%s) / (%s)", r.Name,
+		combinationString(r.Num), combinationString(r.Den))
 }
 
 // combinationString renders a definition's non-zero terms inline.

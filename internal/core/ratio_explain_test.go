@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -25,47 +24,6 @@ func branchDefs(t *testing.T) (misp, cond *MetricDefinition) {
 		t.Fatal(err)
 	}
 	return misp.Rounded(0.05), cond.Rounded(0.05)
-}
-
-func TestRatioMetricEvaluate(t *testing.T) {
-	misp, cond := branchDefs(t)
-	ratio, err := NewRatioMetric("Branch Misprediction Ratio", misp, cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meas := map[string][]float64{
-		"BR_MISP_RETIRED":      {5, 0, 2},
-		"BR_INST_RETIRED:COND": {100, 50, 0},
-	}
-	got, err := ratio.Evaluate(meas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 0.05 || got[1] != 0 {
-		t.Fatalf("ratio = %v", got)
-	}
-	if !math.IsNaN(got[2]) {
-		t.Fatalf("zero denominator should be NaN, got %v", got[2])
-	}
-}
-
-func TestRatioMetricScale(t *testing.T) {
-	misp, cond := branchDefs(t)
-	mpki, err := NewRatioMetric("Branch MPKI-ish", misp, cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mpki.Scale = 1000
-	got, err := mpki.Evaluate(map[string][]float64{
-		"BR_MISP_RETIRED":      {3},
-		"BR_INST_RETIRED:COND": {1000},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 3 {
-		t.Fatalf("scaled ratio = %v want 3", got[0])
-	}
 }
 
 func TestRatioMetricEvents(t *testing.T) {

@@ -12,9 +12,6 @@ type Signature struct {
 	Coeffs []float64 `json:"coeffs"`
 }
 
-// Validate checks the signature against a basis.
-func (s Signature) Validate(b *Basis) error { return s.CheckDim(b.Dim()) }
-
 // CheckDim checks that the signature has one coefficient per basis
 // dimension, dim: the rows of every Xhat over that basis. DefineMetric
 // returns its error, so callers can reject a signature before analysing.

@@ -11,12 +11,14 @@
 package fault_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"github.com/perfmetrics/eventlens/internal/analysis"
 	"github.com/perfmetrics/eventlens/internal/cat"
-	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/fault"
+	"github.com/perfmetrics/eventlens/internal/machine"
 	"github.com/perfmetrics/eventlens/internal/suite"
 )
 
@@ -28,18 +30,17 @@ func chaosReport(t *testing.T, benchName, spec string, workers int) (string, err
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg, err := machine.NewRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := bench.DefaultRun
 	run.Faults = spec
-	run.Workers = workers
-	res, _, err := bench.Analyze(run)
+	a, err := analysis.Run(context.Background(), reg, analysis.Request{Benchmark: benchName, Run: &run}, workers)
 	if err != nil {
 		return "", err
 	}
-	defs, err := res.DefineMetrics(bench.Signatures)
-	if err != nil {
-		return "", err
-	}
-	return core.FormatAnalysisReport(res, bench.Config.ProjectionTol, bench.MetricTable, defs), nil
+	return a.Report(), nil
 }
 
 func TestChaosSameSeedSameReport(t *testing.T) {

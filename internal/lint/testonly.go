@@ -11,13 +11,12 @@ import (
 // TestOnly keeps code only tests run out of the build. Every function and
 // method declared in a non-test file of an internal/ package needs a
 // non-test use somewhere in the module — cmd/, examples/, the root facade or
-// another internal package. A use is a reference from outside the
-// function's own body, so a function that only calls itself is flagged; a
-// method whose name and signature an interface of the program or of its
-// standard-library imports declares (fmt.Stringer reaches String through %s
-// with no call in sight), including the Unwrap, Is and As methods package
-// errors probes; or a method of a type that a package outside internal/
-// re-exports by alias.
+// another internal package. A use is either a reference from outside the
+// function's own body, so a function that only calls itself is flagged, or,
+// for a method, a name and signature that an interface of the program or of
+// its standard-library imports declares (fmt.Stringer reaches String through
+// %s with no call in sight), including the Unwrap, Is and As methods package
+// errors probes. Re-exporting a type by alias uses none of its methods.
 // References come from the whole program, so a finding does not depend on
 // which packages a run names.
 var TestOnly = &Analyzer{
@@ -61,16 +60,6 @@ func runTestOnly(p *ModulePass) {
 			}
 			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
 				ifaces = append(ifaces, it)
-			}
-			if tn.IsAlias() && !isInternal(pkg.Path()) {
-				t := tn.Type()
-				if ptr, ok := t.(*types.Pointer); ok {
-					t = ptr.Elem()
-				}
-				ms := types.NewMethodSet(types.NewPointer(t))
-				for i := 0; i < ms.Len(); i++ {
-					used[ms.At(i).Obj().(*types.Func).Origin()] = true
-				}
 			}
 		}
 		for _, imp := range pkg.Imports() {

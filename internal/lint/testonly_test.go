@@ -214,6 +214,7 @@ import "example.com/fixture/internal/p"
 type Box = p.Box
 `,
 		},
+		want: []string{"(*Box).Scale"},
 	}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -229,10 +230,9 @@ type Box = p.Box
 // module: core.Config.String has no syntactic caller in the root module —
 // the server reaches it through %s when it builds analysis keys — and
 // deleting it would change every analysis cache key and store file name.
-// Two other uses keep it too: the root facade re-exports Config by alias
-// (and examples/ import the facade), and cmd/loadgen, a module of its own,
-// calls String. The test reads uses from internal/ and the other commands
-// only, so only the %s use can keep the method.
+// cmd/loadgen, a module of its own, calls String too. The test reads uses
+// from internal/ and the other commands only, so only the %s use can keep
+// the method.
 func TestTestOnlyKeepsConfigString(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and typechecks the whole module")

@@ -30,9 +30,6 @@ import (
 // on benchmarks that do not exercise them.
 type Stats map[string]float64
 
-// Get returns the value for key, or 0 when absent.
-func (s Stats) Get(key string) float64 { return s[key] }
-
 // EventDef defines one raw hardware event: its name, noise model, and the
 // linear response (Count) and documented semantics (DocExpectation) over
 // ground-truth stat keys. Catalogs hold the definitions exactly as loaded
@@ -190,11 +187,6 @@ func (p *Platform) Measure(points []Stats, names []string, rep, thread int) (map
 		}
 	}
 	return out, nil
-}
-
-// MeasureAll measures every cataloged event.
-func (p *Platform) MeasureAll(points []Stats, rep, thread int) (map[string][]float64, error) {
-	return p.Measure(points, p.Catalog.Names(), rep, thread)
 }
 
 // IdealCounts returns the noise-free counts of one multiplexing group's

@@ -44,13 +44,6 @@ func TestCatalogLookup(t *testing.T) {
 	}
 }
 
-func TestStatsGetMissingKeyIsZero(t *testing.T) {
-	s := Stats{"x": 1}
-	if s.Get("absent") != 0 {
-		t.Fatalf("missing key should read 0")
-	}
-}
-
 func TestLinearResponse(t *testing.T) {
 	e := EventDef{Name: "E", Respond: []platdef.Term{{Key: "a", Coeff: 2}, {Key: "b", Coeff: -1}}}
 	if got := e.Count(Stats{"a": 3, "b": 4}); got != 2 {

@@ -31,7 +31,7 @@ func TestMatMulSmall(t *testing.T) {
 	b := newDenseData(2, 2, []float64{5, 6, 7, 8})
 	c := MatMul(a, b)
 	want := newDenseData(2, 2, []float64{19, 22, 43, 50})
-	if !c.Equal(want) {
+	if !equalApprox(c, want, 0) {
 		t.Fatalf("MatMul =\n%v want\n%v", c, want)
 	}
 }
@@ -39,10 +39,10 @@ func TestMatMulSmall(t *testing.T) {
 func TestMatMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	a := randomDense(rng, 7, 7)
-	if !MatMul(a, Identity(7)).EqualApprox(a, 0) {
+	if !equalApprox(MatMul(a, Identity(7)), a, 0) {
 		t.Fatalf("A*I != A")
 	}
-	if !MatMul(Identity(7), a).EqualApprox(a, 0) {
+	if !equalApprox(MatMul(Identity(7), a), a, 0) {
 		t.Fatalf("I*A != A")
 	}
 }
@@ -64,7 +64,7 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 			want.Set(i, j, s)
 		}
 	}
-	if !got.EqualApprox(want, 1e-9) {
+	if !equalApprox(got, want, 1e-9) {
 		t.Fatalf("parallel MatMul diverges from reference")
 	}
 }
@@ -80,7 +80,7 @@ func TestMatTMul(t *testing.T) {
 	b := randomDense(rng, 6, 5)
 	got := MatTMul(a, b)
 	want := MatMul(a.Transpose(), b)
-	if !got.EqualApprox(want, 1e-10) {
+	if !equalApprox(got, want, 1e-10) {
 		t.Fatalf("MatTMul != Aᵀ*B")
 	}
 }
@@ -96,7 +96,7 @@ func TestMatMulTransposeProperty(t *testing.T) {
 		b := randomDense(rng, k, n)
 		lhs := MatMul(a, b).Transpose()
 		rhs := MatMul(b.Transpose(), a.Transpose())
-		if !lhs.EqualApprox(rhs, 1e-10) {
+		if !equalApprox(lhs, rhs, 1e-10) {
 			t.Fatalf("(AB)ᵀ != BᵀAᵀ")
 		}
 	}

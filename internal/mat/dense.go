@@ -11,7 +11,6 @@ package mat
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -108,13 +107,6 @@ func (m *Dense) Col(j int) []float64 {
 	return out
 }
 
-// Row returns a copy of row i.
-func (m *Dense) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.RawRow(i))
-	return out
-}
-
 // SetCol overwrites column j with v, which must have length Rows().
 func (m *Dense) SetCol(j int, v []float64) {
 	if len(v) != m.rows {
@@ -123,14 +115,6 @@ func (m *Dense) SetCol(j int, v []float64) {
 	for i := 0; i < m.rows; i++ {
 		m.data[i*m.cols+j] = v[i]
 	}
-}
-
-// SetRow overwrites row i with v, which must have length Cols().
-func (m *Dense) SetRow(i int, v []float64) {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("mat: SetRow length %d, want %d", len(v), m.cols))
-	}
-	copy(m.RawRow(i), v)
 }
 
 // Clone returns a deep copy of the matrix.
@@ -180,27 +164,6 @@ func (m *Dense) ColSlice(js []int) *Dense {
 	return out
 }
 
-// Scale multiplies every element by s in place and returns m.
-func (m *Dense) Scale(s float64) *Dense {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
-}
-
-// Add stores a+b in the receiver (which must already have matching
-// dimensions) and returns it. Aliasing with a or b is allowed.
-func (m *Dense) Add(a, b *Dense) *Dense {
-	if a.rows != b.rows || a.cols != b.cols || m.rows != a.rows || m.cols != a.cols {
-		panic(fmt.Sprintf("mat: Add dimension mismatch %dx%d + %dx%d -> %dx%d",
-			a.rows, a.cols, b.rows, b.cols, m.rows, m.cols))
-	}
-	for i := range m.data {
-		m.data[i] = a.data[i] + b.data[i]
-	}
-	return m
-}
-
 // Sub stores a-b in the receiver and returns it. Aliasing is allowed.
 func (m *Dense) Sub(a, b *Dense) *Dense {
 	if a.rows != b.rows || a.cols != b.cols || m.rows != a.rows || m.cols != a.cols {
@@ -211,54 +174,6 @@ func (m *Dense) Sub(a, b *Dense) *Dense {
 		m.data[i] = a.data[i] - b.data[i]
 	}
 	return m
-}
-
-// Equal reports whether m and n have the same shape and identical elements.
-func (m *Dense) Equal(n *Dense) bool {
-	if m.rows != n.rows || m.cols != n.cols {
-		return false
-	}
-	for i, v := range m.data {
-		if !ExactEq(v, n.data[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// EqualApprox reports whether m and n have the same shape and all elements
-// agree within absolute tolerance tol.
-func (m *Dense) EqualApprox(n *Dense, tol float64) bool {
-	if m.rows != n.rows || m.cols != n.cols {
-		return false
-	}
-	for i, v := range m.data {
-		if math.Abs(v-n.data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// IsFinite reports whether every element is finite (no NaN or Inf).
-func (m *Dense) IsFinite() bool {
-	for _, v := range m.data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}
-
-// MaxAbs returns the largest absolute element value, or 0 for an empty matrix.
-func (m *Dense) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
 }
 
 // String renders the matrix for debugging.

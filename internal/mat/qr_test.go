@@ -72,7 +72,7 @@ func TestQRReconstruction(t *testing.T) {
 		r := rFactor(f)
 		// Reconstruct A from the thin factors: A = Q*R.
 		recon := MatMul(q, r)
-		if !recon.EqualApprox(a, 1e-10) {
+		if !equalApprox(recon, a, 1e-10) {
 			t.Fatalf("trial %d: Q*R != A (m=%d n=%d)", trial, m, n)
 		}
 	}
@@ -83,7 +83,7 @@ func TestQROrthonormalColumns(t *testing.T) {
 	a := randomDense(rng, 12, 5)
 	q := qFactor(Factorize(a))
 	qtq := MatTMul(q, q)
-	if !qtq.EqualApprox(Identity(5), 1e-12) {
+	if !equalApprox(qtq, Identity(5), 1e-12) {
 		t.Fatalf("QᵀQ != I:\n%v", qtq)
 	}
 }
@@ -168,7 +168,7 @@ func TestQRZeroColumn(t *testing.T) {
 		0, 3,
 	})
 	f := Factorize(a)
-	if !f.qr.IsFinite() {
+	if !isFinite(f.qr) {
 		t.Fatalf("QR of zero column produced non-finite values")
 	}
 	if f.RCond() != 0 {

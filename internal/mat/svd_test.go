@@ -21,7 +21,7 @@ func TestSVDReconstruction(t *testing.T) {
 			}
 		}
 		recon := MatMul(us, d.V.Transpose())
-		if !recon.EqualApprox(a, 1e-9) {
+		if !equalApprox(recon, a, 1e-9) {
 			t.Fatalf("trial %d (%dx%d): U·S·Vᵀ != A", trial, m, n)
 		}
 	}
@@ -44,10 +44,10 @@ func TestSVDOrthogonality(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	a := randomDense(rng, 10, 4)
 	d := ComputeSVD(a)
-	if !MatTMul(d.U, d.U).EqualApprox(Identity(4), 1e-10) {
+	if !equalApprox(MatTMul(d.U, d.U), Identity(4), 1e-10) {
 		t.Fatalf("UᵀU != I")
 	}
-	if !MatTMul(d.V, d.V).EqualApprox(Identity(4), 1e-10) {
+	if !equalApprox(MatTMul(d.V, d.V), Identity(4), 1e-10) {
 		t.Fatalf("VᵀV != I")
 	}
 }
@@ -84,7 +84,7 @@ func TestSVDWideMatrix(t *testing.T) {
 			us.Set(i, j, us.At(i, j)*d.S[j])
 		}
 	}
-	if !MatMul(us, d.V.Transpose()).EqualApprox(a, 1e-9) {
+	if !equalApprox(MatMul(us, d.V.Transpose()), a, 1e-9) {
 		t.Fatalf("wide SVD reconstruction failed")
 	}
 }

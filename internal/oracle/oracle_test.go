@@ -73,7 +73,7 @@ func TestGramSchmidtSelfConsistency(t *testing.T) {
 		}
 		// QᵀQ = I.
 		qtq := mat.MatTMul(g.Q, g.Q)
-		if !qtq.EqualApprox(mat.Identity(qtq.Rows()), 1e-12) {
+		if !equalApprox(qtq, mat.Identity(qtq.Rows()), 1e-12) {
 			t.Fatalf("case %d: Q columns not orthonormal", i)
 		}
 		// R diagonal non-negative and non-increasing is NOT guaranteed in
@@ -151,15 +151,39 @@ func TestDifferentialChecks(t *testing.T) {
 func TestProblemsDeterministic(t *testing.T) {
 	a := NewProblems(42).Gaussian("det", 3)
 	b := NewProblems(42).Gaussian("det", 3)
-	if !a.Equal(b) {
+	if !equalApprox(a, b, 0) {
 		t.Fatal("same seed and index produced different matrices")
 	}
 	c := NewProblems(43).Gaussian("det", 3)
-	if a.Rows() == c.Rows() && a.Cols() == c.Cols() && a.Equal(c) {
+	if a.Rows() == c.Rows() && a.Cols() == c.Cols() && equalApprox(a, c, 0) {
 		t.Fatal("different seeds produced identical matrices")
 	}
 	d := NewProblems(42).Gaussian("other-stream", 3)
-	if a.Rows() == d.Rows() && a.Cols() == d.Cols() && a.Equal(d) {
+	if a.Rows() == d.Rows() && a.Cols() == d.Cols() && equalApprox(a, d, 0) {
 		t.Fatal("different streams produced identical matrices")
 	}
+	// A generator that returned NaN must not pass as deterministic.
+	nan := a.Clone()
+	nan.Set(0, 0, math.NaN())
+	if equalApprox(nan, nan, 0) {
+		t.Fatal("equalApprox accepts NaN")
+	}
+}
+
+// equalApprox reports whether a and b have the same shape and all elements
+// agree within absolute tolerance tol. Equal values agree (infinities
+// included) and NaN agrees with nothing, so tol 0 asks for identical
+// elements.
+func equalApprox(a, b *mat.Dense, tol float64) bool {
+	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
+		return false
+	}
+	for i := 0; i < a.Rows(); i++ {
+		for j := 0; j < a.Cols(); j++ {
+			if v, w := a.At(i, j), b.At(i, j); !mat.ExactEq(v, w) && !(math.Abs(v-w) <= tol) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -93,32 +93,39 @@ var nonComposable = map[string]map[string]float64{
 	},
 }
 
-// Run executes the complete reproduction and returns the report.
+// Run executes the complete reproduction and returns the report. Every
+// benchmark is analyzed as the daemon analyzes a request for it: its
+// default run, thresholds and platform, resolved against the built-in
+// registry.
 func Run() (*Report, error) {
+	reg, err := machine.NewRegistry()
+	if err != nil {
+		return nil, fmt.Errorf("report: %w", err)
+	}
 	r := &Report{}
 	for _, bench := range suite.All() {
-		res, _, err := bench.Analyze(cat.RunConfig(bench.DefaultRun))
+		a, err := analysis.Run(context.Background(), reg, analysis.Request{Benchmark: bench.Name}, 0)
 		if err != nil {
 			return nil, fmt.Errorf("report: %s: %w", bench.Name, err)
 		}
-		r.checkSelection(bench, res)
-		r.checkMetrics(bench, res)
-		r.checkFigure2(bench, res)
+		r.checkSelection(bench, a.Result)
+		r.checkMetrics(bench, a.Defs)
+		r.checkFigure2(bench, a.Result)
 		if bench.Name == "dcache" {
-			r.checkFigure3(bench, res)
+			r.checkFigure3(bench, a)
 		}
 		if bench.Name == "cpu-flops" {
-			r.checkAlphaSensitivity(bench, res)
-			r.checkAutoTau(bench, res)
-			r.checkWorkloadValidation(res)
+			r.checkAlphaSensitivity(bench, a.Result)
+			r.checkAutoTau(a.Result)
+			r.checkWorkloadValidation(a)
 		}
 	}
-	r.checkZen4CrossArch()
+	r.checkZen4CrossArch(reg)
 	return r, nil
 }
 
 // checkAutoTau verifies automatic threshold selection lands inside the gap.
-func (r *Report) checkAutoTau(bench suite.Benchmark, res *core.Result) {
+func (r *Report) checkAutoTau(res *core.Result) {
 	s := core.SuggestTau(res.Noise.Variabilities)
 	pass := s.GapDecades >= 4 && s.Tau > 1e-16 && s.Tau < 1e-4
 	r.add("Extension/auto-tau", pass, "suggested tau %.2e in a %.1f-decade gap (%d clean / %d noisy)",
@@ -126,23 +133,19 @@ func (r *Report) checkAutoTau(bench suite.Benchmark, res *core.Result) {
 }
 
 // checkWorkloadValidation verifies derived DP/SP Ops metrics against the
-// simulator ground truth on an unseen workload.
-func (r *Report) checkWorkloadValidation(res *core.Result) {
+// simulator ground truth on an unseen workload, measured on the platform the
+// metrics were derived on.
+func (r *Report) checkWorkloadValidation(a *analysis.Analysis) {
 	var dpDef, spDef *core.MetricDefinition
-	for _, sig := range core.CPUFlopsSignatures() {
-		def, err := res.DefineMetric(sig)
-		if err != nil {
-			r.add("Extension/validation", false, "%v", err)
-			return
-		}
-		switch sig.Name {
+	for _, def := range a.Defs {
+		switch def.Metric {
 		case "DP Ops.":
 			dpDef = def.Rounded(0.05)
 		case "SP Ops.":
 			spDef = def.Rounded(0.05)
 		}
 	}
-	platform, err := machine.SapphireRapids()
+	platform, err := machine.FromDef(a.ID.Platform)
 	if err != nil {
 		r.add("Extension/validation", false, "%v", err)
 		return
@@ -184,12 +187,7 @@ func (r *Report) checkWorkloadValidation(res *core.Result) {
 
 // checkZen4CrossArch verifies the merged-precision platform: precision
 // metrics must fail, the four width events must be selected.
-func (r *Report) checkZen4CrossArch() {
-	reg, err := machine.NewRegistry()
-	if err != nil {
-		r.add("Extension/zen4", false, "%v", err)
-		return
-	}
+func (r *Report) checkZen4CrossArch(reg *machine.Registry) {
 	a, err := analysis.Run(context.Background(), reg, analysis.Request{Benchmark: "cpu-flops", Platform: "zen4"}, 0)
 	if err != nil {
 		r.add("Extension/zen4", false, "%v", err)
@@ -238,12 +236,7 @@ func (r *Report) checkSelection(bench suite.Benchmark, res *core.Result) {
 
 // checkMetrics verifies Tables V-VIII: composable metrics have tiny errors,
 // the known non-composable ones match the paper's error values.
-func (r *Report) checkMetrics(bench suite.Benchmark, res *core.Result) {
-	defs, err := res.DefineMetrics(bench.Signatures)
-	if err != nil {
-		r.add(fmt.Sprintf("Table%s/%s", bench.MetricTable, bench.Name), false, "metric definition failed: %v", err)
-		return
-	}
+func (r *Report) checkMetrics(bench suite.Benchmark, defs []*core.MetricDefinition) {
 	bad := nonComposable[bench.Name]
 	for _, def := range defs {
 		id := fmt.Sprintf("Table%s/%s", bench.MetricTable, def.Metric)
@@ -299,20 +292,16 @@ func (r *Report) checkFigure2(bench suite.Benchmark, res *core.Result) {
 }
 
 // checkFigure3 verifies the cache combinations track their signatures.
-func (r *Report) checkFigure3(bench suite.Benchmark, res *core.Result) {
+func (r *Report) checkFigure3(bench suite.Benchmark, a *analysis.Analysis) {
 	basis, err := bench.Basis()
 	if err != nil {
 		r.add("Figure3", false, "basis: %v", err)
 		return
 	}
 	worst := 0.0
-	for _, sig := range core.CacheSignatures() {
-		def, err := res.DefineMetric(sig)
-		if err != nil {
-			r.add("Figure3/"+sig.Name, false, "%v", err)
-			continue
-		}
-		combo, err := def.Rounded(bench.Config.RoundTol).Combine(res.Noise.Kept)
+	for i, def := range a.Defs {
+		sig := bench.Signatures[i]
+		combo, err := def.Rounded(bench.Config.RoundTol).Combine(a.Result.Noise.Kept)
 		if err != nil {
 			r.add("Figure3/"+sig.Name, false, "%v", err)
 			continue

@@ -240,8 +240,11 @@ func grepLines(text, needle string) string {
 // TestAnalyzePartialListsFaults: collection faults past the retry budget
 // drop events, and the analyze body lists them under "faults". The daemon
 // analyzes the set's noise profile, so the dropped events must survive
-// profiling, and the body's report must equal the one-shot analysis of the
-// same collection.
+// profiling into the body's faults and its report, which must equal
+// AnalyzeSet's of the same collection. AnalyzeSet runs the daemon's path,
+// so this checks how dropped events are reported; the analysis itself is
+// checked against the one-shot filter by TestRunEqualsAnalyzeSet and
+// TestNoiseProfileMatchesReference.
 func TestAnalyzePartialListsFaults(t *testing.T) {
 	bench, err := suite.ByName("cpu-flops")
 	if err != nil {
@@ -278,7 +281,7 @@ func TestAnalyzePartialListsFaults(t *testing.T) {
 		t.Fatalf("faults lists %d events, want the collection's %d dropped events", len(resp.Faults), len(set.Dropped))
 	}
 	if want := core.FormatAnalysisReport(res, bench.Config.ProjectionTol, bench.MetricTable, defs); resp.Report != want {
-		t.Fatalf("report differs from the one-shot analysis of the same collection:\n%s\nwant:\n%s", resp.Report, want)
+		t.Fatalf("report differs from AnalyzeSet's of the same collection:\n%s\nwant:\n%s", resp.Report, want)
 	}
 }
 

@@ -19,9 +19,6 @@ type MeasurementPlan struct {
 	Groups [][]string
 }
 
-// Rounds returns the number of multiplexing rounds.
-func (p *MeasurementPlan) Rounds() int { return len(p.Groups) }
-
 // PlanMeasurement computes the measurement plan for a set of metric
 // definitions on a platform: which events to program and in how many rounds.
 // Near-zero coefficients are dropped with roundTol first, so non-essential

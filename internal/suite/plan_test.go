@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"context"
 	"testing"
 
 	"github.com/perfmetrics/eventlens/internal/cat"
@@ -14,7 +15,12 @@ func cpuFlopsDefs(t *testing.T) []*core.MetricDefinition {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := b.Analyze(cat.RunConfig{Reps: 2, Threads: 1})
+	ctx := context.Background()
+	set, err := b.Collect(ctx, cat.RunConfig{Reps: 2, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.AnalyzeSet(ctx, set, b.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +46,8 @@ func TestPlanMeasurementCPUFlops(t *testing.T) {
 	if len(plan.Events) != 8 {
 		t.Fatalf("events = %v", plan.Events)
 	}
-	if plan.Rounds() != 1 {
-		t.Fatalf("rounds = %d want 1 (%v)", plan.Rounds(), plan.Groups)
+	if len(plan.Groups) != 1 {
+		t.Fatalf("rounds = %d want 1 (%v)", len(plan.Groups), plan.Groups)
 	}
 }
 

@@ -1,9 +1,11 @@
 // Package suite wires the four CAT benchmark drivers to their platforms,
 // thresholds and signature tables, giving the command-line tools, examples,
 // daemon and benchmark harness one registry to drive the complete
-// reproduction. Collect and CollectOn are the only ways to collect a
-// benchmark's measurements, and AnalyzeSet analyzes them; internal/analysis
-// analyzes their noise profile.
+// reproduction. Every collection goes through CollectOn (Collect is
+// CollectOn on the built-in default platform). The tools analyze through
+// internal/analysis, which resolves a request to a benchmark and a
+// platform, collects and analyzes the set's noise profile; AnalyzeSet runs
+// the same stages over a set in hand.
 package suite
 
 import (
@@ -132,28 +134,11 @@ func Names() []string {
 	return names
 }
 
-// Analyze runs the full pipeline for one benchmark on its default platform
-// with its own thresholds, and returns the analysis result together with the
-// measurement set it consumed.
-func (b Benchmark) Analyze(cfg cat.RunConfig) (*core.Result, *core.MeasurementSet, error) {
-	ctx := context.Background()
-	set, err := b.Collect(ctx, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := b.AnalyzeSet(ctx, set, b.Config)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, set, nil
-}
-
 // Collect runs only the measurement phase on the built-in definition of the
-// benchmark's default platform and returns the measurement set: the path of
-// the one-shot tools that load no platform dir. Tools that do collect with
-// CollectOn on their registry's platform. The returned set is treated as
-// immutable by every analysis stage, so one set can feed many analysis
-// configurations via AnalyzeSet.
+// benchmark's default platform and returns the measurement set; a request
+// resolved against a registry collects with analysis.ID.Collect instead.
+// The returned set is treated as immutable by every analysis stage, so one
+// set can feed many analysis configurations via AnalyzeSet.
 func (b Benchmark) Collect(ctx context.Context, cfg cat.RunConfig) (*core.MeasurementSet, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -179,7 +164,8 @@ func (b Benchmark) CollectOn(ctx context.Context, p *machine.Platform, cfg cat.R
 }
 
 // AnalyzeSet runs the analysis phase — noise filter, projection, QRCP — over
-// an already-collected measurement set, consulting ctx between stages so
+// an already-collected measurement set: the set's noise profile, then
+// core.Pipeline.AnalyzeProfile, which consults ctx between stages so
 // servers and job workers can abandon work whose deadline passed. Calling it
 // repeatedly with different analysis configurations over one set never
 // re-collects and never mutates the set.
@@ -191,8 +177,11 @@ func (b Benchmark) AnalyzeSet(ctx context.Context, set *core.MeasurementSet, ana
 	if err != nil {
 		return nil, err
 	}
+	if err := set.Validate(); err != nil {
+		return nil, err
+	}
 	pipe := &core.Pipeline{Basis: basis, Config: analysis}
-	return pipe.AnalyzeContext(ctx, set)
+	return pipe.AnalyzeProfile(ctx, core.ProfileNoise(set, analysis.Workers))
 }
 
 // BasisFor returns the expectation basis matching a measurement set's

@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"context"
 	"testing"
 
 	"github.com/perfmetrics/eventlens/internal/cat"
@@ -37,7 +38,7 @@ func TestAllBenchmarksWellFormed(t *testing.T) {
 			t.Fatalf("%s: %d symbols for %d basis dims", b.Name, len(b.BasisSymbols), basis.Dim())
 		}
 		for _, sig := range b.Signatures {
-			if err := sig.Validate(basis); err != nil {
+			if err := sig.CheckDim(basis.Dim()); err != nil {
 				t.Fatalf("%s: %v", b.Name, err)
 			}
 		}
@@ -75,7 +76,12 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, set, err := b.Analyze(cat.RunConfig{Reps: 3, Threads: 1})
+	ctx := context.Background()
+	set, err := b.Collect(ctx, cat.RunConfig{Reps: 3, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.AnalyzeSet(ctx, set, b.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
