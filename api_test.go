@@ -48,20 +48,6 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	}
 }
 
-func TestPublicPlatformConstructors(t *testing.T) {
-	for _, mk := range []func() (*eventlens.Platform, error){
-		eventlens.SapphireRapids, eventlens.MI250X, eventlens.Zen4,
-	} {
-		p, err := mk()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Catalog.Len() == 0 {
-			t.Fatalf("%s: empty catalog", p.Name)
-		}
-	}
-}
-
 // TestPublicBenchmarkPlatforms pins Benchmark.Platform: every benchmark
 // names a built-in platform of its own class.
 func TestPublicBenchmarkPlatforms(t *testing.T) {
@@ -84,13 +70,16 @@ func TestPublicCustomCatalog(t *testing.T) {
 		Documented: true,
 		Doc:        []eventlens.EventTerm{{Key: "cpu.instr", Coeff: 1}},
 	}
-	cat, err := eventlens.NewCatalog([]eventlens.EventDef{ev})
+	p, err := eventlens.FromDef(&eventlens.PlatformDef{
+		Name: "custom-sim", Class: "cpu", Counters: 4,
+		Events: []eventlens.EventDef{ev},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := cat.Lookup("VPU_ELEMS")
+	got, ok := p.Lookup("VPU_ELEMS")
 	if !ok {
-		t.Fatal("VPU_ELEMS missing from its catalog")
+		t.Fatal("VPU_ELEMS missing from its platform")
 	}
 	stats := eventlens.Stats{"cpu.instr": 5}
 	if n := got.Count(stats); n != 40 {

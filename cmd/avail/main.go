@@ -12,10 +12,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"github.com/perfmetrics/eventlens/internal/cli"
 	"github.com/perfmetrics/eventlens/internal/machine"
+	"github.com/perfmetrics/eventlens/internal/platdef"
 )
 
 func main() {
@@ -49,43 +51,46 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		return nil
 	}
-	p, err := reg.New(*platformName)
+	def, err := reg.Def(*platformName)
 	if err != nil {
 		return cli.Usagef("%v", err)
 	}
 
-	names := p.Catalog.SortedNames()
+	events := slices.Clone(def.Events)
+	slices.SortFunc(events, func(a, b platdef.Event) int { return strings.Compare(a.Name, b.Name) })
 	if *counts {
-		noisy, exact := 0, 0
-		for _, name := range names {
-			def, _ := p.Catalog.Lookup(name)
-			if def.RelNoise > 0 || def.AbsNoise > 0 {
+		noisy := 0
+		for _, e := range events {
+			if e.RelNoise > 0 || e.AbsNoise > 0 {
 				noisy++
-			} else {
-				exact++
 			}
 		}
 		fmt.Fprintf(stdout, "%s: %d events (%d deterministic, %d noisy), %d programmable counters, %d counter constraints\n",
-			p.Name, len(names), exact, noisy, p.Counters, len(p.Constraints))
+			def.Name, len(events), len(events)-noisy, noisy, def.Counters, len(def.Constraints))
 		return nil
 	}
+	fixed := make(map[string]int)
+	for _, c := range def.Constraints {
+		if c.Fixed >= 0 {
+			fixed[c.Event] = c.Fixed
+		}
+	}
 	shown := 0
-	for _, name := range names {
-		if *grep != "" && !strings.Contains(name, *grep) {
+	for _, e := range events {
+		if *grep != "" && !strings.Contains(e.Name, *grep) {
 			continue
 		}
-		def, _ := p.Catalog.Lookup(name)
 		noise := "deterministic"
-		if def.RelNoise > 0 {
-			noise = fmt.Sprintf("noise %.1e", def.RelNoise)
+		if e.RelNoise > 0 {
+			noise = fmt.Sprintf("noise %.1e", e.RelNoise)
 		}
 		constraint := ""
-		if c, ok := p.Constraints[name]; ok && c.Fixed >= 0 {
-			constraint = fmt.Sprintf("  [fixed counter %d]", c.Fixed)
+		if slot, ok := fixed[e.Name]; ok {
+			constraint = fmt.Sprintf("  [fixed counter %d]", slot)
 		}
-		fmt.Fprintf(stdout, "%-56s %-14s %s%s\n", name, noise, def.Desc, constraint)
+		fmt.Fprintf(stdout, "%-56s %-14s %s%s\n", e.Name, noise, e.Desc, constraint)
 		shown++
 	}
-	fmt.Fprintf(stdout, "-- %d of %d events\n", shown, len(names))
+	fmt.Fprintf(stdout, "-- %d of %d events\n", shown, len(events))
 	return nil
 }

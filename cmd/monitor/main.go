@@ -50,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	platform, err := machine.SapphireRapids()
+	platform, err := machine.BuiltinPlatform("spr-sim")
 	if err != nil {
 		return err
 	}

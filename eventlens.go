@@ -93,8 +93,9 @@ type (
 	// EventTerm is one coefficient of a raw event's response or documented
 	// semantics over ground-truth stat keys.
 	EventTerm = platdef.Term
-	// Catalog is an ordered raw-event catalog.
-	Catalog = machine.Catalog
+	// PlatformDef is a platform definition: name, class, counters, counter
+	// constraints and the raw-event catalog, as a .pdef file holds them.
+	PlatformDef = platdef.Platform
 	// Stats is ground-truth workload statistics per benchmark point.
 	Stats = machine.Stats
 	// RunConfig controls benchmark collection (reps, threads).
@@ -159,9 +160,6 @@ var (
 	AlphaSensitivity = core.AlphaSensitivity
 	// DecadeSweep returns log-spaced values for threshold sweeps.
 	DecadeSweep = core.DecadeSweep
-	// Zen4 is a simulated AMD-Zen4-like CPU whose FP events merge
-	// precisions — precision-specific metrics are not composable on it.
-	Zen4 = machine.Zen4
 )
 
 // Signature tables (the paper's Tables I-IV) and basis symbol orders.
@@ -176,25 +174,24 @@ var (
 	CacheBasisSymbols    = core.CacheBasisSymbols
 )
 
-// Matrix and catalog constructors for user-defined architectures and bases.
+// Matrix constructors for user-defined bases.
 var (
 	// NewMatrix returns a zeroed dense matrix.
 	NewMatrix = mat.NewDense
 	// MatrixFromColumns assembles a matrix from column vectors.
 	MatrixFromColumns = mat.FromColumns
-	// NewCatalog builds a raw-event catalog for a custom platform.
-	NewCatalog = machine.NewCatalog
 )
 
 // Simulated platforms.
 var (
-	// SapphireRapids is the Intel-SPR-like CPU platform (Aurora stand-in).
-	SapphireRapids = machine.SapphireRapids
-	// MI250X is the AMD-MI250X-like GPU platform (Frontier stand-in).
-	MI250X = machine.MI250X
 	// BuiltinPlatform builds a committed platform by registry name, such as
-	// a Benchmark's Platform.
+	// a Benchmark's Platform: "spr-sim" (the Intel-SPR-like Aurora
+	// stand-in), "mi250x-sim" (the AMD-MI250X-like Frontier stand-in),
+	// "zen4-sim" (an AMD-Zen4-like CPU whose FP events merge precisions).
 	BuiltinPlatform = machine.BuiltinPlatform
+	// FromDef validates a platform definition and builds the live platform
+	// over it: the way to simulate a custom architecture.
+	FromDef = machine.FromDef
 )
 
 // Requests: one analysis of a benchmark, resolved against a registry of

@@ -35,16 +35,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	platforms := []func() (*eventlens.Platform, error){
-		eventlens.SapphireRapids,
-		eventlens.Zen4,
-	}
-	for _, newPlatform := range platforms {
-		platform, err := newPlatform()
+	for _, name := range []string{"spr-sim", "zen4-sim"} {
+		platform, err := eventlens.BuiltinPlatform(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("=== %s (%d raw events) ===\n", platform.Name, platform.Catalog.Len())
+		fmt.Printf("=== %s (%d raw events) ===\n", platform.Name, len(platform.Events))
 
 		set, err := bench.CollectOn(ctx, platform, eventlens.DefaultRunConfig())
 		if err != nil {

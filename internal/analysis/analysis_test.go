@@ -107,6 +107,48 @@ func TestRejections(t *testing.T) {
 	}
 }
 
+// TestConfigOverrideReachesAnalysis: a request's config override reaches
+// the analysis stages, not only its key. On the default request's profile,
+// a looser projection_tol keeps cpu-flops events the default drops, and a
+// coarser alpha changes the events branch selects.
+func TestConfigOverrideReachesAnalysis(t *testing.T) {
+	reg := registry(t)
+	ctx := context.Background()
+	for _, c := range []struct {
+		benchmark string
+		override  func(*core.Config)
+		changed   func(a *Analysis) string
+	}{
+		{"cpu-flops", func(cfg *core.Config) { cfg.ProjectionTol = 0.1 },
+			func(a *Analysis) string { return fmt.Sprint(a.Result.Projection.Dropped) }},
+		{"branch", func(cfg *core.Config) { cfg.Alpha = 0.5 },
+			func(a *Analysis) string { return fmt.Sprint(a.Result.SelectedEvents) }},
+	} {
+		def, err := Request{Benchmark: c.benchmark}.Resolve(reg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, err := def.Profile(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := def.Bench.Config
+		c.override(&cfg)
+		id, err := Request{Benchmark: c.benchmark, Config: &cfg}.Resolve(reg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err1 := def.Analyze(ctx, prof)
+		got, err2 := id.Analyze(ctx, prof)
+		if err := errors.Join(err1, err2); err != nil {
+			t.Fatal(err)
+		}
+		if b, g := c.changed(base), c.changed(got); b == g {
+			t.Errorf("%s with config %s: %s, as with the default config", c.benchmark, cfg, g)
+		}
+	}
+}
+
 // TestRunEqualsAnalyzeSet checks the served analysis — Run: resolution,
 // collection, the noise profile, then core.Pipeline.AnalyzeProfile —
 // against a stage-by-stage reference over the same collection: the

@@ -216,7 +216,7 @@ func measure(benchmark string, p *machine.Platform, names []string, truth [][]ma
 		return nil, err
 	}
 	p = injected(p, cfg)
-	events := p.Catalog.Names()
+	events := p.Names()
 	groups := p.Groups(events)
 	nG := len(groups)
 	ideal, err := idealCounts(p, truth, groups, cfg.Workers)
@@ -304,7 +304,7 @@ func StreamEvents(p *machine.Platform, truth [][]machine.Stats, cfg RunConfig) c
 			return err
 		}
 		p := injected(p, cfg)
-		groups := p.Groups(p.Catalog.Names())
+		groups := p.Groups(p.Names())
 		nRT := cfg.Reps * cfg.Threads
 		for gi, group := range groups {
 			ideal, err := idealCounts(p, truth, groups[gi:gi+1], cfg.Workers)

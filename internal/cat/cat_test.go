@@ -14,7 +14,7 @@ import (
 
 func sprPlatform(t *testing.T) *machine.Platform {
 	t.Helper()
-	p, err := machine.SapphireRapids()
+	p, err := machine.BuiltinPlatform("spr-sim")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func sprPlatform(t *testing.T) *machine.Platform {
 
 func mi250xPlatform(t *testing.T) *machine.Platform {
 	t.Helper()
-	p, err := machine.MI250X()
+	p, err := machine.BuiltinPlatform("mi250x-sim")
 	if err != nil {
 		t.Fatal(err)
 	}

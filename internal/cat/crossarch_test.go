@@ -17,7 +17,7 @@ import (
 
 func zen4Platform(t *testing.T) *machine.Platform {
 	t.Helper()
-	p, err := machine.Zen4()
+	p, err := machine.BuiltinPlatform("zen4-sim")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,10 +171,10 @@ func TestZen4CacheEventsDifferButCompose(t *testing.T) {
 
 func TestZen4CatalogBasics(t *testing.T) {
 	p := zen4Platform(t)
-	if p.Catalog.Len() < 50 {
-		t.Fatalf("zen4 catalog too small: %d", p.Catalog.Len())
+	if len(p.Events) < 50 {
+		t.Fatalf("zen4 catalog too small: %d", len(p.Events))
 	}
-	def, ok := p.Catalog.Lookup("RETIRED_SSE_AVX_OPS:256B_ALL")
+	def, ok := p.Lookup("RETIRED_SSE_AVX_OPS:256B_ALL")
 	if !ok {
 		t.Fatalf("width event missing")
 	}

@@ -88,7 +88,7 @@ type faultTally struct {
 func referenceMeasure(t *testing.T, p *machine.Platform, truth [][]machine.Stats, cfg RunConfig, tally *faultTally) refCollection {
 	t.Helper()
 	p = injected(p, cfg)
-	events := p.Catalog.Names()
+	events := p.Names()
 	groups := p.Groups(events)
 	vectors := make(map[string][][]float64, len(events))
 	droppedGroup := make([]bool, len(groups))
@@ -126,7 +126,7 @@ func referenceMeasure(t *testing.T, p *machine.Platform, truth [][]machine.Stats
 					tally.dropped++
 				}
 				for _, name := range group {
-					def, ok := p.Catalog.Lookup(name)
+					def, ok := p.Lookup(name)
 					if !ok {
 						t.Fatalf("%s: no event %q", p.Name, name)
 					}

@@ -36,7 +36,7 @@ func SpanningPoints(p *machine.Platform, points []machine.Stats, basis *core.Bas
 	if basis.Points() != len(points) {
 		return nil, fmt.Errorf("cat: spanning points: basis covers %d points, ground truth has %d", basis.Points(), len(points))
 	}
-	events := p.Catalog.Events()
+	events := p.Events
 	vectors := make([][]float64, len(points))
 	for i, stats := range points {
 		v := make([]float64, len(events))

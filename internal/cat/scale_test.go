@@ -60,11 +60,11 @@ func TestSyntheticCatalogStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Catalog.Len() < 500 {
-		t.Fatalf("catalog too small: %d", p.Catalog.Len())
+	if len(p.Events) < 500 {
+		t.Fatalf("catalog too small: %d", len(p.Events))
 	}
 	// The real signal events must be present.
-	if _, ok := p.Catalog.Lookup("FP_ARITH_INST_RETIRED:256B_PACKED_DOUBLE"); !ok {
+	if _, ok := p.Lookup("FP_ARITH_INST_RETIRED:256B_PACKED_DOUBLE"); !ok {
 		t.Fatalf("signal event missing from synthetic catalog")
 	}
 	// Generation is deterministic.
@@ -72,7 +72,7 @@ func TestSyntheticCatalogStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := p.Catalog.Names(), p2.Catalog.Names()
+	a, b := p.Names(), p2.Names()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("synthetic catalog not deterministic at %d", i)

@@ -5,6 +5,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"github.com/perfmetrics/eventlens/internal/mat"
 )
 
 // Explanation decodes what a raw event measures, in the vocabulary of an
@@ -47,7 +49,7 @@ func explainWith(b *Basis, projector *Projector, event string, m []float64, alph
 	e := &Explanation{Event: event, RelResidual: p.RelResidual}
 	for i, c := range p.X {
 		rounded := RoundToGrid(c, alpha)
-		if IsZero(rounded) {
+		if mat.IsZero(rounded) {
 			continue
 		}
 		e.Terms = append(e.Terms, Term{Event: b.Names[i], Coeff: rounded})

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 )
 
@@ -121,10 +121,9 @@ func (s *MeasurementSet) RepVectors(event string) [][]float64 {
 // vectors are never modified.
 //
 // It runs once per (event, rep, point) coordinate on every CAT benchmark's
-// hot path, so the shipped thread counts (at most medianSmall) sort a
-// reused scratch slice with an allocation-free insertion sort; larger
-// groups use sort.Float64s. Both orderings are bit-identical — see
-// medianSmall.
+// hot path, so each point's values are sorted in one reused scratch slice;
+// slices.Sort allocates nothing and orders exactly like sort.Float64s
+// (ascending, NaNs first).
 func MedianOverThreads(vectors [][]float64) []float64 {
 	if len(vectors) == 1 {
 		out := make([]float64, len(vectors[0]))
@@ -134,52 +133,19 @@ func MedianOverThreads(vectors [][]float64) []float64 {
 	n := len(vectors[0])
 	out := make([]float64, n)
 	vals := make([]float64, len(vectors))
+	mid := len(vals) / 2
 	for p := 0; p < n; p++ {
 		for t, v := range vectors {
 			vals[t] = v[p]
 		}
-		out[p] = medianInPlace(vals)
-	}
-	return out
-}
-
-// medianSmall is the length at or below which medianInPlace sorts with its
-// own stable insertion sort — the same cutoff below which the stdlib's
-// pdqsort delegates to its insertion sort, so the small-slice arrangement
-// (ties, signed zeros included) is bit-for-bit the one sort.Float64s would
-// produce.
-const medianSmall = 12
-
-// medianInPlace returns the median of vals, sorting vals in place (callers
-// own the scratch).
-func medianInPlace(vals []float64) float64 {
-	if len(vals) <= medianSmall {
-		insertionSortFloats(vals)
-	} else {
-		sort.Float64s(vals)
-	}
-	mid := len(vals) / 2
-	if len(vals)%2 == 1 {
-		return vals[mid]
-	}
-	return (vals[mid-1] + vals[mid]) / 2
-}
-
-// insertionSortFloats is the stdlib's stable insertion sort under the
-// sort.Float64s order (ascending, NaNs first): equal elements keep their
-// input order, matching what sort.Float64s does for slices up to
-// medianSmall.
-func insertionSortFloats(v []float64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && medianLess(v[j], v[j-1]); j-- {
-			v[j], v[j-1] = v[j-1], v[j]
+		slices.Sort(vals)
+		if len(vals)%2 == 1 {
+			out[p] = vals[mid]
+		} else {
+			out[p] = (vals[mid-1] + vals[mid]) / 2
 		}
 	}
-}
-
-// medianLess orders exactly like sort.Float64s: ascending, NaNs first.
-func medianLess(a, b float64) bool {
-	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
+	return out
 }
 
 // MeanVector returns the elementwise mean of equal-length vectors.

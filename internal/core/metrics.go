@@ -88,8 +88,9 @@ func (d *MetricDefinition) Composable(maxBackwardError float64) bool {
 // Rounded returns a copy with each coefficient snapped to the nearest
 // integer when it lies within tol of it (Section VI-D: cache-metric
 // coefficients land within a couple percent of 0 or 1 and rounding them
-// recovers the exact combination). Coefficients farther than tol from any
-// integer are kept as-is.
+// recovers the exact combination). A coefficient rounded to zero is +0,
+// whatever its sign was. Coefficients farther than tol from any integer are
+// kept as-is.
 func (d *MetricDefinition) Rounded(tol float64) *MetricDefinition {
 	out := &MetricDefinition{
 		Metric:        d.Metric,
@@ -101,6 +102,9 @@ func (d *MetricDefinition) Rounded(tol float64) *MetricDefinition {
 		c := t.Coeff
 		if math.Abs(t.Coeff-n) <= tol {
 			c = n
+			if mat.IsZero(c) {
+				c = 0 // math.Round(-0.0004) is -0, which reports print as "-0"
+			}
 		}
 		out.Terms = append(out.Terms, Term{Event: t.Event, Coeff: c})
 	}
@@ -111,7 +115,7 @@ func (d *MetricDefinition) Rounded(tol float64) *MetricDefinition {
 func (d *MetricDefinition) NonZeroTerms() []Term {
 	var out []Term
 	for _, t := range d.Terms {
-		if !IsZero(t.Coeff) {
+		if !mat.IsZero(t.Coeff) {
 			out = append(out, t)
 		}
 	}
@@ -135,7 +139,7 @@ func (d *MetricDefinition) String() string {
 		if i > 0 && c < 0 {
 			c = -c
 		}
-		if IsZero(c) {
+		if mat.IsZero(c) {
 			c = 0 // normalize negative zero for display
 		}
 		fmt.Fprintf(&b, "  %s%.6g x %s\n", sep, c, t.Event)

@@ -253,6 +253,29 @@ func TestRounded(t *testing.T) {
 	}
 }
 
+// TestRoundedZeroIsPositive: a negative coefficient rounded away is +0, so
+// reports print "+0" and JSON carries 0, never -0; a coefficient kept
+// unrounded keeps its bits.
+func TestRoundedZeroIsPositive(t *testing.T) {
+	d := &MetricDefinition{Metric: "m", Terms: []Term{
+		{Event: "A", Coeff: -0.0004},
+		{Event: "B", Coeff: math.Copysign(0, -1)},
+		{Event: "C", Coeff: -0.3},
+	}}
+	r := d.Rounded(0.05)
+	for _, term := range r.Terms[:2] {
+		if term.Coeff != 0 || math.Signbit(term.Coeff) {
+			t.Errorf("%s rounded to %v (signbit %v), want +0", term.Event, term.Coeff, math.Signbit(term.Coeff))
+		}
+	}
+	if c := r.Terms[2].Coeff; math.Float64bits(c) != math.Float64bits(-0.3) {
+		t.Errorf("C = %v, want -0.3 kept", c)
+	}
+	if s := FormatMetricTable("rounded", []*MetricDefinition{r}); strings.Contains(s, "-0 x") {
+		t.Errorf("rounded table prints a negative zero:\n%s", s)
+	}
+}
+
 func TestCombine(t *testing.T) {
 	d := &MetricDefinition{
 		Metric: "L1 Reads.",

@@ -13,9 +13,6 @@ type EventVariability struct {
 	// MaxRNMSE is the maximum pairwise root normalized mean-square error
 	// across repetitions (Eq. 4). Zero means all repetitions are identical.
 	MaxRNMSE float64
-	// AllZero marks events whose every measurement is zero; they are
-	// discarded as irrelevant (footnote 1 of the paper).
-	AllZero bool
 }
 
 // MaxRNMSE computes the paper's Eq. 4 over a set of repetition vectors:

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -67,6 +69,58 @@ func TestPipelineHappyPath(t *testing.T) {
 	}
 	if def.BackwardError > 1e-12 {
 		t.Fatalf("error = %v", def.BackwardError)
+	}
+}
+
+// TestAnalyzeProfileReadsBothTolerances pins where each tolerance acts.
+// OFF's relative projection residual (about 0.05) lies between the two
+// ProjectionTol values, so only the larger keeps it. A and A_NEAR differ
+// by 0.01 in I3: below the larger Alpha's beta (0.1*sqrt(3)), where A_NEAR
+// depends on A, and above the smaller's, where QRCP selects it too. Every
+// mixed pair below selects differently with the two tolerances swapped.
+func TestAnalyzeProfileReadsBothTolerances(t *testing.T) {
+	points := []string{"p1", "p2", "p3", "p4"}
+	basis, err := NewBasis([]string{"I1", "I2", "I3"}, points,
+		mat.FromColumns([][]float64{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := NewMeasurementSet("tolerances", "test-sim", points)
+	for rep := 0; rep < 2; rep++ {
+		for _, e := range []struct {
+			name string
+			v    []float64
+		}{
+			{"A", []float64{1, 0, 0, 0}},
+			{"A_NEAR", []float64{1, 0, 0.01, 0}},
+			{"OFF", []float64{0, 1, 0, 0.05}},
+		} {
+			if err := set.Add(e.name, Measurement{Rep: rep, Vector: e.v}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	prof := ProfileNoise(set, 1)
+	for _, c := range []struct {
+		alpha, ptol       float64
+		dropped, selected string
+	}{
+		{0.1, 0.1, "[]", "[A OFF]"},
+		{1e-3, 0.1, "[]", "[A OFF A_NEAR]"},
+		{0.1, 0.01, "[OFF]", "[A]"},
+		{1e-3, 0.01, "[OFF]", "[A A_NEAR]"},
+	} {
+		pipe := &Pipeline{Basis: basis, Config: Config{Tau: 1e-10, Alpha: c.alpha, ProjectionTol: c.ptol, Workers: 1}}
+		res, err := pipe.AnalyzeProfile(context.Background(), prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(res.Projection.Dropped); got != c.dropped {
+			t.Errorf("alpha %g, projection_tol %g: dropped %s, want %s", c.alpha, c.ptol, got, c.dropped)
+		}
+		if got := fmt.Sprint(res.SelectedEvents); got != c.selected {
+			t.Errorf("alpha %g, projection_tol %g: selected %s, want %s", c.alpha, c.ptol, got, c.selected)
+		}
 	}
 }
 

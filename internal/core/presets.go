@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"strings"
+
+	"github.com/perfmetrics/eventlens/internal/mat"
 )
 
 // This file emits metric definitions in the PAPI preset format — the
@@ -74,7 +76,7 @@ func (d *MetricDefinition) ToPreset(roundTol float64) (*Preset, error) {
 		}
 		// Push the operand (scaled if needed).
 		fmt.Fprintf(&b, "N%d|", i)
-		if !ExactEq(coeff, 1) {
+		if !mat.ExactEq(coeff, 1) {
 			fmt.Fprintf(&b, "%s|*|", trimFloat(coeff))
 		}
 		// Combine with the running sum.

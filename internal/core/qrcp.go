@@ -134,7 +134,7 @@ func getPivot(x, work *mat.Dense, perm []int, i int, alpha, beta float64) (int, 
 			continue // dependent on the selection, or effectively zero
 		}
 		score := ColumnScore(x.Col(perm[j]), alpha)
-		if score < bestScore || (ExactEq(score, bestScore) && resNorm < bestNorm) {
+		if score < bestScore || (mat.ExactEq(score, bestScore) && resNorm < bestNorm) {
 			bestScore = score
 			bestNorm = resNorm
 			pivot = j

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+
+	"github.com/perfmetrics/eventlens/internal/mat"
 )
 
 // RatioMetric is a quotient of two composed metrics — the natural extension
@@ -66,7 +68,7 @@ func combinationString(d *MetricDefinition) string {
 			s += "-"
 		}
 		c := math.Abs(t.Coeff)
-		if ExactEq(c, 1) {
+		if mat.ExactEq(c, 1) {
 			s += t.Event
 		} else {
 			s += fmt.Sprintf("%g x %s", c, t.Event)

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"strings"
+
+	"github.com/perfmetrics/eventlens/internal/mat"
 )
 
 // FormatSignatureTable renders a signature table in the style of the paper's
@@ -84,7 +86,7 @@ func FormatAnalysisReport(r *Result, projectionTol float64, metricTable string, 
 
 // trimFloat formats a coefficient compactly (integers without decimals).
 func trimFloat(c float64) string {
-	if ExactEq(c, float64(int64(c))) {
+	if mat.ExactEq(c, float64(int64(c))) {
 		return fmt.Sprintf("%d", int64(c))
 	}
 	return fmt.Sprintf("%g", c)

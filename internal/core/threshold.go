@@ -72,7 +72,7 @@ func MaxCV(vectors [][]float64) float64 {
 		if variance < 0 {
 			variance = 0
 		}
-		if IsZero(mean) {
+		if mat.IsZero(mean) {
 			if variance > 0 {
 				disagreeOnZero = true
 			}

@@ -89,7 +89,6 @@ const (
 	OpBranch           // conditional branch
 	OpLoad             // memory load
 	OpStore            // memory store
-	OpNop              // no operation
 )
 
 // IsFP reports whether the op retires on a floating-point unit.

@@ -11,9 +11,9 @@ import (
 // comparison is a deliberate tolerance decision. Raw ==/!= between floats is
 // almost always a latent bug — rounding residue from a different but
 // mathematically equal evaluation order flips the result — so comparisons
-// must go through the approved helpers in internal/mat and internal/core,
-// whose bodies are the only sanctioned homes for the raw operators. Test
-// files are exempt (the loader does not even parse them).
+// must go through the approved helpers in internal/mat (ExactEq, IsZero,
+// IsIntegral), whose bodies are the only sanctioned homes for the raw
+// operators. Test files are exempt (the loader does not even parse them).
 var FloatEq = &Analyzer{
 	Name: "floateq",
 	Doc:  "flags ==/!= between floating-point operands outside test files and the approved tolerance helpers",
@@ -24,11 +24,9 @@ var FloatEq = &Analyzer{
 // function name) whose bodies may use raw float equality: the tolerance and
 // exactness helpers themselves. Everything else adopts them.
 var floatEqApproved = map[string]bool{
-	"internal/core.ExactEq":    true,
-	"internal/core.IsZero":     true,
-	"internal/core.IsIntegral": true,
-	"internal/mat.ExactEq":     true,
-	"internal/mat.IsZero":      true,
+	"internal/mat.ExactEq":    true,
+	"internal/mat.IsZero":     true,
+	"internal/mat.IsIntegral": true,
 }
 
 func runFloatEq(p *Pass) {
@@ -59,7 +57,7 @@ func runFloatEq(p *Pass) {
 				if types.ExprString(bin.X) == types.ExprString(bin.Y) {
 					return true
 				}
-				p.Reportf(bin.OpPos, "floating-point %s between %s and %s; use a tolerance helper (core.ExactEq, core.IsIntegral)",
+				p.Reportf(bin.OpPos, "floating-point %s between %s and %s; use a tolerance helper (mat.ExactEq, mat.IsIntegral)",
 					bin.Op, types.ExprString(bin.X), types.ExprString(bin.Y))
 				return true
 			})

@@ -9,7 +9,7 @@ import (
 // machine_test.go.
 
 func TestZen4Catalog(t *testing.T) {
-	p, err := Zen4()
+	p, err := BuiltinPlatform("zen4-sim")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestZen4Catalog(t *testing.T) {
 		"EX_RET_BRN_MISP":   1,
 	}
 	for name, want := range cases {
-		def, ok := p.Catalog.Lookup(name)
+		def, ok := p.Lookup(name)
 		if !ok {
 			t.Fatalf("missing %s", name)
 		}
@@ -32,34 +32,34 @@ func TestZen4Catalog(t *testing.T) {
 		}
 	}
 	// Cache fills respond to the right levels.
-	def, _ := p.Catalog.Lookup("LS_REFILLS_FROM_SYS:LS_MABRESP_LCL_L2")
+	def, _ := p.Lookup("LS_REFILLS_FROM_SYS:LS_MABRESP_LCL_L2")
 	if got := def.Count(Stats{KeyL2Hit: 7}); got != 7 {
 		t.Fatalf("L2 refill response = %v", got)
 	}
 	// MMX legacy events are dead on these benchmarks.
-	dead, _ := p.Catalog.Lookup("RETIRED_MMX_FP_INSTRUCTIONS:ALL")
+	dead, _ := p.Lookup("RETIRED_MMX_FP_INSTRUCTIONS:ALL")
 	if dead.Count(Stats{KeyInstr: 100}) != 0 {
 		t.Fatalf("legacy event should read zero")
 	}
 }
 
 func TestMI250XAggregates(t *testing.T) {
-	p, err := MI250X()
+	p, err := BuiltinPlatform("mi250x-sim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, ok := p.Catalog.Lookup("rocm:::SQ_INSTS_VALU:device=0")
+	def, ok := p.Lookup("rocm:::SQ_INSTS_VALU:device=0")
 	if !ok {
 		t.Fatalf("VALU aggregate missing")
 	}
 	if got := def.Count(Stats{KeyGPUValuAll: 42}); got != 42 {
 		t.Fatalf("aggregate = %v", got)
 	}
-	waves, _ := p.Catalog.Lookup("rocm:::SQ_WAVES:device=0")
+	waves, _ := p.Lookup("rocm:::SQ_WAVES:device=0")
 	if waves.RelNoise != 0 {
 		t.Fatalf("wave counter should be deterministic")
 	}
-	cycles, _ := p.Catalog.Lookup("rocm:::GRBM_COUNT:device=0")
+	cycles, _ := p.Lookup("rocm:::GRBM_COUNT:device=0")
 	if cycles.RelNoise == 0 {
 		t.Fatalf("free-running clock should be noisy")
 	}
@@ -68,32 +68,32 @@ func TestMI250XAggregates(t *testing.T) {
 func TestMI250XFillerNoiseIsNamed(t *testing.T) {
 	// Filler noise derives from the event name, so two different channels
 	// of the same family have different noise levels but each is stable.
-	p, err := MI250X()
+	p, err := BuiltinPlatform("mi250x-sim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, okA := p.Catalog.Lookup("rocm:::TCC_HIT[0]:device=0")
-	b, okB := p.Catalog.Lookup("rocm:::TCC_HIT[1]:device=0")
+	a, okA := p.Lookup("rocm:::TCC_HIT[0]:device=0")
+	b, okB := p.Lookup("rocm:::TCC_HIT[1]:device=0")
 	if !okA || !okB {
 		t.Fatalf("TCC channel events missing")
 	}
 	if a.RelNoise == b.RelNoise {
 		t.Fatalf("per-channel noise should differ (name-derived)")
 	}
-	p2, _ := MI250X()
-	a2, _ := p2.Catalog.Lookup("rocm:::TCC_HIT[0]:device=0")
+	p2, _ := BuiltinPlatform("mi250x-sim")
+	a2, _ := p2.Lookup("rocm:::TCC_HIT[0]:device=0")
 	if a.RelNoise != a2.RelNoise {
 		t.Fatalf("noise level not stable across constructions")
 	}
 }
 
 func TestSPRFillerFamiliesRespond(t *testing.T) {
-	p, err := SapphireRapids()
+	p, err := BuiltinPlatform("spr-sim")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A stall event responds to cycles and cache misses.
-	def, ok := p.Catalog.Lookup("CYCLE_ACTIVITY:STALLS_L2_MISS")
+	def, ok := p.Lookup("CYCLE_ACTIVITY:STALLS_L2_MISS")
 	if !ok {
 		t.Fatalf("stall event missing")
 	}
@@ -101,7 +101,7 @@ func TestSPRFillerFamiliesRespond(t *testing.T) {
 		t.Fatalf("stall event should respond to cycle/cache activity")
 	}
 	// TLB walk events respond to the TLB model's stats.
-	walk, ok := p.Catalog.Lookup("DTLB_LOAD_MISSES:WALK_COMPLETED")
+	walk, ok := p.Lookup("DTLB_LOAD_MISSES:WALK_COMPLETED")
 	if !ok {
 		t.Fatalf("walk event missing")
 	}
@@ -109,7 +109,7 @@ func TestSPRFillerFamiliesRespond(t *testing.T) {
 		t.Fatalf("walk event should respond to TLB stats")
 	}
 	// Dead families read zero everywhere.
-	dead, ok := p.Catalog.Lookup("ITLB_MISSES:MISS_CAUSES_A_WALK")
+	dead, ok := p.Lookup("ITLB_MISSES:MISS_CAUSES_A_WALK")
 	if !ok {
 		t.Fatalf("ITLB event missing")
 	}
@@ -123,15 +123,15 @@ func TestSyntheticCatalogEmbedsAllSignal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := SapphireRapids()
-	for _, name := range base.Catalog.Names() {
-		if _, ok := p.Catalog.Lookup(name); !ok {
+	base, _ := BuiltinPlatform("spr-sim")
+	for _, name := range base.Names() {
+		if _, ok := p.Lookup(name); !ok {
 			t.Fatalf("real event %s missing from synthetic catalog", name)
 		}
 	}
 	// Filler names do not collide with the base catalog.
 	synCount := 0
-	for _, name := range p.Catalog.Names() {
+	for _, name := range p.Names() {
 		if strings.HasPrefix(name, "SYN_") {
 			synCount++
 		}
@@ -141,28 +141,15 @@ func TestSyntheticCatalogEmbedsAllSignal(t *testing.T) {
 	}
 }
 
-func TestSortedNames(t *testing.T) {
-	p, err := Zen4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := p.Catalog.SortedNames()
-	for i := 1; i < len(names); i++ {
-		if names[i] < names[i-1] {
-			t.Fatalf("names not sorted at %d", i)
-		}
-	}
-}
-
 // TestMeasureAllMatchesMeasure: measuring the whole catalog reads a
 // deterministic event exactly as measuring it alone does.
 func TestMeasureAllMatchesMeasure(t *testing.T) {
-	p, err := Zen4()
+	p, err := BuiltinPlatform("zen4-sim")
 	if err != nil {
 		t.Fatal(err)
 	}
 	stats := []Stats{{KeyBrCR: 10, KeyBrTaken: 5}}
-	all, err := p.Measure(stats, p.Catalog.Names(), 1, 0)
+	all, err := p.Measure(stats, p.Names(), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

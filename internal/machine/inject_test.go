@@ -12,7 +12,7 @@ import (
 
 func injectPlatform(t *testing.T, spec string) (*Platform, *Platform) {
 	t.Helper()
-	p, err := SapphireRapids()
+	p, err := BuiltinPlatform("spr-sim")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func TestRecoverableFaultsAreInvisible(t *testing.T) {
 	clean, chaotic := injectPlatform(t, "seed=7,transient=0.3,slow=0.2,depth=2,retries=3")
 	points := injectPoints()
 	for rep := 0; rep < 2; rep++ {
-		want, err := clean.Measure(points, clean.Catalog.Names(), rep, 0)
+		want, err := clean.Measure(points, clean.Names(), rep, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := chaotic.Measure(points, chaotic.Catalog.Names(), rep, 0)
+		got, err := chaotic.Measure(points, chaotic.Names(), rep, 0)
 		if err != nil {
 			t.Fatalf("rep %d: faulted run failed despite sufficient retries: %v", rep, err)
 		}
@@ -69,7 +69,7 @@ func TestRecoverableFaultsAreInvisible(t *testing.T) {
 
 func TestExhaustedRetriesSurfaceTheFault(t *testing.T) {
 	_, chaotic := injectPlatform(t, "seed=7,transient=1,depth=3,retries=0")
-	group := chaotic.Catalog.Names()[:1]
+	group := chaotic.Names()[:1]
 	ideal, err := chaotic.IdealCounts(injectPoints(), group)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestInjectedPanicIsContained(t *testing.T) {
 	_, chaotic := injectPlatform(t, "seed=7,panic=1")
 	// Measure fans groups out through par.ForErr, so the injected panic
 	// must come back as a coordinate-carrying error, not crash the test.
-	_, err := chaotic.Measure(injectPoints(), chaotic.Catalog.Names(), 0, 0)
+	_, err := chaotic.Measure(injectPoints(), chaotic.Names(), 0, 0)
 	var pe *par.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want *par.PanicError", err)
@@ -108,11 +108,11 @@ func TestInjectedPanicIsContained(t *testing.T) {
 func TestCorruptionMutatesValues(t *testing.T) {
 	clean, chaotic := injectPlatform(t, "seed=7,corrupt=1")
 	points := injectPoints()
-	want, err := clean.Measure(points, clean.Catalog.Names(), 0, 0)
+	want, err := clean.Measure(points, clean.Names(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := chaotic.Measure(points, chaotic.Catalog.Names(), 0, 0)
+	got, err := chaotic.Measure(points, chaotic.Names(), 0, 0)
 	if err != nil {
 		t.Fatalf("corruption must not fail the read: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestCorruptionMutatesValues(t *testing.T) {
 		t.Fatal("corrupt=1 mutated nothing")
 	}
 	// And deterministically so.
-	again, err := chaotic.Measure(points, chaotic.Catalog.Names(), 0, 0)
+	again, err := chaotic.Measure(points, chaotic.Names(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestWithInjectorLeavesReceiverClean(t *testing.T) {
 	if chaotic.Inject == nil {
 		t.Fatal("copy lost the injector")
 	}
-	if _, err := p.Measure(injectPoints(), p.Catalog.Names(), 0, 0); err != nil {
+	if _, err := p.Measure(injectPoints(), p.Names(), 0, 0); err != nil {
 		t.Fatalf("original platform faulted: %v", err)
 	}
 }

@@ -7,11 +7,12 @@
 // This package is the substitution for the real Aurora (Intel Sapphire
 // Rapids) and Frontier (AMD MI250X) machines of the paper: the analysis
 // pipeline consumes only (event name -> measurement vector) data, and the
-// catalogs here produce vectors with the same structure — exact linear
-// responses for the architecturally meaningful events, derived and scaled
-// duplicates, and a heteroscedastic noisy tail — including the architectural
-// quirks the paper's results hinge on (FP_ARITH_INST_RETIRED counting FMA
-// twice; SQ_INSTS_VALU_ADD counting subtractions).
+// platforms built here from internal/platdef definitions produce vectors
+// with the same structure — exact linear responses for the architecturally
+// meaningful events, derived and scaled duplicates, and a heteroscedastic
+// noisy tail — including the architectural quirks the paper's results hinge
+// on (FP_ARITH_INST_RETIRED counting FMA twice; SQ_INSTS_VALU_ADD counting
+// subtractions).
 package machine
 
 import (
@@ -32,76 +33,27 @@ type Stats map[string]float64
 
 // EventDef defines one raw hardware event: its name, noise model, and the
 // linear response (Count) and documented semantics (DocExpectation) over
-// ground-truth stat keys. Catalogs hold the definitions exactly as loaded
+// ground-truth stat keys. Platforms hold the definitions exactly as loaded
 // from a platform definition.
 type EventDef = platdef.Event
 
-// Catalog is an ordered set of event definitions.
-type Catalog struct {
-	events []EventDef
-	byName map[string]int
-}
-
-// NewCatalog builds a catalog over events, rejecting duplicate or unnamed
-// events. The catalog keeps the slice as given; neither it nor the events'
-// term lists may be modified afterwards.
-func NewCatalog(events []EventDef) (*Catalog, error) {
-	c := &Catalog{events: events, byName: make(map[string]int, len(events))}
-	for i, e := range events {
-		if e.Name == "" {
-			return nil, fmt.Errorf("machine: event with empty name")
-		}
-		if _, dup := c.byName[e.Name]; dup {
-			return nil, fmt.Errorf("machine: duplicate event %q", e.Name)
-		}
-		c.byName[e.Name] = i
-	}
-	return c, nil
-}
-
-// Len returns the number of events.
-func (c *Catalog) Len() int { return len(c.events) }
-
-// Events returns the event definitions in catalog order. The slice is the
-// catalog's own and must be treated as read-only.
-func (c *Catalog) Events() []EventDef { return c.events }
-
-// Names returns all event names in catalog order.
-func (c *Catalog) Names() []string {
-	out := make([]string, len(c.events))
-	for i, e := range c.events {
-		out[i] = e.Name
-	}
-	return out
-}
-
-// Lookup returns the definition of a named event.
-func (c *Catalog) Lookup(name string) (EventDef, bool) {
-	i, ok := c.byName[name]
-	if !ok {
-		return EventDef{}, false
-	}
-	return c.events[i], true
-}
-
-// Platform is a simulated machine: a catalog plus PMU constraints.
+// Platform is a simulated machine: its validated definition (name, class,
+// counters, constraints and raw-event catalog, shared and read-only) plus
+// the event index and constraint map measurement reads. FromDef is its
+// constructor.
+//
+// The name is part of every noise seed, so two platforms never share noise
+// streams; the class ("cpu" or "gpu") gates which benchmarks run on it.
+// Measuring more events than there are programmable counters multiplexes
+// them across event groups, each a distinct run with its own noise draw,
+// and counter constraints route grouping through the constraint-aware
+// scheduler.
 type Platform struct {
-	// Name identifies the platform (part of every noise seed, so two
-	// platforms never share noise streams).
-	Name string
-	// Class is the platform's architecture class ("cpu" or "gpu"); it
-	// gates which benchmarks the cross-platform matrix runs on it.
-	Class string
-	// Catalog is the raw-event catalog.
-	Catalog *Catalog
-	// Counters is the number of physical programmable counters; measuring
-	// more events than this requires multiplexing across event groups, and
-	// each group constitutes a distinct run with its own noise draw.
-	Counters int
-	// Constraints optionally restricts which counters individual events may
-	// use (fixed architectural counters, restricted programmable events).
-	// When set, measurement uses the constraint-aware scheduler.
-	Constraints map[string]CounterConstraint
+	*platdef.Platform
+	// byName indexes Events by name.
+	byName map[string]int
+	// constraints holds the definition's counter constraints by event.
+	constraints map[string]platdef.Constraint
 	// Inject optionally enables deterministic fault injection on this
 	// platform's counter reads: transient group-read failures (re-measured
 	// up to the plan's retry budget), value corruption, slow reads, and
@@ -109,6 +61,24 @@ type Platform struct {
 	// (platform, group, rep, thread) coordinates as the noise model, so a
 	// chaos run replays exactly and is independent of worker count.
 	Inject *fault.Plan
+}
+
+// Names returns all event names in catalog order.
+func (p *Platform) Names() []string {
+	out := make([]string, len(p.Events))
+	for i, e := range p.Events {
+		out[i] = e.Name
+	}
+	return out
+}
+
+// Lookup returns the definition of a named event.
+func (p *Platform) Lookup(name string) (EventDef, bool) {
+	i, ok := p.byName[name]
+	if !ok {
+		return EventDef{}, false
+	}
+	return p.Events[i], true
 }
 
 // WithInjector returns a copy of the platform carrying a fault-injection
@@ -126,8 +96,8 @@ func (p *Platform) Groups(names []string) [][]string {
 	if p.Counters <= 0 {
 		return [][]string{names}
 	}
-	if len(p.Constraints) > 0 {
-		if scheduled, err := Schedule(names, p.Constraints, p.Counters); err == nil {
+	if len(p.constraints) > 0 {
+		if scheduled, err := Schedule(names, p.constraints, p.Counters); err == nil {
 			groups := make([][]string, len(scheduled))
 			for i, g := range scheduled {
 				// Deterministic order within the group: ascending slot.
@@ -297,17 +267,9 @@ func (p *Platform) measureGroupOnce(ideal [][]float64, group []string, groupInde
 
 // event returns the catalog's definition of a named event, in place.
 func (p *Platform) event(name string) (*EventDef, error) {
-	i, ok := p.Catalog.byName[name]
+	i, ok := p.byName[name]
 	if !ok {
 		return nil, fmt.Errorf("machine: platform %s has no event %q", p.Name, name)
 	}
-	return &p.Catalog.events[i], nil
-}
-
-// SortedNames returns the catalog's event names sorted lexicographically —
-// handy for stable report output.
-func (c *Catalog) SortedNames() []string {
-	names := c.Names()
-	sort.Strings(names)
-	return names
+	return &p.Events[i], nil
 }

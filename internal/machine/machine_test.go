@@ -8,39 +8,28 @@ import (
 	"github.com/perfmetrics/eventlens/internal/platdef"
 )
 
-func TestNewCatalogValidation(t *testing.T) {
-	ok := EventDef{Name: "A"}
-	if _, err := NewCatalog([]EventDef{ok, ok}); err == nil {
-		t.Fatalf("duplicate names should fail")
+// testPlatform builds a live platform over a valid definition without
+// FromDef's stat-key check, so tests can respond to keys no simulator
+// populates.
+func testPlatform(t *testing.T, name string, counters int, events ...EventDef) *Platform {
+	t.Helper()
+	def := &platdef.Platform{Name: name, Class: "cpu", Counters: counters, Events: events}
+	if err := def.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewCatalog([]EventDef{{Name: ""}}); err == nil {
-		t.Fatalf("empty name should fail")
-	}
+	return index(def)
 }
 
 func TestCatalogLookup(t *testing.T) {
-	c, err := NewCatalog([]EventDef{
-		{Name: "A"},
-		{Name: "B"},
-	})
-	if err != nil {
-		t.Fatal(err)
+	p := testPlatform(t, "t", 1, EventDef{Name: "B"}, EventDef{Name: "A"})
+	if def, ok := p.Lookup("A"); !ok || def.Name != "A" {
+		t.Fatalf("Lookup(A) = %+v, %v", def, ok)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	if _, ok := c.Lookup("A"); !ok {
-		t.Fatalf("Lookup(A) failed")
-	}
-	if _, ok := c.Lookup("Z"); ok {
+	if _, ok := p.Lookup("Z"); ok {
 		t.Fatalf("Lookup(Z) should fail")
 	}
-	names := c.Names()
-	if names[0] != "A" || names[1] != "B" {
-		t.Fatalf("Names order wrong: %v", names)
-	}
-	if events := c.Events(); len(events) != 2 || events[1].Name != "B" {
-		t.Fatalf("Events order wrong: %v", events)
+	if names := p.Names(); len(names) != 2 || names[0] != "B" || names[1] != "A" {
+		t.Fatalf("Names not in catalog order: %v", names)
 	}
 }
 
@@ -55,7 +44,7 @@ func TestLinearResponse(t *testing.T) {
 }
 
 func TestGroupsPartition(t *testing.T) {
-	p := &Platform{Name: "t", Counters: 3}
+	p := &Platform{Platform: &platdef.Platform{Name: "t", Counters: 3}}
 	groups := p.Groups([]string{"a", "b", "c", "d", "e", "f", "g"})
 	if len(groups) != 3 || len(groups[0]) != 3 || len(groups[2]) != 1 {
 		t.Fatalf("groups = %v", groups)
@@ -66,21 +55,19 @@ func TestGroupsPartition(t *testing.T) {
 	}
 }
 
-func testPlatform(t *testing.T) *Platform {
+// measurePlatform is a two-counter platform with an exact, a noisy and an
+// all-zero event over the stat key "x".
+func measurePlatform(t *testing.T) *Platform {
 	t.Helper()
-	cat, err := NewCatalog([]EventDef{
-		{Name: "EXACT", Respond: []platdef.Term{{Key: "x", Coeff: 2}}},
-		{Name: "NOISY", RelNoise: 0.1, Respond: []platdef.Term{{Key: "x", Coeff: 1}}},
-		{Name: "ZERO"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &Platform{Name: "test-sim", Catalog: cat, Counters: 2}
+	return testPlatform(t, "test-sim", 2,
+		EventDef{Name: "EXACT", Respond: []platdef.Term{{Key: "x", Coeff: 2}}},
+		EventDef{Name: "NOISY", RelNoise: 0.1, Respond: []platdef.Term{{Key: "x", Coeff: 1}}},
+		EventDef{Name: "ZERO"},
+	)
 }
 
 func TestMeasureExactEventIsDeterministic(t *testing.T) {
-	p := testPlatform(t)
+	p := measurePlatform(t)
 	points := []Stats{{"x": 10}, {"x": 20}}
 	a, err := p.Measure(points, []string{"EXACT"}, 0, 0)
 	if err != nil {
@@ -101,7 +88,7 @@ func TestMeasureExactEventIsDeterministic(t *testing.T) {
 }
 
 func TestMeasureNoisyEventVariesAcrossReps(t *testing.T) {
-	p := testPlatform(t)
+	p := measurePlatform(t)
 	points := []Stats{{"x": 1000}}
 	a, _ := p.Measure(points, []string{"NOISY"}, 0, 0)
 	b, _ := p.Measure(points, []string{"NOISY"}, 1, 0)
@@ -116,7 +103,7 @@ func TestMeasureNoisyEventVariesAcrossReps(t *testing.T) {
 }
 
 func TestMeasureNoisyEventVariesAcrossThreads(t *testing.T) {
-	p := testPlatform(t)
+	p := measurePlatform(t)
 	points := []Stats{{"x": 1000}}
 	a, _ := p.Measure(points, []string{"NOISY"}, 0, 0)
 	b, _ := p.Measure(points, []string{"NOISY"}, 0, 1)
@@ -126,10 +113,8 @@ func TestMeasureNoisyEventVariesAcrossThreads(t *testing.T) {
 }
 
 func TestMeasureClampsNegative(t *testing.T) {
-	cat, _ := NewCatalog([]EventDef{
-		{Name: "N", RelNoise: 100, Respond: []platdef.Term{{Key: "x", Coeff: 1}}},
-	})
-	p := &Platform{Name: "clamp", Catalog: cat, Counters: 1}
+	p := testPlatform(t, "clamp", 1,
+		EventDef{Name: "N", RelNoise: 100, Respond: []platdef.Term{{Key: "x", Coeff: 1}}})
 	points := make([]Stats, 64)
 	for i := range points {
 		points[i] = Stats{"x": 1}
@@ -146,7 +131,7 @@ func TestMeasureClampsNegative(t *testing.T) {
 }
 
 func TestMeasureUnknownEvent(t *testing.T) {
-	p := testPlatform(t)
+	p := measurePlatform(t)
 	if _, err := p.Measure([]Stats{{}}, []string{"NOPE"}, 0, 0); err == nil {
 		t.Fatalf("unknown event should error")
 	}
@@ -190,15 +175,15 @@ func TestSpreadNoiseInRange(t *testing.T) {
 }
 
 func TestSapphireRapidsCatalog(t *testing.T) {
-	p, err := SapphireRapids()
+	p, err := BuiltinPlatform("spr-sim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Catalog.Len() < 250 {
-		t.Fatalf("SPR catalog too small: %d events", p.Catalog.Len())
+	if len(p.Events) < 250 {
+		t.Fatalf("SPR catalog too small: %d events", len(p.Events))
 	}
 	// The 8 pure FP events must exist and count FMA twice.
-	def, ok := p.Catalog.Lookup("FP_ARITH_INST_RETIRED:256B_PACKED_DOUBLE")
+	def, ok := p.Lookup("FP_ARITH_INST_RETIRED:256B_PACKED_DOUBLE")
 	if !ok {
 		t.Fatalf("FP_ARITH event missing")
 	}
@@ -210,7 +195,7 @@ func TestSapphireRapidsCatalog(t *testing.T) {
 		t.Fatalf("FP events must be noise-free")
 	}
 	// No executed-branches event may exist (Table VII depends on this).
-	for _, name := range p.Catalog.Names() {
+	for _, name := range p.Names() {
 		if strings.Contains(name, "BR_INST_EXEC") {
 			t.Fatalf("SPR catalog must not expose executed-branch events")
 		}
@@ -218,7 +203,7 @@ func TestSapphireRapidsCatalog(t *testing.T) {
 }
 
 func TestSapphireRapidsBranchEvents(t *testing.T) {
-	p, err := SapphireRapids()
+	p, err := BuiltinPlatform("spr-sim")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +216,7 @@ func TestSapphireRapidsBranchEvents(t *testing.T) {
 		"BR_MISP_RETIRED":              5,
 	}
 	for name, want := range cases {
-		def, ok := p.Catalog.Lookup(name)
+		def, ok := p.Lookup(name)
 		if !ok {
 			t.Fatalf("missing %s", name)
 		}
@@ -242,15 +227,15 @@ func TestSapphireRapidsBranchEvents(t *testing.T) {
 }
 
 func TestMI250XCatalog(t *testing.T) {
-	p, err := MI250X()
+	p, err := BuiltinPlatform("mi250x-sim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Catalog.Len() < 900 {
-		t.Fatalf("MI250X catalog too small: %d events", p.Catalog.Len())
+	if len(p.Events) < 900 {
+		t.Fatalf("MI250X catalog too small: %d events", len(p.Events))
 	}
 	// ADD must count subs too.
-	def, ok := p.Catalog.Lookup("rocm:::SQ_INSTS_VALU_ADD_F16:device=0")
+	def, ok := p.Lookup("rocm:::SQ_INSTS_VALU_ADD_F16:device=0")
 	if !ok {
 		t.Fatalf("VALU ADD event missing")
 	}
@@ -259,7 +244,7 @@ func TestMI250XCatalog(t *testing.T) {
 		t.Fatalf("ADD+SUB merge broken: %v want 10", got)
 	}
 	// Idle devices read zero.
-	idle, ok := p.Catalog.Lookup("rocm:::SQ_INSTS_VALU_ADD_F16:device=3")
+	idle, ok := p.Lookup("rocm:::SQ_INSTS_VALU_ADD_F16:device=3")
 	if !ok {
 		t.Fatalf("idle-device event missing")
 	}
@@ -269,7 +254,7 @@ func TestMI250XCatalog(t *testing.T) {
 }
 
 func TestSPRUsesConstraintScheduler(t *testing.T) {
-	p, err := SapphireRapids()
+	p, err := BuiltinPlatform("spr-sim")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,10 +287,15 @@ func TestSPRUsesConstraintScheduler(t *testing.T) {
 }
 
 func TestPlatformsHaveDistinctNoiseStreams(t *testing.T) {
-	spr, _ := SapphireRapids()
+	spr, _ := BuiltinPlatform("spr-sim")
 	stats := []Stats{{KeyL1Hit: 1000}}
 	a, _ := spr.Measure(stats, []string{"MEM_LOAD_RETIRED:L1_HIT"}, 0, 0)
-	spr2 := &Platform{Name: "other", Catalog: spr.Catalog, Counters: spr.Counters}
+	other := *spr.Platform
+	other.Name = "other"
+	spr2, err := FromDef(&other)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b, _ := spr2.Measure(stats, []string{"MEM_LOAD_RETIRED:L1_HIT"}, 0, 0)
 	if a["MEM_LOAD_RETIRED:L1_HIT"][0] == b["MEM_LOAD_RETIRED:L1_HIT"][0] {
 		t.Fatalf("platform name must participate in the noise seed")

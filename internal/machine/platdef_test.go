@@ -12,10 +12,10 @@ import (
 )
 
 // TestBuiltinFilesCanonical is the byte-identity regression gate for the
-// data platforms: every committed .pdef file must round-trip
-// load -> export -> canonicalize back to its exact committed bytes. This
-// proves the committed files are canonical (no formatting drift) and that
-// FromDef and ExportDef lose no information.
+// data platforms: the canonical bytes of every live built-in platform's
+// definition must be its exact committed file. This proves the committed
+// files are canonical (no formatting drift) and that a live platform holds
+// its definition without loss.
 func TestBuiltinFilesCanonical(t *testing.T) {
 	for _, name := range platdef.BuiltinNames() {
 		t.Run(name, func(t *testing.T) {
@@ -27,12 +27,8 @@ func TestBuiltinFilesCanonical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			def, err := ExportDef(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(def.Canonical(), committed) {
-				t.Fatalf("platform %s: exported definition differs from committed %s.pdef", name, name)
+			if !bytes.Equal(p.Canonical(), committed) {
+				t.Fatalf("platform %s: live definition differs from committed %s.pdef", name, name)
 			}
 		})
 	}
@@ -41,7 +37,7 @@ func TestBuiltinFilesCanonical(t *testing.T) {
 // TestBuiltinSeedPlatformShapes pins the architectural facts the paper's
 // tables depend on, now asserted against the data-loaded platforms.
 func TestBuiltinSeedPlatformShapes(t *testing.T) {
-	spr, err := SapphireRapids()
+	spr, err := BuiltinPlatform("spr-sim")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +45,7 @@ func TestBuiltinSeedPlatformShapes(t *testing.T) {
 		t.Fatalf("spr shape: name=%q class=%q counters=%d", spr.Name, spr.Class, spr.Counters)
 	}
 	// The FMA-counts-twice quirk must survive the data round trip bitwise.
-	ev, ok := spr.Catalog.Lookup("FP_ARITH_INST_RETIRED:SCALAR_DOUBLE")
+	ev, ok := spr.Lookup("FP_ARITH_INST_RETIRED:SCALAR_DOUBLE")
 	if !ok {
 		t.Fatal("spr: FP_ARITH_INST_RETIRED:SCALAR_DOUBLE missing")
 	}
@@ -60,11 +56,11 @@ func TestBuiltinSeedPlatformShapes(t *testing.T) {
 	if doc, ok := ev.DocExpectation(Stats{FPKey("dp", "scalar", true): 1}); !ok || !mat.ExactEq(doc, 1) {
 		t.Fatalf("spr FMA documented semantics lost: doc %v ok=%v, want 1", doc, ok)
 	}
-	if c, ok := spr.Constraints["INST_RETIRED:ANY"]; !ok || c.Fixed != 0 {
+	if c, ok := spr.constraints["INST_RETIRED:ANY"]; !ok || c.Fixed != 0 {
 		t.Fatalf("spr fixed-counter constraint lost: %+v ok=%v", c, ok)
 	}
 
-	gpu, err := MI250X()
+	gpu, err := BuiltinPlatform("mi250x-sim")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +68,7 @@ func TestBuiltinSeedPlatformShapes(t *testing.T) {
 		t.Fatalf("mi250x class = %q, want gpu", gpu.Class)
 	}
 	// Add counts subs too — the Table VI quirk.
-	add, ok := gpu.Catalog.Lookup("rocm:::SQ_INSTS_VALU_ADD_F16:device=0")
+	add, ok := gpu.Lookup("rocm:::SQ_INSTS_VALU_ADD_F16:device=0")
 	if !ok {
 		t.Fatal("mi250x: rocm:::SQ_INSTS_VALU_ADD_F16:device=0 missing")
 	}
@@ -80,14 +76,14 @@ func TestBuiltinSeedPlatformShapes(t *testing.T) {
 		t.Fatalf("mi250x add/sub merge lost: %v, want 3", v)
 	}
 
-	z, err := Zen4()
+	z, err := BuiltinPlatform("zen4-sim")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if z.Class != "cpu" {
 		t.Fatalf("zen4 class = %q, want cpu", z.Class)
 	}
-	w, ok := z.Catalog.Lookup("RETIRED_SSE_AVX_OPS:256B_ALL")
+	w, ok := z.Lookup("RETIRED_SSE_AVX_OPS:256B_ALL")
 	if !ok {
 		t.Fatal("zen4: RETIRED_SSE_AVX_OPS:256B_ALL missing")
 	}
@@ -174,8 +170,8 @@ event E1
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Counters != 2 || p.Catalog.Len() != 1 {
-		t.Fatalf("tiny platform: counters=%d events=%d", p.Counters, p.Catalog.Len())
+	if p.Counters != 2 || len(p.Events) != 1 {
+		t.Fatalf("tiny platform: counters=%d events=%d", p.Counters, len(p.Events))
 	}
 
 	// A second dir reusing a builtin name replaces it in place; a copy of
@@ -211,8 +207,8 @@ event ONLY
 	if err != nil {
 		t.Fatal(err)
 	}
-	if z.Counters != 3 || z.Catalog.Len() != 1 {
-		t.Fatalf("zen4 override not applied: counters=%d events=%d", z.Counters, z.Catalog.Len())
+	if z.Counters != 3 || len(z.Events) != 1 {
+		t.Fatalf("zen4 override not applied: counters=%d events=%d", z.Counters, len(z.Events))
 	}
 	ref := func(r *Registry, name string) string {
 		t.Helper()
@@ -251,6 +247,9 @@ event ONLY
 	}
 }
 
+// TestFromDefRejectsUnknownKeys: FromDef, the only constructor of a live
+// platform, rejects terms over stat keys no simulator populates, and
+// definitions platdef.Validate rejects, such as one with a duplicate event.
 func TestFromDefRejectsUnknownKeys(t *testing.T) {
 	def := &platdef.Platform{
 		Name: "bad-sim", Class: "cpu", Counters: 4,
@@ -261,5 +260,9 @@ func TestFromDefRejectsUnknownKeys(t *testing.T) {
 	}
 	if _, err := FromDef(def); err == nil {
 		t.Fatal("unknown stat key should be rejected")
+	}
+	def.Events = []platdef.Event{{Name: "E"}, {Name: "E"}}
+	if _, err := FromDef(def); err == nil || !strings.Contains(err.Error(), `duplicate event "E"`) {
+		t.Fatalf("duplicate event: err = %v", err)
 	}
 }

@@ -118,8 +118,8 @@ func (r *Registry) New(name string) (*Platform, error) {
 }
 
 // BuiltinPlatform builds a live platform from a committed built-in
-// definition by exact name — the loader behind SapphireRapids, MI250X,
-// Zen4 and suite.Benchmark.Collect.
+// definition by exact name ("spr-sim") — the loader behind
+// suite.Benchmark.Collect.
 func BuiltinPlatform(name string) (*Platform, error) {
 	def, _, err := platdef.Builtin(name)
 	if err != nil {

@@ -1,25 +1,16 @@
 package machine
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/perfmetrics/eventlens/internal/platdef"
+)
 
 // Real PMUs do not let every event go on every counter: architectural
 // events live on dedicated fixed counters (INST_RETIRED, CPU_CLK_UNHALTED on
 // Intel), and some programmable events are restricted to a subset of
 // counters. This file implements a constraint-aware multiplexing scheduler
 // on top of the simple Groups partition.
-
-// CounterConstraint describes where an event may be programmed.
-type CounterConstraint struct {
-	// Fixed is the index of the dedicated fixed counter this event uses,
-	// or -1 if the event goes on programmable counters.
-	Fixed int
-	// Allowed restricts the programmable counters the event may use
-	// (nil = any). Ignored for fixed-counter events.
-	Allowed []int
-}
-
-// AnyCounter is the unconstrained default.
-var AnyCounter = CounterConstraint{Fixed: -1}
 
 // ScheduledGroup is one multiplexing round: the events measured together
 // and the counter each occupies.
@@ -34,8 +25,9 @@ type ScheduledGroup struct {
 // an allowed counter, and at most one user of each fixed counter per round.
 // The scheduler is greedy first-fit, which is what perf-tool schedulers do
 // in practice; it returns an error only if a single event is unschedulable
-// outright (e.g. an empty Allowed list).
-func Schedule(events []string, constraints map[string]CounterConstraint, programmable int) ([]ScheduledGroup, error) {
+// outright (e.g. an empty Allowed list). An event without a constraint may
+// use any programmable counter; a nil Allowed list means the same.
+func Schedule(events []string, constraints map[string]platdef.Constraint, programmable int) ([]ScheduledGroup, error) {
 	if programmable <= 0 {
 		return nil, fmt.Errorf("machine: need at least one programmable counter")
 	}
@@ -43,7 +35,7 @@ func Schedule(events []string, constraints map[string]CounterConstraint, program
 	place := func(name string) error {
 		c, ok := constraints[name]
 		if !ok {
-			c = AnyCounter
+			c = platdef.Constraint{Fixed: -1}
 		}
 		if c.Fixed < 0 && c.Allowed != nil && len(c.Allowed) == 0 {
 			return fmt.Errorf("machine: event %q allows no counters", name)
@@ -69,7 +61,7 @@ func Schedule(events []string, constraints map[string]CounterConstraint, program
 }
 
 // tryPlace attempts to put the event into the group, returning success.
-func tryPlace(g *ScheduledGroup, name string, c CounterConstraint, programmable int) bool {
+func tryPlace(g *ScheduledGroup, name string, c platdef.Constraint, programmable int) bool {
 	if c.Fixed >= 0 {
 		slot := programmable + c.Fixed
 		if _, used := g.Events[slot]; used {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+
+	"github.com/perfmetrics/eventlens/internal/platdef"
 )
 
 func TestScheduleUnconstrainedPacksFully(t *testing.T) {
@@ -30,7 +32,7 @@ func TestScheduleUnconstrainedPacksFully(t *testing.T) {
 func TestScheduleFixedCountersShareRounds(t *testing.T) {
 	// Two fixed-counter events on different fixed counters plus two
 	// programmable events fit one round with two programmable counters.
-	constraints := map[string]CounterConstraint{
+	constraints := map[string]platdef.Constraint{
 		"INST_RETIRED": {Fixed: 0},
 		"CPU_CLK":      {Fixed: 1},
 	}
@@ -45,7 +47,7 @@ func TestScheduleFixedCountersShareRounds(t *testing.T) {
 
 func TestScheduleFixedCounterConflictSplits(t *testing.T) {
 	// Two events needing the same fixed counter cannot share a round.
-	constraints := map[string]CounterConstraint{
+	constraints := map[string]platdef.Constraint{
 		"f1": {Fixed: 0},
 		"f2": {Fixed: 0},
 	}
@@ -61,7 +63,7 @@ func TestScheduleFixedCounterConflictSplits(t *testing.T) {
 func TestScheduleRestrictedCounters(t *testing.T) {
 	// Both events only work on counter 0: they must serialize even though
 	// counter 1 is free.
-	constraints := map[string]CounterConstraint{
+	constraints := map[string]platdef.Constraint{
 		"r1": {Fixed: -1, Allowed: []int{0}},
 		"r2": {Fixed: -1, Allowed: []int{0}},
 	}
@@ -82,7 +84,7 @@ func TestScheduleRestrictedCounters(t *testing.T) {
 }
 
 func TestScheduleMixedConstraints(t *testing.T) {
-	constraints := map[string]CounterConstraint{
+	constraints := map[string]platdef.Constraint{
 		"fixed":      {Fixed: 0},
 		"restricted": {Fixed: -1, Allowed: []int{1}},
 	}
@@ -101,13 +103,13 @@ func TestScheduleErrors(t *testing.T) {
 	if _, err := Schedule([]string{"a"}, nil, 0); err == nil {
 		t.Fatalf("zero programmable counters should fail")
 	}
-	constraints := map[string]CounterConstraint{
+	constraints := map[string]platdef.Constraint{
 		"bad": {Fixed: -1, Allowed: []int{}},
 	}
 	if _, err := Schedule([]string{"bad"}, constraints, 2); err == nil {
 		t.Fatalf("event with no allowed counters should fail")
 	}
-	constraints2 := map[string]CounterConstraint{
+	constraints2 := map[string]platdef.Constraint{
 		"oob": {Fixed: -1, Allowed: []int{9}},
 	}
 	if _, err := Schedule([]string{"oob"}, constraints2, 2); err == nil {
@@ -122,14 +124,14 @@ func TestScheduleCompletenessProperty(t *testing.T) {
 		n := int(nEvents%40) + 1
 		c := int(counters%6) + 1
 		events := make([]string, n)
-		constraints := map[string]CounterConstraint{}
+		constraints := map[string]platdef.Constraint{}
 		for i := range events {
 			events[i] = fmt.Sprintf("e%d", i)
 			switch i % 3 {
 			case 1:
-				constraints[events[i]] = CounterConstraint{Fixed: i % 2}
+				constraints[events[i]] = platdef.Constraint{Fixed: i % 2}
 			case 2:
-				constraints[events[i]] = CounterConstraint{Fixed: -1, Allowed: []int{i % c}}
+				constraints[events[i]] = platdef.Constraint{Fixed: -1, Allowed: []int{i % c}}
 			}
 		}
 		groups, err := Schedule(events, constraints, c)

@@ -21,13 +21,15 @@ import (
 //   - ~1/3 are noisy linear combinations of real subsystem stats.
 //
 // The signal events occupy a deterministic but arbitrary position in the
-// catalog order, so scale tests also exercise ordering robustness.
+// catalog order, so scale tests also exercise ordering robustness. The
+// result is a cpu-class platform with 8 unconstrained counters, validated
+// by FromDef like a committed definition.
 func SyntheticCatalog(nFiller int, seed uint64) (*Platform, error) {
-	base, err := SapphireRapids()
+	base, err := BuiltinPlatform("spr-sim")
 	if err != nil {
 		return nil, err
 	}
-	signal := base.Catalog.Events()
+	signal := base.Events
 	var events []EventDef
 	drivers := [][]string{
 		nil, // all-zero family
@@ -69,13 +71,10 @@ func SyntheticCatalog(nFiller int, seed uint64) (*Platform, error) {
 			events = append(events, e)
 		}
 	}
-	cat, err := NewCatalog(events)
-	if err != nil {
-		return nil, err
-	}
-	return &Platform{
+	return FromDef(&platdef.Platform{
 		Name:     fmt.Sprintf("synthetic-%d", nFiller),
-		Catalog:  cat,
+		Class:    "cpu",
 		Counters: 8,
-	}, nil
+		Events:   events,
+	})
 }

@@ -1,5 +1,7 @@
 package mat
 
+import "math"
+
 // This file holds the approved floating-point comparison helpers: the only
 // places in non-test code where raw ==/!= between floats is sanctioned (the
 // floateq analyzer in internal/lint enforces this). Routing every comparison
@@ -17,3 +19,13 @@ func ExactEq(a, b float64) bool { return a == b }
 // LAPACK-style guards in the kernels — skip an empty Householder column,
 // avoid dividing by a zero scale — where only exact zero is special.
 func IsZero(x float64) bool { return x == 0 }
+
+// IsIntegral reports whether x is a whole number, NaN and infinities
+// excluded. Report rendering uses it to decide integer formatting, and the
+// reproduction checks use it for the paper's integer-coefficient claims.
+func IsIntegral(x float64) bool {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return false
+	}
+	return x == math.Round(x)
+}

@@ -25,3 +25,16 @@ func TestIsZero(t *testing.T) {
 		t.Error("IsZero must reject nonzero values and NaN")
 	}
 }
+
+func TestIsIntegral(t *testing.T) {
+	for _, x := range []float64{0, 1, -3, 1e15, -2.0} {
+		if !IsIntegral(x) {
+			t.Errorf("IsIntegral(%g) = false, want true", x)
+		}
+	}
+	for _, x := range []float64{0.5, -1.25, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if IsIntegral(x) {
+			t.Errorf("IsIntegral(%g) = true, want false", x)
+		}
+	}
+}

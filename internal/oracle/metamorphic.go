@@ -11,6 +11,7 @@ import (
 	"github.com/perfmetrics/eventlens/internal/cat"
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/machine"
+	"github.com/perfmetrics/eventlens/internal/mat"
 	"github.com/perfmetrics/eventlens/internal/suite"
 )
 
@@ -415,7 +416,7 @@ func sortedColumns(m columns, n int) [][]float64 {
 	}
 	sort.Slice(cols, func(i, j int) bool {
 		for k := range cols[i] {
-			if !core.ExactEq(cols[i][k], cols[j][k]) {
+			if !mat.ExactEq(cols[i][k], cols[j][k]) {
 				return cols[i][k] < cols[j][k]
 			}
 		}

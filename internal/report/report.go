@@ -16,6 +16,7 @@ import (
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/cpusim"
 	"github.com/perfmetrics/eventlens/internal/machine"
+	"github.com/perfmetrics/eventlens/internal/mat"
 	"github.com/perfmetrics/eventlens/internal/suite"
 )
 
@@ -257,7 +258,7 @@ func (r *Report) checkMetrics(bench suite.Benchmark, defs []*core.MetricDefiniti
 		allInt := true
 		for _, def := range defs {
 			for _, term := range def.Rounded(bench.Config.RoundTol).Terms {
-				if !core.IsIntegral(term.Coeff) {
+				if !mat.IsIntegral(term.Coeff) {
 					allInt = false
 				}
 			}
@@ -273,7 +274,7 @@ func (r *Report) checkFigure2(bench suite.Benchmark, res *core.Result) {
 	zero, tail, gapViolations := 0, 0, 0
 	for _, v := range res.Noise.Variabilities {
 		switch {
-		case core.IsZero(v.MaxRNMSE):
+		case mat.IsZero(v.MaxRNMSE):
 			zero++
 		case v.MaxRNMSE <= bench.Config.Tau:
 			gapViolations++

@@ -33,7 +33,7 @@ func PlanMeasurement(p *machine.Platform, defs []*core.MetricDefinition, roundTo
 			if seen[term.Event] {
 				continue
 			}
-			if _, ok := p.Catalog.Lookup(term.Event); !ok {
+			if _, ok := p.Lookup(term.Event); !ok {
 				return nil, fmt.Errorf("suite: metric %q references %q, which %s does not expose",
 					def.Metric, term.Event, p.Name)
 			}

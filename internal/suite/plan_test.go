@@ -32,7 +32,7 @@ func cpuFlopsDefs(t *testing.T) []*core.MetricDefinition {
 }
 
 func TestPlanMeasurementCPUFlops(t *testing.T) {
-	platform, err := machine.SapphireRapids()
+	platform, err := machine.BuiltinPlatform("spr-sim")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestPlanMeasurementCPUFlops(t *testing.T) {
 
 func TestPlanMeasurementCrossPlatformRejected(t *testing.T) {
 	// SPR-derived metric definitions reference events Zen4 does not have.
-	zen4, err := machine.Zen4()
+	zen4, err := machine.BuiltinPlatform("zen4-sim")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestPlanMeasurementCrossPlatformRejected(t *testing.T) {
 }
 
 func TestPlanMeasurementEmpty(t *testing.T) {
-	platform, err := machine.SapphireRapids()
+	platform, err := machine.BuiltinPlatform("spr-sim")
 	if err != nil {
 		t.Fatal(err)
 	}

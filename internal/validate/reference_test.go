@@ -30,7 +30,7 @@ func referenceRun(ctx context.Context, reg *machine.Registry, req Request) (*Rep
 		Tolerances: res.tol,
 		Counts:     make(map[string]int),
 	}
-	var catalog *machine.Catalog
+	var catalog []machine.EventDef
 	measured := make(map[string][]float64)
 	expected := make(map[string][]float64)
 	noise := make(map[string]float64)
@@ -41,7 +41,7 @@ func referenceRun(ctx context.Context, reg *machine.Registry, req Request) (*Rep
 			return nil, err
 		}
 		if catalog == nil {
-			catalog = p.Catalog
+			catalog = p.Events
 		}
 		cfg := b.DefaultRun
 		cfg.Workers = res.workers
@@ -69,7 +69,7 @@ func referenceRun(ctx context.Context, reg *machine.Registry, req Request) (*Rep
 			measured[name] = append(measured[name], core.MeanVector(reps)...)
 			covered[name] = true
 		}
-		for _, def := range p.Catalog.Events() {
+		for _, def := range p.Events {
 			if _, present := set.Events[def.Name]; !present {
 				continue
 			}
@@ -87,7 +87,7 @@ func referenceRun(ctx context.Context, reg *machine.Registry, req Request) (*Rep
 	if len(report.Benchmarks) == 0 {
 		return nil, fmt.Errorf("%w (%d lost)", ErrAllDegraded, len(report.Degraded))
 	}
-	for _, def := range catalog.Events() {
+	for _, def := range catalog {
 		name := def.Name
 		if !covered[name] {
 			report.Dropped = append(report.Dropped, name)
