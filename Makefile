@@ -139,19 +139,21 @@ bench:
 	$(GO) run ./cmd/benchjson -out BENCH_7.json < bench.out
 	@rm -f bench.out
 
-# Regression guard for the collection hot path and the event validator:
-# re-run the DCache collection and the two validation benchmarks and fail if
-# any ns/op exceeds 2x its committed BENCH_7.json baseline, or its B/op or
-# allocs/op exceed it by more than 10% (they repeat within 1% across runs
-# at one -cpu). The DCache engine holds up to one pair of stream buffers
-# per worker, so its B/op grows with GOMAXPROCS: the guard runs at -cpu 2,
-# the worker count the baseline rows were recorded at, on any runner.
-# -benchtime=2x smooths one-shot jitter without making CI slow.
+# Regression guard for the collection hot path, the noise profile and the
+# event validator: re-run the DCache, CPU-flops and branch collections, the
+# Table VI analysis and the two validation benchmarks and fail if any ns/op
+# exceeds 2x its committed BENCH_7.json baseline, or its B/op or allocs/op
+# exceed it by more than 10% (they repeat within 1% across runs at one
+# -cpu). The allocation rows lock in the direct profile path and the
+# per-platform counter schedule. The DCache engine holds up to one pair of
+# stream buffers per worker, so its B/op grows with GOMAXPROCS: the guard
+# runs at -cpu 2, the worker count the baseline rows were recorded at, on
+# any runner. -benchtime=2x smooths one-shot jitter without making CI slow;
+# each guarded baseline row is the median of 30 runs of this command.
+GUARDED = CollectDCache|CollectCPUFlops|CollectBranch|TableVI_GPUFlopsMetrics|ValidateSPR|ValidateMI250X
 bench-guard:
-	$(GO) test -run '^$$' -bench 'Benchmark(CollectDCache|ValidateSPR|ValidateMI250X)$$' -benchtime=2x -count=1 -cpu 2 . | tee bench.out
-	$(GO) run ./cmd/benchjson -guard BENCH_7.json < bench.out
-	$(GO) run ./cmd/benchjson -guard BENCH_7.json -guard-name BenchmarkValidateSPR < bench.out
-	$(GO) run ./cmd/benchjson -guard BENCH_7.json -guard-name BenchmarkValidateMI250X < bench.out
+	$(GO) test -run '^$$' -bench 'Benchmark($(GUARDED))$$' -benchtime=2x -count=1 -cpu 2 . | tee bench.out
+	for b in $(subst |, ,$(GUARDED)); do $(GO) run ./cmd/benchjson -guard BENCH_7.json -guard-name Benchmark$$b < bench.out || exit 1; done
 	@rm -f bench.out
 
 # CPU + heap profiles of the DCache collection hot path; inspect with

@@ -66,9 +66,11 @@ type Request struct {
 type ID struct {
 	Bench suite.Benchmark
 	// Platform is the registry's definition of the platform to collect on,
-	// and Ref its name in keys (machine.Registry.Ref).
+	// Ref its name in keys (machine.Registry.Ref) and Plan its collection
+	// plan (machine.Registry.Plan), shared by every collection on it.
 	Platform *platdef.Platform
 	Ref      string
+	Plan     *machine.Plan
 	Run      cat.RunConfig
 	Config   core.Config
 }
@@ -115,7 +117,11 @@ func (r Request) Resolve(reg *machine.Registry, workers int) (ID, error) {
 	if err != nil {
 		return ID{}, err
 	}
-	return ID{Bench: bench, Platform: def, Ref: ref, Run: run, Config: cfg}, nil
+	plan, err := reg.Plan(def.Name)
+	if err != nil {
+		return ID{}, err
+	}
+	return ID{Bench: bench, Platform: def, Ref: ref, Plan: plan, Run: run, Config: cfg}, nil
 }
 
 // Key is the canonical cache/store/shard key of the request's analysis
@@ -143,24 +149,40 @@ func (id ID) MeasurementKey() string {
 	return id.Ref + "|" + id.Run.MeasurementKey(id.Bench.Name)
 }
 
-// Collect collects the benchmark's measurement set with the resolved run on
-// the resolved platform.
-func (id ID) Collect(ctx context.Context) (*core.MeasurementSet, error) {
+// measure runs the measurement stage of the benchmark with the resolved
+// run on the resolved platform and plan (cat.Measure).
+func (id ID) measure(ctx context.Context) (*core.Readings, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	p, err := machine.FromDef(id.Platform)
 	if err != nil {
 		return nil, err
 	}
-	return id.Bench.CollectOn(ctx, p, id.Run)
+	return cat.Measure(id.Bench.Name, id.Bench.Driver, p, id.Plan, id.Run)
 }
 
-// Profile collects the ID's measurement set (Collect) and reduces it to its
-// noise profile (ProfileSet).
-func (id ID) Profile(ctx context.Context) (*core.NoiseProfile, error) {
-	set, err := id.Collect(ctx)
+// Collect collects the benchmark's raw measurement set with the resolved
+// run on the resolved platform: for a measurement file, or for a caller
+// that needs every reading. Analyses read Profile instead.
+func (id ID) Collect(ctx context.Context) (*core.MeasurementSet, error) {
+	r, err := id.measure(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return id.ProfileSet(set)
+	return r.Set(), nil
+}
+
+// Profile collects the ID's measurements and reduces each event straight
+// into the noise profile on the analysis worker count: the noise pass is
+// the analysis's first stage. No measurement set is built; the profile
+// equals ProfileSet of Collect's set.
+func (id ID) Profile(ctx context.Context) (*core.NoiseProfile, error) {
+	r, err := id.measure(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return r.Profile(id.Config.Workers), nil
 }
 
 // ProfileSet validates a measurement set of the benchmark and reduces it

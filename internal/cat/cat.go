@@ -2,12 +2,14 @@
 // the workload simulators. Each benchmark is a Driver: it names its points,
 // builds its expectation basis, and executes its microkernels for their
 // known-exact ground-truth statistics. Collection is one path shared by all
-// of them: Collect computes a driver's ground truth and measures every raw
-// event of a platform over it per point, repetition and thread;
-// StreamEvents makes the same reads one multiplexing group at a time.
-// Event validation reads a driver's ground truth directly, for the counts
-// each event's documentation predicts, and the measurements through the
-// noise profile of Collect's set.
+// of them: Measure computes a driver's ground truth and reads every raw
+// event of a platform over it per point, repetition and thread, on the
+// platform's collection plan. Its readings feed two sinks: the raw
+// measurement set (Collect) and the noise profile, reduced straight off
+// the readings. StreamEvents makes the same reads one multiplexing group
+// at a time. Event validation reads a driver's ground truth directly, for
+// the counts each event's documentation predicts, and the measurements
+// through the noise profile.
 //
 // Four drivers are provided, mirroring the paper:
 //
@@ -20,6 +22,7 @@ package cat
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/fault"
@@ -174,10 +177,24 @@ type Driver interface {
 	GroundTruth(cfg RunConfig) ([][]machine.Stats, error)
 }
 
-// Collect runs one benchmark on a platform: it checks cfg, computes the
-// driver's ground truth, narrows it to the spanning subset under
-// cfg.MinimalKernels, and measures every event over it (see measure).
+// Collect runs one benchmark on a platform (Measure, with the platform's
+// plan built for this call) and assembles the raw measurement set of its
+// readings.
 func Collect(benchmark string, d Driver, p *machine.Platform, cfg RunConfig) (*core.MeasurementSet, error) {
+	r, err := Measure(benchmark, d, p, machine.NewPlan(p), cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.Set(), nil
+}
+
+// Measure is the measurement stage every collection runs: it checks cfg,
+// computes the driver's ground truth, narrows it to the spanning subset
+// under cfg.MinimalKernels, and reads every event of the platform over it
+// on the platform's collection plan (see measure). Its readings feed
+// either sink: Set for the raw measurement set, Profile for the noise
+// profile alone.
+func Measure(benchmark string, d Driver, p *machine.Platform, plan *machine.Plan, cfg RunConfig) (*core.Readings, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -195,29 +212,28 @@ func Collect(benchmark string, d Driver, p *machine.Platform, cfg RunConfig) (*c
 			return nil, err
 		}
 	}
-	return measure(benchmark, p, names, truth, cfg)
+	return measure(benchmark, p, plan, names, truth, cfg)
 }
 
 // measure reads every event of the platform over the named points' ground
 // truth (a driver's GroundTruth) for each repetition and thread of cfg,
-// which must already be valid. Each group's noise-free counts are computed
-// once per ground-truth thread and dropped with the collection. The
-// (rep, thread, group) space fans out across cfg.Workers; each task's noise
-// is seeded purely by its coordinates — the group index is the one the
-// group holds in the platform's full schedule — so every worker count
-// reproduces the serial path's bytes. Measurements are added in the serial
-// (rep, thread, catalog) order.
+// which must already be valid, on the platform's plan. Each group's
+// noise-free counts are computed once per ground-truth thread and dropped
+// with the collection. The (rep, thread, group) space fans out across
+// cfg.Workers; each task's noise is seeded purely by its coordinates — the
+// group index is the one the group holds in the plan's schedule — so every
+// worker count reproduces the serial path's bytes. The readings list the
+// events in catalog order.
 //
 // A transient fault that survives the whole retry budget drops its group's
-// events (listed in the set's Dropped) instead of failing the run; any other
-// fault, injected panics included, or losing every event is an error.
-func measure(benchmark string, p *machine.Platform, names []string, truth [][]machine.Stats, cfg RunConfig) (*core.MeasurementSet, error) {
+// events (listed in the readings' Dropped) instead of failing the run; any
+// other fault, injected panics included, or losing every event is an error.
+func measure(benchmark string, p *machine.Platform, plan *machine.Plan, names []string, truth [][]machine.Stats, cfg RunConfig) (*core.Readings, error) {
 	if err := checkTruth(truth, cfg); err != nil {
 		return nil, err
 	}
 	p = injected(p, cfg)
-	events := p.Names()
-	groups := p.Groups(events)
+	groups := plan.Groups
 	nG := len(groups)
 	ideal, err := idealCounts(p, truth, groups, cfg.Workers)
 	if err != nil {
@@ -253,38 +269,39 @@ func measure(benchmark string, p *machine.Platform, names []string, truth [][]ma
 			droppedGroup[i%nG] = true
 		}
 	}
-	// Where each event sits in the schedule: its group and its position in
-	// that group's vectors.
-	type slot struct{ group, index int }
-	at := make(map[string]slot, len(events))
-	for gi, group := range groups {
-		for k, name := range group {
-			at[name] = slot{gi, k}
-		}
-	}
-	set := core.NewMeasurementSet(benchmark, p.Name, names)
-	for rt := 0; rt < cfg.Reps*cfg.Threads; rt++ {
-		rep, thread := rt/cfg.Threads, rt%cfg.Threads
-		// Catalog order keeps downstream tie-breaking deterministic.
-		for _, name := range events {
-			s := at[name]
-			if droppedGroup[s.group] {
-				continue
-			}
-			if err := set.Add(name, core.Measurement{Rep: rep, Thread: thread, Vector: results[rt*nG+s.group][s.index]}); err != nil {
-				return nil, err
+	order, slot := plan.Names, plan.Slot
+	var dropped []string
+	if slices.Contains(droppedGroup, true) {
+		order = nil
+		var slots []machine.Slot
+		for i, name := range plan.Names {
+			if s := plan.Slot(i); droppedGroup[s.Group] {
+				dropped = append(dropped, name)
+			} else {
+				order = append(order, name)
+				slots = append(slots, s)
 			}
 		}
-	}
-	for _, name := range events {
-		if droppedGroup[at[name].group] {
-			set.Dropped = append(set.Dropped, name)
+		if len(order) == 0 {
+			return nil, fmt.Errorf("cat: all %d events dropped by fault injection on %s", len(plan.Names), p.Name)
 		}
+		slot = func(i int) machine.Slot { return slots[i] }
 	}
-	if len(set.Dropped) > 0 && len(set.Dropped) == len(events) {
-		return nil, fmt.Errorf("cat: all %d events dropped by fault injection on %s", len(events), p.Name)
-	}
-	return set, nil
+	return &core.Readings{
+		Benchmark:  benchmark,
+		Platform:   p.Name,
+		PointNames: names,
+		Order:      order,
+		Dropped:    dropped,
+		Reps:       cfg.Reps,
+		Threads:    cfg.Threads,
+		Read: func(i int, dst [][]float64) {
+			s := slot(i)
+			for rt := range dst {
+				dst[rt] = results[rt*nG+int(s.Group)][s.Index]
+			}
+		},
+	}, nil
 }
 
 // StreamEvents is measure one multiplexing group at a time: it yields each

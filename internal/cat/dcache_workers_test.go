@@ -83,10 +83,11 @@ func TestDCacheWorkersBitIdentical(t *testing.T) {
 					{Name: "STLB", Entries: 32, Ways: 4, PageBits: 8},
 				}
 			}
-			ref, err := measure("dcache", p, b.PointNames(), referenceGroundTruthAll(t, b, threads), RunConfig{Reps: 3, Threads: threads, Workers: 1})
+			r, err := measure("dcache", p, machine.NewPlan(p), b.PointNames(), referenceGroundTruthAll(t, b, threads), RunConfig{Reps: 3, Threads: threads, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
+			ref := r.Set()
 			got, err := Collect("dcache", b, p, RunConfig{Reps: 3, Threads: threads, Workers: workers})
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)

@@ -279,11 +279,11 @@ func TestMeasureMatchesPerValueReference(t *testing.T) {
 				ref := referenceMeasure(t, p, truths[bi], cfg, tally)
 				for _, workers := range []int{1, 0} {
 					cfg.Workers = workers
-					set, err := measure(b.name, p, names, truths[bi], cfg)
+					r, err := measure(b.name, p, machine.NewPlan(p), names, truths[bi], cfg)
 					if err != nil {
 						t.Fatalf("%s × %s, faults %q, workers %d: %v", platform, b.name, spec, workers, err)
 					}
-					checkMeasureAgainstReference(t, set, ref, cfg)
+					checkMeasureAgainstReference(t, r.Set(), ref, cfg)
 					if len(ref.dropped) == 0 {
 						checkStreamAgainstReference(t, p, truths[bi], ref, cfg)
 					} else if err := StreamEvents(p, truths[bi], cfg)(func(string, [][]float64) error { return nil }); !fault.IsTransient(err) {

@@ -119,7 +119,7 @@ func TestStreamInvalidConfig(t *testing.T) {
 	if err := StreamEvents(platform, truth, cfg)(func(string, [][]float64) error { return nil }); err == nil {
 		t.Fatalf("stream: ground truth for 2 threads accepted for 3")
 	}
-	if _, err := measure("branch", platform, nil, truth, cfg); err == nil {
+	if _, err := measure("branch", platform, machine.NewPlan(platform), nil, truth, cfg); err == nil {
 		t.Fatalf("measure: ground truth for 2 threads accepted for 3")
 	}
 }

@@ -102,7 +102,10 @@ func (s *MeasurementSet) Reps(event string) []int {
 // RepVectors reduces an event's measurements to one vector per repetition by
 // taking the per-point median across threads (Section IV: the benchmark uses
 // multiple measuring threads and keeps the median reading to suppress
-// noise). Events measured on a single thread pass through unchanged.
+// noise). Every vector is a new copy: a repetition measured on a single
+// thread is its reading, copied. ProfileNoise reads rectangular sets
+// without it; only sets with uneven repetitions or threads (a measurement
+// file) go through it.
 func (s *MeasurementSet) RepVectors(event string) [][]float64 {
 	byRep := map[int][][]float64{}
 	for _, m := range s.Events[event] {
@@ -125,33 +128,45 @@ func (s *MeasurementSet) RepVectors(event string) [][]float64 {
 // slices.Sort allocates nothing and orders exactly like sort.Float64s
 // (ascending, NaNs first).
 func MedianOverThreads(vectors [][]float64) []float64 {
+	out := make([]float64, len(vectors[0]))
 	if len(vectors) == 1 {
-		out := make([]float64, len(vectors[0]))
 		copy(out, vectors[0])
 		return out
 	}
-	n := len(vectors[0])
-	out := make([]float64, n)
-	vals := make([]float64, len(vectors))
-	mid := len(vals) / 2
-	for p := 0; p < n; p++ {
-		for t, v := range vectors {
-			vals[t] = v[p]
-		}
-		slices.Sort(vals)
-		if len(vals)%2 == 1 {
-			out[p] = vals[mid]
-		} else {
-			out[p] = (vals[mid-1] + vals[mid]) / 2
-		}
+	return medianInto(out, vectors, make([]float64, len(vectors)))
+}
+
+// medianInto writes the per-point median of vectors (at least two) into
+// out, sorting each point's values in vals (one per vector), and returns
+// out.
+func medianInto(out []float64, vectors [][]float64, vals []float64) []float64 {
+	for p := range out {
+		out[p] = medianAt(vectors, p, vals)
 	}
 	return out
 }
 
+// medianAt is the median of point p over vectors, sorted in vals.
+func medianAt(vectors [][]float64, p int, vals []float64) float64 {
+	for t, v := range vectors {
+		vals[t] = v[p]
+	}
+	slices.Sort(vals)
+	mid := len(vals) / 2
+	if len(vals)%2 == 1 {
+		return vals[mid]
+	}
+	return (vals[mid-1] + vals[mid]) / 2
+}
+
 // MeanVector returns the elementwise mean of equal-length vectors.
 func MeanVector(vectors [][]float64) []float64 {
-	n := len(vectors[0])
-	out := make([]float64, n)
+	return meanInto(make([]float64, len(vectors[0])), vectors)
+}
+
+// meanInto writes the elementwise mean of vectors into out, which must be
+// all (positive) zero, summing them in order; it returns out.
+func meanInto(out []float64, vectors [][]float64) []float64 {
 	for _, v := range vectors {
 		for i, x := range v {
 			out[i] += x

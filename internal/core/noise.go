@@ -23,11 +23,15 @@ type EventVariability struct {
 // variability is defined as 1 — a 100 percent error. A single repetition has
 // zero variability by definition.
 func MaxRNMSE(vectors [][]float64) float64 {
+	return maxRNMSE(vectors, make([]float64, len(vectors)))
+}
+
+// maxRNMSE is MaxRNMSE with the vectors' means computed into means (one per
+// vector): hoisted out of the O(reps²) pair loop, which itself runs
+// allocation-free on the fused difference norm.
+func maxRNMSE(vectors [][]float64, means []float64) float64 {
 	maxErr := 0.0
 	n := float64(len(vectors[0]))
-	// One mean per vector, hoisted out of the O(reps²) pair loop — the pair
-	// loop itself runs allocation-free on the fused difference norm.
-	means := make([]float64, len(vectors))
 	for i, v := range vectors {
 		means[i] = mat.Mean(v)
 	}

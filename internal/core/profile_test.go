@@ -220,8 +220,11 @@ func TestNoiseProfileMatchesReference(t *testing.T) {
 }
 
 // edgeSet is a small set with every case the noise rule distinguishes, at
-// two threads (an even count, so thread medians average two readings).
-func edgeSet(t *testing.T) *core.MeasurementSet {
+// two threads (an even count, so thread medians average two readings). As
+// built it is rectangular, so ProfileNoise reads it in place; uneven adds
+// an event measured in one repetition only, which sends the whole set
+// through RepVectors.
+func edgeSet(t *testing.T, uneven bool) *core.MeasurementSet {
 	t.Helper()
 	nan, inf, negZero, big := math.NaN(), math.Inf(1), math.Copysign(0, -1), 8.9e307
 	// events maps an event to its readings per repetition, then per thread.
@@ -241,6 +244,9 @@ func edgeSet(t *testing.T) *core.MeasurementSet {
 		{"overflow", [][][]float64{{{big, -big, 1}, {big, -big, 1}}, {{-big, big, 1}, {-big, big, 1}}}},
 		{"single-rep", [][][]float64{{{4, 5, 6}, {4, 5.5, 6}}}},
 	}
+	if !uneven {
+		events = events[:len(events)-1] // all but single-rep
+	}
 	set := core.NewMeasurementSet("edge", "edge-sim", []string{"p0", "p1", "p2"})
 	for _, e := range events {
 		for r, threads := range e.reps {
@@ -255,34 +261,56 @@ func edgeSet(t *testing.T) *core.MeasurementSet {
 	return set
 }
 
+// edgeShapes are the two edge sets, one per ProfileNoise path, and what
+// each keeps at the paper's tau.
+var edgeShapes = []struct {
+	name   string
+	uneven bool
+	kept   string
+}{
+	{"rectangular", false, "[exact]"},
+	{"uneven", true, "[exact single-rep]"},
+}
+
 func TestNoiseProfileEdgeCases(t *testing.T) {
-	set := edgeSet(t)
-	checkNoiseProfile(t, set, 1e-10)
-	// Thresholds no analysis configuration passes, which the library
-	// still accepts: both paths must keep nothing.
-	events := referenceEvents(set)
-	for _, tau := range []float64{math.NaN(), -1, math.Inf(-1)} {
-		want := referenceReport(events, tau)
-		if d := diffNoise(core.ProfileNoise(set, 1).Threshold(tau), want); d != "" {
-			t.Fatalf("tau=%v: profile: %s", tau, d)
-		}
-		if d := diffNoise(core.FilterNoiseWithWorkers(set, tau, core.MaxRNMSE, 1), want); d != "" {
-			t.Fatalf("tau=%v: FilterNoiseWithWorkers: %s", tau, d)
-		}
-	}
-	// The set reaches every branch of the rule: a discard, non-finite
-	// readings filtered even at +Inf, a +Inf measure kept only there, and
-	// kept and filtered events at the paper's tau.
-	prof := core.ProfileNoise(set, 1)
-	all := prof.Threshold(math.Inf(1))
-	if got := fmt.Sprint(all.Discarded, all.Filtered); got != "[zero] [nan inf inf-steady]" {
-		t.Fatalf("discarded and filtered at +Inf = %s", got)
-	}
-	if v := all.Variabilities[len(all.Variabilities)-2]; v.Event != "overflow" || !math.IsInf(v.MaxRNMSE, 1) {
-		t.Fatalf("overflow variability = %+v, want +Inf", v)
-	}
-	if got := fmt.Sprint(prof.Threshold(1e-10).KeptOrder); got != "[exact single-rep]" {
-		t.Fatalf("kept at 1e-10 = %s", got)
+	for _, shape := range edgeShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			set := edgeSet(t, shape.uneven)
+			checkNoiseProfile(t, set, 1e-10)
+			// Thresholds no analysis configuration passes, which the
+			// library still accepts: both paths must keep nothing.
+			events := referenceEvents(set)
+			for _, tau := range []float64{math.NaN(), -1, math.Inf(-1)} {
+				want := referenceReport(events, tau)
+				if d := diffNoise(core.ProfileNoise(set, 1).Threshold(tau), want); d != "" {
+					t.Fatalf("tau=%v: profile: %s", tau, d)
+				}
+				if d := diffNoise(core.FilterNoiseWithWorkers(set, tau, core.MaxRNMSE, 1), want); d != "" {
+					t.Fatalf("tau=%v: FilterNoiseWithWorkers: %s", tau, d)
+				}
+			}
+			// The set reaches every branch of the rule: a discard,
+			// non-finite readings filtered even at +Inf, a +Inf measure
+			// kept only there, and kept and filtered events at the paper's
+			// tau.
+			prof := core.ProfileNoise(set, 1)
+			all := prof.Threshold(math.Inf(1))
+			if got := fmt.Sprint(all.Discarded, all.Filtered); got != "[zero] [nan inf inf-steady]" {
+				t.Fatalf("discarded and filtered at +Inf = %s", got)
+			}
+			var overflow core.EventVariability
+			for _, v := range all.Variabilities {
+				if v.Event == "overflow" {
+					overflow = v
+				}
+			}
+			if !math.IsInf(overflow.MaxRNMSE, 1) {
+				t.Fatalf("overflow variability = %+v, want +Inf", overflow)
+			}
+			if got := fmt.Sprint(prof.Threshold(1e-10).KeptOrder); got != shape.kept {
+				t.Fatalf("kept at 1e-10 = %s, want %s", got, shape.kept)
+			}
+		})
 	}
 }
 
@@ -291,24 +319,26 @@ func TestNoiseProfileEdgeCases(t *testing.T) {
 // each slice a report owns is sized exactly, for the profile's cuts and the
 // one-shot filter's alike.
 func TestNoiseProfileCutsShareSpectrum(t *testing.T) {
-	set := edgeSet(t)
-	prof := core.ProfileNoise(set, 1)
-	tight, all := prof.Threshold(1e-10), prof.Threshold(math.Inf(1))
-	if &tight.Variabilities[0] != &all.Variabilities[0] || &tight.Discarded[0] != &all.Discarded[0] {
-		t.Fatal("two cuts of one profile hold separate copies of its variabilities or discarded events")
-	}
-	for _, r := range []*core.NoiseReport{tight, all, core.FilterNoiseWithWorkers(set, 1e-10, core.MaxRNMSE, 1)} {
-		for _, f := range []struct {
-			name     string
-			len, cap int
-		}{
-			{"Variabilities", len(r.Variabilities), cap(r.Variabilities)},
-			{"Discarded", len(r.Discarded), cap(r.Discarded)},
-			{"Filtered", len(r.Filtered), cap(r.Filtered)},
-			{"KeptOrder", len(r.KeptOrder), cap(r.KeptOrder)},
-		} {
-			if f.len == 0 || f.cap != f.len {
-				t.Errorf("tau=%v: %s has length %d and capacity %d, want equal and nonzero", r.Tau, f.name, f.len, f.cap)
+	for _, shape := range edgeShapes {
+		set := edgeSet(t, shape.uneven)
+		prof := core.ProfileNoise(set, 1)
+		tight, all := prof.Threshold(1e-10), prof.Threshold(math.Inf(1))
+		if &tight.Variabilities[0] != &all.Variabilities[0] || &tight.Discarded[0] != &all.Discarded[0] {
+			t.Fatalf("%s: two cuts of one profile hold separate copies of its variabilities or discarded events", shape.name)
+		}
+		for _, r := range []*core.NoiseReport{tight, all, core.FilterNoiseWithWorkers(set, 1e-10, core.MaxRNMSE, 1)} {
+			for _, f := range []struct {
+				name     string
+				len, cap int
+			}{
+				{"Variabilities", len(r.Variabilities), cap(r.Variabilities)},
+				{"Discarded", len(r.Discarded), cap(r.Discarded)},
+				{"Filtered", len(r.Filtered), cap(r.Filtered)},
+				{"KeptOrder", len(r.KeptOrder), cap(r.KeptOrder)},
+			} {
+				if f.len == 0 || f.cap != f.len {
+					t.Errorf("%s tau=%v: %s has length %d and capacity %d, want equal and nonzero", shape.name, r.Tau, f.name, f.len, f.cap)
+				}
 			}
 		}
 	}

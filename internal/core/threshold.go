@@ -114,9 +114,9 @@ func FilterNoiseWith(set *MeasurementSet, tau float64, measure NoiseMeasure) *No
 	return FilterNoiseWithWorkers(set, tau, measure, 0)
 }
 
-// noiseVerdict is one event's outcome, computed independently of every other
-// event's so the catalog dimension can fan out across workers. The two
-// flags share one word: a NoiseProfile holds a verdict per event.
+// noiseVerdict is one event's outcome under the one-shot and streaming
+// filters, computed independently of every other event's so the catalog
+// dimension can fan out across workers.
 type noiseVerdict struct {
 	allZero bool
 	keep    bool
@@ -124,21 +124,13 @@ type noiseVerdict struct {
 	mean    []float64
 }
 
-// judgeNoise is the per-event noise rule every filter applies: an all-zero
-// event is discarded; otherwise its measure is reported (a non-finite
-// measure as +Inf), and the event is kept — reduced to its mean vector —
-// only if the measure is <= tau and every reading is finite. Judged at
-// tau = +Inf, the verdict keeps every all-finite event and so holds
-// everything a cut at a lower tau needs (see keptAt).
+// judgeNoise is the per-event noise rule the one-shot and streaming filters
+// apply: an all-zero event is discarded; otherwise its measure is reported
+// (a non-finite measure as +Inf), and the event is kept — reduced to its
+// mean vector — only if the measure is <= tau and every reading is finite.
+// A NoiseProfile applies the same rule with MaxRNMSE, for every tau at once.
 func judgeNoise(vectors [][]float64, tau float64, measure NoiseMeasure) noiseVerdict {
-	allZero := true
-	for _, v := range vectors {
-		if !mat.AllZero(v) {
-			allZero = false
-			break
-		}
-	}
-	if allZero {
+	if allZero(vectors) {
 		return noiseVerdict{allZero: true}
 	}
 	d := noiseVerdict{noise: measure(vectors)}
@@ -152,100 +144,28 @@ func judgeNoise(vectors [][]float64, tau float64, measure NoiseMeasure) noiseVer
 	return d
 }
 
-// judgeSet judges every event of a set at tau, concurrently on the given
-// worker count (<= 0 means GOMAXPROCS, 1 is serial); the verdicts are in
-// measurement order and identical for every worker count.
-func judgeSet(set *MeasurementSet, tau float64, measure NoiseMeasure, workers int) []noiseVerdict {
-	verdicts := make([]noiseVerdict, len(set.Order))
-	par.For(workers, len(set.Order), func(i int) {
-		verdicts[i] = judgeNoise(set.RepVectors(set.Order[i]), tau, measure)
-	})
-	return verdicts
-}
-
-// keptAt reports whether a verdict judged at tau or at any higher threshold
-// keeps its event at tau.
-func (d noiseVerdict) keptAt(tau float64) bool {
-	return d.keep && d.noise <= tau
-}
-
-// noiseSpectrum is the part of a noise report no threshold changes: every
-// non-zero event's variability and the all-zero events, in measurement
-// order. A NoiseProfile builds it once and every report cut from the
-// profile shares it, so a server caching many analyses of one measurement
-// set keeps one copy.
-type noiseSpectrum struct {
-	variabilities []EventVariability
-	discarded     []string
-}
-
-// newNoiseSpectrum builds the spectrum of verdicts judged at any threshold,
-// each slice sized exactly and nil when empty.
-func newNoiseSpectrum(order []string, verdicts []noiseVerdict) noiseSpectrum {
-	zero := 0
-	for _, d := range verdicts {
-		if d.allZero {
-			zero++
-		}
-	}
-	var s noiseSpectrum
-	if n := len(verdicts) - zero; n > 0 {
-		s.variabilities = make([]EventVariability, 0, n)
-	}
-	if zero > 0 {
-		s.discarded = make([]string, 0, zero)
-	}
-	for i, d := range verdicts {
-		if d.allZero {
-			s.discarded = append(s.discarded, order[i])
-			continue
-		}
-		s.variabilities = append(s.variabilities, EventVariability{Event: order[i], MaxRNMSE: d.noise})
-	}
-	return s
-}
-
-// cut assembles the report at tau from the verdicts s was built from,
-// judged at tau or at any higher threshold, in order. The report shares
-// s's slices and the verdicts' mean vectors; its own slices are sized
-// exactly and nil when empty, since a cache may keep the report for the
-// life of the process.
-func (s noiseSpectrum) cut(order []string, verdicts []noiseVerdict, tau float64) *NoiseReport {
-	kept := 0
-	for _, d := range verdicts {
-		if d.keptAt(tau) {
-			kept++
-		}
-	}
-	r := &NoiseReport{Variabilities: s.variabilities, Discarded: s.discarded, Kept: make(map[string][]float64, kept), Tau: tau}
+// newReport returns an empty report at tau with room for exactly kept and
+// filtered events, each of its slices nil when empty.
+func newReport(tau float64, kept, filtered int) *NoiseReport {
+	r := &NoiseReport{Kept: make(map[string][]float64, kept), Tau: tau}
 	if kept > 0 {
 		r.KeptOrder = make([]string, 0, kept)
 	}
-	if filtered := len(s.variabilities) - kept; filtered > 0 {
+	if filtered > 0 {
 		r.Filtered = make([]string, 0, filtered)
-	}
-	for i, d := range verdicts {
-		switch {
-		case d.allZero:
-		case d.keptAt(tau):
-			r.Kept[order[i]] = d.mean
-			r.KeptOrder = append(r.KeptOrder, order[i])
-		default:
-			r.Filtered = append(r.Filtered, order[i])
-		}
 	}
 	return r
 }
 
-// record appends one event's verdict to the report, cut at the report's
-// tau: the streaming filter's step, which cannot size the report ahead.
+// record appends one event's verdict, judged at the report's tau, to the
+// report.
 func (r *NoiseReport) record(event string, d noiseVerdict) {
 	if d.allZero {
 		r.Discarded = append(r.Discarded, event)
 		return
 	}
 	r.Variabilities = append(r.Variabilities, EventVariability{Event: event, MaxRNMSE: d.noise})
-	if !d.keptAt(r.Tau) {
+	if !d.keep {
 		r.Filtered = append(r.Filtered, event)
 		return
 	}
@@ -254,15 +174,38 @@ func (r *NoiseReport) record(event string, d noiseVerdict) {
 }
 
 // FilterNoiseWithWorkers is FilterNoiseWith with an explicit worker count
-// (<= 0 means GOMAXPROCS, 1 is serial). Each event's repetition reduction,
-// noise measure and averaging are independent, so the per-event verdicts are
-// computed concurrently and the report is assembled in measurement order
-// afterwards — the result is byte-identical for every worker count. It
-// averages only the events it keeps; ProfileNoise averages every all-finite
-// event once, for all thresholds.
+// (<= 0 means GOMAXPROCS, 1 is serial). Each event's repetition reduction
+// (RepVectors), noise measure and averaging are independent, so the
+// per-event verdicts are computed concurrently and the report is assembled
+// in measurement order afterwards, each of its slices sized exactly — the
+// result is byte-identical for every worker count. It averages only the
+// events it keeps; a NoiseProfile averages every non-zero event once, for
+// all thresholds.
 func FilterNoiseWithWorkers(set *MeasurementSet, tau float64, measure NoiseMeasure, workers int) *NoiseReport {
-	verdicts := judgeSet(set, tau, measure, workers)
-	return newNoiseSpectrum(set.Order, verdicts).cut(set.Order, verdicts, tau)
+	verdicts := make([]noiseVerdict, len(set.Order))
+	par.For(workers, len(set.Order), func(i int) {
+		verdicts[i] = judgeNoise(set.RepVectors(set.Order[i]), tau, measure)
+	})
+	var zero, kept int
+	for _, d := range verdicts {
+		switch {
+		case d.allZero:
+			zero++
+		case d.keep:
+			kept++
+		}
+	}
+	r := newReport(tau, kept, len(verdicts)-zero-kept)
+	if n := len(verdicts) - zero; n > 0 {
+		r.Variabilities = make([]EventVariability, 0, n)
+	}
+	if zero > 0 {
+		r.Discarded = make([]string, 0, zero)
+	}
+	for i, d := range verdicts {
+		r.record(set.Order[i], d)
+	}
+	return r
 }
 
 // TauSuggestion is the outcome of automatic threshold selection.

@@ -93,21 +93,20 @@ func (p *Platform) WithInjector(inj *fault.Plan) *Platform {
 // Platforms with counter constraints go through the constraint-aware
 // scheduler; unconstrained platforms use plain counter-sized chunks.
 func (p *Platform) Groups(names []string) [][]string {
-	if p.Counters <= 0 {
-		return [][]string{names}
-	}
 	if len(p.constraints) > 0 {
 		if scheduled, err := Schedule(names, p.constraints, p.Counters); err == nil {
 			groups := make([][]string, len(scheduled))
+			slots := make([]int, 0, p.Counters)
 			for i, g := range scheduled {
 				// Deterministic order within the group: ascending slot.
-				slots := make([]int, 0, len(g.Events))
+				slots = slots[:0]
 				for slot := range g.Events {
 					slots = append(slots, slot)
 				}
 				sort.Ints(slots)
-				for _, slot := range slots {
-					groups[i] = append(groups[i], g.Events[slot])
+				groups[i] = make([]string, len(slots))
+				for k, slot := range slots {
+					groups[i][k] = g.Events[slot]
 				}
 			}
 			return groups

@@ -49,10 +49,6 @@ func TestGroupsPartition(t *testing.T) {
 	if len(groups) != 3 || len(groups[0]) != 3 || len(groups[2]) != 1 {
 		t.Fatalf("groups = %v", groups)
 	}
-	p.Counters = 0
-	if got := p.Groups([]string{"a"}); len(got) != 1 {
-		t.Fatalf("zero counters should degrade to one group")
-	}
 }
 
 // measurePlatform is a two-counter platform with an exact, a noisy and an

@@ -11,29 +11,6 @@ import (
 	"github.com/perfmetrics/eventlens/internal/platdef"
 )
 
-// TestBuiltinFilesCanonical is the byte-identity regression gate for the
-// data platforms: the canonical bytes of every live built-in platform's
-// definition must be its exact committed file. This proves the committed
-// files are canonical (no formatting drift) and that a live platform holds
-// its definition without loss.
-func TestBuiltinFilesCanonical(t *testing.T) {
-	for _, name := range platdef.BuiltinNames() {
-		t.Run(name, func(t *testing.T) {
-			committed, err := platdef.BuiltinBytes(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := BuiltinPlatform(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(p.Canonical(), committed) {
-				t.Fatalf("platform %s: live definition differs from committed %s.pdef", name, name)
-			}
-		})
-	}
-}
-
 // TestBuiltinSeedPlatformShapes pins the architectural facts the paper's
 // tables depend on, now asserted against the data-loaded platforms.
 func TestBuiltinSeedPlatformShapes(t *testing.T) {

@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"github.com/perfmetrics/eventlens/internal/platdef"
 )
@@ -11,16 +12,19 @@ import (
 // platforms, extended (or overridden) by definitions loaded from
 // directories — the -platform-dir flag of the CLIs and the daemon. A
 // process builds one registry at start-up and passes it down; it is
-// immutable, so any number of goroutines may read it.
+// immutable but for each definition's collection plan, built once on
+// first use (Plan), so any number of goroutines may read it.
 type Registry struct {
 	order   []string
 	entries map[string]entry
 }
 
-// entry is one registered definition and its Ref.
+// entry is one registered definition, its Ref and its collection plan,
+// built on first use.
 type entry struct {
-	def *platdef.Platform
-	ref string
+	def  *platdef.Platform
+	ref  string
+	plan func() *Plan
 }
 
 // NewRegistry returns a registry holding the built-in platforms in
@@ -35,7 +39,9 @@ func NewRegistry(dirs ...string) (*Registry, error) {
 		if _, exists := r.entries[def.Name]; !exists {
 			r.order = append(r.order, def.Name)
 		}
-		r.entries[def.Name] = entry{def: def, ref: def.Name + "@" + digest}
+		r.entries[def.Name] = entry{def: def, ref: def.Name + "@" + digest, plan: sync.OnceValue(func() *Plan {
+			return NewPlan(index(def))
+		})}
 	}
 	for _, name := range platdef.BuiltinNames() {
 		def, digest, err := platdef.Builtin(name)
@@ -106,6 +112,18 @@ func (r *Registry) Ref(name string) (string, error) {
 		return "", err
 	}
 	return r.entries[full].ref, nil
+}
+
+// Plan returns the collection plan of a registered platform's definition
+// (exact or aliased name): built on the first call and shared, read-only,
+// by every later one, so the registry's collections schedule each
+// definition once.
+func (r *Registry) Plan(name string) (*Plan, error) {
+	full, err := r.Canonical(name)
+	if err != nil {
+		return nil, err
+	}
+	return r.entries[full].plan(), nil
 }
 
 // New builds a fresh live platform from a registered definition.

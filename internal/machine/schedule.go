@@ -70,14 +70,16 @@ func tryPlace(g *ScheduledGroup, name string, c platdef.Constraint, programmable
 		g.Events[slot] = name
 		return true
 	}
-	candidates := c.Allowed
-	if candidates == nil {
-		candidates = make([]int, programmable)
-		for i := range candidates {
-			candidates[i] = i
+	if c.Allowed == nil {
+		for slot := 0; slot < programmable; slot++ {
+			if _, used := g.Events[slot]; !used {
+				g.Events[slot] = name
+				return true
+			}
 		}
+		return false
 	}
-	for _, slot := range candidates {
+	for _, slot := range c.Allowed {
 		if slot < 0 || slot >= programmable {
 			continue
 		}

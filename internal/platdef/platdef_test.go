@@ -254,6 +254,10 @@ func TestParseErrors(t *testing.T) {
 		"constraint unknown": {"platdef v1\nplatform x-sim\nclass cpu\ncounters 2\nfixed GHOST 0\n\nevent E\n respond cpu.instr=1\n", "unknown event"},
 		"fixed too large":    {"platdef v1\nplatform x-sim\nclass cpu\ncounters 2\nfixed E 99\n\nevent E\n respond cpu.instr=1\n", "fixed"},
 		"allowed dup slots":  {"platdef v1\nplatform x-sim\nclass cpu\ncounters 2\nallowed E 0,0\n\nevent E\n respond cpu.instr=1\n", "allowed"},
+		// Parse checks each distinct key once; a bad one still names its
+		// first term, as Validate does.
+		"bad key on last event": {"platdef v1\nplatform x-sim\nclass cpu\ncounters 2\n\nevent E\n respond cpu.instr=1\n\nevent F\n respond cpu.x\x7f=2 cpu.instr=1\n",
+			`event "F": respond term 1 has invalid key "cpu.x\x7f"`},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -314,6 +318,9 @@ func TestValidateSemantics(t *testing.T) {
 		},
 		"allowed out of range": func(p *Platform) {
 			p.Constraints = []Constraint{{Event: "E", Fixed: -1, Allowed: []int{9}}}
+		},
+		"bad key on last event": func(p *Platform) {
+			p.Events = append(p.Events, Event{Name: "F", Respond: []Term{{Key: "cpu.instr", Coeff: 1}, {Key: "cpu.x\x7f", Coeff: 2}}})
 		},
 	}
 	for name, mutate := range mutations {

@@ -72,7 +72,11 @@ func TestFlightJoinerOutlivesLeaderCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := analysis.ID{Bench: bench, Platform: def, Run: cat.RunConfig{Reps: 1, Threads: 1}}
+	plan, err := s.platforms.Plan(bench.Platform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := analysis.ID{Bench: bench, Platform: def, Plan: plan, Run: cat.RunConfig{Reps: 1, Threads: 1}}
 
 	leaderErr := make(chan error, 1)
 	go func() {

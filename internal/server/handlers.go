@@ -290,8 +290,9 @@ func (s *Server) analyze(ctx context.Context, req analysisRequest) (*analysis.An
 // noiseProfile returns the noise profile of an analysis's measurement set
 // through the batching set cache, keyed by analysis.ID.MeasurementKey: K
 // analysis configurations sharing it trigger exactly one collection and
-// one noise pass, whether they join the flight or hit the cache. The raw
-// set lives only until it is profiled. Minimal-kernel collections count
+// one noise pass, whether they join the flight or hit the cache. The
+// collection reduces each event straight into the profile, so no raw set
+// is built. Minimal-kernel collections count
 // themselves and the points the selection pruned — the cost it saved.
 func (s *Server) noiseProfile(ctx context.Context, id analysis.ID) (*core.NoiseProfile, error) {
 	return s.sets.do(ctx, id.MeasurementKey(), func() (*core.NoiseProfile, error) {

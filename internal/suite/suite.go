@@ -1,11 +1,11 @@
 // Package suite wires the four CAT benchmark drivers to their platforms,
 // thresholds and signature tables, giving the command-line tools, examples,
 // daemon and benchmark harness one registry to drive the complete
-// reproduction. Every collection goes through CollectOn (Collect is
+// reproduction. A raw measurement set comes from CollectOn (Collect is
 // CollectOn on the built-in default platform). The tools analyze through
-// internal/analysis, which resolves a request to a benchmark and a
-// platform, collects and analyzes the set's noise profile; AnalyzeSet runs
-// the same stages over a set in hand.
+// internal/analysis, which resolves a request to a benchmark, a platform
+// and its collection plan, and reduces the collection straight into its
+// noise profile; AnalyzeSet runs the same stages over a set in hand.
 package suite
 
 import (
