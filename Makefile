@@ -117,6 +117,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTailWarmup$$' -fuzztime $(FUZZTIME) ./internal/cachesim
 	$(GO) test -run '^$$' -fuzz '^FuzzTraversal$$' -fuzztime $(FUZZTIME) ./internal/cachesim
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEngine$$' -fuzztime $(FUZZTIME) ./internal/cachesim
+	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalJSON$$' -fuzztime $(FUZZTIME) ./internal/canonjson
 
 # Total statement coverage with a hard floor, so coverage can only ratchet up.
 cover:
@@ -139,18 +140,21 @@ bench:
 	$(GO) run ./cmd/benchjson -out BENCH_7.json < bench.out
 	@rm -f bench.out
 
-# Regression guard for the collection hot path, the noise profile and the
-# event validator: re-run the DCache, CPU-flops and branch collections, the
-# Table VI analysis and the two validation benchmarks and fail if any ns/op
-# exceeds 2x its committed BENCH_7.json baseline, or its B/op or allocs/op
-# exceed it by more than 10% (they repeat within 1% across runs at one
-# -cpu). The allocation rows lock in the direct profile path and the
-# per-platform counter schedule. The DCache engine holds up to one pair of
+# Regression guard for the collection hot path, the noise profile, the
+# event validator and the canonical JSON encoder: re-run the DCache,
+# CPU-flops and branch collections, the Table VI analysis, the two
+# validation benchmarks and the encoding of the mi250x validation envelope,
+# and fail if any ns/op exceeds 2x its committed BENCH_7.json baseline, or
+# its B/op or allocs/op exceed it by more than 10% (they repeat within 1%
+# across runs at one -cpu). The allocation rows lock in the direct profile
+# path, the per-platform counter schedule, the validator's catalog-indexed
+# evidence blocks and the encoder's single indentation pass, whose output
+# is sized exactly. The DCache engine holds up to one pair of
 # stream buffers per worker, so its B/op grows with GOMAXPROCS: the guard
 # runs at -cpu 2, the worker count the baseline rows were recorded at, on
 # any runner. -benchtime=2x smooths one-shot jitter without making CI slow;
 # each guarded baseline row is the median of 30 runs of this command.
-GUARDED = CollectDCache|CollectCPUFlops|CollectBranch|TableVI_GPUFlopsMetrics|ValidateSPR|ValidateMI250X
+GUARDED = CollectDCache|CollectCPUFlops|CollectBranch|TableVI_GPUFlopsMetrics|ValidateSPR|ValidateMI250X|EncodeValidateMI250X
 bench-guard:
 	$(GO) test -run '^$$' -bench 'Benchmark($(GUARDED))$$' -benchtime=2x -count=1 -cpu 2 . | tee bench.out
 	for b in $(subst |, ,$(GUARDED)); do $(GO) run ./cmd/benchjson -guard BENCH_7.json -guard-name Benchmark$$b < bench.out || exit 1; done

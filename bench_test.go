@@ -13,6 +13,7 @@ package eventlens_test
 
 import (
 	"context"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -253,6 +254,38 @@ func benchValidate(b *testing.B, platform string) {
 
 func BenchmarkValidateSPR(b *testing.B)    { benchValidate(b, "spr") }
 func BenchmarkValidateMI250X(b *testing.B) { benchValidate(b, "mi250x") }
+
+// BenchmarkEncodeValidateMI250X encodes the mi250x validation envelope, the
+// largest canonical JSON body the daemon caches and `validate -json`
+// prints (about 420 KB).
+func BenchmarkEncodeValidateMI250X(b *testing.B) {
+	reg, err := machine.NewRegistry()
+	if err != nil {
+		b.Fatal(err)
+	}
+	report, err := validate.RunIn(context.Background(), reg, validate.Request{Platform: "mi250x"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	env := validate.NewEnvelope(report)
+	// encoding/json pools its encode buffer per P, and a goroutine that
+	// moves to another P misses it and grows a new one: on two Ps, one run
+	// in six read twice the B/op. The encoder runs on one goroutine, so the
+	// timed encodes run on one P, after one untimed encode has grown the
+	// buffer as a serving process's is: B/op and allocs/op then count the
+	// encoder's own allocations, run after run.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if _, err := env.Encode(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := env.Encode(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // Serial vs Parallel pairs: the same stage pinned to Workers=1 and to
 // Workers=GOMAXPROCS. Outputs are byte-identical (determinism_test.go); these

@@ -64,7 +64,10 @@ type (
 	NoiseReport = core.NoiseReport
 	// EventVariability is one event's max-RNMSE noise measure.
 	EventVariability = core.EventVariability
-	// ProjectionReport is the outcome of basis projection.
+	// ProjectionReport is the outcome of basis projection: the
+	// representable events in order, the dropped ones, and X, whose
+	// columns are the representations. It keeps no per-event Projections
+	// map; a Projector projects an event again for its residual.
 	ProjectionReport = core.ProjectionReport
 	// Projector projects measurement vectors against a basis factorized once.
 	Projector = core.Projector

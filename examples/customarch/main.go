@@ -77,10 +77,10 @@ func main() {
 	fmt.Printf("filtered as noisy:       %v\n", res.Noise.Filtered)
 	fmt.Print(eventlens.FormatSelection(res))
 
-	// What does each selected event measure? Its representation says.
-	for _, name := range res.SelectedEvents {
-		p := res.Projection.Projections[name]
-		fmt.Printf("  %s = %.3g x SCALAR + %.3g x VECTOR\n", name, p.X[0], p.X[1])
+	// What does each selected event measure? Its representation — its
+	// column of Xhat — says.
+	for j, name := range res.SelectedEvents {
+		fmt.Printf("  %s = %.3g x SCALAR + %.3g x VECTOR\n", name, res.Xhat.At(0, j), res.Xhat.At(1, j))
 	}
 
 	// Compose "Vector Instructions" — the analysis figures out the 1/8

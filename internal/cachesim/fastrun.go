@@ -153,7 +153,7 @@ func (w *chaseWorker) run(cfgs []LevelConfig, tlbCfgs []TLBConfig, lineShift uin
 			w.cache[p.firstSim] = newMTFCacheSim(cfgs[p.firstSim:])
 		}
 		sim := w.cache[p.firstSim]
-		sim.measure(cacheKeys, passes)
+		sim.measure(cacheKeys, passes, false)
 		for li := range sim.levels {
 			res.HitRate[p.firstSim+li] = rate(sim.levels[li].hits)
 			res.MissRate[p.firstSim+li] = rate(sim.levels[li].misses)
@@ -171,7 +171,7 @@ func (w *chaseWorker) run(cfgs []LevelConfig, tlbCfgs []TLBConfig, lineShift uin
 		if w.tlb == nil {
 			w.tlb = newMTFSim(tlbCfgs)
 		}
-		w.tlb.measure(tlbKeys, passes)
+		w.tlb.measure(tlbKeys, passes, p.tail)
 		res.TLBMissRate = make([]float64, len(tlbCfgs))
 		for li := range w.tlb.levels {
 			res.TLBMissRate[li] = rate(w.tlb.levels[li].misses)

@@ -388,11 +388,11 @@ func (s *mtfSim) resetState() {
 }
 
 // measure runs a chase's stream on the engine: a warmup traversal — on the
-// stream's proven tail when warmTail proves one — then passes measured
-// traversals, whose counts it leaves in the counters.
-func (s *mtfSim) measure(keys []uint32, passes int) {
+// stream's proven tail when tail allows one and warmTail proves it — then
+// passes measured traversals, whose counts it leaves in the counters.
+func (s *mtfSim) measure(keys []uint32, passes int, tail bool) {
 	s.resetState()
-	if !s.warmTail(keys, tailWarmKeys) {
+	if !tail || !s.warmTail(keys, tailWarmKeys) {
 		s.replay(keys)
 	}
 	s.resetCounters()

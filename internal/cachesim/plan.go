@@ -89,7 +89,10 @@ import (
 //     or an entry left over from an earlier part — goes back through a
 //     reset engine and a full warmup. The sets a stream maps to are found
 //     from its keys; the scan of a level stops once it has found all of
-//     them.
+//     them. A set can only be full if at least `ways` of the stream's
+//     pages map to it, so a stream whose pages are too few for some set it
+//     maps to fails the check at any tail length; the plan finds those in
+//     closed form (pagesFill) and warms them in full without trying.
 type chasePlan struct {
 	cfg ChaseConfig
 	// firstSim is the first cache level needing real simulation; levels
@@ -103,6 +106,9 @@ type chasePlan struct {
 	// the smaller of their key shifts, the one the traversal scatters at.
 	cache, tlb bool
 	shift      uint
+	// tail reports that the TLB side may warm on a proven tail: its pages
+	// can fill every set they map to (analysis 4, pagesFill).
+	tail bool
 }
 
 // replays reports whether the chase replays any key stream.
@@ -128,6 +134,7 @@ func planChase(cfgs []LevelConfig, tlbCfgs []TLBConfig, cfg ChaseConfig, lineShi
 	if p.tlb && (!p.cache || tlbCfgs[0].PageBits < lineShift) {
 		p.shift = tlbCfgs[0].PageBits
 	}
+	p.tail = p.tlb && pagesFill(tlbCfgs, cfg)
 	// The smallest shift produces the largest key.
 	if p.replays() && (cfg.Base+uint64(cfg.Elements-1)*uint64(cfg.StrideBytes))>>p.shift > 1<<32-1 {
 		return chasePlan{}, fmt.Errorf("cachesim: chase footprint at base %#x exceeds the plan limit", cfg.Base)
@@ -293,6 +300,29 @@ func setLoads(lc LevelConfig, cfg ChaseConfig, lineShift uint) (least, most uint
 		}
 	}
 	return least, most
+}
+
+// pagesFill reports whether the chase's pages can fill every set they map
+// to at every TLB level, which a proven tail needs (analysis 4). With a
+// stride of at most a page the chase touches every page from its first to
+// its last, and a contiguous run of pages spreads over a level's S sets as
+// setLoads' lines do with one line per step: every set it maps to receives
+// floor(pages/S) or one more, and at least one. A wider stride is left to
+// the check itself.
+func pagesFill(tlbCfgs []TLBConfig, cfg ChaseConfig) bool {
+	pageBits := tlbCfgs[0].PageBits
+	if uint64(cfg.StrideBytes) > 1<<pageBits {
+		return true
+	}
+	first := cfg.Base >> pageBits
+	last := (cfg.Base + uint64(cfg.Elements-1)*uint64(cfg.StrideBytes)) >> pageBits
+	pages := last - first + 1
+	for _, c := range tlbCfgs {
+		if max(pages/uint64(c.Sets()), 1) < uint64(c.Ways) {
+			return false
+		}
+	}
+	return true
 }
 
 // gcd is Euclid's algorithm; gcd(0, b) = b covers strides that are set-count

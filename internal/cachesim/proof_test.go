@@ -125,15 +125,32 @@ func TestShippedSweepTakesProofs(t *testing.T) {
 	if len(fits) != 48 || len(mem) != 16 {
 		t.Fatalf("sweep has %d non-Mem and %d Mem chases, want 48 and 16", len(fits), len(mem))
 	}
+	// tries counts the chases whose plan lets their TLB stream try a proven
+	// tail; on the shipped sweep every try must prove.
+	tries := func(tasks []SweepTask) int64 {
+		n := int64(0)
+		for _, task := range tasks {
+			plan, err := planChase(levels, tlbs, ChaseConfig{Elements: task.Point.Elements, StrideBytes: task.Point.StrideBytes, Seed: task.Seed}, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.tail {
+				n++
+			}
+		}
+		return n
+	}
 	before, proven := allHitRuns.Load(), tailWarmups.Load()
 	got := coldRun(t, levels, tlbs, fits, 1, 0)
 	if n := allHitRuns.Load() - before; n != int64(len(fits)) {
 		t.Fatalf("%d of %d non-Mem chases took the all-hit path", n, len(fits))
 	}
 	// The four threads' L3-region chases of 717 pages give every one of the
-	// STLB's 64 sets 11 or 12; the other non-Mem chases cannot fill it.
-	if n := tailWarmups.Load() - proven; n != 8 {
-		t.Fatalf("%d non-Mem TLB streams warmed on a proven tail, want 8", n)
+	// STLB's 64 sets 11 or 12; the other non-Mem chases cannot fill it, and
+	// their plans say so: the 359-page ones give each set 5 or 6 of its 8
+	// ways.
+	if n, tried := tailWarmups.Load()-proven, tries(fits); n != 8 || tried != 8 {
+		t.Fatalf("%d non-Mem TLB streams warmed on a proven tail of %d that tried, want 8 of 8", n, tried)
 	}
 	for i, task := range fits {
 		want, err := RunSweepPointTLB(levels, tlbs, task.Point, task.Seed, 1)
@@ -145,8 +162,8 @@ func TestShippedSweepTakesProofs(t *testing.T) {
 
 	proven = tailWarmups.Load()
 	coldRun(t, levels, tlbs, mem, 1, 0)
-	if n := tailWarmups.Load() - proven; n != int64(len(mem)) {
-		t.Fatalf("%d of %d Mem-region TLB streams warmed on a proven tail", n, len(mem))
+	if n, tried := tailWarmups.Load()-proven, tries(mem); n != int64(len(mem)) || tried != n {
+		t.Fatalf("%d of %d Mem-region TLB streams warmed on a proven tail, %d tried", n, len(mem), tried)
 	}
 }
 
@@ -216,6 +233,68 @@ func TestWarmTailRefusesBackInvalidation(t *testing.T) {
 			t.Fatalf("TLB level %d after the tail holds %v, after the full warmup %v",
 				li, tailTLB.levels[li].tags, fullTLB.levels[li].tags)
 		}
+	}
+}
+
+// TestPagesFillIsExact pins pagesFill against a count of the distinct
+// pages each set receives, over random chases and TLB shapes, and checks
+// what skipping relies on: a stream pagesFill rejects fails the proof at
+// any tail length shorter than the stream.
+func TestPagesFillIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	rejected := 0
+	for i := 0; i < 2000; i++ {
+		tlbs := tlbShape(rng.Uint32())
+		page := 1 << tlbs[0].PageBits
+		// Half the strides are narrow, so that many chases span few pages.
+		stride := 1 + rng.Intn(2*page)
+		if rng.Intn(2) == 0 {
+			stride = 1 + rng.Intn(page/16)
+		}
+		cfg := ChaseConfig{
+			Elements:    2 + rng.Intn(1500),
+			StrideBytes: stride,
+			Base:        uint64(rng.Intn(4 * page)),
+			Seed:        rng.Int63(),
+		}
+		fills := true
+		for _, c := range tlbs {
+			nsets := uint64(c.Sets())
+			perSet := map[uint64]map[uint64]bool{}
+			for x := 0; x < cfg.Elements; x++ {
+				vpn := (cfg.Base + uint64(x)*uint64(cfg.StrideBytes)) >> c.PageBits
+				if perSet[vpn%nsets] == nil {
+					perSet[vpn%nsets] = map[uint64]bool{}
+				}
+				perSet[vpn%nsets][vpn] = true
+			}
+			for _, pages := range perSet {
+				fills = fills && len(pages) >= c.Ways
+			}
+		}
+		got := pagesFill(tlbs, cfg)
+		if cfg.StrideBytes > page {
+			if !got {
+				t.Fatalf("%+v over %+v: a stride wider than a page is not left to the proof", cfg, tlbs)
+			}
+			continue
+		}
+		if got != fills {
+			t.Fatalf("%+v over %+v: pagesFill %v, the per-set page count says %v", cfg, tlbs, got, fills)
+		}
+		if got {
+			continue
+		}
+		rejected++
+		keys, work := make([]uint32, cfg.Elements), make([]uint32, cfg.Elements)
+		traversal(cfg, tlbs[0].PageBits, keys, work)
+		if tail := 1 + rng.Intn(cfg.Elements-1); newMTFSim(tlbs).warmTail(keys, tail) {
+			t.Fatalf("%+v over %+v: a stream whose pages cannot fill its sets proved a %d-key tail", cfg, tlbs, tail)
+		}
+	}
+	t.Logf("%d of 2000 chases rejected", rejected)
+	if rejected < 200 {
+		t.Fatalf("only %d chases rejected: too few to check skipping", rejected)
 	}
 }
 

@@ -146,11 +146,20 @@ func medianInto(out []float64, vectors [][]float64, vals []float64) []float64 {
 	return out
 }
 
-// medianAt is the median of point p over vectors, sorted in vals.
+// medianAt is the median of point p over vectors, sorted in vals (one
+// slot per vector).
 func medianAt(vectors [][]float64, p int, vals []float64) float64 {
 	for t, v := range vectors {
 		vals[t] = v[p]
 	}
+	return Median(vals)
+}
+
+// Median sorts vals in place and returns their median: the middle value,
+// or the mean of the middle two. It is MedianOverThreads at one point, so
+// a caller holding one point's values over threads reduces them exactly as
+// the measurements are reduced.
+func Median(vals []float64) float64 {
 	slices.Sort(vals)
 	mid := len(vals) / 2
 	if len(vals)%2 == 1 {

@@ -66,11 +66,13 @@ func (p *Projector) projectScratch(event string, m []float64, scratch []float64)
 	return &Projection{Event: event, X: x, RelResidual: rel}, nil
 }
 
-// ProjectionReport is the outcome of the basis-projection stage.
+// ProjectionReport is the outcome of the basis-projection stage. It keeps
+// one copy of each representation, as a column of X; a cached analysis
+// keeps the report for the life of the cache entry. A caller that needs an
+// event's residual projects it again with a Projector.
 type ProjectionReport struct {
-	// Projections maps surviving events to their representations.
-	Projections map[string]*Projection
-	// Order lists surviving events in measurement order.
+	// Order lists surviving events in measurement order: column j of X is
+	// the representation of Order[j].
 	Order []string
 	// Dropped lists events whose relative residual exceeded the tolerance —
 	// events that cannot be sufficiently represented in the expectation
@@ -87,9 +89,8 @@ type ProjectionReport struct {
 // factor is shared across workers, each of which owns one scratch buffer and
 // projects a contiguous block of events. The report is assembled in
 // measurement order afterwards, so the result is byte-identical for every
-// worker count.
+// worker count; its Order and Dropped are sized exactly.
 func BuildXWorkers(b *Basis, kept map[string][]float64, order []string, relTol float64, workers int) (*ProjectionReport, error) {
-	report := &ProjectionReport{Projections: make(map[string]*Projection)}
 	projector, err := NewProjector(b)
 	if err != nil {
 		return nil, err
@@ -125,17 +126,29 @@ func BuildXWorkers(b *Basis, kept map[string][]float64, order []string, relTol f
 			results[i].p, results[i].err = projector.projectScratch(event, m, scratch)
 		}
 	})
-	var cols [][]float64
-	for i, event := range order {
+	fits := 0
+	for i := range order {
 		if err := results[i].err; err != nil {
 			return nil, err
 		}
+		if !(results[i].p.RelResidual > relTol) {
+			fits++
+		}
+	}
+	report := &ProjectionReport{}
+	if fits > 0 {
+		report.Order = make([]string, 0, fits)
+	}
+	if fits < len(order) {
+		report.Dropped = make([]string, 0, len(order)-fits)
+	}
+	cols := make([][]float64, 0, fits)
+	for i, event := range order {
 		p := results[i].p
 		if p.RelResidual > relTol {
 			report.Dropped = append(report.Dropped, event)
 			continue
 		}
-		report.Projections[event] = p
 		report.Order = append(report.Order, event)
 		cols = append(cols, p.X)
 	}

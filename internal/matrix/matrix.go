@@ -13,9 +13,7 @@
 package matrix
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -24,6 +22,7 @@ import (
 	"strings"
 
 	"github.com/perfmetrics/eventlens/internal/analysis"
+	"github.com/perfmetrics/eventlens/internal/canonjson"
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/fault"
 	"github.com/perfmetrics/eventlens/internal/machine"
@@ -469,13 +468,11 @@ func NewEnvelope(r *Report) Envelope { return Envelope{Report: r, Text: r.Format
 // cannot carry — NaN or ±Inf, which corrupt-fault injection writes into
 // measured values — rather than return an empty body.
 func (e Envelope) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(e); err != nil {
+	body, err := canonjson.Encode(e)
+	if err != nil {
 		return nil, fmt.Errorf("matrix: encode report: %w", err)
 	}
-	return buf.Bytes(), nil
+	return body, nil
 }
 
 // CanonicalJSON is Encode without the error: nil when Encode fails. It

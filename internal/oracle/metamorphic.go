@@ -84,6 +84,11 @@ func (f *Fixture) analyze(set *core.MeasurementSet) (*core.Result, error) {
 // not asserted under scaling.
 func CheckScaling(f *Fixture, factors []float64, tol Tol) CheckResult {
 	res := CheckResult{Name: "metamorphic/scaling " + f.Bench.Name, Cases: len(factors)}
+	projector, err := core.NewProjector(f.Basis)
+	if err != nil {
+		res.Err = err
+		return res
+	}
 	for _, c := range factors {
 		c := c
 		scaled, err := f.transformSet(f.Set.Order, func(_ string, _ int, v []float64) []float64 {
@@ -124,13 +129,24 @@ func CheckScaling(f *Fixture, factors []float64, tol Tol) CheckResult {
 			res.Err = fmt.Errorf("scale %g: %w", c, err)
 			return res
 		}
-		for _, event := range proj.Order {
-			got := proj.Projections[event]
-			want := f.Base.Projection.Projections[event]
-			scaledWant := make([]float64, len(want.X))
+		// Representations are the columns of X, in Order; residuals come
+		// from projecting each event's mean again.
+		for j, event := range proj.Order {
+			gotX, wantX := proj.X.Col(j), f.Base.Projection.X.Col(j)
+			got, err := projector.Project(event, noise.Kept[event])
+			if err != nil {
+				res.Err = fmt.Errorf("scale %g: %v", c, err)
+				return res
+			}
+			want, err := projector.Project(event, f.Base.Noise.Kept[event])
+			if err != nil {
+				res.Err = fmt.Errorf("scale %g: %v", c, err)
+				return res
+			}
+			scaledWant := make([]float64, len(wantX))
 			norm := 0.0
-			for i := range want.X {
-				scaledWant[i] = c * want.X[i]
+			for i := range wantX {
+				scaledWant[i] = c * wantX[i]
 				if a := math.Abs(scaledWant[i]); a > norm {
 					norm = a
 				}
@@ -142,7 +158,7 @@ func CheckScaling(f *Fixture, factors []float64, tol Tol) CheckResult {
 			if a := tol.Rel * norm; a > vecTol.Abs {
 				vecTol.Abs = a
 			}
-			if err := vecTol.CheckVec(fmt.Sprintf("scale %g: projection of %q", c, event), got.X, scaledWant); err != nil {
+			if err := vecTol.CheckVec(fmt.Sprintf("scale %g: projection of %q", c, event), gotX, scaledWant); err != nil {
 				res.Err = err
 				return res
 			}

@@ -2,31 +2,63 @@ package platdef
 
 import (
 	"crypto/sha256"
-	"embed"
+	_ "embed"
 	"encoding/hex"
 	"fmt"
 	"sync"
 )
 
-//go:embed platforms/*.pdef
-var builtinFS embed.FS
+// The committed platforms' definition files, each embedded as a string:
+// the text lives in the binary's read-only data, so a built-in parsed in
+// place (parse without detach) keeps its strings there and not on the heap.
+var (
+	//go:embed platforms/spr-sim.pdef
+	sprSim string
+	//go:embed platforms/mi250x-sim.pdef
+	mi250xSim string
+	//go:embed platforms/zen4-sim.pdef
+	zen4Sim string
+	//go:embed platforms/icl-sim.pdef
+	iclSim string
+	//go:embed platforms/graviton-sim.pdef
+	gravitonSim string
+	//go:embed platforms/h100-sim.pdef
+	h100Sim string
+	//go:embed platforms/spr-smtoff-sim.pdef
+	sprSmtoffSim string
+)
 
-// builtinOrder is the canonical listing order of the committed platforms:
-// the paper's three seed platforms first, then the expansion set.
-var builtinOrder = []string{
-	"spr-sim",
-	"mi250x-sim",
-	"zen4-sim",
-	"icl-sim",
-	"graviton-sim",
-	"h100-sim",
-	"spr-smtoff-sim",
+// builtinFiles lists the committed platforms in canonical listing order —
+// the paper's three seed platforms first, then the expansion set — each
+// with its file's text.
+var builtinFiles = []struct{ name, text string }{
+	{"spr-sim", sprSim},
+	{"mi250x-sim", mi250xSim},
+	{"zen4-sim", zen4Sim},
+	{"icl-sim", iclSim},
+	{"graviton-sim", gravitonSim},
+	{"h100-sim", h100Sim},
+	{"spr-smtoff-sim", sprSmtoffSim},
 }
 
 // BuiltinNames returns the names of the committed built-in platforms in
 // canonical listing order.
 func BuiltinNames() []string {
-	return append([]string(nil), builtinOrder...)
+	out := make([]string, len(builtinFiles))
+	for i, f := range builtinFiles {
+		out[i] = f.name
+	}
+	return out
+}
+
+// builtinText returns the embedded text of a built-in platform's file.
+func builtinText(name string) (string, bool) {
+	for _, f := range builtinFiles {
+		if f.name == name {
+			return f.text, true
+		}
+	}
+	return "", false
 }
 
 // Digest is the content digest of a definition's canonical bytes: their
@@ -45,22 +77,20 @@ type builtin struct {
 	digest string
 }
 
-// builtins parses every committed platform once per process.
+// builtins parses every committed platform once per process, in place: a
+// built-in's strings are substrings of its embedded file, which the binary
+// holds for the life of the process anyway.
 var builtins = sync.OnceValues(func() (map[string]builtin, error) {
-	out := make(map[string]builtin, len(builtinOrder))
-	for _, name := range builtinOrder {
-		data, err := builtinFS.ReadFile("platforms/" + name + ".pdef")
+	out := make(map[string]builtin, len(builtinFiles))
+	for _, f := range builtinFiles {
+		def, err := parse(f.text, false)
 		if err != nil {
-			return nil, fmt.Errorf("platdef: %w", err)
+			return nil, fmt.Errorf("builtin %s: %w", f.name, err)
 		}
-		def, err := Parse(data)
-		if err != nil {
-			return nil, fmt.Errorf("builtin %s: %w", name, err)
+		if def.Name != f.name {
+			return nil, fmt.Errorf("platdef: builtin file %s.pdef defines platform %q", f.name, def.Name)
 		}
-		if def.Name != name {
-			return nil, fmt.Errorf("platdef: builtin file %s.pdef defines platform %q", name, def.Name)
-		}
-		out[name] = builtin{def: def, digest: Digest(data)}
+		out[f.name] = builtin{def: def, digest: Digest([]byte(f.text))}
 	}
 	return out, nil
 })
@@ -80,13 +110,13 @@ func Builtin(name string) (*Platform, string, error) {
 	return b.def, b.digest, nil
 }
 
-// BuiltinBytes returns the committed canonical bytes of a built-in
-// platform's definition file — what the canonical-drift tests and
+// BuiltinBytes returns a copy of the committed canonical bytes of a
+// built-in platform's definition file — what the canonical-drift tests and
 // cmd/verify compare regenerated definitions against.
 func BuiltinBytes(name string) ([]byte, error) {
-	data, err := builtinFS.ReadFile("platforms/" + name + ".pdef")
-	if err != nil {
-		return nil, fmt.Errorf("platdef: %w", err)
+	text, ok := builtinText(name)
+	if !ok {
+		return nil, fmt.Errorf("platdef: no builtin platform %q", name)
 	}
-	return data, nil
+	return []byte(text), nil
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -231,6 +232,36 @@ func TestCommittedFilesCanonical(t *testing.T) {
 	}
 }
 
+// TestBuiltinsAreThePlatformFiles: every platforms/*.pdef is a built-in,
+// every built-in has a file, and each built-in's embedded text is its
+// file's bytes — a file added without its embed line would be silently left
+// out of every registry.
+func TestBuiltinsAreThePlatformFiles(t *testing.T) {
+	entries, err := os.ReadDir("platforms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, ent := range entries {
+		if name, ok := strings.CutSuffix(ent.Name(), ".pdef"); ok {
+			files = append(files, name)
+		}
+	}
+	builtins := BuiltinNames()
+	if !slices.Equal(files, slices.Sorted(slices.Values(builtins))) {
+		t.Fatalf("platform files %v, built-ins %v", files, builtins)
+	}
+	for _, name := range builtins {
+		raw, err := os.ReadFile(filepath.Join("platforms", name+".pdef"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if text, _ := builtinText(name); text != string(raw) {
+			t.Errorf("built-in %s is not the text of platforms/%s.pdef", name, name)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := map[string]struct {
 		text string
@@ -347,22 +378,13 @@ func TestLoadDirDuplicateNames(t *testing.T) {
 	}
 }
 
-// BenchmarkParseBuiltins parses every committed platform file: what every
-// process pays once for its built-ins.
+// BenchmarkParseBuiltins parses every committed platform file in place:
+// what every process pays once for its built-ins.
 func BenchmarkParseBuiltins(b *testing.B) {
-	var files [][]byte
-	for _, name := range BuiltinNames() {
-		data, err := BuiltinBytes(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		files = append(files, data)
-	}
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, data := range files {
-			if _, err := Parse(data); err != nil {
+		for _, f := range builtinFiles {
+			if _, err := parse(f.text, false); err != nil {
 				b.Fatal(err)
 			}
 		}

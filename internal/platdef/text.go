@@ -1,7 +1,6 @@
 package platdef
 
 import (
-	"bytes"
 	"slices"
 	"strconv"
 	"strings"
@@ -45,9 +44,17 @@ const header = "platdef v1"
 // copy, one per distinct value, so a registry that keeps definitions does
 // not keep their files' text.
 func Parse(data []byte) (*Platform, error) {
+	return parse(string(data), true)
+}
+
+// parse is Parse over text. With detach set, every string the definition
+// keeps is a copy, one per distinct value; without it, every string is a
+// substring of text, which then lives as long as the definition does — the
+// built-ins' text is the binary's own.
+func parse(text string, detach bool) (*Platform, error) {
 	// A canonical file opens every event block with "\nevent ", so this
 	// sizes Events exactly for one; any other is copied to its length below.
-	events := bytes.Count(data, []byte("\nevent "))
+	events := strings.Count(text, "\nevent ")
 	p := &Platform{Events: make([]Event, 0, events)}
 	var (
 		cur        *Event // event block being assembled, nil in the header
@@ -57,12 +64,18 @@ func Parse(data []byte) (*Platform, error) {
 		sawCount   bool
 		blockSeen  uint8 // directives seen in the current block, by blockBit
 		constraint = map[string]int{}
-		strs       = make(map[string]string, events)
+		strs       map[string]string
 		fieldBuf   [16]string // a line's fields; only long lines outgrow it
 	)
-	// own returns a copy of s detached from the file's text, the same copy
-	// for every equal s.
+	if detach {
+		strs = make(map[string]string, events)
+	}
+	// own returns s as the definition keeps it: when detaching, a copy of
+	// s, the same copy for every equal s.
 	own := func(s string) string {
+		if !detach {
+			return s
+		}
 		c, ok := strs[s]
 		if !ok {
 			c = strings.Clone(s)
@@ -72,7 +85,6 @@ func Parse(data []byte) (*Platform, error) {
 	}
 	// Lines are cut off the text one at a time, numbered as strings.Split
 	// would number them: a trailing newline ends an empty last line.
-	text := string(data)
 	lines := 0
 	for rest, more := text, true; more; {
 		var raw string
@@ -184,7 +196,11 @@ func Parse(data []byte) (*Platform, error) {
 				return nil, errf(ln, "more than %d events", MaxEvents)
 			}
 			// Names are unique (Validate), so interning one saves nothing.
-			p.Events = append(p.Events, Event{Name: strings.Clone(fields[1])})
+			name := fields[1]
+			if detach {
+				name = strings.Clone(name)
+			}
+			p.Events = append(p.Events, Event{Name: name})
 			cur = &p.Events[len(p.Events)-1]
 			blockSeen = 0
 			continue
@@ -301,7 +317,7 @@ func appendFields(dst []string, line string) []string {
 }
 
 // parseTerms decodes key=value tokens into a key-sorted term list,
-// rejecting duplicate keys. own detaches each key from the file's text.
+// rejecting duplicate keys. own gives each key as the definition keeps it.
 func parseTerms(ln int, tokens []string, own func(string) string) ([]Term, error) {
 	if len(tokens) == 0 {
 		return nil, nil

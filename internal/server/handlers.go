@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"github.com/perfmetrics/eventlens/internal/analysis"
+	"github.com/perfmetrics/eventlens/internal/canonjson"
 	"github.com/perfmetrics/eventlens/internal/cat"
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/fault"
@@ -102,13 +102,11 @@ func writeErr(w http.ResponseWriter, err error) {
 // so no response can become an empty 200: the ladder answers a 500 and
 // neither caches nor stores it.
 func canonicalJSON(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	body, err := canonjson.Encode(v)
+	if err != nil {
 		return nil, fmt.Errorf("server: encoding the response: %w", err)
 	}
-	return buf.Bytes(), nil
+	return body, nil
 }
 
 // writeJSON serves v as canonical JSON, or a 500 if v cannot be encoded.

@@ -33,15 +33,14 @@
 package validate
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"strings"
 
 	"github.com/perfmetrics/eventlens/internal/analysis"
+	"github.com/perfmetrics/eventlens/internal/canonjson"
 	"github.com/perfmetrics/eventlens/internal/cat"
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/fault"
@@ -325,15 +324,9 @@ func RunWith(ctx context.Context, reg *machine.Registry, req Request, profile fu
 		Tolerances: res.tol,
 		Counts:     make(map[string]int),
 	}
-	events := res.def.Events
-	at := make(map[string]int, len(events)) // catalog index by event name
-	for i, e := range events {
-		at[e.Name] = i
-	}
-	// Per-event accumulated evidence across benchmarks.
-	measured := make(map[string][]float64) // concatenated mean measured counts
-	expected := make(map[string][]float64) // concatenated documented counts
-	noise := make(map[string]float64)      // worst MaxRNMSE on any benchmark
+	// Every benchmark's profile is read first, so that the evidence below
+	// is laid out once, exactly sized.
+	var runs []benchRun
 	for _, b := range res.benches {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -366,43 +359,99 @@ func RunWith(ctx context.Context, reg *machine.Registry, req Request, profile fu
 		}
 		report.Benchmarks = append(report.Benchmarks, b.Name)
 		report.Points += len(prof.PointNames)
-		for i, name := range prof.Order {
-			v, mean := prof.Reduction(i)
-			if v > noise[name] {
-				noise[name] = v
-			}
-			measured[name] = append(measured[name], mean...)
-			// The documented counts over the truth the event was measured
-			// on, reduced across threads exactly like the measurements
-			// (per-point median).
-			def := &events[at[name]]
-			docVecs := make([][]float64, len(perThread))
-			for t, stats := range perThread {
-				vec := make([]float64, len(prof.PointNames))
-				for pi := range vec {
-					vec[pi], _ = def.DocExpectation(stats[pi])
-				}
-				docVecs[t] = vec
-			}
-			expected[name] = append(expected[name], core.MedianOverThreads(docVecs)...)
-		}
+		runs = append(runs, benchRun{prof: prof, truth: perThread})
 	}
 	if len(report.Benchmarks) == 0 {
 		return nil, fmt.Errorf("%w (%d lost)", ErrAllDegraded, len(report.Degraded))
 	}
-	for _, def := range events {
-		name := def.Name
-		m, ok := measured[name]
-		if !ok {
-			report.Dropped = append(report.Dropped, name)
+	events := res.def.Events
+	ev, measured, expected := gather(events, runs)
+	for k := range events {
+		def, e := &events[k], &ev[k]
+		if !e.seen {
+			report.Dropped = append(report.Dropped, def.Name)
 			continue
 		}
-		trust := classify(res.tol, def.Documented, noise[name], m, expected[name])
-		trust.Event = name
+		trust := classify(res.tol, def.Documented, e.noise, measured[e.lo:e.hi], expected[e.lo:e.hi])
+		trust.Event = def.Name
 		report.Counts[trust.Verdict]++
 		report.Events = append(report.Events, trust)
 	}
 	return report, nil
+}
+
+// benchRun is one benchmark's evidence: its noise profile, and the ground
+// truth its documented counts are computed from, per thread and point.
+type benchRun struct {
+	prof  *core.NoiseProfile
+	truth [][]machine.Stats
+}
+
+// evidence locates one catalog event's accumulated evidence: its stretch
+// [lo, hi) of the measured and expected blocks, the concatenation over the
+// benchmarks that measured it, whether any did, and its worst max-RNMSE.
+type evidence struct {
+	lo, hi int
+	seen   bool
+	noise  float64
+}
+
+// gather lays out every catalog event's evidence across the benchmark
+// runs, in catalog order: per event, its mean measured counts and its
+// documented counts, concatenated over the runs that measured it, in one
+// exactly sized block each. A documented count is reduced across threads
+// per point, exactly as the measurements are (core.Median); an
+// undocumented event's stay zero, which is what DocExpectation yields.
+func gather(events []platdef.Event, runs []benchRun) (ev []evidence, measured, expected []float64) {
+	at := make(map[string]int, len(events)) // catalog index by event name
+	for k, e := range events {
+		at[e.Name] = k
+	}
+	ev = make([]evidence, len(events))
+	threads := 0
+	for _, r := range runs {
+		for _, name := range r.prof.Order {
+			if k, ok := at[name]; ok {
+				ev[k].hi += len(r.prof.PointNames)
+				ev[k].seen = true
+			}
+		}
+		threads = max(threads, len(r.truth))
+	}
+	total := 0
+	for k := range ev {
+		n := ev[k].hi
+		ev[k].lo, ev[k].hi = total, total // hi is the fill cursor below
+		total += n
+	}
+	measured, expected = make([]float64, total), make([]float64, total)
+	scratch := make([]float64, threads)
+	for _, r := range runs {
+		n := len(r.prof.PointNames)
+		vals := scratch[:len(r.truth)]
+		for i, name := range r.prof.Order {
+			k, ok := at[name]
+			if !ok {
+				continue
+			}
+			e := &ev[k]
+			v, mean := r.prof.Reduction(i)
+			if v > e.noise {
+				e.noise = v
+			}
+			copy(measured[e.hi:e.hi+n], mean)
+			if def := &events[k]; def.Documented {
+				for pi := range n {
+					for t, stats := range r.truth {
+						vals[t], _ = def.DocExpectation(stats[pi])
+					}
+					expected[e.hi+pi] = core.Median(vals)
+				}
+			}
+			e.hi += n
+		}
+	}
+	return ev, measured, expected
 }
 
 // knownTruth is a driver whose ground truth is already computed: a
@@ -591,13 +640,11 @@ func NewEnvelope(r *Report) Envelope { return Envelope{Report: r, Text: r.Format
 // cannot carry — NaN or ±Inf, which corrupt-fault injection writes into
 // measured values — rather than return an empty body.
 func (e Envelope) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(e); err != nil {
+	body, err := canonjson.Encode(e)
+	if err != nil {
 		return nil, fmt.Errorf("validate: encode report: %w", err)
 	}
-	return buf.Bytes(), nil
+	return body, nil
 }
 
 // CanonicalJSON is Encode without the error: nil when Encode fails. It
