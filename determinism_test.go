@@ -10,9 +10,7 @@ import (
 	"context"
 	"testing"
 
-	"github.com/perfmetrics/eventlens/internal/cat"
 	"github.com/perfmetrics/eventlens/internal/core"
-	"github.com/perfmetrics/eventlens/internal/machine"
 	"github.com/perfmetrics/eventlens/internal/suite"
 )
 
@@ -60,53 +58,5 @@ func TestParallelReportByteIdentical(t *testing.T) {
 				t.Fatal("empty report")
 			}
 		})
-	}
-}
-
-// TestStreamEventsWorkersDeterministic pins the streaming collector to the
-// same guarantee: per-group fan-out must yield the same events with the same
-// vectors in the same order as the serial walk.
-func TestStreamEventsWorkersDeterministic(t *testing.T) {
-	bench, err := suite.ByName("branch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	platform, err := machine.BuiltinPlatform(bench.Platform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth, err := bench.GroundTruth(bench.DefaultRun)
-	if err != nil {
-		t.Fatal(err)
-	}
-	collect := func(workers int) (names []string, vecs [][][]float64) {
-		cfg := cat.RunConfig{Reps: 3, Threads: 1, Workers: workers}
-		src := cat.StreamEvents(platform, truth, cfg)
-		err := src(func(name string, reps [][]float64) error {
-			names = append(names, name)
-			vecs = append(vecs, reps)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return names, vecs
-	}
-	n1, v1 := collect(1)
-	n8, v8 := collect(8)
-	if len(n1) == 0 || len(n1) != len(n8) {
-		t.Fatalf("event counts differ: %d vs %d", len(n1), len(n8))
-	}
-	for i := range n1 {
-		if n1[i] != n8[i] {
-			t.Fatalf("event %d: order differs: %q vs %q", i, n1[i], n8[i])
-		}
-		for r := range v1[i] {
-			for p := range v1[i][r] {
-				if v1[i][r][p] != v8[i][r][p] {
-					t.Fatalf("event %q rep %d point %d: %v vs %v", n1[i], r, p, v1[i][r][p], v8[i][r][p])
-				}
-			}
-		}
 	}
 }

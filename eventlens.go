@@ -22,12 +22,13 @@
 //
 // The package is a facade over the implementation in internal/: it
 // re-exports the analysis types (Pipeline, Basis, Signature, ...), the CAT
-// benchmark drivers, and the simulated platforms (an Intel Sapphire
-// Rapids-like CPU and an AMD MI250X-like GPU among them) that substitute
-// for the paper's Aurora and Frontier machines. Analyze runs a benchmark's
-// analysis exactly as the eventlensd daemon serves it: the request is
-// resolved against a platform registry, collected, reduced to its noise
-// profile and analyzed.
+// benchmarks, and the simulated platforms (an Intel Sapphire Rapids-like
+// CPU and an AMD MI250X-like GPU among them) that substitute for the
+// paper's Aurora and Frontier machines, plus synthetic catalogs of any size
+// for scale testing. Analyze runs a benchmark's analysis exactly as the
+// eventlensd daemon serves it: the request is resolved against a platform
+// registry, collected, reduced to its noise profile and analyzed. A
+// collection of any catalog size runs through that one measurement stage.
 //
 // # Quick start
 //
@@ -195,6 +196,9 @@ var (
 	// FromDef validates a platform definition and builds the live platform
 	// over it: the way to simulate a custom architecture.
 	FromDef = machine.FromDef
+	// SyntheticCatalog generates an arbitrarily large test catalog
+	// embedding the SPR signal events (scalability testing).
+	SyntheticCatalog = machine.SyntheticCatalog
 )
 
 // Requests: one analysis of a benchmark, resolved against a registry of
@@ -279,24 +283,4 @@ var (
 	ExplainKept = core.ExplainKept
 	// NewRatioMetric builds a ratio of two composed metrics.
 	NewRatioMetric = core.NewRatioMetric
-)
-
-// Streaming collection for very large catalogs.
-type (
-	// EventSource yields events one at a time to the streaming filter.
-	EventSource = core.EventSource
-)
-
-var (
-	// FilterNoiseStream runs the noise filter over a streaming source,
-	// bounding peak memory by the survivors plus one multiplexing group.
-	FilterNoiseStream = core.FilterNoiseStream
-	// SetSource adapts a MeasurementSet into an EventSource.
-	SetSource = core.SetSource
-	// StreamEvents measures a platform group by group, yielding per-event
-	// repetition vectors without materializing the catalog.
-	StreamEvents = cat.StreamEvents
-	// SyntheticCatalog generates an arbitrarily large test catalog
-	// embedding the SPR signal events (scalability testing).
-	SyntheticCatalog = machine.SyntheticCatalog
 )

@@ -6,8 +6,7 @@
 // event of a platform over it per point, repetition and thread, on the
 // platform's collection plan. Its readings feed two sinks: the raw
 // measurement set (Collect) and the noise profile, reduced straight off
-// the readings. StreamEvents makes the same reads one multiplexing group
-// at a time. Event validation reads a driver's ground truth directly, for
+// the readings. Event validation reads a driver's ground truth directly, for
 // the counts each event's documentation predicts, and the measurements
 // through the noise profile.
 //
@@ -161,9 +160,9 @@ func injected(p *machine.Platform, cfg RunConfig) *machine.Platform {
 // Driver is what one CAT benchmark contributes to collection: the labels of
 // its points, its expectation basis, and the known-exact behaviour of its
 // kernels. Everything else — configuration checks, spanning selection,
-// measurement, fault degradation — is shared by Collect and
-// StreamEvents. Implementations must be safe for concurrent use: one driver
-// serves every collection of its benchmark.
+// measurement, fault degradation — is Measure's. Implementations must be
+// safe for concurrent use: one driver serves every collection of its
+// benchmark.
 type Driver interface {
 	// PointNames labels the benchmark's full point set.
 	PointNames() []string
@@ -302,58 +301,6 @@ func measure(benchmark string, p *machine.Platform, plan *machine.Plan, names []
 			}
 		},
 	}, nil
-}
-
-// StreamEvents is measure one multiplexing group at a time: it yields each
-// event's per-repetition vectors (median-reduced over threads) as soon as
-// its group is read, so peak memory is one group's worth of noise-free
-// counts and measurements rather than the whole catalog — the collection
-// mode that scales to the hundreds of thousands of events the paper's
-// introduction describes. truth is a driver's GroundTruth. Events are
-// yielded in schedule order, each with exactly the values measure collects
-// for it; unlike measure, any fault ends the stream with an error.
-func StreamEvents(p *machine.Platform, truth [][]machine.Stats, cfg RunConfig) core.EventSource {
-	return func(yield func(string, [][]float64) error) error {
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
-		if err := checkTruth(truth, cfg); err != nil {
-			return err
-		}
-		p := injected(p, cfg)
-		groups := p.Groups(p.Names())
-		nRT := cfg.Reps * cfg.Threads
-		for gi, group := range groups {
-			ideal, err := idealCounts(p, truth, groups[gi:gi+1], cfg.Workers)
-			if err != nil {
-				return err
-			}
-			measured := make([][][]float64, nRT)
-			err = par.ForErr(cfg.Workers, nRT, func(i int) error {
-				rep, thread := i/cfg.Threads, i%cfg.Threads
-				vectors, err := p.MeasureGroup(ideal[truthIndex(truth, thread)], group, gi, rep, thread)
-				measured[i] = vectors
-				return err
-			})
-			if err != nil {
-				return err
-			}
-			for k, name := range group {
-				reps := make([][]float64, cfg.Reps)
-				for rep := range reps {
-					threadVectors := make([][]float64, cfg.Threads)
-					for thread := range threadVectors {
-						threadVectors[thread] = measured[rep*cfg.Threads+thread][k]
-					}
-					reps[rep] = core.MedianOverThreads(threadVectors)
-				}
-				if err := yield(name, reps); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
 }
 
 // idealCounts computes each group's noise-free counts under each

@@ -1,6 +1,8 @@
 package cat
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"github.com/perfmetrics/eventlens/internal/core"
@@ -52,6 +54,49 @@ func TestScaleTenThousandEvents(t *testing.T) {
 	}
 	if def.BackwardError > 1e-10 {
 		t.Fatalf("DP Ops error at scale = %v", def.BackwardError)
+	}
+}
+
+// TestScaleHundredThousandEvents: the paper's motivating scale, a
+// 100k-event catalog, through the stages every served analysis runs:
+// Measure on the platform's plan, the readings reduced straight into their
+// noise profile, and the profile analyzed.
+func TestScaleHundredThousandEvents(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale test skipped in -short mode")
+	}
+	platform, err := machine.SyntheticCatalog(100000, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench := NewFlopsCPU()
+	readings, err := Measure("cpu-flops", bench, platform, machine.NewPlan(platform), RunConfig{Reps: 2, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	basis, err := bench.Basis()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe := &core.Pipeline{Basis: basis, Config: core.DefaultConfig()}
+	res, err := pipe.AnalyzeProfile(context.Background(), readings.Profile(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.QR.Rank != 8 {
+		t.Fatalf("rank = %d want 8 at 100k-event scale", res.QR.Rank)
+	}
+	for _, name := range res.SelectedEvents {
+		if strings.HasPrefix(name, "SYN_") {
+			t.Fatalf("synthetic filler selected: %s", name)
+		}
+	}
+	def, err := res.DefineMetric(core.CPUFlopsSignatures()[4]) // DP Ops.
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.BackwardError > 1e-10 {
+		t.Fatalf("DP Ops error at 100k-event scale = %v", def.BackwardError)
 	}
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"github.com/perfmetrics/eventlens/internal/mat"
@@ -170,7 +172,10 @@ func (p *Preset) Evaluate(counts []float64) (float64, error) {
 // EvalPostfix evaluates a preset's postfix formula against raw event counts,
 // mapping N<i> to values[i]. It exists so tests (and cautious users) can
 // verify an emitted preset reproduces the metric it encodes. Supported
-// tokens: N<i>, numeric literals, +, -, *, SWAP.
+// tokens: N<i> (N followed by ASCII digits only), finite numeric literals
+// (the whole token, as strconv.ParseFloat reads it, with no digit
+// separators), +, -, *, SWAP. A formula whose result is not finite —
+// through overflow, or a non-finite count — is an error.
 func EvalPostfix(postfix string, values []float64) (float64, error) {
 	var stack []float64
 	push := func(v float64) { stack = append(stack, v) }
@@ -215,14 +220,17 @@ func EvalPostfix(postfix string, values []float64) (float64, error) {
 			push(b2)
 			push(a)
 		case strings.HasPrefix(tok, "N"):
-			var idx int
-			if _, err := fmt.Sscanf(tok, "N%d", &idx); err != nil || idx < 0 || idx >= len(values) {
+			// Atoi alone would accept a sign.
+			idx, err := strconv.Atoi(tok[1:])
+			if err != nil || strings.TrimLeft(tok[1:], "0123456789") != "" || idx >= len(values) {
 				return 0, fmt.Errorf("core: bad operand %q", tok)
 			}
 			push(values[idx])
 		default:
-			var v float64
-			if _, err := fmt.Sscanf(tok, "%g", &v); err != nil {
+			// ParseFloat also reads Go's digit separators, which no preset
+			// literal holds.
+			v, err := strconv.ParseFloat(tok, 64)
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || strings.Contains(tok, "_") {
 				return 0, fmt.Errorf("core: bad token %q", tok)
 			}
 			push(v)
@@ -230,6 +238,11 @@ func EvalPostfix(postfix string, values []float64) (float64, error) {
 	}
 	if len(stack) != 1 {
 		return 0, fmt.Errorf("core: postfix left %d values on the stack", len(stack))
+	}
+	// +, - and * carry a non-finite operand into their result, and every
+	// value pushed reaches the one left, so checking it checks them all.
+	if v := stack[0]; math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("core: postfix result %v is not finite", v)
 	}
 	return stack[0], nil
 }

@@ -217,6 +217,50 @@ func TestEvalPostfixErrors(t *testing.T) {
 	}
 }
 
+// TestEvalPostfixRejectsMalformedTokens: an operand is N followed by ASCII
+// digits only, a literal is a whole finite float token, and a non-finite
+// result is an error — whether a literal, an overflow or a count made it.
+func TestEvalPostfixRejectsMalformedTokens(t *testing.T) {
+	for _, c := range []struct {
+		formula string
+		values  []float64
+	}{
+		{"nAn|", nil},
+		{"NaN|", nil},
+		{"inf|", nil},
+		{"-Inf|", nil},
+		{"1e400|", nil},
+		{"N0x|", []float64{1}},
+		{"N+1|", []float64{1, 2}},
+		{"N-0|", []float64{1}},
+		{"N|", []float64{1}},
+		{"N 0|", []float64{1}},
+		{"2abc|", nil},
+		{"1_000|", nil},
+		{"1e308|10|*|0|*|", nil},
+		{"1e308|10|*|", nil},
+		{"N0|", []float64{math.Inf(1)}},
+		{"N0|N1|*|", []float64{math.NaN(), 0}},
+	} {
+		if v, err := EvalPostfix(c.formula, c.values); err == nil {
+			t.Errorf("EvalPostfix(%q, %v) = %v, want an error", c.formula, c.values, v)
+		}
+	}
+	for _, c := range []struct {
+		formula string
+		want    float64
+	}{
+		{"N00|", 3},
+		{"N1|0.25|*|", 1},
+		{"1e-5|", 1e-5},
+		{"-2|N0|*|", -6},
+	} {
+		if v, err := EvalPostfix(c.formula, []float64{3, 4}); err != nil || v != c.want {
+			t.Errorf("EvalPostfix(%q) = %v, %v, want %v", c.formula, v, err, c.want)
+		}
+	}
+}
+
 // Property: for any integer coefficients in [-4, 4] \ {0}, the emitted
 // postfix evaluates to the same value as the direct linear combination.
 func TestPresetPostfixMatchesCombinationProperty(t *testing.T) {

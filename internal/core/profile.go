@@ -344,12 +344,13 @@ func (p *NoiseProfile) Threshold(tau float64) *NoiseReport {
 
 // Reduction returns the i-th event of Order reduced over its repetitions:
 // exactly what MaxRNMSE and MeanVector return on its repetition vectors,
-// non-finite readings included. An all-zero event's are 0 and a new zero
-// vector; any other event's mean is the profile's own and read-only.
+// non-finite readings included, except that an all-zero event's mean is
+// nil. The mean is nil exactly when the event is all zero (its noise is
+// then 0); any other event's mean is the profile's own and read-only.
 func (p *NoiseProfile) Reduction(i int) (float64, []float64) {
 	k := p.index[i]
 	if k < 0 {
-		return 0, make([]float64, len(p.PointNames))
+		return 0, nil
 	}
 	return p.variabilities[k].MaxRNMSE, p.mean(int(k))
 }

@@ -120,13 +120,17 @@ func diffNoise(got, want *core.NoiseReport) string {
 
 // diffReductions names the first event whose Reduction differs, bit for
 // bit, from MaxRNMSE and MeanVector of its repetition vectors — the
-// reduction event validation reads; "" means every event's agrees.
+// reduction event validation reads — with a mean that is nil exactly when
+// the event is all zero; "" means every event's agrees.
 func diffReductions(set *core.MeasurementSet, prof *core.NoiseProfile) string {
 	for i, name := range set.Order {
 		vectors := set.RepVectors(name)
 		noise, mean := prof.Reduction(i)
 		want := core.MeanVector(vectors)
-		if math.Float64bits(noise) != math.Float64bits(core.MaxRNMSE(vectors)) || len(mean) != len(want) {
+		if !slices.ContainsFunc(vectors, func(v []float64) bool { return !mat.AllZero(v) }) {
+			want = nil
+		}
+		if math.Float64bits(noise) != math.Float64bits(core.MaxRNMSE(vectors)) || (mean == nil) != (want == nil) || len(mean) != len(want) {
 			return fmt.Sprintf("event %q: reduction (%v, %v), want (%v, %v)", name, noise, mean, core.MaxRNMSE(vectors), want)
 		}
 		for k := range want {

@@ -52,23 +52,30 @@ func MaxPairwiseMAD(vectors [][]float64) float64 {
 // MaxCV is a coefficient-of-variation measure: the largest per-point
 // standard deviation across repetitions divided by that point's mean,
 // considering only points with a nonzero mean. It is the classical
-// "counter stability" statistic.
+// "counter stability" statistic. Each point's moments are taken over its
+// readings' deviations from its first reading, so identical repetitions
+// read exactly 0: E[x²] − E[x]² over the readings themselves leaves a
+// rounding residue of order 1e-8, far above the paper's tau of 1e-10.
 func MaxCV(vectors [][]float64) float64 {
 	if len(vectors) < 2 {
 		return 0
 	}
 	n := len(vectors[0])
+	reps := float64(len(vectors))
 	maxCV := 0.0
 	anyNonZeroMean := false
 	disagreeOnZero := false
 	for p := 0; p < n; p++ {
+		first := vectors[0][p]
 		var sum, sumSq float64
 		for _, v := range vectors {
-			sum += v[p]
-			sumSq += v[p] * v[p]
+			d := v[p] - first
+			sum += d
+			sumSq += d * d
 		}
-		mean := sum / float64(len(vectors))
-		variance := sumSq/float64(len(vectors)) - mean*mean
+		shift := sum / reps
+		mean := first + shift
+		variance := sumSq/reps - shift*shift
 		if variance < 0 {
 			variance = 0
 		}
@@ -114,9 +121,9 @@ func FilterNoiseWith(set *MeasurementSet, tau float64, measure NoiseMeasure) *No
 	return FilterNoiseWithWorkers(set, tau, measure, 0)
 }
 
-// noiseVerdict is one event's outcome under the one-shot and streaming
-// filters, computed independently of every other event's so the catalog
-// dimension can fan out across workers.
+// noiseVerdict is one event's outcome under the one-shot filter, computed
+// independently of every other event's so the catalog dimension can fan out
+// across workers.
 type noiseVerdict struct {
 	allZero bool
 	keep    bool
@@ -124,10 +131,10 @@ type noiseVerdict struct {
 	mean    []float64
 }
 
-// judgeNoise is the per-event noise rule the one-shot and streaming filters
-// apply: an all-zero event is discarded; otherwise its measure is reported
-// (a non-finite measure as +Inf), and the event is kept — reduced to its
-// mean vector — only if the measure is <= tau and every reading is finite.
+// judgeNoise is the per-event noise rule the one-shot filter applies: an
+// all-zero event is discarded; otherwise its measure is reported (a
+// non-finite measure as +Inf), and the event is kept — reduced to its mean
+// vector — only if the measure is <= tau and every reading is finite.
 // A NoiseProfile applies the same rule with MaxRNMSE, for every tau at once.
 func judgeNoise(vectors [][]float64, tau float64, measure NoiseMeasure) noiseVerdict {
 	if allZero(vectors) {

@@ -52,6 +52,29 @@ func TestMaxCVBasics(t *testing.T) {
 	}
 }
 
+// TestMaxCVIdenticalRepetitions: identical repetitions read exactly 0, the
+// NoiseMeasure contract, at every repetition count — not a rounding residue
+// that a tau of 1e-10 would filter.
+func TestMaxCVIdenticalRepetitions(t *testing.T) {
+	for _, v := range [][]float64{
+		{123456789, 246913578},
+		{0.1, 0.2},
+		{0.1, 0.7, 1e-3, 3.3},
+		{1e15 + 1, 7, 0},
+		{-2.5, 1e-300, 6.02e23},
+	} {
+		for reps := 2; reps <= 9; reps++ {
+			vectors := make([][]float64, reps)
+			for r := range vectors {
+				vectors[r] = append([]float64(nil), v...)
+			}
+			if got := MaxCV(vectors); got != 0 {
+				t.Errorf("%d identical repetitions of %v: CV = %v want 0", reps, v, got)
+			}
+		}
+	}
+}
+
 func TestMaxCVZeroMeanDisagreement(t *testing.T) {
 	// Points averaging zero but with disagreement read as total noise.
 	got := MaxCV([][]float64{{-1, 5}, {1, 5}})

@@ -49,9 +49,10 @@ const (
 
 // KeyUniverse returns every ground-truth stat key a workload simulator can
 // populate, in a fixed deterministic order: the named keys above plus the
-// full FPKey and GPUValuKey families. FromDef rejects a definition whose
-// response or documentation terms name a key outside this universe: such a
-// term would read zero on every benchmark, so it is an authoring mistake.
+// full FPKey and GPUValuKey families. FromDef, and NewRegistry for a loaded
+// definition, reject a definition whose response or documentation terms
+// name a key outside this universe: such a term would read zero on every
+// benchmark, so it is an authoring mistake.
 func KeyUniverse() []string {
 	keys := []string{
 		KeyInstr, KeyCycles, KeyIntOps, KeyLoads, KeyStores, KeyCPUFlops,

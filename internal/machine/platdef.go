@@ -14,6 +14,16 @@ func FromDef(def *platdef.Platform) (*Platform, error) {
 	if err := def.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkKeys(def); err != nil {
+		return nil, fmt.Errorf("machine: %v", err)
+	}
+	return index(def), nil
+}
+
+// checkKeys rejects a definition whose response or documentation terms name
+// a stat key outside KeyUniverse, naming the platform, the event and the
+// key.
+func checkKeys(def *platdef.Platform) error {
 	known := make(map[string]bool)
 	for _, k := range KeyUniverse() {
 		known[k] = true
@@ -21,16 +31,16 @@ func FromDef(def *platdef.Platform) (*Platform, error) {
 	for _, e := range def.Events {
 		for _, t := range e.Respond {
 			if !known[t.Key] {
-				return nil, fmt.Errorf("machine: platform %q event %q responds to unknown stat key %q", def.Name, e.Name, t.Key)
+				return fmt.Errorf("platform %q event %q responds to unknown stat key %q", def.Name, e.Name, t.Key)
 			}
 		}
 		for _, t := range e.Doc {
 			if !known[t.Key] {
-				return nil, fmt.Errorf("machine: platform %q event %q documents unknown stat key %q", def.Name, e.Name, t.Key)
+				return fmt.Errorf("platform %q event %q documents unknown stat key %q", def.Name, e.Name, t.Key)
 			}
 		}
 	}
-	return index(def), nil
+	return nil
 }
 
 // index builds the live platform over a validated definition: the event

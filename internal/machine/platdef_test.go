@@ -2,6 +2,7 @@ package machine
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -221,6 +222,28 @@ event ONLY
 	}
 	if _, err := NewRegistry(gpu); err == nil || !strings.Contains(err.Error(), "redefines cpu-class platform spr-sim as gpu-class") {
 		t.Fatalf("class-changing override: err = %v", err)
+	}
+}
+
+// TestRegistryRejectsUnknownKeys: a loaded definition whose respond or doc
+// term names a stat key no simulator populates fails NewRegistry, with an
+// error naming the dir, the platform, the event and the key — not every
+// later collection on it.
+func TestRegistryRejectsUnknownKeys(t *testing.T) {
+	for _, c := range []struct{ line, verb string }{
+		{"respond cpu.fp.bogus=1", "responds to"},
+		{"respond cpu.instr=1\n  doc cpu.fp.bogus=1", "documents"},
+	} {
+		dir := t.TempDir()
+		def := "platdef v1\n\nplatform tiny-sim\nclass cpu\ncounters 2\n\nevent E1\n  " + c.line + "\n"
+		if err := os.WriteFile(filepath.Join(dir, "tiny-sim.pdef"), []byte(def), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := NewRegistry(dir)
+		want := fmt.Sprintf(`machine: %s: platform "tiny-sim" event "E1" %s unknown stat key "cpu.fp.bogus"`, dir, c.verb)
+		if err == nil || err.Error() != want {
+			t.Fatalf("%s: err = %v, want %s", c.line, err, want)
+		}
 	}
 }
 

@@ -31,8 +31,10 @@ type entry struct {
 // canonical listing order, then the definitions of each non-empty dir in
 // turn (platdef.LoadDir). A definition whose name is already registered
 // replaces it in place, in the same class (benchmarks pick their default
-// platform by name); new names append in file order. Each definition's
-// digest is computed here, once: the built-ins' once per process.
+// platform by name); new names append in file order. A loaded definition
+// whose terms name a stat key no simulator populates is rejected here, as
+// FromDef would reject it at every collection. Each definition's digest is
+// computed here, once: the built-ins' once per process.
 func NewRegistry(dirs ...string) (*Registry, error) {
 	r := &Registry{entries: make(map[string]entry)}
 	add := func(def *platdef.Platform, digest string) {
@@ -61,6 +63,9 @@ func NewRegistry(dirs ...string) (*Registry, error) {
 		for _, def := range defs {
 			if old, ok := r.entries[def.Name]; ok && old.def.Class != def.Class {
 				return nil, fmt.Errorf("machine: %s redefines %s-class platform %s as %s-class", dir, old.def.Class, def.Name, def.Class)
+			}
+			if err := checkKeys(def); err != nil {
+				return nil, fmt.Errorf("machine: %s: %v", dir, err)
 			}
 			add(def, platdef.Digest(def.Canonical()))
 		}

@@ -330,6 +330,22 @@ func TestMatrixPlatformDir(t *testing.T) {
 	if _, err := New(Config{PlatformDir: bad}); err == nil {
 		t.Fatal("New accepted a platform dir with an unparsable definition")
 	}
+	// So does a parseable one whose respond or doc term names a stat key no
+	// simulator populates: accepted, every request that collected on it
+	// would fail.
+	for _, line := range []string{"respond", "doc"} {
+		unknown := bytes.Replace(custom, []byte("\n"+line+" cpu.fp.dp.scalar=1 "), []byte("\n"+line+" cpu.fp.bogus=1 "), 1)
+		if bytes.Equal(unknown, custom) {
+			t.Fatalf("no %s line to rewrite", line)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "custom-sim.pdef"), unknown, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(Config{PlatformDir: dir}); err == nil || !strings.Contains(err.Error(), `unknown stat key "cpu.fp.bogus"`) {
+			t.Fatalf("%s term over an unknown key: New err = %v", line, err)
+		}
+	}
 }
 
 // TestMatrixCellIsItsAnalysis: each matrix cell is the analysis of its

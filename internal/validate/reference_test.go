@@ -13,6 +13,7 @@ import (
 	"github.com/perfmetrics/eventlens/internal/cat"
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/machine"
+	"github.com/perfmetrics/eventlens/internal/mat"
 )
 
 // referenceRun is the validation computed straight from raw measurement
@@ -224,7 +225,10 @@ func diffProfile(prof *core.NoiseProfile, set *core.MeasurementSet) string {
 		reps := set.RepVectors(name)
 		noise, mean := prof.Reduction(i)
 		want := core.MeanVector(reps)
-		if math.Float64bits(noise) != math.Float64bits(core.MaxRNMSE(reps)) || !slices.Equal(mean, want) {
+		if !slices.ContainsFunc(reps, func(v []float64) bool { return !mat.AllZero(v) }) {
+			want = nil // an all-zero event's mean
+		}
+		if math.Float64bits(noise) != math.Float64bits(core.MaxRNMSE(reps)) || (mean == nil) != (want == nil) || !slices.Equal(mean, want) {
 			return fmt.Sprintf("event %s: reduction differs from the raw set's", name)
 		}
 	}

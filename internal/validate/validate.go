@@ -439,7 +439,7 @@ func gather(events []platdef.Event, runs []benchRun) (ev []evidence, measured, e
 			if v > e.noise {
 				e.noise = v
 			}
-			copy(measured[e.hi:e.hi+n], mean)
+			copy(measured[e.hi:e.hi+n], mean) // nil for an all-zero event, whose stretch stays zero
 			if def := &events[k]; def.Documented {
 				for pi := range n {
 					for t, stats := range r.truth {
