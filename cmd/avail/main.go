@@ -42,21 +42,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *list {
 		for _, name := range reg.Names() {
-			def, err := reg.Def(name)
+			p, err := reg.Platform(name)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(stdout, "%-20s %-4s %6d events  %3d counters\n",
-				name, def.Class, len(def.Events), def.Counters)
+				name, p.Class, len(p.Events), p.Counters)
 		}
 		return nil
 	}
-	def, err := reg.Def(*platformName)
+	p, err := reg.Platform(*platformName)
 	if err != nil {
 		return cli.Usagef("%v", err)
 	}
 
-	events := slices.Clone(def.Events)
+	events := slices.Clone(p.Events)
 	slices.SortFunc(events, func(a, b platdef.Event) int { return strings.Compare(a.Name, b.Name) })
 	if *counts {
 		noisy := 0
@@ -66,11 +66,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 		fmt.Fprintf(stdout, "%s: %d events (%d deterministic, %d noisy), %d programmable counters, %d counter constraints\n",
-			def.Name, len(events), len(events)-noisy, noisy, def.Counters, len(def.Constraints))
+			p.Name, len(events), len(events)-noisy, noisy, p.Counters, len(p.Constraints))
 		return nil
 	}
 	fixed := make(map[string]int)
-	for _, c := range def.Constraints {
+	for _, c := range p.Constraints {
 		if c.Fixed >= 0 {
 			fixed[c.Event] = c.Fixed
 		}

@@ -112,14 +112,21 @@ func findResult(doc *Document, name string) (Result, bool) {
 	return Result{}, false
 }
 
-// memFactor bounds a guarded row's B/op and allocs/op against the baseline.
-// Allocation counts repeat within 0.3% run to run and across -cpu values,
-// where wall time moves 5–15%, so this bound is tight where factor is not.
-const memFactor = 1.1
+// bytesFactor bounds a guarded row's B/op against the baseline, and
+// allocsFactor its allocs/op. Allocation counts repeat within 0.6% over 30
+// runs of the guard, where wall time moves 5–15%, so allocsFactor is
+// tight where factor is not: a change that saves more than 3% of a row's
+// allocations can be held. A row of a few allocations reads one more on
+// some runs (EncodeValidateMI250X: 14 or 15), so allocs/op may always
+// exceed its baseline by one. B/op keeps 10%.
+const (
+	bytesFactor  = 1.1
+	allocsFactor = 1.03
+)
 
 // runGuard compares the parsed run against a committed baseline document and
 // fails when any row of the guarded benchmark (one per -cpu value) regressed:
-// ns/op past factor, or B/op or allocs/op past memFactor. A missing
+// ns/op past factor, B/op past bytesFactor or allocs/op past allocsFactor. A missing
 // benchmark on either side is an error, and so is a run that does not
 // report the allocations its baseline records — a guard that cannot find
 // its subject must not pass silently.
@@ -150,22 +157,26 @@ func runGuard(doc *Document, baselinePath, name string, factor float64, stdout i
 				cur.Name, cur.NsPerOp, factor, baselinePath, base.NsPerOp)
 		}
 		for _, m := range []struct {
-			unit      string
-			cur, base int64
-		}{{"B/op", cur.BytesPerOp, base.BytesPerOp}, {"allocs/op", cur.AllocsPerOp, base.AllocsPerOp}} {
+			unit          string
+			cur, base     int64
+			factor, limit float64
+		}{
+			{"B/op", cur.BytesPerOp, base.BytesPerOp, bytesFactor, float64(base.BytesPerOp) * bytesFactor},
+			{"allocs/op", cur.AllocsPerOp, base.AllocsPerOp, allocsFactor, max(float64(base.AllocsPerOp)*allocsFactor, float64(base.AllocsPerOp+1))},
+		} {
 			switch {
 			case m.base < 0:
 			case m.cur < 0:
 				return fmt.Errorf("guard: %s reports no %s; the %s baseline records %d", cur.Name, m.unit, baselinePath, m.base)
-			case float64(m.cur) > float64(m.base)*memFactor:
+			case float64(m.cur) > m.limit:
 				return fmt.Errorf("guard: %s regressed to %d %s, more than %gx the %s baseline of %d %s",
-					cur.Name, m.cur, m.unit, memFactor, baselinePath, m.base, m.unit)
+					cur.Name, m.cur, m.unit, m.factor, baselinePath, m.base, m.unit)
 			}
 		}
 		fmt.Fprintf(stdout, "guard: %s at %.0f ns/op within %gx of baseline %.0f ns/op", cur.Name, cur.NsPerOp, factor, base.NsPerOp)
 		if base.BytesPerOp >= 0 || base.AllocsPerOp >= 0 {
-			fmt.Fprintf(stdout, "; %d B/op, %d allocs/op within %gx of %d, %d",
-				cur.BytesPerOp, cur.AllocsPerOp, memFactor, base.BytesPerOp, base.AllocsPerOp)
+			fmt.Fprintf(stdout, "; %d B/op within %gx of %d, %d allocs/op within %gx of %d",
+				cur.BytesPerOp, bytesFactor, base.BytesPerOp, cur.AllocsPerOp, allocsFactor, base.AllocsPerOp)
 		}
 		fmt.Fprintln(stdout)
 	}

@@ -89,11 +89,15 @@ func TestGuardPassAndFail(t *testing.T) {
 		baseline string
 		want     string // "" passes; otherwise the error names it
 	}{
-		{"within both factors", sampleBench, writeBaseline(t, 60000, 60000, 200), ""},
+		{"within both factors", sampleBench, writeBaseline(t, 60000, 60000, 210), ""},
 		{"no allocations in the baseline", noMem, writeBaseline(t, 60000, -1, -1), ""},
 		{"ns/op past 2x", sampleBench, writeBaseline(t, 50000, 64320, 212), "ns/op"},
 		{"B/op past 1.1x", sampleBench, writeBaseline(t, 60000, 58000, 212), "64320 B/op"},
-		{"allocs/op past 1.1x", sampleBench, writeBaseline(t, 60000, 64320, 190), "212 allocs/op"},
+		{"allocs/op past 1.03x", sampleBench, writeBaseline(t, 60000, 64320, 205), "212 allocs/op"},
+		{"allocs/op within 1.03x", sampleBench, writeBaseline(t, 60000, 64320, 206), ""},
+		{"one allocation over a small baseline", strings.Replace(sampleBench, "212 allocs/op", "15 allocs/op", 1), writeBaseline(t, 60000, 64320, 14), ""},
+		{"two allocations over a small baseline", strings.Replace(sampleBench, "212 allocs/op", "16 allocs/op", 1), writeBaseline(t, 60000, 64320, 14), "16 allocs/op"},
+		{"B/op within 1.1x", sampleBench, writeBaseline(t, 60000, 58500, 212), ""},
 		{"allocations unreported", noMem, writeBaseline(t, 60000, 64320, 212), "reports no B/op"},
 		{"second -cpu row past 1.1x", secondRow, writeBaseline(t, 60000, 64320, 212), "BenchmarkCollectDCache-2 regressed to 128640 B/op"},
 	} {

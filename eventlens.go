@@ -90,7 +90,9 @@ type (
 
 // Platform and benchmark types.
 type (
-	// Platform is a simulated machine with a raw-event catalog.
+	// Platform is a simulated machine: a validated definition with its
+	// raw-event catalog, and the collection plan every collection on it
+	// reads, built once, on first use. A Registry keeps one per definition.
 	Platform = machine.Platform
 	// EventDef defines one raw hardware event.
 	EventDef = machine.EventDef
@@ -192,6 +194,9 @@ var (
 	// a Benchmark's Platform: "spr-sim" (the Intel-SPR-like Aurora
 	// stand-in), "mi250x-sim" (the AMD-MI250X-like Frontier stand-in),
 	// "zen4-sim" (an AMD-Zen4-like CPU whose FP events merge precisions).
+	// Each call builds a new platform, which schedules its plan on its
+	// first collection; Analyze collects on its registry's one platform per
+	// definition instead.
 	BuiltinPlatform = machine.BuiltinPlatform
 	// FromDef validates a platform definition and builds the live platform
 	// over it: the way to simulate a custom architecture.
@@ -212,7 +217,7 @@ type (
 	// result and the benchmark's metric definitions.
 	Analysis = analysis.Analysis
 	// Registry is a set of named platform definitions requests resolve
-	// against.
+	// against, holding one live Platform per definition.
 	Registry = machine.Registry
 )
 

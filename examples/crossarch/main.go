@@ -28,36 +28,22 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	// Same benchmark and basis on both machines.
-	ctx := context.Background()
-	bench, err := eventlens.BenchmarkByName("cpu-flops")
+	// Same benchmark, signatures and thresholds on both machines: only the
+	// request's platform differs.
+	reg, err := eventlens.NewRegistry()
 	if err != nil {
 		log.Fatal(err)
 	}
-
 	for _, name := range []string{"spr-sim", "zen4-sim"} {
-		platform, err := eventlens.BuiltinPlatform(name)
+		a, err := eventlens.Analyze(context.Background(), reg, eventlens.AnalysisRequest{Benchmark: "cpu-flops", Platform: name}, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("=== %s (%d raw events) ===\n", platform.Name, len(platform.Events))
-
-		set, err := bench.CollectOn(ctx, platform, eventlens.DefaultRunConfig())
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := bench.AnalyzeSet(ctx, set, bench.Config)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(eventlens.FormatSelection(res))
+		fmt.Printf("=== %s (%d raw events) ===\n", a.ID.Platform.Name, len(a.ID.Platform.Events))
+		fmt.Print(eventlens.FormatSelection(a.Result))
 
 		fmt.Println("composability per metric:")
-		defs, err := res.DefineMetrics(eventlens.CPUFlopsSignatures())
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, def := range defs {
+		for _, def := range a.Defs {
 			verdict := "composable"
 			if !def.Composable(eventlens.ComposableThreshold) {
 				verdict = "NOT composable"
@@ -67,7 +53,7 @@ func main() {
 
 		// Emit the auto-generated presets this machine supports.
 		fmt.Println("auto-generated presets:")
-		fmt.Print(core.FormatPresets(defs, 0.05, eventlens.ComposableThreshold))
+		fmt.Print(core.FormatPresets(a.Defs, 0.05, eventlens.ComposableThreshold))
 		fmt.Println()
 	}
 	fmt.Println("summary: DP Ops. composes on spr-sim but not on zen4-sim — the")

@@ -21,7 +21,6 @@ import (
 	"github.com/perfmetrics/eventlens/internal/cat"
 	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/machine"
-	"github.com/perfmetrics/eventlens/internal/platdef"
 	"github.com/perfmetrics/eventlens/internal/suite"
 )
 
@@ -65,12 +64,11 @@ type Request struct {
 // ID is a resolved Request: the identity of one analysis.
 type ID struct {
 	Bench suite.Benchmark
-	// Platform is the registry's definition of the platform to collect on,
-	// Ref its name in keys (machine.Registry.Ref) and Plan its collection
-	// plan (machine.Registry.Plan), shared by every collection on it.
-	Platform *platdef.Platform
+	// Platform is the registry's live platform to collect on
+	// (machine.Registry.Platform), whose collection plan every collection
+	// on it shares, and Ref its name in keys (machine.Registry.Ref).
+	Platform *machine.Platform
 	Ref      string
-	Plan     *machine.Plan
 	Run      cat.RunConfig
 	Config   core.Config
 }
@@ -106,22 +104,18 @@ func (r Request) Resolve(reg *machine.Registry, workers int) (ID, error) {
 	if err := cfg.Validate(); err != nil {
 		return ID{}, invalid(err.Error())
 	}
-	def, err := reg.Def(cmp.Or(r.Platform, bench.Platform))
+	p, err := reg.Platform(cmp.Or(r.Platform, bench.Platform))
 	if err != nil {
 		return ID{}, invalid(err.Error())
 	}
-	if def.Class != bench.Class {
-		return ID{}, invalid(fmt.Sprintf("analysis: benchmark %s drives %s platforms, %s is %s", bench.Name, bench.Class, def.Name, def.Class))
+	if p.Class != bench.Class {
+		return ID{}, invalid(fmt.Sprintf("analysis: benchmark %s drives %s platforms, %s is %s", bench.Name, bench.Class, p.Name, p.Class))
 	}
-	ref, err := reg.Ref(def.Name)
+	ref, err := reg.Ref(p.Name)
 	if err != nil {
 		return ID{}, err
 	}
-	plan, err := reg.Plan(def.Name)
-	if err != nil {
-		return ID{}, err
-	}
-	return ID{Bench: bench, Platform: def, Ref: ref, Plan: plan, Run: run, Config: cfg}, nil
+	return ID{Bench: bench, Platform: p, Ref: ref, Run: run, Config: cfg}, nil
 }
 
 // Key is the canonical cache/store/shard key of the request's analysis
@@ -150,16 +144,12 @@ func (id ID) MeasurementKey() string {
 }
 
 // measure runs the measurement stage of the benchmark with the resolved
-// run on the resolved platform and plan (cat.Measure).
+// run on the resolved platform (cat.Measure).
 func (id ID) measure(ctx context.Context) (*core.Readings, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	p, err := machine.FromDef(id.Platform)
-	if err != nil {
-		return nil, err
-	}
-	return cat.Measure(id.Bench.Name, id.Bench.Driver, p, id.Plan, id.Run)
+	return cat.Measure(id.Bench.Name, id.Bench.Driver, id.Platform, id.Run)
 }
 
 // Collect collects the benchmark's raw measurement set with the resolved
@@ -303,7 +293,7 @@ func (r ExplainRequest) Key(reg *machine.Registry) (string, error) {
 		return "", err
 	}
 	event := cmp.Or(r.Event, "all")
-	if event != "all" && !slices.ContainsFunc(id.Platform.Events, func(e platdef.Event) bool { return e.Name == event }) {
+	if _, ok := id.Platform.Lookup(event); event != "all" && !ok {
 		return "", notKept(event)
 	}
 	return id.Key() + "|" + event, nil

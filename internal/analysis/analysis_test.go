@@ -70,6 +70,26 @@ func TestKeysNamePlatformRef(t *testing.T) {
 	}
 }
 
+// TestResolveSharesThePlatform: every spelling of a platform resolves to
+// the registry's one live platform, so every collection on it reads one
+// collection plan.
+func TestResolveSharesThePlatform(t *testing.T) {
+	reg := registry(t)
+	want, err := reg.Platform("spr-sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, platform := range []string{"", "spr", "spr-sim"} {
+		id, err := Request{Benchmark: "branch", Platform: platform}.Resolve(reg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id.Platform != want || id.Platform.Plan() != want.Plan() {
+			t.Fatalf("platform %q resolved to %p (plan %p), want the registry's %p (plan %p)", platform, id.Platform, id.Platform.Plan(), want, want.Plan())
+		}
+	}
+}
+
 // TestRejections classifies every rejected request: names that do not
 // exist are ErrNotFound, malformed requests ErrInvalid, with the messages
 // the daemon serves.
@@ -163,17 +183,17 @@ func TestRunEqualsAnalyzeSet(t *testing.T) {
 	ctx := context.Background()
 	benchmarks := map[string]string{"cpu": "branch", "gpu": "gpu-flops"}
 	for _, name := range reg.Names() {
-		def, err := reg.Def(name)
+		p, err := reg.Platform(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Run(name, func(t *testing.T) {
-			a, err := Run(ctx, reg, Request{Benchmark: benchmarks[def.Class], Platform: name}, 0)
+			a, err := Run(ctx, reg, Request{Benchmark: benchmarks[p.Class], Platform: name}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if a.Profile.Platform != def.Name {
-				t.Fatalf("collected on %s, resolved %s", a.Profile.Platform, def.Name)
+			if a.Profile.Platform != p.Name {
+				t.Fatalf("collected on %s, resolved %s", a.Profile.Platform, p.Name)
 			}
 			set, err := a.ID.Collect(ctx)
 			if err != nil {

@@ -31,12 +31,12 @@ func TestProfileMatchesCollectedSet(t *testing.T) {
 	var dropped, nonFinite, medians, minimal bool
 	k := 0
 	for _, platform := range reg.Names() {
-		def, err := reg.Def(platform)
+		p, err := reg.Platform(platform)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, b := range suite.All() {
-			if b.Class != def.Class {
+			if b.Class != p.Class {
 				continue
 			}
 			for range 2 {

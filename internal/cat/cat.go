@@ -176,11 +176,10 @@ type Driver interface {
 	GroundTruth(cfg RunConfig) ([][]machine.Stats, error)
 }
 
-// Collect runs one benchmark on a platform (Measure, with the platform's
-// plan built for this call) and assembles the raw measurement set of its
-// readings.
+// Collect runs one benchmark on a platform (Measure) and assembles the raw
+// measurement set of its readings.
 func Collect(benchmark string, d Driver, p *machine.Platform, cfg RunConfig) (*core.MeasurementSet, error) {
-	r, err := Measure(benchmark, d, p, machine.NewPlan(p), cfg)
+	r, err := Measure(benchmark, d, p, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +192,7 @@ func Collect(benchmark string, d Driver, p *machine.Platform, cfg RunConfig) (*c
 // on the platform's collection plan (see measure). Its readings feed
 // either sink: Set for the raw measurement set, Profile for the noise
 // profile alone.
-func Measure(benchmark string, d Driver, p *machine.Platform, plan *machine.Plan, cfg RunConfig) (*core.Readings, error) {
+func Measure(benchmark string, d Driver, p *machine.Platform, cfg RunConfig) (*core.Readings, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -211,37 +210,35 @@ func Measure(benchmark string, d Driver, p *machine.Platform, plan *machine.Plan
 			return nil, err
 		}
 	}
-	return measure(benchmark, p, plan, names, truth, cfg)
+	return measure(benchmark, p, names, truth, cfg)
 }
 
 // measure reads every event of the platform over the named points' ground
 // truth (a driver's GroundTruth) for each repetition and thread of cfg,
-// which must already be valid, on the platform's plan. Each group's
-// noise-free counts are computed once per ground-truth thread and dropped
-// with the collection. The (rep, thread, group) space fans out across
-// cfg.Workers; each task's noise is seeded purely by its coordinates — the
-// group index is the one the group holds in the plan's schedule — so every
-// worker count reproduces the serial path's bytes. The readings list the
-// events in catalog order.
+// which must already be valid, on the platform's plan (machine.Platform.Plan,
+// built once per platform). Each group's noise-free counts are computed
+// once per ground-truth thread and dropped with the collection. The (rep,
+// thread, group) space fans out across cfg.Workers; each task's noise is
+// seeded purely by its coordinates — the group index is the one the group
+// holds in the plan's schedule — so every worker count reproduces the
+// serial path's bytes. The readings list the events in catalog order.
 //
 // A transient fault that survives the whole retry budget drops its group's
 // events (listed in the readings' Dropped) instead of failing the run; any
 // other fault, injected panics included, or losing every event is an error.
-func measure(benchmark string, p *machine.Platform, plan *machine.Plan, names []string, truth [][]machine.Stats, cfg RunConfig) (*core.Readings, error) {
+func measure(benchmark string, p *machine.Platform, names []string, truth [][]machine.Stats, cfg RunConfig) (*core.Readings, error) {
 	if err := checkTruth(truth, cfg); err != nil {
 		return nil, err
 	}
+	plan := p.Plan()
 	p = injected(p, cfg)
 	groups := plan.Groups
 	nG := len(groups)
-	ideal, err := idealCounts(p, truth, groups, cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
+	ideal := idealCounts(p, truth, groups, cfg.Workers)
 	tasks := cfg.Reps * cfg.Threads * nG
 	results := make([][][]float64, tasks)
 	faults := make([]*fault.Fault, tasks)
-	err = par.ForErr(cfg.Workers, tasks, func(i int) error {
+	err := par.ForErr(cfg.Workers, tasks, func(i int) error {
 		gi := i % nG
 		rt := i / nG
 		thread := rt % cfg.Threads
@@ -307,14 +304,12 @@ func measure(benchmark string, p *machine.Platform, plan *machine.Plan, names []
 // ground-truth thread, at index truth thread × len(groups) + group: every
 // repetition, and every measuring thread that shares a truth, reads the
 // same ones.
-func idealCounts(p *machine.Platform, truth [][]machine.Stats, groups [][]string, workers int) ([][][]float64, error) {
+func idealCounts(p *machine.Platform, truth [][]machine.Stats, groups [][]int32, workers int) [][][]float64 {
 	ideal := make([][][]float64, len(truth)*len(groups))
-	err := par.ForErr(workers, len(ideal), func(i int) error {
-		counts, err := p.IdealCounts(truth[i/len(groups)], groups[i%len(groups)])
-		ideal[i] = counts
-		return err
+	par.For(workers, len(ideal), func(i int) {
+		ideal[i] = p.IdealCounts(truth[i/len(groups)], groups[i%len(groups)])
 	})
-	return ideal, err
+	return ideal
 }
 
 // checkTruth rejects ground truth that does not cover cfg's threads.

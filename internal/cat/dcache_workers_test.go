@@ -83,7 +83,7 @@ func TestDCacheWorkersBitIdentical(t *testing.T) {
 					{Name: "STLB", Entries: 32, Ways: 4, PageBits: 8},
 				}
 			}
-			r, err := measure("dcache", p, machine.NewPlan(p), b.PointNames(), referenceGroundTruthAll(t, b, threads), RunConfig{Reps: 3, Threads: threads, Workers: 1})
+			r, err := measure("dcache", p, b.PointNames(), referenceGroundTruthAll(t, b, threads), RunConfig{Reps: 3, Threads: threads, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -238,16 +238,12 @@ func TestMeasureMatchesPerValueReference(t *testing.T) {
 	tally := &faultTally{kinds: map[fault.Kind]int{}}
 	pairs := 0
 	for _, platform := range reg.Names() {
-		def, err := reg.Def(platform)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := reg.New(platform)
+		p, err := reg.Platform(platform)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for bi, b := range benches {
-			if b.class != def.Class {
+			if b.class != p.Class {
 				continue
 			}
 			pairs++
@@ -258,7 +254,7 @@ func TestMeasureMatchesPerValueReference(t *testing.T) {
 				ref := referenceMeasure(t, p, truths[bi], cfg, tally)
 				for _, workers := range []int{1, 0} {
 					cfg.Workers = workers
-					r, err := measure(b.name, p, machine.NewPlan(p), names, truths[bi], cfg)
+					r, err := measure(b.name, p, names, truths[bi], cfg)
 					if err != nil {
 						t.Fatalf("%s × %s, faults %q, workers %d: %v", platform, b.name, spec, workers, err)
 					}
@@ -286,7 +282,7 @@ func TestMeasureRejectsMismatchedTruth(t *testing.T) {
 	platform := sprPlatform(t)
 	truth := [][]machine.Stats{{}, {}}
 	cfg := RunConfig{Reps: 1, Threads: 3}
-	if _, err := measure("branch", platform, machine.NewPlan(platform), nil, truth, cfg); err == nil {
+	if _, err := measure("branch", platform, nil, truth, cfg); err == nil {
 		t.Fatalf("measure: ground truth for 2 threads accepted for 3")
 	}
 }

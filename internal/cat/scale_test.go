@@ -70,7 +70,7 @@ func TestScaleHundredThousandEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	bench := NewFlopsCPU()
-	readings, err := Measure("cpu-flops", bench, platform, machine.NewPlan(platform), RunConfig{Reps: 2, Threads: 1})
+	readings, err := Measure("cpu-flops", bench, platform, RunConfig{Reps: 2, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

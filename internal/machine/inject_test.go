@@ -69,12 +69,8 @@ func TestRecoverableFaultsAreInvisible(t *testing.T) {
 
 func TestExhaustedRetriesSurfaceTheFault(t *testing.T) {
 	_, chaotic := injectPlatform(t, "seed=7,transient=1,depth=3,retries=0")
-	group := chaotic.Names()[:1]
-	ideal, err := chaotic.IdealCounts(injectPoints(), group)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = chaotic.MeasureGroup(ideal, group, 0, 0, 0)
+	group := chaotic.Plan().Groups[0]
+	_, err := chaotic.MeasureGroup(chaotic.IdealCounts(injectPoints(), group), group, 0, 0, 0)
 	f, ok := fault.As(err)
 	if !ok {
 		t.Fatalf("got %v, want *fault.Fault", err)

@@ -17,7 +17,9 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"github.com/perfmetrics/eventlens/internal/fault"
 	"github.com/perfmetrics/eventlens/internal/mat"
@@ -38,9 +40,10 @@ type Stats map[string]float64
 type EventDef = platdef.Event
 
 // Platform is a simulated machine: its validated definition (name, class,
-// counters, constraints and raw-event catalog, shared and read-only) plus
-// the event index and constraint map measurement reads. FromDef is its
-// constructor.
+// counters, constraints and raw-event catalog, shared and read-only) and
+// its collection plan, built once, on first use (Plan). It keeps nothing
+// keyed by event name: collection reads events by catalog index. FromDef
+// is its constructor, and a Registry keeps one per definition.
 //
 // The name is part of every noise seed, so two platforms never share noise
 // streams; the class ("cpu" or "gpu") gates which benchmarks run on it.
@@ -50,10 +53,9 @@ type EventDef = platdef.Event
 // scheduler.
 type Platform struct {
 	*platdef.Platform
-	// byName indexes Events by name.
-	byName map[string]int
-	// constraints holds the definition's counter constraints by event.
-	constraints map[string]platdef.Constraint
+	// plan builds the collection plan on its first call and returns it on
+	// every call; WithInjector copies share it.
+	plan func() *Plan
 	// Inject optionally enables deterministic fault injection on this
 	// platform's counter reads: transient group-read failures (re-measured
 	// up to the plan's retry budget), value corruption, slow reads, and
@@ -61,6 +63,20 @@ type Platform struct {
 	// (platform, group, rep, thread) coordinates as the noise model, so a
 	// chaos run replays exactly and is independent of worker count.
 	Inject *fault.Plan
+}
+
+// newPlatform builds the live platform over a validated definition.
+func newPlatform(def *platdef.Platform) *Platform {
+	p := &Platform{Platform: def}
+	p.plan = sync.OnceValue(func() *Plan { return newPlan(p) })
+	return p
+}
+
+// Plan returns the platform's collection plan: built on the first call
+// and shared, read-only, by every later one, from any goroutine, and by
+// every WithInjector copy.
+func (p *Platform) Plan() *Plan {
+	return p.plan()
 }
 
 // Names returns all event names in catalog order.
@@ -72,17 +88,19 @@ func (p *Platform) Names() []string {
 	return out
 }
 
-// Lookup returns the definition of a named event.
+// Lookup returns the definition of a named event. It scans the catalog:
+// collection reads events by index, not by name.
 func (p *Platform) Lookup(name string) (EventDef, bool) {
-	i, ok := p.byName[name]
-	if !ok {
+	i := slices.IndexFunc(p.Events, func(e EventDef) bool { return e.Name == name })
+	if i < 0 {
 		return EventDef{}, false
 	}
 	return p.Events[i], true
 }
 
 // WithInjector returns a copy of the platform carrying a fault-injection
-// plan, leaving the receiver untouched (platforms may be shared).
+// plan, leaving the receiver untouched (platforms may be shared). The copy
+// shares the receiver's collection plan.
 func (p *Platform) WithInjector(inj *fault.Plan) *Platform {
 	q := *p
 	q.Inject = inj
@@ -93,8 +111,12 @@ func (p *Platform) WithInjector(inj *fault.Plan) *Platform {
 // Platforms with counter constraints go through the constraint-aware
 // scheduler; unconstrained platforms use plain counter-sized chunks.
 func (p *Platform) Groups(names []string) [][]string {
-	if len(p.constraints) > 0 {
-		if scheduled, err := Schedule(names, p.constraints, p.Counters); err == nil {
+	if len(p.Constraints) > 0 {
+		constraints := make(map[string]platdef.Constraint, len(p.Constraints))
+		for _, c := range p.Constraints {
+			constraints[c.Event] = c
+		}
+		if scheduled, err := Schedule(names, constraints, p.Counters); err == nil {
 			groups := make([][]string, len(scheduled))
 			slots := make([]int, 0, p.Counters)
 			for i, g := range scheduled {
@@ -116,13 +138,36 @@ func (p *Platform) Groups(names []string) [][]string {
 	}
 	var groups [][]string
 	for start := 0; start < len(names); start += p.Counters {
-		end := start + p.Counters
-		if end > len(names) {
-			end = len(names)
-		}
-		groups = append(groups, names[start:end])
+		groups = append(groups, names[start:min(start+p.Counters, len(names))])
 	}
 	return groups
+}
+
+// indexGroups resolves the events of a schedule (Groups) to their catalog
+// indices, in one block: the groups a Plan holds and Measure reads.
+func (p *Platform) indexGroups(groups [][]string) ([][]int32, error) {
+	at := make(map[string]int32, len(p.Events))
+	for i, e := range p.Events {
+		at[e.Name] = int32(i)
+	}
+	n := 0
+	for _, g := range groups {
+		n += len(g)
+	}
+	block := make([]int32, 0, n)
+	out := make([][]int32, len(groups))
+	for gi, g := range groups {
+		start := len(block)
+		for _, name := range g {
+			i, ok := at[name]
+			if !ok {
+				return nil, fmt.Errorf("machine: platform %s has no event %q", p.Name, name)
+			}
+			block = append(block, i)
+		}
+		out[gi] = block[start:len(block):len(block)]
+	}
+	return out, nil
 }
 
 // Measure measures the named events over a series of benchmark points for
@@ -136,14 +181,14 @@ func (p *Platform) Groups(names []string) [][]string {
 // Multiplexing groups are measured concurrently; determinism is unaffected
 // because every value's noise seed depends only on its coordinates.
 func (p *Platform) Measure(points []Stats, names []string, rep, thread int) (map[string][]float64, error) {
-	groups := p.Groups(names)
+	groups, err := p.indexGroups(p.Groups(names))
+	if err != nil {
+		return nil, err
+	}
 	results := make([][][]float64, len(groups))
-	err := par.ForErr(0, len(groups), func(gi int) error {
-		ideal, err := p.IdealCounts(points, groups[gi])
-		if err != nil {
-			return err
-		}
-		results[gi], err = p.MeasureGroup(ideal, groups[gi], gi, rep, thread)
+	err = par.ForErr(0, len(groups), func(gi int) error {
+		var err error
+		results[gi], err = p.MeasureGroup(p.IdealCounts(points, groups[gi]), groups[gi], gi, rep, thread)
 		return err
 	})
 	if err != nil {
@@ -151,53 +196,51 @@ func (p *Platform) Measure(points []Stats, names []string, rep, thread int) (map
 	}
 	out := make(map[string][]float64, len(names))
 	for gi, group := range groups {
-		for k, name := range group {
-			out[name] = results[gi][k]
+		for k, i := range group {
+			out[p.Events[i].Name] = results[gi][k]
 		}
 	}
 	return out, nil
 }
 
 // IdealCounts returns the noise-free counts of one multiplexing group's
-// events over a series of benchmark points: one vector per event, in group
-// order, sharing one block. They depend on neither repetition nor thread,
-// so a collection computes them once per (ground truth, group) and hands
-// them to every MeasureGroup read of that group.
-func (p *Platform) IdealCounts(points []Stats, group []string) ([][]float64, error) {
+// events (catalog indices, as a Plan's groups list them) over a series of
+// benchmark points: one vector per event, in group order, sharing one
+// block. They depend on neither repetition nor thread, so a collection
+// computes them once per (ground truth, group) and hands them to every
+// MeasureGroup read of that group.
+func (p *Platform) IdealCounts(points []Stats, group []int32) [][]float64 {
 	n := len(points)
 	block := make([]float64, len(group)*n)
 	out := make([][]float64, len(group))
-	for k, name := range group {
-		def, err := p.event(name)
-		if err != nil {
-			return nil, err
-		}
+	for k, i := range group {
+		def := &p.Events[i]
 		vec := block[k*n : (k+1)*n : (k+1)*n]
 		for pi, stats := range points {
 			vec[pi] = def.Count(stats)
 		}
 		out[k] = vec
 	}
-	return out, nil
+	return out
 }
 
-// MeasureGroup measures one already-scheduled multiplexing group for one
-// repetition on one thread: it perturbs the group's noise-free counts
-// (IdealCounts over the points the thread measures) with each event's noise
-// and returns one vector per event, in group order. groupIndex is the
-// group's position within the full measurement's group schedule — it is a
-// noise-seed coordinate, so callers that fan groups out across workers
-// (internal/cat) must pass the index the group has in Groups' order to
-// reproduce Measure's values exactly. The method reads only immutable
-// platform state and is safe to call concurrently from any number of
-// goroutines.
+// MeasureGroup measures one already-scheduled multiplexing group (catalog
+// indices) for one repetition on one thread: it perturbs the group's
+// noise-free counts (IdealCounts over the points the thread measures) with
+// each event's noise and returns one vector per event, in group order.
+// groupIndex is the group's position within the full measurement's group
+// schedule — it is a noise-seed coordinate, so callers that fan groups out
+// across workers (internal/cat) must pass the index the group has in the
+// schedule to reproduce Measure's values exactly. The method reads only
+// immutable platform state and is safe to call concurrently from any
+// number of goroutines.
 //
 // When the platform carries a fault-injection plan, a faulted group read is
 // re-measured up to the plan's retry budget; a fault that persists past the
 // budget surfaces as a *fault.Fault naming the coordinate. Because transient
 // faults recover deterministically (see fault.Plan.At), a budget >= the
 // plan's depth makes the returned vectors identical to a fault-free run.
-func (p *Platform) MeasureGroup(ideal [][]float64, group []string, groupIndex, rep, thread int) ([][]float64, error) {
+func (p *Platform) MeasureGroup(ideal [][]float64, group []int32, groupIndex, rep, thread int) ([][]float64, error) {
 	if p.Inject == nil {
 		return p.measureGroupOnce(ideal, group, groupIndex, rep, thread, 0)
 	}
@@ -218,7 +261,7 @@ func (p *Platform) MeasureGroup(ideal [][]float64, group []string, groupIndex, r
 // measureGroupOnce performs a single group-read attempt, consulting the
 // platform's fault plan (if any) at the read's coordinate before and during
 // the read.
-func (p *Platform) measureGroupOnce(ideal [][]float64, group []string, groupIndex, rep, thread, attempt int) ([][]float64, error) {
+func (p *Platform) measureGroupOnce(ideal [][]float64, group []int32, groupIndex, rep, thread, attempt int) ([][]float64, error) {
 	corrupt := false
 	var coord fault.Coord
 	if p.Inject != nil {
@@ -240,35 +283,23 @@ func (p *Platform) measureGroupOnce(ideal [][]float64, group []string, groupInde
 	}
 	block := make([]float64, len(group)*n)
 	out := make([][]float64, len(group))
-	for k, name := range group {
-		def, err := p.event(name)
-		if err != nil {
-			return nil, err
-		}
+	for k, i := range group {
+		def := &p.Events[i]
 		vec := block[k*n : (k+1)*n : (k+1)*n]
 		if mat.IsZero(def.RelNoise) && mat.IsZero(def.AbsNoise) {
 			copy(vec, ideal[k])
 		} else {
-			prefix := seedPrefix(p.Name, name, groupIndex)
+			prefix := seedPrefix(p.Name, def.Name, groupIndex)
 			for pi, c := range ideal[k] {
 				vec[pi] = noisy(c, def.RelNoise, def.AbsNoise, valueSeed(prefix, pi, rep, thread))
 			}
 		}
 		if corrupt {
 			for pi := range vec {
-				vec[pi], _ = p.Inject.CorruptValue(coord, name, pi, vec[pi])
+				vec[pi], _ = p.Inject.CorruptValue(coord, def.Name, pi, vec[pi])
 			}
 		}
 		out[k] = vec
 	}
 	return out, nil
-}
-
-// event returns the catalog's definition of a named event, in place.
-func (p *Platform) event(name string) (*EventDef, error) {
-	i, ok := p.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("machine: platform %s has no event %q", p.Name, name)
-	}
-	return &p.Events[i], nil
 }

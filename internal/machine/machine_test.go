@@ -17,7 +17,7 @@ func testPlatform(t *testing.T, name string, counters int, events ...EventDef) *
 	if err := def.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return index(def)
+	return newPlatform(def)
 }
 
 func TestCatalogLookup(t *testing.T) {

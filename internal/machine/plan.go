@@ -1,15 +1,17 @@
 package machine
 
-// Plan is a platform definition's collection plan: its events in catalog
-// order, the counter schedule that multiplexes them (Groups), and each
-// event's slot in that schedule (Slot). It depends on nothing but the
-// definition, so a Registry builds it once per definition, on first use,
-// and every collection on that definition shares it; it is read-only.
+// Plan is a platform's collection plan: its events in catalog order, the
+// counter schedule that multiplexes them (Groups) and each event's slot in
+// that schedule (Slot). It depends on nothing but the definition, so its
+// platform builds it once, on first use (Platform.Plan), and every
+// collection on that platform shares it; it is read-only.
 type Plan struct {
 	// Names lists the events in catalog order.
 	Names []string
-	// Groups is the counter schedule over Names (Platform.Groups).
-	Groups [][]string
+	// Groups is the counter schedule over Names (Platform.Groups), each
+	// event as its catalog index: IdealCounts and MeasureGroup read the
+	// platform's Events in place.
+	Groups [][]int32
 	// counters is the chunk size of a plain schedule, and slots each
 	// event's slot when the schedule is not plain chunks of Names (a
 	// constraint-aware one); nil otherwise.
@@ -24,19 +26,18 @@ type Slot struct {
 	Group, Index int32
 }
 
-// NewPlan builds a platform's collection plan. Callers holding a Registry
-// use its shared plan (Registry.Plan) instead.
-func NewPlan(p *Platform) *Plan {
+// newPlan builds a platform's collection plan.
+func newPlan(p *Platform) *Plan {
 	names := p.Names()
-	groups := p.Groups(names)
+	// Every name is the catalog's own, so resolving them cannot fail.
+	groups, _ := p.indexGroups(p.Groups(names))
 	plan := &Plan{Names: names, Groups: groups, counters: p.Counters}
 	slots := make([]Slot, len(names))
 	plain := true
 	for gi, group := range groups {
-		for k, name := range group {
-			i := p.byName[name]
+		for k, i := range group {
 			slots[i] = Slot{int32(gi), int32(k)}
-			plain = plain && slots[i] == plan.chunk(i)
+			plain = plain && slots[i] == plan.chunk(int(i))
 		}
 	}
 	if !plain {

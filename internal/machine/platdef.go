@@ -6,10 +6,11 @@ import (
 	"github.com/perfmetrics/eventlens/internal/platdef"
 )
 
-// FromDef builds a live platform from a validated definition whose terms
-// name only ground-truth stat keys a workload simulator can populate. The
-// platform holds the definition itself, which must not be modified
-// afterwards.
+// FromDef validates a definition, checks that its terms name only
+// ground-truth stat keys a workload simulator can populate, and builds a
+// live platform over it. The platform holds the definition itself, which
+// must not be modified afterwards. A Registry builds one platform per
+// definition and keeps it; FromDef builds a new one on every call.
 func FromDef(def *platdef.Platform) (*Platform, error) {
 	if err := def.Validate(); err != nil {
 		return nil, err
@@ -17,7 +18,7 @@ func FromDef(def *platdef.Platform) (*Platform, error) {
 	if err := checkKeys(def); err != nil {
 		return nil, fmt.Errorf("machine: %v", err)
 	}
-	return index(def), nil
+	return newPlatform(def), nil
 }
 
 // checkKeys rejects a definition whose response or documentation terms name
@@ -41,20 +42,4 @@ func checkKeys(def *platdef.Platform) error {
 		}
 	}
 	return nil
-}
-
-// index builds the live platform over a validated definition: the event
-// index and the constraint map measurement reads.
-func index(def *platdef.Platform) *Platform {
-	p := &Platform{Platform: def, byName: make(map[string]int, len(def.Events))}
-	for i, e := range def.Events {
-		p.byName[e.Name] = i
-	}
-	if len(def.Constraints) > 0 {
-		p.constraints = make(map[string]platdef.Constraint, len(def.Constraints))
-		for _, c := range def.Constraints {
-			p.constraints[c.Event] = c
-		}
-	}
-	return p
 }

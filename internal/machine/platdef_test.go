@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,8 +35,8 @@ func TestBuiltinSeedPlatformShapes(t *testing.T) {
 	if doc, ok := ev.DocExpectation(Stats{FPKey("dp", "scalar", true): 1}); !ok || !mat.ExactEq(doc, 1) {
 		t.Fatalf("spr FMA documented semantics lost: doc %v ok=%v, want 1", doc, ok)
 	}
-	if c, ok := spr.constraints["INST_RETIRED:ANY"]; !ok || c.Fixed != 0 {
-		t.Fatalf("spr fixed-counter constraint lost: %+v ok=%v", c, ok)
+	if i := slices.IndexFunc(spr.Constraints, func(c platdef.Constraint) bool { return c.Event == "INST_RETIRED:ANY" }); i < 0 || spr.Constraints[i].Fixed != 0 {
+		t.Fatalf("spr fixed-counter constraint of INST_RETIRED:ANY lost (index %d)", i)
 	}
 
 	gpu, err := BuiltinPlatform("mi250x-sim")
@@ -100,10 +101,10 @@ func TestRegistryResolution(t *testing.T) {
 	if _, err := reg.Canonical("m2max"); err == nil {
 		t.Fatal("Canonical(m2max) should fail")
 	}
-	if _, err := reg.New("nope"); err == nil {
-		t.Fatal("New(nope) should fail")
+	if _, err := reg.Platform("nope"); err == nil {
+		t.Fatal("Platform(nope) should fail")
 	}
-	p, err := reg.New("icl")
+	p, err := reg.Platform("icl")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ event E1
 	if got := reg.Names(); len(got) != before+1 || got[before] != "tiny-sim" {
 		t.Fatalf("names after load = %v", got)
 	}
-	p, err := reg.New("tiny")
+	p, err := reg.Platform("tiny")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ event ONLY
 	if got := len(reg.Names()); got != before+1 {
 		t.Fatalf("override grew the registry: %d names", got)
 	}
-	z, err := reg.New("zen4")
+	z, err := reg.Platform("zen4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,6 +244,52 @@ func TestRegistryRejectsUnknownKeys(t *testing.T) {
 		want := fmt.Sprintf(`machine: %s: platform "tiny-sim" event "E1" %s unknown stat key "cpu.fp.bogus"`, dir, c.verb)
 		if err == nil || err.Error() != want {
 			t.Fatalf("%s: err = %v, want %s", c.line, err, want)
+		}
+	}
+}
+
+// TestRegistryRejectsAliasCollisions: a loaded definition named with the
+// other spelling of a registered platform ("spr" beside "spr-sim") fails
+// NewRegistry, with an error naming the dir and both platforms: accepted,
+// the short name would resolve to one platform and the full name to the
+// other.
+func TestRegistryRejectsAliasCollisions(t *testing.T) {
+	zen4, err := platdef.BuiltinBytes("zen4-sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiny := func(name string) []byte {
+		return []byte("platdef v1\n\nplatform " + name + "\nclass cpu\ncounters 2\n\nevent E1\n  respond cpu.instr=1\n")
+	}
+	write := func(name string, def []byte) string {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name+".pdef"), def, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	spr := write("spr", bytes.Replace(zen4, []byte("platform zen4-sim"), []byte("platform spr"), 1))
+	foo, fooSim := write("foo", tiny("foo")), write("foo-sim", tiny("foo-sim"))
+	for _, c := range []struct {
+		dirs []string
+		want string
+	}{
+		{[]string{spr}, fmt.Sprintf(`machine: %s: platform spr collides with platform spr-sim: "spr" would name both`, spr)},
+		{[]string{foo, fooSim}, fmt.Sprintf(`machine: %s: platform foo-sim collides with platform foo: "foo" would name both`, fooSim)},
+		{[]string{fooSim, foo}, fmt.Sprintf(`machine: %s: platform foo collides with platform foo-sim: "foo" would name both`, foo)},
+	} {
+		if _, err := NewRegistry(c.dirs...); err == nil || err.Error() != c.want {
+			t.Errorf("NewRegistry(%v): err = %v, want %s", c.dirs, err, c.want)
+		}
+	}
+	// Each spelling alone is a platform of its own.
+	for _, dir := range []string{foo, fooSim} {
+		reg, err := NewRegistry(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reg.Platform("foo"); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -3,28 +3,26 @@ package machine
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"github.com/perfmetrics/eventlens/internal/platdef"
 )
 
-// Registry resolves platform names to definitions: the committed built-in
-// platforms, extended (or overridden) by definitions loaded from
+// Registry resolves platform names to live platforms: the committed
+// built-in platforms, extended (or overridden) by definitions loaded from
 // directories — the -platform-dir flag of the CLIs and the daemon. A
-// process builds one registry at start-up and passes it down; it is
-// immutable but for each definition's collection plan, built once on
-// first use (Plan), so any number of goroutines may read it.
+// process builds one registry at start-up and passes it down. It keeps one
+// live platform per definition, whose collection plan is built on first
+// use (Platform.Plan), so every collection on a definition reads one
+// platform and one plan, and any number of goroutines may read it.
 type Registry struct {
 	order   []string
 	entries map[string]entry
 }
 
-// entry is one registered definition, its Ref and its collection plan,
-// built on first use.
+// entry is one registered platform and its Ref.
 type entry struct {
-	def  *platdef.Platform
-	ref  string
-	plan func() *Plan
+	platform *Platform
+	ref      string
 }
 
 // NewRegistry returns a registry holding the built-in platforms in
@@ -32,18 +30,18 @@ type entry struct {
 // turn (platdef.LoadDir). A definition whose name is already registered
 // replaces it in place, in the same class (benchmarks pick their default
 // platform by name); new names append in file order. A loaded definition
-// whose terms name a stat key no simulator populates is rejected here, as
-// FromDef would reject it at every collection. Each definition's digest is
-// computed here, once: the built-ins' once per process.
+// is rejected when its terms name a stat key no simulator populates, or
+// when its name is the other spelling of a registered one ("spr" beside
+// "spr-sim"), which would leave one short name for two platforms. Each
+// definition's digest is computed here, once: the built-ins' once per
+// process. Parsing validated every definition, so none is validated again.
 func NewRegistry(dirs ...string) (*Registry, error) {
 	r := &Registry{entries: make(map[string]entry)}
 	add := func(def *platdef.Platform, digest string) {
 		if _, exists := r.entries[def.Name]; !exists {
 			r.order = append(r.order, def.Name)
 		}
-		r.entries[def.Name] = entry{def: def, ref: def.Name + "@" + digest, plan: sync.OnceValue(func() *Plan {
-			return NewPlan(index(def))
-		})}
+		r.entries[def.Name] = entry{platform: newPlatform(def), ref: def.Name + "@" + digest}
 	}
 	for _, name := range platdef.BuiltinNames() {
 		def, digest, err := platdef.Builtin(name)
@@ -61,8 +59,16 @@ func NewRegistry(dirs ...string) (*Registry, error) {
 			return nil, err
 		}
 		for _, def := range defs {
-			if old, ok := r.entries[def.Name]; ok && old.def.Class != def.Class {
-				return nil, fmt.Errorf("machine: %s redefines %s-class platform %s as %s-class", dir, old.def.Class, def.Name, def.Class)
+			if old, ok := r.entries[def.Name]; ok && old.platform.Class != def.Class {
+				return nil, fmt.Errorf("machine: %s redefines %s-class platform %s as %s-class", dir, old.platform.Class, def.Name, def.Class)
+			}
+			// Canonical reads "spr" as "spr-sim": one name, one platform.
+			other, short := def.Name+"-sim", def.Name
+			if s, ok := strings.CutSuffix(def.Name, "-sim"); ok {
+				other, short = s, s
+			}
+			if r.entries[other].platform != nil {
+				return nil, fmt.Errorf("machine: %s: platform %s collides with platform %s: %q would name both", dir, def.Name, other, short)
 			}
 			if err := checkKeys(def); err != nil {
 				return nil, fmt.Errorf("machine: %s: %v", dir, err)
@@ -85,7 +91,7 @@ func (r *Registry) Canonical(name string) (string, error) {
 		return name, nil
 	}
 	if !strings.HasSuffix(name, "-sim") {
-		if full := name + "-sim"; r.entries[full].def != nil {
+		if full := name + "-sim"; r.entries[full].platform != nil {
 			return full, nil
 		}
 	}
@@ -96,14 +102,16 @@ func (r *Registry) Canonical(name string) (string, error) {
 	return "", fmt.Errorf("machine: unknown platform %q (have %s)", name, strings.Join(short, ", "))
 }
 
-// Def returns the definition of a registered platform (exact or aliased
-// name). The returned value is shared and must be treated as read-only.
-func (r *Registry) Def(name string) (*platdef.Platform, error) {
+// Platform returns the live platform of a registered definition (exact or
+// aliased name): one per definition, shared by every caller, so every
+// collection on it reads one collection plan. It must be treated as
+// read-only; WithInjector copies it.
+func (r *Registry) Platform(name string) (*Platform, error) {
 	full, err := r.Canonical(name)
 	if err != nil {
 		return nil, err
 	}
-	return r.entries[full].def, nil
+	return r.entries[full].platform, nil
 }
 
 // Ref names a registered platform's definition in store keys: its
@@ -119,25 +127,10 @@ func (r *Registry) Ref(name string) (string, error) {
 	return r.entries[full].ref, nil
 }
 
-// Plan returns the collection plan of a registered platform's definition
-// (exact or aliased name): built on the first call and shared, read-only,
-// by every later one, so the registry's collections schedule each
-// definition once.
-func (r *Registry) Plan(name string) (*Plan, error) {
-	full, err := r.Canonical(name)
-	if err != nil {
-		return nil, err
-	}
-	return r.entries[full].plan(), nil
-}
-
-// New builds a fresh live platform from a registered definition.
+// New is Platform. It exists only for cmd/loadgen until the next benchmark
+// change; everything else calls Platform.
 func (r *Registry) New(name string) (*Platform, error) {
-	def, err := r.Def(name)
-	if err != nil {
-		return nil, err
-	}
-	return FromDef(def)
+	return r.Platform(name)
 }
 
 // BuiltinPlatform builds a live platform from a committed built-in

@@ -138,11 +138,11 @@ func (r Request) resolve(reg *machine.Registry) (resolved, error) {
 		}
 		any := false
 		for _, name := range platforms {
-			def, err := reg.Def(name)
+			p, err := reg.Platform(name)
 			if err != nil {
 				return resolved{}, err
 			}
-			if def.Class == b.Class {
+			if p.Class == b.Class {
 				any = true
 				break
 			}
@@ -268,12 +268,12 @@ func RunWith(ctx context.Context, reg *machine.Registry, req Request, analyze fu
 	}
 	var pairs []pair
 	for _, name := range res.platforms {
-		def, err := reg.Def(name)
+		p, err := reg.Platform(name)
 		if err != nil {
 			return nil, err
 		}
 		for _, b := range res.benches {
-			if def.Class == b.Class {
+			if p.Class == b.Class {
 				pairs = append(pairs, pair{platform: name, bench: b})
 			}
 		}

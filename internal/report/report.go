@@ -146,11 +146,6 @@ func (r *Report) checkWorkloadValidation(a *analysis.Analysis) {
 			spDef = def.Rounded(0.05)
 		}
 	}
-	platform, err := machine.FromDef(a.ID.Platform)
-	if err != nil {
-		r.add("Extension/validation", false, "%v", err)
-		return
-	}
 	worst := 0.0
 	for _, k := range []*cpusim.Kernel{
 		cpusim.TriadKernel(400), cpusim.StencilKernel(250), cpusim.MixedPrecisionKernel(100),
@@ -165,7 +160,7 @@ func (r *Report) checkWorkloadValidation(a *analysis.Analysis) {
 		for _, t := range spDef.NonZeroTerms() {
 			names = append(names, t.Event)
 		}
-		vectors, err := platform.Measure([]machine.Stats{stats}, names, 0, 0)
+		vectors, err := a.ID.Platform.Measure([]machine.Stats{stats}, names, 0, 0)
 		if err != nil {
 			r.add("Extension/validation", false, "%v", err)
 			return

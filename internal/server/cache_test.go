@@ -68,15 +68,11 @@ func TestFlightJoinerOutlivesLeaderCancel(t *testing.T) {
 		Platform: "spr-sim",
 		Driver:   stall,
 	}
-	def, err := s.platforms.Def(bench.Platform)
+	p, err := s.platforms.Platform(bench.Platform)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := s.platforms.Plan(bench.Platform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := analysis.ID{Bench: bench, Platform: def, Plan: plan, Run: cat.RunConfig{Reps: 1, Threads: 1}}
+	id := analysis.ID{Bench: bench, Platform: p, Run: cat.RunConfig{Reps: 1, Threads: 1}}
 
 	leaderErr := make(chan error, 1)
 	go func() {

@@ -479,22 +479,22 @@ type platformJSON struct {
 }
 
 // handlePlatforms lists every platform in the daemon's registry — the
-// built-ins plus anything loaded from Config.PlatformDir — straight from
-// the definitions, without instantiating live platforms.
+// built-ins plus anything loaded from Config.PlatformDir — from the
+// definitions of its live platforms.
 func (s *Server) handlePlatforms(w http.ResponseWriter, r *http.Request) {
 	var out []platformJSON
 	for _, name := range s.platforms.Names() {
-		def, err := s.platforms.Def(name)
+		p, err := s.platforms.Platform(name)
 		if err != nil {
 			writeErr(w, err)
 			return
 		}
 		out = append(out, platformJSON{
-			Name:        def.Name,
-			Class:       def.Class,
-			Events:      len(def.Events),
-			Counters:    def.Counters,
-			Constrained: len(def.Constraints) > 0,
+			Name:        p.Name,
+			Class:       p.Class,
+			Events:      len(p.Events),
+			Counters:    p.Counters,
+			Constrained: len(p.Constraints) > 0,
 		})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"platforms": out})

@@ -346,6 +346,16 @@ func TestMatrixPlatformDir(t *testing.T) {
 			t.Fatalf("%s term over an unknown key: New err = %v", line, err)
 		}
 	}
+	// And so does one named with a built-in's short name: accepted, "spr"
+	// would read it while "spr-sim" read the built-in.
+	shadow := t.TempDir()
+	spr := bytes.Replace(raw, []byte("platform zen4-sim"), []byte("platform spr"), 1)
+	if err := os.WriteFile(filepath.Join(shadow, "spr.pdef"), spr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{PlatformDir: shadow}); err == nil || !strings.Contains(err.Error(), "platform spr collides with platform spr-sim") {
+		t.Fatalf("a definition named with spr-sim's short name: New err = %v", err)
+	}
 }
 
 // TestMatrixCellIsItsAnalysis: each matrix cell is the analysis of its

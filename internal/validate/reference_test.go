@@ -37,7 +37,7 @@ func referenceRun(ctx context.Context, reg *machine.Registry, req Request) (*Rep
 	noise := make(map[string]float64)
 	covered := make(map[string]bool)
 	for _, b := range res.benches {
-		p, err := reg.New(res.platform)
+		p, err := reg.Platform(res.platform)
 		if err != nil {
 			return nil, err
 		}
@@ -192,7 +192,7 @@ func TestValidateReadsAnalysisProfiles(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			p, err := reg.New(platform)
+			p, err := reg.Platform(platform)
 			if err != nil {
 				return nil, err
 			}

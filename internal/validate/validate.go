@@ -154,11 +154,11 @@ type resolved struct {
 // Validation covers any registered platform: the ground-truth benchmarks of
 // the platform's class drive it, exactly like the composability matrix.
 func (r Request) resolve(reg *machine.Registry) (resolved, error) {
-	def, err := reg.Def(r.Platform)
+	p, err := reg.Platform(r.Platform)
 	if err != nil {
 		return resolved{}, err
 	}
-	platform := def.Name
+	def, platform := p.Platform, p.Name
 	if r.Workers < 0 {
 		return resolved{}, fmt.Errorf("validate: workers must be >= 0 (0 means GOMAXPROCS), got %d", r.Workers)
 	}
