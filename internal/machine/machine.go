@@ -138,7 +138,11 @@ func (p *Platform) Groups(names []string) [][]string {
 	}
 	var groups [][]string
 	for start := 0; start < len(names); start += p.Counters {
-		groups = append(groups, names[start:min(start+p.Counters, len(names))])
+		end := start + p.Counters
+		if end > len(names) {
+			end = len(names)
+		}
+		groups = append(groups, names[start:end])
 	}
 	return groups
 }

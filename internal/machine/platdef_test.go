@@ -294,9 +294,10 @@ func TestRegistryRejectsAliasCollisions(t *testing.T) {
 	}
 }
 
-// TestFromDefRejectsUnknownKeys: FromDef, the only constructor of a live
-// platform, rejects terms over stat keys no simulator populates, and
-// definitions platdef.Validate rejects, such as one with a duplicate event.
+// TestFromDefRejectsUnknownKeys: FromDef, the constructor of a live
+// platform outside a registry, rejects terms over stat keys no simulator
+// populates, and definitions platdef.Validate rejects, such as one with a
+// duplicate event.
 func TestFromDefRejectsUnknownKeys(t *testing.T) {
 	def := &platdef.Platform{
 		Name: "bad-sim", Class: "cpu", Counters: 4,
