@@ -126,10 +126,10 @@ const (
 
 // runGuard compares the parsed run against a committed baseline document and
 // fails when any row of the guarded benchmark (one per -cpu value) regressed:
-// ns/op past factor, B/op past bytesFactor or allocs/op past allocsFactor. A missing
-// benchmark on either side is an error, and so is a run that does not
-// report the allocations its baseline records — a guard that cannot find
-// its subject must not pass silently.
+// ns/op past factor, B/op past bytesFactor or allocs/op past allocsFactor.
+// A missing benchmark on either side is an error, and so is a run that does
+// not report the allocations its baseline records — a guard that cannot
+// find its subject must not pass silently.
 func runGuard(doc *Document, baselinePath, name string, factor float64, stdout io.Writer) error {
 	if factor <= 0 {
 		return fmt.Errorf("guard-factor must be > 0, got %v", factor)
