@@ -145,3 +145,22 @@ func TestSinglePeerOwnsEverything(t *testing.T) {
 		}
 	}
 }
+
+// TestOwnersPinned pins ring placement: the failover order of fixed keys on
+// a fixed peer set. Every replica of a tier must compute the same owners, so
+// a change to the point or key hash — its offset, separator or finalizer —
+// moves keys between replicas and fails here first.
+func TestOwnersPinned(t *testing.T) {
+	r := ring(t, peers3)
+	var got []string
+	for _, k := range append(keys(8), "", "key", "http://127.0.0.1:7001") {
+		order := ""
+		for _, o := range r.Owners(k, 0) {
+			order += o[len(o)-1:]
+		}
+		got = append(got, order)
+	}
+	if want := "[321 321 213 213 132 132 231 312 213 132 321]"; fmt.Sprint(got) != want {
+		t.Errorf("owners = %s, want %s", got, want)
+	}
+}
