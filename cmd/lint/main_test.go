@@ -15,13 +15,16 @@ import (
 )
 
 // fixtureDirs are the seeded-violation packages, one per analyzer (goraw
-// seeds a second violation in a _test.go file to prove test coverage).
+// seeds a second violation in a _test.go file to prove test coverage, and
+// internal/machine a second seedcoord violation through the module's own
+// generator constructor).
 var fixtureDirs = []string{
 	"testdata/src/cachekey",
 	"testdata/src/errsink",
 	"testdata/src/floateq",
 	"testdata/src/goraw",
 	"testdata/src/internal/core",
+	"testdata/src/internal/machine",
 	"testdata/src/internal/testonly",
 	"testdata/src/lockbyvalue",
 	"testdata/src/maporder",
@@ -29,8 +32,8 @@ var fixtureDirs = []string{
 }
 
 // fixtureFindings is the seeded-violation count across fixtureDirs: one per
-// analyzer, plus goraw's extra _test.go seed.
-const fixtureFindings = "10 finding(s)"
+// analyzer, plus goraw's extra _test.go seed and seedcoord's newRNG seed.
+const fixtureFindings = "11 finding(s)"
 
 // runLint runs the command in-process and returns stdout plus the error.
 func runLint(t *testing.T, args ...string) (string, error) {

@@ -123,13 +123,12 @@ func SpecializedQRCP(x *mat.Dense, alpha float64) *SpecializedQRCPResult {
 // Scores come from the original X columns; eligibility (the beta test) from
 // the orthogonalized residuals in work.
 func getPivot(x, work *mat.Dense, perm []int, i int, alpha, beta float64) (int, float64) {
-	m, n := work.Dims()
+	n := work.Cols()
 	pivot := -1
 	bestScore := math.Inf(1)
 	bestNorm := math.Inf(1)
 	for j := i; j < n; j++ {
-		col := work.Col(j)
-		resNorm := mat.Norm2(col[i:m])
+		resNorm := mat.ColNorm(work, i, j)
 		if resNorm < beta {
 			continue // dependent on the selection, or effectively zero
 		}

@@ -1,14 +1,18 @@
 package fault
 
-import "time"
+import (
+	"time"
+
+	"github.com/perfmetrics/eventlens/internal/seed"
+)
 
 // BackoffDelay computes the delay before retry number attempt (0-based):
 // exponential growth base<<attempt capped at max, scaled by a deterministic
-// jitter factor in [0.5, 1.5) drawn from (seed, attempt). Seeded jitter
+// jitter factor in [0.5, 1.5) drawn from (s, attempt). Seeded jitter
 // keeps retry schedules replayable — two runs of the same chaos seed back
 // off identically — while still de-synchronizing concurrent retriers whose
 // seeds differ.
-func BackoffDelay(base, max time.Duration, seed uint64, attempt int) time.Duration {
+func BackoffDelay(base, max time.Duration, s uint64, attempt int) time.Duration {
 	if base <= 0 {
 		return 0
 	}
@@ -24,8 +28,8 @@ func BackoffDelay(base, max time.Duration, seed uint64, attempt int) time.Durati
 	if d > max {
 		d = max
 	}
-	h := mix64(fnv1a(seed, "backoff", uint64(int64(attempt))))
-	jitter := 0.5 + float64(h>>11)/(1<<53) // [0.5, 1.5)
+	h := seed.Mix(seed.Uint(seed.String(seed.Uint(seed.Offset, s), "backoff"), uint64(int64(attempt))))
+	jitter := 0.5 + seed.Unit(h) // [0.5, 1.5)
 	scaled := time.Duration(float64(d) * jitter)
 	if scaled > max {
 		scaled = max
@@ -38,7 +42,7 @@ func BackoffDelay(base, max time.Duration, seed uint64, attempt int) time.Durati
 func SeedFor(parts ...string) uint64 {
 	h := uint64(0)
 	for _, p := range parts {
-		h = fnv1a(h, p)
+		h = seed.String(seed.Uint(seed.Offset, h), p)
 	}
-	return mix64(h)
+	return seed.Mix(h)
 }

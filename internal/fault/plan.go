@@ -3,6 +3,8 @@ package fault
 import (
 	"math"
 	"time"
+
+	"github.com/perfmetrics/eventlens/internal/seed"
 )
 
 // Plan is a complete, replayable fault schedule: every decision it makes is
@@ -90,56 +92,15 @@ func (p *Plan) Delay(c Coord) time.Duration {
 // unit returns a deterministic uniform draw in [0, 1) for a labeled
 // coordinate stream.
 func (p *Plan) unit(c Coord, label string, extra uint64) float64 {
-	return float64(p.hash(c, label, extra)>>11) / (1 << 53)
+	return seed.Unit(p.hash(c, label, extra))
 }
 
 // hash folds (seed, coordinate, label, extra) into 64 well-mixed bits:
 // FNV-1a over the fields, finalized with a splitmix64 mix so that nearby
 // coordinates produce unrelated draws.
 func (p *Plan) hash(c Coord, label string, extra uint64) uint64 {
-	h := fnv1a(p.spec.Seed, string(c.Site), c.Name, label,
-		uint64(int64(c.Group)), uint64(int64(c.Rep)), uint64(int64(c.Thread)), extra)
-	return mix64(h)
-}
-
-// fnv1a folds strings and integers into a 64-bit FNV-1a hash, separating
-// fields so distinct tuples never collide by concatenation.
-func fnv1a(seed uint64, parts ...interface{}) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mixByte := func(b byte) {
-		h ^= uint64(b)
-		h *= prime
-	}
-	mixUint := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			mixByte(byte(v >> (8 * i)))
-		}
-	}
-	mixUint(seed)
-	for _, part := range parts {
-		switch v := part.(type) {
-		case string:
-			for i := 0; i < len(v); i++ {
-				mixByte(v[i])
-			}
-			mixByte(0xff) // field separator
-		case uint64:
-			mixUint(v)
-		default:
-			panic("fault: unsupported hash part")
-		}
-	}
-	return h
-}
-
-// mix64 is the splitmix64 finalizer.
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	h := seed.Uint(seed.Offset, p.spec.Seed)
+	h = seed.String(seed.String(seed.String(h, string(c.Site)), c.Name), label)
+	h = seed.Uint(seed.Uint(seed.Uint(h, uint64(int64(c.Group))), uint64(int64(c.Rep))), uint64(int64(c.Thread)))
+	return seed.Mix(seed.Uint(h, extra))
 }

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/types"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -324,4 +325,30 @@ func Serial() float64 {
 		"app/app.go":          app,
 	}, "app", SeedCoord)
 	expect(t, diags, [2]int{0, 10})
+}
+
+// TestSeedConstructorsExist: every module-local entry of the seedcoord
+// constructor table names a function of this module's package, so renaming
+// the generator's constructor away cannot quietly blind the analyzer.
+func TestSeedConstructorsExist(t *testing.T) {
+	root, err := FindRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range seedConstructors {
+		if !strings.HasPrefix(key[0], "internal/") {
+			continue
+		}
+		pkg, err := loader.LoadDir(filepath.Join(root, filepath.FromSlash(key[0])))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fn, _ := pkg.Types.Scope().Lookup(key[1]).(*types.Func); !isSeedConstructor(fn) {
+			t.Errorf("seedConstructors names %s.%s, which is not a function there", key[0], key[1])
+		}
+	}
 }

@@ -25,8 +25,9 @@ var SeedCoord = &Analyzer{
 
 // seedConstructors are the seed-accepting source constructors:
 // (package-path suffix, function name) pairs. The module's own splitmix
-// generator (machine.newRNG) joins the stdlib ones; suffix matching lets
-// fixture packages mirror it.
+// generator, whose one constructor machine.newRNG every noise draw goes
+// through, joins the stdlib ones; suffix matching lets fixture packages
+// mirror it.
 var seedConstructors = [][2]string{
 	{"math/rand", "NewSource"},
 	{"math/rand/v2", "NewPCG"},

@@ -134,7 +134,7 @@ func TestMeasureUnknownEvent(t *testing.T) {
 }
 
 func TestRNGNormalMoments(t *testing.T) {
-	r := &rng{state: 12345}
+	r := newRNG(12345)
 	n := 20000
 	var sum, sumSq float64
 	for i := 0; i < n; i++ {

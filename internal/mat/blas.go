@@ -1,18 +1,6 @@
 package mat
 
-import (
-	"fmt"
-	"math"
-
-	"github.com/perfmetrics/eventlens/internal/par"
-)
-
-// matmulParallelThreshold is the minimum number of result elements before
-// MatMul fans work out across goroutines. Small products are faster serial.
-const matmulParallelThreshold = 64 * 64
-
-// matmulBlock is the cache-blocking factor for the k dimension.
-const matmulBlock = 64
+import "fmt"
 
 // MatVec returns A*x as a new slice. x must have length A.Cols().
 func MatVec(a *Dense, x []float64) []float64 {
@@ -37,27 +25,11 @@ func ResidualNorm2(a *Dense, x, b []float64) float64 {
 	if len(b) != a.rows {
 		panic(fmt.Sprintf("mat: ResidualNorm2 rhs length %d, want %d", len(b), a.rows))
 	}
-	var scale, ssq float64
-	ssq = 1
+	scale, ssq := 0.0, 1.0
 	for i := 0; i < a.rows; i++ {
-		d := Dot(a.RawRow(i), x) - b[i]
-		if IsZero(d) {
-			continue
-		}
-		v := math.Abs(d)
-		if scale < v {
-			r := scale / v
-			ssq = 1 + ssq*r*r
-			scale = v
-		} else {
-			r := v / scale
-			ssq += r * r
-		}
+		scale, ssq = ssqStep(scale, ssq, Dot(a.RawRow(i), x)-b[i])
 	}
-	if IsZero(scale) {
-		return 0
-	}
-	return scale * math.Sqrt(ssq)
+	return ssqNorm(scale, ssq)
 }
 
 // MatTVec returns Aᵀ*x as a new slice. x must have length A.Rows().
@@ -72,62 +44,26 @@ func MatTVec(a *Dense, x []float64) []float64 {
 	return y
 }
 
-// MatMul returns A*B as a new matrix. The inner dimensions must agree.
-// The kernel is blocked over k for cache locality and row-parallel for large
-// products.
+// MatMul returns A*B as a new matrix. The inner dimensions must agree. The
+// loop order is ikj, so the innermost loop streams rows of b and every
+// element of the product sums over k in order, skipping zero entries of a.
 func MatMul(a, b *Dense) *Dense {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("mat: MatMul dimension mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	c := NewDense(a.rows, b.cols)
-	if a.rows*b.cols < matmulParallelThreshold {
-		matmulRows(c, a, b, 0, a.rows)
-		return c
-	}
-	workers := par.Workers(0)
-	if workers > a.rows {
-		workers = a.rows
-	}
-	chunk := (a.rows + workers - 1) / workers
-	// Each chunk writes a disjoint row range of c, so the fan-out is
-	// byte-identical to the serial loop regardless of scheduling.
-	par.For(workers, workers, func(w int) {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > a.rows {
-			hi = a.rows
-		}
-		if lo < hi {
-			matmulRows(c, a, b, lo, hi)
-		}
-	})
-	return c
-}
-
-// matmulRows computes rows [lo,hi) of c = a*b using an ikj loop order with
-// k-blocking, so the innermost loop streams rows of b.
-func matmulRows(c, a, b *Dense, lo, hi int) {
-	n := b.cols
-	for kb := 0; kb < a.cols; kb += matmulBlock {
-		kend := kb + matmulBlock
-		if kend > a.cols {
-			kend = a.cols
-		}
-		for i := lo; i < hi; i++ {
-			arow := a.RawRow(i)
-			crow := c.data[i*n : (i+1)*n]
-			for k := kb; k < kend; k++ {
-				aik := arow[k]
-				if IsZero(aik) {
-					continue
-				}
-				brow := b.data[k*n : (k+1)*n]
-				for j, bv := range brow {
-					crow[j] += aik * bv
-				}
+	for i := 0; i < a.rows; i++ {
+		crow := c.RawRow(i)
+		for k, aik := range a.RawRow(i) {
+			if IsZero(aik) {
+				continue
+			}
+			for j, bv := range b.RawRow(k) {
+				crow[j] += aik * bv
 			}
 		}
 	}
+	return c
 }
 
 // MatTMul returns Aᵀ*B as a new matrix.

@@ -93,6 +93,39 @@ func TestFusedKernelsAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { ResidualNorm2(a, xs, b) }); allocs != 0 {
 		t.Errorf("ResidualNorm2 allocates %v per call", allocs)
 	}
+	src := randomDense(rand.New(rand.NewSource(2)), 8, 4)
+	w, tau := NewDense(8, 4), make([]float64, 4)
+	if allocs := testing.AllocsPerRun(100, func() {
+		copy(w.data, src.data)
+		HouseholderStep(w, 1, tau)
+	}); allocs != 0 {
+		t.Errorf("HouseholderStep allocates %v per call", allocs)
+	}
+}
+
+// TestColNormMatchesNorm2: the Householder step and the pivot searches take
+// their column norms in place, bitwise equal to Norm2 over a copy of the
+// column segment.
+func TestColNormMatchesNorm2(t *testing.T) {
+	a := newDenseData(4, 2, []float64{
+		1e300, 0,
+		-1e300, 1e-300,
+		5e299, 0,
+		0, -3e-300,
+	})
+	rng := rand.New(rand.NewSource(3))
+	for _, d := range []*Dense{a, NewDense(3, 2), randomDense(rng, 9, 5), randomDense(rng, 1, 3)} {
+		m, n := d.Dims()
+		for col := 0; col < n; col++ {
+			for row := 0; row < m; row++ {
+				got := ColNorm(d, row, col)
+				want := Norm2(d.Col(col)[row:])
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%dx%d [%d:, %d]: ColNorm = %v, Norm2 = %v", m, n, row, col, got, want)
+				}
+			}
+		}
+	}
 }
 
 func TestSolveScratchMatchesSolve(t *testing.T) {

@@ -46,7 +46,7 @@ func LeastSquares(a *Dense, b []float64) (*LSResult, error) {
 	if useSVD {
 		x = ComputeSVD(a).PseudoSolve(b, 0)
 	}
-	res := Norm2(SubVec(MatVec(a, x), b))
+	res := ResidualNorm2(a, x, b)
 	return &LSResult{
 		X:             x,
 		Residual:      res,

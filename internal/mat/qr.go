@@ -23,61 +23,47 @@ func Factorize(a *Dense) *QR {
 	}
 	qr := a.Clone()
 	tau := make([]float64, n)
-	work := make([]float64, m)
 	for k := 0; k < n; k++ {
-		houseColumn(qr, k, k, tau, work)
+		HouseholderStep(qr, k, tau)
 	}
 	return &QR{qr: qr, tau: tau, m: m, n: n}
-}
-
-// houseColumn generates the Householder reflector annihilating column col
-// below row `row` of packed, stores it in place, records tau[col], and applies
-// it to the trailing columns.
-func houseColumn(packed *Dense, row, col int, tau, work []float64) {
-	m, n := packed.Dims()
-	// Compute the norm of the column segment packed[row:m, col].
-	var seg []float64
-	for i := row; i < m; i++ {
-		seg = append(seg, packed.At(i, col))
-	}
-	alpha := seg[0]
-	norm := Norm2(seg)
-	if IsZero(norm) {
-		tau[col] = 0
-		return
-	}
-	beta := -math.Copysign(norm, alpha)
-	t := (beta - alpha) / beta
-	scale := 1 / (alpha - beta)
-	// v = [1, packed[row+1:m,col]*scale]; store tail in place, beta on diag.
-	packed.Set(row, col, beta)
-	for i := row + 1; i < m; i++ {
-		packed.Set(i, col, packed.At(i, col)*scale)
-	}
-	tau[col] = t
-	// Apply I - t*v*vᵀ to trailing columns [col+1, n).
-	for j := col + 1; j < n; j++ {
-		// w = vᵀ * packed[row:m, j]
-		w := packed.At(row, j)
-		for i := row + 1; i < m; i++ {
-			w += packed.At(i, col) * packed.At(i, j)
-		}
-		w *= t
-		packed.Set(row, j, packed.At(row, j)-w)
-		for i := row + 1; i < m; i++ {
-			packed.Set(i, j, packed.At(i, j)-w*packed.At(i, col))
-		}
-	}
-	_ = work
 }
 
 // HouseholderStep performs one Householder elimination step on a packed
 // working matrix: it generates the reflector annihilating column k below row
 // k, stores it in place, records tau[k], and applies it to the trailing
-// columns. Exported for externally driven pivoted factorizations (the
-// specialized QRCP of the analysis pipeline).
-func HouseholderStep(work *Dense, k int, tau []float64) {
-	houseColumn(work, k, k, tau, nil)
+// columns. Factorize and QRCP drive it, and so does the specialized QRCP of
+// the analysis pipeline.
+func HouseholderStep(packed *Dense, k int, tau []float64) {
+	m, n := packed.Dims()
+	alpha := packed.At(k, k)
+	norm := ColNorm(packed, k, k)
+	if IsZero(norm) {
+		tau[k] = 0
+		return
+	}
+	beta := -math.Copysign(norm, alpha)
+	t := (beta - alpha) / beta
+	scale := 1 / (alpha - beta)
+	// v = [1, packed[k+1:m,k]*scale]; store tail in place, beta on diag.
+	packed.Set(k, k, beta)
+	for i := k + 1; i < m; i++ {
+		packed.Set(i, k, packed.At(i, k)*scale)
+	}
+	tau[k] = t
+	// Apply I - t*v*vᵀ to trailing columns [k+1, n).
+	for j := k + 1; j < n; j++ {
+		// w = vᵀ * packed[k:m, j]
+		w := packed.At(k, j)
+		for i := k + 1; i < m; i++ {
+			w += packed.At(i, k) * packed.At(i, j)
+		}
+		w *= t
+		packed.Set(k, j, packed.At(k, j)-w)
+		for i := k + 1; i < m; i++ {
+			packed.Set(i, j, packed.At(i, j)-w*packed.At(i, k))
+		}
+	}
 }
 
 // QTVec applies Qᵀ to b in place; b must have length m.

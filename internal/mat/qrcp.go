@@ -1,7 +1,5 @@
 package mat
 
-import "math"
-
 // QRCPResult records the outcome of a column-pivoted QR factorization.
 type QRCPResult struct {
 	// Perm is the permutation array π: Perm[i] is the index (into the
@@ -36,7 +34,7 @@ func QRCP(a *Dense, tol float64) *QRCPResult {
 	colNorms := make([]float64, n)
 	maxNorm := 0.0
 	for j := 0; j < n; j++ {
-		colNorms[j] = Norm2(work.Col(j))
+		colNorms[j] = ColNorm(work, 0, j)
 		if colNorms[j] > maxNorm {
 			maxNorm = colNorms[j]
 		}
@@ -50,7 +48,7 @@ func QRCP(a *Dense, tol float64) *QRCPResult {
 		// cheaper but loses accuracy; our matrices are small enough.
 		pivot, best := -1, threshold
 		for j := k; j < n; j++ {
-			nrm := partialColNorm(work, k, j)
+			nrm := ColNorm(work, k, j)
 			colNorms[j] = nrm
 			if nrm > best {
 				best = nrm
@@ -63,7 +61,7 @@ func QRCP(a *Dense, tol float64) *QRCPResult {
 		work.SwapCols(k, pivot)
 		perm[k], perm[pivot] = perm[pivot], perm[k]
 		colNorms[k], colNorms[pivot] = colNorms[pivot], colNorms[k]
-		houseColumn(work, k, k, tau, nil)
+		HouseholderStep(work, k, tau)
 		rank++
 	}
 	r := NewDense(min(m, n), n)
@@ -75,28 +73,12 @@ func QRCP(a *Dense, tol float64) *QRCPResult {
 	return &QRCPResult{Perm: perm, Rank: rank, R: r}
 }
 
-// partialColNorm returns ‖work[row:m, col]‖₂.
-func partialColNorm(work *Dense, row, col int) float64 {
-	m := work.Rows()
-	var scale, ssq float64
-	ssq = 1
-	for i := row; i < m; i++ {
-		v := work.At(i, col)
-		if IsZero(v) {
-			continue
-		}
-		a := math.Abs(v)
-		if scale < a {
-			r := scale / a
-			ssq = 1 + ssq*r*r
-			scale = a
-		} else {
-			r := a / scale
-			ssq += r * r
-		}
+// ColNorm returns ‖a[row:m, col]‖₂ in place, bitwise equal to Norm2 over a
+// copy of the column segment.
+func ColNorm(a *Dense, row, col int) float64 {
+	scale, ssq := 0.0, 1.0
+	for i := row; i < a.rows; i++ {
+		scale, ssq = ssqStep(scale, ssq, a.At(i, col))
 	}
-	if IsZero(scale) {
-		return 0
-	}
-	return scale * math.Sqrt(ssq)
+	return ssqNorm(scale, ssq)
 }

@@ -66,7 +66,7 @@ func ComputeSVD(a *Dense) *SVD {
 	// Singular values are the column norms of u; normalize columns.
 	s := make([]float64, n)
 	for j := 0; j < n; j++ {
-		nrm := Norm2(u.Col(j))
+		nrm := ColNorm(u, 0, j)
 		s[j] = nrm
 		if nrm > 0 {
 			for i := 0; i < m; i++ {

@@ -17,25 +17,49 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
+// Cosine returns the cosine of the angle between x and y, which must have
+// equal length. Two zero vectors are identical (1); a zero vector against a
+// nonzero one is orthogonal (0).
+func Cosine(x, y []float64) float64 {
+	xx, yy := Dot(x, x), Dot(y, y)
+	if IsZero(xx) && IsZero(yy) {
+		return 1
+	}
+	if IsZero(xx) || IsZero(yy) {
+		return 0
+	}
+	return Dot(x, y) / (math.Sqrt(xx) * math.Sqrt(yy))
+}
+
 // Norm2 returns the Euclidean norm of x, guarding against overflow and
 // underflow by scaling (the classical two-pass hypot-style algorithm).
 func Norm2(x []float64) float64 {
-	var scale, ssq float64
-	ssq = 1
+	scale, ssq := 0.0, 1.0
 	for _, v := range x {
-		if IsZero(v) {
-			continue
-		}
-		a := math.Abs(v)
-		if scale < a {
-			r := scale / a
-			ssq = 1 + ssq*r*r
-			scale = a
-		} else {
-			r := a / scale
-			ssq += r * r
-		}
+		scale, ssq = ssqStep(scale, ssq, v)
 	}
+	return ssqNorm(scale, ssq)
+}
+
+// ssqStep folds v into the scaled sum of squares (scale, ssq), started at
+// (0, 1), behind every 2-norm here: the squares are summed relative to the
+// largest magnitude seen, so they neither overflow nor underflow. Zeros are
+// skipped.
+func ssqStep(scale, ssq, v float64) (float64, float64) {
+	if IsZero(v) {
+		return scale, ssq
+	}
+	a := math.Abs(v)
+	if scale < a {
+		r := scale / a
+		return a, 1 + ssq*r*r
+	}
+	r := a / scale
+	return scale, ssq + r*r
+}
+
+// ssqNorm is the 2-norm scale·√ssq of a scaled sum of squares.
+func ssqNorm(scale, ssq float64) float64 {
 	if IsZero(scale) {
 		return 0
 	}
@@ -50,27 +74,11 @@ func SubNorm2(x, y []float64) float64 {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("mat: SubNorm2 length mismatch %d vs %d", len(x), len(y)))
 	}
-	var scale, ssq float64
-	ssq = 1
+	scale, ssq := 0.0, 1.0
 	for i, v := range x {
-		d := v - y[i]
-		if IsZero(d) {
-			continue
-		}
-		a := math.Abs(d)
-		if scale < a {
-			r := scale / a
-			ssq = 1 + ssq*r*r
-			scale = a
-		} else {
-			r := a / scale
-			ssq += r * r
-		}
+		scale, ssq = ssqStep(scale, ssq, v-y[i])
 	}
-	if IsZero(scale) {
-		return 0
-	}
-	return scale * math.Sqrt(ssq)
+	return ssqNorm(scale, ssq)
 }
 
 // NormInf returns the largest absolute value in x, or 0 for empty x.

@@ -18,6 +18,33 @@ func TestDotLengthMismatchPanics(t *testing.T) {
 	Dot([]float64{1}, []float64{1, 2})
 }
 
+// TestCosine: the fused sums equal the composed Dot form bitwise, and the
+// zero rules hold.
+func TestCosine(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 50; trial++ {
+		x, y := make([]float64, 1+trial%9), make([]float64, 1+trial%9)
+		for i := range x {
+			x[i], y[i] = rng.NormFloat64(), rng.NormFloat64()
+		}
+		want := Dot(x, y) / (math.Sqrt(Dot(x, x)) * math.Sqrt(Dot(y, y)))
+		if got := Cosine(x, y); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: Cosine = %v, composed = %v", trial, got, want)
+		}
+	}
+	if got := Cosine([]float64{0, 0}, []float64{0, 0}); got != 1 {
+		t.Errorf("zero vs zero = %v, want 1", got)
+	}
+	if got := Cosine([]float64{0, 0}, []float64{1, 2}); got != 0 {
+		t.Errorf("zero vs nonzero = %v, want 0", got)
+	}
+	if got := Cosine([]float64{2, 4}, []float64{1, 2}); math.Abs(got-1) > 1e-15 {
+		t.Errorf("parallel vectors = %v, want 1", got)
+	}
+	defer expectPanic(t, "length mismatch")
+	Cosine([]float64{1}, []float64{1, 2})
+}
+
 func TestNorm2Basic(t *testing.T) {
 	if got := Norm2([]float64{3, 4}); math.Abs(got-5) > 1e-15 {
 		t.Fatalf("Norm2 = %v want 5", got)

@@ -71,6 +71,8 @@ func FuzzLadderRequest(f *testing.F) {
 		`{"workers":-1}`,
 		`{"threshold":-1e-6}`,
 		`{"faults":"wat"}`,
+		`{"benchmark":"cpu-flops"}}`,
+		`{"benchmark":"cpu-flops"}]`,
 	} {
 		f.Add(body)
 	}

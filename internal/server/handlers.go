@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -132,17 +133,25 @@ func decodeJSON(r *http.Request, dst any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return httpError{http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit)}
-		}
-		return httpError{http.StatusBadRequest, "malformed JSON: " + err.Error()}
+		return bodyError(err, "malformed JSON: "+err.Error())
 	}
-	if dec.More() {
-		return httpError{http.StatusBadRequest, "request body must hold a single JSON object"}
+	// Only end of input may follow the object. More reports false before a
+	// stray } or ], so read one more token instead.
+	if _, err := dec.Token(); err != io.EOF {
+		return bodyError(err, "request body must hold a single JSON object")
 	}
 	return nil
+}
+
+// bodyError maps a request-body read failure to its client error: 413 when
+// the body outgrew its limit, else 400 with msg.
+func bodyError(err error, msg string) error {
+	var maxErr *http.MaxBytesError
+	if errors.As(err, &maxErr) {
+		return httpError{http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit)}
+	}
+	return httpError{http.StatusBadRequest, msg}
 }
 
 // Cache sources reported in the X-Eventlens-Cache header.

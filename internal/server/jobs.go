@@ -73,13 +73,18 @@ type jobView struct {
 	Error     string          `json:"error,omitempty"`
 }
 
-// jobManager owns the bounded job queue and the worker pool draining it.
+// jobManager owns the bounded job queue, the worker pool draining it and
+// the job registry. The registry keeps every queued and running job and at
+// most retain finished ones, evicting the oldest finished first: an evicted
+// id is unknown again.
 type jobManager struct {
-	mu     sync.Mutex
-	jobs   map[string]*job
-	nextID uint64
-	queue  chan *job
-	closed bool
+	mu       sync.Mutex
+	jobs     map[string]*job
+	finished []string // ids of registered finished jobs, oldest first
+	retain   int
+	nextID   uint64
+	queue    chan *job
+	closed   bool
 
 	wg      sync.WaitGroup
 	runJob  func(ctx context.Context, j *job)
@@ -90,12 +95,13 @@ type jobManager struct {
 	jobsTotal  *obs.CounterVec
 }
 
-func newJobManager(queueDepth int, timeout time.Duration, inflight, depth *obs.Gauge, total *obs.CounterVec) *jobManager {
+func newJobManager(queueDepth, retain int, timeout time.Duration, inflight, depth *obs.Gauge, total *obs.CounterVec) *jobManager {
 	if queueDepth < 1 {
 		queueDepth = 1
 	}
 	return &jobManager{
 		jobs:       map[string]*job{},
+		retain:     retain,
 		queue:      make(chan *job, queueDepth),
 		timeout:    timeout,
 		inflight:   inflight,
@@ -120,13 +126,27 @@ func (m *jobManager) worker(ctx context.Context) {
 		m.queueDepth.Dec()
 		jctx, cancel, ok := j.claim(ctx, m.timeout)
 		if !ok {
-			continue // canceled while queued
+			m.retire(j) // canceled while queued
+			continue
 		}
 		m.inflight.Inc()
 		m.runJob(jctx, j)
 		cancel()
 		m.inflight.Dec()
 		m.jobsTotal.With(j.currentStatus()).Inc()
+		m.retire(j)
+	}
+}
+
+// retire records that a worker is done with j, which has finished, and
+// evicts the oldest finished jobs past the retention bound.
+func (m *jobManager) retire(j *job) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.finished = append(m.finished, j.id)
+	for len(m.finished) > m.retain {
+		delete(m.jobs, m.finished[0])
+		m.finished = m.finished[1:]
 	}
 }
 

@@ -98,6 +98,10 @@ func TestAnalyzeMalformedJSON(t *testing.T) {
 	decodeEnvelope(t, postJSON(t, h, "/v1/analyze", `{"benchmark":`), http.StatusBadRequest)
 	decodeEnvelope(t, postJSON(t, h, "/v1/analyze", ``), http.StatusBadRequest)
 	decodeEnvelope(t, postJSON(t, h, "/v1/analyze", `{"benchmark":"cpu-flops"} trailing`), http.StatusBadRequest)
+	// A stray closing delimiter is trailing garbage too, though the
+	// decoder's More reports no further value before it.
+	decodeEnvelope(t, postJSON(t, h, "/v1/analyze", `{"benchmark":"cpu-flops"}}`), http.StatusBadRequest)
+	decodeEnvelope(t, postJSON(t, h, "/v1/analyze", `{"benchmark":"cpu-flops"}]`), http.StatusBadRequest)
 	// Unknown fields are rejected: the API surface is canonical.
 	decodeEnvelope(t, postJSON(t, h, "/v1/analyze", `{"benchmark":"cpu-flops","bogus":1}`), http.StatusBadRequest)
 	// Invalid run/config values are 400s, not pipeline failures.

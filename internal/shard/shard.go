@@ -9,8 +9,8 @@
 // which is what lets any replica forward a request to the owner without
 // coordination. The nondetsrc analyzer enforces the determinism.
 //
-// Each peer is placed at Virtual points on a 64-bit ring (FNV-1a hashed,
-// splitmix64-finalized, the same mixing discipline internal/fault uses); a
+// Each peer is placed at Virtual points on a 64-bit ring (FNV-1a hashed and
+// splitmix64-finalized by internal/seed, as the fault plan is); a
 // key is owned by the first peer point at or after the key's hash. Owners
 // returns the distinct peers in ring order from the key — the failover
 // sequence: if the owner is unreachable, the next owner serves, and only
@@ -20,6 +20,8 @@ package shard
 import (
 	"fmt"
 	"sort"
+
+	"github.com/perfmetrics/eventlens/internal/seed"
 )
 
 // DefaultVirtual is the default number of ring points per peer. 64 points
@@ -118,35 +120,11 @@ func (r *Ring) locate(key string) int {
 
 // pointHash places virtual point v of a peer on the ring.
 func pointHash(peer string, v int) uint64 {
-	return mix64(fnv1a(fnv1a(offset64, peer), fmt.Sprintf("#%d", v)))
+	return seed.Mix(seed.String(seed.String(seed.Offset, peer), fmt.Sprintf("#%d", v)))
 }
 
 // keyHash places a key on the ring. Keys and points share the mixing but
 // not the input shape, so a peer URL used as a key does not self-collide.
 func keyHash(key string) uint64 {
-	return mix64(fnv1a(fnv1a(offset64, "key\xff"), key))
-}
-
-const (
-	offset64 = 14695981039346656037
-	prime64  = 1099511628211
-)
-
-// fnv1a folds s into a running 64-bit FNV-1a hash with a field separator.
-func fnv1a(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	h ^= 0xff
-	h *= prime64
-	return h
-}
-
-// mix64 is the splitmix64 finalizer, spreading nearby inputs across the ring.
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return seed.Mix(seed.String(seed.String(seed.Offset, "key\xff"), key))
 }

@@ -100,7 +100,7 @@ func Cluster(vectors [][]float64, threshold float64) (*Result, error) {
 	for _, i := range order {
 		placed := -1
 		for c, leader := range leaders {
-			if cosine(rows[i], rows[leader]) >= threshold {
+			if mat.Cosine(rows[i], rows[leader]) >= threshold {
 				placed = c
 				break
 			}
@@ -190,23 +190,4 @@ func canonicalOrder(rows [][]float64) []int {
 		return order[a] < order[b]
 	})
 	return order
-}
-
-// cosine returns the cosine similarity of two rows, evaluated in feature
-// order so the value depends only on the two rows. Two zero rows are
-// maximally similar (1); a zero row against a nonzero one is dissimilar (0).
-func cosine(a, b []float64) float64 {
-	var dot, na, nb float64
-	for j := range a {
-		dot += a[j] * b[j]
-		na += a[j] * a[j]
-		nb += b[j] * b[j]
-	}
-	if mat.IsZero(na) && mat.IsZero(nb) {
-		return 1
-	}
-	if mat.IsZero(na) || mat.IsZero(nb) {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }

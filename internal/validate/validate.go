@@ -469,7 +469,7 @@ func classify(tol Tolerances, documented bool, noiseLevel float64, m, d []float6
 	t := EventTrust{
 		Documented:   documented,
 		Noise:        noiseLevel,
-		Cosine:       cosine(m, d),
+		Cosine:       mat.Cosine(m, d),
 		MeanMeasured: mat.Mean(m),
 		MeanExpected: mat.Mean(d),
 	}
@@ -478,29 +478,29 @@ func classify(tol Tolerances, documented bool, noiseLevel float64, m, d []float6
 		return t
 	}
 	if !documented {
-		if allZero(m) {
+		if mat.AllZero(m) {
 			t.Verdict = VerdictBogus
 		} else {
 			t.Verdict = VerdictDerived
 		}
 		return t
 	}
-	dd := dot(d, d)
+	dd := mat.Dot(d, d)
 	if mat.IsZero(dd) {
 		// Documented to count nothing these kernels exercise.
-		if allZero(m) {
+		if mat.AllZero(m) {
 			t.Verdict = VerdictValid
 		} else {
 			t.Verdict = VerdictBogus
 		}
 		return t
 	}
-	if allZero(m) {
+	if mat.AllZero(m) {
 		// Documented to count, counting nothing.
 		t.Verdict = VerdictBogus
 		return t
 	}
-	t.Scale = dot(m, d) / dd
+	t.Scale = mat.Dot(m, d) / dd
 	t.FitRNMSE = fitResidual(m, d, t.Scale)
 	if t.FitRNMSE <= tol.FitTol {
 		if math.Abs(t.Scale-1) <= tol.ScaleTol {
@@ -518,38 +518,6 @@ func classify(tol Tolerances, documented bool, noiseLevel float64, m, d []float6
 	return t
 }
 
-func dot(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-func norm(a []float64) float64 { return math.Sqrt(dot(a, a)) }
-
-func allZero(a []float64) bool {
-	for _, v := range a {
-		if !mat.IsZero(v) {
-			return false
-		}
-	}
-	return true
-}
-
-// cosine is the angle between two vectors; two zero vectors are identical
-// (1), a zero against a non-zero is orthogonal (0).
-func cosine(a, b []float64) float64 {
-	na, nb := norm(a), norm(b)
-	if mat.IsZero(na) && mat.IsZero(nb) {
-		return 1
-	}
-	if mat.IsZero(na) || mat.IsZero(nb) {
-		return 0
-	}
-	return dot(a, b) / (na * nb)
-}
-
 // fitResidual is the relative residual of the scaled documentation fit:
 // ||m - s*d|| / ||m||.
 func fitResidual(m, d []float64, s float64) float64 {
@@ -558,7 +526,7 @@ func fitResidual(m, d []float64, s float64) float64 {
 		r := m[i] - s*d[i]
 		sum += r * r
 	}
-	return math.Sqrt(sum) / norm(m)
+	return math.Sqrt(sum) / math.Sqrt(mat.Dot(m, m))
 }
 
 // Format renders the report as the human-readable text the validate CLI
